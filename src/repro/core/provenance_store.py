@@ -29,6 +29,7 @@ dict APIs (:meth:`ProvenanceStore.occurrences` /
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Union
@@ -398,11 +399,22 @@ class ProvenanceStore:
     # Bumped on every mutation; compiled ReplayPlans pin the version they
     # were built against and refuse to run against a changed store.
     _version: int = 0
-    # Seqlock for lock-free readers of the (n_samples, _version) pair:
-    # odd while a compact() is mutating, even otherwise.  A reader that
-    # sees the same even value before and after its reads observed a
-    # consistent id space (see DeletionServer.submit).
-    _commit_seq: int = 0
+    # Held by compact() and retruncate_summaries() while they mutate; a
+    # reader that takes it sees a consistent (n_samples, _version) pair
+    # (see FleetServer.submit).
+    _commit_lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
+
+    def __getstate__(self) -> dict:
+        # Copies (copy.deepcopy, pickle) get a fresh lock of their own.
+        state = dict(self.__dict__)
+        del state["_commit_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._commit_lock = threading.Lock()
 
     def add(self, record) -> None:
         self.records.append(record)
@@ -561,13 +573,10 @@ class ProvenanceStore:
             if removed.size >= n_before:
                 raise ValueError("cannot delete every training sample")
 
-        self._commit_seq += 1  # odd: mutation in progress
-        try:
+        with self._commit_lock:
             return self._compact_locked(
                 removed, features, labels, n_before, timestamp
             )
-        finally:
-            self._commit_seq += 1  # even again: readers may trust the pair
 
     def _compact_locked(
         self,
@@ -876,8 +885,8 @@ defer_eigen` and the debt is discharged lazily by the first PrIU-opt
         the paper's lossy criterion with the worst error bound surfaced
         in the receipt.  Bumps the store version (compiled plans must
         re-sync their summary references via :meth:`~repro.core.\
-replay_plan.ReplayPlan.resync_summaries`); the mutation is wrapped in
-        the commit seqlock so concurrent submit-time readers always see a
+replay_plan.ReplayPlan.resync_summaries`); the mutation holds the
+        store's commit lock so concurrent submit-time readers always see a
         consistent store.
 
         ``incremental=True`` (the default) hands each record's appended
@@ -929,8 +938,7 @@ retruncate_summary`, which folds few-column updates into the existing
         columns_before = columns_after = max_rank_after = 0
         incremental_updates = 0
         max_bound = max_relative = 0.0
-        self._commit_seq += 1  # odd: mutation in progress
-        try:
+        with self._commit_lock:
             for t in touched:
                 record = self.records[t]
                 appended = (
@@ -949,8 +957,6 @@ retruncate_summary`, which folds few-column updates into the existing
                 incremental_updates += result.method == "incremental"
             self.svd_correction_columns[touched] = 0
             self._version += 1
-        finally:
-            self._commit_seq += 1  # even again
         return {
             "summaries": len(touched),
             "columns_before": columns_before,

@@ -3,16 +3,16 @@
 PrIU's premise is that deletion requests arrive *after* training, in a
 long-lived serving process.  This package supplies that process:
 
-* :class:`DeletionServer` — ``submit(ids) -> Future``; a worker thread
-  coalesces queued requests and answers them through one batched
-  :meth:`~repro.core.api.IncrementalTrainer.remove_many` call per batch.
-  With ``commit_mode=True`` each batch is *applied* in admission order
-  (store compaction + incremental plan refresh) instead of answered as a
-  stateless counterfactual;
-* :class:`ModelRegistry` / :class:`FleetServer` — the multi-model tier:
+* :class:`ModelRegistry` / :class:`FleetServer` — the serving engine:
   checkpoints registered by model id, loaded lazily and LRU-evicted
   under a memory cap, served through per-model lane-aware queues by a
-  shared bounded worker pool (:mod:`repro.serving.fleet`);
+  shared bounded worker pool that answers each coalesced batch with one
+  :meth:`~repro.core.api.IncrementalTrainer.remove_many` call.  In
+  commit mode each batch is *applied* in admission order (store
+  compaction + incremental plan refresh) instead of answered as a
+  stateless counterfactual (:mod:`repro.serving.fleet`);
+* :class:`DeletionServer` — ``submit(ids) -> Future`` for one trainer:
+  a facade over a one-model, one-worker :class:`FleetServer`;
 * :class:`ShardRouter` — the cross-process tier: model ids consistent-
   hashed across N shard worker processes (each running its own fleet
   over a shard-local registry, all sharing one read-only plan mapping

@@ -11,11 +11,10 @@ whose time only moves when the test advances it, so latency assertions are
 The clock owns the two operations where time and waiting interact:
 
 * :meth:`Clock.now` — the current monotonic timestamp (seconds);
-* :meth:`Clock.get` — "wait up to ``timeout`` *clock* seconds for an item
-  on this queue".  A fake clock consumes the budget in zero wall time;
-  the real clock maps it onto :meth:`queue.Queue.get`.
-* :meth:`Clock.wait` — the condition-variable analogue, used by the
-  fleet scheduler to sleep until the earliest lane deadline.
+* :meth:`Clock.wait` — "wait on this condition for up to ``timeout``
+  *clock* seconds", used by the fleet scheduler to sleep until the
+  earliest lane deadline.  A fake clock consumes the budget in zero wall
+  time; the real clock maps it onto :meth:`threading.Condition.wait`.
 
 Timestamps are arbitrary-origin monotonic seconds: only differences are
 meaningful, matching ``time.perf_counter`` semantics.
@@ -23,7 +22,6 @@ meaningful, matching ``time.perf_counter`` semantics.
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 
@@ -33,15 +31,6 @@ class Clock:
 
     def now(self) -> float:
         """Current monotonic time in seconds (arbitrary origin)."""
-        raise NotImplementedError
-
-    def get(self, q: queue.Queue, timeout: float):
-        """Pop an item, waiting at most ``timeout`` clock seconds.
-
-        Raises :class:`queue.Empty` once the budget elapses with nothing
-        to pop; implementations guarantee ``now()`` has advanced by (at
-        least) ``timeout`` when they do.
-        """
         raise NotImplementedError
 
     def wait(self, condition: threading.Condition, timeout: float | None) -> bool:
@@ -74,9 +63,6 @@ class MonotonicClock(Clock):
 
     def timestamp(self) -> float:
         return time.time()
-
-    def get(self, q: queue.Queue, timeout: float):
-        return q.get(timeout=timeout)
 
     def wait(self, condition: threading.Condition, timeout: float | None) -> bool:
         return condition.wait(timeout)

@@ -15,20 +15,22 @@ module supplies that tier:
   committed deletions ("dirty" — their on-disk checkpoint is stale) and
   models pinned by an in-flight dispatch are never evicted.
 * :class:`FleetServer` — ``submit(model_id, ids, lane=...)`` routes
-  requests to per-model admission queues (same SLA-lane ordering and
-  coalescing budgets as :class:`~repro.serving.DeletionServer`) served by
-  a shared pool of ``n_workers`` threads.  At most one ``remove_many`` is
-  in flight per model (a batched replay already saturates the BLAS
-  threads; two per model would fight for cores, and commit mode requires
-  serialized application anyway), and ready models are picked round-robin
-  so one chatty model cannot starve the rest.  Commit mode and the update
-  method are per-model settings; stats are kept per model *and*
-  fleet-wide, each with per-lane breakdowns.
+  requests to per-model admission queues (SLA-lane ordering, coalescing
+  budgets, backpressure, the starvation guard) served by a shared pool
+  of ``n_workers`` threads.  At most one ``remove_many`` is in flight
+  per model (a batched replay already saturates the BLAS threads; two
+  per model would fight for cores, and commit mode requires serialized
+  application anyway), and ready models are picked round-robin so one
+  chatty model cannot starve the rest.  Commit mode and the update
+  method are per-model settings; stats are kept per model, with per-lane
+  breakdowns, and merged into the fleet-wide view on read.
 
-All deadline math runs on the same injectable
-:class:`~repro.serving.clock.Clock` as the single-model server, so the
-whole fleet can be driven deterministically by the fake-clock test
-harness (``tests/serving/harness.py``).
+This is the serving layer's one engine: the single-model
+:class:`~repro.serving.DeletionServer` is a facade over a one-model
+fleet.  All deadline math runs on an injectable
+:class:`~repro.serving.clock.Clock`, so the whole fleet can be driven
+deterministically by the fake-clock test harness
+(``tests/serving/harness.py``).
 
 Typical use::
 
@@ -57,13 +59,17 @@ import numpy as np
 
 from ..core.api import IncrementalTrainer
 from ..core.maintenance import MaintenancePolicy
-from ..core.provenance_store import normalize_removed_indices
+from ..core.provenance_store import (
+    normalize_removed_indices,
+    remap_surviving_ids,
+)
 from ..core.serialization import (
     CheckpointCorruptionError,
     CheckpointMetadata,
     read_checkpoint_metadata,
     save_store,
 )
+from ..testing.races import GuardedBy
 from .clock import MONOTONIC_CLOCK, Clock
 from .errors import (
     BackpressureError,
@@ -71,17 +77,10 @@ from .errors import (
     ModelQuarantinedError,
     ServerClosedError,
     ServerStateError,
+    ServingError,
     WorkerCrashedError,
 )
 from .policy import AdmissionPolicy, _PreemptionGuard
-from .server import (
-    ServedOutcome,
-    _CommitTracker,
-    _consistent_store_snapshot,
-    _Request,
-    _serve_batch,
-    _validate_removed,
-)
 from .stats import ServingStats, StatsFrame, StatsRecorder
 
 
@@ -433,7 +432,7 @@ class ModelRegistry:
         commit-translation tagging, read under a single lock hold: the
         resident trainer (or None), the checkpoint epoch, the archive's
         sample count for the non-resident case (None when resident: the
-        caller reads the live count through the store seqlock instead),
+        caller reads the live count under the store's commit lock),
         and — for the resident case — the store version the trainer was
         loaded or last saved at, so the caller can tell a clean model
         (id space equals the epoch archive's) from a dirty one.
@@ -802,6 +801,168 @@ class ModelRegistry:
             }
 
 
+# ---------------------------------------------------------------- requests
+@dataclass
+class ServedOutcome:
+    """One answered deletion request, with its queueing economics.
+
+    ``seconds`` is the request's amortized share of its batch's
+    ``remove_many`` wall-clock (matching
+    :class:`~repro.core.api.UpdateOutcome`); ``latency_seconds`` is what
+    the caller actually experienced, enqueue to answer.  ``batch_seq`` /
+    ``batch_rank`` locate the request in its model's dispatch history
+    (batch number, position within the batch, both 0-based in admission
+    order) — the stress harness uses them to prove ordering invariants.
+    """
+
+    weights: np.ndarray
+    method: str
+    removed: np.ndarray
+    seconds: float
+    wait_seconds: float
+    latency_seconds: float
+    batch_size: int
+    # True when the model is served in commit mode and this answer's
+    # removals (plus everything admitted before it) are now folded in.
+    committed: bool = False
+    lane: str | None = None
+    model_id: str | None = None
+    batch_seq: int = -1
+    batch_rank: int = -1
+    # The pre-dispatch CostEstimate of the whole batch's removal union
+    # (``CostEstimate.as_dict()``), when the serving trainer carries a
+    # cost model; every member of a batch shares one estimate.  None on
+    # trainers without a cost model.
+    predicted: dict | None = None
+
+
+@dataclass
+class _Request:
+    indices: np.ndarray
+    future: Future
+    enqueued_at: float
+    lane: str
+    lane_delay: float
+    lane_priority: int
+    seq: int = -1
+    # Commit mode: the id space the submitted ids are expressed in, as a
+    # ``(checkpoint epoch, store version)`` pair ordered lexicographically
+    # — requests are translated forward through every commit recorded at a
+    # key >= this one at dispatch time.  The epoch counts checkpoint
+    # rewrites (``ModelRegistry.save_dirty``): a request validated against
+    # a freshly written checkpoint must *not* be replayed through commits
+    # that checkpoint already contains, even though store version numbers
+    # restart when the model reloads.  ``store_key`` advances as the
+    # request is remapped; ``admitted_key`` stays fixed for in-flight
+    # accounting (commit-history pruning).
+    store_key: tuple = (0, -1)
+    admitted_key: tuple = (0, -1)
+
+    def entry(self) -> tuple:
+        """Priority-queue entry: lanes first, submission order within."""
+        return (self.lane_priority, self.seq, self)
+
+
+def _consistent_store_snapshot(store) -> tuple[int, int]:
+    """A consistent ``(version, n_samples)`` pair.
+
+    Blocks while ``compact()`` or ``retruncate_summaries()`` holds the
+    store's commit lock, so the pair never straddles a mutation.
+    """
+    with store._commit_lock:
+        return store._version, store.n_samples
+
+
+def _validate_removed(removed: np.ndarray, n_samples: int) -> None:
+    """Submit-time bounds checks (``removed`` is normalized, sorted)."""
+    if removed[0] < 0 or removed[-1] >= n_samples:
+        raise ValueError(
+            f"removal ids must lie in [0, {n_samples}); "
+            f"got range [{removed[0]}, {removed[-1]}]"
+        )
+    if removed.size >= n_samples:
+        raise ValueError("cannot delete every training sample")
+
+
+class _CommitTracker:
+    """Commit-mode id-space bookkeeping for one model queue.
+
+    Keeps one ``(key_before, removed union)`` entry per committed batch —
+    the key a ``(checkpoint epoch, store version)`` pair, the union in
+    the id space the batch executed in.  A queued request tagged with
+    store key k is remapped through every entry with key_before >= k
+    before dispatch, so an id always denotes the sample the submitter
+    saw, not whatever later shifted into that slot.  A request tagged
+    ``(epoch, -inf)`` was validated against the archive that opened that
+    epoch — or against a clean resident model, whose id space equals that
+    archive's.  Every same-epoch commit necessarily postdates the
+    archive (commits require residency, and the archive was written by
+    the load or save that opened the epoch), so the tag sorts below them
+    all and they all apply; commits already folded into an earlier
+    epoch's archive never do.  Only a *dirty* resident model may tag
+    with its in-memory store version: dirty models are unevictable, so
+    that version cannot be reset by a reload while the request waits.
+    Entries older than every in-flight request's admitted key are pruned
+    at dispatch — in-flight, not just this batch, because a submitter
+    can block on backpressure and enqueue late.
+    """
+
+    # Declared via the descriptor (rather than `# guarded-by:` comments)
+    # so debug mode (REPRO_DEBUG_GUARDS=1) also asserts the lock is held
+    # on every access at runtime.
+    _history = GuardedBy("_lock")
+    _inflight_keys = GuardedBy("_lock")
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._history: list[tuple[tuple, np.ndarray]] = []
+        self._inflight_keys: dict[tuple, int] = {}
+
+    def note_submitted(self, key: tuple) -> None:
+        with self._lock:
+            self._inflight_keys[key] = self._inflight_keys.get(key, 0) + 1
+
+    def forget(self, key: tuple) -> None:
+        """Drop one in-flight registration (a submit that never enqueued)."""
+        with self._lock:
+            remaining = self._inflight_keys.get(key, 0) - 1
+            if remaining > 0:
+                self._inflight_keys[key] = remaining
+            else:
+                self._inflight_keys.pop(key, None)
+
+    def note_finished(self, requests: list[_Request]) -> None:
+        for request in requests:
+            self.forget(request.admitted_key)
+
+    def note_committed(self, key_before: tuple, union: np.ndarray) -> None:
+        with self._lock:
+            self._history.append((key_before, union))
+
+    def remap(self, live: list[_Request], current_key: tuple) -> None:
+        """Translate queued requests into the current (post-commit) id space."""
+        with self._lock:
+            oldest = min(self._inflight_keys, default=None)
+            if oldest is not None:
+                self._history = [
+                    entry for entry in self._history if entry[0] >= oldest
+                ]
+            history = list(self._history)
+        for request in live:
+            ids = request.indices
+            for key_before, committed in history:
+                if key_before < request.store_key:
+                    continue
+                if committed.size == 0 or ids.size == 0:
+                    continue
+                position = np.searchsorted(committed, ids)
+                position = np.minimum(position, committed.size - 1)
+                already_removed = committed[position] == ids
+                ids = remap_surviving_ids(ids[~already_removed], committed)
+            request.indices = ids
+            request.store_key = current_key
+
+
 # ------------------------------------------------------------------ fleet
 class _MaintenanceTicket:
     """One scheduled background ``maintain()`` run for one model.
@@ -880,11 +1041,10 @@ class _ModelQueue:
         """Cost-aware early close for this queue (``policy.cost_model`` set).
 
         Routes the queued batch through ``policy.should_dispatch`` with
-        the oldest member's wait and the batch's minimum lane delay —
-        the same inputs the single-model server's collect loop feeds it
-        — so the cost model's early-close rule applies fleet-side too.
-        Strictly one-directional (the fixed budget and full-batch checks
-        already dispatched above), and needs no extra wake-up timer: the
+        the oldest member's wait and the batch's minimum lane delay, so
+        the cost model's early-close rule applies.  Strictly
+        one-directional (the fixed budget and full-batch checks already
+        dispatched above), and needs no extra wake-up timer: the
         remaining budget only shrinks as time passes, so a queue that is
         not cost-ready at ``now`` stays not-ready until its deadline.
         """
@@ -944,26 +1104,94 @@ class _ModelQueue:
         return batch
 
 
-class _TeeStats:
-    """Forward every recording to several :class:`StatsRecorder` sinks.
+def _serve_batch(
+    trainer,
+    state: _ModelQueue,
+    live: list[_Request],
+    clock: Clock,
+    epoch: int,
+) -> None:
+    """Run one admitted batch through ``remove_many`` and resolve its futures.
 
-    Lets one dispatch feed both the per-model recorder and the fleet-wide
-    aggregate without the batch logic knowing about the split.
+    ``live`` holds only requests whose futures are already in the running
+    state (cancellation handled by the caller); every future is resolved
+    exactly once — with a :class:`ServedOutcome` on success, with the
+    dispatch exception on failure.  The caller performs its own in-flight
+    accounting after this returns.  ``epoch`` is the model's checkpoint
+    epoch (see :class:`_Request`).
     """
-
-    def __init__(self, *sinks: StatsRecorder) -> None:
-        self._sinks = sinks
-
-    def __getattr__(self, name: str):
-        if not name.startswith("record_"):
-            raise AttributeError(name)
-        methods = [getattr(sink, name) for sink in self._sinks]
-
-        def forward(*args, **kwargs) -> None:
-            for method in methods:
-                method(*args, **kwargs)
-
-        return forward
+    commit_mode = state.commit_mode
+    if commit_mode:
+        # Earlier batches may have committed (and re-packed the id space)
+        # while these requests sat in the queue.  Translate each request
+        # forward through the commits it missed: ids already committed
+        # drop out (those samples are gone — which is what the caller
+        # asked for), survivors shift down.  Without this, a queued id
+        # would silently denote whatever sample later moved into its slot.
+        state.tracker.remap(live, (epoch, trainer.store._version))
+    key_before = (epoch, trainer.store._version)
+    batch_seq = next(state.batch_seq)
+    lanes = [request.lane for request in live]
+    # Cost-model hook: estimate the batch union's footprint before the
+    # replay runs (searchsorted counts — no extra replay), attach it to
+    # every member's outcome, and feed the measured service time back
+    # into the online calibration afterwards.
+    cost_model = getattr(trainer, "cost_model", None)
+    union = None
+    if commit_mode or cost_model is not None:
+        union = live[0].indices
+        for request in live[1:]:
+            union = np.union1d(union, request.indices)
+    predicted = (
+        cost_model.estimate(trainer, union).as_dict()
+        if cost_model is not None
+        else None
+    )
+    dispatched_at = clock.now()
+    try:
+        outcomes = trainer.remove_many(
+            [r.indices for r in live],
+            method=state.method,
+            commit=commit_mode,
+        )
+    except Exception as exc:  # systemic: fail every request in the batch
+        for request in live:
+            request.future.set_exception(exc)
+        state.stats.record_failed(len(live), lanes)
+        return
+    if commit_mode:
+        state.tracker.note_committed(key_before, union)
+    answered_at = clock.now()
+    service = answered_at - dispatched_at
+    if cost_model is not None:
+        cost_model.observe_batch(len(live), service)
+    waits, latencies = [], []
+    for rank, (request, outcome) in enumerate(zip(live, outcomes)):
+        wait = dispatched_at - request.enqueued_at
+        latency = answered_at - request.enqueued_at
+        request.future.set_result(
+            ServedOutcome(
+                weights=outcome.weights,
+                method=outcome.method,
+                removed=outcome.removed,
+                seconds=outcome.seconds,
+                wait_seconds=wait,
+                latency_seconds=latency,
+                batch_size=len(live),
+                committed=commit_mode,
+                lane=request.lane,
+                model_id=state.model_id,
+                batch_seq=batch_seq,
+                batch_rank=rank,
+                predicted=predicted,
+            )
+        )
+        waits.append(wait)
+        latencies.append(latency)
+    # Stats record the batch's actual dispatch->answer wall-clock (the
+    # same for every member); the per-request *amortized* share lives on
+    # ServedOutcome.seconds.
+    state.stats.record_batch(waits, [service] * len(live), latencies, lanes)
 
 
 class FleetServer:
@@ -1050,7 +1278,6 @@ maintenance_cost` is checked against the policy's thresholds and, when
         # Round-robin rotation of model ids.
         self._rr_order: list[str] = []  # guarded-by: _sched
         self._seq = itertools.count()
-        self._stats = StatsRecorder()  # fleet-wide aggregate
         self._pending = 0  # guarded-by: _sched
         self._closed = False  # guarded-by: _sched
         self._started = False  # guarded-by: _sched
@@ -1093,8 +1320,9 @@ maintenance_cost` is checked against the policy's thresholds and, when
         return self.start()
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        # Mirror DeletionServer: drain on a clean exit, but never block
-        # while an exception is unwinding past the with-block.
+        # Drain on a clean exit, but never block while an exception is
+        # unwinding past the with-block (the futures' owners may be the
+        # very frames being torn down).
         self.close(wait=exc_type is None)
 
     # -------------------------------------------------------- configuration
@@ -1122,6 +1350,16 @@ maintenance_cost` is checked against the policy's thresholds and, when
                 overrides["method"] = method
             if commit_mode is not None:
                 overrides["commit_mode"] = bool(commit_mode)
+
+    # caller-holds: _sched
+    def _check_accepting(self) -> None:
+        """Raise if the fleet crashed or closed (caller holds ``_sched``)."""
+        if self._crashed is not None:
+            raise WorkerCrashedError(
+                "cannot submit: a fleet worker thread died"
+            ) from self._crashed
+        if self._closed:
+            raise ServerClosedError("cannot submit to a closed FleetServer")
 
     # caller-holds: _sched
     def _queue_for(self, model_id: str) -> _ModelQueue:
@@ -1152,7 +1390,7 @@ maintenance_cost` is checked against the policy's thresholds and, when
 
         Validation is synchronous, against the model's *live* id space
         when it is resident (consistent under concurrent commits via the
-        store seqlock) and against its checkpoint metadata otherwise —
+        store's commit lock) and against its checkpoint metadata otherwise —
         exact either way, because a model with in-process commits is dirty
         and therefore always resident.  Backpressure is per model:
         ``block=False`` raises :class:`BackpressureError` when that
@@ -1190,10 +1428,7 @@ maintenance_cost` is checked against the policy's thresholds and, when
             return (epoch, -math.inf)
 
         with self._sched:
-            if self._crashed is not None:
-                raise WorkerCrashedError(
-                    "cannot submit: a fleet worker thread died"
-                ) from self._crashed
+            self._check_accepting()
             state = self._queue_for(model_id)
             # Circuit breaker: fast-fail while quarantined; once the
             # probe interval elapses, this submission becomes the
@@ -1242,23 +1477,22 @@ maintenance_cost` is checked against the policy's thresholds and, when
             else:
                 got_slot = state.slots.acquire(blocking=False)
             if not got_slot:
-                _TeeStats(state.stats, self._stats).record_rejected(
-                    lane_obj.name
-                )
+                state.stats.record_rejected(lane_obj.name)
                 raise BackpressureError(
                     f"model {model_id!r} admission queue is full "
                     f"({self.policy.max_pending} pending)"
                 )
             with self._sched:
-                if self._closed:
+                # Re-checked after the slot wait: a worker crash or close()
+                # while this submitter was parked must not admit it into a
+                # fleet that will never dispatch it.
+                try:
+                    self._check_accepting()
+                except ServingError:
                     state.slots.release()
-                    raise ServerClosedError(
-                        "cannot submit to a closed FleetServer"
-                    )
+                    raise
                 request.seq = next(self._seq)
-                _TeeStats(state.stats, self._stats).record_submitted(
-                    lane_obj.name
-                )
+                state.stats.record_submitted(lane_obj.name)
                 heapq.heappush(state.heap, request.entry())
                 self._pending += 1
                 self._sched.notify_all()
@@ -1280,27 +1514,25 @@ maintenance_cost` is checked against the policy's thresholds and, when
         return request.future
 
     def _resolve_empty(self, model_id: str, lane: str) -> Future:
-        """Empty removal sets resolve inline, exactly like DeletionServer."""
+        """Answer an empty removal set inline: a no-op that joins no batch.
+
+        An empty set riding a batch would waste an admission slot and, in
+        commit mode, count as an applied request that committed nothing.
+        Policy ``on_empty="reject"`` turns this into a submit-time error.
+        """
         if self.policy.on_empty == "reject":
             raise ValueError(
                 "empty removal set (AdmissionPolicy(on_empty='resolve') "
                 "answers these with a no-op instead)"
             )
         with self._sched:
-            if self._crashed is not None:
-                raise WorkerCrashedError(
-                    "cannot submit: a fleet worker thread died"
-                ) from self._crashed
-            if self._closed:
-                raise ServerClosedError(
-                    "cannot submit to a closed FleetServer"
-                )
+            self._check_accepting()
             state = self._queue_for(model_id)
             if state.health.state != "healthy":
                 # Answering needs the trainer's weights, i.e. a load the
                 # breaker says will fail; and a no-op proves nothing as a
                 # probe.  Fast-fail without consuming the probe window.
-                _TeeStats(state.stats, self._stats).record_quarantined(lane)
+                state.stats.record_quarantined(lane)
                 raise ModelQuarantinedError(
                     model_id,
                     state.health.consecutive_failures,
@@ -1315,7 +1547,7 @@ maintenance_cost` is checked against the policy's thresholds and, when
         else:
             with self.registry.pinned(model_id) as loaded:
                 weights = loaded.weights_.copy()
-        _TeeStats(state.stats, self._stats).record_noop(lane)
+        state.stats.record_noop(lane)
         future: Future = Future()
         future.set_result(
             ServedOutcome(
@@ -1365,25 +1597,27 @@ maintenance_cost` is checked against the policy's thresholds and, when
     def stats(self, model_id: str | None = None) -> ServingStats:
         """Fleet-wide counters (default) or one model's, lanes included."""
         if model_id is None:
-            return self._stats.snapshot()
+            return self.stats_frame().summarize()
         with self._sched:
             state = self._queues.get(model_id)
         if state is None:
             if model_id not in self.registry:
                 raise ValueError(f"unknown model id {model_id!r}")
-            return StatsRecorder().snapshot()  # no traffic yet: all zeros
+            return StatsFrame().summarize()  # no traffic yet: all zeros
         return state.stats.snapshot()
 
-    def stats_frame(self) -> "StatsFrame":
+    def stats_frame(self) -> StatsFrame:
         """The fleet-wide raw accounting as a mergeable, picklable frame.
 
-        This is what a shard worker exports over its pipe: the router
-        merges every shard's frame (:meth:`StatsFrame.merge`) and
-        summarizes the pooled samples, so cross-shard percentiles are
-        computed over the union of requests — never by averaging
-        per-shard percentiles.
+        The per-model frames merged before anything is summarized, so
+        fleet-wide percentiles are order statistics over every model's
+        requests.  This is also what a shard worker exports over its
+        pipe: the router merges every shard's frame the same way and
+        never averages per-shard percentiles.
         """
-        return self._stats.frame()
+        with self._sched:
+            states = list(self._queues.values())
+        return StatsFrame.merged(state.stats.frame() for state in states)
 
     def model_stats(self) -> dict[str, ServingStats]:
         """Per-model snapshots for every model that has seen traffic."""
@@ -1424,7 +1658,7 @@ maintenance_cost` is checked against the policy's thresholds and, when
         ):
             health.state = "probing"
             return True
-        _TeeStats(state.stats, self._stats).record_quarantined(lane)
+        state.stats.record_quarantined(lane)
         raise ModelQuarantinedError(
             state.model_id,
             health.consecutive_failures,
@@ -1645,9 +1879,8 @@ maintenance_cost` is checked against the policy's thresholds and, when
             self._sched.notify_all()
         for state, request in doomed:
             future = request.future
-            stats = _TeeStats(state.stats, self._stats)
             if future.cancelled():
-                stats.record_cancelled(1, [request.lane])
+                state.stats.record_cancelled(1, [request.lane])
                 state.tracker.note_finished([request])
                 continue
             if future.done():
@@ -1656,7 +1889,7 @@ maintenance_cost` is checked against the policy's thresholds and, when
                 future.set_exception(error)
             except Exception:
                 continue  # lost a cancel race; the caller has an answer
-            stats.record_failed(1, [request.lane])
+            state.stats.record_failed(1, [request.lane])
             state.tracker.note_finished([request])
         for state, ticket in tickets:
             if ticket.future.done():
@@ -1665,9 +1898,7 @@ maintenance_cost` is checked against the policy's thresholds and, when
                 ticket.future.set_exception(error)
             except Exception:
                 continue
-            _TeeStats(state.stats, self._stats).record_failed(
-                1, ["maintenance"]
-            )
+            state.stats.record_failed(1, ["maintenance"])
 
     def _finish(self, state: _ModelQueue, requests: list[_Request]) -> None:
         state.tracker.note_finished(requests)
@@ -1680,7 +1911,6 @@ maintenance_cost` is checked against the policy's thresholds and, when
     def _dispatch(self, model_id: str, batch: list[_Request]) -> None:
         with self._sched:
             state = self._queues[model_id]
-        stats = _TeeStats(state.stats, self._stats)
         live: list[_Request] = []
         cancelled: list[_Request] = []
         for request in batch:
@@ -1689,7 +1919,9 @@ maintenance_cost` is checked against the policy's thresholds and, when
             else:
                 cancelled.append(request)
         if cancelled:
-            stats.record_cancelled(len(cancelled), [r.lane for r in cancelled])
+            state.stats.record_cancelled(
+                len(cancelled), [r.lane for r in cancelled]
+            )
             self._finish(state, cancelled)
         # Keep the popped list tracking exactly the still-unsettled
         # requests, so a worker crash below aborts precisely those.
@@ -1719,15 +1951,10 @@ maintenance_cost` is checked against the policy's thresholds and, when
                     trainer.clock = self._clock
                 _serve_batch(
                     trainer,
+                    state,
                     live,
-                    method=state.method,
-                    commit_mode=state.commit_mode,
-                    tracker=state.tracker,
-                    clock=self._clock,
-                    stats=stats,
-                    batch_seq=next(state.batch_seq),
-                    model_id=model_id,
-                    epoch=self.registry.epoch(model_id),
+                    self._clock,
+                    self.registry.epoch(model_id),
                 )
                 if state.commit_mode and self.maintenance is not None:
                     # Background maintenance: a committed batch may have
@@ -1745,7 +1972,9 @@ maintenance_cost` is checked against the policy's thresholds and, when
                 failed = [r for r in live if not r.future.done()]
                 for request in failed:
                     request.future.set_exception(exc)
-                stats.record_failed(len(failed), [r.lane for r in failed])
+                state.stats.record_failed(
+                    len(failed), [r.lane for r in failed]
+                )
         finally:
             self.registry.unpin(model_id)
         self._finish(state, live)
@@ -1777,12 +2006,9 @@ maintenance_cost` is checked against the policy's thresholds and, when
         auto: bool = False,
     ) -> Future | None:
         with self._sched:
-            if self._closed:
-                if auto:
-                    return None
-                raise ServerClosedError(
-                    "cannot schedule maintenance on a closed FleetServer"
-                )
+            if auto and (self._closed or self._crashed is not None):
+                return None
+            self._check_accepting()
             state = self._queue_for(model_id)
             if auto and state.maintenance:
                 return None  # one pending background ticket is enough
@@ -1793,7 +2019,7 @@ maintenance_cost` is checked against the policy's thresholds and, when
                 auto=auto,
             )
             state.maintenance.append(ticket)
-            _TeeStats(state.stats, self._stats).record_submitted("maintenance")
+            state.stats.record_submitted("maintenance")
             self._sched.notify_all()
         return ticket.future
 
@@ -1802,7 +2028,7 @@ maintenance_cost` is checked against the policy's thresholds and, when
     ) -> None:
         with self._sched:
             state = self._queues[model_id]
-        stats = _TeeStats(state.stats, self._stats)
+        stats = state.stats
         if not ticket.future.set_running_or_notify_cancel():
             stats.record_cancelled(1, ["maintenance"])
             return

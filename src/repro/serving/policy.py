@@ -28,11 +28,12 @@ happy to wait for a full batch.  A policy therefore carries a set of
 * **ordering** — queued requests dispatch in ``(lane.priority,
   submission order)`` order, so a deadline request never sits behind a
   full bulk backlog: it is always in the *next* dispatched batch;
-* **budget** — the coalescing delay of a batch is the *minimum* of its
-  members' lane delays.  A lane with ``max_delay_seconds=0`` (the
-  default ``"deadline"`` lane) therefore forces immediate dispatch of
-  whatever batch it joins — later bulk arrivals may still ride along for
-  free, but nobody waits on their account.
+* **budget** — a queued batch dispatches once its *earliest* member
+  deadline (``enqueued_at + lane delay``) passes.  A lane with
+  ``max_delay_seconds=0`` (the default ``"deadline"`` lane) therefore
+  forces immediate dispatch of whatever batch it joins — queued bulk
+  requests may still ride along for free, but nobody waits on their
+  account.
 
 Within a lane, admission order is always submission order.
 
@@ -45,9 +46,8 @@ traffic pin lower lanes at their full coalescing budget forever.
 which a guarded lane's requests overtake older lower-priority traffic,
 at most that fraction may preempt; once the running debt exceeds the
 ratio, the server *yields* — the oldest waiting lower-priority request
-is pulled into the next dispatched batch regardless of lane order (and,
-because a batch's delay is the min of its members', it is served
-immediately with it).  ``None`` (the default) keeps the unlimited
+is pulled into the next dispatched batch regardless of lane order, and
+is served immediately with it.  ``None`` (the default) keeps the unlimited
 pre-PR-5 behaviour; ``0.0`` degenerates to "every dispatch carries the
 oldest waiting lower-priority request".
 
@@ -151,7 +151,7 @@ class _PreemptionGuard:
     def observe_dispatch(
         self, batch, oldest_lower_seq, policy, yielded: bool
     ) -> None:
-        """Account one dispatched batch (shared by both servers).
+        """Account one dispatched batch of the queue this guard belongs to.
 
         ``batch`` holds the dispatched requests (``lane``/``lane_priority``
         /``seq`` attributes) and ``yielded`` whether this batch already
@@ -188,12 +188,14 @@ class _PreemptionGuard:
 
 @dataclass(frozen=True)
 class AdmissionPolicy:
-    """Batching/backpressure knobs for :class:`~repro.serving.DeletionServer`.
+    """Batching/backpressure knobs for :class:`~repro.serving.FleetServer`.
 
-    ``on_empty`` decides what :meth:`~repro.serving.DeletionServer.submit`
-    does with an empty removal set: ``"resolve"`` (default) answers it
-    immediately with a no-op outcome — it never occupies a batch slot or a
-    queue slot — while ``"reject"`` raises ``ValueError`` at submit time.
+    The single-model :class:`~repro.serving.DeletionServer` takes the same
+    policy and hands it to its one-model fleet.  ``on_empty`` decides what
+    ``submit`` does with an empty removal set: ``"resolve"`` (default)
+    answers it immediately with a no-op outcome — it never occupies a
+    batch slot or a queue slot — while ``"reject"`` raises ``ValueError``
+    at submit time.
     Empty sets must never reach a batch: they used to dilute the admission
     cap and, in commit mode, would count as a (vacuous) committed request.
 
@@ -294,19 +296,6 @@ class AdmissionPolicy:
         return self.max_preemption_ratio
 
     # ------------------------------------------------------------- dispatch
-    def remaining_budget(
-        self, oldest_wait: float, delay: float | None = None
-    ) -> float:
-        """Seconds the current batch may still wait for more arrivals.
-
-        ``delay`` is the batch's effective coalescing budget — the minimum
-        of its members' lane delays; ``None`` falls back to the policy
-        default (the single-lane behaviour).
-        """
-        if delay is None:
-            delay = self.max_delay_seconds
-        return max(0.0, delay - oldest_wait)
-
     def should_dispatch(
         self, n_collected: int, oldest_wait: float, delay: float | None = None
     ) -> bool:

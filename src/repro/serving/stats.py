@@ -1,11 +1,14 @@
-"""Per-request timing accounting for the deletion server.
+"""Per-request timing accounting for the serving layer.
 
 Every answered request contributes three samples — queueing wait, service
 share, and end-to-end latency — which are aggregated through
 :mod:`repro.eval.timing` order statistics (:class:`LatencySummary`).  A
-:class:`StatsRecorder` is the thread-safe accumulator the server's worker
-and submitter threads write into; :meth:`StatsRecorder.snapshot` freezes a
-consistent :class:`ServingStats` view at any moment.
+:class:`StatsRecorder` is the thread-safe accumulator the fleet's worker
+and submitter threads write into: it holds one raw :class:`StatsFrame`,
+and :meth:`StatsRecorder.snapshot` summarizes a consistent copy of it
+into a :class:`ServingStats` view at any moment.  Frames merge before
+they are summarized, so fleet-wide (and cross-shard) percentiles are
+order statistics over the pooled requests.
 
 Counts are *conserved*: every submission ends in exactly one of
 ``answered``, ``failed`` or ``cancelled`` (or is still ``pending``), and
@@ -226,101 +229,53 @@ class StatsFrame:
         )
 
 
-class _LaneAccumulator:
-    """Mutable per-lane tallies inside a recorder (guarded by its lock)."""
-
-    __slots__ = (
-        "submitted", "answered", "failed", "cancelled", "rejected",
-        "quarantined", "waits", "services", "latencies",
-    )
-
-    def __init__(self) -> None:
-        self.submitted = 0
-        self.answered = 0
-        self.failed = 0
-        self.cancelled = 0
-        self.rejected = 0
-        self.quarantined = 0
-        self.waits: list[float] = []
-        self.services: list[float] = []
-        self.latencies: list[float] = []
-
-    def snapshot(self) -> LaneStats:
-        return LaneStats(
-            submitted=self.submitted,
-            answered=self.answered,
-            failed=self.failed,
-            cancelled=self.cancelled,
-            rejected=self.rejected,
-            quarantined=self.quarantined,
-            wait=summarize_latencies(self.waits),
-            service=summarize_latencies(self.services),
-            latency=summarize_latencies(self.latencies),
-        )
-
-
 class StatsRecorder:
-    """Thread-safe accumulator behind :meth:`DeletionServer.stats`.
+    """Thread-safe accumulator of one :class:`StatsFrame` (one per model).
 
     Every ``record_*`` method takes the request's lane name (``None`` for
-    unlaned callers: only the aggregate counters move).
+    unlaned callers: only the aggregate counters move).  A fleet keeps
+    one recorder per model queue and merges their frames for its
+    fleet-wide view, the same way the router merges shard frames.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._submitted = 0  # guarded-by: _lock
-        self._answered = 0  # guarded-by: _lock
-        self._failed = 0  # guarded-by: _lock
-        self._cancelled = 0  # guarded-by: _lock
-        self._rejected = 0  # guarded-by: _lock
-        self._quarantined = 0  # guarded-by: _lock
-        self._batches = 0  # guarded-by: _lock
-        self._batch_sizes: list[int] = []  # guarded-by: _lock
-        self._waits: list[float] = []  # guarded-by: _lock
-        self._services: list[float] = []  # guarded-by: _lock
-        self._latencies: list[float] = []  # guarded-by: _lock
-        self._lanes: dict[str, _LaneAccumulator] = {}  # guarded-by: _lock
+        self._frame = StatsFrame()  # guarded-by: _lock
 
-    def _lane(self, lane: str | None) -> _LaneAccumulator | None:  # caller-holds: _lock
-        """Resolve the per-lane accumulator (caller holds the lock)."""
-        if lane is None:
-            return None
-        accumulator = self._lanes.get(lane)
-        if accumulator is None:
-            accumulator = self._lanes[lane] = _LaneAccumulator()
-        return accumulator
+    # caller-holds: _lock
+    def _lane(self, lane: str) -> LaneFrame:
+        frame = self._frame.lanes.get(lane)
+        if frame is None:
+            frame = self._frame.lanes[lane] = LaneFrame()
+        return frame
+
+    # caller-holds: _lock
+    def _count(self, counter: str, count: int, lanes) -> None:
+        """Add ``count`` to the aggregate ``counter``, one per named lane."""
+        setattr(self._frame, counter, getattr(self._frame, counter) + count)
+        for lane in lanes:
+            if lane is not None:
+                frame = self._lane(lane)
+                setattr(frame, counter, getattr(frame, counter) + 1)
 
     def record_submitted(self, lane: str | None = None) -> None:
         with self._lock:
-            self._submitted += 1
-            accumulator = self._lane(lane)
-            if accumulator is not None:
-                accumulator.submitted += 1
+            self._count("submitted", 1, (lane,))
 
     def record_rejected(self, lane: str | None = None) -> None:
         with self._lock:
-            self._rejected += 1
-            accumulator = self._lane(lane)
-            if accumulator is not None:
-                accumulator.rejected += 1
+            self._count("rejected", 1, (lane,))
 
     def record_quarantined(self, lane: str | None = None) -> None:
         """A submission fast-failed because the model's breaker was open."""
         with self._lock:
-            self._quarantined += 1
-            accumulator = self._lane(lane)
-            if accumulator is not None:
-                accumulator.quarantined += 1
+            self._count("quarantined", 1, (lane,))
 
     def record_noop(self, lane: str | None = None) -> None:
         """An empty submission answered inline (no batch dispatched)."""
         with self._lock:
-            self._submitted += 1
-            self._answered += 1
-            accumulator = self._lane(lane)
-            if accumulator is not None:
-                accumulator.submitted += 1
-                accumulator.answered += 1
+            self._count("submitted", 1, (lane,))
+            self._count("answered", 1, (lane,))
 
     def record_batch(
         self,
@@ -333,97 +288,38 @@ class StatsRecorder:
         if lanes is None:
             lanes = [None] * len(waits)
         with self._lock:
-            self._batches += 1
-            self._batch_sizes.append(len(waits))
-            self._answered += len(waits)
-            self._waits.extend(waits)
-            self._services.extend(services)
-            self._latencies.extend(latencies)
+            total = self._frame
+            total.batches += 1
+            total.batch_sizes.append(len(waits))
+            self._count("answered", len(waits), lanes)
+            total.waits.extend(waits)
+            total.services.extend(services)
+            total.latencies.extend(latencies)
             for lane, wait, service, latency in zip(
                 lanes, waits, services, latencies
             ):
-                accumulator = self._lane(lane)
-                if accumulator is not None:
-                    accumulator.answered += 1
-                    accumulator.waits.append(wait)
-                    accumulator.services.append(service)
-                    accumulator.latencies.append(latency)
+                if lane is not None:
+                    frame = self._lane(lane)
+                    frame.waits.append(wait)
+                    frame.services.append(service)
+                    frame.latencies.append(latency)
 
     def record_failed(
         self, count: int, lanes: list[str | None] | None = None
     ) -> None:
         with self._lock:
-            self._failed += count
-            for lane in lanes or ():
-                accumulator = self._lane(lane)
-                if accumulator is not None:
-                    accumulator.failed += 1
+            self._count("failed", count, lanes or ())
 
     def record_cancelled(
         self, count: int, lanes: list[str | None] | None = None
     ) -> None:
         with self._lock:
-            self._cancelled += count
-            for lane in lanes or ():
-                accumulator = self._lane(lane)
-                if accumulator is not None:
-                    accumulator.cancelled += 1
+            self._count("cancelled", count, lanes or ())
 
     def frame(self) -> StatsFrame:
-        """A consistent copy of the raw state, ready to merge or pickle.
-
-        This is how a shard worker exports its share of the fleet's
-        accounting: the router merges every shard's frame and summarizes
-        the union, never shard-local percentiles.
-        """
+        """A consistent copy of the raw state, ready to merge or pickle."""
         with self._lock:
-            return StatsFrame(
-                submitted=self._submitted,
-                answered=self._answered,
-                failed=self._failed,
-                cancelled=self._cancelled,
-                rejected=self._rejected,
-                quarantined=self._quarantined,
-                batches=self._batches,
-                batch_sizes=list(self._batch_sizes),
-                waits=list(self._waits),
-                services=list(self._services),
-                latencies=list(self._latencies),
-                lanes={
-                    name: LaneFrame(
-                        submitted=lane.submitted,
-                        answered=lane.answered,
-                        failed=lane.failed,
-                        cancelled=lane.cancelled,
-                        rejected=lane.rejected,
-                        quarantined=lane.quarantined,
-                        waits=list(lane.waits),
-                        services=list(lane.services),
-                        latencies=list(lane.latencies),
-                    )
-                    for name, lane in self._lanes.items()
-                },
-            )
+            return StatsFrame.merged((self._frame,))
 
     def snapshot(self) -> ServingStats:
-        with self._lock:
-            sizes = self._batch_sizes
-            return ServingStats(
-                submitted=self._submitted,
-                answered=self._answered,
-                failed=self._failed,
-                cancelled=self._cancelled,
-                rejected=self._rejected,
-                quarantined=self._quarantined,
-                batches=self._batches,
-                mean_batch_size=(
-                    sum(sizes) / len(sizes) if sizes else 0.0
-                ),
-                wait=summarize_latencies(self._waits),
-                service=summarize_latencies(self._services),
-                latency=summarize_latencies(self._latencies),
-                lanes={
-                    name: accumulator.snapshot()
-                    for name, accumulator in self._lanes.items()
-                },
-            )
+        return self.frame().summarize()

@@ -29,7 +29,6 @@ Two tools live here, both built on the serving layer's injectable
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from dataclasses import dataclass, field
@@ -74,35 +73,6 @@ class FakeClock(Clock):
             return self._now
 
     # ----------------------------------------------------------- Clock API
-    def get(self, q: queue.Queue, timeout: float):
-        deadline = self.now() + timeout
-        if self._auto:
-            try:
-                return q.get_nowait()
-            except queue.Empty:
-                # The budget elapses in zero wall time: whoever was going
-                # to coalesce has nothing more to wait for.
-                self.advance_to(deadline)
-                raise
-        # reprolint: allow[R005] wall-clock safety valve so a stuck test fails instead of hanging the suite
-        valve_end = time.monotonic() + self._valve
-        while True:
-            try:
-                return q.get_nowait()
-            except queue.Empty:
-                pass
-            if self.now() >= deadline - 1e-12:
-                raise queue.Empty
-            # reprolint: allow[R005] wall-clock safety valve so a stuck test fails instead of hanging the suite
-            if time.monotonic() >= valve_end:
-                # Safety valve: a test stopped advancing time while a
-                # worker waits.  Pretend the budget elapsed rather than
-                # hanging the suite.
-                self.advance_to(deadline)
-                raise queue.Empty
-            # reprolint: allow[R005] bounded scheduler yield inside the harness poll loop, not a timing dependency
-            time.sleep(0.0005)
-
     def wait(self, condition: threading.Condition, timeout: float | None) -> bool:
         if timeout is None:
             # Idle (deadline-free) waiting is real even under a fake
@@ -439,6 +409,10 @@ class StressDriver:
                     # Enough for every retried dispatch to fail until the
                     # breaker opens.
                     n = retry.load_attempts * retry.quarantine_after
+                # Flush first (as the cost op does): a dispatch still in
+                # flight pins the model, so evict() would refuse and the
+                # armed faults could never reach a load.
+                self.fleet.flush(timeout=30)
                 evicted = self.fleet.registry.evict(model_id)
                 self.flaky.fail_next(model_id, n)
                 self.report.load_faults += n

@@ -16,10 +16,8 @@ half of the cost model's contract:
 * **Early closing** — a calibrated policy-level cost model dispatches a
   lone bulk request immediately (wait exactly 0.0 under the
   :class:`harness.FakeClock`) where the fixed budget would hold it the
-  full coalescing delay; an *uncalibrated* model changes nothing.
-  Verified against both :class:`repro.DeletionServer` (the
-  ``_collect`` loop) and :class:`repro.FleetServer` (the
-  ``cost_ready`` wakeup path).
+  full coalescing delay; an *uncalibrated* model changes nothing.  The
+  fleet scheduler's ``cost_ready`` wakeup path makes that call.
 
 * **Estimate coverage** — every member of a served batch on a
   cost-model trainer carries the batch union's pre-dispatch estimate
@@ -331,30 +329,6 @@ class TestEarlyClosing:
             cost_model=CostModel(),
         )
         assert self._lone_bulk_wait(policy) == 0.03
-
-    def test_fleet_cost_ready_dispatches_lone_bulk_immediately(self):
-        """The fleet's scheduler consults the same rule (``cost_ready``):
-        a calibrated policy model wakes the queue without waiting."""
-        trainer = fit_model("binary")
-        registry = ModelRegistry()
-        registry.register("m", trainer=trainer)
-        policy = AdmissionPolicy(
-            max_batch=16,
-            max_delay_seconds=0.03,
-            cost_model=CostModel(Calibration(batch_seconds=1e-9)),
-        )
-        fleet = FleetServer(
-            registry,
-            policy,
-            method="priu",
-            n_workers=1,
-            clock=FakeClock(),
-            autostart=True,
-        )
-        future = fleet.submit("m", [1, 2], lane="bulk")
-        assert fleet.flush(timeout=30)
-        fleet.close()
-        assert future.result(timeout=30).wait_seconds == 0.0
 
 
 # -------------------------------------------------------- estimate coverage

@@ -8,12 +8,20 @@ elapses in zero wall time.
 """
 
 import shutil
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from harness import FakeClock
-from repro import DeletionServer, FleetServer, IncrementalTrainer, ModelRegistry
+from repro import (
+    AdmissionPolicy,
+    DeletionServer,
+    FleetServer,
+    IncrementalTrainer,
+    ModelRegistry,
+)
 from repro.serving import (
     CheckpointCorruptionError,
     ModelLoadError,
@@ -315,4 +323,83 @@ class TestWorkerCrash:
         with pytest.raises(WorkerCrashedError):
             fleet.submit("bystander", [4])
         assert fleet.stats().failed == 2
+        fleet.close()
+
+    def test_maintain_after_a_worker_crash_fails_fast(self):
+        """Regression: maintenance scheduled on a dead fleet raises instead
+        of queueing a ticket that no worker will ever run."""
+        crashy = fit_model()
+        crashy.remove_many = CrashOnce()
+        registry = ModelRegistry()
+        registry.register("m", trainer=crashy)
+        fleet = FleetServer(registry, n_workers=1)
+        with pytest.raises(WorkerCrashedError):
+            fleet.resolve("m", [1, 2], timeout=30)
+        with pytest.raises(WorkerCrashedError):
+            fleet.maintain("m")
+        assert fleet.maintenance_stats("m")["pending"] == 0
+        assert fleet.flush(timeout=5)
+        fleet.close()
+
+    def test_submitter_parked_on_backpressure_fails_when_the_worker_dies(
+        self,
+    ):
+        """Regression: a submitter parked on a full queue when the only
+        worker dies must get a typed error, not a future nobody will ever
+        resolve.  The crash drains the queue and frees its slot, so the
+        parked submit wakes up after the fleet is already dead."""
+        trainer = fit_model()
+        inside, release = threading.Event(), threading.Event()
+
+        def gated_crash(*args, **kwargs):
+            inside.set()
+            assert release.wait(timeout=30)
+            raise SimulatedCrash("injected worker death")
+
+        trainer.remove_many = gated_crash
+        registry = ModelRegistry()
+        registry.register("m", trainer=trainer)
+        fleet = FleetServer(
+            registry,
+            AdmissionPolicy(max_batch=1, max_delay_seconds=0.0, max_pending=1),
+            n_workers=1,
+        )
+        in_flight = fleet.submit("m", [1])
+        assert inside.wait(timeout=30)
+        queued = fleet.submit("m", [2])  # takes the only queue slot
+        parked: dict = {}
+
+        def submit_behind_full_queue():
+            try:
+                parked["future"] = fleet.submit("m", [3], timeout=30)
+            except Exception as exc:
+                parked["error"] = exc
+
+        thread = threading.Thread(target=submit_behind_full_queue, daemon=True)
+        thread.start()
+        with fleet._sched:
+            tracker = fleet._queues["m"].tracker
+
+        def registered() -> int:
+            with tracker._lock:
+                return sum(tracker._inflight_keys.values())
+
+        # reprolint: allow[R005] bounded spin waiting for background threads to park; no scheduling depends on the value
+        deadline = time.monotonic() + 5
+        # reprolint: allow[R005] bounded spin waiting for background threads to park; no scheduling depends on the value
+        while time.monotonic() < deadline and registered() < 3:
+            # reprolint: allow[R005] bounded spin waiting for background threads to park; no scheduling depends on the value
+            time.sleep(0.001)
+        # In flight + queued + the submitter past its first crash check.
+        assert registered() == 3
+        release.set()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        for future in (in_flight, queued):
+            with pytest.raises(WorkerCrashedError):
+                future.result(timeout=30)
+        assert "future" not in parked
+        assert isinstance(parked["error"], WorkerCrashedError)
+        assert fleet.flush(timeout=5)
+        assert fleet.pending == 0
         fleet.close()

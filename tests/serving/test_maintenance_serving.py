@@ -11,8 +11,7 @@ Three surfaces from ISSUE 5:
 * **Registry warm-start** — ``warm_start(n)`` pre-loads the hottest N
   models by admission history instead of paying first-request latency.
 * **Starvation guard** — ``max_preemption_ratio`` keeps a deadline flood
-  from pinning bulk traffic at its full coalescing budget, in both the
-  single-model server and the fleet.
+  from pinning bulk traffic at its full coalescing budget.
 """
 
 import numpy as np
@@ -32,6 +31,7 @@ from repro.datasets import (
     make_multiclass_classification,
     make_regression,
 )
+from repro.serving.clock import MONOTONIC_CLOCK
 
 _MULTI = make_multiclass_classification(330, 12, n_classes=3, seed=61)
 _BINARY = make_binary_classification(400, 10, separation=1.0, seed=62)
@@ -283,7 +283,7 @@ class TestReceiptClocks:
         trainer = fit_multinomial()
         with DeletionServer(trainer, commit_mode=True) as server:
             server.submit([1, 2]).result(timeout=30)
-        assert trainer.clock is server._clock  # serving clock injected
+        assert trainer.clock is MONOTONIC_CLOCK  # serving clock injected
         timestamp = trainer.commit_receipts[0].timestamp
         # reprolint: allow[R005] this asserts receipts carry wall time — comparing against the real clock IS the test
         assert abs(timestamp - _time.time()) < 600.0
@@ -496,29 +496,6 @@ class TestStarvationGuard:
         assert bulk_seqs[-1] <= len(set(
             f.result().batch_seq for f in deadlines
         ))
-
-    def test_fleet_guard_yields_bulk_mid_flood(self):
-        trainer = fit_binary()
-        registry = ModelRegistry()
-        registry.register("m", trainer=trainer)
-        policy = AdmissionPolicy(
-            max_batch=1, max_delay_seconds=0.0, max_preemption_ratio=0.5
-        )
-        fleet = FleetServer(
-            registry, policy, method="priu", n_workers=1,
-            clock=FakeClock(), autostart=False,
-        )
-        bulk = fleet.submit("m", [1, 2], lane="bulk")
-        deadlines = [
-            fleet.submit("m", [10 + i], lane="deadline") for i in range(8)
-        ]
-        fleet.start()
-        assert fleet.flush(timeout=30)
-        fleet.close()
-        bulk_seq = bulk.result(timeout=30).batch_seq
-        assert bulk_seq == 2
-        seqs = [f.result(timeout=30).batch_seq for f in deadlines]
-        assert seqs == sorted(seqs)
 
     def test_guarded_answers_match_unguarded(self):
         """The guard reorders dispatch, never arithmetic (the yielded

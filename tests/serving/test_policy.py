@@ -41,23 +41,15 @@ class TestDispatchLogic:
         assert not policy.should_dispatch(1, 0.01)
         assert policy.should_dispatch(1, 0.05)
 
-    def test_remaining_budget_clamps_at_zero(self):
-        policy = AdmissionPolicy(max_delay_seconds=0.02)
-        assert policy.remaining_budget(0.005) == pytest.approx(0.015)
-        assert policy.remaining_budget(1.0) == 0.0
-
     def test_zero_delay_serves_immediately(self):
         policy = AdmissionPolicy(max_delay_seconds=0.0)
         assert policy.should_dispatch(1, 0.0)
-        assert policy.remaining_budget(0.0) == 0.0
 
     def test_explicit_batch_delay_overrides_the_default(self):
         policy = AdmissionPolicy(max_batch=100, max_delay_seconds=0.05)
         # A zero-delay (deadline) member collapses the batch's budget.
         assert policy.should_dispatch(1, 0.0, delay=0.0)
-        assert policy.remaining_budget(0.01, delay=0.0) == 0.0
         assert not policy.should_dispatch(1, 0.01, delay=0.5)
-        assert policy.remaining_budget(0.01, delay=0.5) == pytest.approx(0.49)
 
 
 class TestCostAwareDispatch:
@@ -105,7 +97,6 @@ class TestCostAwareDispatch:
         # ...but a deadline member's delay=0.0 dispatches unconditionally,
         # before the cost hook is even consulted.
         assert policy.should_dispatch(1, 0.0, delay=0.0)
-        assert policy.remaining_budget(0.0, delay=0.0) == 0.0
         # And the deadline lane's configured budget is still zero with a
         # cost model attached.
         assert policy.delay_for("deadline") == 0.0

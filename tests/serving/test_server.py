@@ -11,7 +11,6 @@ only when the test moves it, so latency/wait assertions are *exact*
 """
 
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -288,42 +287,26 @@ class TestBackpressure:
         server.flush(timeout=30)
         server.close()
 
-    def test_blocked_submitter_registers_its_key_before_waiting(
-        self, trainer, removal_sets
-    ):
-        """A submitter parked on the backpressure semaphore must already
-        be counted in the commit tracker's in-flight key set — otherwise
-        a concurrent dispatch can prune commit-history entries the parked
-        request still needs, and its ids later dispatch unremapped."""
+
+class TestFacade:
+    def test_public_attributes_and_reexports(self, trainer):
+        """The facade keeps the single-model server's public surface."""
+        from repro.serving import server as server_module
+
+        policy = AdmissionPolicy(max_batch=4)
         server = DeletionServer(
-            trainer, AdmissionPolicy(max_pending=1), autostart=False
+            trainer, policy, method="priu", autostart=False, commit_mode=False
         )
-        server.submit(removal_sets[0])
-        thread = threading.Thread(
-            target=lambda: server.submit(
-                removal_sets[1], block=True, timeout=30
-            ),
-            daemon=True,
-        )
-        thread.start()
-        def registered() -> int:
-            with server._tracker._lock:
-                return sum(server._tracker._inflight_keys.values())
-        # reprolint: allow[R005] bounded spin waiting for background threads to park; no scheduling depends on the value
-        deadline = time.monotonic() + 5
-        # reprolint: allow[R005] bounded spin waiting for background threads to park; no scheduling depends on the value
-        while time.monotonic() < deadline and registered() < 2:
-            # reprolint: allow[R005] bounded spin waiting for background threads to park; no scheduling depends on the value
-            time.sleep(0.001)
-        # Queued request + parked submitter, both pinned before dispatch.
-        assert registered() == 2
-        server.start()
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-        assert server.flush(timeout=30)
+        assert server.trainer is trainer
+        assert server.policy is policy
+        assert server.method == "priu"
+        assert server.commit_mode is False
+        assert server.pending == 0
         server.close()
-        assert server.stats().answered == 2
-        assert registered() == 0
+        assert DeletionServer(trainer, autostart=False).policy == (
+            AdmissionPolicy()
+        )
+        assert server_module.ServedOutcome is ServedOutcome
 
 
 class TestValidationAndLifecycle:
