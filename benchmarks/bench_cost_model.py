@@ -1,27 +1,19 @@
 """Cost-model accountability: every estimate meets its executed actual.
 
-The cost model (PR 7) replaces fixed scheduling constants with
-calibrated predictions — refresh-vs-recompile from the crossing of the
-two fitted cost curves, plan-patch bytes from the packed occurrence
-index, batch early-closing from observed service times.  Predictions
-are only trustworthy if they are *checked*, so this benchmark drives
-estimate→remove→commit rounds across three workload shapes (dense
-binary flats, SVD-compressed summaries, linear moments) and drains each
+The cost model prices each removal before it runs — touched
+iterations, plan-patch bytes and SVD width growth, all read off the
+packed occurrence index.  Predictions are only trustworthy if they are
+*checked*, so this benchmark drives estimate→remove→commit rounds
+across three workload shapes (dense binary flats, SVD-compressed
+summaries, linear moments) and drains each
 :class:`~repro.core.costmodel.CostModel` decision ring into a
 per-decision predicted-vs-actual table.
 
-The acceptance bar (ISSUE 7): the recorded relative error stays within
-0.5 on both the refresh-vs-recompile seconds and the plan-patch bytes.
-Byte and mode predictions are structural (read off the same accounting
-the executed patch reports), so those assertions always run; wall-clock
-predictions are noisy on shared CI runners, so their assertion is
-opt-in via ``REPRO_BENCH_ASSERT_TIMING=1`` like ``bench_fleet.py`` —
-the JSON records the measured error either way.
-
-The initial :class:`~repro.core.costmodel.Calibration` is fitted from
-the repo's recorded ``BENCH_refresh.json`` when present
-(:meth:`Calibration.from_bench`) and refined online by the commit loop
-itself — the same estimate→observe cycle the serving stack runs.
+The acceptance bar: the recorded relative error on the plan-patch
+bytes stays within 0.5, and every decision's mode is ``refresh`` or
+``unsupported`` (commits always patch the plan in place).  Both
+predictions are structural (read off the same accounting the executed
+patch reports), so the assertions hold on every machine.
 
 Runable standalone (writes ``BENCH_costmodel.json`` for the perf
 trajectory)::
@@ -33,21 +25,23 @@ trajectory)::
 import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 
-from repro import Calibration, CostModel, IncrementalTrainer
+from repro import CostModel, IncrementalTrainer, MaintenancePolicy
 from repro.bench.reporting import report
 from repro.datasets import make_binary_classification, make_regression
 
-ROOT = Path(__file__).resolve().parents[1]
-ASSERT_TIMING = os.environ.get("REPRO_BENCH_ASSERT_TIMING", "") == "1"
-
 #: The acceptance bar on recorded predicted-vs-actual relative error.
 ERROR_BAR = 0.5
+#: Modes a commit may take: the plan is always refreshed in place.
+COMMIT_MODES = ("refresh", "unsupported")
+#: Tight limits keep SVD widths bounded across the measured rounds.
+MAINTENANCE = MaintenancePolicy(
+    max_slot_garbage_fraction=0.05, max_svd_correction_columns=4
+)
 
-N_WARMUP = 8  # online-calibration commits before measurement starts
+N_WARMUP = 8  # commits before measurement starts
 N_ROUNDS = 24  # measured estimate→remove→commit rounds per workload
 SMOKE_WARMUP = 3
 SMOKE_ROUNDS = 6
@@ -69,14 +63,6 @@ def _scale() -> float:
     return float(os.environ.get("REPRO_BENCH_SCALE", "0.1"))
 
 
-def _base_calibration() -> Calibration:
-    """Seed calibration from the recorded refresh benchmark when present."""
-    bench = ROOT / "BENCH_refresh.json"
-    if bench.exists():
-        return Calibration.from_bench(bench)
-    return Calibration()
-
-
 def _fit(kind, requested, n_features, batch, iterations, seed):
     n = max(200, int(round(requested * _scale())))
     if kind == "linear":
@@ -93,7 +79,7 @@ def _fit(kind, requested, n_features, batch, iterations, seed):
         n_iterations=iterations,
         seed=seed,
         method="priu",
-        cost_model=CostModel(_base_calibration()),
+        cost_model=CostModel(),
     )
     trainer.fit(data.features, data.labels)
     return trainer
@@ -102,12 +88,9 @@ def _fit(kind, requested, n_features, batch, iterations, seed):
 def _removal(rng, n_samples, round_index):
     """Steady-state removal sizes (a narrow band around n/80).
 
-    The two-parameter timing model prices the *patch work*, which is
-    linear in the touched fraction; at bench scales a fixed per-commit
-    overhead dominates far outside the calibrated band, so the run
-    measures the regime the calibration actually operates in.  The
-    structural predictions (bytes, widths, mode) are exercised across
-    the full small-to-bulk range by ``tests/core/test_cost_model.py``.
+    The structural predictions (bytes, widths, mode) are exercised
+    across the full small-to-bulk range by
+    ``tests/core/test_cost_model.py``.
     """
     size = max(2, n_samples // 80) + round_index % 3
     size = min(size, max(1, n_samples - 8))
@@ -115,8 +98,8 @@ def _removal(rng, n_samples, round_index):
 
 
 def _decision_errors(decisions):
-    """Per-decision relative errors against the executed receipt."""
-    byte_errors, timing_errors, agreements = [], [], []
+    """Per-decision byte errors and mode agreement against the receipt."""
+    byte_errors, agreements = [], []
     for decision in decisions:
         predicted = decision["predicted"]
         if predicted is None:
@@ -127,17 +110,7 @@ def _decision_errors(decisions):
             abs(predicted["plan_patch_bytes"] - actual_bytes)
             / max(actual_bytes, 1)
         )
-        predicted_seconds = (
-            predicted["refresh_seconds"]
-            if decision["actual_mode"] == "refresh"
-            else predicted["recompile_seconds"]
-        )
-        actual_seconds = decision["actual_seconds"]
-        if actual_seconds > 0.0:
-            timing_errors.append(
-                abs(predicted_seconds - actual_seconds) / actual_seconds
-            )
-    return byte_errors, timing_errors, agreements
+    return byte_errors, agreements
 
 
 def _run(n_warmup=N_WARMUP, n_rounds=N_ROUNDS):
@@ -149,43 +122,35 @@ def _run(n_warmup=N_WARMUP, n_rounds=N_ROUNDS):
         trainer = _fit(kind, requested, n_features, batch, iterations, seed)
         model = trainer.cost_model
         rng = np.random.default_rng(seed)
-        # Warm-up commits calibrate the timing coefficients online (the
-        # recorded BENCH_refresh rates come from a different scale/host).
         for i in range(n_warmup):
             ids = _removal(rng, trainer.n_samples, i)
             trainer.commit(trainer.remove(ids, method="priu"))
         n_warm = len(model.decisions())
-        # Maintenance limits come from the model's own measured ratios —
-        # keeping SVD widths bounded also keeps the per-fraction refresh
-        # rate stationary, which is what makes it predictable at all.
-        policy = model.maintenance_policy()
         for i in range(n_rounds):
             ids = _removal(rng, trainer.n_samples, i)
             # estimate → remove → commit: the commit path re-runs the
             # estimate internally and logs it against the timed receipt.
             trainer.estimate_removal(ids)
             trainer.commit(trainer.remove(ids, method="priu"))
-            if policy.due(trainer.maintenance_cost(include_bytes=False)):
-                trainer.maintain(policy)
+            if MAINTENANCE.due(trainer.maintenance_cost(include_bytes=False)):
+                trainer.maintain(MAINTENANCE)
         decisions = model.decisions()[n_warm:]
-        byte_errors, timing_errors, agreements = _decision_errors(decisions)
-        modes = [d["actual_mode"] for d in decisions]
+        # Replay observations share the ring; only commits are priced.
+        commits = [d for d in decisions if d.get("kind") != "replay"]
+        byte_errors, agreements = _decision_errors(commits)
+        modes = [d["actual_mode"] for d in commits]
         rows.append(
             {
                 "workload": name,
-                "n_decisions": len(decisions),
+                "n_decisions": len(commits),
                 "n_refresh": modes.count("refresh"),
-                "n_recompile": modes.count("recompile"),
+                "modes": sorted(set(modes)),
                 "mode_agreement": (
                     float(np.mean(agreements)) if agreements else 0.0
                 ),
                 "plan_patch_bytes_rel_error_median": (
                     float(np.median(byte_errors)) if byte_errors else 0.0
                 ),
-                "refresh_vs_recompile_rel_error_median": (
-                    float(np.median(timing_errors)) if timing_errors else 0.0
-                ),
-                "refresh_threshold_final": model.refresh_threshold(),
             }
         )
         tables[name] = {
@@ -196,6 +161,18 @@ def _run(n_warmup=N_WARMUP, n_rounds=N_ROUNDS):
     return rows, tables
 
 
+def _check(rows):
+    for row in rows:
+        # Every measured commit logged a prediction whose mode is the
+        # executed one, and every commit patched the plan in place.
+        assert row["n_decisions"] > 0
+        assert row["mode_agreement"] == 1.0
+        assert set(row["modes"]) <= set(COMMIT_MODES)
+        # Byte predictions are structural (shared accounting with the
+        # executed patch), so the bar holds on every machine.
+        assert row["plan_patch_bytes_rel_error_median"] <= ERROR_BAR
+
+
 def test_estimates_track_executed_commits():
     rows, _ = _run()
     report(
@@ -203,19 +180,7 @@ def test_estimates_track_executed_commits():
         "Cost model predicted-vs-actual (estimate → remove → commit)",
         rows,
     )
-    for row in rows:
-        # Every measured commit logged a prediction, and the executed
-        # refresh-vs-recompile choice is the estimate's own mode — the
-        # commit path decides *from* the estimate, so disagreement means
-        # the two read different state.
-        assert row["n_decisions"] > 0
-        assert row["mode_agreement"] == 1.0
-        # Byte predictions are structural (shared accounting with the
-        # executed patch), so the bar holds on every machine.
-        assert row["plan_patch_bytes_rel_error_median"] <= ERROR_BAR
-        if ASSERT_TIMING:
-            # Wall-clock predictions after online calibration.
-            assert row["refresh_vs_recompile_rel_error_median"] <= ERROR_BAR
+    _check(rows)
 
 
 # --------------------------------------------------------------- standalone
@@ -226,21 +191,16 @@ def main(out_path: str = "BENCH_costmodel.json", smoke: bool = False) -> dict:
     else:
         rows, tables = _run()
     byte_medians = [r["plan_patch_bytes_rel_error_median"] for r in rows]
-    timing_medians = [r["refresh_vs_recompile_rel_error_median"] for r in rows]
     results = {
         "scale": _scale(),
         "smoke": smoke,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "error_bar": ERROR_BAR,
-        "initial_calibration": _base_calibration().as_dict(),
         "rows": rows,
         "workloads": tables,
         "plan_patch_bytes_rel_error": float(max(byte_medians)),
-        "refresh_vs_recompile_rel_error": float(max(timing_medians)),
-        # The acceptance relation, recorded regardless of assertion mode.
         "within_bar": {
             "plan_patch_bytes": bool(max(byte_medians) <= ERROR_BAR),
-            "refresh_vs_recompile": bool(max(timing_medians) <= ERROR_BAR),
         },
     }
     with open(out_path, "w") as handle:
@@ -249,11 +209,10 @@ def main(out_path: str = "BENCH_costmodel.json", smoke: bool = False) -> dict:
     for row in rows:
         print(
             f"  {row['workload']:13s} decisions={row['n_decisions']:3d} "
-            f"(refresh {row['n_refresh']}, recompile {row['n_recompile']})  "
-            f"bytes err {row['plan_patch_bytes_rel_error_median']:.3f}  "
-            f"timing err {row['refresh_vs_recompile_rel_error_median']:.3f}  "
-            f"threshold {row['refresh_threshold_final']:.3f}"
+            f"(refresh {row['n_refresh']}, modes {row['modes']})  "
+            f"bytes err {row['plan_patch_bytes_rel_error_median']:.3f}"
         )
+    _check(rows)
     return results
 
 

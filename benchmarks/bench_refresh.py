@@ -1,13 +1,13 @@
-"""Commit cost: incremental plan refresh vs full recompilation.
+"""Commit cost: incremental plan refresh vs a fresh compile.
 
-The commit path (ISSUE 3) folds a served deletion back into the store and
-the compiled ReplayPlan.  The store compaction is shared; what
-``plan_refresh_threshold`` trades on is how the plan catches up — patching
-the affected iterations/slots in place (``refresh``) versus rebuilding the
-whole SoA layout (``recompile``).  The acceptance bar: on the Fig-4
-workloads, for removals touching ≤ 1% of the samples, the incremental
-refresh must beat the full recompile while answering fresh queries
-identically (atol 1e-10).
+The commit path folds a served deletion back into the store and the
+compiled ReplayPlan.  The store compaction is shared; the rows time how
+the plan catches up — patching the affected iterations/slots in place
+(``refresh``, what every commit does) versus compiling a new plan over
+the compacted store (``recompile``, the reference).  The acceptance bar:
+on the Fig-4 workloads, for removals touching ≤ 1% of the samples, the
+incremental refresh must beat the fresh compile while answering fresh
+queries identically (atol 1e-10).
 
 Runable standalone (writes ``BENCH_refresh.json`` for the perf
 trajectory)::
@@ -34,15 +34,14 @@ DELETION_RATE = 0.001  # the Fig-4 repeated-deletion rate
 def test_incremental_refresh_beats_recompile(experiment):
     wl = workload(experiment)
     # Fig-4 rate for the recorded trajectory + a single-sample removal,
-    # which stays in the incremental-refresh regime at every bench scale
-    # (smoke scales inflate the Fig-4 rate's touched-iteration fraction
-    # past plan_refresh_threshold, where the trainer recompiles anyway).
+    # which touches few iterations at every bench scale (smoke scales
+    # inflate the Fig-4 rate's touched-iteration fraction).
     fig4_rows = refresh_rows(wl, deletion_rate=DELETION_RATE)
     single_rows = refresh_rows(wl, deletion_rate=0.0)
     tag = experiment.split(" ")[0].lower()
     report(
         f"refresh_{tag}",
-        f"Commit cost: plan refresh vs recompile — {experiment}",
+        f"Commit cost: plan refresh vs fresh compile — {experiment}",
         fig4_rows + single_rows,
     )
     fig4 = next(r for r in fig4_rows if r["mode"] == "refresh")
@@ -50,7 +49,7 @@ def test_incremental_refresh_beats_recompile(experiment):
     # Identical post-commit answers on both paths…
     assert fig4["max_abs_deviation"] < 1e-10
     assert single["max_abs_deviation"] < 1e-10
-    # …and inside the refresh regime the incremental patch must win.
+    # …and for small removals the incremental patch must win.
     assert single["speedup_vs_recompile"] > 1.0
     if fig4["fraction_iterations_touched"] <= 0.25:
         assert fig4["speedup_vs_recompile"] > 1.0

@@ -23,8 +23,8 @@ Public entry points
     plan mapping, with shard-granularity failover and mergeable stats.
 :class:`repro.CostModel` / :class:`repro.CostEstimate`
     The calibrated per-request cost estimator: predicts a removal's
-    footprint from the packed occurrence index and drives
-    refresh-vs-recompile, batch closing and maintenance-aware eviction.
+    footprint from the packed occurrence index and, from measured
+    timings, closes batches early and vetoes replay-kernel fusion.
 :mod:`repro.provenance`
     The provenance-polynomial semiring and annotated-matrix algebra.
 :mod:`repro.models`

@@ -278,15 +278,15 @@ def refresh_rows(
     repeats: int = 3,
     seed: int = 0,
 ) -> list[dict]:
-    """Commit cost: incremental ``ReplayPlan.refresh`` vs full recompile.
+    """Commit cost: incremental ``ReplayPlan.refresh`` vs a fresh compile.
 
-    Both timed paths fold the same removal into a deep copy of the fitted
-    store (``compact`` + survivor slicing + plan re-sync); they differ only
-    in how the compiled plan catches up — patching the affected rows/slots
-    in place versus rebuilding the whole SoA layout.  The two committed
-    plans must then answer a fresh query identically (asserted by the
-    benchmark at atol 1e-10).  The measured speedup is what
-    ``plan_refresh_threshold`` trades on.
+    Both timed paths follow the same ``compact`` of a deep copy of the
+    fitted store; they differ only in how the compiled plan catches up —
+    patching the affected rows/slots in place (``refresh``) versus
+    compiling a new plan over the compacted store (``recompile``).  The
+    two plans must then answer a fresh query identically (asserted by
+    the benchmark at atol 1e-10).  The speedup is what patching the
+    plan in place saves per commit.
     """
     import copy
 
@@ -302,21 +302,16 @@ def refresh_rows(
 
     timings: dict[str, list[float]] = {"refresh": [], "recompile": []}
     compact_samples: list[float] = []
-    plans: dict[str, object] = {}
-    receipts: dict[str, dict] = {}
     # One untimed warm-up round: the first pass through freshly deep-copied
     # provenance pays page faults that a long-lived serving process never
     # sees; round -1's samples are discarded.
     for round_index in range(-1, repeats):
-        # Both plans compile against the same store copy before the one
-        # compaction; only the catch-up strategy differs, so only it is
-        # timed per mode (the compact + survivor slicing is shared and
-        # unavoidable — reported as its own column).
+        # The refreshed plan compiles against the store copy before the
+        # compaction; only the catch-up is timed per mode (the compact +
+        # survivor slicing is shared and unavoidable — reported as its own
+        # column).
         store = copy.deepcopy(trainer.store)
-        modes = {
-            "refresh": ReplayPlan(store, features, labels),
-            "recompile": ReplayPlan(store, features, labels),
-        }
+        plan = ReplayPlan(store, features, labels)
         start = time.perf_counter()
         stats = store.compact(removed, features, labels)
         reduced_features = features[survivors]
@@ -324,29 +319,16 @@ def refresh_rows(
         compact_seconds = time.perf_counter() - start
         if round_index >= 0:
             compact_samples.append(compact_seconds)
-        # threshold -1.0 (not 0.0): refresh() recompiles on fraction >
-        # threshold, and a removal touching zero iterations has fraction
-        # 0.0 — the recompile row must still recompile.
-        for mode, threshold in (("refresh", 1.0), ("recompile", -1.0)):
-            plan = modes[mode]
-            start = time.perf_counter()
-            receipt = plan.refresh(
-                stats,
-                reduced_features,
-                reduced_labels,
-                recompile_threshold=threshold,
-            )
-            if round_index >= 0:
-                timings[mode].append(time.perf_counter() - start)
-            plans[mode] = plan
-            receipts[mode] = receipt
+        start = time.perf_counter()
+        receipt = plan.refresh(stats, reduced_features, reduced_labels)
+        refreshed = time.perf_counter()
+        fresh = ReplayPlan(store, reduced_features, reduced_labels)
+        compiled = time.perf_counter()
+        if round_index >= 0:
+            timings["refresh"].append(refreshed - start)
+            timings["recompile"].append(compiled - refreshed)
     deviation = float(
-        np.max(
-            np.abs(
-                plans["refresh"].run_single(probe)
-                - plans["recompile"].run_single(probe)
-            )
-        )
+        np.max(np.abs(plan.run_single(probe) - fresh.run_single(probe)))
     )
     best = {mode: min(samples) for mode, samples in timings.items()}
     rows = []
@@ -357,7 +339,7 @@ def refresh_rows(
                 "mode": mode,
                 "deletion_rate": deletion_rate,
                 "n_removed": int(removed.size),
-                "fraction_iterations_touched": receipts[mode]["fraction"],
+                "fraction_iterations_touched": receipt["fraction"],
                 "plan_sync_seconds": best[mode],
                 "compact_seconds": min(compact_samples),
                 "speedup_vs_recompile": best["recompile"] / best[mode],
@@ -589,9 +571,6 @@ def maintenance_rows(
     finals: dict[str, object] = {}
     for mode in ("unmaintained", "maintained"):
         trainer = copy.deepcopy(workload.trainer)
-        # Keep the incremental-refresh path hot: a recompile would reclaim
-        # plan garbage as a side effect and mask what maintenance does.
-        trainer.plan_refresh_threshold = 1.0
         rng = np.random.default_rng(seed)
         latencies: list[float] = []
         commits_axis: list[int] = []

@@ -29,7 +29,7 @@ from ..models.closed_form import IncrementalClosedForm
 from ..models.influence import InfluenceFunctionUpdater
 from ..models.sgd import TrainingResult, train, objective_for
 from .capture import train_with_capture
-from .costmodel import Calibration, CostEstimate, CostModel
+from .costmodel import CostEstimate, CostModel
 from .maintenance import MaintenanceCost, MaintenancePolicy, MaintenanceReport
 from .priu import PrIUUpdater
 from .priu_opt import (
@@ -119,7 +119,6 @@ class IncrementalTrainer:
         max_dense_params: int = 2500,
         opt_feature_limit: int = 2500,
         plan_cache_sparse_blocks: bool = True,
-        plan_refresh_threshold: float = 0.25,
         eigen_correction_limit: int = 0,
         kernel_block_size: int | None = None,
         cost_model=None,
@@ -147,10 +146,6 @@ class IncrementalTrainer:
         # batch blocks hold ~τB/n copies of the dataset; disable to re-slice
         # inside the replay loop instead.
         self.plan_cache_sparse_blocks = bool(plan_cache_sparse_blocks)
-        # Commit path: incremental ReplayPlan.refresh() while a commit
-        # touches at most this fraction of the iterations, full recompile
-        # beyond it.
-        self.plan_refresh_threshold = float(plan_refresh_threshold)
         # Maintenance: deferred PrIU-opt eigen refreshes covering at most
         # this many removed rows use the incremental eigenvalue correction
         # instead of a full re-eigendecomposition (0 = always exact).
@@ -161,10 +156,9 @@ class IncrementalTrainer:
         # An attached cost model may veto fusion when its calibrated
         # per-iteration timings say the scalar path wins.
         self.kernel_block_size = kernel_block_size
-        # Optional repro.core.costmodel.CostModel.  When attached, commits
-        # pick refresh-vs-recompile from its calibrated crossing point
-        # (plan_refresh_threshold becomes the uncalibrated fallback) and
-        # every commit receipt feeds its online calibration.
+        # Optional repro.core.costmodel.CostModel.  When attached, every
+        # commit logs its pre-commit estimate against the executed
+        # receipt in the model's predicted-vs-actual decision ring.
         self.cost_model = cost_model
         # Timestamp source for commit audit receipts: anything with a
         # ``now()`` method (e.g. a serving Clock).  None -> wall time.
@@ -676,34 +670,10 @@ FleetServer` auto-maintenance) needs, since
         :class:`~repro.core.replay_plan.ReplayPlan`; ``"priu-seq"`` forces
         the uncompiled per-record reference path (kept for verification and
         benchmarking).  ``commit=True`` additionally adopts the answer as
-        the new baseline (see :meth:`commit`).
+        the new baseline (see :meth:`commit`).  One request is a batch of
+        one: this is :meth:`remove_many` on ``[indices]``.
         """
-        self._require_fit()
-        removed = normalize_removed_indices(indices)
-        chosen = method or ("priu-opt" if self._opt is not None else "priu")
-        kernel_before = self._kernel_snapshot()
-        start = time.perf_counter()
-        if chosen == "priu-opt":
-            if self._opt is None:
-                raise ValueError("PrIU-opt is unavailable for this configuration")
-            weights = self._opt.update(removed, assume_unique=True)
-        elif chosen == "priu":
-            if self._plan.supported:
-                weights = self._plan.run_single(removed, assume_unique=True)
-            else:
-                weights = self._priu.update(removed, assume_unique=True)
-        elif chosen == "priu-seq":
-            weights = self._priu.update(removed, assume_unique=True)
-        else:
-            raise ValueError(f"unknown update method: {chosen}")
-        seconds = time.perf_counter() - start
-        self._observe_replay(chosen, kernel_before, seconds)
-        outcome = UpdateOutcome(
-            weights, chosen, seconds, removed, self.store._version
-        )
-        if commit:
-            self.commit(outcome)
-        return outcome
+        return self.remove_many([indices], method=method, commit=commit)[0]
 
     def remove_many(
         self, index_sets, method: str | None = None, commit: bool = False
@@ -822,11 +792,12 @@ FleetServer` auto-maintenance) needs, since
         piece of state describing the original training set, ``commit``
         makes the deletion permanent: the provenance store is compacted
         (occurrence rows dropped, surviving ids remapped onto
-        ``[0, n - Δn)``), the compiled :class:`ReplayPlan` is incrementally
-        refreshed (or recompiled past ``plan_refresh_threshold``), the
-        held features/labels are sliced to the survivors, the PrIU /
-        PrIU-opt updaters are rebuilt over the compacted state, and
-        ``outcome.weights`` becomes :attr:`weights_`.
+        ``[0, n - Δn)``), the compiled :class:`ReplayPlan` is refreshed
+        in place (fused kernel blocks the removal dirtied are dropped until
+        :meth:`maintain` regroups them), the held features/labels are
+        sliced to the survivors, the PrIU / PrIU-opt updaters are rebuilt
+        over the compacted state, and ``outcome.weights`` becomes
+        :attr:`weights_`.
 
         After a commit, *fresh* removal queries and removal ids are
         expressed in the new, packed id space; :attr:`deletion_log` keeps
@@ -838,9 +809,9 @@ FleetServer` auto-maintenance) needs, since
 
         Raises ``ValueError`` for outcomes computed before an earlier
         commit (their removal ids point into a stale id space).  Returns a
-        receipt dict: ``mode`` (``refresh`` | ``recompile`` | ``noop`` |
-        ``unsupported``), the fraction of iterations touched, and
-        ``removed`` (how many samples left the store).
+        receipt dict: ``mode`` (``refresh`` | ``noop`` | ``unsupported``),
+        the fraction of iterations touched, and ``removed`` (how many
+        samples left the store).
         """
         self._require_fit()
         if outcome.store_version is not None and (
@@ -858,16 +829,11 @@ FleetServer` auto-maintenance) needs, since
         if removed.size == 0:
             self.result.weights = weights
             return {"mode": "noop", "fraction": 0.0, "removed": 0}
-        # Cost-model hook: estimate before the store mutates, decide the
-        # refresh-vs-recompile threshold from the calibrated crossing
-        # point, then feed the timed receipt back (predicted-vs-actual).
-        # Refresh and recompile produce identical plan state, so the
-        # threshold source can never change an answer — only its cost.
+        # Cost-model hook: estimate before the store mutates, then log the
+        # timed receipt against it (predicted-vs-actual).
         estimate = None
-        threshold = self.plan_refresh_threshold
         if self.cost_model is not None:
             estimate = self.cost_model.estimate(self, removed)
-            threshold = self.cost_model.refresh_threshold()
         stats = self.store.compact(
             removed, self.features, self.labels, timestamp=self._now()
         )
@@ -878,12 +844,7 @@ FleetServer` auto-maintenance) needs, since
         self.labels = self.labels[survivors]
         self.schedule = self.store.schedule
         sync_start = time.perf_counter()
-        receipt = self._plan.refresh(
-            stats,
-            self.features,
-            self.labels,
-            recompile_threshold=threshold,
-        )
+        receipt = self._plan.refresh(stats, self.features, self.labels)
         receipt["plan_sync_seconds"] = time.perf_counter() - sync_start
         self._priu = PrIUUpdater(self.store, self.features, self.labels)
         if isinstance(self._opt, PrIUOptLinearUpdater):
@@ -918,22 +879,12 @@ FleetServer` auto-maintenance) needs, since
 
         Reads the removal's footprint off the packed occurrence index (two
         ``searchsorted`` range counts, no replay) and prices it with the
-        attached :class:`~repro.core.costmodel.CostModel`.  With no model
-        attached, a throwaway uncalibrated model whose crossing point is
-        this trainer's ``plan_refresh_threshold`` is used, so the
-        predicted ``mode`` always matches what a commit would actually
-        do.  ``indices`` live in the current (post-commit) id space, like
-        :meth:`remove`.
+        attached :class:`~repro.core.costmodel.CostModel` (an uncalibrated
+        one when none is attached).  ``indices`` live in the current
+        (post-commit) id space, like :meth:`remove`.
         """
         self._require_fit()
-        model = self.cost_model
-        if model is None:
-            model = CostModel(
-                Calibration(
-                    recompile_seconds=max(self.plan_refresh_threshold, 1e-9)
-                )
-            )
-        return model.estimate(self, indices)
+        return (self.cost_model or CostModel()).estimate(self, indices)
 
     def retrain(self, indices) -> UpdateOutcome:
         """BaseL: retrain from scratch on the same schedule minus ``indices``."""

@@ -1,14 +1,8 @@
 """Cost-model-driven scheduling: estimate, then admit.
 
-Every scheduling decision in the serving stack used to be a fixed
-constant — the coalescing budget, ``plan_refresh_threshold``, the
-:class:`~repro.core.maintenance.MaintenancePolicy` limits, eviction
-order.  The system *measures* everything (``BENCH_refresh`` ratios,
-:class:`~repro.core.maintenance.MaintenanceCost`, per-lane latency), so
-this module closes the loop: a cheap upfront estimate routes each
-request to the cheapest safe execution strategy, and the estimate is
-held accountable by predicted-vs-actual tests and the
-``BENCH_costmodel.json`` CI gate.
+A cheap upfront estimate prices each removal request before it runs,
+and the estimate is held accountable by predicted-vs-actual tests and
+the ``BENCH_costmodel.json`` CI gate.
 
 The estimator is deliberately *free*: a removal set's footprint is read
 off the packed occurrence index
@@ -17,41 +11,32 @@ two ``np.searchsorted`` range counts plus a gather) — no replay, no
 copy.  From those counts a :class:`CostEstimate` predicts
 
 * **touched iterations** (and the fraction of the schedule they cover),
-* **plan-patch bytes** — what an incremental
-  :meth:`~repro.core.replay_plan.ReplayPlan.refresh` would rewrite
+* **plan-patch bytes** — what the commit's
+  :meth:`~repro.core.replay_plan.ReplayPlan.refresh` will rewrite
   (mirrored exactly by :meth:`ReplayPlan.predict_patch_bytes`, so
   predicted-vs-actual comparisons measure the estimate's inputs, not
-  drift between two formulas),
+  drift between two formulas), and
 * **SVD width growth** — correction columns a commit would append to
-  truncated summaries, and
-* **refresh-vs-recompile seconds** via a :class:`Calibration` fitted
-  from recorded ``BENCH_refresh.json`` runs and refreshed online from
-  served-batch timings.
+  truncated summaries.
+
+Commits always refresh the compiled plan in place, so the commit path
+has nothing to decide; an attached model logs each commit's estimate
+against its executed receipt (:meth:`CostModel.observe_commit`).
 
 Decision points wired to the model:
 
-* ``commit_mode`` servers pick refresh-vs-recompile from
-  :meth:`CostModel.refresh_threshold` (the fraction where the two
-  calibrated cost curves cross) instead of the fixed
-  ``plan_refresh_threshold``.  Both paths produce identical state, so
-  the choice is answer-preserving *by construction* — only cost moves.
 * :class:`~repro.serving.policy.AdmissionPolicy` closes a coalescing
   batch early once the remaining budget exceeds the predicted marginal
   batching saving (:meth:`CostModel.should_close`).  Closing early only
   re-partitions batches; committed answers depend on admission order
-  alone, so this too never changes an answer.
-* :meth:`CostModel.maintenance_policy` derives
-  :class:`~repro.core.maintenance.MaintenancePolicy` limits from the
-  measured refresh-vs-recompile ratio instead of hand-picked constants.
-* :meth:`~repro.serving.fleet.ModelRegistry.retire` makes eviction
-  maintenance-aware: a high-debt model is reclaimed and checkpointed
-  before it is dropped.
+  alone, so this never changes an answer.
+* :meth:`CostModel.kernel_block_size` vetoes replay-kernel fusion once
+  measured per-iteration timings show the fused path is not faster.
 
-The uncalibrated defaults reproduce the historical constants exactly
-(``Calibration().refresh_threshold() == 0.25`` matches the old fixed
-``plan_refresh_threshold``; an unknown batch time disables early
-closing), so attaching a fresh :class:`CostModel` is behaviourally
-inert until data arrives.
+Every timing coefficient of a fresh :class:`Calibration` is *unknown*
+(``0.0``), and an unknown coefficient turns off the decision that reads
+it — no early closing, no fusion veto — so attaching a fresh
+:class:`CostModel` changes no decision until timings arrive.
 """
 
 from __future__ import annotations
@@ -64,7 +49,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .maintenance import MaintenancePolicy
 from .provenance_store import normalize_removed_indices
 
 #: Decisions kept in the per-model predicted-vs-actual log (ring buffer;
@@ -76,13 +60,11 @@ MAX_DECISIONS = 512
 class CostEstimate:
     """What one removal set is predicted to cost, before any replay.
 
-    ``touched_*`` and ``plan_patch_bytes``/``svd_width_growth`` are
-    *structural* predictions read off the packed occurrence index — for
-    a consistent store they are exact, and the test harness keeps them
-    honest against the executed patch.  ``refresh_seconds`` /
-    ``recompile_seconds`` are the *calibrated* (noisy) predictions; the
-    ``mode`` is whichever is predicted cheaper, expressed through the
-    derived threshold so the commit path's choice matches the estimate.
+    Every field is a *structural* prediction read off the packed
+    occurrence index — for a consistent store it is exact, and the test
+    harness keeps it honest against the executed patch.  ``mode`` is
+    what the commit will do: ``"refresh"`` for a compiled plan,
+    ``"unsupported"`` where none exists (sparse multinomial).
     """
 
     n_removed: int
@@ -91,57 +73,24 @@ class CostEstimate:
     touched_occurrences: int
     plan_patch_bytes: int
     svd_width_growth: int
-    refresh_seconds: float
-    recompile_seconds: float
-    mode: str  # "refresh" | "recompile" | "unsupported"
-    threshold: float
-
-    @property
-    def refresh_vs_recompile(self) -> float:
-        """Predicted refresh/recompile cost ratio (< 1 -> refresh wins)."""
-        if self.recompile_seconds <= 0.0:
-            return float("inf") if self.refresh_seconds > 0.0 else 0.0
-        return self.refresh_seconds / self.recompile_seconds
+    mode: str  # "refresh" | "unsupported"
 
     def as_dict(self) -> dict:
         """JSON-serializable form (``ServedOutcome.predicted``, benchmarks)."""
-        return {
-            "n_removed": self.n_removed,
-            "touched_iterations": self.touched_iterations,
-            "touched_fraction": self.touched_fraction,
-            "touched_occurrences": self.touched_occurrences,
-            "plan_patch_bytes": self.plan_patch_bytes,
-            "svd_width_growth": self.svd_width_growth,
-            "refresh_seconds": self.refresh_seconds,
-            "recompile_seconds": self.recompile_seconds,
-            "refresh_vs_recompile": self.refresh_vs_recompile,
-            "mode": self.mode,
-            "threshold": self.threshold,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
 class Calibration:
     """The fitted coefficients a :class:`CostModel` predicts with.
 
-    The timing model is deliberately two-parameter: an incremental
-    refresh costs ``refresh_seconds_per_fraction * fraction`` (the patch
-    work is linear in the touched share of the schedule) and a recompile
-    costs a flat ``recompile_seconds`` (it always rebuilds everything).
-    Their crossing point is the derived refresh-vs-recompile threshold.
-
     ``batch_seconds`` is the predicted wall-clock of one dispatched
     batch (the admission layer's early-closing signal); ``0.0`` means
     *unknown* and disables early closing rather than degenerating to
-    no coalescing at all.
-
-    The defaults reproduce the pre-cost-model constants: a threshold of
-    ``0.25`` (the historical ``plan_refresh_threshold``) and no early
-    closing, so an uncalibrated model changes nothing.
+    no coalescing at all.  The defaults are all unknown, so an
+    uncalibrated model changes nothing.
     """
 
-    refresh_seconds_per_fraction: float = 1.0
-    recompile_seconds: float = 0.25
     batch_seconds: float = 0.0
     #: Measured per-iteration replay cost on the fused (blocked-kernel)
     #: and scalar paths; ``0.0`` means unknown.  Fed by
@@ -154,10 +103,6 @@ class Calibration:
     n_observations: int = 0
 
     def __post_init__(self) -> None:
-        if self.refresh_seconds_per_fraction <= 0.0:
-            raise ValueError("refresh_seconds_per_fraction must be > 0")
-        if self.recompile_seconds <= 0.0:
-            raise ValueError("recompile_seconds must be > 0")
         if self.batch_seconds < 0.0:
             raise ValueError("batch_seconds must be >= 0")
         if self.fused_iteration_seconds < 0.0:
@@ -174,34 +119,24 @@ class Calibration:
             return 0.0
         return self.scalar_iteration_seconds / self.fused_iteration_seconds
 
-    def refresh_threshold(self) -> float:
-        """The touched-iteration fraction where recompiling starts winning.
-
-        The crossing point of the two calibrated cost curves, clipped to
-        ``[0.01, 1.0]`` so a degenerate calibration can neither disable
-        refresh entirely nor force it for every-iteration removals.
-        """
-        crossing = self.recompile_seconds / self.refresh_seconds_per_fraction
-        return float(min(1.0, max(0.01, crossing)))
-
     @classmethod
     def from_bench(cls, source) -> "Calibration":
-        """Fit from a recorded ``BENCH_refresh.json`` run (path or dict).
+        """Fit from a recorded ``BENCH_kernel.json`` run (path or dict).
 
-        Each ``commit_costs`` row carries ``plan_sync_seconds``, the
-        touched ``fraction_iterations_touched`` and (for refresh rows)
-        ``speedup_vs_recompile``; the fit is the median per-fraction
-        refresh rate and the median recompile time — robust to the
-        warm-up outliers benchmark runs carry.  Rows that cannot inform
-        a coefficient are skipped; with no usable rows the defaults are
-        kept (and ``n_observations`` says so).
+        Each ``kernel_sweep`` row carries the measured per-iteration
+        replay cost on the fused (``blocked_seconds_per_iteration``) and
+        scalar (``scalar_seconds_per_iteration``) paths; the fit is the
+        median of each — robust to the warm-up outliers benchmark runs
+        carry.  Rows that cannot inform a coefficient are skipped; with
+        no usable rows the defaults are kept (and ``n_observations``
+        says so).
 
         This can never fail: a missing file, an empty or truncated JSON
-        body, or a payload without a usable ``commit_costs`` table all
-        fall back to the inert uncalibrated defaults (threshold 0.25, no
-        early closing) with a ``source`` label recording why — a fresh
-        deployment attaches its cost model *before* its first benchmark
-        run exists, and "no calibration yet" must not take serving down.
+        body, or a payload without a usable ``kernel_sweep`` table all
+        fall back to the inert uncalibrated defaults with a ``source``
+        label recording why — a fresh deployment attaches its cost model
+        *before* its first benchmark run exists, and "no calibration
+        yet" must not take serving down.
         """
         label = "dict"
         if isinstance(source, (str, Path)):
@@ -213,33 +148,6 @@ class Calibration:
                 return cls(source=f"{label} (unreadable: {exc}; defaults)")
         if not isinstance(source, dict):
             return cls(source=f"{label} (not a mapping; defaults)")
-        rows = source.get("commit_costs", [])
-        if not isinstance(rows, list):
-            rows = []
-        rows = [row for row in rows if isinstance(row, dict)]
-        refresh_rates: list[float] = []
-        recompiles: list[float] = []
-        for row in rows:
-            try:
-                seconds = float(row.get("plan_sync_seconds", 0.0))
-                fraction = float(row.get("fraction_iterations_touched", 0.0))
-                speedup = float(row.get("speedup_vs_recompile", 0.0))
-            except (TypeError, ValueError):
-                # A partial row (interrupted benchmark write) informs
-                # nothing; skip it rather than fail the attach.
-                continue
-            if seconds <= 0.0:
-                continue
-            if row.get("mode") == "refresh":
-                if fraction > 0.0:
-                    refresh_rates.append(seconds / fraction)
-                if speedup > 0.0:
-                    recompiles.append(seconds * speedup)
-            elif row.get("mode") == "recompile":
-                recompiles.append(seconds)
-        # BENCH_kernel.json payloads (or merged trajectories) additionally
-        # carry a ``kernel_sweep`` table with measured per-iteration
-        # replay costs for the fused and scalar paths.
         sweep = source.get("kernel_sweep", [])
         if not isinstance(sweep, list):
             sweep = []
@@ -252,52 +160,30 @@ class Calibration:
                 fused = float(row.get("blocked_seconds_per_iteration", 0.0))
                 scalar = float(row.get("scalar_seconds_per_iteration", 0.0))
             except (TypeError, ValueError):
+                # A partial row (interrupted benchmark write) informs
+                # nothing; skip it rather than fail the attach.
                 continue
             if fused > 0.0:
                 fused_times.append(fused)
             if scalar > 0.0:
                 scalar_times.append(scalar)
-        default = cls()
         return cls(
-            refresh_seconds_per_fraction=(
-                float(np.median(refresh_rates))
-                if refresh_rates
-                else default.refresh_seconds_per_fraction
-            ),
-            recompile_seconds=(
-                float(np.median(recompiles))
-                if recompiles
-                else default.recompile_seconds
-            ),
-            batch_seconds=default.batch_seconds,
             fused_iteration_seconds=(
-                float(np.median(fused_times))
-                if fused_times
-                else default.fused_iteration_seconds
+                float(np.median(fused_times)) if fused_times else 0.0
             ),
             scalar_iteration_seconds=(
-                float(np.median(scalar_times))
-                if scalar_times
-                else default.scalar_iteration_seconds
+                float(np.median(scalar_times)) if scalar_times else 0.0
             ),
             source=label,
-            n_observations=(
-                len(refresh_rates)
-                + len(recompiles)
-                + len(fused_times)
-                + len(scalar_times)
-            ),
+            n_observations=len(fused_times) + len(scalar_times),
         )
 
     def as_dict(self) -> dict:
         return {
-            "refresh_seconds_per_fraction": self.refresh_seconds_per_fraction,
-            "recompile_seconds": self.recompile_seconds,
             "batch_seconds": self.batch_seconds,
             "fused_iteration_seconds": self.fused_iteration_seconds,
             "scalar_iteration_seconds": self.scalar_iteration_seconds,
             "kernel_speedup": self.kernel_speedup(),
-            "refresh_threshold": self.refresh_threshold(),
             "source": self.source,
             "n_observations": self.n_observations,
         }
@@ -332,10 +218,6 @@ class CostModel:
         with self._lock:
             return self._calibration
 
-    def refresh_threshold(self) -> float:
-        """Current refresh-vs-recompile crossing fraction (commit path)."""
-        return self.calibration.refresh_threshold()
-
     def decisions(self) -> list[dict]:
         """The predicted-vs-actual log, oldest first (bounded ring)."""
         with self._lock:
@@ -359,34 +241,16 @@ class CostModel:
         touched = int(np.unique(iterations).size) if occurrences else 0
         n_iterations = len(store.records)
         fraction = touched / n_iterations if n_iterations else 0.0
-        calibration = self.calibration
-        threshold = calibration.refresh_threshold()
-        supported = bool(getattr(plan, "supported", False))
-        if not supported:
-            mode = "unsupported"
-            patch_bytes = 0
-        elif fraction > threshold:
-            # A recompile rebuilds every compiled array.
-            mode = "recompile"
-            patch_bytes = plan.nbytes()
-        else:
-            mode = "refresh"
-            patch_bytes = plan.predict_patch_bytes(occurrences, touched)
         return CostEstimate(
             n_removed=int(removed.size),
             touched_iterations=touched,
             touched_fraction=float(fraction),
             touched_occurrences=occurrences,
-            plan_patch_bytes=int(patch_bytes),
+            plan_patch_bytes=plan.predict_patch_bytes(occurrences, touched),
             svd_width_growth=(
                 occurrences if store.compression == "svd" else 0
             ),
-            refresh_seconds=(
-                calibration.refresh_seconds_per_fraction * fraction
-            ),
-            recompile_seconds=calibration.recompile_seconds,
-            mode=mode,
-            threshold=threshold,
+            mode="refresh" if plan.supported else "unsupported",
         )
 
     # ---------------------------------------------------------- admission
@@ -491,43 +355,22 @@ class CostModel:
 
     # ------------------------------------------------------------ learning
     def observe_commit(self, estimate: CostEstimate | None, receipt: dict) -> None:
-        """Online-refresh the commit-path coefficients from one receipt.
+        """Log one commit receipt against its pre-commit estimate.
 
         ``receipt`` is the dict :meth:`IncrementalTrainer.commit`
         returns (``mode``/``fraction`` plus the timed
         ``plan_sync_seconds`` and the executed ``patched_bytes``).  The
-        matching pre-commit ``estimate`` (may be None for untracked
-        commits) is logged against it in the decision ring.
+        matching ``estimate`` (may be None for untracked commits) lands
+        next to it in the decision ring; no coefficient is fitted.
         """
-        seconds = float(receipt.get("plan_sync_seconds", 0.0))
-        mode = receipt.get("mode")
-        fraction = float(receipt.get("fraction", 0.0))
+        decision = {
+            "actual_mode": receipt.get("mode"),
+            "actual_fraction": float(receipt.get("fraction", 0.0)),
+            "actual_seconds": float(receipt.get("plan_sync_seconds", 0.0)),
+            "actual_patched_bytes": receipt.get("patched_bytes"),
+            "predicted": None if estimate is None else estimate.as_dict(),
+        }
         with self._lock:
-            calibration = self._calibration
-            updates: dict = {}
-            if seconds > 0.0:
-                if mode == "refresh" and fraction > 0.0:
-                    updates["refresh_seconds_per_fraction"] = self._blend(
-                        calibration.refresh_seconds_per_fraction,
-                        seconds / fraction,
-                    )
-                elif mode == "recompile":
-                    updates["recompile_seconds"] = self._blend(
-                        calibration.recompile_seconds, seconds
-                    )
-            if updates:
-                updates["source"] = "online"
-                updates["n_observations"] = calibration.n_observations + 1
-                self._calibration = dataclasses.replace(
-                    calibration, **updates
-                )
-            decision = {
-                "actual_mode": mode,
-                "actual_fraction": fraction,
-                "actual_seconds": seconds,
-                "actual_patched_bytes": receipt.get("patched_bytes"),
-                "predicted": None if estimate is None else estimate.as_dict(),
-            }
             self._decisions.append(decision)
             if len(self._decisions) > MAX_DECISIONS:
                 del self._decisions[: -MAX_DECISIONS]
@@ -551,36 +394,6 @@ class CostModel:
 
     def _blend(self, previous: float, observed: float) -> float:
         return (1.0 - self._ewma) * previous + self._ewma * observed
-
-    # -------------------------------------------------------- maintenance
-    def maintenance_policy(
-        self, base: MaintenancePolicy | None = None
-    ) -> MaintenancePolicy:
-        """Auto-tune maintenance limits from the measured cost ratios.
-
-        The limits track the refresh-vs-recompile crossing.  A *high*
-        threshold means refresh is cheap relative to recompile, so
-        commits take the incremental path almost always — and every
-        refresh leaves slot garbage and SVD correction columns behind,
-        so reclamation must trigger sooner (tighter limits).  A *low*
-        threshold means commits recompile often, and a recompile rebuilds
-        the plan garbage-free as a side effect — maintenance can tolerate
-        a larger dead fraction between runs.  Both limits are clipped to
-        operational bands so a wild calibration can neither disable
-        maintenance nor make it chase every commit.  ``base`` contributes
-        the knobs the model has no data for (ε mode, eigen correction
-        limit) — the manual overrides the architecture doc lists.
-        """
-        threshold = self.refresh_threshold()
-        fraction_limit = float(min(0.5, max(0.05, 1.0 - threshold)))
-        column_limit = int(round(min(128, max(4, 64 * (1.0 - threshold)))))
-        if base is None:
-            base = MaintenancePolicy()
-        return dataclasses.replace(
-            base,
-            max_slot_garbage_fraction=fraction_limit,
-            max_svd_correction_columns=column_limit,
-        )
 
     # ----------------------------------------------------------- reporting
     def report(self) -> dict:

@@ -158,27 +158,21 @@ def _compose(
 
 
 class IterationBlocks:
-    """The compiled block schedule: descriptors plus their fold config.
+    """The compiled block schedule: descriptors sorted by span.
 
-    Holds everything needed to (re)compose a descriptor from the plan's
-    per-iteration state, so a commit that patches a few summaries can
-    rebuild just the dirty blocks (:meth:`rebuild`) instead of regrouping
-    the whole schedule.
+    A commit that patches a few iterations drops the descriptors it
+    dirtied (:meth:`drop`); their spans fall back to the scalar loops
+    until maintenance regroups the whole schedule from the patched state.
     """
 
     def __init__(
-        self,
-        descriptors: list[BlockDescriptor],
-        block_size: int,
-        shrink: float,
-        scale_num: float,
-        sigma: float,
+        self, descriptors: list[BlockDescriptor], block_size: int
     ) -> None:
-        self.descriptors = descriptors
         self.block_size = int(block_size)
-        self.shrink = float(shrink)
-        self.scale_num = float(scale_num)
-        self.sigma = float(sigma)
+        self._set(descriptors)
+
+    def _set(self, descriptors: list[BlockDescriptor]) -> None:
+        self.descriptors = descriptors
         self.starts = np.fromiter(
             (d.start for d in descriptors), np.int64, count=len(descriptors)
         )
@@ -199,7 +193,7 @@ class IterationBlocks:
             total += descriptor.nbytes()
         return int(total)
 
-    # ---------------------------------------------------------- rebuild
+    # ------------------------------------------------------------- drop
     def dirty_blocks(self, iterations) -> np.ndarray:
         """Descriptor indices whose span intersects ``iterations``."""
         touched = np.asarray(iterations, dtype=np.int64)
@@ -209,29 +203,19 @@ class IterationBlocks:
         inside = (slots >= 0) & (touched < self.stops[np.clip(slots, 0, None)])
         return np.unique(slots[inside])
 
-    def rebuild(self, iterations, lefts, rights, moments, base_sizes) -> int:
-        """Recompose every block a patched iteration dirtied; keep spans.
+    def drop(self, iterations) -> int:
+        """Drop every descriptor a patched iteration dirtied.
 
-        Span boundaries are preserved (only the folded contents change),
-        so an incremental refresh followed by :meth:`rebuild` yields the
-        same schedule a full recompile of the patched state would.
-        Returns how many descriptors were recomposed.
+        The clean descriptors keep their arrays untouched; the dropped
+        spans replay through the scalar loops, which read the patched
+        per-iteration state directly.  Returns how many were dropped.
         """
-        dirty = self.dirty_blocks(iterations)
-        for slot in dirty:
-            old = self.descriptors[slot]
-            self.descriptors[slot] = _compose(
-                lefts,
-                rights,
-                moments,
-                base_sizes,
-                old.start,
-                old.stop,
-                self.shrink,
-                self.scale_num,
-                self.sigma,
-            )
-        return int(dirty.size)
+        dirty = set(self.dirty_blocks(iterations).tolist())
+        if dirty:
+            self._set([
+                d for i, d in enumerate(self.descriptors) if i not in dirty
+            ])
+        return len(dirty)
 
     # ------------------------------------------------------ persistence
     def state_arrays(self) -> dict[str, np.ndarray]:
@@ -245,7 +229,7 @@ class IterationBlocks:
             left = np.vstack([d.left_t for d in self.descriptors])
             right = np.vstack([d.right_t for d in self.descriptors])
             offsets = np.stack([d.offset for d in self.descriptors])
-        else:  # pragma: no cover - empty schedules are not persisted
+        else:  # every descriptor dropped by commits since the compile
             left = np.empty((0, 0))
             right = np.empty((0, 0))
             offsets = np.empty((0, 0))
@@ -263,12 +247,7 @@ class IterationBlocks:
 
     @classmethod
     def from_state_arrays(
-        cls,
-        arrays: dict[str, np.ndarray],
-        block_size: int,
-        shrink: float,
-        scale_num: float,
-        sigma: float,
+        cls, arrays: dict[str, np.ndarray], block_size: int
     ) -> "IterationBlocks":
         """Rebind descriptors as row-range views into the archived stacks.
 
@@ -297,7 +276,7 @@ class IterationBlocks:
             )
             for i in range(starts.size)
         ]
-        return cls(descriptors, block_size, shrink, scale_num, sigma)
+        return cls(descriptors, block_size)
 
 
 def compile_blocks(
@@ -357,7 +336,7 @@ def compile_blocks(
             )
     if not descriptors:
         return None
-    return IterationBlocks(descriptors, block_size, shrink, scale_num, sigma)
+    return IterationBlocks(descriptors, block_size)
 
 
 def run_blocked(

@@ -9,6 +9,8 @@ does not require but nothing used to reclaim:
 * ``ReplayPlan.refresh`` drops multinomial softmax rows *logically* — the
   ``(H, q)`` flats keep their physical size and a logical→physical
   ``_slot_map`` grows instead, so dead rows accumulate behind the map;
+  it also drops the fused kernel blocks a commit dirties, so their
+  spans replay on the scalar loops until re-truncation regroups them;
 * PrIU-opt's offline eigendecompositions go stale on every commit (the
   gram/moment state is downdated exactly, the eigen state lazily).
 

@@ -58,7 +58,7 @@ def _drop_rows(arr: np.ndarray, dropped: np.ndarray) -> np.ndarray:
     ``dropped`` is sorted-unique and sparse relative to ``arr``; stitching
     the surviving segments with one ``np.concatenate`` is ~3× faster than
     the boolean-mask gather ``np.delete`` performs, which is what keeps an
-    incremental plan refresh cheaper than recompiling the flats.
+    incremental plan refresh cheap.
     """
     if dropped.size == 0:
         return np.asarray(arr)
@@ -136,7 +136,6 @@ class ReplayPlan:
         # load_plan); runs once, on the first replay.
         self._integrity_check = None
         self.supported = not (self.sparse and self.task == "multinomial_logistic")
-        self._cache_sparse_blocks = bool(cache_sparse_blocks)
         self._kernel_block_size = kernel_block_size
         self._kernel = None
         self._kernel_stats = {
@@ -171,7 +170,6 @@ class ReplayPlan:
         # committed refresh of the multinomial flats installs a gather map
         # instead of rewriting the (H, q) state arrays (see refresh()).
         self._slot_map = None
-        self._kernel = None
         kind = self.store.compression
         self._kind = {"none": "dense"}.get(kind, kind)
         if self.sparse:
@@ -431,7 +429,6 @@ class ReplayPlan:
         plan.final_weights = None
         plan._integrity_check = None
         plan.supported = True
-        plan._cache_sparse_blocks = bool(cache_sparse_blocks)
         plan._scale_num = 2.0 * plan.eta if plan.task == "linear" else plan.eta
         plan._kind = meta["kind"]
         plan._slot_map = None
@@ -485,11 +482,7 @@ class ReplayPlan:
             requested = plan._resolved_block_size()
             if "kernel_starts" in arrays and archived == requested:
                 plan._kernel = kernels.IterationBlocks.from_state_arrays(
-                    arrays,
-                    block_size=requested,
-                    shrink=plan.shrink,
-                    scale_num=plan._scale_num,
-                    sigma=-1.0 if plan.task == "linear" else 1.0,
+                    arrays, block_size=requested
                 )
             else:
                 plan._compile_kernel()
@@ -497,18 +490,13 @@ class ReplayPlan:
 
     # ------------------------------------------------------------- refresh
     def refresh(
-        self,
-        stats: CompactionStats,
-        features,
-        labels: np.ndarray,
-        recompile_threshold: float = 0.25,
+        self, stats: CompactionStats, features, labels: np.ndarray
     ) -> dict:
         """Re-sync the compiled SoA state after :meth:`ProvenanceStore.compact`.
 
         ``stats`` is the receipt of the compaction this plan must catch up
         with, and ``features``/``labels`` are the *reduced* training data
-        (the compacted id space).  When the removal touched at most
-        ``recompile_threshold`` of the iterations the patch is incremental:
+        (the compacted id space).  The patch is incremental:
 
         * ``base_sizes`` / ``record_offsets`` shrink by the per-iteration
           drop counts;
@@ -519,16 +507,17 @@ class ReplayPlan:
           patched in place by ``compact``, sparse moments are recomputed
           from the reduced feature blocks;
         * the packed occurrence index was rebuilt by ``compact`` and is
-          shared as-is.
+          shared as-is;
+        * fused kernel blocks spanning an affected iteration are dropped
+          (their spans replay on the scalar loops) until maintenance
+          regroups the schedule (:meth:`resync_summaries`).
 
-        Beyond the threshold (or for every-iteration removals) the whole
-        plan recompiles from the compacted store — same result, paid as one
-        ``_compile`` instead of many row patches.  Returns a receipt dict
-        with ``mode`` (``"refresh"`` | ``"recompile"`` | ``"unsupported"``),
-        the touched-iteration fraction, and wall-clock-free bookkeeping the
-        commit benchmark and the cost model record — ``patched_bytes`` uses
-        the same accounting as :meth:`predict_patch_bytes` so the two are
-        directly comparable.
+        Every non-kernel state array then equals a fresh compile of the
+        compacted store bit for bit.  Returns a receipt dict with ``mode``
+        (``"refresh"`` | ``"unsupported"``), the touched-iteration
+        fraction, and wall-clock-free bookkeeping the commit benchmark and
+        the cost model record — ``patched_bytes`` uses the same accounting
+        as :meth:`predict_patch_bytes` so the two are directly comparable.
         """
         self.labels = np.asarray(labels)
         self.features = (
@@ -549,17 +538,6 @@ class ReplayPlan:
             if self.n_iterations
             else 0.0
         )
-        if fraction > recompile_threshold:
-            self._compile(self._cache_sparse_blocks)
-            self._compiled_version = self.store._version
-            return {
-                "mode": "recompile",
-                "fraction": fraction,
-                "patched_bytes": self.nbytes(),
-                "dropped_slots": int(stats.dropped_slots.size),
-                "touched_iterations": int(stats.n_iterations_touched),
-            }
-
         records = self.store.records
         # Sizes/offsets: drop counts land on the affected iterations.
         base_sizes = np.array(self.base_sizes)  # writable (may be a mmap)
@@ -571,8 +549,7 @@ class ReplayPlan:
         # sparse hot loop) are physically compacted; the multinomial
         # softmax state ((H, q) arrays, gather-only access) instead grows a
         # logical→physical slot map — dropping D of H rows then costs
-        # O(H) int64 instead of O(H·q) float64, which is what keeps a
-        # refresh cheaper than recompiling when the flats dominate.
+        # O(H) int64 instead of O(H·q) float64.
         for attr in ("_slopes_flat", "_iy_flat"):
             flat = getattr(self, attr, None)
             if flat is not None:
@@ -617,18 +594,12 @@ class ReplayPlan:
                     else:
                         self._summaries[t] = np.asarray(record.summary)
             self.moments = moments
-        # Fused blocks fold the patched summaries/moments/base sizes, so
-        # every block a touched iteration lands in is recomposed in place
-        # (same spans, new contents) — commits widen SVD factors with
-        # correction columns, and the recomposition picks those up.
-        kernel_blocks_rebuilt = 0
+        # Fused blocks fold the pre-commit summaries/moments/base sizes, so
+        # every block a touched iteration lands in is stale: drop it.
+        kernel_blocks_dropped = 0
         if self._kernel is not None:
-            kernel_blocks_rebuilt = self._kernel.rebuild(
-                stats.affected_iterations,
-                self._lefts,
-                self._rights,
-                self.moments,
-                self.base_sizes,
+            kernel_blocks_dropped = self._kernel.drop(
+                stats.affected_iterations
             )
         self._compiled_version = self.store._version
         # Executed-patch byte accounting, mirrored by predict_patch_bytes.
@@ -651,10 +622,10 @@ class ReplayPlan:
             "patched_bytes": patched,
             "dropped_slots": int(stats.dropped_slots.size),
             "touched_iterations": int(stats.n_iterations_touched),
-            # Observability only: block recomposition rewrites derived
-            # kernel state, not plan SoA arrays, so it stays outside the
+            # Observability only: dropping blocks discards derived kernel
+            # state, not plan SoA arrays, so it stays outside the
             # predict_patch_bytes accounting contract.
-            "kernel_blocks_rebuilt": kernel_blocks_rebuilt,
+            "kernel_blocks_dropped": kernel_blocks_dropped,
         }
 
     # -------------------------------------------------------- maintenance
@@ -725,8 +696,8 @@ retruncate_summaries` replaces record summaries (and bumps the store
                 self._lefts[t] = summary.left
                 self._rights[t] = summary.right
             # Re-truncation changes ranks, so the block schedule is fully
-            # regrouped (not just recomposed): the post-maintenance layout
-            # equals what a fresh compile of the store would produce.
+            # regrouped — which also restores the blocks commits dropped:
+            # the post-maintenance layout equals a fresh compile's.
             self._compile_kernel()
         self._compiled_version = self.store._version
 

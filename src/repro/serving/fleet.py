@@ -701,9 +701,8 @@ class ModelRegistry:
 
         Where :meth:`evict` refuses dirty models outright, ``retire``
         does the work that makes a high-debt model droppable: when
-        ``policy`` (a :class:`~repro.core.maintenance.MaintenancePolicy`
-        or a :class:`~repro.core.costmodel.CostModel`-derived one) marks
-        the model's maintenance debt as due, ``maintain()`` reclaims it
+        ``policy`` (a :class:`~repro.core.maintenance.MaintenancePolicy`)
+        marks the model's maintenance debt as due, ``maintain()`` reclaims it
         first — so the checkpoint written is the compact post-reclamation
         state, not a garbage-carrying snapshot that the next load pays
         for — then any dirty state is saved back to the registered
@@ -1359,7 +1358,7 @@ maintenance_cost` is checked against the policy's thresholds and, when
                 "cannot submit: a fleet worker thread died"
             ) from self._crashed
         if self._closed:
-            raise ServerClosedError("cannot submit to a closed FleetServer")
+            raise ServerClosedError("cannot submit: the server is closed")
 
     # caller-holds: _sched
     def _queue_for(self, model_id: str) -> _ModelQueue:

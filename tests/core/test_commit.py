@@ -98,27 +98,36 @@ class TestCommitCompositionality:
         ).weights
         np.testing.assert_allclose(got, want, atol=ATOL, rtol=0.0)
 
-    def test_incremental_refresh_matches_recompile(self, task, rep, overrides):
-        """threshold=1.0 (always patch) and 0.0 (always recompile) agree."""
-        patched = _fit(task, rep, overrides, plan_refresh_threshold=1.0)
-        recompiled = _fit(task, rep, overrides, plan_refresh_threshold=0.0)
-        committed, query_old = _removal_sets(patched, seed=2)
-        r1 = patched.commit(patched.remove(committed, method="priu"))
-        r2 = recompiled.commit(recompiled.remove(committed, method="priu"))
-        if patched._plan.supported:
-            assert r1["mode"] == "refresh"
-            assert r2["mode"] == "recompile"
-        query_new = remap_surviving_ids(query_old, committed)
+    @pytest.mark.parametrize("n_commits", [1, 3])
+    def test_refresh_matches_fresh_compile(
+        self, task, rep, overrides, n_commits
+    ):
+        """The refreshed plan's SoA state is a fresh compile's, bit for bit."""
+        trainer = _fit(task, rep, overrides)
+        rng = np.random.default_rng(2)
+        for _ in range(n_commits):
+            ids = np.sort(rng.choice(trainer.n_samples, size=3, replace=False))
+            receipt = trainer.commit(trainer.remove(ids, method="priu"))
+            assert receipt["mode"] == "refresh"
+        fresh = ReplayPlan(trainer.store, trainer.features, trainer.labels)
+        ours = trainer._plan.state_arrays()
+        theirs = fresh.state_arrays()
+        plain = [k for k in theirs if not k.startswith("kernel_")]
+        assert plain == [k for k in ours if not k.startswith("kernel_")]
+        for key in plain:
+            assert ours[key].dtype == theirs[key].dtype, key
+            assert np.array_equal(ours[key], theirs[key]), key
+        query = np.sort(rng.choice(trainer.n_samples, size=5, replace=False))
         np.testing.assert_allclose(
-            patched.remove(query_new, method="priu").weights,
-            recompiled.remove(query_new, method="priu").weights,
+            trainer.remove(query, method="priu").weights,
+            fresh.run_single(query),
             atol=ATOL,
             rtol=0.0,
         )
 
     def test_sequential_commits_compose(self, task, rep, overrides):
         reference = _fit(task, rep, overrides)
-        trainer = _fit(task, rep, overrides, plan_refresh_threshold=1.0)
+        trainer = _fit(task, rep, overrides)
         first, second_old = _removal_sets(trainer, seed=3)
         trainer.remove(first, method="priu", commit=True)
         second_new = remap_surviving_ids(second_old, first)
@@ -139,7 +148,7 @@ class TestCommitCompositionality:
     def test_reference_paths_agree_after_commit(self, task, rep, overrides):
         """Plan, uncompiled updater and remove_many all serve the same
         compacted state."""
-        trainer = _fit(task, rep, overrides, plan_refresh_threshold=1.0)
+        trainer = _fit(task, rep, overrides)
         committed, query_old = _removal_sets(trainer, seed=4)
         trainer.remove(committed, method="priu", commit=True)
         query_new = remap_surviving_ids(query_old, committed)
@@ -258,7 +267,7 @@ class TestCommitCheckpoint:
     ):
         """Save after commits, reload from the *original* data, same model."""
         data = _SPARSE if rep == "sparse" else _DATASETS[task]
-        trainer = _fit(task, rep, overrides, plan_refresh_threshold=1.0)
+        trainer = _fit(task, rep, overrides)
         committed, query_old = _removal_sets(trainer, seed=7)
         trainer.remove(committed, method="priu", commit=True)
         trainer.save_checkpoint(tmp_path)
@@ -327,7 +336,7 @@ class TestCommitProperties:
         ),
     )
     def test_commit_compositionality_random_sets(self, data, task):
-        trainer = _fit(task, "dense", dict(batch_size=40), plan_refresh_threshold=1.0)
+        trainer = _fit(task, "dense", dict(batch_size=40))
         reference = _fit(task, "dense", dict(batch_size=40))
         n = trainer.n_samples
         committed = np.array(

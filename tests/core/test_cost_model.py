@@ -1,17 +1,15 @@
-"""Cost model: predicted-vs-actual accuracy and answer preservation (ISSUE 7).
+"""Cost model: predicted-vs-actual accuracy and answer preservation.
 
 The acceptance property: the estimator's *structural* predictions —
 touched iterations, dropped occurrence slots, plan-patch bytes, SVD
-width growth — match the executed commit receipt exactly for refresh
-commits (they are read off the same packed occurrence index the compact
-resolves against) and within a 0.5 relative band for recompiles, across
-all 3 tasks × dense/SVD/sparse.  Around that sit unit tests for the
-`Calibration` fit (recorded BENCH_refresh runs + online EWMA refresh),
-the derived refresh-vs-recompile threshold, the admission early-closing
-rule, the auto-tuned `MaintenancePolicy`, and the proof obligation that
-makes the whole thing safe to wire into scheduling: cost-driven
-threshold choices never change a committed answer (atol 1e-10 vs the
-fixed-threshold reference).
+width growth — match the executed commit receipt exactly (they are read
+off the same packed occurrence index the compact resolves against),
+across all 3 tasks × dense/SVD/sparse, for small and bulk removals.
+Around that sit unit tests for the `Calibration` fit (recorded
+BENCH_kernel runs + online EWMA refresh), the admission early-closing
+rule, the decision log, and the proof obligation that makes the model
+safe to attach: a cost-model trainer commits the same answers as a
+bare one (atol 1e-10).
 """
 
 import json
@@ -20,9 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import Calibration, CostEstimate, CostModel, IncrementalTrainer
+from repro import Calibration, CostModel, IncrementalTrainer
 from repro.core.costmodel import MAX_DECISIONS
-from repro.core.maintenance import MaintenancePolicy
 from repro.datasets import (
     make_binary_classification,
     make_multiclass_classification,
@@ -73,12 +70,6 @@ def _fit(task, rep, overrides=None, **extra):
     return trainer
 
 
-def _rel_err(predicted, actual):
-    if actual == 0:
-        return abs(predicted)
-    return abs(predicted - actual) / abs(actual)
-
-
 # ---------------------------------------------------- structural accuracy
 class TestEstimateAccuracy:
     @pytest.mark.parametrize(
@@ -93,9 +84,7 @@ class TestEstimateAccuracy:
             ids = np.sort(rng.choice(trainer.n_samples, size=2, replace=False))
             estimate = trainer.estimate_removal(ids)
             receipt = trainer.commit(trainer.remove(ids, method="priu"))
-            if estimate.mode == "recompile":
-                continue  # dense SVD configs can touch > threshold; below
-            assert estimate.mode == receipt["mode"]
+            assert estimate.mode == receipt["mode"] == "refresh"
             assert estimate.touched_iterations == receipt["touched_iterations"]
             assert estimate.touched_occurrences == receipt["dropped_slots"]
             assert estimate.touched_fraction == pytest.approx(
@@ -106,8 +95,9 @@ class TestEstimateAccuracy:
     @pytest.mark.parametrize(
         "task,rep,overrides", CONFIGS, ids=[f"{t}-{r}" for t, r, _ in CONFIGS]
     )
-    def test_recompile_predictions_within_band(self, task, rep, overrides):
-        """Large removals recompile; bytes predicted within 0.5 relative."""
+    def test_bulk_removal_predictions_exact(self, task, rep, overrides):
+        """A third of the samples touches nearly every iteration; the
+        commit still refreshes, and the estimate still matches exactly."""
         cm = CostModel()
         trainer = _fit(task, rep, overrides, cost_model=cm)
         rng = np.random.default_rng(6)
@@ -117,12 +107,10 @@ class TestEstimateAccuracy:
         )
         estimate = trainer.estimate_removal(ids)
         receipt = trainer.commit(trainer.remove(ids, method="priu"))
-        assert estimate.mode == receipt["mode"] == "recompile"
+        assert estimate.mode == receipt["mode"] == "refresh"
         assert estimate.touched_iterations == receipt["touched_iterations"]
         assert estimate.touched_occurrences == receipt["dropped_slots"]
-        # The prediction prices the pre-commit plan; the executed
-        # recompile is the post-compaction one — off by the dropped rows.
-        assert _rel_err(estimate.plan_patch_bytes, receipt["patched_bytes"]) <= 0.5
+        assert estimate.plan_patch_bytes == receipt["patched_bytes"]
 
     def test_svd_width_growth_matches_correction_columns(self):
         cm = CostModel()
@@ -178,15 +166,14 @@ class TestEstimateAccuracy:
         assert large.touched_iterations >= small.touched_iterations
         assert large.n_removed > small.n_removed
 
-    def test_estimate_removal_without_model_uses_trainer_threshold(self):
-        """The predicted mode must match what a commit would actually do."""
-        trainer = _fit("binary_logistic", "dense",
-                       dict(plan_refresh_threshold=1e-6))
+    def test_estimate_removal_without_model_matches_commit(self):
+        """A bare trainer still estimates, and its mode is the commit's."""
+        trainer = _fit("binary_logistic", "dense")
         assert trainer.cost_model is None
         estimate = trainer.estimate_removal([3])
-        assert estimate.mode == "recompile"  # any touch beats 1e-6
         receipt = trainer.commit(trainer.remove([3], method="priu"))
-        assert receipt["mode"] == "recompile"
+        assert estimate.mode == receipt["mode"] == "refresh"
+        assert estimate.plan_patch_bytes == receipt["patched_bytes"]
 
     def test_estimate_requires_fit(self):
         trainer = IncrementalTrainer(
@@ -199,91 +186,64 @@ class TestEstimateAccuracy:
 
 # ------------------------------------------------------------- calibration
 class TestCalibration:
-    def test_defaults_reproduce_fixed_threshold(self):
-        assert Calibration().refresh_threshold() == pytest.approx(0.25)
-
-    def test_threshold_is_cost_curve_crossing(self):
-        cal = Calibration(
-            refresh_seconds_per_fraction=2.0, recompile_seconds=1.0
-        )
-        assert cal.refresh_threshold() == pytest.approx(0.5)
-
-    def test_threshold_clipped_to_unit_band(self):
-        low = Calibration(
-            refresh_seconds_per_fraction=1000.0, recompile_seconds=0.001
-        )
-        high = Calibration(
-            refresh_seconds_per_fraction=0.001, recompile_seconds=1000.0
-        )
-        assert low.refresh_threshold() == pytest.approx(0.01)
-        assert high.refresh_threshold() == pytest.approx(1.0)
+    def test_defaults_are_unknown(self):
+        cal = Calibration()
+        assert cal.batch_seconds == 0.0
+        assert cal.kernel_speedup() == 0.0
+        assert CostModel(cal).kernel_block_size(16) == 16
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            Calibration(refresh_seconds_per_fraction=0.0)
-        with pytest.raises(ValueError):
-            Calibration(recompile_seconds=-1.0)
-        with pytest.raises(ValueError):
             Calibration(batch_seconds=-0.1)
+        with pytest.raises(ValueError):
+            Calibration(fused_iteration_seconds=-1.0)
+        with pytest.raises(ValueError):
+            Calibration(scalar_iteration_seconds=-1.0)
 
     def test_from_bench_dict_fits_medians(self):
         rows = [
-            {"mode": "refresh", "plan_sync_seconds": 0.2,
-             "fraction_iterations_touched": 0.1,
-             "speedup_vs_recompile": 5.0},
-            {"mode": "refresh", "plan_sync_seconds": 0.4,
-             "fraction_iterations_touched": 0.1,
-             "speedup_vs_recompile": 2.0},
-            {"mode": "recompile", "plan_sync_seconds": 0.9,
-             "fraction_iterations_touched": 0.8},
+            {"blocked_seconds_per_iteration": 1.0,
+             "scalar_seconds_per_iteration": 4.0},
+            {"blocked_seconds_per_iteration": 3.0,
+             "scalar_seconds_per_iteration": 2.0},
+            {"blocked_seconds_per_iteration": 2.0},
         ]
-        cal = Calibration.from_bench({"commit_costs": rows})
-        # refresh rates: [2.0, 4.0] -> median 3.0
-        assert cal.refresh_seconds_per_fraction == pytest.approx(3.0)
-        # recompile estimates: [1.0, 0.8, 0.9] -> median 0.9
-        assert cal.recompile_seconds == pytest.approx(0.9)
+        cal = Calibration.from_bench({"kernel_sweep": rows})
+        assert cal.fused_iteration_seconds == pytest.approx(2.0)
+        assert cal.scalar_iteration_seconds == pytest.approx(3.0)
         assert cal.n_observations == 5
         assert cal.source == "dict"
 
     def test_from_bench_empty_keeps_defaults(self):
-        cal = Calibration.from_bench({"commit_costs": []})
-        default = Calibration()
-        assert cal.refresh_seconds_per_fraction == (
-            default.refresh_seconds_per_fraction
-        )
-        assert cal.recompile_seconds == default.recompile_seconds
+        cal = Calibration.from_bench({"kernel_sweep": []})
+        assert cal.kernel_speedup() == 0.0
         assert cal.n_observations == 0
 
     def test_from_bench_missing_file_falls_back(self, tmp_path):
         """A fresh deployment has no benchmark run yet; attaching its
         cost model must not take serving down."""
-        cal = Calibration.from_bench(tmp_path / "BENCH_refresh.json")
-        default = Calibration()
-        assert cal.refresh_seconds_per_fraction == (
-            default.refresh_seconds_per_fraction
-        )
-        assert cal.recompile_seconds == default.recompile_seconds
+        cal = Calibration.from_bench(tmp_path / "BENCH_kernel.json")
+        assert cal.kernel_speedup() == 0.0
         assert cal.n_observations == 0
-        assert cal.refresh_threshold() == default.refresh_threshold()
         assert "unreadable" in cal.source
         assert str(tmp_path) in cal.source
 
     def test_from_bench_empty_file_falls_back(self, tmp_path):
-        empty = tmp_path / "BENCH_refresh.json"
+        empty = tmp_path / "BENCH_kernel.json"
         empty.write_text("")
         cal = Calibration.from_bench(empty)
         assert cal.n_observations == 0
         assert "unreadable" in cal.source
 
     def test_from_bench_truncated_json_falls_back(self, tmp_path):
-        torn = tmp_path / "BENCH_refresh.json"
-        torn.write_text('{"commit_costs": [{"mode": "ref')
+        torn = tmp_path / "BENCH_kernel.json"
+        torn.write_text('{"kernel_sweep": [{"blocked_sec')
         cal = Calibration.from_bench(torn)
         assert cal.n_observations == 0
         assert "unreadable" in cal.source
 
     def test_from_bench_non_mapping_falls_back(self, tmp_path):
-        listy = tmp_path / "BENCH_refresh.json"
+        listy = tmp_path / "BENCH_kernel.json"
         listy.write_text("[1, 2, 3]")
         cal = Calibration.from_bench(listy)
         assert cal.n_observations == 0
@@ -293,64 +253,41 @@ class TestCalibration:
     def test_from_bench_malformed_rows_are_skipped(self):
         rows = [
             "not a row",
-            {"mode": "refresh"},  # no timings at all
-            {"mode": "refresh", "plan_sync_seconds": "fast",
-             "fraction_iterations_touched": 0.1},  # unparseable float
-            {"mode": "refresh", "plan_sync_seconds": 0.3,
-             "fraction_iterations_touched": 0.1},  # usable
-            {"mode": "recompile", "plan_sync_seconds": 0.9,
-             "fraction_iterations_touched": 0.8},  # usable
+            {"block_size": 4},  # no timings at all
+            {"blocked_seconds_per_iteration": "fast",
+             "scalar_seconds_per_iteration": 0.1},  # unparseable float
+            {"blocked_seconds_per_iteration": 0.3,
+             "scalar_seconds_per_iteration": 0.9},  # usable
             None,
         ]
-        cal = Calibration.from_bench({"commit_costs": rows})
-        assert cal.refresh_seconds_per_fraction == pytest.approx(3.0)
-        assert cal.recompile_seconds == pytest.approx(0.9)
+        cal = Calibration.from_bench({"kernel_sweep": rows})
+        assert cal.fused_iteration_seconds == pytest.approx(0.3)
+        assert cal.scalar_iteration_seconds == pytest.approx(0.9)
         assert cal.n_observations == 2
 
     def test_from_bench_non_list_table_falls_back(self):
-        cal = Calibration.from_bench({"commit_costs": {"oops": 1}})
+        cal = Calibration.from_bench({"kernel_sweep": {"oops": 1}})
         assert cal.n_observations == 0
 
     def test_from_bench_recorded_run(self, tmp_path):
-        """The repo's recorded BENCH_refresh.json (when present) fits."""
-        recorded = Path(__file__).resolve().parents[2] / "BENCH_refresh.json"
+        """The repo's recorded BENCH_kernel.json (when present) fits."""
+        recorded = Path(__file__).resolve().parents[2] / "BENCH_kernel.json"
         if not recorded.exists():
-            payload = {"commit_costs": [
-                {"mode": "refresh", "plan_sync_seconds": 0.01,
-                 "fraction_iterations_touched": 0.05,
-                 "speedup_vs_recompile": 3.0},
+            payload = {"kernel_sweep": [
+                {"blocked_seconds_per_iteration": 1e-5,
+                 "scalar_seconds_per_iteration": 2e-5},
             ]}
-            recorded = tmp_path / "BENCH_refresh.json"
+            recorded = tmp_path / "BENCH_kernel.json"
             recorded.write_text(json.dumps(payload))
         cal = Calibration.from_bench(recorded)
-        assert cal.refresh_seconds_per_fraction > 0.0
-        assert cal.recompile_seconds > 0.0
+        assert cal.fused_iteration_seconds > 0.0
+        assert cal.scalar_iteration_seconds > 0.0
+        assert cal.kernel_speedup() > 0.0
         assert cal.source == str(recorded)
-        assert 0.01 <= cal.refresh_threshold() <= 1.0
 
 
 # --------------------------------------------------------- online learning
 class TestOnlineCalibration:
-    def test_observe_refresh_updates_rate(self):
-        cm = CostModel(ewma=0.5)
-        before = cm.calibration.refresh_seconds_per_fraction
-        cm.observe_commit(None, {
-            "mode": "refresh", "fraction": 0.1, "plan_sync_seconds": 0.2,
-        })
-        after = cm.calibration.refresh_seconds_per_fraction
-        assert after == pytest.approx(0.5 * before + 0.5 * 2.0)
-        assert cm.calibration.source == "online"
-
-    def test_observe_recompile_updates_flat_cost(self):
-        cm = CostModel(ewma=0.5)
-        before = cm.calibration.recompile_seconds
-        cm.observe_commit(None, {
-            "mode": "recompile", "fraction": 0.9, "plan_sync_seconds": 0.5,
-        })
-        assert cm.calibration.recompile_seconds == pytest.approx(
-            0.5 * before + 0.5 * 0.5
-        )
-
     def test_observe_batch_seeds_then_blends(self):
         cm = CostModel(ewma=0.5)
         cm.observe_batch(4, 0.2)
@@ -364,12 +301,15 @@ class TestOnlineCalibration:
         cm.observe_batch(4, -1.0)
         assert cm.calibration.batch_seconds == 0.0
 
-    def test_untimed_receipt_only_logs(self):
+    def test_commit_receipt_only_logs(self):
         cm = CostModel()
         before = cm.calibration
-        cm.observe_commit(None, {"mode": "refresh", "fraction": 0.1})
+        cm.observe_commit(None, {"mode": "refresh", "fraction": 0.1,
+                                 "plan_sync_seconds": 0.2})
         assert cm.calibration == before
-        assert len(cm.decisions()) == 1
+        (decision,) = cm.decisions()
+        assert decision["actual_mode"] == "refresh"
+        assert decision["actual_seconds"] == pytest.approx(0.2)
 
     def test_decision_ring_is_bounded(self):
         cm = CostModel()
@@ -421,117 +361,24 @@ class TestEarlyClosing:
         cm = CostModel()
         report = cm.report()
         assert set(report) == {"calibration", "decisions"}
-        assert report["calibration"]["refresh_threshold"] == pytest.approx(0.25)
+        assert report["calibration"]["batch_seconds"] == 0.0
 
 
 # ------------------------------------------------------ answer preservation
 class TestAnswerPreservation:
     @pytest.mark.parametrize("task", list(_DATASETS))
-    def test_threshold_source_never_changes_answers(self, task):
-        """Fixed threshold vs two extreme calibrations: identical commits."""
-        rng = np.random.default_rng(11)
-        plans = [
-            ("fixed", None),
-            # Always-refresh and always-recompile calibrations: the two
-            # extremes of any threshold the model could ever derive.
-            ("refresh", CostModel(Calibration(
-                refresh_seconds_per_fraction=0.001, recompile_seconds=10.0))),
-            ("recompile", CostModel(Calibration(
-                refresh_seconds_per_fraction=1000.0,
-                recompile_seconds=0.001))),
-        ]
-        trainers = {
-            name: _fit(task, "dense", cost_model=model)
-            for name, model in plans
-        }
-        sequences = [
-            np.sort(rng.choice(300, size=size, replace=False))
-            for size in (2, 3, 1, 4)
-        ]
-        for ids in sequences:
-            ids = ids[ids < trainers["fixed"].n_samples]
-            receipts = {
-                name: trainer.commit(trainer.remove(ids, method="priu"))
-                for name, trainer in trainers.items()
-            }
-            reference = trainers["fixed"].result.weights
-            for name, trainer in trainers.items():
-                np.testing.assert_allclose(
-                    trainer.result.weights, reference, atol=ATOL,
-                    err_msg=f"{name} diverged",
-                )
-            # The calibrations really did choose differently.
-        assert receipts["refresh"]["mode"] in ("refresh", "unsupported")
-        assert receipts["recompile"]["mode"] in ("recompile", "unsupported")
-
-    def test_post_commit_queries_match(self):
-        ref = _fit("binary_logistic", "dense")
-        cost = _fit("binary_logistic", "dense", cost_model=CostModel(
-            Calibration(refresh_seconds_per_fraction=1000.0,
-                        recompile_seconds=0.001)))
+    def test_attached_model_never_changes_answers(self, task):
+        ref = _fit(task, "dense")
+        cost = _fit(task, "dense", cost_model=CostModel())
         for ids in ([4, 9], [1, 2, 3]):
             ref.remove(ids, method="priu", commit=True)
             cost.remove(ids, method="priu", commit=True)
+            np.testing.assert_allclose(
+                cost.result.weights, ref.result.weights, atol=ATOL
+            )
         probe = [0, 5, 10]
         np.testing.assert_allclose(
             ref.remove(probe, method="priu").weights,
             cost.remove(probe, method="priu").weights,
             atol=ATOL,
         )
-
-
-# --------------------------------------------------- maintenance auto-tune
-class TestMaintenanceAutoTune:
-    def test_limits_within_operational_bands(self):
-        for cal in (
-            Calibration(),
-            Calibration(refresh_seconds_per_fraction=1000.0,
-                        recompile_seconds=0.001),
-            Calibration(refresh_seconds_per_fraction=0.001,
-                        recompile_seconds=1000.0),
-        ):
-            policy = CostModel(cal).maintenance_policy()
-            assert 0.05 <= policy.max_slot_garbage_fraction <= 0.5
-            assert 4 <= policy.max_svd_correction_columns <= 128
-
-    def test_cheap_refresh_tightens_limits(self):
-        """High threshold (refresh always wins) -> garbage accrues every
-        commit -> reclamation must trigger sooner."""
-        refresh_wins = CostModel(Calibration(
-            refresh_seconds_per_fraction=0.001, recompile_seconds=1000.0,
-        )).maintenance_policy()
-        recompile_wins = CostModel(Calibration(
-            refresh_seconds_per_fraction=1000.0, recompile_seconds=0.001,
-        )).maintenance_policy()
-        assert (refresh_wins.max_slot_garbage_fraction
-                < recompile_wins.max_slot_garbage_fraction)
-        assert (refresh_wins.max_svd_correction_columns
-                < recompile_wins.max_svd_correction_columns)
-
-    def test_base_contributes_manual_overrides(self):
-        base = MaintenancePolicy(
-            svd_epsilon=0.123, eigen_correction_limit=7,
-            refresh_stale_eigen=False,
-        )
-        policy = CostModel().maintenance_policy(base)
-        assert policy.svd_epsilon == 0.123
-        assert policy.eigen_correction_limit == 7
-        assert policy.refresh_stale_eigen is False
-
-    def test_auto_tuned_policy_drives_maintain(self):
-        # Refresh-always calibration: every commit leaves slot garbage
-        # behind and the auto-tuned limits are at their tightest.
-        cm = CostModel(Calibration(
-            refresh_seconds_per_fraction=0.001, recompile_seconds=1000.0,
-        ))
-        trainer = _fit("multinomial_logistic", "svd", dict(batch_size=8),
-                       cost_model=cm)
-        rng = np.random.default_rng(13)
-        policy = cm.maintenance_policy()
-        while not policy.due(trainer.maintenance_cost(include_bytes=False)):
-            ids = np.sort(rng.choice(trainer.n_samples, size=2, replace=False))
-            trainer.remove(ids, method="priu", commit=True)
-        report = trainer.maintain(policy)
-        cost = trainer.maintenance_cost(include_bytes=False)
-        assert not policy.due(cost)  # whatever was due got reclaimed
-        assert report is not None

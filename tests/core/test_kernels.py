@@ -6,8 +6,8 @@ query within atol 1e-10 of the per-iteration scalar path, and
 ``kernel_block_size <= 1`` *is* the scalar path bit-for-bit.  Block
 boundaries are exercised where the grouping rules cut: uneven tails,
 ``freeze_at`` phase boundaries, SVD rank changes mid-run, and hits that
-invalidate a block at serve time.  Commits rebuild dirty descriptors in
-place; maintenance regroups; archives round-trip the descriptors through
+invalidate a block at serve time.  Commits drop the descriptors they
+dirty; maintenance regroups; archives round-trip the descriptors through
 ``save_plan``/``load_plan`` including mmap mode.
 """
 
@@ -233,25 +233,80 @@ class TestKernelLifecycle:
         trainer.fit(data.features, data.labels)
         return trainer
 
-    def test_commit_rebuilds_only_dirty_blocks(self):
+    def test_commit_drops_only_dirty_blocks(self):
+        """A commit keeps exactly the clean descriptors, arrays untouched;
+        maintenance then regroups to a fresh compile's kernel bit for bit."""
         trainer = self._trainer()
-        plan = trainer._plan
-        assert plan._kernel is not None
-        n_blocks = len(plan._kernel)
-        outcome = trainer.remove([3, 50, 120], method="priu")
-        receipt = trainer.commit(outcome)
+        kernel = trainer._plan._kernel
+        assert kernel is not None
+        before = list(kernel.descriptors)
+        removed = np.array([3, 50, 120])
+        _, hit_iterations, _ = trainer.store.packed_index().lookup(removed)
+        touched = np.unique(hit_iterations)
+        clean = [
+            d for d in before
+            if not np.any((touched >= d.start) & (touched < d.stop))
+        ]
+        assert 0 < len(clean) < len(before)
+        receipt = trainer.commit(trainer.remove(removed, method="priu"))
         assert receipt["mode"] == "refresh"
-        assert 0 < receipt["kernel_blocks_rebuilt"] <= n_blocks
+        kept = trainer._plan._kernel.descriptors
+        assert [(d.start, d.stop) for d in kept] == [
+            (d.start, d.stop) for d in clean
+        ]
+        for ours, theirs in zip(kept, clean):
+            assert ours.alpha == theirs.alpha
+            for part in ("left_t", "right_t", "offset"):
+                assert np.array_equal(getattr(ours, part), getattr(theirs, part))
+        assert receipt["kernel_blocks_dropped"] == len(before) - len(clean)
         # Post-commit, fresh queries still match the scalar path.
         scalar = ReplayPlan(
             trainer.store, trainer.features, trainer.labels,
             kernel_block_size=1,
         )
-        removed = [5, 17, 40]
+        probe = [5, 17, 40]
         np.testing.assert_allclose(
-            trainer._plan.run_single(removed),
-            scalar.run_single(removed),
+            trainer._plan.run_single(probe),
+            scalar.run_single(probe),
             atol=ATOL, rtol=0.0,
+        )
+        report = trainer.maintain()
+        assert "svd" in report.performed
+        fresh = ReplayPlan(trainer.store, trainer.features, trainer.labels)
+        ours = {
+            k: v for k, v in trainer._plan.state_arrays().items()
+            if k.startswith("kernel_")
+        }
+        theirs = {
+            k: v for k, v in fresh.state_arrays().items()
+            if k.startswith("kernel_")
+        }
+        assert ours.keys() == theirs.keys() and ours
+        for key, value in theirs.items():
+            assert ours[key].dtype == value.dtype, key
+            assert np.array_equal(ours[key], value), key
+
+    def test_fully_dropped_schedule_round_trips_checkpoint(self, tmp_path):
+        """A commit touching every block leaves an empty schedule, which a
+        checkpoint persists as empty: the reload is bit-identical."""
+        trainer = self._trainer()
+        trainer.remove(np.arange(0, trainer.n_samples, 3), commit=True)
+        assert len(trainer._plan._kernel) == 0
+        trainer.save_checkpoint(tmp_path)
+        data = make_regression(300, 8, noise=0.05, seed=77)
+        reloaded = IncrementalTrainer.from_checkpoint(
+            tmp_path, data.features, data.labels, method="priu"
+        )
+        assert len(reloaded._plan._kernel) == 0
+        ours = trainer._plan.state_arrays()
+        theirs = reloaded._plan.state_arrays()
+        assert ours.keys() == theirs.keys()
+        for key, value in ours.items():
+            assert np.array_equal(np.asarray(theirs[key]), value), key
+        probe = [4, 8, 15]
+        assert np.array_equal(
+            reloaded.remove(probe, method="priu").weights,
+            trainer.remove(probe, method="priu").weights,
         )
 
     def test_maintain_regroups_to_fresh_compile_layout(self):

@@ -16,6 +16,7 @@ import pytest
 from repro import IncrementalTrainer, MaintenancePolicy
 from repro.core.maintenance import MaintenanceCost
 from repro.core.provenance_store import remap_surviving_ids
+from repro.core.replay_plan import ReplayPlan
 from repro.datasets import (
     make_binary_classification,
     make_multiclass_classification,
@@ -56,7 +57,6 @@ def _fit(task: str, rep: str, overrides: dict, **extra) -> IncrementalTrainer:
         seed=0,
         method="priu",
         n_classes=3 if task == "multinomial_logistic" else None,
-        plan_refresh_threshold=1.0,  # always the incremental refresh path
     )
     kwargs.update(overrides)
     kwargs.update(extra)
@@ -179,17 +179,14 @@ class TestRepack:
         assert np.array_equal(before, after)  # bit-identical, not allclose
         assert trainer.maintenance_cost().slot_garbage_rows == 0
 
-    def test_repacked_plan_matches_recompiled_footprint(self):
+    def test_repacked_plan_matches_fresh_compile_footprint(self):
         maintained = _fit("multinomial_logistic", "dense", dict(batch_size=40))
-        recompiled = _fit(
-            "multinomial_logistic", "dense", dict(batch_size=40),
-            plan_refresh_threshold=-1.0,  # force recompile on every commit
-        )
-        rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
-        _churn(maintained, rng_a, n_commits=5)
-        _churn(recompiled, rng_b, n_commits=5)
+        _churn(maintained, np.random.default_rng(3), n_commits=5)
         maintained.maintain()
-        assert maintained.plan_nbytes() == recompiled.plan_nbytes()
+        fresh = ReplayPlan(
+            maintained.store, maintained.features, maintained.labels
+        )
+        assert maintained.plan_nbytes() == fresh.nbytes()
 
 
 # ------------------------------------------------------------- retruncation
@@ -537,10 +534,8 @@ def test_churn_with_interleaved_maintenance_is_bounded_and_exact(
 
     # Boundedness: the maintained plan equals a fresh compile's footprint.
     maintained.maintain()
-    fresh = _fit(task, rep, overrides, plan_refresh_threshold=-1.0)
-    rng_c = np.random.default_rng(11)
-    _churn(fresh, rng_c, n_commits=50, per_commit=1)  # recompiles each time
-    assert maintained.plan_nbytes() == fresh.plan_nbytes()
+    fresh = ReplayPlan(maintained.store, maintained.features, maintained.labels)
+    assert maintained.plan_nbytes() == fresh.nbytes()
     assert maintained.maintenance_cost().slot_garbage_rows == 0
 
     if rep == "svd":

@@ -35,8 +35,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.maintenance import MaintenancePolicy
 from repro.serving import BackpressureError, FleetServer, ModelQuarantinedError
 from repro.serving.clock import Clock
+
+#: Maintenance limits the ``cost`` op retires models under.
+RETIRE_POLICY = MaintenancePolicy(
+    max_slot_garbage_fraction=0.5, max_svd_correction_columns=48
+)
 
 
 class FakeClock(Clock):
@@ -197,7 +203,7 @@ class StressDriver:
         every served batch on these models to carry the pre-dispatch
         estimate (``ServedOutcome.predicted``).  May overlap
         ``commit_models`` (the flush quiesces the id space) and
-        ``chaos_models`` (retire + armed load faults = cost-driven
+        ``chaos_models`` (retire + armed load faults = maintenance-aware
         eviction under fault injection); keep it disjoint from
         ``maintain_models`` so a background maintenance ticket never
         mutates the plan mid-estimate.  Empty (the default) disables
@@ -339,7 +345,6 @@ class StressDriver:
                 "touched_iterations",
                 "touched_fraction",
                 "svd_width_growth",
-                "refresh_seconds",
             ):
                 self._check(
                     getattr(large, attr) >= getattr(small, attr),
@@ -352,8 +357,9 @@ class StressDriver:
                 f"{superset.tolist()} monotone"
             )
         if self.rng.random() < 0.5:
-            policy = trainer.cost_model.maintenance_policy()
-            retired = self.fleet.registry.retire(model_id, policy=policy)
+            retired = self.fleet.registry.retire(
+                model_id, policy=RETIRE_POLICY
+            )
             if retired:
                 self.report.retired += 1
             self._trace(f"cost {model_id}: retire -> {retired}")
@@ -563,7 +569,7 @@ class StressDriver:
                 f"{submitted.op_index} {submitted.model_id}/{submitted.lane}",
             )
             self._check(
-                predicted["mode"] in ("refresh", "recompile", "unsupported")
+                predicted["mode"] in ("refresh", "unsupported")
                 and predicted["n_removed"] >= 0
                 and predicted["plan_patch_bytes"] >= 0,
                 f"malformed cost estimate on op {submitted.op_index}: "

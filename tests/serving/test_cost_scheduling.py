@@ -4,14 +4,9 @@ The core estimator's accuracy is property-tested in
 ``tests/core/test_cost_model.py``; this file proves the *scheduling*
 half of the cost model's contract:
 
-* **Answer preservation** — a commit-mode server whose trainer picks
-  refresh-vs-recompile from a :class:`repro.CostModel` (at both
-  extremes: a calibration that always refreshes and one that always
-  recompiles) answers every request within atol 1e-10 of the
-  fixed-threshold reference server, and so does a server whose
-  :class:`repro.AdmissionPolicy` closes batches early.  The decision
-  logs double-check that the compared runs really took different
-  execution paths.
+* **Answer preservation** — a server whose
+  :class:`repro.AdmissionPolicy` closes batches early answers every
+  request within atol 1e-10 of the fixed-budget reference server.
 
 * **Early closing** — a calibrated policy-level cost model dispatches a
   lone bulk request immediately (wait exactly 0.0 under the
@@ -56,15 +51,9 @@ _BINARY = make_binary_classification(400, 10, separation=1.0, seed=81)
 _BINARY_B = make_binary_classification(320, 8, separation=1.2, seed=82)
 _LINEAR = make_regression(360, 6, noise=0.05, seed=83)
 
-#: Calibration whose crossing point clips to 1.0: every supported commit
-#: refreshes.  Its counterpart clips to 0.01: every non-trivial commit
-#: recompiles.  Both are deliberately extreme so the compared servers
-#: genuinely take different execution paths.
-ALWAYS_REFRESH = Calibration(
-    refresh_seconds_per_fraction=0.001, recompile_seconds=10.0
-)
-ALWAYS_RECOMPILE = Calibration(
-    refresh_seconds_per_fraction=1000.0, recompile_seconds=0.001
+#: Tight limits, so a few commits on an SVD model make maintenance due.
+RETIRE_POLICY = MaintenancePolicy(
+    max_slot_garbage_fraction=0.05, max_svd_correction_columns=4
 )
 
 
@@ -133,21 +122,15 @@ def fit_svd_model(**extra) -> IncrementalTrainer:
     return trainer
 
 
-def _submission_plan(
-    seed: int,
-    n: int,
-    initial_bound: int,
-    max_ids: int = 3,
-    mixed_lanes: bool = True,
-):
-    """A deterministic commit-traffic plan: ``(ids, lane)`` per request.
+def _submission_plan(seed: int, n: int, initial_bound: int, max_ids: int = 3):
+    """A deterministic commit-traffic plan: the ids of each request.
 
     Ids are drawn against a conservative shrinking bound so the same
     plan is valid no matter how the serving side partitions batches.
-    ``mixed_lanes=False`` keeps everything on ``bulk``: with one lane,
-    admission order equals submission order for *any* batch
-    partitioning, so two servers that close batches differently must
-    still commit identically.
+    Everything rides the ``bulk`` lane: with one lane, admission order
+    equals submission order for *any* batch partitioning, so two
+    servers that close batches differently must still commit
+    identically.
     """
     rng = np.random.default_rng(seed)
     bound = initial_bound
@@ -159,26 +142,16 @@ def _submission_plan(
         ids = np.sort(rng.choice(bound, size=k, replace=False)).astype(
             np.int64
         )
-        lane = (
-            "deadline"
-            if mixed_lanes and rng.random() < 0.25
-            else "bulk"
-        )
         bound -= k
-        plan.append((ids, lane))
+        plan.append(ids)
     return plan
 
 
 def _serve_plan(server: DeletionServer, plan, advance=None):
-    """Feed a plan through a server; start it after queuing if not started.
-
-    Pre-start queuing (``autostart=False``) makes the *global* admission
-    order deterministic even across lanes — the worker drains the whole
-    queue in (lane priority, submission order), the same way every run.
-    """
+    """Feed a plan through a server; start it after queuing if not started."""
     futures = []
-    for ids, lane in plan:
-        futures.append(server.submit(ids, lane=lane))
+    for ids in plan:
+        futures.append(server.submit(ids, lane="bulk"))
         if advance is not None:
             advance()
     server.start()
@@ -191,75 +164,12 @@ def _serve_plan(server: DeletionServer, plan, advance=None):
 class TestAnswerPreservation:
     """Cost-driven decisions re-route execution, never the answer."""
 
-    def test_commit_answers_match_fixed_threshold_reference(self):
-        """Reference (fixed threshold) vs always-refresh vs always-recompile
-        cost models: identical commit traffic, identical answers."""
-        plan = _submission_plan(
-            seed=91, n=24, initial_bound=_BINARY_B.features.shape[0]
-        )
-        policy = AdmissionPolicy(max_batch=4, max_delay_seconds=0.02)
-        runs = {}
-        for name, cost_model in (
-            ("reference", None),
-            ("refresh", CostModel(ALWAYS_REFRESH)),
-            ("recompile", CostModel(ALWAYS_RECOMPILE)),
-        ):
-            trainer = fit_model("binary-b", cost_model=cost_model)
-            server = DeletionServer(
-                trainer,
-                policy,
-                method="priu",
-                commit_mode=True,
-                autostart=False,
-                clock=FakeClock(),
-            )
-            outcomes = _serve_plan(server, plan)
-            runs[name] = (trainer, outcomes)
-
-        reference_trainer, reference_outcomes = runs["reference"]
-        for name in ("refresh", "recompile"):
-            trainer, outcomes = runs[name]
-            for i, (outcome, expected) in enumerate(
-                zip(outcomes, reference_outcomes)
-            ):
-                np.testing.assert_allclose(
-                    outcome.weights, expected.weights, atol=1e-10, rtol=0.0,
-                    err_msg=f"{name}: request {i} diverged",
-                )
-                assert np.array_equal(outcome.removed, expected.removed)
-            np.testing.assert_allclose(
-                trainer.weights_, reference_trainer.weights_,
-                atol=1e-10, rtol=0.0,
-            )
-            assert np.array_equal(
-                trainer.deletion_log, reference_trainer.deletion_log
-            )
-
-        # The comparison is only meaningful if the paths really diverged:
-        # the decision logs must show each extreme took its namesake mode.
-        # (replay-kernel calibration entries share the ring; ignore them.)
-        refresh_modes = {
-            d["actual_mode"]
-            for d in runs["refresh"][0].cost_model.decisions()
-            if d.get("kind") != "replay"
-        }
-        recompile_modes = {
-            d["actual_mode"]
-            for d in runs["recompile"][0].cost_model.decisions()
-            if d.get("kind") != "replay"
-        }
-        assert refresh_modes == {"refresh"}
-        assert recompile_modes == {"recompile"}
-
     def test_early_closing_preserves_answers(self):
         """A policy-level cost model that always closes early re-partitions
         batches (different ``remove_many`` groupings); every counterfactual
         answer still matches the fixed-budget reference at atol 1e-10."""
         plan = _submission_plan(
-            seed=92,
-            n=24,
-            initial_bound=_BINARY_B.features.shape[0],
-            mixed_lanes=False,
+            seed=92, n=24, initial_bound=_BINARY_B.features.shape[0]
         )
         # A tiny predicted batch time: the marginal coalescing saving
         # always loses to the remaining wait, so every batch closes the
@@ -359,7 +269,7 @@ class TestPredictedEstimates:
         # union of their removal sets ({1, 5, 9, 200}).
         assert all(o.predicted is predicted for o in outcomes)
         assert predicted["n_removed"] == 4
-        assert predicted["mode"] in ("refresh", "recompile")
+        assert predicted["mode"] == "refresh"
         assert predicted["plan_patch_bytes"] > 0
 
     def test_no_cost_model_means_no_estimate(self):
@@ -440,7 +350,7 @@ class TestRetire:
         accrues maintenance debt; retire reclaims the debt (the derived
         policy stops being due), bumps the checkpoint epoch, evicts, and
         a reload answers from the committed state."""
-        cost_model = CostModel(ALWAYS_REFRESH)  # tightest derived limits
+        cost_model = CostModel()
         checkpoint = checkpoint.parent / "svd-ckpt"
         fit_svd_model().save_checkpoint(checkpoint)
         registry = self._registry(checkpoint, cost_model=cost_model)
@@ -453,7 +363,7 @@ class TestRetire:
             autostart=True,
         )
         fleet.configure_model("m", commit_mode=True)
-        policy = cost_model.maintenance_policy(MaintenancePolicy())
+        policy = RETIRE_POLICY
         trainer = None
         committed = []
         rng = np.random.default_rng(7)

@@ -333,7 +333,7 @@ class TestWarmStartRanking:
         """Maintenance-aware eviction and warm_start compose: retire drops
         the hottest model, but its admission history (counted by every
         fleet submit) keeps it first in line to be pre-loaded again."""
-        from repro import CostModel
+        from repro import MaintenancePolicy
 
         registry = registry_with(checkpoints, ["model-a", "model-b"])
         fleet = FleetServer(
@@ -349,10 +349,7 @@ class TestWarmStartRanking:
         fleet.submit("model-b", [3]).result(timeout=30)
         assert fleet.flush(timeout=30)
         evictions_before = registry.stats()["evictions"]
-        assert (
-            registry.retire("model-a", policy=CostModel().maintenance_policy())
-            is True
-        )
+        assert registry.retire("model-a", policy=MaintenancePolicy()) is True
         fleet.close()
         assert registry.resident_trainer("model-a") is None
         assert registry.stats()["evictions"] == evictions_before + 1

@@ -49,7 +49,6 @@ def fit_multinomial() -> IncrementalTrainer:
         n_classes=3,
         seed=0,
         method="priu",
-        plan_refresh_threshold=1.0,
     )
     trainer.fit(_MULTI.features, _MULTI.labels)
     return trainer

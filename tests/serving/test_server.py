@@ -18,7 +18,7 @@ import pytest
 from harness import FakeClock
 from repro import AdmissionPolicy, DeletionServer, IncrementalTrainer, Lane
 from repro.datasets import make_binary_classification
-from repro.serving import BackpressureError, ServedOutcome
+from repro.serving import BackpressureError, ServedOutcome, ServerClosedError
 
 
 @pytest.fixture(scope="module")
@@ -331,6 +331,15 @@ class TestValidationAndLifecycle:
         server.close()
         with pytest.raises(RuntimeError, match="closed"):
             server.submit(removal_sets[0])
+
+    def test_closed_error_does_not_name_the_engine(self, trainer, removal_sets):
+        """The facade's users never constructed a FleetServer; the error
+        they see must not send them looking for one."""
+        server = DeletionServer(trainer)
+        server.close()
+        with pytest.raises(ServerClosedError) as raised:
+            server.submit(removal_sets[0])
+        assert "FleetServer" not in str(raised.value)
 
     def test_close_drains_queued_requests(self, trainer, removal_sets):
         server = DeletionServer(trainer, autostart=False)

@@ -52,7 +52,7 @@ from repro.testing import FlakyLoader  # noqa: E402
 DEFAULT_SEEDS = (11, 23, 37, 41, 53, 61, 79, 97)
 # Seeds that additionally run the cost-model op mix: the chaos model gets
 # a CostModel attached, the driver rolls `cost` ops, and the op's retire
-# branch exercises cost-driven eviction while load faults are armed.
+# branch exercises maintenance-aware eviction while load faults are armed.
 COST_SEEDS = (127, 139)
 # Seeds that chaos the cross-process tier instead: random traffic over a
 # real ShardRouter while shards are SIGKILLed and restarted mid-batch.
@@ -193,7 +193,7 @@ def _run_seed(seed, n_ops, checkpoint, cost, monitor):
         )
     if cost and report.retired == 0:
         raise AssertionError(
-            f"seed {seed}: cost-driven retire never fired"
+            f"seed {seed}: cost-op retire never fired"
         )
     for model_id in live:
         failed = fleet.stats(model_id).failed
