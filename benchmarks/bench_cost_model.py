@@ -135,14 +135,12 @@ def _run(n_warmup=N_WARMUP, n_rounds=N_ROUNDS):
             if MAINTENANCE.due(trainer.maintenance_cost(include_bytes=False)):
                 trainer.maintain(MAINTENANCE)
         decisions = model.decisions()[n_warm:]
-        # Replay observations share the ring; only commits are priced.
-        commits = [d for d in decisions if d.get("kind") != "replay"]
-        byte_errors, agreements = _decision_errors(commits)
-        modes = [d["actual_mode"] for d in commits]
+        byte_errors, agreements = _decision_errors(decisions)
+        modes = [d["actual_mode"] for d in decisions]
         rows.append(
             {
                 "workload": name,
-                "n_decisions": len(commits),
+                "n_decisions": len(decisions),
                 "n_refresh": modes.count("refresh"),
                 "modes": sorted(set(modes)),
                 "mode_agreement": (
@@ -153,10 +151,7 @@ def _run(n_warmup=N_WARMUP, n_rounds=N_ROUNDS):
                 ),
             }
         )
-        tables[name] = {
-            "calibration": model.calibration.as_dict(),
-            "decisions": decisions,
-        }
+        tables[name] = {"decisions": decisions}
     _CACHE[key] = (rows, tables)
     return rows, tables
 

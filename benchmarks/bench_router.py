@@ -199,15 +199,19 @@ def _bit_identity(tmp_root: Path) -> float:
 def _throughputs(tmp_root: Path):
     wl, directory = _checkpoint(tmp_root)
     traffic = _traffic(wl)
+    # One request per model: the traffic is model-major, so every
+    # N_SUBSETS-th request belongs to the next model.  Each burst below
+    # then loads every model before the timed burst starts.
+    warm_up = traffic[::N_SUBSETS]
     registry = ModelRegistry()
     _register_models(registry, wl, directory, router=False)
     with FleetServer(registry, POLICY, method="priu", n_workers=1) as fleet:
-        _burst_throughput(fleet, traffic[: N_MODELS])  # warm loads
+        _, single_warm, _ = _burst_throughput(fleet, warm_up)
         single, single_elapsed, outcomes = _burst_throughput(fleet, traffic)
         assert len(outcomes) == len(traffic)
     with ShardRouter(n_shards=N_SHARDS, policy=POLICY) as router:
         _register_models(router, wl, directory, router=True)
-        _burst_throughput(router, traffic[: N_MODELS])  # warm loads
+        _, sharded_warm, _ = _burst_throughput(router, warm_up)
         sharded, sharded_elapsed, outcomes = _burst_throughput(router, traffic)
         assert len(outcomes) == len(traffic)
         router.flush(timeout=120)
@@ -216,8 +220,11 @@ def _throughputs(tmp_root: Path):
         assert stats.answered == stats.submitted
     return {
         "n_requests": len(traffic),
+        "n_warm_up_requests": len(warm_up),
+        "single_process_warm_up_seconds": single_warm,
         "single_process_rps": single,
         "single_process_seconds": single_elapsed,
+        f"router_{N_SHARDS}_shards_warm_up_seconds": sharded_warm,
         f"router_{N_SHARDS}_shards_rps": sharded,
         f"router_{N_SHARDS}_shards_seconds": sharded_elapsed,
         "throughput_ratio": sharded / single,

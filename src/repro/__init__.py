@@ -22,9 +22,9 @@ Public entry points
     worker processes (each a fleet of its own), sharing one read-only
     plan mapping, with shard-granularity failover and mergeable stats.
 :class:`repro.CostModel` / :class:`repro.CostEstimate`
-    The calibrated per-request cost estimator: predicts a removal's
-    footprint from the packed occurrence index and, from measured
-    timings, closes batches early and vetoes replay-kernel fusion.
+    The per-request cost estimator: predicts a removal's footprint
+    from the packed occurrence index and logs each commit against its
+    estimate.
 :mod:`repro.provenance`
     The provenance-polynomial semiring and annotated-matrix algebra.
 :mod:`repro.models`
@@ -36,7 +36,7 @@ Public entry points
 """
 
 from .core.api import IncrementalTrainer, UpdateOutcome
-from .core.costmodel import Calibration, CostEstimate, CostModel
+from .core.costmodel import CostEstimate, CostModel
 from .core.maintenance import (
     MaintenanceCost,
     MaintenancePolicy,
@@ -55,7 +55,6 @@ __version__ = "1.5.0"
 
 __all__ = [
     "AdmissionPolicy",
-    "Calibration",
     "CostEstimate",
     "CostModel",
     "DeletionServer",

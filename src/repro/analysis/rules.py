@@ -1,4 +1,4 @@
-"""The project rule catalog (R001–R006).
+"""The project rule catalog (R001–R005).
 
 Each rule encodes one invariant the serving stack's correctness
 arguments lean on; the catalog is documented for humans in
@@ -435,89 +435,11 @@ def rule_r004_error_taxonomy(module: Module) -> List[Violation]:
     return violations
 
 
-# ---------------------------------------------------------------------------
-# R006 — replay kernel discipline
-
-
-#: Modules on the replay hot path where per-iteration loops are policed.
-KERNEL_DISCIPLINE_FILES = ("core/replay_plan.py", "core/kernels.py")
-
-#: Call names that mark a loop body as doing matrix products.
-MATRIX_PRODUCT_CALLS = frozenset({"einsum", "dot", "matmul"})
-
-
-def _is_range_for(node: ast.AST) -> bool:
-    if not isinstance(node, ast.For):
-        return False
-    if not isinstance(node.iter, ast.Call):
-        return False
-    parts = _dotted_parts(node.iter.func)
-    return parts is not None and parts[-1] == "range"
-
-
-def _has_matrix_product(node: ast.AST) -> bool:
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.MatMult):
-            return True
-        if isinstance(sub, ast.Call):
-            func = sub.func
-            if isinstance(func, ast.Attribute):
-                name = func.attr
-            elif isinstance(func, ast.Name):
-                name = func.id
-            else:
-                continue
-            if name in MATRIX_PRODUCT_CALLS:
-                return True
-    return False
-
-
-def rule_r006_kernel_discipline(module: Module) -> List[Violation]:
-    """Replay-path iteration loops must go through the blocked kernel.
-
-    ``kernels.run_blocked`` replays hit-free spans as a handful of large
-    GEMMs; a new ``for t in range(...)`` loop doing matrix products on
-    the replay path silently reverts that span to dispatch-bound skinny
-    products.  The sanctioned per-iteration fallbacks (hit handling,
-    sparse segments, compile-time composition) carry explicit waivers
-    with their rationale; anything unwaived is a regression.
-
-    Only the *outermost* offending loop is flagged — nested loops inside
-    it are part of the same finding, not separate ones.
-    """
-    if module.role != "src":
-        return []
-    if not module.rel.endswith(KERNEL_DISCIPLINE_FILES):
-        return []
-    violations: List[Violation] = []
-
-    def visit(node: ast.AST) -> None:
-        if _is_range_for(node) and _has_matrix_product(node):
-            violations.append(
-                Violation(
-                    "R006",
-                    module.rel,
-                    node.lineno,
-                    "per-iteration range loop with matrix products on the "
-                    "replay path — route hit-free spans through "
-                    "kernels.run_blocked or waive as a sanctioned scalar "
-                    "fallback",
-                )
-            )
-            return
-        for child in ast.iter_child_nodes(node):
-            visit(child)
-
-    visit(module.tree)
-    return violations
-
-
 MODULE_RULES = {
     "R001": rule_r001_clock_discipline,
     "R002": rule_r002_lock_discipline,
     "R004": rule_r004_error_taxonomy,
     "R005": rule_r005_deterministic_tests,
-    "R006": rule_r006_kernel_discipline,
 }
 
 PROJECT_RULES = {

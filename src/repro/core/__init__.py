@@ -17,8 +17,8 @@ The package is layered bottom-up:
   objects behind :meth:`IncrementalTrainer.maintain`, keeping compiled
   state asymptotically tight under commit churn;
 * :mod:`~repro.core.costmodel` — :class:`CostEstimate` /
-  :class:`Calibration` / :class:`CostModel`, the calibrated per-request
-  cost estimator scheduling decisions consult before executing;
+  :class:`CostModel`, the per-request cost estimator and its
+  predicted-vs-actual commit log;
 * :mod:`~repro.core.api` — :class:`IncrementalTrainer`, the train-once /
   delete-many facade (and its checkpoint path) everything above plugs into.
 
@@ -43,7 +43,7 @@ from .serialization import (
     save_store,
 )
 from .capture import train_with_capture
-from .costmodel import Calibration, CostEstimate, CostModel
+from .costmodel import CostEstimate, CostModel
 from .maintenance import MaintenanceCost, MaintenancePolicy, MaintenanceReport
 from .priu import PrIUUpdater
 from .priu_opt import (
@@ -65,7 +65,6 @@ from .provenance_store import (
 from .replay_plan import ReplayPlan, compile_replay_plan
 
 __all__ = [
-    "Calibration",
     "CheckpointCorruptionError",
     "CommitReceipt",
     "CostEstimate",

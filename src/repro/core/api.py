@@ -118,9 +118,7 @@ class IncrementalTrainer:
         schedule_kind: str = "mb-sgd",
         max_dense_params: int = 2500,
         opt_feature_limit: int = 2500,
-        plan_cache_sparse_blocks: bool = True,
         eigen_correction_limit: int = 0,
-        kernel_block_size: int | None = None,
         cost_model=None,
         clock=None,
     ) -> None:
@@ -142,20 +140,10 @@ class IncrementalTrainer:
         self.schedule_kind = schedule_kind
         self.max_dense_params = int(max_dense_params)
         self.opt_feature_limit = int(opt_feature_limit)
-        # Memory/time trade for sparse workloads: the plan's pre-sliced CSR
-        # batch blocks hold ~τB/n copies of the dataset; disable to re-slice
-        # inside the replay loop instead.
-        self.plan_cache_sparse_blocks = bool(plan_cache_sparse_blocks)
         # Maintenance: deferred PrIU-opt eigen refreshes covering at most
         # this many removed rows use the incremental eigenvalue correction
         # instead of a full re-eigendecomposition (0 = always exact).
         self.eigen_correction_limit = int(eigen_correction_limit)
-        # Replay kernel: iterations fused per block descriptor
-        # (repro.core.kernels).  None -> the module default for dense SVD
-        # plans, <= 1 -> the bit-identical legacy per-iteration engine.
-        # An attached cost model may veto fusion when its calibrated
-        # per-iteration timings say the scalar path wins.
-        self.kernel_block_size = kernel_block_size
         # Optional repro.core.costmodel.CostModel.  When attached, every
         # commit logs its pre-commit estimate against the executed
         # receipt in the model's predicted-vs-actual decision ring.
@@ -181,20 +169,6 @@ class IncrementalTrainer:
             stamp = getattr(self.clock, "timestamp", self.clock.now)
             return float(stamp())
         return time.time()  # reprolint: allow[R001] receipt stamping for clock-less standalone trainers; commit-mode servers always inject their Clock
-
-    def _plan_block_size(self) -> int | None:
-        """Replay-kernel block size after the cost model's veto.
-
-        The configured ``kernel_block_size`` is the request; an attached
-        cost model that has *measured* the blocked path losing to the
-        scalar one (``observe_replay`` calibration) resolves it to 0.
-        Uncalibrated models pass the request through unchanged.
-        """
-        if self.cost_model is not None:
-            resolve = getattr(self.cost_model, "kernel_block_size", None)
-            if resolve is not None:
-                return resolve(self.kernel_block_size)
-        return self.kernel_block_size
 
     # -------------------------------------------------------------- fitting
     def fit(self, features, labels: np.ndarray) -> "IncrementalTrainer":
@@ -240,13 +214,7 @@ class IncrementalTrainer:
         # the reference PrIUUpdater and the opt updaters all share it
         # through the store.
         self._priu = PrIUUpdater(self.store, features, self.labels)
-        self._plan = ReplayPlan(
-            self.store,
-            features,
-            self.labels,
-            cache_sparse_blocks=self.plan_cache_sparse_blocks,
-            kernel_block_size=self._plan_block_size(),
-        )
+        self._plan = ReplayPlan(self.store, features, self.labels)
         self._build_opt()
         self._closed_form = None
         self._influence = None
@@ -363,7 +331,6 @@ class IncrementalTrainer:
         plan_path: str | Path | None = None,
         method: str = "auto",
         mmap: bool = True,
-        plan_cache_sparse_blocks: bool = True,
         plan_cache=None,
         **overrides,
     ) -> "IncrementalTrainer":
@@ -418,7 +385,6 @@ class IncrementalTrainer:
             seed=store.schedule.seed,
             epsilon=store.epsilon,
             schedule_kind=store.schedule.kind,
-            plan_cache_sparse_blocks=plan_cache_sparse_blocks,
             **overrides,
         )
         trainer._restore(
@@ -474,18 +440,10 @@ class IncrementalTrainer:
                 features,
                 labels,
                 mmap=mmap,
-                cache_sparse_blocks=self.plan_cache_sparse_blocks,
                 plan_cache=plan_cache,
-                kernel_block_size=self._plan_block_size(),
             )
         else:
-            self._plan = ReplayPlan(
-                store,
-                features,
-                labels,
-                cache_sparse_blocks=self.plan_cache_sparse_blocks,
-                kernel_block_size=self._plan_block_size(),
-            )
+            self._plan = ReplayPlan(store, features, labels)
         self._build_opt()
         weights = getattr(self._plan, "final_weights", None)
         if weights is None:
@@ -716,7 +674,6 @@ FleetServer` auto-maintenance) needs, since
             replay_sets = prefixes
         chosen = method or ("priu-opt" if self._opt is not None else "priu")
         version = self.store._version
-        kernel_before = self._kernel_snapshot()
         start = time.perf_counter()
         if chosen == "priu-opt":
             if self._opt is None:
@@ -741,7 +698,6 @@ FleetServer` auto-maintenance) needs, since
         else:
             raise ValueError(f"unknown update method: {chosen}")
         seconds = time.perf_counter() - start
-        self._observe_replay(chosen, kernel_before, seconds)
         share = seconds / len(normalized)
         outcomes = [
             UpdateOutcome(
@@ -754,36 +710,6 @@ FleetServer` auto-maintenance) needs, since
             self._apply_commit(replay_sets[-1], stacked[:, -1])
         return outcomes
 
-    def _kernel_snapshot(self) -> dict | None:
-        """Pre-dispatch copy of the plan's fused/scalar tallies (or None)."""
-        if self.cost_model is None or not self._plan.supported:
-            return None
-        return dict(self._plan._kernel_stats)
-
-    def _observe_replay(
-        self, chosen: str, before: dict | None, seconds: float
-    ) -> None:
-        """Feed one plan replay's fused/scalar split to the cost model.
-
-        Only ``method="priu"`` dispatches run entirely through the
-        compiled plan, so only those timings attribute cleanly to the
-        kernel tallies; opt/seq paths interleave other work and would
-        poison the per-iteration calibration.
-        """
-        if before is None or chosen != "priu":
-            return
-        observe = getattr(self.cost_model, "observe_replay", None)
-        if observe is None:
-            return
-        after = self._plan._kernel_stats
-        observe(
-            fused_iterations=after["fused_iterations"]
-            - before["fused_iterations"],
-            scalar_iterations=after["scalar_iterations"]
-            - before["scalar_iterations"],
-            seconds=seconds,
-        )
-
     # --------------------------------------------------------------- commit
     def commit(self, outcome: UpdateOutcome) -> dict:
         """Adopt a previously computed update as the new baseline.
@@ -793,11 +719,9 @@ FleetServer` auto-maintenance) needs, since
         makes the deletion permanent: the provenance store is compacted
         (occurrence rows dropped, surviving ids remapped onto
         ``[0, n - Δn)``), the compiled :class:`ReplayPlan` is refreshed
-        in place (fused kernel blocks the removal dirtied are dropped until
-        :meth:`maintain` regroups them), the held features/labels are
-        sliced to the survivors, the PrIU / PrIU-opt updaters are rebuilt
-        over the compacted state, and ``outcome.weights`` becomes
-        :attr:`weights_`.
+        in place, the held features/labels are sliced to the survivors,
+        the PrIU / PrIU-opt updaters are rebuilt over the compacted
+        state, and ``outcome.weights`` becomes :attr:`weights_`.
 
         After a commit, *fresh* removal queries and removal ids are
         expressed in the new, packed id space; :attr:`deletion_log` keeps
@@ -879,8 +803,8 @@ FleetServer` auto-maintenance) needs, since
 
         Reads the removal's footprint off the packed occurrence index (two
         ``searchsorted`` range counts, no replay) and prices it with the
-        attached :class:`~repro.core.costmodel.CostModel` (an uncalibrated
-        one when none is attached).  ``indices`` live in the current
+        attached :class:`~repro.core.costmodel.CostModel` (a fresh one
+        when none is attached).  ``indices`` live in the current
         (post-commit) id space, like :meth:`remove`.
         """
         self._require_fit()

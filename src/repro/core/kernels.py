@@ -1,383 +1,30 @@
-"""Iteration-blocked replay kernels: the roofline path for ``m ≫ B``.
+"""The replay entry point: one call per replay, over ``[start, end)``.
 
-The compiled :class:`~repro.core.replay_plan.ReplayPlan` already turned
-K concurrent requests into one GEMM per iteration, but the *iteration*
-axis still runs in Python: τ dispatches of two skinny products
-``P_t (V_tᵀ W)`` whose rank is at most the mini-batch size ``B``.  In the
-paper's dominant ``m ≫ B`` regime each product is far below the BLAS
-roofline, so the loop is bound by dispatch overhead, not arithmetic.
-
-This module collapses runs of iterations into **block descriptors** at
-compile time.  One SGD replay iteration without hits is an affine map
-
-    ``w ← A_t w + c_t``,   ``A_t = α I + σ s_t P_t V_tᵀ``,
-    ``c_t = s_t moment_t``
-
-with ``α = 1 − ηλ`` (the shrink factor), ``s_t = scale_num / B_t`` the
-default per-iteration scale and ``σ = −1`` for linear regression
-(``adjust = moment − G w``), ``+1`` for the logistic tasks
-(``adjust = G w + moment``).  A product of ``b`` such maps stays in the
-same low-rank-plus-identity family:
-
-    ``A_{t+b-1} ⋯ A_t = α^b I + D Cᵀ``,   rank(D) = Σ_j r_j ≤ b·B,
-
-and the pair ``(D, C)`` plus the accumulated offset ``v`` are built by a
-cheap ``O(m R b)`` scan (the recurrences in :func:`_compose`).  Replaying
-the block at serve time is then **two GEMMs total** —
-``w ← α^b w + D (Cᵀ w) + v`` — instead of ``b`` skinny dispatches: the
-same flops, a ``b``-fold reduction in kernel launches and Python
-overhead, which is exactly where the per-iteration path leaves the
-roofline unused.
-
-Blocks are *rank-grouped*: a run never spans an SVD rank change, a
-``freeze_at`` boundary (the PrIU-opt phase-1 replay stops there), or more
-than ``block_size`` iterations, and dense-summary / sparse plans stay on
-the scalar path (their per-iteration operator is not a cached low-rank
-pair).  At run time a block is usable only when *none* of its iterations
-has a hit for *any* request in the batch — the moment a deletion set
-intersects a block's batches, that span falls back to the sanctioned
-per-iteration loops, which handle the per-request corrections.  Fusion
-reassociates the floating-point reduction, so blocked answers match the
-scalar path at atol ≲1e-12 (property-tested at the 1e-10 contract);
-``block_size <= 1`` compiles no descriptors at all and is bit-identical
-to the legacy path by construction.
+:meth:`~repro.core.replay_plan.ReplayPlan.run` hands every replay to
+:func:`run_blocked`, which advances the weights through the plan's
+per-iteration runner.  The per-iteration loops are the only replay
+path: they handle hit-free and hit iterations alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-#: Default iterations fused per block.  Amortizes the Python dispatch
-#: ~16× while keeping the stacked rank R ≤ 16·B small enough that the
-#: two block GEMMs stay cheaper than the τ skinny products they replace.
-DEFAULT_BLOCK_SIZE = 16
-
-
-@dataclass
-class BlockDescriptor:
-    """One fused run ``[start, stop)`` as ``w ← α w + D (Cᵀ w) + v``.
-
-    The factor pair is held *transposed* — ``left_t = Dᵀ`` and
-    ``right_t = Cᵀ``, each ``(R, m)`` and C-contiguous — so the archived
-    stacks slice back into per-block **row ranges**, which are contiguous
-    zero-copy views with the exact memory layout of an in-process
-    compile.  Bitwise answer stability across ``save_plan``/``load_plan``
-    depends on that: BLAS reduction order follows operand layout, so the
-    reloaded descriptors must not merely hold equal values, they must
-    present them with equal strides.
-    """
-
-    start: int
-    stop: int
-    alpha: float  # shrink^(stop-start)
-    left_t: np.ndarray  # Dᵀ, (R, m): stacked SVD left factors
-    right_t: np.ndarray  # Cᵀ, (R, m): composed coefficient columns
-    offset: np.ndarray  # v, (m,): accumulated moment term
-
-    @property
-    def n_iterations(self) -> int:
-        return self.stop - self.start
-
-    @property
-    def rank(self) -> int:
-        return int(self.left_t.shape[0])
-
-    def nbytes(self) -> int:
-        return int(
-            self.left_t.nbytes + self.right_t.nbytes + self.offset.nbytes
-        )
-
-    def apply(self, weights: np.ndarray) -> np.ndarray:
-        """Advance ``weights`` across the whole block: two GEMMs + axpy."""
-        bulk = self.left_t.T @ (self.right_t @ weights)
-        if weights.ndim == 1:
-            return self.alpha * weights + bulk + self.offset
-        return self.alpha * weights + bulk + self.offset[:, None]
-
-
-def _compose(
-    lefts,
-    rights,
-    moments,
-    base_sizes,
-    start: int,
-    stop: int,
-    shrink: float,
-    scale_num: float,
-    sigma: float,
-) -> BlockDescriptor:
-    """Fold iterations ``[start, stop)`` into one ``(α, D, C, v)`` tuple.
-
-    Invariant after ``j`` folded iterations: the partial product equals
-    ``α^j I + D Cᵀ`` and the partial affine offset is ``v``.  Folding the
-    next map ``A = α I + P Ṽᵀ`` (``Ṽ = σ s_t V_t``) extends them as
-
-        ``D ← [D | P]``,  ``C ← [α C | α^j Ṽ + C (Dᵀ Ṽ)]``,
-        ``v ← α v + P (Ṽᵀ v) + s_t moment_t``
-
-    — ``O(m R)`` per iteration, paid once at compile time.  A zero batch
-    (``s_t = 0``) contributes a pure shrink step: no new columns, the
-    existing ones just pick up the extra ``α``.
-    """
-    n_params = moments.shape[1]
-    left = np.empty((n_params, 0))
-    right = np.empty((n_params, 0))
-    offset = np.zeros(n_params)
-    alpha = 1.0
-    # reprolint: allow[R006] compile-time composition: this loop runs once
-    # per (re)compile to build the descriptor, never on the serve path
-    for t in range(start, stop):
-        base = int(base_sizes[t])
-        scale = scale_num / base if base > 0 else 0.0
-        if scale == 0.0:
-            offset = shrink * offset
-            right = shrink * right
-            alpha *= shrink
-            continue
-        factor_left = np.asarray(lefts[t], dtype=float)
-        tilted = (sigma * scale) * np.asarray(rights[t], dtype=float)
-        offset = (
-            shrink * offset
-            + factor_left @ (tilted.T @ offset)
-            + scale * np.asarray(moments[t], dtype=float)
-        )
-        new_cols = alpha * tilted + right @ (left.T @ tilted)
-        left = np.hstack((left, factor_left))
-        right = np.hstack((shrink * right, new_cols))
-        alpha *= shrink
-    return BlockDescriptor(
-        start=int(start),
-        stop=int(stop),
-        alpha=float(alpha),
-        left_t=np.ascontiguousarray(left.T),
-        right_t=np.ascontiguousarray(right.T),
-        offset=offset,
-    )
-
-
-class IterationBlocks:
-    """The compiled block schedule: descriptors sorted by span.
-
-    A commit that patches a few iterations drops the descriptors it
-    dirtied (:meth:`drop`); their spans fall back to the scalar loops
-    until maintenance regroups the whole schedule from the patched state.
-    """
-
-    def __init__(
-        self, descriptors: list[BlockDescriptor], block_size: int
-    ) -> None:
-        self.block_size = int(block_size)
-        self._set(descriptors)
-
-    def _set(self, descriptors: list[BlockDescriptor]) -> None:
-        self.descriptors = descriptors
-        self.starts = np.fromiter(
-            (d.start for d in descriptors), np.int64, count=len(descriptors)
-        )
-        self.stops = np.fromiter(
-            (d.stop for d in descriptors), np.int64, count=len(descriptors)
-        )
-
-    def __len__(self) -> int:
-        return len(self.descriptors)
-
-    def fused_iterations(self) -> int:
-        """Iterations covered by a descriptor (the fusable share of τ)."""
-        return int((self.stops - self.starts).sum())
-
-    def nbytes(self) -> int:
-        total = self.starts.nbytes + self.stops.nbytes
-        for descriptor in self.descriptors:
-            total += descriptor.nbytes()
-        return int(total)
-
-    # ------------------------------------------------------------- drop
-    def dirty_blocks(self, iterations) -> np.ndarray:
-        """Descriptor indices whose span intersects ``iterations``."""
-        touched = np.asarray(iterations, dtype=np.int64)
-        if touched.size == 0 or not self.descriptors:
-            return np.empty(0, dtype=np.int64)
-        slots = np.searchsorted(self.starts, touched, side="right") - 1
-        inside = (slots >= 0) & (touched < self.stops[np.clip(slots, 0, None)])
-        return np.unique(slots[inside])
-
-    def drop(self, iterations) -> int:
-        """Drop every descriptor a patched iteration dirtied.
-
-        The clean descriptors keep their arrays untouched; the dropped
-        spans replay through the scalar loops, which read the patched
-        per-iteration state directly.  Returns how many were dropped.
-        """
-        dirty = set(self.dirty_blocks(iterations).tolist())
-        if dirty:
-            self._set([
-                d for i, d in enumerate(self.descriptors) if i not in dirty
-            ])
-        return len(dirty)
-
-    # ------------------------------------------------------ persistence
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """Archive members (``kernel_*``) for ``save_plan`` round-trips."""
-        n_blocks = len(self.descriptors)
-        ranks = np.fromiter(
-            (d.rank for d in self.descriptors), np.int64, count=n_blocks
-        )
-        row_offsets = np.concatenate(([0], np.cumsum(ranks)))
-        if n_blocks:
-            left = np.vstack([d.left_t for d in self.descriptors])
-            right = np.vstack([d.right_t for d in self.descriptors])
-            offsets = np.stack([d.offset for d in self.descriptors])
-        else:  # every descriptor dropped by commits since the compile
-            left = np.empty((0, 0))
-            right = np.empty((0, 0))
-            offsets = np.empty((0, 0))
-        return {
-            "kernel_starts": self.starts,
-            "kernel_stops": self.stops,
-            "kernel_alphas": np.fromiter(
-                (d.alpha for d in self.descriptors), float, count=n_blocks
-            ),
-            "kernel_row_offsets": row_offsets,
-            "kernel_left": left,
-            "kernel_right": right,
-            "kernel_offsets": offsets,
-        }
-
-    @classmethod
-    def from_state_arrays(
-        cls, arrays: dict[str, np.ndarray], block_size: int
-    ) -> "IterationBlocks":
-        """Rebind descriptors as row-range views into the archived stacks.
-
-        The concatenated factor matrices may be read-only memory maps;
-        per-block row slices are contiguous zero-copy views with the
-        same strides an in-process compile produces, so replay answers
-        are bit-identical before and after the round trip.
-        """
-        starts = np.asarray(arrays["kernel_starts"], dtype=np.int64)
-        stops = np.asarray(arrays["kernel_stops"], dtype=np.int64)
-        alphas = np.asarray(arrays["kernel_alphas"], dtype=float)
-        row_offsets = np.asarray(
-            arrays["kernel_row_offsets"], dtype=np.int64
-        )
-        left = arrays["kernel_left"]
-        right = arrays["kernel_right"]
-        offsets = arrays["kernel_offsets"]
-        descriptors = [
-            BlockDescriptor(
-                start=int(starts[i]),
-                stop=int(stops[i]),
-                alpha=float(alphas[i]),
-                left_t=left[row_offsets[i] : row_offsets[i + 1]],
-                right_t=right[row_offsets[i] : row_offsets[i + 1]],
-                offset=offsets[i],
-            )
-            for i in range(starts.size)
-        ]
-        return cls(descriptors, block_size)
-
-
-def compile_blocks(
-    lefts,
-    rights,
-    moments,
-    base_sizes,
-    shrink: float,
-    scale_num: float,
-    sigma: float,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    boundaries=(),
-) -> IterationBlocks | None:
-    """Group the iteration axis into fused block descriptors.
-
-    Grouping rules (the "rank-grouped" part): a run breaks whenever the
-    SVD rank changes between consecutive iterations, at every mandatory
-    boundary in ``boundaries`` (the PrIU-opt freeze point ``t_s``, where
-    phase-1 replays stop), and after ``block_size`` iterations.  Runs
-    shorter than 2 iterations compile **no** descriptor — fusing one
-    iteration saves nothing, and it makes ``block_size <= 1`` exactly the
-    legacy per-iteration plan (bit-identical, not merely close).
-
-    Returns ``None`` when nothing is fusable.
-    """
-    tau = int(len(base_sizes))
-    block_size = int(block_size)
-    if block_size < 2 or tau == 0:
-        return None
-    cuts = {0, tau}
-    for boundary in boundaries:
-        boundary = int(boundary)
-        if 0 < boundary < tau:
-            cuts.add(boundary)
-    for t in range(1, tau):
-        if rights[t].shape[1] != rights[t - 1].shape[1]:
-            cuts.add(t)
-    descriptors: list[BlockDescriptor] = []
-    edges = sorted(cuts)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        for start in range(lo, hi, block_size):
-            stop = min(start + block_size, hi)
-            if stop - start < 2:
-                continue
-            descriptors.append(
-                _compose(
-                    lefts,
-                    rights,
-                    moments,
-                    base_sizes,
-                    start,
-                    stop,
-                    shrink,
-                    scale_num,
-                    sigma,
-                )
-            )
-    if not descriptors:
-        return None
-    return IterationBlocks(descriptors, block_size)
 
 
 def run_blocked(
-    blocks: IterationBlocks | None,
     weights: np.ndarray,
     hits: dict,
     start: int,
     end: int,
-    scalar_runner,
+    runner,
 ) -> tuple[np.ndarray, dict]:
-    """Drive a replay over ``[start, end)``: fused blocks + scalar gaps.
+    """Replay iterations ``[start, end)`` through ``runner``.
 
-    A descriptor is usable only when it lies inside the replay range and
-    ``seg_offsets`` shows no (iteration, request) hit segment within its
-    span — hit-free iterations apply the *default* scale
-    ``scale_num / B_t`` for every request, which is exactly what the
-    descriptor folded in.  Everything between usable blocks (hit spans,
-    range-clipped partial blocks) goes through ``scalar_runner``, the
-    legacy per-iteration loop.  Returns the advanced weights plus a
-    ``{"fused_blocks", "fused_iterations", "scalar_iterations"}`` tally
-    for the cost model's replay observations.
+    Returns the advanced weights and a ``{"scalar_iterations": n}``
+    tally.  It exists only as the replay layer's one named entry point:
+    the repository benchmark's tracer (``perfbench/spans.py``) wraps
+    ``kernels.run_blocked`` to time every replay and count the
+    iterations it advanced.
     """
-    stats = {"fused_blocks": 0, "fused_iterations": 0, "scalar_iterations": 0}
-    if blocks is None or not blocks.descriptors:
-        stats["scalar_iterations"] = max(0, end - start)
-        return scalar_runner(weights, hits, start, end), stats
-    seg_offsets = hits["seg_offsets"]
-    cursor = start
-    for descriptor in blocks.descriptors:
-        if descriptor.start < cursor or descriptor.stop > end:
-            continue
-        if seg_offsets[descriptor.stop] != seg_offsets[descriptor.start]:
-            continue  # a request hit inside: scalar fallback owns this span
-        if descriptor.start > cursor:
-            weights = scalar_runner(weights, hits, cursor, descriptor.start)
-            stats["scalar_iterations"] += descriptor.start - cursor
-        weights = descriptor.apply(weights)
-        stats["fused_blocks"] += 1
-        stats["fused_iterations"] += descriptor.n_iterations
-        cursor = descriptor.stop
-    if cursor < end:
-        weights = scalar_runner(weights, hits, cursor, end)
-        stats["scalar_iterations"] += end - cursor
-    return weights, stats
+    weights = runner(weights, hits, start, end)
+    return weights, {"scalar_iterations": max(0, end - start)}

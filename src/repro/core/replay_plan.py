@@ -90,17 +90,6 @@ class ReplayPlan:
         Exactly what :class:`~repro.core.priu.PrIUUpdater` takes; the plan
         produces numerically matching updates (atol ≲ 1e-12 — only BLAS
         reduction order differs).
-    cache_sparse_blocks:
-        Sparse mode pre-slices the per-iteration CSR blocks (a time/memory
-        trade: the seed path re-slices them on every request).  Disable to
-        fall back to slicing inside the loop.
-    kernel_block_size:
-        Iterations fused per replay block (see :mod:`repro.core.kernels`).
-        ``None`` resolves to :data:`~repro.core.kernels.DEFAULT_BLOCK_SIZE`
-        for dense SVD-compressed plans (the only layout with a cached
-        low-rank per-iteration operator); values ``<= 1`` disable fusion
-        entirely — the plan is then bit-identical to the legacy
-        per-iteration engine.
     """
 
     def __init__(
@@ -109,8 +98,6 @@ class ReplayPlan:
         features,
         labels: np.ndarray,
         w0: np.ndarray | None = None,
-        cache_sparse_blocks: bool = True,
-        kernel_block_size: int | None = None,
     ) -> None:
         self.store = store
         self.task = store.task
@@ -136,20 +123,13 @@ class ReplayPlan:
         # load_plan); runs once, on the first replay.
         self._integrity_check = None
         self.supported = not (self.sparse and self.task == "multinomial_logistic")
-        self._kernel_block_size = kernel_block_size
-        self._kernel = None
-        self._kernel_stats = {
-            "fused_blocks": 0,
-            "fused_iterations": 0,
-            "scalar_iterations": 0,
-        }
         if not self.supported:
             return
         self._scale_num = 2.0 * self.eta if self.task == "linear" else self.eta
-        self._compile(cache_sparse_blocks)
+        self._compile()
 
     # ------------------------------------------------------------ compile
-    def _compile(self, cache_sparse_blocks: bool) -> None:
+    def _compile(self) -> None:
         records = self.store.records
         tau = self.n_iterations
         self.base_sizes = np.fromiter(
@@ -173,7 +153,7 @@ class ReplayPlan:
         kind = self.store.compression
         self._kind = {"none": "dense"}.get(kind, kind)
         if self.sparse:
-            self._compile_sparse(cache_sparse_blocks)
+            self._compile_sparse()
             return
 
         # Summaries as homogeneous lists (refs, no copies).
@@ -197,42 +177,8 @@ class ReplayPlan:
                 [r.probabilities for r in records]
             )
             self._wx_flat = np.concatenate([r.wx for r in records])
-        self._compile_kernel()
 
-    def _resolved_block_size(self) -> int:
-        if self._kernel_block_size is None:
-            return kernels.DEFAULT_BLOCK_SIZE
-        return int(self._kernel_block_size)
-
-    def _compile_kernel(self) -> None:
-        """Group the iteration axis into fused replay blocks (dense SVD).
-
-        Only SVD-compressed dense plans carry a cached low-rank operator
-        per iteration, which is what the block composition folds; dense
-        ``m × m`` summaries and sparse CSR blocks stay on the scalar
-        loops.  Splits at the PrIU-opt freeze point so the phase-1
-        replay's ``stop_at = t_s`` never clips a block.
-        """
-        self._kernel = None
-        if self.sparse or self._kind != "svd":
-            return
-        boundaries = ()
-        frozen = self.store.frozen
-        if frozen is not None:
-            boundaries = (int(frozen.t_s),)
-        self._kernel = kernels.compile_blocks(
-            self._lefts,
-            self._rights,
-            self.moments,
-            self.base_sizes,
-            shrink=self.shrink,
-            scale_num=self._scale_num,
-            sigma=-1.0 if self.task == "linear" else 1.0,
-            block_size=self._resolved_block_size(),
-            boundaries=boundaries,
-        )
-
-    def _compile_sparse(self, cache_blocks: bool) -> None:
+    def _compile_sparse(self) -> None:
         """Sparse mode: pre-slice CSR batch blocks + precompute base moments.
 
         The seed path re-touches ``features[surviving]`` on every request
@@ -254,9 +200,9 @@ class ReplayPlan:
                 moments[t] = np.asarray(
                     block.T @ (record.intercepts * y_t)
                 ).ravel()
-            blocks.append(block if cache_blocks else None)
+            blocks.append(block)
         self.moments = moments
-        self._blocks = blocks if cache_blocks else None
+        self._blocks = blocks
         if self.task == "binary_logistic":
             self._compile_binary_flats(records)
 
@@ -274,11 +220,6 @@ class ReplayPlan:
             np.concatenate([r.intercepts for r in records])
             * self._labels_num[slot_samples]
         )
-
-    def _block(self, t: int):
-        if self._blocks is not None:
-            return self._blocks[t]
-        return self.features[self.store.records[t].batch]
 
     # -------------------------------------------------------- persistence
     #
@@ -322,8 +263,6 @@ class ReplayPlan:
                     # store physically compacted flats, never the map.
                     value = value[self._slot_map]
                 arrays[key] = value
-        if self._kernel is not None:
-            arrays.update(self._kernel.state_arrays())
         return arrays
 
     def state_meta(self) -> dict[str, str]:
@@ -337,7 +276,6 @@ class ReplayPlan:
             "n_samples": str(self.store.n_samples),
             "learning_rate": repr(self.eta),
             "regularization": repr(self.lam),
-            "kernel_block_size": str(self._resolved_block_size()),
         }
 
     @classmethod
@@ -348,8 +286,6 @@ class ReplayPlan:
         labels: np.ndarray,
         meta: dict[str, str],
         arrays: dict[str, np.ndarray],
-        cache_sparse_blocks: bool = True,
-        kernel_block_size: int | None = None,
     ) -> "ReplayPlan":
         """Rebuild a plan from persisted state without recompiling.
 
@@ -359,11 +295,10 @@ class ReplayPlan:
         iteration count, batch sizes or sample count raise ``ValueError``
         rather than silently replaying the wrong trajectory.
 
-        Archived block descriptors (``kernel_*`` members) are rebound as
-        zero-copy row-range views when the requested ``kernel_block_size``
-        matches the one the archive was compiled with; otherwise — or for
-        pre-kernel archives — the blocks are recompiled from the restored
-        per-iteration state.
+        Archives written by older builds also carry fused-block
+        descriptors (``kernel_*`` members and a matching meta entry); the
+        loader still verifies their checksums, and this method ignores
+        them.
         """
         if meta["task"] != store.task:
             raise ValueError(
@@ -432,13 +367,6 @@ class ReplayPlan:
         plan._scale_num = 2.0 * plan.eta if plan.task == "linear" else plan.eta
         plan._kind = meta["kind"]
         plan._slot_map = None
-        plan._kernel_block_size = kernel_block_size
-        plan._kernel = None
-        plan._kernel_stats = {
-            "fused_blocks": 0,
-            "fused_iterations": 0,
-            "scalar_iterations": 0,
-        }
 
         plan.base_sizes = arrays["base_sizes"]
         plan._record_offsets = arrays["record_offsets"]
@@ -465,11 +393,7 @@ class ReplayPlan:
 
         records = store.records
         if sparse:
-            plan._blocks = (
-                [plan.features[r.batch] for r in records]
-                if cache_sparse_blocks
-                else None
-            )
+            plan._blocks = [plan.features[r.batch] for r in records]
         elif plan._kind == "svd":
             plan._lefts = [r.summary.left for r in records]
             plan._rights = [r.summary.right for r in records]
@@ -477,15 +401,6 @@ class ReplayPlan:
         else:
             plan._summaries = [np.asarray(r.summary) for r in records]
             plan._lefts = plan._rights = None
-        if not sparse and plan._kind == "svd":
-            archived = int(meta.get("kernel_block_size", "0"))
-            requested = plan._resolved_block_size()
-            if "kernel_starts" in arrays and archived == requested:
-                plan._kernel = kernels.IterationBlocks.from_state_arrays(
-                    arrays, block_size=requested
-                )
-            else:
-                plan._compile_kernel()
         return plan
 
     # ------------------------------------------------------------- refresh
@@ -507,13 +422,10 @@ class ReplayPlan:
           patched in place by ``compact``, sparse moments are recomputed
           from the reduced feature blocks;
         * the packed occurrence index was rebuilt by ``compact`` and is
-          shared as-is;
-        * fused kernel blocks spanning an affected iteration are dropped
-          (their spans replay on the scalar loops) until maintenance
-          regroups the schedule (:meth:`resync_summaries`).
+          shared as-is.
 
-        Every non-kernel state array then equals a fresh compile of the
-        compacted store bit for bit.  Returns a receipt dict with ``mode``
+        Every state array then equals a fresh compile of the compacted
+        store bit for bit.  Returns a receipt dict with ``mode``
         (``"refresh"`` | ``"unsupported"``), the touched-iteration
         fraction, and wall-clock-free bookkeeping the commit benchmark and
         the cost model record — ``patched_bytes`` uses the same accounting
@@ -582,8 +494,7 @@ class ReplayPlan:
                         moments[t] = np.asarray(
                             block.T @ (record.intercepts * y_t)
                         ).ravel()
-                    if self._blocks is not None:
-                        self._blocks[t] = block
+                    self._blocks[t] = block
                 else:
                     moments[t] = np.asarray(
                         record.moment, dtype=float
@@ -594,13 +505,6 @@ class ReplayPlan:
                     else:
                         self._summaries[t] = np.asarray(record.summary)
             self.moments = moments
-        # Fused blocks fold the pre-commit summaries/moments/base sizes, so
-        # every block a touched iteration lands in is stale: drop it.
-        kernel_blocks_dropped = 0
-        if self._kernel is not None:
-            kernel_blocks_dropped = self._kernel.drop(
-                stats.affected_iterations
-            )
         self._compiled_version = self.store._version
         # Executed-patch byte accounting, mirrored by predict_patch_bytes.
         patched = int(self._record_offsets.nbytes)
@@ -622,10 +526,6 @@ class ReplayPlan:
             "patched_bytes": patched,
             "dropped_slots": int(stats.dropped_slots.size),
             "touched_iterations": int(stats.n_iterations_touched),
-            # Observability only: dropping blocks discards derived kernel
-            # state, not plan SoA arrays, so it stays outside the
-            # predict_patch_bytes accounting contract.
-            "kernel_blocks_dropped": kernel_blocks_dropped,
         }
 
     # -------------------------------------------------------- maintenance
@@ -695,10 +595,6 @@ retruncate_summaries` replaces record summaries (and bumps the store
                 summary = records[t].summary
                 self._lefts[t] = summary.left
                 self._rights[t] = summary.right
-            # Re-truncation changes ranks, so the block schedule is fully
-            # regrouped — which also restores the blocks commits dropped:
-            # the post-maintenance layout equals a fresh compile's.
-            self._compile_kernel()
         self._compiled_version = self.store._version
 
     # ------------------------------------------------------------ queries
@@ -854,51 +750,19 @@ CheckpointCorruptionError` on a digest mismatch; the pending check is
                 "binary_logistic": self._run_binary_single,
                 "multinomial_logistic": self._run_multinomial_single,
             }[self.task]
-            result, tally = kernels.run_blocked(
-                self._kernel, weights[:, 0], hits, start_iteration, end,
-                runner,
+            result, _ = kernels.run_blocked(
+                weights[:, 0], hits, start_iteration, end, runner
             )
-            self._record_kernel_stats(tally)
             return result[:, None]
         runner = {
             "linear": self._run_linear,
             "binary_logistic": self._run_binary,
             "multinomial_logistic": self._run_multinomial,
         }[self.task]
-        result, tally = kernels.run_blocked(
-            self._kernel, weights, hits, start_iteration, end, runner
+        result, _ = kernels.run_blocked(
+            weights, hits, start_iteration, end, runner
         )
-        self._record_kernel_stats(tally)
         return result
-
-    def _record_kernel_stats(self, tally: dict) -> None:
-        for key, value in tally.items():
-            self._kernel_stats[key] += value
-
-    def kernel_stats(self) -> dict:
-        """Cumulative fused-vs-scalar replay tallies (cost-model feed).
-
-        ``fused_iterations`` / ``scalar_iterations`` count iteration
-        advances per weight *matrix* (a K-column batch counts once), so
-        the split directly measures how much of the replay work rode the
-        blocked kernel.
-        """
-        stats = dict(self._kernel_stats)
-        stats["blocks_compiled"] = (
-            len(self._kernel) if self._kernel is not None else 0
-        )
-        stats["block_size"] = self._resolved_block_size()
-        return stats
-
-    def kernel_nbytes(self) -> int:
-        """Memory held by the compiled block descriptors (0 when scalar).
-
-        Deliberately *not* part of :meth:`nbytes`: descriptor width
-        tracks the summaries' current factor widths, so including it
-        would make plan-footprint comparisons depend on maintenance
-        history rather than the compiled SoA layout.
-        """
-        return self._kernel.nbytes() if self._kernel is not None else 0
 
     # ------------------------------------------------------- hit gathering
     def _gather_hits(
@@ -1004,11 +868,9 @@ CheckpointCorruptionError` on a digest mismatch; the pending check is
                 lefts, rights = self._lefts, self._rights
             else:
                 summaries = self._summaries
-        # reprolint: allow[R006] sanctioned per-iteration fallback — kernels.run_blocked
-        # fuses hit-free dense-SVD spans and delegates the rest here
         for t in range(start, end):
             if sparse:
-                block = self._block(t)
+                block = self._blocks[t]
                 gram_w = block.T @ (block @ weights)
             elif summaries is not None:
                 gram_w = summaries[t] @ weights
@@ -1048,11 +910,9 @@ CheckpointCorruptionError` on a digest mismatch; the pending check is
         summaries = getattr(self, "_summaries", None)
         lefts = getattr(self, "_lefts", None)
         rights = getattr(self, "_rights", None)
-        # reprolint: allow[R006] sanctioned per-iteration fallback — kernels.run_blocked
-        # fuses hit-free dense-SVD spans and delegates the rest here
         for t in range(start, end):
             if sparse:
-                block = self._block(t)
+                block = self._blocks[t]
                 gram_w = np.asarray(block.T @ (block @ w)).ravel()
             elif summaries is not None:
                 gram_w = summaries[t] @ w
@@ -1079,11 +939,9 @@ CheckpointCorruptionError` on a digest mismatch; the pending check is
         lefts = getattr(self, "_lefts", None)
         rights = getattr(self, "_rights", None)
         rec_off = self._record_offsets
-        # reprolint: allow[R006] sanctioned per-iteration fallback — kernels.run_blocked
-        # fuses hit-free dense-SVD spans and delegates the rest here
         for t in range(start, end):
             if sparse:
-                block = self._block(t)
+                block = self._blocks[t]
                 slopes_t = self._slopes_flat[rec_off[t] : rec_off[t + 1]]
                 gram_w = np.asarray(
                     block.T @ (slopes_t * np.asarray(block @ w).ravel())
@@ -1116,8 +974,6 @@ CheckpointCorruptionError` on a digest mismatch; the pending check is
         summaries = getattr(self, "_summaries", None)
         lefts = getattr(self, "_lefts", None)
         rights = getattr(self, "_rights", None)
-        # reprolint: allow[R006] sanctioned per-iteration fallback — kernels.run_blocked
-        # fuses hit-free dense-SVD spans and delegates the rest here
         for t in range(start, end):
             if summaries is not None:
                 gram_w = summaries[t] @ w
@@ -1161,11 +1017,9 @@ CheckpointCorruptionError` on a digest mismatch; the pending check is
             else:
                 summaries = self._summaries
         rec_off = self._record_offsets
-        # reprolint: allow[R006] sanctioned per-iteration fallback — kernels.run_blocked
-        # fuses hit-free dense-SVD spans and delegates the rest here
         for t in range(start, end):
             if sparse:
-                block = self._block(t)
+                block = self._blocks[t]
                 slopes_t = self._slopes_flat[rec_off[t] : rec_off[t + 1]]
                 gram_w = block.T @ (slopes_t[:, None] * np.asarray(block @ weights))
             elif summaries is not None:
@@ -1214,8 +1068,6 @@ CheckpointCorruptionError` on a digest mismatch; the pending check is
             summaries = None
         else:
             summaries = self._summaries
-        # reprolint: allow[R006] sanctioned per-iteration fallback — kernels.run_blocked
-        # fuses hit-free dense-SVD spans and delegates the rest here
         for t in range(start, end):
             if summaries is not None:
                 gram_w = summaries[t] @ weights
@@ -1258,7 +1110,6 @@ def compile_replay_plan(
     features,
     labels: np.ndarray,
     w0: np.ndarray | None = None,
-    **kwargs,
 ) -> ReplayPlan:
     """Functional alias for :class:`ReplayPlan` construction."""
-    return ReplayPlan(store, features, labels, w0=w0, **kwargs)
+    return ReplayPlan(store, features, labels, w0=w0)

@@ -995,9 +995,7 @@ def load_plan(
     features,
     labels: np.ndarray,
     mmap: bool = True,
-    cache_sparse_blocks: bool = True,
     plan_cache: PlanCache | None = None,
-    kernel_block_size: int | None = None,
 ) -> ReplayPlan:
     """Reload a compiled plan saved by :func:`save_plan`.
 
@@ -1046,13 +1044,7 @@ ReplayPlan.run` — mapping exists precisely to avoid touching the bytes
         # even when mapped.
         _verify_digest("final_weights", final_weights, checksums, path)
     plan = ReplayPlan.from_compiled_state(
-        store,
-        features,
-        labels,
-        meta,
-        arrays,
-        cache_sparse_blocks=cache_sparse_blocks,
-        kernel_block_size=kernel_block_size,
+        store, features, labels, meta, arrays
     )
     plan.final_weights = final_weights
     if deferred and checksums is not None:

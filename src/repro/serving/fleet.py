@@ -1036,23 +1036,6 @@ class _ModelQueue:
             for _, _, request in self.heap
         )
 
-    def cost_ready(self, policy: AdmissionPolicy, now: float) -> bool:
-        """Cost-aware early close for this queue (``policy.cost_model`` set).
-
-        Routes the queued batch through ``policy.should_dispatch`` with
-        the oldest member's wait and the batch's minimum lane delay, so
-        the cost model's early-close rule applies.  Strictly
-        one-directional (the fixed budget and full-batch checks already
-        dispatched above), and needs no extra wake-up timer: the
-        remaining budget only shrinks as time passes, so a queue that is
-        not cost-ready at ``now`` stays not-ready until its deadline.
-        """
-        if not self.heap:
-            return False
-        enqueued = min(r.enqueued_at for _, _, r in self.heap)
-        delay = min(r.lane_delay for _, _, r in self.heap)
-        return policy.should_dispatch(len(self.heap), now - enqueued, delay)
-
     def pop_batch(
         self, max_batch: int, policy: AdmissionPolicy | None = None
     ) -> list[_Request]:
@@ -1132,9 +1115,8 @@ def _serve_batch(
     batch_seq = next(state.batch_seq)
     lanes = [request.lane for request in live]
     # Cost-model hook: estimate the batch union's footprint before the
-    # replay runs (searchsorted counts — no extra replay), attach it to
-    # every member's outcome, and feed the measured service time back
-    # into the online calibration afterwards.
+    # replay runs (searchsorted counts — no extra replay) and attach it
+    # to every member's outcome.
     cost_model = getattr(trainer, "cost_model", None)
     union = None
     if commit_mode or cost_model is not None:
@@ -1162,8 +1144,6 @@ def _serve_batch(
         state.tracker.note_committed(key_before, union)
     answered_at = clock.now()
     service = answered_at - dispatched_at
-    if cost_model is not None:
-        cost_model.observe_batch(len(live), service)
     waits, latencies = [], []
     for rank, (request, outcome) in enumerate(zip(live, outcomes)):
         wait = dispatched_at - request.enqueued_at
@@ -1783,10 +1763,6 @@ maintenance_cost` is checked against the policy's thresholds and, when
                         self._closed
                         or len(state.heap) >= self.policy.max_batch
                         or (deadline is not None and now >= deadline)
-                        or (
-                            self.policy.cost_model is not None
-                            and state.cost_ready(self.policy, now)
-                        )
                     )
                     if ready:
                         batch = state.pop_batch(

@@ -209,15 +209,8 @@ class AdmissionPolicy:
     applied to any lane whose own ratio is ``None`` (module docstring);
     ``None`` disables the guard entirely.
 
-    ``cost_model`` (a :class:`~repro.core.costmodel.CostModel`) makes
-    batch closing cost-aware: a batch is dispatched *early* once the
-    remaining coalescing budget exceeds the model's predicted marginal
-    batching saving.  The hook is strictly one-directional — it can only
-    turn "keep waiting" into "dispatch now", never extend a wait — so
-    lane budgets stay hard upper bounds (a zero-delay ``deadline`` member
-    still forces immediate dispatch regardless of predictions) and the
-    re-partitioned batches are answer-preserving.  ``None`` (default)
-    keeps the fixed-budget behaviour, as does an uncalibrated model.
+    A batch dispatches once it holds ``max_batch`` requests or its
+    earliest member deadline passes (module docstring).
     """
 
     max_batch: int = 16
@@ -227,9 +220,6 @@ class AdmissionPolicy:
     lanes: tuple[Lane, ...] = DEFAULT_LANES
     default_lane: str = "bulk"
     max_preemption_ratio: float | None = None
-    cost_model: object | None = field(
-        default=None, repr=False, compare=False
-    )
     # Derived name -> Lane map (not part of the public constructor).
     _lane_map: dict = field(init=False, repr=False, compare=False, default=None)
 
@@ -294,27 +284,3 @@ class AdmissionPolicy:
         if lane.max_preemption_ratio is not None:
             return lane.max_preemption_ratio
         return self.max_preemption_ratio
-
-    # ------------------------------------------------------------- dispatch
-    def should_dispatch(
-        self, n_collected: int, oldest_wait: float, delay: float | None = None
-    ) -> bool:
-        """True once the batch is full or its oldest request is out of budget.
-
-        With a ``cost_model`` attached, also True once waiting out the
-        remaining budget is predicted to cost the queued members more
-        latency than one more straggler could save by coalescing
-        (:meth:`CostModel.should_close`) — early close only, never a
-        longer wait.
-        """
-        if delay is None:
-            delay = self.max_delay_seconds
-        if n_collected >= self.max_batch or oldest_wait >= delay:
-            return True
-        if self.cost_model is not None and n_collected >= 1:
-            return bool(
-                self.cost_model.should_close(
-                    n_collected, max(0.0, delay - oldest_wait)
-                )
-            )
-        return False

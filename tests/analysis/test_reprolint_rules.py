@@ -343,95 +343,3 @@ def test_r005_standalone_waiver_comment_covers_next_code_line():
     )
     assert report.ok
     assert len(report.waived) == 1
-
-
-# ---------------------------------------------------------------------------
-# R006 — replay kernel discipline
-
-
-REPLAY_LOOP_SRC = """
-    import numpy as np
-
-
-    def run(lefts, rights, weights, start, end):
-        for t in range(start, end):
-            weights = lefts[t] @ (rights[t].T @ weights)
-        return weights
-"""
-
-
-def test_r006_fires_on_range_loop_with_matmul_in_replay_module():
-    report = report_for(("src/repro/core/replay_plan.py", REPLAY_LOOP_SRC))
-    assert fired(report) == ["R006"]
-
-
-def test_r006_fires_on_numpy_product_calls_too():
-    report = report_for(
-        (
-            "src/repro/core/kernels.py",
-            """
-            import numpy as np
-
-
-            def run(summaries, weights, tau):
-                for t in range(tau):
-                    weights = np.dot(summaries[t], weights)
-                return weights
-            """,
-        )
-    )
-    assert fired(report) == ["R006"]
-
-
-def test_r006_flags_only_the_outermost_offending_loop():
-    report = report_for(
-        (
-            "src/repro/core/replay_plan.py",
-            """
-            def run(blocks, weights, n, k):
-                for i in range(n):
-                    for j in range(k):
-                        weights = blocks[i][j] @ weights
-                return weights
-            """,
-        )
-    )
-    assert [v.rule for v in report.violations] == ["R006"]
-
-
-def test_r006_ignores_loops_without_matrix_products():
-    report = report_for(
-        (
-            "src/repro/core/replay_plan.py",
-            """
-            def total(base_sizes, tau):
-                acc = 0
-                for t in range(tau):
-                    acc += base_sizes[t]
-                return acc
-            """,
-        )
-    )
-    assert report.ok and not report.waived
-
-
-def test_r006_ignores_modules_off_the_replay_path():
-    report = report_for(("src/repro/serving/router.py", REPLAY_LOOP_SRC))
-    assert report.ok
-
-
-def test_r006_waiver_marks_the_sanctioned_fallback():
-    report = report_for(
-        (
-            "src/repro/core/replay_plan.py",
-            """
-            def run_scalar(lefts, rights, weights, start, end):
-                # reprolint: allow[R006] sanctioned per-iteration fallback
-                for t in range(start, end):
-                    weights = lefts[t] @ (rights[t].T @ weights)
-                return weights
-            """,
-        )
-    )
-    assert report.ok
-    assert len(report.waived) == 1

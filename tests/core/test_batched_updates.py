@@ -151,16 +151,6 @@ class TestPlanMatchesSequential:
             plan.run_single(removed), updater.update(removed), atol=ATOL
         )
 
-    def test_sparse_without_block_cache_matches(self):
-        features, labels, store = _plan_case("binary_logistic", "auto", sparse=True)
-        updater = PrIUUpdater(store, features, labels)
-        plan = ReplayPlan(store, features, labels, cache_sparse_blocks=False)
-        assert plan._blocks is None
-        removed = [1, 7, 19]
-        np.testing.assert_allclose(
-            plan.run_single(removed), updater.update(removed), atol=ATOL
-        )
-
     def test_stale_plan_rejected_after_store_mutation(self):
         features, labels, store = _plan_case("linear", "none")
         plan = ReplayPlan(store, features, labels)

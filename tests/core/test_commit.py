@@ -6,7 +6,8 @@ replaying the original trainer with ``S ∪ T`` to reduction-order noise
 (atol 1e-10), for every task × summary representation.  For the linear task
 — whose capture is trajectory-independent — the committed store is
 additionally checked against a genuine from-scratch re-capture on the
-reduced dataset.
+reduced dataset.  The refresh's row-drop helper (``_drop_rows``) is
+checked against ``np.delete``.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from repro import IncrementalTrainer
 from repro.core import train_with_capture
 from repro.core.provenance_store import remap_surviving_ids
-from repro.core.replay_plan import ReplayPlan
+from repro.core.replay_plan import ReplayPlan, _drop_rows
 from repro.datasets import (
     make_binary_classification,
     make_multiclass_classification,
@@ -112,9 +113,8 @@ class TestCommitCompositionality:
         fresh = ReplayPlan(trainer.store, trainer.features, trainer.labels)
         ours = trainer._plan.state_arrays()
         theirs = fresh.state_arrays()
-        plain = [k for k in theirs if not k.startswith("kernel_")]
-        assert plain == [k for k in ours if not k.startswith("kernel_")]
-        for key in plain:
+        assert list(ours) == list(theirs)
+        for key in theirs:
             assert ours[key].dtype == theirs[key].dtype, key
             assert np.array_equal(ours[key], theirs[key]), key
         query = np.sort(rng.choice(trainer.n_samples, size=5, replace=False))
@@ -366,3 +366,27 @@ class TestCommitProperties:
             np.union1d(committed, query_old), method="priu"
         ).weights
         np.testing.assert_allclose(got, want, atol=ATOL, rtol=0.0)
+
+
+class TestDropRows:
+    def test_matches_np_delete_on_random_cases(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            width = int(rng.integers(1, 5))
+            arr = rng.standard_normal((n, width)) if width > 1 else (
+                rng.standard_normal(n)
+            )
+            k = int(rng.integers(0, n + 1))
+            dropped = np.sort(
+                rng.choice(n, size=k, replace=False)
+            ).astype(np.int64)
+            got = _drop_rows(arr, dropped)
+            want = np.delete(arr, dropped, axis=0)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_all_rows_dropped(self):
+        arr = np.arange(12.0).reshape(4, 3)
+        got = _drop_rows(arr, np.arange(4, dtype=np.int64))
+        assert got.shape == (0, 3)

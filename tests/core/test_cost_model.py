@@ -5,20 +5,17 @@ touched iterations, dropped occurrence slots, plan-patch bytes, SVD
 width growth — match the executed commit receipt exactly (they are read
 off the same packed occurrence index the compact resolves against),
 across all 3 tasks × dense/SVD/sparse, for small and bulk removals.
-Around that sit unit tests for the `Calibration` fit (recorded
-BENCH_kernel runs + online EWMA refresh), the admission early-closing
-rule, the decision log, and the proof obligation that makes the model
-safe to attach: a cost-model trainer commits the same answers as a
-bare one (atol 1e-10).
+Around that sit unit tests for the decision log and the proof
+obligation that makes the model safe to attach: a cost-model trainer
+commits the same answers as a bare one (atol 1e-10).
 """
 
-import json
-from pathlib import Path
+import threading
 
 import numpy as np
 import pytest
 
-from repro import Calibration, CostModel, IncrementalTrainer
+from repro import CostModel, IncrementalTrainer
 from repro.core.costmodel import MAX_DECISIONS
 from repro.datasets import (
     make_binary_classification,
@@ -175,6 +172,25 @@ class TestEstimateAccuracy:
         assert estimate.mode == receipt["mode"] == "refresh"
         assert estimate.plan_patch_bytes == receipt["patched_bytes"]
 
+    def test_empty_removal_estimates_nothing(self):
+        trainer = _fit("binary_logistic", "svd", dict(batch_size=8))
+        estimate = trainer.estimate_removal([])
+        assert estimate.n_removed == 0
+        assert estimate.touched_iterations == 0
+        assert estimate.touched_occurrences == 0
+        assert estimate.touched_fraction == 0.0
+        assert estimate.svd_width_growth == 0
+        # Only the rebuilt offsets would be rewritten.
+        assert estimate.plan_patch_bytes == (
+            trainer._plan._record_offsets.nbytes
+        )
+
+    def test_estimate_ignores_order_and_duplicates(self):
+        trainer = _fit("linear", "svd", dict(batch_size=6))
+        assert trainer.estimate_removal([45, 3, 17, 3]) == (
+            trainer.estimate_removal([3, 17, 45])
+        )
+
     def test_estimate_requires_fit(self):
         trainer = IncrementalTrainer(
             "linear", learning_rate=0.05, regularization=0.01,
@@ -184,129 +200,12 @@ class TestEstimateAccuracy:
             trainer.estimate_removal([0])
 
 
-# ------------------------------------------------------------- calibration
-class TestCalibration:
-    def test_defaults_are_unknown(self):
-        cal = Calibration()
-        assert cal.batch_seconds == 0.0
-        assert cal.kernel_speedup() == 0.0
-        assert CostModel(cal).kernel_block_size(16) == 16
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Calibration(batch_seconds=-0.1)
-        with pytest.raises(ValueError):
-            Calibration(fused_iteration_seconds=-1.0)
-        with pytest.raises(ValueError):
-            Calibration(scalar_iteration_seconds=-1.0)
-
-    def test_from_bench_dict_fits_medians(self):
-        rows = [
-            {"blocked_seconds_per_iteration": 1.0,
-             "scalar_seconds_per_iteration": 4.0},
-            {"blocked_seconds_per_iteration": 3.0,
-             "scalar_seconds_per_iteration": 2.0},
-            {"blocked_seconds_per_iteration": 2.0},
-        ]
-        cal = Calibration.from_bench({"kernel_sweep": rows})
-        assert cal.fused_iteration_seconds == pytest.approx(2.0)
-        assert cal.scalar_iteration_seconds == pytest.approx(3.0)
-        assert cal.n_observations == 5
-        assert cal.source == "dict"
-
-    def test_from_bench_empty_keeps_defaults(self):
-        cal = Calibration.from_bench({"kernel_sweep": []})
-        assert cal.kernel_speedup() == 0.0
-        assert cal.n_observations == 0
-
-    def test_from_bench_missing_file_falls_back(self, tmp_path):
-        """A fresh deployment has no benchmark run yet; attaching its
-        cost model must not take serving down."""
-        cal = Calibration.from_bench(tmp_path / "BENCH_kernel.json")
-        assert cal.kernel_speedup() == 0.0
-        assert cal.n_observations == 0
-        assert "unreadable" in cal.source
-        assert str(tmp_path) in cal.source
-
-    def test_from_bench_empty_file_falls_back(self, tmp_path):
-        empty = tmp_path / "BENCH_kernel.json"
-        empty.write_text("")
-        cal = Calibration.from_bench(empty)
-        assert cal.n_observations == 0
-        assert "unreadable" in cal.source
-
-    def test_from_bench_truncated_json_falls_back(self, tmp_path):
-        torn = tmp_path / "BENCH_kernel.json"
-        torn.write_text('{"kernel_sweep": [{"blocked_sec')
-        cal = Calibration.from_bench(torn)
-        assert cal.n_observations == 0
-        assert "unreadable" in cal.source
-
-    def test_from_bench_non_mapping_falls_back(self, tmp_path):
-        listy = tmp_path / "BENCH_kernel.json"
-        listy.write_text("[1, 2, 3]")
-        cal = Calibration.from_bench(listy)
-        assert cal.n_observations == 0
-        assert "not a mapping" in cal.source
-        assert Calibration.from_bench(None).n_observations == 0
-
-    def test_from_bench_malformed_rows_are_skipped(self):
-        rows = [
-            "not a row",
-            {"block_size": 4},  # no timings at all
-            {"blocked_seconds_per_iteration": "fast",
-             "scalar_seconds_per_iteration": 0.1},  # unparseable float
-            {"blocked_seconds_per_iteration": 0.3,
-             "scalar_seconds_per_iteration": 0.9},  # usable
-            None,
-        ]
-        cal = Calibration.from_bench({"kernel_sweep": rows})
-        assert cal.fused_iteration_seconds == pytest.approx(0.3)
-        assert cal.scalar_iteration_seconds == pytest.approx(0.9)
-        assert cal.n_observations == 2
-
-    def test_from_bench_non_list_table_falls_back(self):
-        cal = Calibration.from_bench({"kernel_sweep": {"oops": 1}})
-        assert cal.n_observations == 0
-
-    def test_from_bench_recorded_run(self, tmp_path):
-        """The repo's recorded BENCH_kernel.json (when present) fits."""
-        recorded = Path(__file__).resolve().parents[2] / "BENCH_kernel.json"
-        if not recorded.exists():
-            payload = {"kernel_sweep": [
-                {"blocked_seconds_per_iteration": 1e-5,
-                 "scalar_seconds_per_iteration": 2e-5},
-            ]}
-            recorded = tmp_path / "BENCH_kernel.json"
-            recorded.write_text(json.dumps(payload))
-        cal = Calibration.from_bench(recorded)
-        assert cal.fused_iteration_seconds > 0.0
-        assert cal.scalar_iteration_seconds > 0.0
-        assert cal.kernel_speedup() > 0.0
-        assert cal.source == str(recorded)
-
-
-# --------------------------------------------------------- online learning
-class TestOnlineCalibration:
-    def test_observe_batch_seeds_then_blends(self):
-        cm = CostModel(ewma=0.5)
-        cm.observe_batch(4, 0.2)
-        assert cm.calibration.batch_seconds == pytest.approx(0.2)
-        cm.observe_batch(4, 0.4)
-        assert cm.calibration.batch_seconds == pytest.approx(0.3)
-
-    def test_observe_batch_ignores_nonsense(self):
-        cm = CostModel()
-        cm.observe_batch(0, 1.0)
-        cm.observe_batch(4, -1.0)
-        assert cm.calibration.batch_seconds == 0.0
-
+# ------------------------------------------------------------ decision log
+class TestDecisionLog:
     def test_commit_receipt_only_logs(self):
         cm = CostModel()
-        before = cm.calibration
         cm.observe_commit(None, {"mode": "refresh", "fraction": 0.1,
                                  "plan_sync_seconds": 0.2})
-        assert cm.calibration == before
         (decision,) = cm.decisions()
         assert decision["actual_mode"] == "refresh"
         assert decision["actual_seconds"] == pytest.approx(0.2)
@@ -319,49 +218,63 @@ class TestOnlineCalibration:
         log = cm.decisions()
         assert len(log) == MAX_DECISIONS
 
+    def test_decision_ring_keeps_the_newest_entries(self):
+        cm = CostModel()
+        for i in range(MAX_DECISIONS + 10):
+            cm.observe_commit(None, {"mode": "refresh", "fraction": float(i)})
+        fractions = [d["actual_fraction"] for d in cm.decisions()]
+        assert fractions == [float(i) for i in range(10, MAX_DECISIONS + 10)]
+
+    def test_observe_commit_logs_the_estimate_verbatim(self):
+        trainer = _fit("binary_logistic", "dense")
+        estimate = trainer.estimate_removal([3, 17])
+        receipt = trainer.commit(trainer.remove([3, 17], method="priu"))
+        cm = CostModel()
+        cm.observe_commit(estimate, receipt)
+        (decision,) = cm.decisions()
+        assert decision["predicted"] == estimate.as_dict()
+        assert decision["actual_patched_bytes"] == receipt["patched_bytes"]
+        assert decision["actual_fraction"] == receipt["fraction"]
+        assert decision["actual_mode"] == "refresh"
+
+    def test_concurrent_observers_lose_no_decision(self):
+        cm = CostModel()
+        per_thread = 100
+
+        def observe(tag):
+            for i in range(per_thread):
+                cm.observe_commit(
+                    None, {"mode": "refresh", "fraction": tag + i / 1000}
+                )
+
+        threads = [
+            threading.Thread(target=observe, args=(tag,)) for tag in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        fractions = sorted(d["actual_fraction"] for d in cm.decisions())
+        assert fractions == sorted(
+            tag + i / 1000 for tag in range(4) for i in range(per_thread)
+        )
+
     def test_commit_feeds_decision_log_with_prediction(self):
         cm = CostModel()
         trainer = _fit("binary_logistic", "dense", cost_model=cm)
         trainer.remove([3, 17], method="priu", commit=True)
-        # The plan replay logs its own (kind="replay") observation ahead
-        # of the commit decision.
-        (decision,) = [
-            d for d in cm.decisions() if d.get("kind") != "replay"
-        ]
+        (decision,) = cm.decisions()
         assert decision["predicted"] is not None
         assert decision["predicted"]["mode"] == decision["actual_mode"]
         assert decision["actual_seconds"] > 0.0
 
-    def test_invalid_ewma_rejected(self):
-        with pytest.raises(ValueError):
-            CostModel(ewma=0.0)
-        with pytest.raises(ValueError):
-            CostModel(ewma=1.5)
-
-
-# ----------------------------------------------------- admission economics
-class TestEarlyClosing:
-    def test_uncalibrated_never_closes_early(self):
-        cm = CostModel()
-        assert not cm.should_close(1, 10.0)
-        assert not cm.should_close(100, 10.0)
-
-    def test_saving_shrinks_as_batch_grows(self):
-        cm = CostModel(Calibration(batch_seconds=0.8))
-        savings = [cm.predicted_batch_saving(n) for n in (1, 2, 4, 8)]
-        assert savings == sorted(savings, reverse=True)
-        assert savings[0] == pytest.approx(0.8)
-
-    def test_closes_once_budget_exceeds_saving(self):
-        cm = CostModel(Calibration(batch_seconds=0.1))
-        assert cm.should_close(2, 0.06)  # saving 0.05 < remaining 0.06
-        assert not cm.should_close(2, 0.04)
-
     def test_report_shape(self):
         cm = CostModel()
+        assert cm.report() == {"decisions": []}
+        cm.observe_commit(None, {"mode": "refresh", "fraction": 0.1})
         report = cm.report()
-        assert set(report) == {"calibration", "decisions"}
-        assert report["calibration"]["batch_seconds"] == 0.0
+        assert set(report) == {"decisions"}
+        assert report["decisions"] == cm.decisions()
 
 
 # ------------------------------------------------------ answer preservation

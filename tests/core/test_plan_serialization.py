@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    CheckpointCorruptionError,
     IncrementalTrainer,
     PlanCache,
     ReplayPlan,
@@ -37,6 +38,7 @@ from repro.datasets import (
     make_regression,
     make_sparse_binary_classification,
 )
+from repro.testing import corrupt_npz_member
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -238,6 +240,129 @@ class TestValidation:
         trainer._plan.supported = False  # simulate sparse-multinomial case
         with pytest.raises(ValueError, match="compiled state"):
             save_plan(trainer._plan, tmp_path / "plan.npz")
+
+
+class TestOlderArchives:
+    """Plan archives from builds that fused iterations into block
+    descriptors carry extra ``kernel_*`` members and a
+    ``kernel_block_size`` meta entry.  They still load: the extra
+    members pass through the checksum sweep like any other, and the
+    plan ignores them."""
+
+    @staticmethod
+    def _write_legacy_plan(tmp_path, monkeypatch):
+        data = make_regression(200, 12, seed=13)
+        trainer = fit_trainer("linear", data, batch_size=6, method="priu")
+        assert trainer.store.compression == "svd"
+        plan = trainer._plan
+        rng = np.random.default_rng(0)
+        legacy = {
+            "kernel_starts": np.array([0, 16], dtype=np.int64),
+            "kernel_stops": np.array([16, 32], dtype=np.int64),
+            "kernel_alphas": np.array([0.9, 0.9]),
+            "kernel_row_offsets": np.array([0, 3, 6], dtype=np.int64),
+            "kernel_left": rng.standard_normal((6, plan.n_params)),
+            "kernel_right": rng.standard_normal((6, plan.n_params)),
+            "kernel_offsets": rng.standard_normal((2, plan.n_params)),
+        }
+        arrays = {**plan.state_arrays(), **legacy}
+        meta = {**plan.state_meta(), "kernel_block_size": "16"}
+        with monkeypatch.context() as patch:
+            patch.setattr(plan, "state_arrays", lambda: arrays)
+            patch.setattr(plan, "state_meta", lambda: meta)
+            store_path = save_store(trainer.store, tmp_path / "store.npz")
+            plan_path = save_plan(
+                plan, tmp_path / "plan.npz", weights=trainer.weights_
+            )
+        with np.load(plan_path) as npz:
+            assert set(legacy) <= set(npz.files)
+        return trainer, store_path, plan_path
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_kernel_members_load_and_answer_like_a_fresh_compile(
+        self, tmp_path, monkeypatch, mmap
+    ):
+        trainer, store_path, plan_path = self._write_legacy_plan(
+            tmp_path, monkeypatch
+        )
+        reloaded = load_plan(
+            plan_path,
+            load_store(store_path),
+            trainer.features,
+            trainer.labels,
+            mmap=mmap,
+        )
+        reloaded.verify_integrity()
+        fresh = ReplayPlan(trainer.store, trainer.features, trainer.labels)
+        assert_state_bit_identical(fresh, reloaded)
+        sets = [[3, 17], [5], [40, 41, 42]]
+        assert np.array_equal(reloaded.run(sets), fresh.run(sets))
+        assert np.array_equal(
+            reloaded.run_single([9]), fresh.run_single([9])
+        )
+        assert np.array_equal(reloaded.final_weights, trainer.weights_)
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_corrupt_kernel_member_is_still_caught(
+        self, tmp_path, monkeypatch, mmap
+    ):
+        trainer, store_path, plan_path = self._write_legacy_plan(
+            tmp_path, monkeypatch
+        )
+        corrupt_npz_member(plan_path, "kernel_left")
+        with pytest.raises(CheckpointCorruptionError):
+            plan = load_plan(
+                plan_path,
+                load_store(store_path),
+                trainer.features,
+                trainer.labels,
+                mmap=mmap,
+            )
+            plan.run([[3]])
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_block_size_entry_without_members_loads(
+        self, tmp_path, monkeypatch, mmap
+    ):
+        """Dense-summary and sparse plans compiled no descriptors, so
+        their older archives carry only the ``kernel_block_size`` entry."""
+        data = make_sparse_binary_classification(
+            260, 120, density=0.05, seed=15
+        )
+        trainer = fit_trainer("binary_logistic", data, method="priu")
+        plan = trainer._plan
+        meta = {**plan.state_meta(), "kernel_block_size": "16"}
+        monkeypatch.setattr(plan, "state_meta", lambda: meta)
+        reloaded = roundtrip_plan(trainer, tmp_path, mmap=mmap)
+        reloaded.verify_integrity()
+        assert_state_bit_identical(plan, reloaded)
+        sets = [[3, 17], [5], [40, 41, 42]]
+        assert np.array_equal(reloaded.run(sets), plan.run(sets))
+
+    def test_older_checkpoint_directory_serves_identically(
+        self, tmp_path, monkeypatch
+    ):
+        trainer, store_path, _ = self._write_legacy_plan(
+            tmp_path, monkeypatch
+        )
+        trainer.save_checkpoint(tmp_path / "checkpoint")
+        plan_path = tmp_path / "checkpoint" / "plan.npz"
+        (tmp_path / "plan.npz").replace(plan_path)
+        with np.load(plan_path) as npz:
+            assert "kernel_left" in npz.files
+        restored = IncrementalTrainer.from_checkpoint(
+            tmp_path / "checkpoint",
+            trainer.features,
+            trainer.labels,
+            method="priu",
+        )
+        assert np.array_equal(restored.weights_, trainer.weights_)
+        removed = [2, 9, 40]
+        for method in ("priu", "priu-seq"):
+            assert np.array_equal(
+                restored.remove(removed, method=method).weights,
+                trainer.remove(removed, method=method).weights,
+            ), method
 
 
 class TestTrainerCheckpoint:

@@ -1,23 +1,17 @@
-"""Cost-driven scheduling at the serving layer: estimate, then admit.
+"""The cost model at the serving layer: estimates and retirement.
 
 The core estimator's accuracy is property-tested in
-``tests/core/test_cost_model.py``; this file proves the *scheduling*
-half of the cost model's contract:
+``tests/core/test_cost_model.py``; this file covers what the serving
+layer does with it:
 
-* **Answer preservation** — a server whose
-  :class:`repro.AdmissionPolicy` closes batches early answers every
-  request within atol 1e-10 of the fixed-budget reference server.
-
-* **Early closing** — a calibrated policy-level cost model dispatches a
-  lone bulk request immediately (wait exactly 0.0 under the
-  :class:`harness.FakeClock`) where the fixed budget would hold it the
-  full coalescing delay; an *uncalibrated* model changes nothing.  The
-  fleet scheduler's ``cost_ready`` wakeup path makes that call.
+* **Decides nothing** — a trainer's cost model leaves dispatch alone
+  (a lone bulk request still waits its full budget, a mixed-lane batch
+  still leaves at its earliest member deadline) and commits the same
+  answers as a bare trainer, one logged decision per committed batch.
 
 * **Estimate coverage** — every member of a served batch on a
   cost-model trainer carries the batch union's pre-dispatch estimate
-  (``ServedOutcome.predicted``), and served batches feed the online
-  batch-time calibration.
+  (``ServedOutcome.predicted``).
 
 * **Maintenance-aware eviction** — :meth:`repro.ModelRegistry.retire`
   refuses non-resident / live / pinned models, evicts clean residents,
@@ -37,11 +31,11 @@ import pytest
 from harness import FakeClock, StressDriver
 from repro import (
     AdmissionPolicy,
-    Calibration,
     CostModel,
     DeletionServer,
     FleetServer,
     IncrementalTrainer,
+    Lane,
     MaintenancePolicy,
     ModelRegistry,
 )
@@ -126,11 +120,7 @@ def _submission_plan(seed: int, n: int, initial_bound: int, max_ids: int = 3):
     """A deterministic commit-traffic plan: the ids of each request.
 
     Ids are drawn against a conservative shrinking bound so the same
-    plan is valid no matter how the serving side partitions batches.
-    Everything rides the ``bulk`` lane: with one lane, admission order
-    equals submission order for *any* batch partitioning, so two
-    servers that close batches differently must still commit
-    identically.
+    plan is valid in the post-commit id space however batches partition.
     """
     rng = np.random.default_rng(seed)
     bound = initial_bound
@@ -147,98 +137,79 @@ def _submission_plan(seed: int, n: int, initial_bound: int, max_ids: int = 3):
     return plan
 
 
-def _serve_plan(server: DeletionServer, plan, advance=None):
-    """Feed a plan through a server; start it after queuing if not started."""
-    futures = []
-    for ids in plan:
-        futures.append(server.submit(ids, lane="bulk"))
-        if advance is not None:
-            advance()
-    server.start()
-    assert server.flush(timeout=30)
-    server.close()
-    return [future.result(timeout=30) for future in futures]
+# ------------------------------------------------------ dispatch unchanged
+class TestAttachedModelDecidesNothing:
+    """A trainer's cost model prices each served batch and changes
+    neither when the batch leaves nor what it answers."""
 
-
-# ------------------------------------------------------- answer preservation
-class TestAnswerPreservation:
-    """Cost-driven decisions re-route execution, never the answer."""
-
-    def test_early_closing_preserves_answers(self):
-        """A policy-level cost model that always closes early re-partitions
-        batches (different ``remove_many`` groupings); every counterfactual
-        answer still matches the fixed-budget reference at atol 1e-10."""
-        plan = _submission_plan(
-            seed=92, n=24, initial_bound=_BINARY_B.features.shape[0]
-        )
-        # A tiny predicted batch time: the marginal coalescing saving
-        # always loses to the remaining wait, so every batch closes the
-        # moment it has one member (later sweeps still ride for free).
-        eager = CostModel(Calibration(batch_seconds=1e-9))
-        runs = {}
-        for name, policy in (
-            ("reference", AdmissionPolicy(max_batch=4, max_delay_seconds=0.02)),
-            (
-                "eager",
-                AdmissionPolicy(
-                    max_batch=4, max_delay_seconds=0.02, cost_model=eager
-                ),
-            ),
-        ):
-            clock = FakeClock()
-            server = DeletionServer(
-                fit_model("binary-b"),
-                policy,
-                method="priu",
-                autostart=True,
-                clock=clock,
-            )
-            runs[name] = _serve_plan(
-                server, plan, advance=lambda c=clock: c.advance(0.003)
-            )
-        for i, (outcome, expected) in enumerate(
-            zip(runs["eager"], runs["reference"])
-        ):
-            np.testing.assert_allclose(
-                outcome.weights, expected.weights, atol=1e-10, rtol=0.0,
-                err_msg=f"early-closing request {i} diverged",
-            )
-            assert np.array_equal(outcome.removed, expected.removed)
-        # (That the eager policy really does dispatch without waiting is
-        # proved deterministically in TestEarlyClosing — here the batch
-        # interleaving races the submitter, so only answers are compared.)
-
-
-# ------------------------------------------------------------ early closing
-class TestEarlyClosing:
-    """Calibrated batch time turns 'wait out the budget' into 'go now'."""
-
-    def _lone_bulk_wait(self, policy: AdmissionPolicy) -> float:
-        trainer = fit_model("binary")
+    def test_lone_bulk_request_waits_its_full_budget(self):
+        trainer = fit_model("binary", cost_model=CostModel())
         server = DeletionServer(
-            trainer, policy, method="priu", autostart=True, clock=FakeClock()
+            trainer,
+            AdmissionPolicy(max_batch=16, max_delay_seconds=0.03),
+            method="priu",
+            autostart=True,
+            clock=FakeClock(),
         )
         outcome = server.resolve([3, 7], lane="bulk", timeout=30)
         server.close()
-        return outcome.wait_seconds
+        assert outcome.wait_seconds == 0.03
+        assert outcome.predicted is not None
 
-    def test_calibrated_server_dispatches_lone_bulk_immediately(self):
+    def test_mixed_lanes_leave_at_the_first_member_deadline(self):
         policy = AdmissionPolicy(
             max_batch=16,
-            max_delay_seconds=0.03,
-            cost_model=CostModel(Calibration(batch_seconds=1e-9)),
+            max_delay_seconds=0.01,
+            lanes=(
+                Lane("bulk", max_delay_seconds=0.03, priority=10),
+                Lane("fast", max_delay_seconds=0.02, priority=5),
+            ),
+            default_lane="bulk",
         )
-        assert self._lone_bulk_wait(policy) == 0.0
+        clock = FakeClock()
+        server = DeletionServer(
+            fit_model("binary", cost_model=CostModel()),
+            policy,
+            method="priu",
+            autostart=False,
+            clock=clock,
+        )
+        bulk = server.submit([3, 7], lane="bulk")
+        clock.advance(0.025)
+        fast = server.submit([11], lane="fast")
+        server.start()
+        assert server.flush(timeout=30)
+        server.close()
+        assert bulk.result(timeout=30).wait_seconds == 0.03
+        assert fast.result(timeout=30).wait_seconds == pytest.approx(0.005)
 
-    def test_uncalibrated_model_keeps_the_fixed_budget(self):
-        """batch_seconds == 0 means unknown: early closing stays off, the
-        lone bulk request waits out the full coalescing delay."""
-        policy = AdmissionPolicy(
-            max_batch=16,
-            max_delay_seconds=0.03,
-            cost_model=CostModel(),
+    def test_committed_answers_match_a_bare_trainer(self):
+        plan = _submission_plan(
+            seed=92, n=12, initial_bound=_BINARY_B.features.shape[0]
         )
-        assert self._lone_bulk_wait(policy) == 0.03
+        runs = {}
+        for name, model in (("bare", None), ("priced", CostModel())):
+            trainer = fit_model("binary-b", cost_model=model)
+            server = DeletionServer(
+                trainer,
+                AdmissionPolicy(max_batch=4, max_delay_seconds=0.02),
+                method="priu",
+                commit_mode=True,
+                autostart=False,
+                clock=FakeClock(),
+            )
+            futures = [server.submit(ids, lane="bulk") for ids in plan]
+            server.start()
+            assert server.flush(timeout=30)
+            server.close()
+            runs[name] = (trainer, [f.result(timeout=30) for f in futures])
+        (bare, expected), (priced, served) = runs["bare"], runs["priced"]
+        for i, (outcome, reference) in enumerate(zip(served, expected)):
+            assert np.array_equal(outcome.weights, reference.weights), i
+            assert outcome.batch_seq == reference.batch_seq, i
+        assert np.array_equal(priced.result.weights, bare.result.weights)
+        n_batches = len({o.batch_seq for o in served})
+        assert len(priced.cost_model.decisions()) == n_batches
 
 
 # -------------------------------------------------------- estimate coverage
@@ -280,19 +251,6 @@ class TestPredictedEstimates:
         outcome = server.resolve([2, 4], timeout=30)
         server.close()
         assert outcome.predicted is None
-
-    def test_served_batches_feed_online_batch_calibration(self):
-        """Real clock: one dispatch seeds batch_seconds from its measured
-        service time, flipping the calibration source to 'online'."""
-        cost_model = CostModel()
-        assert cost_model.calibration.batch_seconds == 0.0
-        trainer = fit_model("binary", cost_model=cost_model)
-        server = DeletionServer(trainer, method="priu", autostart=True)
-        server.resolve([2, 4], timeout=30)
-        server.close()
-        calibration = cost_model.calibration
-        assert calibration.batch_seconds > 0.0
-        assert calibration.source == "online"
 
 
 # ------------------------------------------------ maintenance-aware retire
@@ -464,12 +422,7 @@ def test_stress_cost_op_and_estimate_coverage(seed, cost_checkpoint):
     clock = FakeClock()
     fleet = FleetServer(
         registry,
-        AdmissionPolicy(
-            max_batch=4,
-            max_delay_seconds=0.02,
-            max_pending=8,
-            cost_model=CostModel(),
-        ),
+        AdmissionPolicy(max_batch=4, max_delay_seconds=0.02, max_pending=8),
         method="priu",
         n_workers=2,
         clock=clock,

@@ -1,8 +1,12 @@
-"""Unit tests for the admission policy and SLA lanes (pure logic, no threads)."""
+"""Unit tests for the admission policy and SLA lanes (pure logic, no threads).
+
+When a queued batch dispatches (full batch, earliest member deadline) is
+the fleet scheduler's job and is tested end to end on the fake clock in
+``tests/serving/test_server.py``.
+"""
 
 import pytest
 
-from repro import Calibration, CostModel
 from repro.serving import AdmissionPolicy, Lane
 
 
@@ -28,100 +32,6 @@ class TestValidation:
         policy = AdmissionPolicy()
         with pytest.raises(Exception):
             policy.max_batch = 99
-
-
-class TestDispatchLogic:
-    def test_dispatches_on_full_batch(self):
-        policy = AdmissionPolicy(max_batch=4, max_delay_seconds=10.0)
-        assert not policy.should_dispatch(3, 0.0)
-        assert policy.should_dispatch(4, 0.0)
-
-    def test_dispatches_on_expired_budget(self):
-        policy = AdmissionPolicy(max_batch=100, max_delay_seconds=0.05)
-        assert not policy.should_dispatch(1, 0.01)
-        assert policy.should_dispatch(1, 0.05)
-
-    def test_zero_delay_serves_immediately(self):
-        policy = AdmissionPolicy(max_delay_seconds=0.0)
-        assert policy.should_dispatch(1, 0.0)
-
-    def test_explicit_batch_delay_overrides_the_default(self):
-        policy = AdmissionPolicy(max_batch=100, max_delay_seconds=0.05)
-        # A zero-delay (deadline) member collapses the batch's budget.
-        assert policy.should_dispatch(1, 0.0, delay=0.0)
-        assert not policy.should_dispatch(1, 0.01, delay=0.5)
-
-
-class TestCostAwareDispatch:
-    """The cost-model hook in should_dispatch: early close only, and lane
-    budgets stay hard upper bounds."""
-
-    def test_calibrated_model_closes_early(self):
-        policy = AdmissionPolicy(
-            max_batch=16,
-            max_delay_seconds=0.05,
-            cost_model=CostModel(Calibration(batch_seconds=0.001)),
-        )
-        # Remaining budget (0.05) dwarfs the marginal saving (0.001):
-        # dispatch now instead of holding the batch open.
-        assert policy.should_dispatch(1, 0.0)
-        # Near the end of the budget the saving wins again: keep waiting.
-        assert not policy.should_dispatch(1, 0.0495)
-
-    def test_uncalibrated_model_is_inert(self):
-        policy = AdmissionPolicy(
-            max_batch=16, max_delay_seconds=0.05, cost_model=CostModel()
-        )
-        assert not policy.should_dispatch(1, 0.0)
-        assert policy.should_dispatch(1, 0.05)  # the fixed budget still rules
-
-    def test_empty_batch_never_closes_early(self):
-        policy = AdmissionPolicy(
-            max_batch=16,
-            max_delay_seconds=0.05,
-            cost_model=CostModel(Calibration(batch_seconds=0.001)),
-        )
-        assert not policy.should_dispatch(0, 0.0)
-
-    def test_deadline_member_still_forces_zero_budget(self):
-        """Regression: a zero-delay (deadline-lane) member collapses the
-        batch's budget to zero no matter what the model predicts — even a
-        huge predicted saving must never extend a deadline batch's wait."""
-        patient = CostModel(Calibration(batch_seconds=1e9))
-        policy = AdmissionPolicy(
-            max_batch=16, max_delay_seconds=0.05, cost_model=patient
-        )
-        # The model itself would wait forever (saving always exceeds any
-        # remaining budget)...
-        assert not patient.should_close(1, 0.05)
-        # ...but a deadline member's delay=0.0 dispatches unconditionally,
-        # before the cost hook is even consulted.
-        assert policy.should_dispatch(1, 0.0, delay=0.0)
-        # And the deadline lane's configured budget is still zero with a
-        # cost model attached.
-        assert policy.delay_for("deadline") == 0.0
-
-    def test_cost_hook_is_one_directional(self):
-        """should_close can only turn 'keep waiting' into 'dispatch now':
-        whenever the fixed policy would dispatch, the cost-aware policy
-        dispatches too, for any calibration."""
-        fixed = AdmissionPolicy(max_batch=4, max_delay_seconds=0.02)
-        for batch_seconds in (0.0, 1e-9, 0.01, 1e9):
-            aware = AdmissionPolicy(
-                max_batch=4,
-                max_delay_seconds=0.02,
-                cost_model=CostModel(
-                    Calibration(batch_seconds=batch_seconds)
-                ),
-            )
-            for n in (1, 2, 4):
-                for wait in (0.0, 0.01, 0.02, 0.5):
-                    for delay in (None, 0.0, 0.02, 0.5):
-                        if fixed.should_dispatch(n, wait, delay):
-                            assert aware.should_dispatch(n, wait, delay), (
-                                f"cost model delayed a dispatch: "
-                                f"{batch_seconds=} {n=} {wait=} {delay=}"
-                            )
 
 
 class TestLanes:

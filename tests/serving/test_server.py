@@ -162,6 +162,46 @@ class TestCoalescing:
         assert early.result(timeout=30).wait_seconds == 0.02
         assert late.result(timeout=30).wait_seconds == pytest.approx(0.005)
 
+    def test_full_batch_dispatches_before_the_budget(
+        self, trainer, removal_sets
+    ):
+        """Reaching max_batch dispatches at once, however much budget is
+        left; the remainder waits out its own full budget."""
+        clock = FakeClock()
+        server = DeletionServer(
+            trainer,
+            AdmissionPolicy(max_batch=4, max_delay_seconds=10.0),
+            autostart=False,
+            clock=clock,
+        )
+        futures = [server.submit(s) for s in removal_sets[:5]]
+        server.start()
+        assert server.flush(timeout=30)
+        server.close()
+        outcomes = [f.result(timeout=30) for f in futures]
+        assert [o.wait_seconds for o in outcomes[:4]] == [0.0] * 4
+        assert {o.batch_size for o in outcomes[:4]} == {4}
+        assert outcomes[4].wait_seconds == 10.0
+        assert outcomes[4].batch_size == 1
+
+    def test_zero_budget_dispatches_a_lone_request_at_once(
+        self, trainer, removal_sets
+    ):
+        clock = FakeClock()
+        server = DeletionServer(
+            trainer,
+            AdmissionPolicy(max_batch=16, max_delay_seconds=0.0),
+            autostart=False,
+            clock=clock,
+        )
+        future = server.submit(removal_sets[0])
+        server.start()
+        assert server.flush(timeout=30)
+        server.close()
+        outcome = future.result(timeout=30)
+        assert outcome.wait_seconds == 0.0
+        assert outcome.batch_size == 1
+
 
 class TestLanes:
     def test_deadline_lane_forces_immediate_dispatch(
@@ -232,6 +272,108 @@ class TestLanes:
             for f in bulk_futures
         ]
         assert bulk_coords == sorted(bulk_coords)
+
+    def test_mixed_budgets_dispatch_at_the_earliest_member_deadline(
+        self, trainer, removal_sets
+    ):
+        """Two non-zero lane budgets in one batch: it leaves when the
+        earliest *member deadline* (enqueue time + own lane budget)
+        passes — the bulk request's 0.03 s, not the 0.02 s lane's budget
+        counted from the bulk request's enqueue.  Both lane budgets
+        exceed the policy default, which neither lane inherits."""
+        policy = AdmissionPolicy(
+            max_batch=16,
+            max_delay_seconds=0.01,
+            lanes=(
+                Lane("bulk", max_delay_seconds=0.03, priority=10),
+                Lane("fast", max_delay_seconds=0.02, priority=5),
+            ),
+            default_lane="bulk",
+        )
+        clock = FakeClock()
+        server = DeletionServer(
+            trainer, policy, autostart=False, clock=clock
+        )
+        bulk = server.submit(removal_sets[0], lane="bulk")
+        clock.advance(0.025)
+        fast = server.submit(removal_sets[1], lane="fast")
+        server.start()
+        assert server.flush(timeout=30)
+        server.close()
+        bulk_outcome = bulk.result(timeout=30)
+        fast_outcome = fast.result(timeout=30)
+        assert bulk_outcome.wait_seconds == 0.03
+        assert fast_outcome.wait_seconds == pytest.approx(0.005)
+        assert bulk_outcome.batch_seq == fast_outcome.batch_seq == 0
+        assert bulk_outcome.batch_size == 2
+
+    @pytest.mark.parametrize(
+        "gap,bulk_wait,fast_wait",
+        [
+            (0.0, 0.02, 0.02),
+            (0.005, 0.025, 0.02),
+            (0.01, 0.03, 0.02),
+            (0.02, 0.03, 0.01),
+        ],
+    )
+    def test_batch_leaves_at_the_first_member_deadline(
+        self, trainer, removal_sets, gap, bulk_wait, fast_wait
+    ):
+        """A bulk request at t=0 (deadline 0.03) and a 0.02 s-lane request
+        at t=gap (deadline gap + 0.02) share one batch, which leaves at
+        whichever member deadline comes first."""
+        policy = AdmissionPolicy(
+            max_batch=16,
+            max_delay_seconds=0.01,
+            lanes=(
+                Lane("bulk", max_delay_seconds=0.03, priority=10),
+                Lane("fast", max_delay_seconds=0.02, priority=5),
+            ),
+            default_lane="bulk",
+        )
+        clock = FakeClock()
+        server = DeletionServer(
+            trainer, policy, autostart=False, clock=clock
+        )
+        bulk = server.submit(removal_sets[0], lane="bulk")
+        clock.advance(gap)
+        fast = server.submit(removal_sets[1], lane="fast")
+        server.start()
+        assert server.flush(timeout=30)
+        server.close()
+        bulk_outcome = bulk.result(timeout=30)
+        fast_outcome = fast.result(timeout=30)
+        assert bulk_outcome.wait_seconds == pytest.approx(bulk_wait)
+        assert fast_outcome.wait_seconds == pytest.approx(fast_wait)
+        assert bulk_outcome.batch_seq == fast_outcome.batch_seq == 0
+        assert bulk_outcome.batch_size == 2
+
+    def test_lane_budget_overrides_the_policy_default(
+        self, trainer, removal_sets
+    ):
+        """A lane's own budget replaces the policy default, whether it
+        is longer or shorter."""
+        policy = AdmissionPolicy(
+            max_batch=16,
+            max_delay_seconds=0.05,
+            lanes=(
+                Lane("slow", max_delay_seconds=0.5, priority=10),
+                Lane("quick", max_delay_seconds=0.01, priority=5),
+            ),
+            default_lane="slow",
+        )
+        waits = {}
+        for lane in ("slow", "quick"):
+            clock = FakeClock()
+            server = DeletionServer(
+                trainer, policy, autostart=False, clock=clock
+            )
+            future = server.submit(removal_sets[0], lane=lane)
+            server.start()
+            assert server.flush(timeout=30)
+            server.close()
+            waits[lane] = future.result(timeout=30).wait_seconds
+        assert waits == {"slow": 0.5, "quick": 0.01}
 
     def test_unknown_lane_fails_at_submit(self, trainer, removal_sets):
         with DeletionServer(trainer) as server:
