@@ -118,7 +118,6 @@ class IncrementalTrainer:
         schedule_kind: str = "mb-sgd",
         max_dense_params: int = 2500,
         opt_feature_limit: int = 2500,
-        eigen_correction_limit: int = 0,
         cost_model=None,
         clock=None,
     ) -> None:
@@ -140,10 +139,6 @@ class IncrementalTrainer:
         self.schedule_kind = schedule_kind
         self.max_dense_params = int(max_dense_params)
         self.opt_feature_limit = int(opt_feature_limit)
-        # Maintenance: deferred PrIU-opt eigen refreshes covering at most
-        # this many removed rows use the incremental eigenvalue correction
-        # instead of a full re-eigendecomposition (0 = always exact).
-        self.eigen_correction_limit = int(eigen_correction_limit)
         # Optional repro.core.costmodel.CostModel.  When attached, every
         # commit logs its pre-commit estimate against the executed
         # receipt in the model's predicted-vs-actual decision ring.
@@ -234,7 +229,6 @@ class IncrementalTrainer:
                     self.n_iterations,
                     self.learning_rate,
                     self.regularization,
-                    eigen_correction_limit=self.eigen_correction_limit,
                 )
             elif self.store.frozen is not None and (
                 self.store.frozen.eigenvectors is not None
@@ -244,7 +238,6 @@ class IncrementalTrainer:
                     self.features,
                     self.labels,
                     plan=self._plan,
-                    eigen_correction_limit=self.eigen_correction_limit,
                 )
 
     def _resolve_opt(self, dense: bool, n_params: int) -> bool:
@@ -567,8 +560,7 @@ FleetServer` auto-maintenance) needs, since
         * **repack** — folds the multinomial slot map into the plan flats
           (bit-identical answers, freed bytes in the receipt);
         * **eigen** — discharges deferred PrIU-opt eigendecompositions
-          (incremental correction below ``policy.eigen_correction_limit``
-          rows, exact recompute otherwise).
+          (an exact recompute from the downdated gram).
 
         Safe to interleave with queries and commits at any batch
         boundary; the serving fleet schedules it on idle models behind
@@ -596,14 +588,13 @@ FleetServer` auto-maintenance) needs, since
             performed.append("repack")
         if "eigen" in due:
             refreshed: dict[str, str] = {}
-            limit = policy.eigen_correction_limit
             if self._opt is not None and hasattr(self._opt, "refresh_eigen"):
-                mode = self._opt.refresh_eigen(correction_limit=limit)
+                mode = self._opt.refresh_eigen()
                 if mode is not None:
                     refreshed["opt"] = mode
             frozen = self.store.frozen
             if frozen is not None and frozen.eigen_stale:
-                mode = refresh_frozen_eigen(frozen, correction_limit=limit)
+                mode = refresh_frozen_eigen(frozen)
                 if mode is not None:
                     refreshed["frozen"] = mode
             eigen_receipt = {"refreshed": refreshed}

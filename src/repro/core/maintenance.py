@@ -116,14 +116,6 @@ class MaintenancePolicy:
     while an explicit ε applies the paper's lossy tail-ratio criterion
     with the error bound surfaced in the report.
 
-    ``eigen_correction_limit`` forwards to the lazy PrIU-opt refresh: when
-    the commits deferred since the last refresh removed at most this many
-    (weighted) rows, the refresh corrects the frozen eigen*values* through
-    the existing incremental machinery (Eq. 18 — ``O(Δn·m²)``, same
-    approximation family as per-request updates) instead of paying the
-    full ``O(m³)`` re-eigendecomposition.  The default 0 always
-    recomputes exactly.
-
     ``svd_incremental`` lets re-truncation fold few appended correction
     columns into the existing orthogonal factors
     (:func:`~repro.linalg.svd.retruncate_summary` with ``appended``)
@@ -138,7 +130,6 @@ class MaintenancePolicy:
     max_svd_correction_columns: int = 0
     refresh_stale_eigen: bool = True
     svd_epsilon: float | None = None
-    eigen_correction_limit: int = 0
     svd_incremental: bool = True
 
     def __post_init__(self) -> None:
@@ -150,8 +141,6 @@ class MaintenancePolicy:
             raise ValueError("max_svd_correction_columns must be >= 0")
         if self.svd_epsilon is not None and self.svd_epsilon < 0.0:
             raise ValueError("svd_epsilon must be >= 0 (or None)")
-        if self.eigen_correction_limit < 0:
-            raise ValueError("eigen_correction_limit must be >= 0")
 
     def due(self, cost: MaintenanceCost) -> tuple[str, ...]:
         """Which of :data:`MAINTENANCE_TASKS` the thresholds mark due."""

@@ -42,48 +42,23 @@ from .provenance_store import (
 from .replay_plan import ReplayPlan
 
 
-def refresh_frozen_eigen(
-    frozen: FrozenProvenance, correction_limit: int = 0
-) -> str | None:
+def refresh_frozen_eigen(frozen: FrozenProvenance) -> str | None:
     """Discharge a frozen state's deferred eigendecomposition (lazily).
 
     Commits downdate ``frozen.gram`` exactly but only *flag* the eigen
-    state stale (:meth:`~repro.core.provenance_store.FrozenProvenance.\
-defer_eigen`); the first PrIU-opt update — or an explicit
+    state stale (:attr:`~repro.core.provenance_store.FrozenProvenance.\
+eigen_stale`); the first PrIU-opt update — or an explicit
     :meth:`~repro.core.api.IncrementalTrainer.maintain` — calls this to
-    catch up.  When the deferred removals span at most
-    ``correction_limit`` (weighted) rows, the eigen*values* are corrected
-    through the existing incremental machinery (Eq. 18, ``O(Δn·m²)``, the
-    same eigenvectors-barely-move approximation every PrIU-opt update
-    already makes); otherwise the gram is re-eigendecomposed exactly
-    (``O(m³)`` — identical to what the eager commit path used to
-    produce).  Returns ``"correction"`` / ``"recompute"``, or ``None``
-    when nothing was stale.
+    catch up by re-eigendecomposing the gram exactly (``O(m³)``).
+    Returns ``"recompute"``, or ``None`` when nothing was stale.
     """
     if not frozen.eigen_stale:
         return None
-    pending = frozen.pending_rows
-    if (
-        pending is not None
-        and frozen.eigenvectors is not None
-        and pending.shape[0] <= correction_limit
-    ):
-        system = EigenSystem(
-            eigenvectors=frozen.eigenvectors, eigenvalues=frozen.eigenvalues
-        )
-        frozen.eigenvalues = incremental_eigenvalues_from_rows(
-            system, pending, weights=frozen.pending_weights
-        )
-        mode = "correction"
-    else:
-        eigen = eigendecompose(frozen.gram)
-        frozen.eigenvectors = eigen.eigenvectors
-        frozen.eigenvalues = eigen.eigenvalues
-        mode = "recompute"
+    eigen = eigendecompose(frozen.gram)
+    frozen.eigenvectors = eigen.eigenvectors
+    frozen.eigenvalues = eigen.eigenvalues
     frozen.eigen_stale = False
-    frozen.pending_rows = None
-    frozen.pending_weights = None
-    return mode
+    return "recompute"
 
 
 class PrIUOptLinearUpdater:
@@ -97,7 +72,6 @@ class PrIUOptLinearUpdater:
         learning_rate: float,
         regularization: float,
         w0: np.ndarray | None = None,
-        eigen_correction_limit: int = 0,
     ) -> None:
         if is_sparse(features):
             raise ValueError("PrIU-opt requires dense features (Sec. 5.3)")
@@ -107,7 +81,6 @@ class PrIUOptLinearUpdater:
         self.n_iterations = int(n_iterations)
         self.learning_rate = float(learning_rate)
         self.regularization = float(regularization)
-        self.eigen_correction_limit = int(eigen_correction_limit)
         self._w0 = (
             np.zeros(self.n_features) if w0 is None else np.asarray(w0, float)
         )
@@ -119,12 +92,7 @@ class PrIUOptLinearUpdater:
         self._eigen = eigendecompose(self._gram)
         # Lazy-eigen debt: commits downdate M/N immediately but defer the
         # m³ eigendecomposition to the first update (or maintain()).
-        self._pending_rows: np.ndarray | None = None
-
-    @property
-    def eigen_stale(self) -> bool:
-        """True while a committed removal's eigen refresh is deferred."""
-        return self._pending_rows is not None
+        self.eigen_stale = False
 
     def nbytes(self) -> int:
         """Cached state: Q, eigenvalues, M and N (Sec. 5.2 space analysis)."""
@@ -148,43 +116,18 @@ class PrIUOptLinearUpdater:
         rows = self.features[removed]
         self._gram = self._gram - rows.T @ rows
         self._moment = self._moment - rows.T @ self.labels[removed]
-        self._pending_rows = (
-            rows.copy()
-            if self._pending_rows is None
-            else np.vstack([self._pending_rows, rows])
-        )
+        self.eigen_stale = True
         self.features = np.asarray(features, dtype=float)
         self.labels = np.asarray(labels, dtype=float).ravel()
         self.n_samples = self.features.shape[0]
 
-    def refresh_eigen(self, correction_limit: int | None = None) -> str | None:
-        """Discharge the deferred eigen refresh (see :func:`refresh_frozen_eigen`).
-
-        Small deferred removals (at most ``correction_limit`` rows,
-        default the constructor's ``eigen_correction_limit``) correct the
-        eigenvalues incrementally in the stale basis — the approximation
-        Sec. 5.2 already makes per update — instead of re-eigendecomposing.
-        """
-        if self._pending_rows is None:
+    def refresh_eigen(self) -> str | None:
+        """Discharge the deferred eigen refresh (see :func:`refresh_frozen_eigen`)."""
+        if not self.eigen_stale:
             return None
-        limit = (
-            self.eigen_correction_limit
-            if correction_limit is None
-            else correction_limit
-        )
-        if self._pending_rows.shape[0] <= limit:
-            self._eigen = EigenSystem(
-                eigenvectors=self._eigen.eigenvectors,
-                eigenvalues=incremental_eigenvalues_from_rows(
-                    self._eigen, self._pending_rows
-                ),
-            )
-            mode = "correction"
-        else:
-            self._eigen = eigendecompose(self._gram)
-            mode = "recompute"
-        self._pending_rows = None
-        return mode
+        self._eigen = eigendecompose(self._gram)
+        self.eigen_stale = False
+        return "recompute"
 
     def update(self, removed_indices, assume_unique: bool = False) -> np.ndarray:
         """Post-deletion parameters in ``O(min(Δn,m)·m²) + O(m)`` work."""
@@ -256,7 +199,6 @@ class PrIUOptLogisticUpdater:
         labels: np.ndarray,
         w0: np.ndarray | None = None,
         plan: ReplayPlan | None = None,
-        eigen_correction_limit: int = 0,
     ) -> None:
         if store.task not in ("binary_logistic", "multinomial_logistic"):
             raise ValueError("PrIUOptLogisticUpdater requires a logistic store")
@@ -274,7 +216,6 @@ class PrIUOptLogisticUpdater:
         self.features = np.asarray(features, dtype=float)
         self.labels = np.asarray(labels)
         self._w0 = w0
-        self.eigen_correction_limit = int(eigen_correction_limit)
         # Phase 1 replays through a compiled plan; callers that already hold
         # one (the facade) pass it in so the packed index and stacked layout
         # are shared rather than rebuilt.
@@ -289,15 +230,10 @@ class PrIUOptLogisticUpdater:
         """True while the frozen state's eigen refresh is deferred."""
         return bool(self.store.frozen.eigen_stale)
 
-    def refresh_eigen(self, correction_limit: int | None = None) -> str | None:
+    def refresh_eigen(self) -> str | None:
         """Discharge the frozen state's deferred eigen refresh, if any."""
         frozen = self.store.frozen
-        limit = (
-            self.eigen_correction_limit
-            if correction_limit is None
-            else correction_limit
-        )
-        mode = refresh_frozen_eigen(frozen, correction_limit=limit)
+        mode = refresh_frozen_eigen(frozen)
         if mode is not None:
             self._eigen = EigenSystem(
                 eigenvectors=frozen.eigenvectors,

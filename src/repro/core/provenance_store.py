@@ -101,6 +101,30 @@ def remap_surviving_ids(ids: np.ndarray, removed: np.ndarray) -> np.ndarray:
     return ids - np.searchsorted(removed, ids, side="left")
 
 
+def remap_through_deletion_log(
+    ids: np.ndarray, deletion_log: np.ndarray | None, tag: int
+) -> np.ndarray:
+    """Translate sorted-unique ``ids`` from the id space a store had when
+    its deletion log was ``tag`` entries long into its current space.
+
+    The log holds committed removals as original ids in commit order
+    (:attr:`ProvenanceStore.deletion_log`): its first ``tag`` entries fix
+    the tagged space, the rest are the commits since.  Ids committed
+    since drop out (those samples are gone, which is what the caller
+    asked for) and survivors shift down past every later removal below
+    them, so one call equals :func:`remap_surviving_ids` applied commit
+    by commit.
+    """
+    if deletion_log is None or deletion_log.size <= tag:
+        return ids
+    earlier = np.sort(deletion_log[:tag])
+    later = deletion_log[tag:]
+    # The later removals in the tagged space (log entries are unique).
+    later = np.sort(later - np.searchsorted(earlier, later))
+    position = np.minimum(np.searchsorted(later, ids), later.size - 1)
+    return remap_surviving_ids(ids[later[position] != ids], later)
+
+
 @dataclass
 class PackedOccurrenceIndex:
     """Flat structure-of-arrays occurrence table, sorted by sample id.
@@ -241,11 +265,9 @@ class FrozenProvenance:
     ``probabilities``/``wx`` instead.
 
     Commits downdate ``gram``/``moment`` exactly but defer the ``O(m³)``
-    re-eigendecomposition: ``eigen_stale`` flags the debt and
-    ``pending_rows``/``pending_weights`` accumulate the removed (weighted)
-    rows so the lazy refresh (:func:`~repro.core.priu_opt.\
-refresh_frozen_eigen`) can choose the incremental eigenvalue correction
-    when it is cheaper than a full recompute.  All three persist through
+    re-eigendecomposition: ``eigen_stale`` flags the debt until the lazy
+    refresh (:func:`~repro.core.priu_opt.refresh_frozen_eigen`)
+    recomputes from the downdated gram.  The flag persists through
     checkpoints (store format v3), so a reloaded stale model refreshes on
     its first PrIU-opt query exactly like the in-process one.
     """
@@ -261,8 +283,6 @@ refresh_frozen_eigen`) can choose the incremental eigenvalue correction
     eigenvectors: np.ndarray | None = None
     eigenvalues: np.ndarray | None = None
     eigen_stale: bool = False
-    pending_rows: np.ndarray | None = None
-    pending_weights: np.ndarray | None = None
 
     def nbytes(self) -> int:
         total = 0
@@ -275,24 +295,10 @@ refresh_frozen_eigen`) can choose the incremental eigenvalue correction
             self.moment,
             self.eigenvectors,
             self.eigenvalues,
-            self.pending_rows,
-            self.pending_weights,
         ):
             if arr is not None:
                 total += int(arr.nbytes)
         return total
-
-    def defer_eigen(self, rows: np.ndarray, weights: np.ndarray) -> None:
-        """Record removed (weighted) rows whose eigen effect is deferred."""
-        if self.pending_rows is None:
-            self.pending_rows = np.asarray(rows, dtype=float).copy()
-            self.pending_weights = np.asarray(weights, dtype=float).copy()
-        else:
-            self.pending_rows = np.vstack([self.pending_rows, rows])
-            self.pending_weights = np.concatenate(
-                [self.pending_weights, weights]
-            )
-        self.eigen_stale = True
 
 
 @dataclass
@@ -400,8 +406,8 @@ class ProvenanceStore:
     # were built against and refuse to run against a changed store.
     _version: int = 0
     # Held by compact() and retruncate_summaries() while they mutate; a
-    # reader that takes it sees a consistent (n_samples, _version) pair
-    # (see FleetServer.submit).
+    # reader that takes it sees a consistent (n_samples, deletion_log)
+    # pair (see FleetServer.submit).
     _commit_lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -816,12 +822,12 @@ class ProvenanceStore:
         """Compact the PrIU-opt frozen full-dataset state (Sec. 5.4).
 
         The frozen gram/moment are downdated *exactly*; the offline
-        eigendecomposition is **not** recomputed here — the removed
-        (weighted) rows are recorded via :meth:`FrozenProvenance.\
-defer_eigen` and the debt is discharged lazily by the first PrIU-opt
-        update (or a :meth:`~repro.core.api.IncrementalTrainer.maintain`
-        call), so a commit-heavy serving process that answers through the
-        compiled plan never pays the ``O(m³)`` (or ``O((qm)³)``) factor.
+        eigendecomposition is **not** recomputed here — it is flagged
+        stale (:attr:`FrozenProvenance.eigen_stale`) and the debt is
+        discharged lazily by the first PrIU-opt update (or a
+        :meth:`~repro.core.api.IncrementalTrainer.maintain` call), so a
+        commit-heavy serving process that answers through the compiled
+        plan never pays the ``O(m³)`` (or ``O((qm)³)``) factor.
         """
         frozen = self.frozen
         needs_rows = frozen.gram is not None
@@ -835,8 +841,6 @@ defer_eigen` and the debt is discharged lazily by the first PrIU-opt
                 y = labels[removed].astype(float)
                 frozen.gram = frozen.gram - rows.T @ (rows * slopes_r[:, None])
                 frozen.moment = frozen.moment - rows.T @ (intercepts_r * y)
-                if frozen.eigenvectors is not None:
-                    frozen.defer_eigen(rows, slopes_r)
             frozen.slopes = np.delete(frozen.slopes, removed)
             frozen.intercepts = np.delete(frozen.intercepts, removed)
         elif frozen.probabilities is not None:  # multinomial
@@ -856,17 +860,10 @@ defer_eigen` and the debt is discharged lazily by the first PrIU-opt
                 coeff = lam_u - probs_r
                 coeff[np.arange(removed.size), y] += 1.0
                 frozen.moment = frozen.moment - (coeff.T @ rows).ravel()
-                if frozen.eigenvectors is not None:
-                    # Same Kronecker rank-q expansion the tail state uses:
-                    # ΔC* = Σ_k λ_k kron_k kron_kᵀ with the *negated*
-                    # eigenvalues as subtraction weights.
-                    evals, evecs = np.linalg.eigh(lam)
-                    kron_rows = np.einsum(
-                        "iqk,im->ikqm", evecs, rows
-                    ).reshape(removed.size * q, -1)
-                    frozen.defer_eigen(kron_rows, -evals.reshape(-1))
             frozen.probabilities = np.delete(frozen.probabilities, removed, axis=0)
             frozen.wx = np.delete(frozen.wx, removed, axis=0)
+        if frozen.gram is not None and frozen.eigenvectors is not None:
+            frozen.eigen_stale = True
 
     # ----------------------------------------------------------- maintenance
     def retruncate_summaries(

@@ -76,9 +76,11 @@ from .replay_plan import ReplayPlan
 # and audit state: ``__receipts__`` (per-commit audit receipts, one row per
 # commit, ids recovered from the deletion log), ``__svd_corrections__``
 # (per-record correction-column counters), and the frozen PrIU-opt lazy
-# eigen state (``__frozen_meta__`` grows an ``eigen_stale`` flag and the
-# deferred ``pending_rows``/``pending_weights`` arrays persist alongside
-# the other frozen fields).  Format-1/2 archives still load.
+# eigen state (``__frozen_meta__`` grows an ``eigen_stale`` flag).  Older
+# format-3 archives may also carry ``frozen_pending_rows`` /
+# ``frozen_pending_weights`` (removed rows kept for an incremental eigen
+# correction that no longer exists); they are checksum-verified and
+# ignored.  Format-1/2 archives still load.
 _FORMAT_VERSION = 3
 _SUPPORTED_VERSIONS = (1, 2, 3)
 _PLAN_FORMAT_VERSION = 1
@@ -300,8 +302,6 @@ _FROZEN_FIELDS = (
     "moment",
     "eigenvectors",
     "eigenvalues",
-    "pending_rows",
-    "pending_weights",
 )
 
 # __receipts__ columns (float64; the ids live in the deletion log slice).

@@ -25,8 +25,7 @@ long-lived serving process.  This package supplies that process:
   max-batch / backpressure knobs governing coalescing, plus the SLA
   lanes (a zero-delay ``deadline`` lane pre-empts coalescing; ``bulk``
   traffic rides the batching budget; a lowest-priority ``maintenance``
-  lane carries background plan maintenance) and the
-  ``max_preemption_ratio`` starvation guard bounding deadline floods;
+  lane carries background plan maintenance);
 * :class:`ServedOutcome` — updated weights plus per-request
   wait/service/latency timings and batch coordinates;
 * :class:`ServingStats` / :class:`LaneStats` — lifetime counters and

@@ -16,10 +16,10 @@ module supplies that tier:
   models pinned by an in-flight dispatch are never evicted.
 * :class:`FleetServer` — ``submit(model_id, ids, lane=...)`` routes
   requests to per-model admission queues (SLA-lane ordering, coalescing
-  budgets, backpressure, the starvation guard) served by a shared pool
-  of ``n_workers`` threads.  At most one ``remove_many`` is in flight
-  per model (a batched replay already saturates the BLAS threads; two
-  per model would fight for cores, and commit mode requires serialized
+  budgets, backpressure) served by a shared pool of ``n_workers``
+  threads.  At most one ``remove_many`` is in flight per model (a
+  batched replay already saturates the BLAS threads; two per model
+  would fight for cores, and commit mode requires serialized
   application anyway), and ready models are picked round-robin so one
   chatty model cannot starve the rest.  Commit mode and the update
   method are per-model settings; stats are kept per model, with per-lane
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import threading
 from collections import OrderedDict
 from concurrent.futures import Future
@@ -61,7 +60,7 @@ from ..core.api import IncrementalTrainer
 from ..core.maintenance import MaintenancePolicy
 from ..core.provenance_store import (
     normalize_removed_indices,
-    remap_surviving_ids,
+    remap_through_deletion_log,
 )
 from ..core.serialization import (
     CheckpointCorruptionError,
@@ -69,7 +68,6 @@ from ..core.serialization import (
     read_checkpoint_metadata,
     save_store,
 )
-from ..testing.races import GuardedBy
 from .clock import MONOTONIC_CLOCK, Clock
 from .errors import (
     BackpressureError,
@@ -80,7 +78,7 @@ from .errors import (
     ServingError,
     WorkerCrashedError,
 )
-from .policy import AdmissionPolicy, _PreemptionGuard
+from .policy import AdmissionPolicy
 from .stats import ServingStats, StatsFrame, StatsRecorder
 
 
@@ -264,11 +262,6 @@ class ModelRegistry:
         # Admission history: per-model submit_view() count, the hotness
         # ranking warm_start() pre-loads by.
         self._admissions: dict[str, int] = {}  # guarded-by: _lock
-        # Checkpoint epoch: how many times save_dirty() rewrote each
-        # model's archive.  Commit-queue translation keys on it — a
-        # request validated against an epoch-e checkpoint must not be
-        # replayed through commits that checkpoint already contains.
-        self._epochs: dict[str, int] = {}  # guarded-by: _lock
         self._loads = 0  # guarded-by: _lock
         self._hits = 0  # guarded-by: _lock
         self._evictions = 0  # guarded-by: _lock
@@ -320,7 +313,6 @@ class ModelRegistry:
                 metadata=metadata,
                 load_kwargs=dict(load_kwargs),
             )
-            self._epochs[model_id] = 0
             if trainer is not None:
                 self._resident[model_id] = _Resident(
                     trainer=trainer,
@@ -417,38 +409,29 @@ class ModelRegistry:
             entry = self._resident.get(model_id)
             return None if entry is None else entry.trainer
 
-    def epoch(self, model_id: str) -> int:
-        """How many times :meth:`save_dirty` rewrote this model's checkpoint."""
-        with self._lock:
-            self._spec(model_id)
-            return self._epochs[model_id]
-
     def submit_view(
         self, model_id: str
-    ) -> tuple[IncrementalTrainer | None, int, int | None, int | None]:
-        """One consistent ``(trainer, epoch, archive n_samples, loaded version)``.
+    ) -> tuple[IncrementalTrainer | None, int | None, int | None]:
+        """One consistent ``(trainer, archive n_samples, archive log length)``.
 
         What :meth:`FleetServer.submit` needs for validation and
         commit-translation tagging, read under a single lock hold: the
-        resident trainer (or None), the checkpoint epoch, the archive's
-        sample count for the non-resident case (None when resident: the
-        caller reads the live count under the store's commit lock),
-        and — for the resident case — the store version the trainer was
-        loaded or last saved at, so the caller can tell a clean model
-        (id space equals the epoch archive's) from a dirty one.
+        resident trainer, or — for a model that is not resident — None
+        plus the archive's sample count and deletion-log length
+        (``n_original_samples - n_samples``; 0 for an archive that never
+        committed).  A resident model answers ``(trainer, None, None)``:
+        the caller reads both live values under the store's commit lock.
         """
         with self._lock:
             spec = self._spec(model_id)
             self._admissions[model_id] = self._admissions.get(model_id, 0) + 1
             entry = self._resident.get(model_id)
             if entry is not None:
-                return (
-                    entry.trainer,
-                    self._epochs[model_id],
-                    None,
-                    entry.loaded_version,
-                )
-            return None, self._epochs[model_id], spec.metadata.n_samples, None
+                return entry.trainer, None, None
+            metadata = spec.metadata
+            original = metadata.n_original_samples
+            log_length = 0 if original is None else original - metadata.n_samples
+            return None, metadata.n_samples, log_length
 
     def warm_start(
         self, n: int, hotness: dict[str, int] | None = None
@@ -630,22 +613,21 @@ class ModelRegistry:
         store-archive registration rewrites that one file (the plan is
         recompiled at the next load, and a now-stale ``plan_path`` load
         override is dropped) — so a later evict + reload always sees the
-        committed state.  Each write bumps the model's checkpoint
-        *epoch*, fencing the fleet's commit-translation history: requests
-        validated against the new archive are never replayed through
-        commits it already contains.
+        committed state, deletion log included: queued commit-mode
+        requests are tagged with a deletion-log length, which a rewrite
+        never resets.
 
         Saves are independent: one model's write failing does not stop
         the sweep.  Returns ``{model_id: SaveOutcome}`` for every model
-        attempted; a failed model's epoch, metadata and loaded version
-        are left untouched, so it stays dirty — unevictable, still
+        attempted; a failed model's metadata and loaded version are left
+        untouched, so it stays dirty — unevictable, still
         serving from its resident (committed) state — and the next
         ``save_dirty`` retries it.  The write itself is crash-atomic
         (temp + fsync + rename, journaled for directory checkpoints), so
         a failure never leaves a half-written archive behind.
 
         The registry lock is held across the checkpoint writes (the
-        epoch/metadata/version updates must be atomic with them), so run
+        metadata/version updates must be atomic with them), so run
         this from a maintenance path, not from under live submit traffic.
         """
         written: dict[str, SaveOutcome] = {}
@@ -693,7 +675,6 @@ class ModelRegistry:
         except Exception as exc:
             return SaveOutcome(model_id=model_id, ok=False, error=exc)
         entry.loaded_version = entry.trainer.store._version
-        self._epochs[model_id] += 1
         return SaveOutcome(model_id=model_id, ok=True, paths=paths)
 
     def retire(self, model_id: str, policy=None) -> bool:
@@ -706,8 +687,8 @@ class ModelRegistry:
         first — so the checkpoint written is the compact post-reclamation
         state, not a garbage-carrying snapshot that the next load pays
         for — then any dirty state is saved back to the registered
-        checkpoint (the :meth:`save_dirty` protocol: epoch bump, stale
-        ``plan_path`` override dropped) and the model is evicted.
+        checkpoint (the :meth:`save_dirty` protocol: metadata re-read,
+        stale ``plan_path`` override dropped) and the model is evicted.
 
         Returns ``False`` without touching anything droppable for models
         that are not resident, pinned, registered non-evictable (live
@@ -844,18 +825,11 @@ class _Request:
     lane_delay: float
     lane_priority: int
     seq: int = -1
-    # Commit mode: the id space the submitted ids are expressed in, as a
-    # ``(checkpoint epoch, store version)`` pair ordered lexicographically
-    # — requests are translated forward through every commit recorded at a
-    # key >= this one at dispatch time.  The epoch counts checkpoint
-    # rewrites (``ModelRegistry.save_dirty``): a request validated against
-    # a freshly written checkpoint must *not* be replayed through commits
-    # that checkpoint already contains, even though store version numbers
-    # restart when the model reloads.  ``store_key`` advances as the
-    # request is remapped; ``admitted_key`` stays fixed for in-flight
-    # accounting (commit-history pruning).
-    store_key: tuple = (0, -1)
-    admitted_key: tuple = (0, -1)
+    # Commit mode: the length of the model's deletion log when the ids
+    # were validated, naming the id space they address.  The log persists
+    # through save_dirty, eviction and reload, so the tag never resets;
+    # dispatch translates the ids through every entry past it.
+    log_length: int = 0
 
     def entry(self) -> tuple:
         """Priority-queue entry: lanes first, submission order within."""
@@ -863,13 +837,14 @@ class _Request:
 
 
 def _consistent_store_snapshot(store) -> tuple[int, int]:
-    """A consistent ``(version, n_samples)`` pair.
+    """A consistent ``(n_samples, deletion-log length)`` pair.
 
     Blocks while ``compact()`` or ``retruncate_summaries()`` holds the
     store's commit lock, so the pair never straddles a mutation.
     """
     with store._commit_lock:
-        return store._version, store.n_samples
+        log = store.deletion_log
+        return store.n_samples, 0 if log is None else int(log.size)
 
 
 def _validate_removed(removed: np.ndarray, n_samples: int) -> None:
@@ -881,85 +856,6 @@ def _validate_removed(removed: np.ndarray, n_samples: int) -> None:
         )
     if removed.size >= n_samples:
         raise ValueError("cannot delete every training sample")
-
-
-class _CommitTracker:
-    """Commit-mode id-space bookkeeping for one model queue.
-
-    Keeps one ``(key_before, removed union)`` entry per committed batch —
-    the key a ``(checkpoint epoch, store version)`` pair, the union in
-    the id space the batch executed in.  A queued request tagged with
-    store key k is remapped through every entry with key_before >= k
-    before dispatch, so an id always denotes the sample the submitter
-    saw, not whatever later shifted into that slot.  A request tagged
-    ``(epoch, -inf)`` was validated against the archive that opened that
-    epoch — or against a clean resident model, whose id space equals that
-    archive's.  Every same-epoch commit necessarily postdates the
-    archive (commits require residency, and the archive was written by
-    the load or save that opened the epoch), so the tag sorts below them
-    all and they all apply; commits already folded into an earlier
-    epoch's archive never do.  Only a *dirty* resident model may tag
-    with its in-memory store version: dirty models are unevictable, so
-    that version cannot be reset by a reload while the request waits.
-    Entries older than every in-flight request's admitted key are pruned
-    at dispatch — in-flight, not just this batch, because a submitter
-    can block on backpressure and enqueue late.
-    """
-
-    # Declared via the descriptor (rather than `# guarded-by:` comments)
-    # so debug mode (REPRO_DEBUG_GUARDS=1) also asserts the lock is held
-    # on every access at runtime.
-    _history = GuardedBy("_lock")
-    _inflight_keys = GuardedBy("_lock")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._history: list[tuple[tuple, np.ndarray]] = []
-        self._inflight_keys: dict[tuple, int] = {}
-
-    def note_submitted(self, key: tuple) -> None:
-        with self._lock:
-            self._inflight_keys[key] = self._inflight_keys.get(key, 0) + 1
-
-    def forget(self, key: tuple) -> None:
-        """Drop one in-flight registration (a submit that never enqueued)."""
-        with self._lock:
-            remaining = self._inflight_keys.get(key, 0) - 1
-            if remaining > 0:
-                self._inflight_keys[key] = remaining
-            else:
-                self._inflight_keys.pop(key, None)
-
-    def note_finished(self, requests: list[_Request]) -> None:
-        for request in requests:
-            self.forget(request.admitted_key)
-
-    def note_committed(self, key_before: tuple, union: np.ndarray) -> None:
-        with self._lock:
-            self._history.append((key_before, union))
-
-    def remap(self, live: list[_Request], current_key: tuple) -> None:
-        """Translate queued requests into the current (post-commit) id space."""
-        with self._lock:
-            oldest = min(self._inflight_keys, default=None)
-            if oldest is not None:
-                self._history = [
-                    entry for entry in self._history if entry[0] >= oldest
-                ]
-            history = list(self._history)
-        for request in live:
-            ids = request.indices
-            for key_before, committed in history:
-                if key_before < request.store_key:
-                    continue
-                if committed.size == 0 or ids.size == 0:
-                    continue
-                position = np.searchsorted(committed, ids)
-                position = np.minimum(position, committed.size - 1)
-                already_removed = committed[position] == ids
-                ids = remap_surviving_ids(ids[~already_removed], committed)
-            request.indices = ids
-            request.store_key = current_key
 
 
 # ------------------------------------------------------------------ fleet
@@ -994,10 +890,9 @@ class _ModelQueue:
     fleet's scheduler condition unless noted)."""
 
     __slots__ = (
-        "model_id", "heap", "busy", "slots", "tracker",
+        "model_id", "heap", "busy", "slots",
         "stats", "batch_seq", "method", "commit_mode",
-        "guard", "maintenance", "maintenance_runs", "last_maintenance",
-        "health",
+        "maintenance", "maintenance_runs", "last_maintenance", "health",
     )
 
     def __init__(
@@ -1014,14 +909,11 @@ class _ModelQueue:
         # submits must not stall the scheduler), released as requests are
         # popped into a batch.
         self.slots = threading.BoundedSemaphore(max_pending)
-        self.tracker = _CommitTracker()
         self.stats = StatsRecorder()
         self.batch_seq = itertools.count()
         self.method = method
         self.commit_mode = commit_mode
-        # Starvation guard (AdmissionPolicy.max_preemption_ratio) and the
-        # background-maintenance backlog (lowest-priority lane).
-        self.guard = _PreemptionGuard()
+        # The background-maintenance backlog (lowest-priority lane).
         self.maintenance: list[_MaintenanceTicket] = []
         self.maintenance_runs = 0
         self.last_maintenance: dict | None = None
@@ -1036,53 +928,13 @@ class _ModelQueue:
             for _, _, request in self.heap
         )
 
-    def pop_batch(
-        self, max_batch: int, policy: AdmissionPolicy | None = None
-    ) -> list[_Request]:
-        """Up to ``max_batch`` requests in (lane priority, submission) order.
-
-        When ``policy`` carries a ``max_preemption_ratio`` and the guard's
-        debt is due, the oldest queued lower-priority request is *yielded*
-        into the batch ahead of the priority order (it then rides the
-        batch's minimum delay and is served with it) — the deadline-flood
-        starvation guard.
-        """
+    def pop_batch(self, max_batch: int) -> list[_Request]:
+        """Up to ``max_batch`` requests in (lane priority, submission) order."""
         batch: list[_Request] = []
-        yielded = False
-        if (
-            policy is not None
-            and self.heap
-            and self.guard.must_yield()
-            # Only a guarded lane's dispatch yields; an unguarded-led one
-            # repays debt in observe_dispatch without stealing.
-            and policy.preemption_ratio_for(self.heap[0][2].lane) is not None
-        ):
-            bound = min(entry[0] for entry in self.heap)
-            lower = [entry for entry in self.heap if entry[0] > bound]
-            if lower:
-                entry = min(lower, key=lambda e: e[1])
-                self.heap.remove(entry)
-                heapq.heapify(self.heap)
-                self.slots.release()
-                batch.append(entry[2])
-                yielded = True
         while self.heap and len(batch) < max_batch:
             _, _, request = heapq.heappop(self.heap)
             self.slots.release()
             batch.append(request)
-        if policy is not None and batch:
-
-            def oldest_lower_seq(bound_priority: int) -> int | None:
-                seqs = [
-                    entry[1]
-                    for entry in self.heap
-                    if entry[0] > bound_priority
-                ]
-                return min(seqs) if seqs else None
-
-            self.guard.observe_dispatch(
-                batch, oldest_lower_seq, policy, yielded
-            )
         return batch
 
 
@@ -1091,7 +943,6 @@ def _serve_batch(
     state: _ModelQueue,
     live: list[_Request],
     clock: Clock,
-    epoch: int,
 ) -> None:
     """Run one admitted batch through ``remove_many`` and resolve its futures.
 
@@ -1099,35 +950,32 @@ def _serve_batch(
     state (cancellation handled by the caller); every future is resolved
     exactly once — with a :class:`ServedOutcome` on success, with the
     dispatch exception on failure.  The caller performs its own in-flight
-    accounting after this returns.  ``epoch`` is the model's checkpoint
-    epoch (see :class:`_Request`).
+    accounting after this returns.
     """
     commit_mode = state.commit_mode
     if commit_mode:
-        # Earlier batches may have committed (and re-packed the id space)
-        # while these requests sat in the queue.  Translate each request
-        # forward through the commits it missed: ids already committed
+        # Commits may have landed (and re-packed the id space) while these
+        # requests sat in the queue: earlier batches, or commits made on
+        # the trainer directly.  Translate each request forward through
+        # the deletion-log entries past its tag: ids already committed
         # drop out (those samples are gone — which is what the caller
         # asked for), survivors shift down.  Without this, a queued id
         # would silently denote whatever sample later moved into its slot.
-        state.tracker.remap(live, (epoch, trainer.store._version))
-    key_before = (epoch, trainer.store._version)
+        log = trainer.store.deletion_log
+        for request in live:
+            request.indices = remap_through_deletion_log(
+                request.indices, log, request.log_length
+            )
     batch_seq = next(state.batch_seq)
     lanes = [request.lane for request in live]
     # Cost-model hook: estimate the batch union's footprint before the
     # replay runs (searchsorted counts — no extra replay) and attach it
     # to every member's outcome.
     cost_model = getattr(trainer, "cost_model", None)
-    union = None
-    if commit_mode or cost_model is not None:
-        union = live[0].indices
-        for request in live[1:]:
-            union = np.union1d(union, request.indices)
-    predicted = (
-        cost_model.estimate(trainer, union).as_dict()
-        if cost_model is not None
-        else None
-    )
+    predicted = None
+    if cost_model is not None:
+        union = np.unique(np.concatenate([r.indices for r in live]))
+        predicted = cost_model.estimate(trainer, union).as_dict()
     dispatched_at = clock.now()
     try:
         outcomes = trainer.remove_many(
@@ -1140,8 +988,6 @@ def _serve_batch(
             request.future.set_exception(exc)
         state.stats.record_failed(len(live), lanes)
         return
-    if commit_mode:
-        state.tracker.note_committed(key_before, union)
     answered_at = clock.now()
     service = answered_at - dispatched_at
     waits, latencies = [], []
@@ -1377,35 +1223,17 @@ maintenance_cost` is checked against the policy's thresholds and, when
         fast-fails with
         :class:`~repro.serving.errors.ModelQuarantinedError` — except
         once per ``retry.probe_interval_seconds``, when one submission is
-        admitted as the breaker's half-open probe.
+        admitted as the breaker's half-open probe.  The request is tagged
+        with the deletion-log length of the id space it was validated
+        against, and commit-mode dispatch translates it past every commit
+        made since (by this fleet or directly on the trainer).
         """
         lane_obj = self.policy.lane(lane)
         removed = normalize_removed_indices(indices)
         # Unknown model ids fail here, synchronously, before queueing.
-        trainer, epoch, archive_n, loaded_version = self.registry.submit_view(
-            model_id
-        )
+        trainer, n_samples, log_length = self.registry.submit_view(model_id)
         if removed.size == 0:
             return self._resolve_empty(model_id, lane_obj.name)
-
-        def key_for(store_version: int | None) -> tuple:
-            # The id space this request addresses, as a commit-translation
-            # tag.  Not resident, or resident and *clean* => the epoch's
-            # archive is the id space (store version numbers restart when
-            # a checkpoint reloads — load_store rebuilds records via
-            # add() — so a clean model's in-memory version is meaningless
-            # across an evict/reload).  Every same-epoch commit
-            # necessarily postdates that archive (commits require
-            # residency, and the archive was written by the load/save
-            # that opened the epoch), so the tag sorts below them all:
-            # ``(epoch, -inf)`` — commits from this epoch and later apply
-            # at dispatch, commits already folded into an earlier epoch's
-            # archive never do.  Only a *dirty* model tags with its live
-            # version, which is stable: dirty models are never evicted.
-            if store_version is not None and store_version != loaded_version:
-                return (epoch, store_version)
-            return (epoch, -math.inf)
-
         with self._sched:
             self._check_accepting()
             state = self._queue_for(model_id)
@@ -1413,30 +1241,11 @@ maintenance_cost` is checked against the policy's thresholds and, when
             # probe interval elapses, this submission becomes the
             # breaker's single half-open probe.
             probing = self._admit_health(state, lane_obj.name)
-        # Register the pruning key BEFORE anything can block: concurrent
-        # dispatches prune commit history down to the oldest *registered*
-        # in-flight key, so a submitter parked on the backpressure
-        # semaphore must already be counted or the history it needs can
-        # vanish while it waits.  The request is tagged with a second
-        # snapshot taken after registration — it can only move the tag
-        # forward, never below the registered key, so the retained
-        # history always covers the tag.
-        if trainer is not None:
-            admitted_key = key_for(
-                _consistent_store_snapshot(trainer.store)[0]
-            )
-        else:
-            admitted_key = (epoch, -math.inf)
-        state.tracker.note_submitted(admitted_key)
         try:
             if trainer is not None:
-                store_version, n_samples = _consistent_store_snapshot(
+                n_samples, log_length = _consistent_store_snapshot(
                     trainer.store
                 )
-                store_key = key_for(store_version)
-            else:
-                store_key = (epoch, -math.inf)
-                n_samples = archive_n
             _validate_removed(removed, n_samples)
             request = _Request(
                 indices=removed,
@@ -1445,8 +1254,7 @@ maintenance_cost` is checked against the policy's thresholds and, when
                 lane=lane_obj.name,
                 lane_delay=self.policy.delay_for(lane_obj.name),
                 lane_priority=lane_obj.priority,
-                store_key=store_key,
-                admitted_key=admitted_key,
+                log_length=log_length,
             )
             # Per-model backpressure, waited out without holding the
             # scheduler lock so a blocked submitter never stalls
@@ -1478,9 +1286,7 @@ maintenance_cost` is checked against the policy's thresholds and, when
         except BaseException:
             # One unwind point for every pre-enqueue failure — validation,
             # rejection, closed server, or an interrupt while parked on
-            # the semaphore.  A leaked key would pin commit history (the
-            # min() prune could never pass it) for the server's lifetime.
-            state.tracker.forget(admitted_key)
+            # the semaphore.
             if probing:
                 # The half-open probe never enqueued; re-open the breaker
                 # with an immediate probe window so the next submission
@@ -1497,13 +1303,7 @@ maintenance_cost` is checked against the policy's thresholds and, when
 
         An empty set riding a batch would waste an admission slot and, in
         commit mode, count as an applied request that committed nothing.
-        Policy ``on_empty="reject"`` turns this into a submit-time error.
         """
-        if self.policy.on_empty == "reject":
-            raise ValueError(
-                "empty removal set (AdmissionPolicy(on_empty='resolve') "
-                "answers these with a no-op instead)"
-            )
         with self._sched:
             self._check_accepting()
             state = self._queue_for(model_id)
@@ -1765,9 +1565,7 @@ maintenance_cost` is checked against the policy's thresholds and, when
                         or (deadline is not None and now >= deadline)
                     )
                     if ready:
-                        batch = state.pop_batch(
-                            self.policy.max_batch, self.policy
-                        )
+                        batch = state.pop_batch(self.policy.max_batch)
                         state.busy = True
                         # Rotate: this model goes to the back of the scan.
                         self._rr_order = order[offset + 1:] + order[: offset + 1]
@@ -1856,7 +1654,6 @@ maintenance_cost` is checked against the policy's thresholds and, when
             future = request.future
             if future.cancelled():
                 state.stats.record_cancelled(1, [request.lane])
-                state.tracker.note_finished([request])
                 continue
             if future.done():
                 continue
@@ -1865,7 +1662,6 @@ maintenance_cost` is checked against the policy's thresholds and, when
             except Exception:
                 continue  # lost a cancel race; the caller has an answer
             state.stats.record_failed(1, [request.lane])
-            state.tracker.note_finished([request])
         for state, ticket in tickets:
             if ticket.future.done():
                 continue
@@ -1875,8 +1671,7 @@ maintenance_cost` is checked against the policy's thresholds and, when
                 continue
             state.stats.record_failed(1, ["maintenance"])
 
-    def _finish(self, state: _ModelQueue, requests: list[_Request]) -> None:
-        state.tracker.note_finished(requests)
+    def _finish(self, requests: list[_Request]) -> None:
         with self._sched:
             # max() guards the post-abort window: _abort zeroes the count
             # while a sibling worker may still be finishing its batch.
@@ -1897,7 +1692,7 @@ maintenance_cost` is checked against the policy's thresholds and, when
             state.stats.record_cancelled(
                 len(cancelled), [r.lane for r in cancelled]
             )
-            self._finish(state, cancelled)
+            self._finish(cancelled)
         # Keep the popped list tracking exactly the still-unsettled
         # requests, so a worker crash below aborts precisely those.
         batch[:] = live
@@ -1908,9 +1703,7 @@ maintenance_cost` is checked against the policy's thresholds and, when
             return
         # Pin around the *retried* load, not just the serve: the trainer
         # must not be evicted between a load attempt succeeding and the
-        # batch running.  (The pin also freezes the checkpoint epoch:
-        # save_dirty skips pinned models, so the key recorded for a
-        # commit is consistent with the id space the batch executed in.)
+        # batch running.
         self.registry.pin(model_id)
         try:
             try:
@@ -1924,13 +1717,7 @@ maintenance_cost` is checked against the policy's thresholds and, when
                     # since receipts persist across restarts and
                     # perf_counter seconds are process-relative.
                     trainer.clock = self._clock
-                _serve_batch(
-                    trainer,
-                    state,
-                    live,
-                    self._clock,
-                    self.registry.epoch(model_id),
-                )
+                _serve_batch(trainer, state, live, self._clock)
                 if state.commit_mode and self.maintenance is not None:
                     # Background maintenance: a committed batch may have
                     # pushed this model past the policy's garbage
@@ -1952,7 +1739,7 @@ maintenance_cost` is checked against the policy's thresholds and, when
                 )
         finally:
             self.registry.unpin(model_id)
-        self._finish(state, live)
+        self._finish(live)
         del batch[:]
 
     # ---------------------------------------------------------- maintenance

@@ -35,21 +35,9 @@ happy to wait for a full batch.  A policy therefore carries a set of
   requests may still ride along for free, but nobody waits on their
   account.
 
-Within a lane, admission order is always submission order.
-
-Starvation guard
-----------------
-Priority ordering alone lets a pathological flood of high-priority
-traffic pin lower lanes at their full coalescing budget forever.
-``max_preemption_ratio`` (per :class:`Lane`, with an
-:class:`AdmissionPolicy`-level default) bounds that: among dispatches in
-which a guarded lane's requests overtake older lower-priority traffic,
-at most that fraction may preempt; once the running debt exceeds the
-ratio, the server *yields* — the oldest waiting lower-priority request
-is pulled into the next dispatched batch regardless of lane order, and
-is served immediately with it.  ``None`` (the default) keeps the unlimited
-pre-PR-5 behaviour; ``0.0`` degenerates to "every dispatch carries the
-oldest waiting lower-priority request".
+Within a lane, admission order is always submission order.  Priority
+is strict: a sustained flood of higher-priority traffic holds lower
+lanes back until it drains.
 
 The fleet additionally ships a stock lowest-priority ``maintenance``
 lane: background :meth:`~repro.core.api.IncrementalTrainer.maintain`
@@ -68,27 +56,18 @@ class Lane:
 
     ``max_delay_seconds=None`` inherits the policy's default coalescing
     budget; ``0.0`` means "dispatch the batch I join immediately".
-    Lower ``priority`` values dispatch first.  ``max_preemption_ratio``
-    bounds how often this lane may overtake older lower-priority traffic
-    (module docstring); ``None`` defers to the policy-level default.
+    Lower ``priority`` values dispatch first.
     """
 
     name: str
     max_delay_seconds: float | None = None
     priority: int = 0
-    max_preemption_ratio: float | None = None
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("lane name must be non-empty")
         if self.max_delay_seconds is not None and self.max_delay_seconds < 0.0:
             raise ValueError("lane max_delay_seconds must be >= 0 (or None)")
-        if self.max_preemption_ratio is not None and not (
-            0.0 <= self.max_preemption_ratio <= 1.0
-        ):
-            raise ValueError(
-                "lane max_preemption_ratio must be in [0, 1] (or None)"
-            )
 
 
 #: Priority of the stock background-maintenance lane: sorts behind every
@@ -112,102 +91,22 @@ DEFAULT_LANES = (
 )
 
 
-class _PreemptionGuard:
-    """Debt counter enforcing ``max_preemption_ratio`` (one per queue).
-
-    Every dispatch notes whether a guarded lane overtook older
-    lower-priority traffic: a preemption adds ``1 - ratio`` debt, any
-    other dispatch repays ``ratio`` (floored at zero).  Once the debt
-    reaches 1 the next dispatch must *yield* — include the oldest waiting
-    lower-priority request — which guarantees the starved lane at least a
-    ``1 - ratio`` share of dispatches during a flood.
-    """
-
-    __slots__ = ("_debt", "_repay_ratio")
-
-    def __init__(self) -> None:
-        self._debt = 0.0
-        # Ratio of the last preempting dispatch: debt accrued at ratio r
-        # is repaid at r even by dispatches whose own lead lane carries
-        # no ratio (a bulk-led batch after a deadline flood still proves
-        # lower-priority traffic is flowing again).
-        self._repay_ratio: float | None = None
-
-    def note(self, preempted: bool, ratio: float | None) -> None:
-        if ratio is None:
-            ratio = self._repay_ratio
-            if ratio is None:
-                return
-        elif preempted:
-            self._repay_ratio = ratio
-        if preempted:
-            self._debt += 1.0 - ratio
-        else:
-            self._debt = max(0.0, self._debt - ratio)
-
-    def must_yield(self) -> bool:
-        return self._debt >= 1.0 - 1e-9
-
-    def observe_dispatch(
-        self, batch, oldest_lower_seq, policy, yielded: bool
-    ) -> None:
-        """Account one dispatched batch of the queue this guard belongs to.
-
-        ``batch`` holds the dispatched requests (``lane``/``lane_priority``
-        /``seq`` attributes) and ``yielded`` whether this batch already
-        carried a yielded request.  ``oldest_lower_seq`` is a callable
-        ``priority -> seq | None`` returning the smallest submission seq
-        still queued *below* that priority — a callable, not a value,
-        because computing it means scanning the pending queue under its
-        lock: with no ratio configured (the default) it is never invoked
-        and the guard stays genuinely free.  A dispatch preempts when a
-        guarded lane's member overtook an older lower-priority request;
-        the debt update then follows :meth:`note`.
-        """
-        lead = min(batch, key=lambda r: r.lane_priority)
-        ratio = policy.preemption_ratio_for(lead.lane)
-        if ratio is None:
-            # A dispatch led by an unguarded lane serves traffic in plain
-            # priority order: it repays outstanding debt (at the ratio
-            # that accrued it) like any non-preempting dispatch, so a
-            # past flood cannot leave the guard force-yielding forever.
-            self.note(False, None)
-            return
-        preempted = False
-        if not yielded:
-            oldest = oldest_lower_seq(lead.lane_priority)
-            if oldest is not None:
-                newest_lead = max(
-                    r.seq
-                    for r in batch
-                    if r.lane_priority == lead.lane_priority
-                )
-                preempted = oldest < newest_lead
-        self.note(preempted, ratio)
-
-
 @dataclass(frozen=True)
 class AdmissionPolicy:
     """Batching/backpressure knobs for :class:`~repro.serving.FleetServer`.
 
     The single-model :class:`~repro.serving.DeletionServer` takes the same
-    policy and hands it to its one-model fleet.  ``on_empty`` decides what
-    ``submit`` does with an empty removal set: ``"resolve"`` (default)
-    answers it immediately with a no-op outcome — it never occupies a
-    batch slot or a queue slot — while ``"reject"`` raises ``ValueError``
-    at submit time.
-    Empty sets must never reach a batch: they used to dilute the admission
-    cap and, in commit mode, would count as a (vacuous) committed request.
+    policy and hands it to its one-model fleet.  An empty removal set
+    never reaches a batch: ``submit`` answers it immediately with a
+    no-op outcome, occupying neither a batch slot nor a queue slot (in a
+    batch it would dilute the admission cap and, in commit mode, count
+    as a vacuous committed request).
 
     ``lanes`` / ``default_lane`` configure the SLA classes (module
     docstring).  The stock policy ships a zero-delay ``"deadline"`` lane,
     a ``"bulk"`` lane inheriting ``max_delay_seconds``, and the
     lowest-priority background ``"maintenance"`` lane; submissions that
     don't name a lane ride in ``default_lane``.
-
-    ``max_preemption_ratio`` is the policy-level starvation-guard default
-    applied to any lane whose own ratio is ``None`` (module docstring);
-    ``None`` disables the guard entirely.
 
     A batch dispatches once it holds ``max_batch`` requests or its
     earliest member deadline passes (module docstring).
@@ -216,10 +115,8 @@ class AdmissionPolicy:
     max_batch: int = 16
     max_delay_seconds: float = 0.02
     max_pending: int = 1024
-    on_empty: str = "resolve"
     lanes: tuple[Lane, ...] = DEFAULT_LANES
     default_lane: str = "bulk"
-    max_preemption_ratio: float | None = None
     # Derived name -> Lane map (not part of the public constructor).
     _lane_map: dict = field(init=False, repr=False, compare=False, default=None)
 
@@ -230,14 +127,6 @@ class AdmissionPolicy:
             raise ValueError("max_delay_seconds must be >= 0")
         if self.max_pending < 1:
             raise ValueError("max_pending must be >= 1")
-        if self.on_empty not in ("resolve", "reject"):
-            raise ValueError("on_empty must be 'resolve' or 'reject'")
-        if self.max_preemption_ratio is not None and not (
-            0.0 <= self.max_preemption_ratio <= 1.0
-        ):
-            raise ValueError(
-                "max_preemption_ratio must be in [0, 1] (or None)"
-            )
         if not self.lanes:
             raise ValueError("at least one lane is required")
         lane_map = {}
@@ -277,10 +166,3 @@ class AdmissionPolicy:
         if lane.max_delay_seconds is None:
             return self.max_delay_seconds
         return lane.max_delay_seconds
-
-    def preemption_ratio_for(self, name: str | None) -> float | None:
-        """One lane's effective starvation-guard ratio (module docstring)."""
-        lane = self.lane(name)
-        if lane.max_preemption_ratio is not None:
-            return lane.max_preemption_ratio
-        return self.max_preemption_ratio

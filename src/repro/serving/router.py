@@ -38,8 +38,8 @@ model id to its home shard.
   of the pooled requests, never an average of per-shard percentiles.
 
 The router serves stateless counterfactual traffic only (no
-``commit_mode``): answers depend on nothing but the checkpoint epoch, so
-re-homing a model across shards can never change its answers.
+``commit_mode``): answers depend on nothing but the checkpoint on disk,
+so re-homing a model across shards can never change its answers.
 """
 
 from __future__ import annotations
@@ -52,8 +52,7 @@ from bisect import bisect_right
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ..core.provenance_store import normalize_removed_indices
 from ..core.serialization import read_checkpoint_metadata
 from .clock import MONOTONIC_CLOCK, Clock
 from .errors import ServerClosedError, ShardUnavailableError
@@ -517,7 +516,9 @@ class ShardRouter:
         """Route one removal set to its home shard; future of
         :class:`~repro.serving.ServedOutcome`.
 
-        Unknown model ids fail synchronously.  Everything else resolves
+        Unknown model ids and malformed removal sets (non-integer ids
+        included) fail synchronously, before anything crosses the pipe.
+        Everything else resolves
         through the returned future: the shard fleet's own typed errors
         pass through verbatim, and a shard dying with this request in
         flight fails it with
@@ -530,7 +531,7 @@ class ShardRouter:
             registration = self._registrations.get(model_id)
         if registration is None:
             raise ValueError(f"unknown model id {model_id!r}")
-        indices = np.asarray(indices, dtype=np.int64)
+        indices = normalize_removed_indices(indices)
         slot = self._route(model_id)
         with self._lock:
             needs_register = model_id not in slot.registered

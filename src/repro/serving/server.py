@@ -15,8 +15,7 @@ queueing/service timings.
 
 Request validation happens at submit time, so a malformed removal set
 fails its own caller and never poisons a batch; empty sets resolve
-inline as no-ops (or are rejected, per
-:class:`~repro.serving.policy.AdmissionPolicy.on_empty`).
+inline as no-ops.
 
 By default every answer is a stateless counterfactual against the
 original training set.  ``commit_mode=True`` turns the server into a

@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from repro import IncrementalTrainer, MaintenancePolicy
+from repro.core import serialization
 from repro.core.maintenance import MaintenanceCost
+from repro.core.priu_opt import refresh_frozen_eigen
 from repro.core.provenance_store import remap_surviving_ids
 from repro.core.replay_plan import ReplayPlan
 from repro.datasets import (
@@ -150,8 +152,6 @@ class TestMaintenancePolicyThresholds:
             MaintenancePolicy(max_slot_garbage_fraction=1.5)
         with pytest.raises(ValueError):
             MaintenancePolicy(svd_epsilon=-0.1)
-        with pytest.raises(ValueError):
-            MaintenancePolicy(eigen_correction_limit=-2)
 
 
 # ------------------------------------------------------------------ repack
@@ -313,12 +313,10 @@ class TestLazyEigen:
         trainer.remove([3, 40, 90], method="priu", commit=True)
         frozen = trainer.store.frozen
         assert frozen.eigen_stale
-        assert frozen.pending_rows is not None
         assert trainer.maintenance_cost().stale_eigen == 1
         exact = trainer.remove([5, 6], method="priu").weights
         approx = trainer.remove([5, 6], method="priu-opt").weights
         assert not frozen.eigen_stale  # first opt update discharged it
-        assert frozen.pending_rows is None
         assert float(np.max(np.abs(exact - approx))) < 0.05
 
     def test_maintain_discharges_eigen_without_a_query(self):
@@ -332,30 +330,28 @@ class TestLazyEigen:
         assert not trainer.store.frozen.eigen_stale
         assert trainer.maintenance_cost().stale_eigen == 0
 
-    def test_correction_mode_used_below_limit_and_stays_in_envelope(self):
-        exact = _fit(
-            "binary_logistic", "dense", dict(batch_size=40), method="auto"
+    @pytest.mark.parametrize("task", ["binary_logistic", "multinomial_logistic"])
+    def test_refresh_recomputes_the_downdated_gram_exactly(self, task):
+        """However many commits deferred it, the refresh is a full
+        eigendecomposition: the new eigenpairs reproduce the exactly
+        downdated gram, and a second refresh has nothing to do."""
+        trainer = _fit(task, "dense", dict(batch_size=40), method="auto")
+        trainer.remove([3, 40], method="priu", commit=True)
+        trainer.remove([7], method="priu", commit=True)
+        frozen = trainer.store.frozen
+        assert frozen.eigen_stale
+        report = trainer.maintain()
+        assert report.eigen["refreshed"].get("opt") == "recompute"
+        gram = 0.5 * (frozen.gram + frozen.gram.T)
+        vectors, values = frozen.eigenvectors, frozen.eigenvalues
+        scale = float(np.max(np.abs(gram)))
+        np.testing.assert_allclose(
+            (vectors * values) @ vectors.T, gram, atol=1e-10 * scale, rtol=0.0
         )
-        corrected = _fit(
-            "binary_logistic", "dense", dict(batch_size=40), method="auto",
-            eigen_correction_limit=8,
+        np.testing.assert_allclose(
+            values, np.linalg.eigvalsh(gram), atol=1e-10 * scale, rtol=0.0
         )
-        exact.remove([7, 8], method="priu", commit=True)
-        corrected.remove([7, 8], method="priu", commit=True)
-        exact_report = exact.maintain()
-        corrected_report = corrected.maintain(
-            MaintenancePolicy(eigen_correction_limit=8)
-        )
-        assert exact_report.eigen["refreshed"]["opt"] == "recompute"
-        assert corrected_report.eigen["refreshed"]["opt"] == "correction"
-        probe = [11, 12]
-        dev = np.max(
-            np.abs(
-                exact.remove(probe, method="priu-opt").weights
-                - corrected.remove(probe, method="priu-opt").weights
-            )
-        )
-        assert dev < 0.05  # same approximation family, close results
+        assert refresh_frozen_eigen(frozen) is None
 
 
 # ---------------------------------------------------------------- receipts
@@ -469,23 +465,44 @@ class TestMaintenanceCheckpoint:
             assert "svd" in report.performed
 
 
-def test_stale_frozen_eigen_round_trips(tmp_path):
-    """The deferred eigen debt survives a checkpoint and refreshes after."""
+@pytest.mark.parametrize(
+    "legacy_rows", [False, True], ids=["current", "legacy-rows"]
+)
+def test_stale_frozen_eigen_round_trips(tmp_path, monkeypatch, legacy_rows):
+    """The deferred eigen debt survives a checkpoint and refreshes after.
+
+    Archives from builds that kept the removed rows for an incremental
+    eigen correction also carry ``frozen_pending_rows`` /
+    ``frozen_pending_weights``; they load the same, the members
+    checksum-verified and ignored."""
     data = _DATASETS["binary_logistic"]
     trainer = _fit(
         "binary_logistic", "dense", dict(batch_size=40), method="auto"
     )
     trainer.remove([3, 40, 90], method="priu", commit=True)
     assert trainer.store.frozen.eigen_stale
-    trainer.save_checkpoint(tmp_path)
+    with monkeypatch.context() as patch:
+        if legacy_rows:
+            fields = serialization._FROZEN_FIELDS
+            patch.setattr(
+                serialization,
+                "_FROZEN_FIELDS",
+                fields + ("pending_rows", "pending_weights"),
+            )
+            frozen = trainer.store.frozen
+            rows = data.features[[3, 40, 90]]
+            patch.setattr(frozen, "pending_rows", rows, raising=False)
+            patch.setattr(
+                frozen, "pending_weights", np.ones(3), raising=False
+            )
+        paths = trainer.save_checkpoint(tmp_path)
+    with np.load(paths["store"]) as npz:
+        assert ("frozen_pending_rows" in npz.files) == legacy_rows
     reloaded = IncrementalTrainer.from_checkpoint(
         tmp_path, data.features, data.labels, method="auto"
     )
     frozen = reloaded.store.frozen
     assert frozen.eigen_stale
-    assert np.array_equal(
-        frozen.pending_rows, trainer.store.frozen.pending_rows
-    )
     got = reloaded.remove([5, 6], method="priu-opt").weights
     assert not frozen.eigen_stale
     want = trainer.remove([5, 6], method="priu-opt").weights

@@ -3,17 +3,20 @@
 The end-to-end commit contracts live in ``test_commit.py``; this file pins
 the store-level pieces: input validation of
 :func:`normalize_removed_indices` (dtype rejection, no aliasing), the
-survivor remap, and the vectorized drop-and-shift rebuild of the packed
-occurrence index.
+survivor remap and its deletion-log form, and the vectorized
+drop-and-shift rebuild of the packed occurrence index.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import train_with_capture
 from repro.core.provenance_store import (
     normalize_removed_indices,
     remap_surviving_ids,
+    remap_through_deletion_log,
 )
 from repro.datasets import make_regression
 from repro.models import make_schedule, objective_for
@@ -85,6 +88,57 @@ class TestRemapSurvivingIds:
         out = remap_surviving_ids(ids, np.empty(0, dtype=np.int64))
         assert np.array_equal(out, ids)
         assert not np.shares_memory(out, ids)
+
+
+def _sorted_ids(values) -> np.ndarray:
+    return np.array(sorted(values), dtype=np.int64)
+
+
+class TestRemapThroughDeletionLog:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_one_call_equals_remapping_commit_by_commit(self, data):
+        """Translating through ``log[tag:]`` in one call lands where
+        :func:`remap_surviving_ids` lands applied once per commit, with
+        ids already committed dropping out along the way."""
+        n = data.draw(st.integers(2, 40), label="n")
+        survivors = np.arange(n, dtype=np.int64)  # original ids, in order
+        commits, log_parts, lengths = [], [], [0]
+        for _ in range(data.draw(st.integers(0, 5), label="n_commits")):
+            size = survivors.size
+            removed = _sorted_ids(
+                data.draw(
+                    st.sets(st.integers(0, size - 1), max_size=size - 1)
+                )
+            )
+            commits.append(removed)
+            log_parts.append(survivors[removed])  # what compact() logs
+            survivors = np.delete(survivors, removed)
+            lengths.append(lengths[-1] + removed.size)
+        log = np.concatenate(log_parts) if log_parts else None
+        tag = data.draw(st.integers(0, len(commits)), label="tag")
+        space = n - lengths[tag]
+        ids = _sorted_ids(data.draw(st.sets(st.integers(0, space - 1))))
+        expected = ids
+        for removed in commits[tag:]:
+            kept = expected[~np.isin(expected, removed)]
+            expected = remap_surviving_ids(kept, removed)
+        got = remap_through_deletion_log(ids, log, lengths[tag])
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+
+    def test_nothing_committed_since_the_tag_returns_the_ids(self):
+        ids = np.array([1, 4], dtype=np.int64)
+        log = np.array([7, 2], dtype=np.int64)
+        assert remap_through_deletion_log(ids, log, 2) is ids
+        assert remap_through_deletion_log(ids, None, 0) is ids
+
+    def test_entries_before_the_tag_are_not_applied_again(self):
+        # Space at tag 1 lacks original 0, so original 5 is id 4 there;
+        # the later commit of original 2 (id 1 at tag 1) shifts it to 3.
+        log = np.array([0, 2], dtype=np.int64)
+        out = remap_through_deletion_log(_sorted_ids([1, 4]), log, 1)
+        assert np.array_equal(out, [3])
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,7 @@
 """Deterministic-clock test harness for the serving layer.
 
 Two tools live here, both built on the serving layer's injectable
-:class:`repro.serving.Clock`:
+:class:`repro.serving.Clock`, plus :func:`watch_parking`:
 
 * :class:`FakeClock` — monotonic time that only moves when the test moves
   it.  In ``auto_advance`` mode (the default) any timed wait consumes its
@@ -25,6 +25,10 @@ Two tools live here, both built on the serving layer's injectable
   monotonicity).  On any violation it raises with the seed and the full
   operation trace, so a failure replays with
   ``StressDriver(..., seed=<printed seed>)``.
+
+* :func:`watch_parking` — an event set when a submitter finds a model's
+  queue full and parks on its backpressure semaphore, so a test can wait
+  for the park instead of sleeping.
 """
 
 from __future__ import annotations
@@ -101,6 +105,31 @@ class FakeClock(Clock):
                 self.advance_to(target)
                 return False
         return False
+
+
+def watch_parking(fleet: FleetServer, model_id: str) -> threading.Event:
+    """An event set once a submitter to ``model_id`` finds its queue full.
+
+    Wraps the model's backpressure semaphore, so the model needs a queue
+    already (one earlier submission creates it).
+    """
+    with fleet._sched:
+        state = fleet._queues[model_id]
+    parked = threading.Event()
+    slots = state.slots
+
+    class _ParkingSemaphore:
+        def acquire(self, blocking=True, timeout=None):
+            if slots.acquire(blocking=False):
+                return True
+            parked.set()
+            return slots.acquire(blocking, timeout)
+
+        def release(self):
+            slots.release()
+
+    state.slots = _ParkingSemaphore()
+    return parked
 
 
 # ------------------------------------------------------------------ driver

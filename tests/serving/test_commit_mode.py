@@ -205,21 +205,33 @@ class TestEmptySubmits:
         assert outcome.method == "noop"
         assert trainer.n_samples == n_before
 
-    def test_policy_can_reject_empty_submits(self, trainer):
-        policy = AdmissionPolicy(on_empty="reject")
-        with DeletionServer(trainer, policy, method="priu") as server:
-            with pytest.raises(ValueError, match="empty removal set"):
-                server.submit([])
+    def test_empty_submit_takes_no_admission_slot(self, trainer):
+        """The queue is full and the worker not started, yet an empty set
+        is answered at once: it never joins the queue it would wait on."""
+        server = DeletionServer(
+            trainer,
+            AdmissionPolicy(max_pending=1),
+            method="priu",
+            autostart=False,
+            commit_mode=True,
+        )
+        queued = server.submit([1])
+        empty = server.submit([], block=False)
+        assert empty.done() and not queued.done()
+        assert empty.result().method == "noop"
+        server.start()
+        assert server.flush(timeout=30)
+        server.close()
+        assert queued.result(timeout=30).committed
+        stats = server.stats()
+        assert stats.rejected == 0
+        assert stats.answered == 2
 
     def test_empty_submit_to_closed_server_raises(self, trainer):
         server = DeletionServer(trainer, method="priu")
         server.close()
         with pytest.raises(RuntimeError, match="closed"):
             server.submit([])
-
-    def test_invalid_on_empty_rejected(self):
-        with pytest.raises(ValueError, match="on_empty"):
-            AdmissionPolicy(on_empty="ignore")
 
 
 class TestExitDuringException:

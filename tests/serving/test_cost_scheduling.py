@@ -39,6 +39,7 @@ from repro import (
     MaintenancePolicy,
     ModelRegistry,
 )
+from repro.core.serialization import read_checkpoint_metadata
 from repro.datasets import make_binary_classification, make_regression
 
 _BINARY = make_binary_classification(400, 10, separation=1.0, seed=81)
@@ -298,16 +299,25 @@ class TestRetire:
 
     def test_evicts_clean_resident(self, checkpoint):
         registry = self._registry(checkpoint)
+        before = read_checkpoint_metadata(checkpoint)
+        written = before.store_path.stat()
         registry.get("m")
+        assert registry.dirty_ids() == ()
         assert registry.retire("m") is True
         assert registry.resident_trainer("m") is None
-        assert registry.epoch("m") == 0  # clean: nothing was rewritten
+        # Clean: nothing was rewritten.
+        assert read_checkpoint_metadata(checkpoint) == before
+        after = before.store_path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (
+            written.st_ino,
+            written.st_mtime_ns,
+        )
 
     def test_dirty_commit_model_maintains_saves_and_evicts(self, checkpoint):
         """The full retire path: commit traffic dirties the model and
         accrues maintenance debt; retire reclaims the debt (the derived
-        policy stops being due), bumps the checkpoint epoch, evicts, and
-        a reload answers from the committed state."""
+        policy stops being due), rewrites the checkpoint, evicts, and a
+        reload answers from the committed state."""
         cost_model = CostModel()
         checkpoint = checkpoint.parent / "svd-ckpt"
         fit_svd_model().save_checkpoint(checkpoint)
@@ -339,7 +349,8 @@ class TestRetire:
             pytest.fail("commit churn never made maintenance due")
         assert fleet.flush(timeout=30)
         assert "m" in registry.dirty_ids()
-        epoch_before = registry.epoch("m")
+        on_disk = read_checkpoint_metadata(checkpoint)
+        assert on_disk.n_original_samples is None  # the pre-commit archive
 
         assert registry.retire("m", policy=policy) is True
         fleet.close()
@@ -347,7 +358,10 @@ class TestRetire:
         # and the model dropped.
         assert not policy.due(trainer.maintenance_cost(include_bytes=False))
         assert registry.resident_trainer("m") is None
-        assert registry.epoch("m") == epoch_before + 1
+        assert registry.dirty_ids() == ()
+        rewritten = read_checkpoint_metadata(checkpoint)
+        assert rewritten.n_samples == trainer.n_samples
+        assert rewritten.n_original_samples == on_disk.n_samples
 
         # A reload serves the committed state: same answers as replaying
         # the same committed sequence on a fresh reference trainer.

@@ -9,12 +9,11 @@ elapses in zero wall time.
 
 import shutil
 import threading
-import time
 
 import numpy as np
 import pytest
 
-from harness import FakeClock
+from harness import FakeClock, watch_parking
 from repro import (
     AdmissionPolicy,
     DeletionServer,
@@ -367,6 +366,7 @@ class TestWorkerCrash:
         in_flight = fleet.submit("m", [1])
         assert inside.wait(timeout=30)
         queued = fleet.submit("m", [2])  # takes the only queue slot
+        parking = watch_parking(fleet, "m")
         parked: dict = {}
 
         def submit_behind_full_queue():
@@ -377,21 +377,9 @@ class TestWorkerCrash:
 
         thread = threading.Thread(target=submit_behind_full_queue, daemon=True)
         thread.start()
-        with fleet._sched:
-            tracker = fleet._queues["m"].tracker
-
-        def registered() -> int:
-            with tracker._lock:
-                return sum(tracker._inflight_keys.values())
-
-        # reprolint: allow[R005] bounded spin waiting for background threads to park; no scheduling depends on the value
-        deadline = time.monotonic() + 5
-        # reprolint: allow[R005] bounded spin waiting for background threads to park; no scheduling depends on the value
-        while time.monotonic() < deadline and registered() < 3:
-            # reprolint: allow[R005] bounded spin waiting for background threads to park; no scheduling depends on the value
-            time.sleep(0.001)
-        # In flight + queued + the submitter past its first crash check.
-        assert registered() == 3
+        # The submitter is past its first crash check, parked on the full
+        # queue, before the in-flight batch crashes the worker.
+        assert parking.wait(timeout=30)
         release.set()
         thread.join(timeout=30)
         assert not thread.is_alive()

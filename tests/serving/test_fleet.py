@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from harness import FakeClock
+from harness import FakeClock, watch_parking
 from repro import (
     AdmissionPolicy,
     FleetServer,
@@ -693,6 +693,46 @@ class TestFleetCommitMode:
         assert np.array_equal(np.sort(live.deletion_log), [0, 1, 2, 4])
         assert live.n_samples == _BINARY.features.shape[0] - 4
 
+    def test_cold_submits_skip_commits_the_checkpoint_already_holds(
+        self, tmp_path
+    ):
+        """A cold model's requests are tagged with the deletion-log length
+        its checkpoint metadata implies, so dispatch translates them past
+        the commits made since the load and never again past the ones
+        the checkpoint already applied."""
+        trainer = fit_binary(_BINARY)
+        trainer.remove([0, 1, 2], commit=True)
+        checkpoint = tmp_path / "m"
+        trainer.save_checkpoint(checkpoint)
+        registry = ModelRegistry()
+        registry.register(
+            "m",
+            checkpoint=checkpoint,
+            features=_BINARY.features,
+            labels=_BINARY.labels,
+            method="priu",
+        )
+        fleet = FleetServer(
+            registry,
+            AdmissionPolicy(max_batch=1),
+            method="priu",
+            n_workers=1,
+            commit_mode=True,
+            autostart=False,
+        )
+        # Both enqueue against the archive space, which lacks originals
+        # 0-2: id 0 is original 3 and id 4 is original 7.
+        first = fleet.submit("m", [0])
+        shifted = fleet.submit("m", [4])
+        fleet.start()
+        assert fleet.flush(timeout=30)
+        fleet.close()
+        assert np.array_equal(first.result(timeout=30).removed, [0])
+        assert np.array_equal(shifted.result(timeout=30).removed, [3])
+        live = registry.get("m")
+        assert np.array_equal(np.sort(live.deletion_log), [0, 1, 2, 3, 7])
+        assert live.n_samples == _BINARY.features.shape[0] - 5
+
     def test_queued_request_remaps_across_evict_reload_within_epoch(
         self, tmp_path
     ):
@@ -746,46 +786,68 @@ class TestFleetCommitMode:
         assert np.array_equal(np.sort(live.deletion_log), [0, 1, 2, 3, 8])
         assert live.n_samples == _BINARY.features.shape[0] - 5
 
-    def test_blocked_submitter_registers_its_key_before_waiting(self):
-        """A submitter parked on the per-model backpressure semaphore must
-        already be counted in the commit tracker's in-flight key set —
-        otherwise a concurrent dispatch can prune commit-history entries
-        the parked request still needs, and its ids later dispatch
-        unremapped."""
+    def test_parked_submitter_is_translated_past_commits_made_while_parked(
+        self,
+    ):
+        """A submitter parked on the per-model backpressure semaphore
+        validated its ids before the wait.  A batch that commits while it
+        is parked shifts the id space under it, so its request must be
+        translated past that commit at dispatch, not executed verbatim."""
+        trainer = fit_binary(_BINARY)
         registry = ModelRegistry()
-        registry.register("m", trainer=fit_binary(_BINARY))
+        registry.register("m", trainer=trainer)
         fleet = FleetServer(
             registry,
             AdmissionPolicy(max_pending=1),
             commit_mode=True,
             autostart=False,
         )
-        fleet.submit("m", [1])
+        first = fleet.submit("m", [1])
+        parked = watch_parking(fleet, "m")
+        submitted: dict = {}
         thread = threading.Thread(
-            target=lambda: fleet.submit("m", [2], block=True, timeout=30),
+            target=lambda: submitted.setdefault(
+                "future", fleet.submit("m", [2], block=True, timeout=30)
+            ),
             daemon=True,
         )
         thread.start()
-        with fleet._sched:
-            tracker = fleet._queues["m"].tracker
-        def registered() -> int:
-            with tracker._lock:
-                return sum(tracker._inflight_keys.values())
-        # reprolint: allow[R005] bounded spin waiting for background threads to park; no scheduling depends on the value
-        deadline = time.monotonic() + 5
-        # reprolint: allow[R005] bounded spin waiting for background threads to park; no scheduling depends on the value
-        while time.monotonic() < deadline and registered() < 2:
-            # reprolint: allow[R005] bounded spin waiting for background threads to park; no scheduling depends on the value
-            time.sleep(0.001)
-        # Queued request + parked submitter, both pinned before dispatch.
-        assert registered() == 2
+        assert parked.wait(timeout=30)
         fleet.start()
         thread.join(timeout=30)
         assert not thread.is_alive()
         assert fleet.flush(timeout=30)
         fleet.close()
         assert fleet.stats("m").answered == 2
-        assert registered() == 0
+        assert np.array_equal(first.result(timeout=30).removed, [1])
+        # Id 2 was validated before the commit of id 1 shifted it down.
+        late = submitted["future"].result(timeout=30)
+        assert np.array_equal(late.removed, [1])
+        assert np.array_equal(np.sort(trainer.deletion_log), [1, 2])
+
+    def test_queued_request_is_translated_past_a_direct_commit(self):
+        """Commits made on the trainer itself, outside the fleet, shift the
+        id space under queued requests exactly like the fleet's own:
+        a request for id 5 queued before ``remove([0], commit=True)``
+        must erase original sample 5 (now id 4), not sample 6."""
+        trainer = fit_binary(_BINARY)
+        registry = ModelRegistry()
+        registry.register("m", trainer=trainer)
+        fleet = FleetServer(
+            registry,
+            AdmissionPolicy(max_batch=1),
+            method="priu",
+            n_workers=1,
+            commit_mode=True,
+            autostart=False,
+        )
+        queued = fleet.submit("m", [5])
+        trainer.remove([0], commit=True)
+        fleet.start()
+        assert fleet.flush(timeout=30)
+        fleet.close()
+        assert np.array_equal(queued.result(timeout=30).removed, [4])
+        assert np.array_equal(np.sort(trainer.deletion_log), [0, 5])
 
     def test_submit_parks_on_the_store_commit_lock(self):
         """Regression: a submit arriving while ``compact()`` mutates the

@@ -1,6 +1,6 @@
-"""Fleet maintenance scheduling, warm-start, and the starvation guard.
+"""Fleet maintenance scheduling and warm-start.
 
-Three surfaces from ISSUE 5:
+Two surfaces:
 
 * **Background maintenance** — ``FleetServer(maintenance=...)`` schedules
   ``maintain()`` for dirty-and-idle resident models behind the
@@ -10,8 +10,6 @@ Three surfaces from ISSUE 5:
   interleaving (re-pack moves values, never changes them).
 * **Registry warm-start** — ``warm_start(n)`` pre-loads the hottest N
   models by admission history instead of paying first-request latency.
-* **Starvation guard** — ``max_preemption_ratio`` keeps a deadline flood
-  from pinning bulk traffic at its full coalescing budget.
 """
 
 import numpy as np
@@ -433,75 +431,3 @@ class TestWarmStart:
         # thrash), so the sweep stopped there.
         assert len(loaded) <= 2
         assert capped.stats()["evictions"] <= 1
-
-
-# -------------------------------------------------------- starvation guard
-class TestStarvationGuard:
-    def _flood_server(self, ratio, n_deadline=8):
-        policy = AdmissionPolicy(
-            max_batch=1, max_delay_seconds=0.0, max_preemption_ratio=ratio
-        )
-        server = DeletionServer(
-            fit_binary(), policy, method="priu",
-            autostart=False, clock=FakeClock(),
-        )
-        bulk = server.submit([1, 2], lane="bulk")
-        deadlines = [
-            server.submit([10 + i], lane="deadline") for i in range(n_deadline)
-        ]
-        server.start()
-        assert server.flush(timeout=30)
-        server.close()
-        return bulk.result(timeout=30), [
-            f.result(timeout=30) for f in deadlines
-        ]
-
-    def test_unguarded_flood_pins_bulk_to_the_end(self):
-        bulk, deadlines = self._flood_server(ratio=None)
-        assert bulk.batch_seq > max(o.batch_seq for o in deadlines) - 1
-
-    def test_guard_yields_bulk_mid_flood(self):
-        bulk, deadlines = self._flood_server(ratio=0.5)
-        # Debt 0.5 after the first preempting dispatch, 1.0 after the
-        # second: the third dispatch must yield to the waiting bulk.
-        assert bulk.batch_seq == 2
-        # Deadline requests still dispatch in admission order around it.
-        seqs = [o.batch_seq for o in deadlines]
-        assert seqs == sorted(seqs)
-        # max_batch=1 stays a hard cap: the yielded request takes its own
-        # dispatch, it never rides along as a max_batch+1 overflow.
-        assert bulk.batch_size == 1
-        assert all(o.batch_size == 1 for o in deadlines)
-
-    def test_zero_ratio_serves_oldest_bulk_with_every_batch(self):
-        policy = AdmissionPolicy(
-            max_batch=2, max_delay_seconds=0.0, max_preemption_ratio=0.0
-        )
-        server = DeletionServer(
-            fit_binary(), policy, method="priu",
-            autostart=False, clock=FakeClock(),
-        )
-        bulks = [server.submit([1 + i], lane="bulk") for i in range(3)]
-        deadlines = [
-            server.submit([50 + i], lane="deadline") for i in range(6)
-        ]
-        server.start()
-        assert server.flush(timeout=30)
-        server.close()
-        bulk_seqs = sorted(f.result().batch_seq for f in bulks)
-        # After the first preempting batch, every dispatch carries the
-        # oldest waiting bulk request along.
-        assert bulk_seqs[0] <= 1
-        assert bulk_seqs[-1] <= len(set(
-            f.result().batch_seq for f in deadlines
-        ))
-
-    def test_guarded_answers_match_unguarded(self):
-        """The guard reorders dispatch, never arithmetic (the yielded
-        request rides a K=2 batch, so agreement is at reduction-order
-        level rather than bitwise)."""
-        guarded, _ = self._flood_server(ratio=0.5)
-        unguarded, _ = self._flood_server(ratio=None)
-        np.testing.assert_allclose(
-            guarded.weights, unguarded.weights, atol=1e-10, rtol=0.0
-        )

@@ -75,67 +75,8 @@ class TestLanes:
         assert policy.delay_for("slow") == 0.5
         assert policy.delay_for(None) == 0.5
 
-
-class TestPreemptionGuardKnobs:
-    """max_preemption_ratio validation and resolution (starvation guard)."""
-
-    def test_policy_level_default_applies_to_all_lanes(self):
-        policy = AdmissionPolicy(max_preemption_ratio=0.5)
-        assert policy.preemption_ratio_for("deadline") == 0.5
-        assert policy.preemption_ratio_for("bulk") == 0.5
-
-    def test_lane_override_wins(self):
-        policy = AdmissionPolicy(
-            lanes=(
-                Lane("deadline", max_delay_seconds=0.0, priority=0,
-                     max_preemption_ratio=0.25),
-                Lane("bulk", priority=10),
-            ),
-            max_preemption_ratio=0.9,
-        )
-        assert policy.preemption_ratio_for("deadline") == 0.25
-        assert policy.preemption_ratio_for("bulk") == 0.9
-
-    def test_unset_means_unlimited(self):
-        policy = AdmissionPolicy()
-        assert policy.preemption_ratio_for("deadline") is None
-
-    def test_out_of_range_ratios_rejected(self):
-        with pytest.raises(ValueError):
-            AdmissionPolicy(max_preemption_ratio=-0.1)
-        with pytest.raises(ValueError):
-            AdmissionPolicy(max_preemption_ratio=1.5)
-        with pytest.raises(ValueError):
-            Lane("x", max_preemption_ratio=2.0)
-
     def test_maintenance_lane_is_stock_and_lowest_priority(self):
         policy = AdmissionPolicy()
         lane = policy.lane("maintenance")
         assert lane.priority > policy.lane("bulk").priority
         assert lane.priority > policy.lane("deadline").priority
-
-
-class TestPreemptionGuardDebt:
-    """The debt counter itself (dispatch plumbing is tested in
-    tests/serving/test_maintenance_serving.py)."""
-
-    def test_unguarded_dispatches_repay_outstanding_debt(self):
-        from repro.serving.policy import _PreemptionGuard
-
-        guard = _PreemptionGuard()
-        guard.note(True, 0.5)
-        guard.note(True, 0.5)
-        assert guard.must_yield()
-        # A dispatch led by a ratio-less lane (note(False, None)) repays
-        # at the ratio that accrued the debt — a past flood must not
-        # leave the guard force-yielding forever.
-        guard.note(False, None)
-        guard.note(False, None)
-        assert not guard.must_yield()
-
-    def test_no_ratio_ever_seen_is_a_noop(self):
-        from repro.serving.policy import _PreemptionGuard
-
-        guard = _PreemptionGuard()
-        guard.note(False, None)
-        assert not guard.must_yield()

@@ -273,6 +273,40 @@ class TestRouterValidation:
             with pytest.raises(ValueError, match="unknown model id"):
                 router.submit("ghost", [0, 1])
 
+    @pytest.mark.parametrize(
+        "ids",
+        [[3.7], np.array([3.7]), [True, False]],
+        ids=["list", "ndarray", "bool-mask"],
+    )
+    def test_float_ids_fail_synchronously(self, checkpoint, ids):
+        # Casting to int64 would serve 3.7 as id 3 (and a boolean mask as
+        # ids 1 and 0); the fleet itself raises TypeError, and so must
+        # the router, before the pipe.
+        with ShardRouter(n_shards=1, policy=_POLICY) as router:
+            router.register("m", checkpoint, _DATA.features, _DATA.labels)
+            with pytest.raises(TypeError, match="integer"):
+                router.submit("m", ids)
+
+    @pytest.mark.parametrize(
+        "make_ids",
+        [lambda: {4, 2}, lambda: (i for i in (4, 2, 4))],
+        ids=["set", "generator"],
+    )
+    def test_id_containers_are_accepted_like_the_fleet(
+        self, checkpoint, make_ids
+    ):
+        """Every container the fleet accepts routes too, canonicalized to
+        sorted unique ids, and is answered as the fleet answers it."""
+        traffic = [("model-0", [2, 4], "bulk")]
+        (expected,) = reference_answers(checkpoint, traffic, models=1)
+        with ShardRouter(n_shards=1, policy=_POLICY) as router:
+            register_all(router, checkpoint, models=1)
+            outcome = router.submit(
+                "model-0", make_ids(), lane="bulk"
+            ).result(timeout=60)
+        assert np.array_equal(outcome.removed, [2, 4])
+        assert np.array_equal(outcome.weights, expected.weights)
+
     def test_duplicate_registration_rejected(self, checkpoint):
         with ShardRouter(n_shards=1, policy=_POLICY) as router:
             router.register("m", checkpoint, _DATA.features, _DATA.labels)

@@ -273,6 +273,29 @@ class TestLanes:
         ]
         assert bulk_coords == sorted(bulk_coords)
 
+    def test_deadline_flood_dispatches_before_any_waiting_bulk(
+        self, trainer, removal_sets
+    ):
+        """Lane priority is strict: while deadline requests keep the
+        queue busy, a bulk request admitted ahead of all of them waits
+        until the last one has dispatched."""
+        server = DeletionServer(
+            trainer,
+            AdmissionPolicy(max_batch=1, max_delay_seconds=0.0),
+            autostart=False,
+            clock=FakeClock(),
+        )
+        bulk = server.submit(removal_sets[0], lane="bulk")
+        deadlines = [
+            server.submit(s, lane="deadline") for s in removal_sets[1:9]
+        ]
+        server.start()
+        assert server.flush(timeout=30)
+        server.close()
+        seqs = [f.result(timeout=30).batch_seq for f in deadlines]
+        assert seqs == list(range(len(deadlines)))
+        assert bulk.result(timeout=30).batch_seq == len(deadlines)
+
     def test_mixed_budgets_dispatch_at_the_earliest_member_deadline(
         self, trainer, removal_sets
     ):
