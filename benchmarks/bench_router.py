@@ -11,7 +11,9 @@ workload spread over several models,
   the *plan* bytes resident per extra worker process are ≈ 0 (asserted
   < 5% of the plan's size whenever ``/proc/<pid>/smaps`` is available:
   PSS charges each shared page 1/n to its n mappers, so the fleet-wide
-  plan residency stays one copy no matter how many shards map it);
+  plan residency stays one copy no matter how many shards map it).
+  Each model is served once before PSS is sampled, which maps and reads
+  every plan page (the first replay's checksum sweep reads them all);
 * **bit-identity** — a serial mixed-lane contract run answers exactly
   like the single-process fleet (always asserted; serial submission
   keeps both sides in the singleton batch-size class, where the
@@ -133,9 +135,7 @@ def _resident_plan_bytes(tmp_root: Path):
     residency = {}
     pss_totals = {}
     for n_shards in (1, N_SHARDS):
-        with ShardRouter(
-            n_shards=n_shards, policy=POLICY, prefault_plans=True
-        ) as router:
+        with ShardRouter(n_shards=n_shards, policy=POLICY) as router:
             _register_models(router, wl, directory, router=True)
             # Touch every model once so each home shard loads (and maps)
             # its models, then let the queues drain.

@@ -16,7 +16,7 @@ Public entry points
     compiled replay engine (:mod:`repro.serving`), with SLA lanes.
 :class:`repro.FleetServer` / :class:`repro.ModelRegistry`
     The multi-model tier: many checkpoints behind one shared worker
-    pool, loaded lazily and LRU-evicted under a memory cap.
+    pool, loaded lazily and LRU-evicted past a resident-model cap.
 :class:`repro.ShardRouter`
     The cross-process tier: model ids consistent-hashed across N shard
     worker processes (each a fleet of its own), sharing one read-only

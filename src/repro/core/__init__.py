@@ -35,7 +35,6 @@ from .diagnostics import (
 )
 from .serialization import (
     CheckpointCorruptionError,
-    PlanCache,
     load_plan,
     load_store,
     recover_checkpoint,
@@ -76,7 +75,6 @@ __all__ = [
     "MaintenanceReport",
     "refresh_frozen_eigen",
     "PackedOccurrenceIndex",
-    "PlanCache",
     "ReplayPlan",
     "compile_replay_plan",
     "normalize_removed_indices",

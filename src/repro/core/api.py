@@ -324,7 +324,6 @@ class IncrementalTrainer:
         plan_path: str | Path | None = None,
         method: str = "auto",
         mmap: bool = True,
-        plan_cache=None,
         **overrides,
     ) -> "IncrementalTrainer":
         """Rebuild a serving-ready trainer from a checkpoint — no recapture.
@@ -345,10 +344,9 @@ class IncrementalTrainer:
         replaying the empty removal set — the provenance recursion with
         ``R = ∅`` reproduces the captured training trajectory exactly.
 
-        ``plan_cache`` (a :class:`~repro.core.serialization.PlanCache`)
-        makes repeated loads of the same plan epoch share one read-only
-        mapping — the shard-worker path, where every reload and warm
-        standby must cost zero extra resident plan bytes.
+        The plan mapping is read-only and shared through the page cache,
+        so loading one checkpoint many times — after an eviction, or in
+        every shard process — costs no extra resident plan bytes.
         """
         path = Path(path)
         if path.is_dir():
@@ -380,9 +378,7 @@ class IncrementalTrainer:
             schedule_kind=store.schedule.kind,
             **overrides,
         )
-        trainer._restore(
-            store, features, labels, plan_path, mmap, plan_cache=plan_cache
-        )
+        trainer._restore(store, features, labels, plan_path, mmap)
         return trainer
 
     def _restore(
@@ -392,7 +388,6 @@ class IncrementalTrainer:
         labels: np.ndarray,
         plan_path,
         mmap: bool,
-        plan_cache=None,
     ) -> None:
         """Attach checkpointed state; mirrors everything :meth:`fit` sets."""
         labels = np.asarray(labels)
@@ -428,12 +423,7 @@ class IncrementalTrainer:
         self._priu = PrIUUpdater(store, features, labels)
         if plan_path is not None:
             self._plan = load_plan(
-                plan_path,
-                store,
-                features,
-                labels,
-                mmap=mmap,
-                plan_cache=plan_cache,
+                plan_path, store, features, labels, mmap=mmap
             )
         else:
             self._plan = ReplayPlan(store, features, labels)
@@ -577,8 +567,7 @@ FleetServer` auto-maintenance) needs, since
         performed: list[str] = []
         if "svd" in due:
             svd_receipt = self.store.retruncate_summaries(
-                epsilon=policy.svd_epsilon,
-                incremental=policy.svd_incremental,
+                epsilon=policy.svd_epsilon
             )
             touched = svd_receipt.pop("iterations")
             self._plan.resync_summaries(touched)
@@ -871,8 +860,8 @@ FleetServer` auto-maintenance) needs, since
         """Bytes held by the compiled replay plan (0 if unsupported).
 
         This is the serving-resident footprint a
-        :class:`~repro.serving.fleet.ModelRegistry` charges a loaded model
-        against its memory cap — the store and training data are either
+        :class:`~repro.serving.fleet.ModelRegistry` reports for a loaded
+        model, measured on read — the store and training data are either
         memory-mapped or owned by the caller.
         """
         self._require_fit()

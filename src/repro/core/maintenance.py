@@ -114,15 +114,11 @@ class MaintenancePolicy:
     :func:`~repro.linalg.svd.retruncate_summary`: ``None`` (default)
     re-truncates to the numerical rank only — exact, answer-preserving —
     while an explicit ε applies the paper's lossy tail-ratio criterion
-    with the error bound surfaced in the report.
-
-    ``svd_incremental`` lets re-truncation fold few appended correction
-    columns into the existing orthogonal factors
-    (:func:`~repro.linalg.svd.retruncate_summary` with ``appended``)
-    instead of re-running thin-QR over the whole width — the crossover
-    is :func:`~repro.linalg.svd.incremental_retruncation_wins`, answers
-    are preserved to machine precision either way.  ``False`` forces the
-    full path (diagnostics / A-B timing).
+    with the error bound surfaced in the report.  Re-truncation folds few
+    appended correction columns into the existing orthogonal factors
+    whenever :func:`~repro.linalg.svd.incremental_retruncation_wins` says
+    that beats thin-QR over the whole width; answers are preserved to
+    machine precision either way.
     """
 
     max_slot_garbage_rows: int = 0
@@ -130,7 +126,6 @@ class MaintenancePolicy:
     max_svd_correction_columns: int = 0
     refresh_stale_eigen: bool = True
     svd_epsilon: float | None = None
-    svd_incremental: bool = True
 
     def __post_init__(self) -> None:
         if self.max_slot_garbage_rows < 0:

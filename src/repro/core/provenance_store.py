@@ -89,6 +89,23 @@ def normalize_removed_indices(indices, assume_unique: bool = False) -> np.ndarra
     return np.unique(arr)
 
 
+def validate_removed_indices(removed: np.ndarray, n_samples: int) -> None:
+    """Bounds-check a normalized removal set against ``n_samples`` ids.
+
+    ``removed`` is sorted and unique (:func:`normalize_removed_indices`);
+    an empty set always passes.
+    """
+    if not removed.size:
+        return
+    if removed[0] < 0 or removed[-1] >= n_samples:
+        raise ValueError(
+            f"removal ids must lie in [0, {n_samples}); "
+            f"got range [{removed[0]}, {removed[-1]}]"
+        )
+    if removed.size >= n_samples:
+        raise ValueError("cannot delete every training sample")
+
+
 def remap_surviving_ids(ids: np.ndarray, removed: np.ndarray) -> np.ndarray:
     """Map pre-compaction sample ids onto the packed post-compaction space.
 
@@ -570,14 +587,7 @@ class ProvenanceStore:
                 f"and labels with {np.asarray(labels).shape[0]} — slice to "
                 "the survivors only *after* compacting"
             )
-        if removed.size:
-            if removed[0] < 0 or removed[-1] >= n_before:
-                raise ValueError(
-                    f"removal ids must lie in [0, {n_before}); got range "
-                    f"[{removed[0]}, {removed[-1]}]"
-                )
-            if removed.size >= n_before:
-                raise ValueError("cannot delete every training sample")
+        validate_removed_indices(removed, n_before)
 
         with self._commit_lock:
             return self._compact_locked(
@@ -866,33 +876,25 @@ class ProvenanceStore:
             frozen.eigen_stale = True
 
     # ----------------------------------------------------------- maintenance
-    def retruncate_summaries(
-        self,
-        epsilon: float | None = None,
-        min_columns: int = 1,
-        incremental: bool = True,
-    ) -> dict:
+    def retruncate_summaries(self, epsilon: float | None = None) -> dict:
         """Reclaim the correction columns commits appended to SVD summaries.
 
-        Every record whose summary accumulated at least ``min_columns``
-        exact correction columns (:attr:`svd_correction_columns`) is
-        re-truncated through :func:`~repro.linalg.svd.retruncate_summary`
-        — ``epsilon=None`` keeps the operator to machine precision (the
-        answer contract survives at atol 1e-10), an explicit ε applies
-        the paper's lossy criterion with the worst error bound surfaced
-        in the receipt.  Bumps the store version (compiled plans must
+        Every record whose summary accumulated exact correction columns
+        (:attr:`svd_correction_columns`) is re-truncated through
+        :func:`~repro.linalg.svd.retruncate_summary` — ``epsilon=None``
+        keeps the operator to machine precision (the answer contract
+        survives at atol 1e-10), an explicit ε applies the paper's lossy
+        criterion with the worst error bound surfaced in the receipt.
+        Bumps the store version (compiled plans must
         re-sync their summary references via :meth:`~repro.core.\
 replay_plan.ReplayPlan.resync_summaries`); the mutation holds the
         store's commit lock so concurrent submit-time readers always see a
         consistent store.
 
-        ``incremental=True`` (the default) hands each record's appended
-        correction-column count to :func:`~repro.linalg.svd.\
-retruncate_summary`, which folds few-column updates into the existing
-        orthogonal factors instead of re-running thin-QR over the full
-        width — same answers to machine precision, dramatically cheaper
-        when maintenance runs often.  ``False`` forces the full path for
-        every record.
+        Each record's appended correction-column count picks its path:
+        few columns are folded into the existing orthogonal factors when
+        :func:`~repro.linalg.svd.incremental_retruncation_wins`, else
+        thin-QR re-runs over the full width (same answers either way).
 
         Returns a receipt dict: ``summaries`` (how many re-truncated),
         ``columns_before``/``columns_after`` (total factor widths of the
@@ -902,22 +904,10 @@ retruncate_summary`, which folds few-column updates into the existing
         (which path each record took), and ``iterations`` (the touched
         record indices, for plan re-sync).
         """
-        empty = np.empty(0, dtype=np.int64)
-        if self.svd_correction_columns is None:
-            return {
-                "summaries": 0,
-                "columns_before": 0,
-                "columns_after": 0,
-                "max_error_bound": 0.0,
-                "max_relative_error": 0.0,
-                "max_rank_after": 0,
-                "incremental_updates": 0,
-                "full_updates": 0,
-                "iterations": empty,
-            }
-        touched = [
+        columns = self.svd_correction_columns
+        touched = [] if columns is None else [
             int(t)
-            for t in np.flatnonzero(self.svd_correction_columns >= min_columns)
+            for t in np.flatnonzero(columns > 0)
             if isinstance(self.records[t].summary, TruncatedSummary)
         ]
         if not touched:
@@ -930,7 +920,7 @@ retruncate_summary`, which folds few-column updates into the existing
                 "max_rank_after": 0,
                 "incremental_updates": 0,
                 "full_updates": 0,
-                "iterations": empty,
+                "iterations": np.empty(0, dtype=np.int64),
             }
         columns_before = columns_after = max_rank_after = 0
         incremental_updates = 0
@@ -938,12 +928,10 @@ retruncate_summary`, which folds few-column updates into the existing
         with self._commit_lock:
             for t in touched:
                 record = self.records[t]
-                appended = (
-                    int(self.svd_correction_columns[t]) if incremental
-                    else None
-                )
                 result = retruncate_summary(
-                    record.summary, epsilon=epsilon, appended=appended
+                    record.summary,
+                    epsilon=epsilon,
+                    appended=int(columns[t]),
                 )
                 record.summary = result.summary
                 columns_before += result.rank_before
@@ -952,7 +940,7 @@ retruncate_summary`, which folds few-column updates into the existing
                 max_bound = max(max_bound, result.error_bound)
                 max_relative = max(max_relative, result.error_bound_relative)
                 incremental_updates += result.method == "incremental"
-            self.svd_correction_columns[touched] = 0
+            columns[touched] = 0
             self._version += 1
         return {
             "summaries": len(touched),

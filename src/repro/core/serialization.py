@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import ast
 import os
-import threading
 import zipfile
 import zlib
 from dataclasses import dataclass
@@ -894,108 +893,12 @@ def _mmap_npz_arrays(path: Path, names: list[str]) -> dict[str, np.ndarray]:
     return mapped
 
 
-def _all_member_names(path: Path) -> list[str]:
-    """Every array member of an ``.npz`` (zip central directory only)."""
-    with zipfile.ZipFile(path) as archive:
-        return [
-            name[: -len(".npy")]
-            for name in archive.namelist()
-            if name.endswith(".npy")
-        ]
-
-
-class PlanCache:
-    """Process-local registry of read-only plan mappings, keyed by
-    (checkpoint path, epoch).
-
-    ``np.memmap(mode="r")`` maps the archive ``MAP_SHARED``/read-only on
-    POSIX, so every process that maps the same plan file shares the same
-    physical page-cache pages — N shard workers cost ~zero resident bytes
-    beyond the first.  What the OS does *not* deduplicate is redundant
-    mapping work inside one process: a fleet re-loading a model after
-    eviction, or a warm standby pre-opening every plan it might inherit,
-    would otherwise re-parse the zip directory and re-map every member.
-    This cache hands out the one canonical mapping per plan epoch.
-
-    The *epoch* is the archive's identity fingerprint (inode, size,
-    mtime-ns): durable writes replace the file atomically, so a new plan
-    version is a new inode and old epochs are dropped eagerly — a cached
-    mapping can never alias a superseded plan.  Instances are
-    thread-safe; they are per-process by construction (mappings don't
-    pickle), each shard worker builds its own.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        # {path: (epoch, {member: np.memmap})}  guarded-by: _lock
-        self._mapped: dict[str, tuple[tuple, dict[str, np.ndarray]]] = {}
-        self.hits = 0  # guarded-by: _lock
-        self.misses = 0  # guarded-by: _lock
-
-    @staticmethod
-    def epoch(path: str | Path) -> tuple:
-        """The archive's current identity fingerprint."""
-        stat = os.stat(path)
-        return (stat.st_ino, stat.st_size, stat.st_mtime_ns)
-
-    def mappings(self, path: str | Path) -> dict[str, np.ndarray]:
-        """The canonical member→mapping dict for the plan's current epoch.
-
-        Maps every mappable member once per (path, epoch); members that
-        cannot be mapped (compressed, zero-size, exotic headers) are
-        absent and callers fall back to a copying read.  The returned
-        dict is shared — treat it as read-only.
-        """
-        path = Path(path).resolve()
-        key = str(path)
-        epoch = self.epoch(path)
-        with self._lock:
-            entry = self._mapped.get(key)
-            if entry is not None and entry[0] == epoch:
-                self.hits += 1
-                return entry[1]
-        # Map outside the lock (zip parsing does file I/O); last writer
-        # wins on a race, both mappings view identical bytes.
-        mapped = _mmap_npz_arrays(path, _all_member_names(path))
-        with self._lock:
-            entry = self._mapped.get(key)
-            if entry is not None and entry[0] == epoch:
-                self.hits += 1
-                return entry[1]
-            self.misses += 1
-            self._mapped[key] = (epoch, mapped)
-        return mapped
-
-    def warm(self, path: str | Path, prefault: bool = False) -> int:
-        """Pre-map a plan (a standby's startup step); returns bytes mapped.
-
-        With ``prefault=True`` every mapped byte is touched once so the
-        page-cache is populated *before* the standby is promoted — the
-        first request after failover then faults nothing in.
-        """
-        total = 0
-        for member in self.mappings(path).values():
-            total += member.nbytes
-            if prefault and member.size:
-                # Touch every mapped byte once (the copy is transient;
-                # the point is the page-cache residency it leaves behind).
-                member.tobytes()
-        return total
-
-    def drop(self, path: str | Path) -> None:
-        """Forget a plan's mappings (the file is being retired)."""
-        key = str(Path(path).resolve())
-        with self._lock:
-            self._mapped.pop(key, None)
-
-
 def load_plan(
     path: str | Path,
     store: ProvenanceStore,
     features,
     labels: np.ndarray,
     mmap: bool = True,
-    plan_cache: PlanCache | None = None,
 ) -> ReplayPlan:
     """Reload a compiled plan saved by :func:`save_plan`.
 
@@ -1018,17 +921,14 @@ ReplayPlan.run` — mapping exists precisely to avoid touching the bytes
     them all anyway) and raises :class:`CheckpointCorruptionError` before
     any answer derived from rotten bytes escapes.
 
-    Passing a :class:`PlanCache` makes the mapping *shared*: repeated
-    loads of the same plan epoch (re-registration after eviction, warm
-    standbys, every model a shard worker hosts from one checkpoint tree)
-    reuse the one canonical read-only mapping instead of re-parsing the
-    archive.
+    Mapped members are ``MAP_SHARED`` and read-only, so every load of the
+    same archive — in this process or any other — reads the same
+    page-cache pages; the kernel keeps one physical copy however many
+    trainers or shard processes map the plan.
     """
     path = Path(path)
     try:
-        arrays, meta, checksums, deferred = _read_plan_arrays(
-            path, mmap, plan_cache
-        )
+        arrays, meta, checksums, deferred = _read_plan_arrays(path, mmap)
     except FileNotFoundError:
         raise
     except _UNREADABLE as exc:
@@ -1060,7 +960,7 @@ ReplayPlan.run` — mapping exists precisely to avoid touching the bytes
 
 
 def _read_plan_arrays(
-    path: Path, mmap: bool, plan_cache: PlanCache | None = None
+    path: Path, mmap: bool
 ) -> tuple[dict, dict, dict[str, str] | None, dict]:
     """Plan members + meta + digest table + the mapped (lazily verified)
     subset."""
@@ -1074,13 +974,7 @@ def _read_plan_arrays(
         if version != _PLAN_FORMAT_VERSION:
             raise ValueError(f"unsupported plan format version: {version}")
         names = [n for n in npz.files if not n.startswith("__")]
-        if not mmap:
-            mapped = {}
-        elif plan_cache is not None:
-            cached = plan_cache.mappings(path)
-            mapped = {name: cached[name] for name in names if name in cached}
-        else:
-            mapped = _mmap_npz_arrays(path, names)
+        mapped = _mmap_npz_arrays(path, names) if mmap else {}
         arrays = {
             name: mapped[name] if name in mapped else archive[name]
             for name in names

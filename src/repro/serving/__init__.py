@@ -4,9 +4,10 @@ PrIU's premise is that deletion requests arrive *after* training, in a
 long-lived serving process.  This package supplies that process:
 
 * :class:`ModelRegistry` / :class:`FleetServer` — the serving engine:
-  checkpoints registered by model id, loaded lazily and LRU-evicted
-  under a memory cap, served through per-model lane-aware queues by a
-  shared bounded worker pool that answers each coalesced batch with one
+  checkpoints registered by model id, loaded on first request and
+  LRU-evicted past a resident-model cap, served through per-model
+  lane-aware queues by a shared bounded worker pool that answers each
+  coalesced batch with one
   :meth:`~repro.core.api.IncrementalTrainer.remove_many` call.  In
   commit mode each batch is *applied* in admission order (store
   compaction + incremental plan refresh) instead of answered as a
@@ -15,12 +16,12 @@ long-lived serving process.  This package supplies that process:
   a facade over a one-model, one-worker :class:`FleetServer`;
 * :class:`ShardRouter` — the cross-process tier: model ids consistent-
   hashed across N shard worker processes (each running its own fleet
-  over a shard-local registry, all sharing one read-only plan mapping
-  via :class:`~repro.core.serialization.PlanCache`), with shard-
-  granularity retry/failover (:class:`ShardUnavailableError`), an
-  optional warm standby, and cross-shard stats merged from raw-sample
-  :class:`StatsFrame`\\ s — percentiles are computed over the pooled
-  requests, never averaged (:mod:`repro.serving.router`);
+  over a shard-local registry; every shard maps a plan ``MAP_SHARED``
+  read-only, so the page cache holds one copy), with shard-granularity
+  retry/failover (:class:`ShardUnavailableError`) and cross-shard stats
+  merged from raw-sample :class:`StatsFrame`\\ s — percentiles are
+  computed over the pooled requests, never averaged
+  (:mod:`repro.serving.router`);
 * :class:`AdmissionPolicy` / :class:`Lane` — the latency-budget /
   max-batch / backpressure knobs governing coalescing, plus the SLA
   lanes (a zero-delay ``deadline`` lane pre-empts coalescing; ``bulk``

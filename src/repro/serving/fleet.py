@@ -9,11 +9,13 @@ module supplies that tier:
   lazily through
   :meth:`~repro.core.api.IncrementalTrainer.from_checkpoint` (validated
   up front via the cheap
-  :func:`~repro.core.serialization.read_checkpoint_metadata`), and keeps
-  the *resident set* bounded: least-recently-used models are evicted once
-  the count or compiled-plan byte caps are exceeded.  Models that have
-  committed deletions ("dirty" — their on-disk checkpoint is stale) and
-  models pinned by an in-flight dispatch are never evicted.
+  :func:`~repro.core.serialization.read_checkpoint_metadata`) on their
+  first request, and keeps the *resident set* bounded: least-recently-used
+  models are evicted once more than ``max_resident`` are loaded.  Models
+  that have committed deletions ("dirty" — their on-disk checkpoint is
+  stale) and models pinned by an in-flight dispatch are never evicted.
+  Compiled plans stay memory-mapped read-only, so the page cache shares
+  one copy of each plan across every load and every process.
 * :class:`FleetServer` — ``submit(model_id, ids, lane=...)`` routes
   requests to per-model admission queues (SLA-lane ordering, coalescing
   budgets, backpressure) served by a shared pool of ``n_workers``
@@ -61,6 +63,7 @@ from ..core.maintenance import MaintenancePolicy
 from ..core.provenance_store import (
     normalize_removed_indices,
     remap_through_deletion_log,
+    validate_removed_indices,
 )
 from ..core.serialization import (
     CheckpointCorruptionError,
@@ -105,7 +108,6 @@ class _Resident:
     trainer: IncrementalTrainer
     loaded_version: int  # store version at load; a change means commits
     evictable: bool  # False for live-trainer registrations (nothing to reload)
-    plan_bytes: int
 
 
 def _default_loader(model_id: str, spec: _ModelSpec) -> IncrementalTrainer:
@@ -221,13 +223,12 @@ class ModelRegistry:
     ----------
     max_resident:
         Upper bound on simultaneously loaded models (None = unbounded).
-    max_plan_bytes:
-        Upper bound on the summed compiled-plan footprint
-        (:meth:`~repro.core.api.IncrementalTrainer.plan_nbytes`) of the
-        resident set (None = unbounded).  Both caps are *soft* against
-        pinned, dirty and live-registered models: the registry never
-        evicts a model whose eviction would lose state or break an
-        in-flight dispatch, even if that leaves it over cap.
+        A model loads on its first :meth:`get`; past the cap the
+        least-recently-used model is evicted and reloads on its next
+        request.  The cap is *soft* against pinned, dirty and
+        live-registered models: the registry never evicts a model whose
+        eviction would lose state or break an in-flight dispatch, even
+        if that leaves it over cap.
 
     A model is **dirty** once its store version moved past the version it
     was loaded with — i.e. deletions were committed in this process.  Its
@@ -237,18 +238,10 @@ class ModelRegistry:
     way to make it evictable again.
     """
 
-    def __init__(
-        self,
-        max_resident: int | None = None,
-        max_plan_bytes: int | None = None,
-        loader=None,
-    ) -> None:
+    def __init__(self, max_resident: int | None = None, loader=None) -> None:
         if max_resident is not None and max_resident < 1:
             raise ValueError("max_resident must be >= 1 (or None)")
-        if max_plan_bytes is not None and max_plan_bytes < 0:
-            raise ValueError("max_plan_bytes must be >= 0 (or None)")
         self.max_resident = max_resident
-        self.max_plan_bytes = max_plan_bytes
         # Injectable ``(model_id, spec) -> IncrementalTrainer``; the fault
         # harness substitutes a flaky one to exercise retry/quarantine.
         self._loader = loader if loader is not None else _default_loader
@@ -259,8 +252,7 @@ class ModelRegistry:
             OrderedDict()
         )
         self._pins: dict[str, int] = {}  # guarded-by: _lock
-        # Admission history: per-model submit_view() count, the hotness
-        # ranking warm_start() pre-loads by.
+        # Admission history: per-model submit_view() count (describe()).
         self._admissions: dict[str, int] = {}  # guarded-by: _lock
         self._loads = 0  # guarded-by: _lock
         self._hits = 0  # guarded-by: _lock
@@ -318,9 +310,8 @@ class ModelRegistry:
                     trainer=trainer,
                     loaded_version=trainer.store._version,
                     evictable=False,
-                    plan_bytes=trainer.plan_nbytes(),
                 )
-                self._enforce_caps()
+                self._enforce_cap()
         return metadata
 
     def __contains__(self, model_id: str) -> bool:
@@ -351,7 +342,7 @@ class ModelRegistry:
     def get(self, model_id: str) -> IncrementalTrainer:
         """The model's trainer, loading the checkpoint on a capacity miss.
 
-        Touches the LRU order and enforces the caps *after* loading, so
+        Touches the LRU order and enforces the cap *after* loading, so
         the model just requested is never its own eviction victim.  The
         expensive ``from_checkpoint`` work runs *outside* the registry
         lock (serialized per model by the spec's load latch), so a slow
@@ -382,9 +373,8 @@ class ModelRegistry:
                     trainer=trainer,
                     loaded_version=trainer.store._version,
                     evictable=True,
-                    plan_bytes=trainer.plan_nbytes(),
                 )
-                self._enforce_caps(protect=model_id)
+                self._enforce_cap(protect=model_id)
                 return trainer
 
     def n_samples(self, model_id: str) -> int:
@@ -433,75 +423,6 @@ class ModelRegistry:
             log_length = 0 if original is None else original - metadata.n_samples
             return None, metadata.n_samples, log_length
 
-    def warm_start(
-        self, n: int, hotness: dict[str, int] | None = None
-    ) -> tuple[str, ...]:
-        """Pre-load the hottest ``n`` non-resident models by admission history.
-
-        A freshly (re)started fleet pays each model's ``from_checkpoint``
-        load on its first request; ``warm_start`` pays it up front for the
-        models most likely to be hit, ranked by ``hotness`` (a
-        ``model_id -> count`` map; default: this registry's per-model
-        admission counts, which every :meth:`FleetServer.submit`
-        increments through :meth:`submit_view`).  Only checkpoint-backed,
-        never-admitted-zero models are considered, and warming stops as
-        soon as it would start thrashing the models already serving: at
-        ``max_resident``, once the resident footprint reaches
-        ``max_plan_bytes``, or immediately after a warm load forces any
-        eviction (a model's plan size is unknowable before loading it, so
-        the byte cap can only be detected one load late).  Returns the
-        ids actually loaded, hottest first.
-        """
-        if n < 0:
-            raise ValueError("warm_start(n) needs n >= 0")
-        with self._lock:
-            if hotness is None:
-                hotness = dict(self._admissions)
-            order = {mid: i for i, mid in enumerate(self._specs)}
-            candidates = [
-                model_id
-                for model_id, spec in self._specs.items()
-                if spec.checkpoint is not None
-                and model_id not in self._resident
-                and hotness.get(model_id, 0) > 0
-            ]
-            candidates.sort(key=lambda mid: (-hotness.get(mid, 0), order[mid]))
-        loaded: list[str] = []
-        for model_id in candidates[:n]:
-            with self._lock:
-                if (
-                    self.max_resident is not None
-                    and len(self._resident) >= self.max_resident
-                ):
-                    break
-                if self.max_plan_bytes is not None and (
-                    sum(e.plan_bytes for e in self._resident.values())
-                    >= self.max_plan_bytes
-                ):
-                    break
-                if model_id in self._resident:
-                    continue
-                evictions_before = self._evictions
-            # The expensive load runs outside the registry lock, exactly
-            # like a traffic-driven load (serialized per model).
-            self.get(model_id)
-            loaded.append(model_id)
-            with self._lock:
-                if self._evictions > evictions_before:
-                    break  # the caps are saturated; stop warming
-        return tuple(loaded)
-
-    def note_plan_bytes(self, model_id: str) -> None:
-        """Re-measure a resident model's compiled-plan footprint.
-
-        Maintenance (plan re-pack, SVD re-truncation) shrinks the
-        resident footprint; the eviction caps should see the new number.
-        """
-        with self._lock:
-            entry = self._resident.get(model_id)
-            if entry is not None:
-                entry.plan_bytes = entry.trainer.plan_nbytes()
-
     def pin(self, model_id: str) -> None:
         """Protect a model from eviction until :meth:`unpin` (recursive).
 
@@ -522,7 +443,7 @@ class ModelRegistry:
                 self._pins.pop(model_id, None)
             # A pin may have been the only thing holding the resident
             # set over cap; settle the debt now that it is released.
-            self._enforce_caps()
+            self._enforce_cap()
 
     @contextmanager
     def pinned(self, model_id: str):
@@ -546,25 +467,17 @@ class ModelRegistry:
         )
 
     # caller-holds: _lock
-    def _over_cap(self) -> bool:
-        if self.max_resident is not None and len(self._resident) > self.max_resident:
-            return True
-        if self.max_plan_bytes is not None:
-            total = sum(e.plan_bytes for e in self._resident.values())
-            if total > self.max_plan_bytes:
-                return True
-        return False
-
-    # caller-holds: _lock
-    def _enforce_caps(self, protect: str | None = None) -> None:
-        """Evict LRU-first until under both caps (caller holds the lock).
+    def _enforce_cap(self, protect: str | None = None) -> None:
+        """Evict LRU-first until under ``max_resident`` (caller holds the
+        lock).
 
         ``protect`` names a model that must survive this pass — the one
-        whose load triggered it, so a cap smaller than a single plan
-        degrades to "hold exactly the requested model" instead of
-        thrashing it straight back out.
+        whose load triggered it, so it is never its own eviction victim.
         """
-        while self._over_cap():
+        while (
+            self.max_resident is not None
+            and len(self._resident) > self.max_resident
+        ):
             victim = next(
                 (
                     model_id
@@ -710,12 +623,11 @@ class ModelRegistry:
             trainer = entry.trainer
         # Reclamation runs outside the registry lock (O(records) work
         # must not stall concurrent submits on other models); residency
-        # is re-checked below in case the caps raced an eviction.
+        # is re-checked below in case the cap raced an eviction.
         if policy is not None:
             cost = trainer.maintenance_cost(include_bytes=False)
             if policy.due(cost):
                 trainer.maintain(policy)
-                self.note_plan_bytes(model_id)
         with self._lock:
             entry = self._resident.get(model_id)
             if entry is None or entry.trainer is not trainer:
@@ -735,12 +647,13 @@ class ModelRegistry:
         """One model's registration, residency, dirtiness and maintenance
         debt, as plain data.
 
-        ``maintenance_cost`` is an *advisory snapshot*: it is measured
-        outside the registry lock (the ``O(records)`` traversal must not
-        stall every concurrent submit on one monitoring call) and without
-        synchronizing against an in-flight dispatch on that model, so a
-        commit racing the read can smear the numbers.  ``None`` while the
-        model is not resident — measuring would force a load.
+        ``plan_bytes`` and ``maintenance_cost`` are *advisory snapshots*,
+        measured on read from the resident trainer: outside the registry
+        lock (the ``O(records)`` traversal must not stall every concurrent
+        submit on one monitoring call) and without synchronizing against
+        an in-flight dispatch on that model, so a commit racing the read
+        can smear the numbers.  Both are ``None`` while the model is not
+        resident — measuring would force a load.
         """
         with self._lock:
             spec = self._spec(model_id)
@@ -754,19 +667,19 @@ class ModelRegistry:
                 "resident": entry is not None,
                 "dirty": entry is not None and self._is_dirty(entry),
                 "pinned": self._pins.get(model_id, 0) > 0,
-                "plan_bytes": None if entry is None else entry.plan_bytes,
                 "admissions": self._admissions.get(model_id, 0),
                 "metadata": (
                     None if spec.metadata is None else spec.metadata.as_dict()
                 ),
             }
+        info["plan_bytes"] = None if trainer is None else trainer.plan_nbytes()
         info["maintenance_cost"] = (
             None if trainer is None else trainer.maintenance_cost().as_dict()
         )
         return info
 
     def stats(self) -> dict:
-        """Lifetime load/hit/eviction counters and the resident footprint."""
+        """Lifetime load/hit/eviction counters and the resident plan bytes."""
         with self._lock:
             return {
                 "registered": len(self._specs),
@@ -775,7 +688,8 @@ class ModelRegistry:
                 "hits": self._hits,
                 "evictions": self._evictions,
                 "resident_plan_bytes": sum(
-                    entry.plan_bytes for entry in self._resident.values()
+                    entry.trainer.plan_nbytes()
+                    for entry in self._resident.values()
                 ),
                 "dirty": len(self.dirty_ids()),
             }
@@ -845,17 +759,6 @@ def _consistent_store_snapshot(store) -> tuple[int, int]:
     with store._commit_lock:
         log = store.deletion_log
         return store.n_samples, 0 if log is None else int(log.size)
-
-
-def _validate_removed(removed: np.ndarray, n_samples: int) -> None:
-    """Submit-time bounds checks (``removed`` is normalized, sorted)."""
-    if removed[0] < 0 or removed[-1] >= n_samples:
-        raise ValueError(
-            f"removal ids must lie in [0, {n_samples}); "
-            f"got range [{removed[0]}, {removed[-1]}]"
-        )
-    if removed.size >= n_samples:
-        raise ValueError("cannot delete every training sample")
 
 
 # ------------------------------------------------------------------ fleet
@@ -1246,7 +1149,7 @@ maintenance_cost` is checked against the policy's thresholds and, when
                 n_samples, log_length = _consistent_store_snapshot(
                     trainer.store
                 )
-            _validate_removed(removed, n_samples)
+            validate_removed_indices(removed, n_samples)
             request = _Request(
                 indices=removed,
                 future=Future(),
@@ -1803,9 +1706,6 @@ maintenance_cost` is checked against the policy's thresholds and, when
                     else self.maintenance
                 )
                 report = trainer.maintain(policy)
-                # Re-pack / re-truncation shrank the resident footprint;
-                # let the eviction caps see it.
-                self.registry.note_plan_bytes(model_id)
         except Exception as exc:
             ticket.future.set_exception(exc)
             with self._sched:
@@ -1853,12 +1753,3 @@ maintenance_cost` is checked against the policy's thresholds and, when
             return {
                 mid: summarize(state) for mid, state in self._queues.items()
             }
-
-    def warm_start(self, n: int) -> tuple[str, ...]:
-        """Pre-load the hottest ``n`` models by admission history.
-
-        Delegates to :meth:`ModelRegistry.warm_start` with the registry's
-        own per-model admission counts (every :meth:`submit` increments
-        them); returns the model ids actually loaded.
-        """
-        return self.registry.warm_start(n)

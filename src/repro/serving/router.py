@@ -6,8 +6,8 @@ One process's BLAS pool is the throughput ceiling of a single
 and memory-mapped straight out of its archive, so the natural scale-out
 is *processes*: N shard workers each run their own fleet over a
 shard-local registry, all mapping the same plan bytes (``MAP_SHARED``
-read-only — one physical copy fleet-wide), and a front-end routes each
-model id to its home shard.
+read-only, so the kernel's page cache keeps one physical copy
+fleet-wide), and a front-end routes each model id to its home shard.
 
 :class:`ShardRouter` is that front-end:
 
@@ -27,11 +27,9 @@ model id to its home shard.
   granularity: ``quarantine_after`` consecutive deaths open the slot's
   breaker, ``probe_interval_seconds`` paces half-open restart probes,
   and (with ``auto_restart=True``) earlier deaths restart immediately;
-* **warm standby** — an optional spare worker outside the ring pre-maps
-  every registered plan through its own
-  :class:`~repro.core.serialization.PlanCache`; when a slot dies the
-  standby is *promoted* into it, inheriting hot mappings instead of
-  cold-starting;
+* **validation** — unknown model ids and malformed or out-of-range
+  removal sets fail synchronously in the router, before anything
+  crosses a pipe;
 * **stats** — shard fleets export raw-sample
   :class:`~repro.serving.stats.StatsFrame`\\ s which the router merges
   *before* summarizing, so a fleet-wide p99 is the true order statistic
@@ -52,7 +50,10 @@ from bisect import bisect_right
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 
-from ..core.provenance_store import normalize_removed_indices
+from ..core.provenance_store import (
+    normalize_removed_indices,
+    validate_removed_indices,
+)
 from ..core.serialization import read_checkpoint_metadata
 from .clock import MONOTONIC_CLOCK, Clock
 from .errors import ServerClosedError, ShardUnavailableError
@@ -105,7 +106,7 @@ class _Registration:
     features: object
     labels: object
     load_kwargs: dict
-    plan_path: str | None
+    n_samples: int  # the checkpoint's id-space bound, for submit validation
 
 
 @dataclass
@@ -140,13 +141,8 @@ class ShardRouter:
     auto_restart:
         Restart a dead shard immediately while its breaker is closed
         (manual :meth:`restart_shard` always works).
-    standby:
-        Keep one warm spare worker outside the ring, pre-mapping every
-        registered plan; a dying slot promotes it instead of cold-
-        starting a replacement.
-    prefault_plans:
-        Ask workers to touch every mapped plan byte at registration so
-        first requests fault nothing in.
+    max_resident:
+        Each shard registry's resident-model cap (None = unbounded).
     mp_context:
         A ``multiprocessing`` context or start-method name.  Defaults to
         ``fork`` where available (cheap spawns; the plan mapping is
@@ -163,10 +159,7 @@ class ShardRouter:
         n_workers: int = 1,
         retry: RetryPolicy | None = None,
         auto_restart: bool = False,
-        standby: bool = False,
-        prefault_plans: bool = False,
         max_resident: int | None = None,
-        max_plan_bytes: int | None = None,
         mp_context=None,
         clock: Clock | None = None,
         _shard_options: dict | None = None,
@@ -191,11 +184,8 @@ class ShardRouter:
             "n_workers": n_workers,
             "retry": retry,
             "max_resident": max_resident,
-            "max_plan_bytes": max_plan_bytes,
-            "prefault_plans": prefault_plans,
         }
         self._options.update(_shard_options or {})
-        self._prefault = bool(prefault_plans)
         self._lock = threading.RLock()
         self._req_ids = itertools.count(1)
         self._pending: dict[int, Future] = {}  # guarded-by: _lock
@@ -204,13 +194,8 @@ class ShardRouter:
         self._slots = [_Slot(name=f"shard-{i}") for i in range(n_shards)]
         self._ring = hash_ring([slot.name for slot in self._slots])
         self._by_name = {slot.name: slot for slot in self._slots}
-        self._standby: _Slot | None = (
-            _Slot(name="standby") if standby else None
-        )
         for slot in self._slots:
             self._spawn(slot)
-        if self._standby is not None:
-            self._spawn(self._standby)
 
     # ------------------------------------------------------------ lifecycle
     def _spawn(self, slot: _Slot) -> None:
@@ -243,16 +228,13 @@ class ShardRouter:
             if self._closed:
                 return
             self._closed = True
-            slots = list(self._slots)
-            if self._standby is not None:
-                slots.append(self._standby)
-        for slot in slots:
+        for slot in self._slots:
             if slot.alive and slot.conn is not None:
                 try:
                     self._post(slot, ("shutdown", next(self._req_ids)))
                 except (OSError, ValueError, BrokenPipeError, AttributeError):
                     pass
-        for slot in slots:
+        for slot in self._slots:
             process = slot.process
             if process is None:
                 continue
@@ -310,16 +292,15 @@ class ShardRouter:
             req_id, payload = message[1], message[2]
             with self._lock:
                 future = self._pending.pop(req_id, None)
-                owner = self._owner_of(conn)
-                if owner is not None:
-                    owner.inflight.discard(req_id)
+                if slot.conn is conn:
+                    slot.inflight.discard(req_id)
                     if kind == "ok":
                         # A served reply is the breaker's health
                         # evidence (a crash-looping shard that only ever
                         # says hello keeps its failure streak and
                         # quarantines).
-                        owner.failures = 0
-                        owner.retry_at = None
+                        slot.failures = 0
+                        slot.retry_at = None
             if future is None:
                 continue
             if kind == "ok":
@@ -328,71 +309,40 @@ class ShardRouter:
                 future.set_exception(payload)
         self._conn_down(slot, conn)
 
-    def _owner_of(self, conn) -> _Slot | None:  # caller-holds: _lock
-        if conn is None:
-            return None
-        for slot in self._slots:
-            if slot.conn is conn:
-                return slot
-        if self._standby is not None and self._standby.conn is conn:
-            return self._standby
-        return None
-
     # ------------------------------------------------------------- failover
     def _conn_down(self, slot: _Slot, conn) -> None:
         """One worker connection died; fail its futures, maybe recover.
 
         Idempotent per connection generation: the first caller (receiver
-        EOF, failed send, or an explicit restart) nulls ``owner.conn``,
-        so later callers for the same dead pipe find no owner and
-        return.  Promotion means ``slot`` and the connection's *owner*
-        can differ — resolution always goes through :meth:`_owner_of`.
+        EOF, failed send, or an explicit restart) nulls ``slot.conn``,
+        so later callers for the same dead pipe find it gone and return.
         """
         with self._lock:
-            owner = self._owner_of(conn)
-            if owner is None:
+            if conn is None or slot.conn is not conn:
                 return  # a stale generation; the slot already moved on
-            owner.alive = False
-            owner.conn = None
-            owner.registered = set()
+            slot.alive = False
+            slot.conn = None
+            slot.registered = set()
             failed = [
                 self._pending.pop(req_id)
-                for req_id in sorted(owner.inflight)
+                for req_id in sorted(slot.inflight)
                 if req_id in self._pending
             ]
-            owner.inflight = set()
+            slot.inflight = set()
             closing = self._closed
             if not closing:
-                owner.failures += 1
-                if owner.failures >= self.retry.quarantine_after:
-                    owner.retry_at = (
+                slot.failures += 1
+                if slot.failures >= self.retry.quarantine_after:
+                    slot.retry_at = (
                         self._clock.now() + self.retry.probe_interval_seconds
                     )
-        error = ShardUnavailableError(owner.name, "shard process died")
+        error = ShardUnavailableError(slot.name, "shard process died")
         for future in failed:
             future.set_exception(error)
-        if closing or owner is self._standby:
+        if closing:
             return
-        if self._promote_standby(owner):
-            return
-        if self.auto_restart and owner.failures < self.retry.quarantine_after:
-            self._spawn(owner)
-
-    def _promote_standby(self, slot: _Slot) -> bool:
-        """Move the warm standby's process into a dead slot."""
-        with self._lock:
-            standby = self._standby
-            if standby is None or not standby.alive:
-                return False
-            self._standby = None
-            slot.process = standby.process
-            slot.conn = standby.conn
-            slot.send_lock = standby.send_lock
-            slot.alive = True
-            slot.registered = set()
-            slot.failures = 0
-            slot.retry_at = None
-        return True
+        if self.auto_restart and slot.failures < self.retry.quarantine_after:
+            self._spawn(slot)
 
     def restart_shard(self, name: str) -> None:
         """Respawn one slot's worker (re-homed models re-register lazily)."""
@@ -409,7 +359,7 @@ class ShardRouter:
             old.join(timeout=5)
         # Settle the dead generation synchronously (the receiver's EOF
         # path races us; _conn_down is idempotent per connection) — it
-        # may itself recover the slot via promotion or auto-restart.
+        # may itself recover the slot via auto-restart.
         self._conn_down(slot, old_conn)
         with self._lock:
             slot.failures = 0
@@ -487,9 +437,7 @@ class ShardRouter:
             features=features,
             labels=labels,
             load_kwargs=dict(load_kwargs),
-            plan_path=(
-                None if metadata.plan_path is None else str(metadata.plan_path)
-            ),
+            n_samples=metadata.n_samples,
         )
         with self._lock:
             if self._closed:
@@ -497,15 +445,6 @@ class ShardRouter:
             if model_id in self._registrations:
                 raise ValueError(f"model id already registered: {model_id!r}")
             self._registrations[model_id] = registration
-            standby = self._standby
-        if standby is not None and registration.plan_path is not None:
-            # The warm spare pre-maps every plan it might inherit.
-            try:
-                self._call(
-                    standby, "warm", registration.plan_path, self._prefault
-                )
-            except ShardUnavailableError:
-                pass
         return metadata
 
     def model_ids(self) -> tuple[str, ...]:
@@ -516,9 +455,11 @@ class ShardRouter:
         """Route one removal set to its home shard; future of
         :class:`~repro.serving.ServedOutcome`.
 
-        Unknown model ids and malformed removal sets (non-integer ids
-        included) fail synchronously, before anything crosses the pipe.
-        Everything else resolves
+        Unknown model ids and malformed removal sets (non-integer or
+        out-of-range ids, or every sample at once) fail synchronously,
+        before anything crosses the pipe; the bounds are the
+        checkpoint's ``n_samples``, read at :meth:`register`.  An empty
+        set still resolves in the shard.  Everything else resolves
         through the returned future: the shard fleet's own typed errors
         pass through verbatim, and a shard dying with this request in
         flight fails it with
@@ -532,6 +473,7 @@ class ShardRouter:
         if registration is None:
             raise ValueError(f"unknown model id {model_id!r}")
         indices = normalize_removed_indices(indices)
+        validate_removed_indices(indices, registration.n_samples)
         slot = self._route(model_id)
         with self._lock:
             needs_register = model_id not in slot.registered
@@ -601,7 +543,7 @@ class ShardRouter:
         return self.stats_frame(timeout=timeout).summarize()
 
     def describe(self) -> dict:
-        """Placement and health of every slot (plus the standby)."""
+        """Placement and health of every slot."""
         now = self._clock.now()
         with self._lock:
             slots = {
@@ -619,14 +561,9 @@ class ShardRouter:
             placement = {
                 model_id: None for model_id in sorted(self._registrations)
             }
-            standby = self._standby
         for model_id in placement:
             try:
                 placement[model_id] = self.shard_for(model_id)
             except ShardUnavailableError:
                 placement[model_id] = None
-        return {
-            "shards": slots,
-            "placement": placement,
-            "standby": None if standby is None else standby.name,
-        }
+        return {"shards": slots, "placement": placement}

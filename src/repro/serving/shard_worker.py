@@ -8,10 +8,10 @@ message loop speaking the router's framing over one duplex
 * the **router** (parent process) owns placement — which models home on
   which shard — plus failover and the shard-granularity circuit breaker;
 * the **worker** (this module) owns everything within its shard: lazy
-  checkpoint loads through a process-local
-  :class:`~repro.core.serialization.PlanCache` (every model loaded here
-  shares the one read-only ``MAP_SHARED`` plan mapping per archive
-  epoch), lane-aware admission, per-model retry/quarantine, and stats.
+  checkpoint loads (plans are mapped ``MAP_SHARED`` read-only, so the
+  kernel backs every shard's mapping of one archive with the same
+  page-cache pages), lane-aware admission, per-model retry/quarantine,
+  and stats.
 
 Framing (tuples, pickled by the pipe; ``req_id`` is router-assigned):
 
@@ -22,7 +22,6 @@ router → worker                              worker → router
 ``("submit", id, model, indices, lane)``     ``("ok", id, ServedOutcome)`` / ``("err", id, exc)``
 ``("flush", id, timeout)``                   ``("ok", id, bool)``
 ``("stats", id)``                            ``("ok", id, StatsFrame)``
-``("warm", id, plan_path, prefault)``        ``("ok", id, bytes_mapped)``
 ``("ping", id)``                             ``("ok", id, pid)``
 ``("shutdown", id)``                         ``("ok", id, None)``, then exit
 ===========================================  =================================
@@ -32,6 +31,11 @@ to submits arrive *out of order* (they ride the fleet's completion
 callbacks); the ``req_id`` is the correlation key.  Stats cross the pipe
 as raw-sample :class:`~repro.serving.stats.StatsFrame`\\ s so the router
 can merge before summarizing — per-shard percentiles are never averaged.
+
+A bad frame never ends the loop.  A frame that is not a tuple of at
+least two items carries no request id to answer, so it is dropped; a
+frame with an id but an unknown kind or the wrong number of fields is
+answered ``("err", id, ServingError)``.
 
 The loop needs no clock of its own: ``conn.recv()`` blocks on I/O, the
 fleet's deadline math runs on its injectable clock, and a router that
@@ -45,11 +49,16 @@ import pickle
 import threading
 from concurrent.futures import CancelledError
 
-from ..core.serialization import PlanCache
 from .errors import ServingError
 from .fleet import FleetServer, ModelRegistry
 
 __all__ = ["shard_main"]
+
+# Fields per router -> worker frame kind, request id included.
+_FRAME_FIELDS = {
+    "register": 7, "submit": 5, "flush": 3, "stats": 2, "ping": 2,
+    "shutdown": 2,
+}
 
 
 def _shippable(exc: BaseException) -> BaseException:
@@ -62,20 +71,12 @@ def _shippable(exc: BaseException) -> BaseException:
 
 
 class _ShardLoop:
-    """One worker process's state: fleet, plan cache, framed pipe."""
+    """One worker process's state: fleet, framed pipe."""
 
     def __init__(self, conn, name: str, options: dict) -> None:
         self._conn = conn
         self._name = name
-        # The whole point of the shard split: one canonical read-only
-        # plan mapping per archive epoch, shared (via the page cache)
-        # with every sibling shard mapping the same file.
-        self._plan_cache = PlanCache()
-        self._prefault = bool(options.get("prefault_plans", False))
-        self._registry = ModelRegistry(
-            max_resident=options.get("max_resident"),
-            max_plan_bytes=options.get("max_plan_bytes"),
-        )
+        self._registry = ModelRegistry(max_resident=options.get("max_resident"))
         self._fleet = FleetServer(
             self._registry,
             options.get("policy"),
@@ -114,6 +115,12 @@ class _ShardLoop:
     def _handle(self, message: tuple) -> bool:
         """Dispatch one framed request; False ends the loop."""
         kind, req_id = message[0], message[1]
+        fields = _FRAME_FIELDS.get(kind) if isinstance(kind, str) else None
+        if fields != len(message):
+            raise ServingError(
+                f"malformed shard frame: kind {kind!r} "
+                f"with {len(message)} fields"
+            )
         if kind == "shutdown":
             self._send(("ok", req_id, None))
             return False
@@ -141,11 +148,8 @@ class _ShardLoop:
                 checkpoint=checkpoint,
                 features=features,
                 labels=labels,
-                plan_cache=self._plan_cache,
                 **kwargs,
             )
-            if self._prefault and metadata is not None and metadata.plan_path:
-                self._plan_cache.warm(metadata.plan_path, prefault=True)
             self._send(
                 ("ok", req_id, None if metadata is None else metadata.as_dict())
             )
@@ -156,15 +160,8 @@ class _ShardLoop:
         if kind == "stats":
             self._send(("ok", req_id, self._fleet.stats_frame()))
             return True
-        if kind == "warm":
-            _, _, plan_path, prefault = message
-            mapped = self._plan_cache.warm(plan_path, prefault=prefault)
-            self._send(("ok", req_id, mapped))
-            return True
-        if kind == "ping":
-            self._send(("ok", req_id, os.getpid()))
-            return True
-        raise ServingError(f"unknown shard message kind {kind!r}")
+        self._send(("ok", req_id, os.getpid()))  # ping
+        return True
 
     def run(self) -> None:
         self._send(("hello", self._name, os.getpid()))
@@ -174,6 +171,8 @@ class _ShardLoop:
                     message = self._conn.recv()
                 except (EOFError, OSError):
                     break
+                if not isinstance(message, tuple) or len(message) < 2:
+                    continue  # no request id to answer; keep serving
                 try:
                     if not self._handle(message):
                         break
@@ -188,7 +187,7 @@ def shard_main(conn, name: str, options: dict) -> None:
 
     Top-level (hence picklable under every multiprocessing start method);
     ``options`` carries the fleet knobs — ``policy``, ``method``,
-    ``n_workers``, ``retry``, ``max_resident``, ``max_plan_bytes``,
-    ``prefault_plans`` — plus the ``crash_after_submits`` fault seam.
+    ``n_workers``, ``retry``, ``max_resident`` — plus the
+    ``crash_after_submits`` fault seam.
     """
     _ShardLoop(conn, name, options).run()

@@ -243,17 +243,22 @@ class TestSvdRetruncation:
         )
         assert dev < 0.05
 
-    def test_incremental_and_full_retruncation_agree(self):
-        """svd_incremental=True folds few appended columns into the
-        retained factors; answers match the forced-full path at the
-        commit contract and the receipt says which path each took."""
+    def test_incremental_and_full_retruncation_agree(self, monkeypatch):
+        """Re-truncation folds few appended columns into the retained
+        factors; answers match the forced-full path at the commit
+        contract and the receipt says which path each took."""
         fast = _fit("binary_logistic", "svd", dict(batch_size=8))
         slow = _fit("binary_logistic", "svd", dict(batch_size=8))
         rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
         _churn(fast, rng_a, n_commits=2)
         _churn(slow, rng_b, n_commits=2)
-        fast_report = fast.maintain()  # default policy: incremental on
-        slow_report = slow.maintain(MaintenancePolicy(svd_incremental=False))
+        fast_report = fast.maintain()
+        # Force the full thin-QR path for every record.
+        monkeypatch.setattr(
+            "repro.linalg.svd.incremental_retruncation_wins",
+            lambda retained, appended: False,
+        )
+        slow_report = slow.maintain()
         assert fast_report.svd["incremental_updates"] > 0
         assert slow_report.svd["incremental_updates"] == 0
         assert slow_report.svd["full_updates"] == slow_report.svd["summaries"]

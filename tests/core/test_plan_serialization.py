@@ -19,7 +19,6 @@ import pytest
 from repro.core import (
     CheckpointCorruptionError,
     IncrementalTrainer,
-    PlanCache,
     ReplayPlan,
     load_plan,
     load_store,
@@ -576,8 +575,8 @@ class TestDurableTempPlacement:
 
 
 # --------------------------------------------------------------------------
-# PlanCache: one canonical read-only mapping per (path, epoch).
-class TestPlanCache:
+# Shared read-only plan mappings: every load maps the archive itself.
+class TestSharedPlanMapping:
     @pytest.fixture
     def plan_on_disk(self, tmp_path):
         data = make_binary_classification(260, 8, seed=13)
@@ -585,55 +584,42 @@ class TestPlanCache:
         trainer.save_checkpoint(tmp_path)
         return trainer, tmp_path
 
-    def test_mappings_are_shared_per_epoch(self, plan_on_disk):
+    def test_two_loads_both_map_the_plan_and_agree(self, plan_on_disk):
         trainer, directory = plan_on_disk
-        cache = PlanCache()
-        first = cache.mappings(directory / "plan.npz")
-        second = cache.mappings(directory / "plan.npz")
-        assert first is second
-        assert cache.misses == 1
-        assert cache.hits == 1
-        assert any(isinstance(m, np.memmap) for m in first.values())
-
-    def test_rewrite_is_a_new_epoch(self, plan_on_disk):
-        trainer, directory = plan_on_disk
-        plan_path = directory / "plan.npz"
-        cache = PlanCache()
-        before = cache.mappings(plan_path)
-        old_epoch = PlanCache.epoch(plan_path)
-        save_plan(trainer._plan, plan_path, weights=trainer.weights_)
-        assert PlanCache.epoch(plan_path) != old_epoch  # atomic replace
-        after = cache.mappings(plan_path)
-        assert after is not before
-        assert cache.misses == 2
-
-    def test_warm_and_drop(self, plan_on_disk):
-        _, directory = plan_on_disk
-        plan_path = directory / "plan.npz"
-        cache = PlanCache()
-        mapped_bytes = cache.warm(plan_path, prefault=True)
-        assert mapped_bytes > 0
-        assert cache.misses == 1
-        cache.drop(plan_path)
-        cache.mappings(plan_path)
-        assert cache.misses == 2
-
-    def test_loads_through_one_cache_share_mappings(self, plan_on_disk):
-        trainer, directory = plan_on_disk
-        data_features, data_labels = trainer.features, trainer.labels
-        cache = PlanCache()
         first = IncrementalTrainer.from_checkpoint(
-            directory, data_features, data_labels, plan_cache=cache
+            directory, trainer.features, trainer.labels
         )
         second = IncrementalTrainer.from_checkpoint(
-            directory, data_features, data_labels, plan_cache=cache
+            directory, trainer.features, trainer.labels
         )
-        assert cache.misses == 1
-        assert cache.hits >= 1
-        # Both trainers read the very same mapping objects.
-        assert first._plan.moments is second._plan.moments
+        assert isinstance(first._plan.moments, np.memmap)
+        assert isinstance(second._plan.moments, np.memmap)
         removed = np.array([5, 9], dtype=np.int64)
         assert np.array_equal(
             first.remove(removed, method="priu").weights,
             second.remove(removed, method="priu").weights,
+        )
+
+    def test_rewrite_leaves_an_earlier_load_on_its_old_mapping(
+        self, plan_on_disk
+    ):
+        """``save_checkpoint`` replaces the archives atomically (a new
+        inode), so a trainer loaded before the rewrite keeps reading the
+        bytes it mapped while a fresh load sees the committed model."""
+        trainer, directory = plan_on_disk
+        features, labels = trainer.features, trainer.labels
+        before = IncrementalTrainer.from_checkpoint(directory, features, labels)
+        probe = np.array([5, 9], dtype=np.int64)
+        expected = before.remove(probe, method="priu").weights
+        trainer.remove([2, 3, 4], method="priu", commit=True)
+        trainer.save_checkpoint(directory)
+
+        assert np.array_equal(
+            before.remove(probe, method="priu").weights, expected
+        )
+        after = IncrementalTrainer.from_checkpoint(directory, features, labels)
+        assert after.n_samples == trainer.n_samples == before.n_samples - 3
+        assert np.array_equal(
+            after.remove(probe, method="priu").weights,
+            trainer.remove(probe, method="priu").weights,
         )

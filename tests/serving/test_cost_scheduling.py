@@ -313,6 +313,26 @@ class TestRetire:
             written.st_mtime_ns,
         )
 
+    def test_retired_model_reloads_on_its_next_submit(self, checkpoint):
+        registry = self._registry(checkpoint)
+        fleet = FleetServer(
+            registry,
+            AdmissionPolicy(max_batch=4, max_delay_seconds=0.01),
+            method="priu",
+            n_workers=1,
+            clock=FakeClock(),
+        )
+        before = fleet.submit("m", [1, 2]).result(timeout=30)
+        assert fleet.flush(timeout=30)
+        counters = registry.stats()
+        assert registry.retire("m", policy=MaintenancePolicy()) is True
+        assert registry.stats()["evictions"] == counters["evictions"] + 1
+        assert registry.resident_trainer("m") is None
+        after = fleet.submit("m", [1, 2]).result(timeout=30)
+        fleet.close()
+        assert registry.stats()["loads"] == counters["loads"] + 1
+        assert np.array_equal(after.weights, before.weights)
+
     def test_dirty_commit_model_maintains_saves_and_evicts(self, checkpoint):
         """The full retire path: commit traffic dirties the model and
         accrues maintenance debt; retire reclaims the debt (the derived

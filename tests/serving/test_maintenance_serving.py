@@ -1,15 +1,11 @@
-"""Fleet maintenance scheduling and warm-start.
+"""Fleet maintenance scheduling.
 
-Two surfaces:
-
-* **Background maintenance** — ``FleetServer(maintenance=...)`` schedules
-  ``maintain()`` for dirty-and-idle resident models behind the
-  lowest-priority ``maintenance`` lane; explicit ``fleet.maintain()``
-  returns a future of the report; answers stay *bit-identical* to a
-  never-maintained reference server through any commit/maintain
-  interleaving (re-pack moves values, never changes them).
-* **Registry warm-start** — ``warm_start(n)`` pre-loads the hottest N
-  models by admission history instead of paying first-request latency.
+``FleetServer(maintenance=...)`` schedules ``maintain()`` for
+dirty-and-idle resident models behind the lowest-priority ``maintenance``
+lane; explicit ``fleet.maintain()`` returns a future of the report;
+answers stay *bit-identical* to a never-maintained reference server
+through any commit/maintain interleaving (re-pack moves values, never
+changes them).
 """
 
 import numpy as np
@@ -27,13 +23,11 @@ from repro import (
 from repro.datasets import (
     make_binary_classification,
     make_multiclass_classification,
-    make_regression,
 )
 from repro.serving.clock import MONOTONIC_CLOCK
 
 _MULTI = make_multiclass_classification(330, 12, n_classes=3, seed=61)
 _BINARY = make_binary_classification(400, 10, separation=1.0, seed=62)
-_LINEAR = make_regression(300, 6, noise=0.05, seed=63)
 
 
 def fit_multinomial() -> IncrementalTrainer:
@@ -347,87 +341,3 @@ def test_stress_with_maintenance_interleaved(seed):
             outcome.weights, expected.weights, atol=1e-10, rtol=0.0,
             err_msg=f"seed {seed}: s-bin {submitted.ids}",
         )
-
-
-# -------------------------------------------------------------- warm start
-class TestWarmStart:
-    def _registry(self, tmp_path, n_models=4, max_resident=None):
-        trainer = IncrementalTrainer(
-            "linear",
-            learning_rate=0.05,
-            regularization=0.01,
-            batch_size=32,
-            n_iterations=30,
-            seed=0,
-            method="priu",
-        )
-        trainer.fit(_LINEAR.features, _LINEAR.labels)
-        registry = ModelRegistry(max_resident=max_resident)
-        for i in range(n_models):
-            directory = tmp_path / f"model-{i}"
-            trainer.save_checkpoint(directory)
-            registry.register(
-                f"model-{i}",
-                checkpoint=directory,
-                features=_LINEAR.features,
-                labels=_LINEAR.labels,
-            )
-        return registry
-
-    def test_preloads_hottest_by_admission_history(self, tmp_path):
-        registry = self._registry(tmp_path)
-        with FleetServer(registry, n_workers=1) as fleet:
-            for _ in range(5):
-                fleet.resolve("model-2", [1, 2], timeout=30)
-            for _ in range(2):
-                fleet.resolve("model-0", [3], timeout=30)
-            for model_id in list(registry.resident_ids):
-                registry.evict(model_id)
-            assert registry.resident_ids == ()
-            loaded = fleet.warm_start(2)
-            assert loaded == ("model-2", "model-0")  # hottest first
-            assert set(registry.resident_ids) == {"model-2", "model-0"}
-            # Warm models answer without a load on the request path.
-            loads_before = registry.stats()["loads"]
-            fleet.resolve("model-2", [4], timeout=30)
-            assert registry.stats()["loads"] == loads_before
-
-    def test_never_admitted_models_are_not_warmed(self, tmp_path):
-        registry = self._registry(tmp_path)
-        assert registry.warm_start(3) == ()
-
-    def test_respects_resident_cap_and_explicit_hotness(self, tmp_path):
-        registry = self._registry(tmp_path, max_resident=2)
-        loaded = registry.warm_start(
-            3, hotness={"model-3": 9, "model-1": 5, "model-0": 1}
-        )
-        assert loaded == ("model-3", "model-1")  # cap stopped the third
-        assert set(registry.resident_ids) == {"model-3", "model-1"}
-        with pytest.raises(ValueError):
-            registry.warm_start(-1)
-
-    def test_stops_warming_once_the_byte_cap_saturates(self, tmp_path):
-        """Warming must never evict models already serving: a byte cap
-        smaller than two plans stops the sweep after the first load
-        triggers it, instead of churning the rest of the candidates
-        through the LRU."""
-        registry = self._registry(tmp_path)
-        one_plan = registry.warm_start(1, hotness={"model-0": 1})
-        assert one_plan == ("model-0",)
-        plan_bytes = registry.stats()["resident_plan_bytes"]
-        for model_id in list(registry.resident_ids):
-            registry.evict(model_id)
-        capped = ModelRegistry(max_plan_bytes=int(plan_bytes * 1.5))
-        for i in range(4):
-            capped.register(
-                f"model-{i}",
-                checkpoint=tmp_path / f"model-{i}",
-                features=_LINEAR.features,
-                labels=_LINEAR.labels,
-            )
-        hotness = {f"model-{i}": 10 - i for i in range(4)}
-        loaded = capped.warm_start(4, hotness=hotness)
-        # The second load saturated the cap (evicting the first would be
-        # thrash), so the sweep stopped there.
-        assert len(loaded) <= 2
-        assert capped.stats()["evictions"] <= 1

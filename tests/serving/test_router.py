@@ -14,7 +14,10 @@ kernel-OOM-kill analogue) or :meth:`ShardRouter.kill_shard` (SIGKILL),
 and tests wait on :meth:`describe` health rather than sleeping blind.
 """
 
+import multiprocessing
+import os
 import pickle
+import threading
 import time
 
 import numpy as np
@@ -28,8 +31,15 @@ from repro import (
     ShardRouter,
 )
 from repro.datasets import make_binary_classification
-from repro.serving import LaneFrame, RetryPolicy, ShardUnavailableError, StatsFrame
+from repro.serving import (
+    LaneFrame,
+    RetryPolicy,
+    ServingError,
+    ShardUnavailableError,
+    StatsFrame,
+)
 from repro.serving.router import _ring_walk, hash_ring
+from repro.serving.shard_worker import _ShardLoop
 
 _DATA = make_binary_classification(300, 8, separation=1.0, seed=3)
 _POLICY = AdmissionPolicy(max_batch=8, max_delay_seconds=0.01)
@@ -307,6 +317,23 @@ class TestRouterValidation:
         assert np.array_equal(outcome.removed, [2, 4])
         assert np.array_equal(outcome.weights, expected.weights)
 
+    @pytest.mark.parametrize(
+        "make_ids",
+        [lambda n: [n], lambda n: [-1], lambda n: range(n)],
+        ids=["past-the-end", "negative", "every-sample"],
+    )
+    def test_out_of_range_ids_fail_synchronously(self, checkpoint, make_ids):
+        """The router bounds-checks against the checkpoint's n_samples,
+        as the fleet does: the error is raised by submit itself, and no
+        shard ever hears of the model."""
+        with ShardRouter(n_shards=1, policy=_POLICY) as router:
+            metadata = router.register(
+                "m", checkpoint, _DATA.features, _DATA.labels
+            )
+            with pytest.raises(ValueError, match="removal ids|every"):
+                router.submit("m", make_ids(metadata.n_samples))
+            assert router.describe()["shards"]["shard-0"]["models"] == []
+
     def test_duplicate_registration_rejected(self, checkpoint):
         with ShardRouter(n_shards=1, policy=_POLICY) as router:
             router.register("m", checkpoint, _DATA.features, _DATA.labels)
@@ -471,35 +498,57 @@ class TestFailover:
                 router.submit("m", [2])
 
 
-class TestStandby:
-    def test_promotion_inherits_the_warm_spare(self, checkpoint):
-        reference = reference_answers(
-            checkpoint, [("model-0", [0, 1], None)]
-        )[0]
-        with ShardRouter(n_shards=2, policy=_POLICY, standby=True) as router:
-            register_all(router, checkpoint)
-            assert router.describe()["standby"] == "standby"
-            home = router.shard_for("model-0")
-            outcome = router.submit("model-0", [0, 1]).result(timeout=60)
-            assert np.array_equal(outcome.weights, reference.weights)
+class TestShardFrames:
+    """A bad pipe frame never kills a shard: the loop runs in-process
+    over a real ``multiprocessing.Pipe`` and must answer ``ping`` after
+    every malformed frame."""
 
-            router.kill_shard(home)
-            deadline = time.monotonic() + 10  # reprolint: allow[R005] real subprocess death/respawn is I/O a fake clock cannot advance
-            while time.monotonic() < deadline:  # reprolint: allow[R005] real subprocess death/respawn is I/O a fake clock cannot advance
-                description = router.describe()
-                if (
-                    description["standby"] is None
-                    and description["shards"][home]["alive"]
-                ):
-                    break
-                time.sleep(0.02)  # reprolint: allow[R005] real subprocess death/respawn is I/O a fake clock cannot advance
-            description = router.describe()
-            # The spare took over the dead slot rather than cold-starting.
-            assert description["standby"] is None
-            assert description["shards"][home]["alive"]
-            assert router.shard_for("model-0") == home
-            outcome = router.submit("model-0", [0, 1]).result(timeout=60)
-            assert np.array_equal(outcome.weights, reference.weights)
+    @pytest.fixture
+    def shard(self):
+        router_end, shard_end = multiprocessing.Pipe(duplex=True)
+        loop = _ShardLoop(shard_end, "shard-test", {"policy": _POLICY})
+        thread = threading.Thread(target=loop.run, daemon=True)
+        thread.start()
+        assert self.reply(router_end)[0] == "hello"
+        yield router_end
+        router_end.send(("shutdown", 0))
+        assert self.reply(router_end) == ("ok", 0, None)
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        router_end.close()
+
+    @staticmethod
+    def reply(conn):
+        assert conn.poll(10), "the shard stopped answering"
+        return conn.recv()
+
+    @pytest.mark.parametrize(
+        "frame",
+        [42, ("stats",), ("submit",), ["ping", 5]],
+        ids=["bare-int", "stats-without-id", "submit-without-id", "list"],
+    )
+    def test_frame_that_is_not_an_id_tuple_is_dropped(self, shard, frame):
+        shard.send(frame)
+        shard.send(("ping", 99))
+        assert self.reply(shard) == ("ok", 99, os.getpid())
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            ("warm", 7, "plan.npz", True),
+            ("submit", 7),
+            ("bogus", 7),
+            (None, 7),
+        ],
+        ids=["removed-warm", "wrong-arity", "unknown-kind", "non-string-kind"],
+    )
+    def test_frame_with_request_id_gets_a_typed_error(self, shard, frame):
+        shard.send(frame)
+        kind, req_id, error = self.reply(shard)
+        assert (kind, req_id) == ("err", 7)
+        assert isinstance(error, ServingError)
+        shard.send(("ping", 99))
+        assert self.reply(shard) == ("ok", 99, os.getpid())
 
 
 class TestShardUnavailableError:
