@@ -6,17 +6,21 @@ when a deletion request arrives — possibly in a different process, days
 later.  Two artifacts cover the whole serving state:
 
 * :func:`save_store` / :func:`load_store` — the provenance store itself,
-  packed into a single compressed ``.npz``: batch arrays, summaries (dense
-  or SVD factors), per-sample coefficients, frozen PrIU-opt state, and the
+  packed into a single ``.npz``: batch arrays, summaries (dense or SVD
+  factors), per-sample coefficients, frozen PrIU-opt state, and the
   schedule metadata needed to rebuild it bit-for-bit.
 * :func:`save_plan` / :func:`load_plan` — the *compiled*
   :class:`~repro.core.replay_plan.ReplayPlan` layout (packed occurrence
-  index, stacked moments, slot-indexed interpolation flats), written as an
-  **uncompressed** ``.npz`` so a serving process can memory-map the arrays
-  straight out of the archive (``numpy`` itself ignores ``mmap_mode`` for
-  zip archives, so the loader maps each stored member by its byte offset).
-  A fresh process then goes checkpoint → plan → first answered request
-  without re-running capture *or* compilation.
+  index, stacked moments, slot-indexed interpolation flats).  A fresh
+  process goes checkpoint → plan → first answered request without
+  re-running capture *or* compilation.
+
+Both archives are written the same way: **uncompressed** zip members whose
+``.npy`` payloads start on a 64-byte file offset, so every array's data is
+64-byte aligned in the file.  That lets a loader memory-map the arrays
+straight out of the archive (``numpy`` itself ignores ``mmap_mode`` for zip
+archives, so the loader maps each stored member by its byte offset), and
+the mapped arrays are as aligned as freshly allocated ones.
 
 Both formats carry an explicit version number; loaders reject versions they
 do not understand instead of misinterpreting the layout (rules in
@@ -27,14 +31,14 @@ model & recovery"):
 
 * Every archive write goes write-temp → flush → fsync → atomic rename, so
   a crash at any point leaves either the old file or the new one on disk,
-  never a torn mix.
+  never a torn mix.  Writers never modify an archive in place, which is
+  what makes mapping it safe.
 * Archives embed a per-member content checksum (``__checksums__``).
-  Loaders verify members as they read them — eagerly for everything
-  :func:`load_store` and :func:`read_checkpoint_metadata` touch, *lazily*
-  for the plan members :func:`load_plan` memory-maps (the whole point of
-  mapping is not reading the bytes up front; the check runs on the plan's
-  first replay instead).  A mismatch raises
-  :class:`CheckpointCorruptionError` — bit rot is *detected*, never served.
+  :func:`load_store` checks every member once, before it returns;
+  :func:`load_plan` checks the plan members it memory-maps *lazily*, on
+  the plan's first replay.  A mismatch, or any archive bytes that do not
+  decode, raises :class:`CheckpointCorruptionError` — bit rot is
+  *detected*, never served.
 * Multi-file checkpoints (``store.npz`` + ``plan.npz``) commit through a
   sidecar journal (:func:`commit_checkpoint` / :func:`recover_checkpoint`)
   so the pair flips old→new atomically even across two renames.
@@ -47,7 +51,9 @@ write at every step and tests can prove the old-or-new guarantee.
 from __future__ import annotations
 
 import ast
+import math
 import os
+import struct
 import zipfile
 import zlib
 from dataclasses import dataclass
@@ -79,7 +85,10 @@ from .replay_plan import ReplayPlan
 # format-3 archives may also carry ``frozen_pending_rows`` /
 # ``frozen_pending_weights`` (removed rows kept for an incremental eigen
 # correction that no longer exists); they are checksum-verified and
-# ignored.  Format-1/2 archives still load.
+# ignored.  Format-1/2 archives still load.  Writing the members stored
+# instead of deflated (and padding them to 64-byte offsets) changes no
+# member, meaning, dtype or metadata encoding, so it is no format break:
+# every zip reader inflates or copies a member alike.
 _FORMAT_VERSION = 3
 _SUPPORTED_VERSIONS = (1, 2, 3)
 _PLAN_FORMAT_VERSION = 1
@@ -159,26 +168,76 @@ def _fsync_dir(directory: Path) -> None:
         os.close(fd)
 
 
-def _durable_savez(
-    path: Path, arrays: dict, *, compressed: bool, tag: str
-) -> None:
+# Every member's ``.npy`` payload starts on a multiple of this file offset,
+# and the ``.npy`` header pads the array data to the same multiple within
+# the payload, so a mapped array is 64-byte aligned.  numpy runs a matmul
+# outside BLAS when an operand is unaligned: slower, and different in the
+# last bits from the same product on an allocated array.
+_MEMBER_ALIGNMENT = 64
+# The padding travels in a local-header extra field under the id Android's
+# ``zipalign`` uses: the field's id and size, a u16 alignment, then zero
+# bytes, so the shortest padding field is 6 bytes.
+_ALIGNMENT_EXTRA_ID = 0xD935
+_ALIGNMENT_EXTRA_MIN = 6
+# Bytes of a local file header before its name and extra field, and the
+# zip64 extra field ``zipfile`` appends to a header opened with
+# ``force_zip64`` (needed because a member's size is unknown when its
+# header is written).
+_LOCAL_HEADER_SIZE = 30
+_ZIP64_EXTRA_SIZE = 20
+
+
+def _aligned_entry(name: str, header_offset: int) -> zipfile.ZipInfo:
+    """A stored zip entry whose payload starts 64-byte aligned when its
+    local header is written at ``header_offset``."""
+    entry = zipfile.ZipInfo(name)
+    unpadded = (
+        header_offset
+        + _LOCAL_HEADER_SIZE
+        + len(name.encode("utf-8"))
+        + _ZIP64_EXTRA_SIZE
+    )
+    pad = -unpadded % _MEMBER_ALIGNMENT
+    if pad < _ALIGNMENT_EXTRA_MIN:
+        pad += _MEMBER_ALIGNMENT
+    entry.extra = struct.pack(
+        "<HHH", _ALIGNMENT_EXTRA_ID, pad - 4, _MEMBER_ALIGNMENT
+    ) + bytes(pad - _ALIGNMENT_EXTRA_MIN)
+    return entry
+
+
+def _write_npz(handle, arrays: dict) -> None:
+    """Write ``arrays`` to ``handle`` as an uncompressed, aligned ``.npz``.
+
+    The same archive ``np.savez`` writes (``ZIP_STORED`` members named
+    ``<key>.npy``, any reader loads it) except that each member's payload
+    starts on a 64-byte file offset.
+    """
+    with zipfile.ZipFile(handle, "w", zipfile.ZIP_STORED) as archive:
+        for name, value in arrays.items():
+            entry = _aligned_entry(name + ".npy", handle.tell())
+            with archive.open(entry, "w", force_zip64=True) as member:
+                np.lib.format.write_array(
+                    member, np.asanyarray(value), allow_pickle=False
+                )
+
+
+def _durable_savez(path: Path, arrays: dict, *, tag: str) -> None:
     """Write an ``.npz`` crash-atomically: temp file → fsync → rename.
 
-    The archive is written through an open file handle (``np.savez``
-    appends ``.npz`` to suffix-less *paths* but honors handles exactly),
-    fsynced, then renamed over ``path`` with ``os.replace`` — atomic on
-    POSIX, so a reader never observes a half-written archive and a crash
-    leaves either the old file or the new one.  The temp file is left
-    behind on a crash by design (it is the *evidence* of an interrupted
-    write); :func:`recover_checkpoint` sweeps it.
+    The archive (:func:`_write_npz`) is written through an open file
+    handle, fsynced, then renamed over ``path`` with ``os.replace`` —
+    atomic on POSIX, so a reader never observes a half-written archive
+    and a crash leaves either the old file or the new one.  The rename
+    also leaves any mapping of the old file intact: its inode lives on
+    until the last mapping goes.  The temp file is left behind on a crash
+    by design (it is the *evidence* of an interrupted write);
+    :func:`recover_checkpoint` sweeps it.
     """
     temp = _temp_beside(path)
     _fault(f"{tag}.begin", path)
     with open(temp, "wb") as handle:
-        if compressed:
-            np.savez_compressed(handle, **arrays)
-        else:
-            np.savez(handle, **arrays)
+        _write_npz(handle, arrays)
         handle.flush()
         _fault(f"{tag}.temp-written", temp)
         os.fsync(handle.fileno())
@@ -193,15 +252,16 @@ def _content_digest(array: np.ndarray) -> str:
     """A dtype/shape-tagged CRC32 of one member's raw bytes.
 
     Computed over the *logical* content (contiguous buffer + dtype +
-    shape), not the zip member's compressed bytes, so the same digest
-    verifies both a decompressed read (:func:`load_store`) and a
-    memory-mapped view (:func:`load_plan`) — the mmap path bypasses the
-    zip layer's own CRC entirely, which is why this exists.
+    shape), not the zip member's stored bytes, so the same digest
+    verifies both an in-memory read and a memory-mapped view — the mmap
+    path bypasses the zip layer's own CRC entirely, which is why this
+    exists.  The CRC reads the array's buffer in place (a copy only for a
+    non-contiguous array).
     """
     array = np.asarray(array)
     tag = f"{array.dtype.str}|{array.shape}".encode()
     crc = zlib.crc32(tag)
-    crc = zlib.crc32(np.ascontiguousarray(array).tobytes(), crc)
+    crc = zlib.crc32(np.ascontiguousarray(array), crc)
     return f"{crc:08x}"
 
 
@@ -212,15 +272,27 @@ def _checksums_member(arrays: dict) -> np.ndarray:
     )
 
 
-def _parse_checksums(archive) -> dict[str, str] | None:
-    """The archive's recorded digests, or None for pre-checksum archives."""
-    if _CHECKSUMS_MEMBER not in archive.files:
-        return None
-    table: dict[str, str] = {}
-    for line in archive[_CHECKSUMS_MEMBER]:
-        name, _, digest = str(line).partition("=")
-        table[name] = digest
-    return table
+def _unreadable(path: Path, exc: Exception) -> CheckpointCorruptionError:
+    return CheckpointCorruptionError(
+        f"checkpoint archive {path} is unreadable "
+        f"(truncated or torn write?): {exc}"
+    )
+
+
+def _open_npz(path: Path):
+    """Open an ``.npz`` for reading.
+
+    Whatever zipfile or numpy raise on bytes they cannot decode — a
+    ``BadZipFile``, numpy's ``ValueError`` for a file that is not a zip,
+    an I/O error — surfaces as :class:`CheckpointCorruptionError`; a
+    missing file stays ``FileNotFoundError``.
+    """
+    try:
+        return np.load(path, allow_pickle=False)
+    except FileNotFoundError:
+        raise
+    except Exception as exc:
+        raise _unreadable(path, exc) from exc
 
 
 def _verify_digest(
@@ -243,54 +315,76 @@ def _verify_digest(
 class _VerifyingArchive:
     """Wrap an open ``NpzFile``: verify each member's digest on first read.
 
-    Members are checked as the loader pulls them (no double decompression)
-    and :meth:`verify_remaining` sweeps whatever the loader never touched,
-    so a corrupted-but-unused member still fails the load instead of
-    lurking until a later code path needs it.  With no digest table (an
-    old archive) it is a transparent pass-through.
+    Members are checked as the loader pulls them and
+    :meth:`verify_remaining` sweeps whatever the loader never touched, so
+    a corrupted-but-unused member still fails the load instead of lurking
+    until a later code path needs it.  Members in :attr:`mapped` (already
+    memory-mapped out of the archive by the caller) are served from there
+    and verified the same way.  A missing member, or one whose bytes do
+    not decode, raises :class:`CheckpointCorruptionError`.  With no digest
+    table (an archive older than the table) members pass through checked
+    only by zipfile's own CRC.
     """
 
-    def __init__(self, archive, checksums: dict[str, str] | None, path: Path):
+    def __init__(self, archive, path: Path):
         self._archive = archive
-        self._checksums = checksums
         self._path = path
         self._verified: set[str] = set()
+        self.mapped: dict[str, np.ndarray] = {}
+        self.checksums: dict[str, str] | None = None
+        if _CHECKSUMS_MEMBER in archive.files:
+            table = {}
+            for line in self._read(_CHECKSUMS_MEMBER):
+                name, _, digest = str(line).partition("=")
+                table[name] = digest
+            # Loaders test for optional members by name, so a recorded
+            # member whose entry went missing (or was renamed by a flipped
+            # bit) must fail here, before the layout is decoded without it.
+            missing = sorted(set(table) - set(archive.files))
+            if missing:
+                raise CheckpointCorruptionError(
+                    f"checkpoint members {missing} missing from {path}"
+                )
+            self.checksums = table
 
     @property
     def files(self):
         return self._archive.files
 
     def __getitem__(self, name: str) -> np.ndarray:
-        value = self._archive[name]
-        if self._checksums is not None and name not in self._verified:
-            self._verified.add(name)
-            _verify_digest(name, value, self._checksums, self._path)
+        value = self._read(name)
+        self._verify(name, value)
         return value
 
     def verify_remaining(self) -> None:
-        if self._checksums is None:
-            return
-        for name in self._checksums:
-            if name in self._verified:
-                continue
-            try:
-                value = self._archive[name]
-            except KeyError:
-                raise CheckpointCorruptionError(
-                    f"checkpoint member {name!r} missing from {self._path}"
-                ) from None
+        """Check every recorded member the loader has not read."""
+        for name in self.checksums or ():
+            if name not in self._verified:
+                self._verify(name, self._read(name))
+
+    def _read(self, name: str) -> np.ndarray:
+        if name in self.mapped:
+            return self.mapped[name]
+        try:
+            return self._archive[name]
+        except KeyError:
+            raise CheckpointCorruptionError(
+                f"checkpoint member {name!r} missing from {self._path}"
+            ) from None
+        except Exception as exc:
+            # Reading a member only decodes bytes, so any failure means
+            # they do not decode: zipfile raises BadZipFile for a bad CRC
+            # or header, NotImplementedError for an unknown compression
+            # method, version or flag bits, RuntimeError for an entry
+            # flagged as encrypted, and numpy ValueError (or a tokenizer
+            # error) for a malformed ``.npy`` header.
+            raise _unreadable(self._path, exc) from exc
+
+    def _verify(self, name: str, value: np.ndarray) -> None:
+        if self.checksums is not None and name not in self._verified:
             self._verified.add(name)
-            _verify_digest(name, value, self._checksums, self._path)
+            _verify_digest(name, value, self.checksums, self._path)
 
-
-_UNREADABLE = (zipfile.BadZipFile, zlib.error, EOFError, OSError)
-
-
-def _unreadable(path: Path, exc: Exception) -> CheckpointCorruptionError:
-    return CheckpointCorruptionError(
-        f"checkpoint archive {path} is unreadable "
-        f"(truncated or torn write?): {exc}"
-    )
 
 _FROZEN_FIELDS = (
     "slopes",
@@ -431,7 +525,14 @@ def _unpack_summary(archive, key: str, kind: str):
 
 
 def save_store(store: ProvenanceStore, path: str | Path) -> Path:
-    """Serialize a provenance store to a ``.npz`` archive."""
+    """Serialize a provenance store to a ``.npz`` archive.
+
+    Written like the plan archive (:func:`_write_npz`): uncompressed
+    members whose array data sits on 64-byte file offsets, so
+    :func:`load_store` can map them instead of inflating them, plus the
+    ``__checksums__`` digest table.  The write is crash-atomic
+    (:func:`_durable_savez`).
+    """
     path = Path(path)
     arrays: dict[str, np.ndarray] = {}
     summary_kinds: list[str] = []
@@ -502,34 +603,34 @@ def save_store(store: ProvenanceStore, path: str | Path) -> Path:
     arrays["__summary_kinds__"] = np.array(summary_kinds)
     arrays["__frozen_meta__"] = np.array([str(v) for v in frozen_meta])
     arrays[_CHECKSUMS_MEMBER] = _checksums_member(arrays)
-    _durable_savez(path, arrays, compressed=True, tag="store")
+    _durable_savez(path, arrays, tag="store")
     return path
 
 
 def load_store(path: str | Path) -> ProvenanceStore:
     """Reload a provenance store saved by :func:`save_store`.
 
-    Every member read is verified against the archive's recorded content
-    digests (when present), and members the layout never touches are
-    swept at the end — a corrupted store raises
-    :class:`CheckpointCorruptionError`, it never loads wrong.
+    Every stored array member (a name without a leading ``__``) is
+    memory-mapped read-only out of the archive and handed to the store as
+    a plain ndarray view.  The small ``__`` members are read into memory,
+    because maintenance writes ``__svd_corrections__`` in place.  Each
+    member's recorded digest is checked exactly once, here, before the
+    store is returned, and archive bytes that do not decode fail the same
+    way: a corrupted store raises :class:`CheckpointCorruptionError`, it
+    never loads wrong.  Members that cannot be mapped — compressed ones,
+    as every store written before archives were stored uncompressed has —
+    and archives without a digest table (nothing would check mapped
+    bytes) are read into memory instead.
     """
     path = Path(path)
-    try:
-        return _load_store_verified(path)
-    except FileNotFoundError:
-        raise
-    except _UNREADABLE as exc:
-        raise _unreadable(path, exc) from exc
-    except KeyError as exc:
-        raise CheckpointCorruptionError(
-            f"checkpoint archive {path} is missing member {exc}"
-        ) from exc
-
-
-def _load_store_verified(path: Path) -> ProvenanceStore:
-    with np.load(path, allow_pickle=False) as npz:
-        archive = _VerifyingArchive(npz, _parse_checksums(npz), path)
+    with _open_npz(path) as npz:
+        archive = _VerifyingArchive(npz, path)
+        if archive.checksums is not None:
+            names = [name for name in npz.files if not name.startswith("__")]
+            archive.mapped = {
+                name: member.view(np.ndarray)
+                for name, member in _mmap_npz_arrays(path, names).items()
+            }
         meta = archive["__meta__"]
         version = int(meta[0])
         if version not in _SUPPORTED_VERSIONS:
@@ -700,9 +801,11 @@ def read_checkpoint_metadata(path: str | Path) -> CheckpointMetadata:
     ``path`` is a checkpoint directory (containing ``store.npz`` and
     optionally ``plan.npz``) or a store archive itself — the same
     addressing :meth:`~repro.core.api.IncrementalTrainer.from_checkpoint`
-    accepts.  Only the small metadata members of the zip are decompressed;
-    the record arrays stay on disk, so this is safe to call for every
-    registered model of a large fleet at startup.
+    accepts.  Only the small ``__checksums__`` and ``__meta__`` members
+    are read (and ``__meta__`` digest-checked); the record arrays stay on
+    disk, so this is safe to call for every registered model of a large
+    fleet at startup.  Archive bytes that do not decode raise
+    :class:`CheckpointCorruptionError`.
     """
     path = Path(path)
     if path.is_dir():
@@ -718,22 +821,8 @@ def read_checkpoint_metadata(path: str | Path) -> CheckpointMetadata:
         plan_path = None
     if not store_path.exists():
         raise FileNotFoundError(f"no store archive at {store_path}")
-    try:
-        return _read_metadata_verified(store_path, plan_path)
-    except _UNREADABLE as exc:
-        raise _unreadable(store_path, exc) from exc
-    except KeyError as exc:
-        raise CheckpointCorruptionError(
-            f"checkpoint archive {store_path} is missing member {exc}"
-        ) from exc
-
-
-def _read_metadata_verified(
-    store_path: Path, plan_path: Path | None
-) -> CheckpointMetadata:
-    with np.load(store_path, allow_pickle=False) as npz:
-        archive = _VerifyingArchive(npz, _parse_checksums(npz), store_path)
-        meta = archive["__meta__"]
+    with _open_npz(store_path) as npz:
+        meta = _VerifyingArchive(npz, store_path)["__meta__"]
         version = int(meta[0])
         if version not in _SUPPORTED_VERSIONS:
             raise ValueError(f"unsupported store format version: {version}")
@@ -759,7 +848,7 @@ def _read_metadata_verified(
 def save_plan(
     plan: ReplayPlan, path: str | Path, weights: np.ndarray | None = None
 ) -> Path:
-    """Serialize a compiled replay plan to an (uncompressed) ``.npz``.
+    """Serialize a compiled replay plan to an uncompressed ``.npz``.
 
     Persists the derived structure-of-arrays state enumerated by
     :meth:`~repro.core.replay_plan.ReplayPlan.state_arrays` — summaries and
@@ -768,9 +857,9 @@ def save_plan(
     parameter vector so :meth:`~repro.core.api.IncrementalTrainer.\
 from_checkpoint` can restore ``weights_`` without replaying anything.
 
-    The archive is written *uncompressed* on purpose: stored zip members
-    are contiguous byte ranges, which lets :func:`load_plan` memory-map
-    them (``mmap_mode="r"``) instead of copying into RAM.
+    The archive is written like the store's (:func:`_write_npz`):
+    stored zip members are contiguous, 64-byte-aligned byte ranges, which
+    lets :func:`load_plan` memory-map them instead of copying into RAM.
     """
     if not plan.supported:
         raise ValueError(
@@ -787,7 +876,7 @@ from_checkpoint` can restore ``weights_`` without replaying anything.
     arrays["__plan_meta_keys__"] = np.array(keys)
     arrays["__plan_meta_values__"] = np.array([meta[k] for k in keys])
     arrays[_CHECKSUMS_MEMBER] = _checksums_member(arrays)
-    _durable_savez(path, arrays, compressed=False, tag="plan")
+    _durable_savez(path, arrays, tag="plan")
     return path
 
 
@@ -835,28 +924,47 @@ def _parse_npy_header(handle):
     return shape, fortran, dtype
 
 
-def _mmap_member(handle, path: Path, info: zipfile.ZipInfo) -> np.ndarray | None:
-    """Memory-map one stored zip member's ``.npy`` payload, or None."""
-    handle.seek(info.header_offset)
-    local_header = handle.read(30)
-    if len(local_header) != 30 or local_header[:4] != b"PK\x03\x04":
+def _mmap_member(
+    handle, mapping: np.memmap, info: zipfile.ZipInfo
+) -> np.ndarray | None:
+    """One stored zip member's ``.npy`` array as a view of ``mapping``.
+
+    Returns None unless the member is ``ZIP_STORED`` and its ``.npy``
+    header describes exactly the bytes its zip entry holds (header plus
+    ``prod(shape)·itemsize`` equals the entry's size): a header that
+    claims more would map bytes of the next entry.  The caller's
+    verifying read decides what such a member is.
+    """
+    if info.compress_type != zipfile.ZIP_STORED:
         return None
-    name_length = int.from_bytes(local_header[26:28], "little")
-    extra_length = int.from_bytes(local_header[28:30], "little")
-    handle.seek(info.header_offset + 30 + name_length + extra_length)
+    handle.seek(info.header_offset)
+    local_header = handle.read(_LOCAL_HEADER_SIZE)
+    if (
+        len(local_header) != _LOCAL_HEADER_SIZE
+        or local_header[:4] != b"PK\x03\x04"
+    ):
+        return None
+    name_length, extra_length = struct.unpack("<HH", local_header[26:30])
+    payload = (
+        info.header_offset + _LOCAL_HEADER_SIZE + name_length + extra_length
+    )
+    handle.seek(payload)
     parsed = _parse_npy_header(handle)
     if parsed is None:
         return None
     shape, fortran, dtype = parsed
-    if dtype.hasobject or 0 in shape:
+    start = handle.tell()
+    nbytes = math.prod(shape) * dtype.itemsize
+    if (
+        dtype.hasobject
+        or nbytes == 0
+        or start - payload + nbytes != info.file_size
+    ):
         return None
-    return np.memmap(
-        path,
-        dtype=dtype,
-        mode="r",
-        offset=handle.tell(),
-        shape=shape,
-        order="F" if fortran else "C",
+    return (
+        mapping[start : start + nbytes]
+        .view(dtype)
+        .reshape(shape, order="F" if fortran else "C")
     )
 
 
@@ -864,26 +972,28 @@ def _mmap_npz_arrays(path: Path, names: list[str]) -> dict[str, np.ndarray]:
     """Memory-map every mappable member of an ``.npz``; best effort.
 
     ``np.load(..., mmap_mode="r")`` silently ignores the request for zip
-    archives, but members written by ``np.savez`` (``ZIP_STORED``, no
-    compression) sit in the file as a local header followed by the raw
-    ``.npy`` payload.  Parsing that payload's header in place yields the
-    dtype/shape/order and the absolute byte offset of the data, which is
-    everything ``np.memmap`` needs.  The central directory is parsed once
-    for all members.  Compressed members, zero-size arrays and exotic
-    headers are simply omitted (the caller falls back to a normal read).
+    archives, but a stored (uncompressed) member sits in the file as a
+    local header followed by the raw ``.npy`` payload.  Parsing that
+    payload's header in place yields the dtype/shape/order and the
+    absolute byte offset of the data.  The open file is mapped once,
+    read-only, and every member is a ``np.memmap`` view of that one
+    mapping (one mapping and one file descriptor per archive, however
+    many members); the central directory is parsed once for all members.
+    Compressed members, zero-size arrays, exotic headers and headers that
+    disagree with their entry's size are simply omitted (the caller falls
+    back to a normal read).
     """
     mapped: dict[str, np.ndarray] = {}
     try:
         with zipfile.ZipFile(path) as archive, open(path, "rb") as handle:
+            mapping = np.memmap(handle, mode="r")
             for name in names:
                 try:
                     info = archive.getinfo(name + ".npy")
                 except KeyError:
                     continue
-                if info.compress_type != zipfile.ZIP_STORED:
-                    continue
                 try:
-                    member = _mmap_member(handle, path, info)
+                    member = _mmap_member(handle, mapping, info)
                 except (OSError, ValueError):
                     member = None
                 if member is not None:
@@ -908,7 +1018,8 @@ def load_plan(
     batch sizes and sample count before accepting them.  With ``mmap=True``
     every array that can be memory-mapped is loaded with ``mmap_mode="r"``
     (read-only, zero-copy); the replay loops never write to plan state, so
-    serving works directly off the mapped file.
+    serving works directly off the mapped file.  Archive bytes that do not
+    decode raise :class:`CheckpointCorruptionError`.
 
     If the archive embeds final model weights they are exposed as
     ``plan.final_weights``.
@@ -927,34 +1038,32 @@ ReplayPlan.run` — mapping exists precisely to avoid touching the bytes
     trainers or shard processes map the plan.
     """
     path = Path(path)
-    try:
-        arrays, meta, checksums, deferred = _read_plan_arrays(path, mmap)
-    except FileNotFoundError:
-        raise
-    except _UNREADABLE as exc:
-        raise _unreadable(path, exc) from exc
-    except KeyError as exc:
-        raise CheckpointCorruptionError(
-            f"checkpoint archive {path} is missing member {exc}"
-        ) from exc
+    arrays, meta, checksums, deferred = _read_plan_arrays(path, mmap)
     final_weights = arrays.pop("final_weights", None)
     deferred.pop("final_weights", None)
     if final_weights is not None and checksums is not None:
         # Consumed immediately (weights restore), so verified eagerly
         # even when mapped.
         _verify_digest("final_weights", final_weights, checksums, path)
-    plan = ReplayPlan.from_compiled_state(
-        store, features, labels, meta, arrays
-    )
+
+    def verify_mapped(
+        members=deferred, table=checksums, archive_path=path
+    ) -> None:
+        for name, value in members.items():
+            _verify_digest(name, value, table, archive_path)
+
+    try:
+        plan = ReplayPlan.from_compiled_state(
+            store, features, labels, meta, arrays
+        )
+    except Exception:
+        # Rotten mapped bytes can fail validation before the first replay
+        # would have caught them: report such a failure as corruption.
+        if checksums is not None:
+            verify_mapped()
+        raise
     plan.final_weights = final_weights
     if deferred and checksums is not None:
-
-        def verify_mapped(
-            members=deferred, table=checksums, archive_path=path
-        ) -> None:
-            for name, value in members.items():
-                _verify_digest(name, value, table, archive_path)
-
         plan.defer_integrity_check(verify_mapped)
     return plan
 
@@ -964,9 +1073,9 @@ def _read_plan_arrays(
 ) -> tuple[dict, dict, dict[str, str] | None, dict]:
     """Plan members + meta + digest table + the mapped (lazily verified)
     subset."""
-    with np.load(path, allow_pickle=False) as npz:
-        checksums = _parse_checksums(npz)
-        archive = _VerifyingArchive(npz, checksums, path)
+    with _open_npz(path) as npz:
+        archive = _VerifyingArchive(npz, path)
+        checksums = archive.checksums
         keys = [str(k) for k in archive["__plan_meta_keys__"]]
         values = [str(v) for v in archive["__plan_meta_values__"]]
         meta = dict(zip(keys, values))

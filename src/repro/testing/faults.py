@@ -138,9 +138,11 @@ def record_fault_points(operation: Callable[[], object]) -> List[str]:
 def corrupt_npz_member(path: os.PathLike, member: str) -> None:
     """Flip one byte inside ``member``'s stored data in an npz archive.
 
-    The flip lands near the end of the member's compressed payload — past
-    the npy header, inside array bytes — without rewriting the archive, so
-    zip metadata stays valid and only content checksums can catch it.
+    The flip lands near the end of the member's stored payload (the raw
+    ``.npy`` bytes of an uncompressed member, the deflate stream of a
+    compressed one) — past the npy header, inside array bytes — without
+    rewriting the archive, so zip metadata stays valid and only content
+    checksums can catch it.
     """
     path = Path(path)
     name = member if member.endswith(".npy") else member + ".npy"

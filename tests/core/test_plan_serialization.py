@@ -503,6 +503,26 @@ class TestNpyFormatVersions:
             assert np.array_equal(mapped[name], array), name
         assert np.isfortran(mapped["v2_fortran"])
 
+    def test_header_claiming_more_than_its_entry_is_not_mapped(self, tmp_path):
+        """A header edited to claim more elements than its zip entry holds
+        would map the next entry's bytes as array data; the member is left
+        to the verifying read instead, which rejects it."""
+        path = self._archive(
+            tmp_path,
+            {
+                "short": (np.arange(4, dtype=np.float64), (1, 0)),
+                "next": (np.arange(6, dtype=np.float64), (1, 0)),
+            },
+        )
+        raw = path.read_bytes()
+        assert raw.count(b"'shape': (4,)") == 1
+        path.write_bytes(raw.replace(b"'shape': (4,)", b"'shape': (9,)"))
+        mapped = _mmap_npz_arrays(path, ["short", "next"])
+        assert "short" not in mapped
+        assert np.array_equal(mapped["next"], np.arange(6, dtype=np.float64))
+        with np.load(path) as archive, pytest.raises(zipfile.BadZipFile):
+            archive["short"]
+
     def test_forced_v2_plan_serves_bit_identically(self, tmp_path):
         """Regression: a plan archive whose members carry 2.0 headers
         (as np.save emits for huge structured dtypes) must still be

@@ -1,9 +1,19 @@
 """Unit tests for provenance-store serialization (save/load round trips)."""
 
+import dataclasses
+import zipfile
+
 import numpy as np
 import pytest
 
-from repro.core import PrIUUpdater, load_store, save_store, train_with_capture
+from repro.core import (
+    IncrementalTrainer,
+    PrIUUpdater,
+    load_store,
+    save_store,
+    train_with_capture,
+)
+from repro.core.serialization import _mmap_npz_arrays
 from repro.datasets import (
     make_binary_classification,
     make_multiclass_classification,
@@ -128,3 +138,247 @@ class TestRoundTrips:
         np.savez_compressed(path, **archive)
         with pytest.raises(ValueError):
             load_store(path)
+
+
+def fit_trainer(task, data, **kwargs):
+    defaults = dict(
+        learning_rate=0.05,
+        regularization=0.01,
+        batch_size=25,
+        n_iterations=40,
+        seed=0,
+    )
+    defaults.update(kwargs)
+    trainer = IncrementalTrainer(task, **defaults)
+    trainer.fit(data.features, data.labels)
+    return trainer
+
+
+def sparse_data(task, seed):
+    """Sparse CSR features with random labels for ``task``."""
+    data = make_sparse_binary_classification(260, 120, density=0.05, seed=seed)
+    rng = np.random.default_rng(seed)
+    if task == "linear":
+        labels = rng.standard_normal(data.n_samples)
+    else:
+        labels = rng.integers(0, 3, size=data.n_samples)
+    return dataclasses.replace(data, labels=labels)
+
+
+# (task, training data, trainer options, the store kind it must produce).
+ALIGNMENT_CASES = {
+    "linear-dense": ("linear", lambda: make_regression(200, 6, seed=11), {}, "none"),
+    "linear-svd": (
+        "linear",
+        lambda: make_regression(220, 60, seed=12),
+        {"max_dense_params": 20},
+        "svd",
+    ),
+    "linear-sparse": ("linear", lambda: sparse_data("linear", 16), {}, "sparse"),
+    "binary-dense": (
+        "binary_logistic",
+        lambda: make_binary_classification(260, 8, seed=13),
+        {"freeze_fraction": 0.7},
+        "none",
+    ),
+    "binary-svd": (
+        "binary_logistic",
+        lambda: make_binary_classification(260, 40, seed=17),
+        {"max_dense_params": 20},
+        "svd",
+    ),
+    "binary-sparse": (
+        "binary_logistic",
+        lambda: make_sparse_binary_classification(260, 120, density=0.05, seed=15),
+        {},
+        "sparse",
+    ),
+    "multinomial-dense": (
+        "multinomial_logistic",
+        lambda: make_multiclass_classification(260, 8, n_classes=3, seed=14),
+        {"n_classes": 3},
+        "none",
+    ),
+    "multinomial-svd": (
+        "multinomial_logistic",
+        lambda: make_multiclass_classification(260, 20, n_classes=3, seed=18),
+        {"n_classes": 3, "max_dense_params": 20},
+        "svd",
+    ),
+    "multinomial-sparse": (
+        "multinomial_logistic",
+        lambda: sparse_data("multinomial", 19),
+        {"n_classes": 3},
+        "sparse",
+    ),
+}
+
+
+class TestAlignedMembers:
+    """Every member the loaders memory-map is 64-byte aligned.
+
+    numpy runs a matmul outside BLAS when an operand is unaligned, which
+    is slower and can differ in the last bits from the aligned product.
+    """
+
+    @pytest.mark.parametrize("case", sorted(ALIGNMENT_CASES))
+    def test_every_mapped_member_is_aligned(self, case, tmp_path):
+        task, make, kwargs, compression = ALIGNMENT_CASES[case]
+        trainer = fit_trainer(task, make(), **kwargs)
+        assert trainer.store.compression == compression
+        paths = trainer.save_checkpoint(tmp_path)
+        for archive in paths.values():
+            with np.load(archive, allow_pickle=False) as npz:
+                mappable = sorted(
+                    name
+                    for name in npz.files
+                    if not name.startswith("__") and npz[name].size
+                )
+            mapped = _mmap_npz_arrays(archive, mappable)
+            assert sorted(mapped) == mappable, archive.name
+            for name, member in mapped.items():
+                assert member.flags.aligned, (archive.name, name)
+                assert member.ctypes.data % 64 == 0, (archive.name, name)
+
+
+class TestOlderStoreFormats:
+    """Stores written before archives were stored uncompressed — every
+    store of formats 1–3 — still load and answer bit-identically.
+
+    The fixtures are rebuilt here from a freshly saved store: format 3
+    exactly as those builds wrote it (``np.savez_compressed``, digest table
+    included), format 2 without the maintenance/audit members, the
+    ``eigen_stale`` flag or the digest table, and format 1 (from an
+    uncommitted store) without ``n_original_samples`` or the deletion log.
+    """
+
+    REMOVED = [4, 11, 30]
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        data = make_binary_classification(300, 30, seed=181)
+
+        def fit():
+            return fit_trainer(
+                "binary_logistic",
+                data,
+                learning_rate=0.1,
+                max_dense_params=20,
+                freeze_fraction=0.7,
+            )
+
+        uncommitted, trainer = fit(), fit()
+        assert trainer.store.compression == "svd"
+        assert trainer.store.frozen is not None
+        directory = tmp_path_factory.mktemp("formats")
+        save_store(uncommitted.store, directory / "uncommitted.npz")
+        trainer.remove([2, 9, 40], commit=True)
+        trainer.remove([5, 77], commit=True)
+        trainer.save_checkpoint(directory / "committed")
+        store = trainer.store
+        assert store.deletion_log is not None and store.commit_receipts
+        assert store.svd_correction_columns is not None
+        assert store.frozen.eigen_stale
+        return data, trainer, directory, uncommitted
+
+    @staticmethod
+    def _members(path):
+        with np.load(path, allow_pickle=False) as npz:
+            return {name: npz[name] for name in npz.files}
+
+    @staticmethod
+    def _write_compressed(path, members):
+        np.savez_compressed(path, **members)
+        with zipfile.ZipFile(path) as archive:
+            assert all(
+                info.compress_type == zipfile.ZIP_DEFLATED
+                for info in archive.infolist()
+            )
+        return path
+
+    @staticmethod
+    def _downgrade(members, version):
+        members = {
+            name: value
+            for name, value in members.items()
+            if name
+            not in ("__receipts__", "__svd_corrections__", "__checksums__")
+        }
+        meta = list(members["__meta__"])
+        meta[0] = str(version)
+        members["__meta__"] = np.array(meta[:11] if version == 1 else meta)
+        members["__frozen_meta__"] = members["__frozen_meta__"][:2]
+        return members
+
+    def assert_answers_match(self, reloaded, store, features, labels):
+        for removed in (self.REMOVED, [0], [17, 18, 19, 20]):
+            expected = PrIUUpdater(store, features, labels).update(removed)
+            answer = PrIUUpdater(reloaded, features, labels).update(removed)
+            assert np.array_equal(answer, expected), removed
+
+    def test_v3_compressed_store_loads_and_answers(self, trained, tmp_path):
+        _, trainer, directory, _ = trained
+        members = self._members(directory / "committed" / "store.npz")
+        assert "__checksums__" in members
+        path = self._write_compressed(tmp_path / "v3.npz", members)
+        reloaded = load_store(path)
+        assert reloaded.n_original_samples == trainer.store.n_original_samples
+        assert np.array_equal(reloaded.deletion_log, trainer.store.deletion_log)
+        assert len(reloaded.commit_receipts) == 2
+        assert np.array_equal(
+            reloaded.svd_correction_columns, trainer.store.svd_correction_columns
+        )
+        assert reloaded.frozen.eigen_stale
+        self.assert_answers_match(
+            reloaded, trainer.store, trainer.features, trainer.labels
+        )
+
+    def test_v3_compressed_store_serves_through_its_checkpoint(
+        self, trained, tmp_path
+    ):
+        data, trainer, directory, _ = trained
+        checkpoint = tmp_path / "checkpoint"
+        checkpoint.mkdir()
+        members = self._members(directory / "committed" / "store.npz")
+        self._write_compressed(checkpoint / "store.npz", members)
+        (checkpoint / "plan.npz").write_bytes(
+            (directory / "committed" / "plan.npz").read_bytes()
+        )
+        restored = IncrementalTrainer.from_checkpoint(
+            checkpoint, data.features, data.labels
+        )
+        assert np.array_equal(restored.weights_, trainer.weights_)
+        for method in ("priu", "priu-seq"):
+            assert np.array_equal(
+                restored.remove(self.REMOVED, method=method).weights,
+                trainer.remove(self.REMOVED, method=method).weights,
+            ), method
+
+    def test_v2_store_loads_and_answers(self, trained, tmp_path):
+        _, trainer, directory, _ = trained
+        members = self._downgrade(
+            self._members(directory / "committed" / "store.npz"), 2
+        )
+        path = self._write_compressed(tmp_path / "v2.npz", members)
+        reloaded = load_store(path)
+        assert reloaded.n_original_samples == trainer.store.n_original_samples
+        assert np.array_equal(reloaded.deletion_log, trainer.store.deletion_log)
+        assert not reloaded.commit_receipts
+        assert reloaded.svd_correction_columns is None
+        self.assert_answers_match(
+            reloaded, trainer.store, trainer.features, trainer.labels
+        )
+
+    def test_v1_store_loads_and_answers(self, trained, tmp_path):
+        data, _, directory, uncommitted = trained
+        members = self._downgrade(
+            self._members(directory / "uncommitted.npz"), 1
+        )
+        assert "__deletion_log__" not in members
+        path = self._write_compressed(tmp_path / "v1.npz", members)
+        reloaded = load_store(path)
+        assert reloaded.n_original_samples is None
+        assert reloaded.deletion_log is None
+        self.assert_answers_match(
+            reloaded, uncommitted.store, data.features, data.labels
+        )
