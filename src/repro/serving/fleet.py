@@ -18,10 +18,11 @@ module supplies that tier:
   one copy of each plan across every load and every process.
 * :class:`FleetServer` — ``submit(model_id, ids, lane=...)`` routes
   requests to per-model admission queues (SLA-lane ordering, coalescing
-  budgets, backpressure) served by a shared pool of ``n_workers``
-  threads.  At most one ``remove_many`` is in flight per model (a
-  batched replay already saturates the BLAS threads; two per model
-  would fight for cores, and commit mode requires serialized
+  budgets that a batch leaves early when its model's arrival estimate
+  expects no batch-mate, backpressure) served by a shared pool of
+  ``n_workers`` threads.  At most one ``remove_many`` is in flight per
+  model (a batched replay already saturates the BLAS threads; two per
+  model would fight for cores, and commit mode requires serialized
   application anyway), and ready models are picked round-robin so one
   chatty model cannot starve the rest.  Commit mode and the update
   method are per-model settings; stats are kept per model, with per-lane
@@ -252,8 +253,6 @@ class ModelRegistry:
             OrderedDict()
         )
         self._pins: dict[str, int] = {}  # guarded-by: _lock
-        # Admission history: per-model submit_view() count (describe()).
-        self._admissions: dict[str, int] = {}  # guarded-by: _lock
         self._loads = 0  # guarded-by: _lock
         self._hits = 0  # guarded-by: _lock
         self._evictions = 0  # guarded-by: _lock
@@ -414,7 +413,6 @@ class ModelRegistry:
         """
         with self._lock:
             spec = self._spec(model_id)
-            self._admissions[model_id] = self._admissions.get(model_id, 0) + 1
             entry = self._resident.get(model_id)
             if entry is not None:
                 return entry.trainer, None, None
@@ -667,7 +665,6 @@ class ModelRegistry:
                 "resident": entry is not None,
                 "dirty": entry is not None and self._is_dirty(entry),
                 "pinned": self._pins.get(model_id, 0) > 0,
-                "admissions": self._admissions.get(model_id, 0),
                 "metadata": (
                     None if spec.metadata is None else spec.metadata.as_dict()
                 ),
@@ -788,6 +785,13 @@ class _MaintenanceTicket:
         self.auto = auto
 
 
+#: Weight of the newest inter-arrival gap in a model queue's gap EWMA.
+_GAP_WEIGHT = 0.25
+#: Gaps that warm a model queue's estimate before it may send a batch
+#: out early: the first ``1 + _MIN_GAPS`` arrivals wait out their budget.
+_MIN_GAPS = 4
+
+
 class _ModelQueue:
     """One model's admission state inside the fleet (guarded by the
     fleet's scheduler condition unless noted)."""
@@ -796,6 +800,7 @@ class _ModelQueue:
         "model_id", "heap", "busy", "slots",
         "stats", "batch_seq", "method", "commit_mode",
         "maintenance", "maintenance_runs", "last_maintenance", "health",
+        "last_arrival", "gap", "arrivals",
     )
 
     def __init__(
@@ -821,6 +826,38 @@ class _ModelQueue:
         self.maintenance_runs = 0
         self.last_maintenance: dict | None = None
         self.health = _ModelHealth()
+        # Arrival history on the fleet's clock: the newest request's
+        # arrival, an EWMA of the gaps between arrivals, and their count.
+        self.last_arrival = 0.0
+        self.gap: float | None = None
+        self.arrivals = 0
+
+    def note_arrival(self, now: float) -> None:
+        """Fold one request pushed onto the heap into the gap estimate."""
+        if self.arrivals:
+            gap = now - self.last_arrival
+            self.gap = (
+                gap
+                if self.gap is None
+                else self.gap + _GAP_WEIGHT * (gap - self.gap)
+            )
+        self.last_arrival = now
+        self.arrivals += 1
+
+    def no_mate_expected(self, deadline: float) -> bool:
+        """The warm estimate puts the next arrival past ``deadline``, so
+        waiting out the budget would gather no batch-mate."""
+        return (
+            self.arrivals > 1 + _MIN_GAPS
+            and self.last_arrival + self.gap > deadline
+        )
+
+    def admission(self) -> dict:
+        """The arrival estimate as plain data (:meth:`FleetServer.describe`)."""
+        return {
+            "arrivals": self.arrivals,
+            "gap_ms": None if self.gap is None else 1e3 * self.gap,
+        }
 
     def earliest_deadline(self) -> float | None:
         """When the most impatient queued request's lane budget expires."""
@@ -1183,6 +1220,10 @@ maintenance_cost` is checked against the policy's thresholds and, when
                     raise
                 request.seq = next(self._seq)
                 state.stats.record_submitted(lane_obj.name)
+                # Timed here, not from enqueued_at: that stamp predates
+                # the slot wait, so concurrent submitters could push out
+                # of order and make a negative gap.
+                state.note_arrival(self._clock.now())
                 heapq.heappush(state.heap, request.entry())
                 self._pending += 1
                 self._sched.notify_all()
@@ -1308,18 +1349,26 @@ maintenance_cost` is checked against the policy's thresholds and, when
         return {state.model_id: state.stats.snapshot() for state in states}
 
     def describe(self, model_id: str) -> dict:
-        """:meth:`ModelRegistry.describe` plus this fleet's health view.
+        """:meth:`ModelRegistry.describe` plus this fleet's view of the model.
 
         The added ``"health"`` entry is the model's circuit-breaker state
         (``healthy`` / ``quarantined`` / ``probing``), failure counts and
-        next probe time — all zeros/healthy for a model that has seen no
-        traffic through this fleet.
+        next probe time.  ``"admission"`` is the arrival estimate that
+        lets a batch leave before its budget: ``{"arrivals": n,
+        "gap_ms": <EWMA of the inter-arrival gaps, or None>}``.  Both
+        read as zeros/healthy for a model that has seen no traffic
+        through this fleet.
         """
         info = self.registry.describe(model_id)
         with self._sched:
             state = self._queues.get(model_id)
             health = _ModelHealth() if state is None else state.health
             info["health"] = health.as_dict()
+            info["admission"] = (
+                {"arrivals": 0, "gap_ms": None}
+                if state is None
+                else state.admission()
+            )
         return info
 
     # --------------------------------------------------------- model health
@@ -1467,9 +1516,16 @@ maintenance_cost` is checked against the policy's thresholds and, when
                         or len(state.heap) >= self.policy.max_batch
                         or (deadline is not None and now >= deadline)
                     )
-                    if ready:
+                    # Arrival-aware admission: leave now when no
+                    # batch-mate is expected before the budget runs out.
+                    # Only an arrival changes this, and every arrival
+                    # notifies, so the sleep below needs no extra timer.
+                    early = not ready and state.no_mate_expected(deadline)
+                    if ready or early:
                         batch = state.pop_batch(self.policy.max_batch)
                         state.busy = True
+                        if early:
+                            state.stats.record_early()
                         # Rotate: this model goes to the back of the scan.
                         self._rr_order = order[offset + 1:] + order[: offset + 1]
                         return "batch", model_id, batch

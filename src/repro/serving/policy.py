@@ -7,7 +7,8 @@ deletion traffic arrives one request at a time.  An
 efficiency the way serving systems do:
 
 * **coalesce** — hold the oldest waiting request for at most
-  ``max_delay_seconds`` while later arrivals join its batch;
+  ``max_delay_seconds`` while later arrivals join its batch, unless no
+  later arrival is expected before that budget runs out (below);
 * **cap** — dispatch immediately once ``max_batch`` requests are
   collected (one ``remove_many`` call never exceeds it);
 * **bound** — reject new submissions once ``max_pending`` requests are
@@ -16,6 +17,20 @@ efficiency the way serving systems do:
 With ``max_delay_seconds=0`` the server degenerates to sequential
 single-request service; with a generous delay and a large ``max_batch``
 it approaches the throughput of one ``remove_many(K)`` call.
+
+Arrival-aware admission
+-----------------------
+Holding a batch open only pays when someone joins it.  The fleet keeps,
+per model, an EWMA of the gaps between arrivals on its injectable
+clock, and sends a batch that is not full out at once when the next
+expected arrival (``last arrival + estimated gap``) falls after the
+batch's earliest member deadline.  A closed-loop client with one
+request outstanding therefore stops paying the budget, while a burst
+(gaps near zero) still fills its batch.  The rule adds no knob: the
+EWMA weight and the warm-up (the first few arrivals of a model always
+wait out their budget) are fleet constants.  It can only make a batch
+leave earlier — the budgets below stay hard upper bounds — and it only
+changes how requests group into batches, never their order.
 
 SLA lanes
 ---------
@@ -108,8 +123,10 @@ class AdmissionPolicy:
     lowest-priority background ``"maintenance"`` lane; submissions that
     don't name a lane ride in ``default_lane``.
 
-    A batch dispatches once it holds ``max_batch`` requests or its
-    earliest member deadline passes (module docstring).
+    A batch dispatches once it holds ``max_batch`` requests, once its
+    earliest member deadline passes, or — earlier — once the model's
+    arrival estimate expects no batch-mate before that deadline (module
+    docstring).
     """
 
     max_batch: int = 16

@@ -80,6 +80,9 @@ class ServingStats:
     latency: LatencySummary | None  # enqueue -> answer (end to end)
     lanes: dict[str, LaneStats] = field(default_factory=dict)
     quarantined: int = 0  # fast-failed: circuit breaker open (see LaneStats)
+    # Batches dispatched before their earliest member deadline because
+    # no batch-mate was expected (neither full nor closing).
+    early_batches: int = 0
 
     @property
     def pending(self) -> int:
@@ -102,6 +105,7 @@ class ServingStats:
             "rejected": self.rejected,
             "quarantined": self.quarantined,
             "batches": self.batches,
+            "early_batches": self.early_batches,
             "mean_batch_size": self.mean_batch_size,
             "wait": None if self.wait is None else self.wait.as_dict(),
             "service": None if self.service is None else self.service.as_dict(),
@@ -174,6 +178,7 @@ class StatsFrame:
     rejected: int = 0
     quarantined: int = 0
     batches: int = 0
+    early_batches: int = 0
     batch_sizes: list[int] = field(default_factory=list)
     waits: list[float] = field(default_factory=list)
     services: list[float] = field(default_factory=list)
@@ -189,6 +194,7 @@ class StatsFrame:
         self.rejected += other.rejected
         self.quarantined += other.quarantined
         self.batches += other.batches
+        self.early_batches += other.early_batches
         self.batch_sizes.extend(other.batch_sizes)
         self.waits.extend(other.waits)
         self.services.extend(other.services)
@@ -219,6 +225,7 @@ class StatsFrame:
             rejected=self.rejected,
             quarantined=self.quarantined,
             batches=self.batches,
+            early_batches=self.early_batches,
             mean_batch_size=(sum(sizes) / len(sizes) if sizes else 0.0),
             wait=summarize_latencies(self.waits),
             service=summarize_latencies(self.services),
@@ -276,6 +283,12 @@ class StatsRecorder:
         with self._lock:
             self._count("submitted", 1, (lane,))
             self._count("answered", 1, (lane,))
+
+    def record_early(self) -> None:
+        """A batch left before its earliest member deadline because no
+        batch-mate was expected (the fleet's arrival-aware admission)."""
+        with self._lock:
+            self._frame.early_batches += 1
 
     def record_batch(
         self,

@@ -172,7 +172,7 @@ class TestFleetMaintenance:
         assert info["maintenance_cost"]["slot_garbage_rows"] == (
             trainer.maintenance_cost().slot_garbage_rows
         )
-        assert info["admissions"] >= 1
+        assert fleet.describe("m")["admission"]["arrivals"] >= 1
 
     def test_registry_plan_bytes_shrink_after_maintenance(self):
         trainer = fit_multinomial()

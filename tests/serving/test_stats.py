@@ -6,11 +6,13 @@ isolation — a snapshot taken now must never change when the recorder
 keeps accumulating.
 """
 
+import pickle
+
 import pytest
 
 from repro.eval.timing import LatencySummary
 from repro.serving import StatsRecorder
-from repro.serving.stats import LaneStats, ServingStats
+from repro.serving.stats import LaneStats, ServingStats, StatsFrame
 
 
 def _filled_recorder() -> StatsRecorder:
@@ -163,3 +165,27 @@ class TestSerialization:
         )
         assert stats.lanes == {}
         assert stats.pending == 0
+
+
+class TestEarlyBatches:
+    def test_merge_sums_early_batches_into_the_summary(self):
+        """Per-model (or per-shard) frames carry their early-dispatch
+        counts; merging sums them, the way the router merges shards."""
+        recorders = []
+        for n_early in (2, 3):
+            recorder = StatsRecorder()
+            for _ in range(n_early):
+                recorder.record_submitted("bulk")
+                recorder.record_early()
+                recorder.record_batch([0.0], [0.001], [0.001], ["bulk"])
+            recorders.append(recorder)
+        assert recorders[0].snapshot().early_batches == 2
+        # Frames cross the shard pipes pickled.
+        frames = [pickle.loads(pickle.dumps(r.frame())) for r in recorders]
+        merged = StatsFrame.merged(frames)
+        assert merged.early_batches == 5
+        stats = merged.summarize()
+        assert stats.early_batches == 5
+        assert stats.batches == 5
+        assert stats.as_dict()["early_batches"] == 5
+        assert StatsRecorder().snapshot().as_dict()["early_batches"] == 0

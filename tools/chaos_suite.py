@@ -13,7 +13,10 @@ request is compared bit-for-bit against direct single-model serving.
 
 Prints one ``PASS``/``FAIL`` line per seed and exits nonzero if any
 seed fails, carrying the seed and the full operation trace so the
-failure replays exactly::
+failure replays exactly.  A fleet seed's ``PASS`` line counts what ran,
+including ``early=`` — batches that left before their budget because no
+batch-mate was expected — so the run shows that rule firing under the
+injected faults::
 
     python tools/chaos_suite.py             # default seed set
     python tools/chaos_suite.py --seeds 11,23 --ops 400
@@ -224,7 +227,8 @@ def _run_seed(seed, n_ops, checkpoint, cost, monitor):
     stats = fleet.stats()
     summary = (
         f"answered={stats.answered} failed={stats.failed} "
-        f"quarantined={stats.quarantined} load_faults={report.load_faults} "
+        f"quarantined={stats.quarantined} early={stats.early_batches} "
+        f"load_faults={report.load_faults} "
         f"fired={flaky.failures} verified={checked}"
     )
     if cost:
