@@ -714,8 +714,12 @@ FleetServer` auto-maintenance) needs, since
         Raises ``ValueError`` for outcomes computed before an earlier
         commit (their removal ids point into a stale id space).  Returns a
         receipt dict: ``mode`` (``refresh`` | ``noop`` | ``unsupported``),
-        the fraction of iterations touched, and ``removed`` (how many
-        samples left the store).
+        the fraction of iterations touched, ``removed`` (how many
+        samples left the store), and the compaction's
+        ``appended_columns`` / ``copied_factors`` (SVD correction columns
+        appended, and touched SVD records whose factors were copied into
+        a new buffer rather than grown in place; see
+        :class:`~repro.core.provenance_store.CompactionStats`).
         """
         self._require_fit()
         if outcome.store_version is not None and (
@@ -750,6 +754,8 @@ FleetServer` auto-maintenance) needs, since
         sync_start = time.perf_counter()
         receipt = self._plan.refresh(stats, self.features, self.labels)
         receipt["plan_sync_seconds"] = time.perf_counter() - sync_start
+        receipt["appended_columns"] = stats.appended_columns
+        receipt["copied_factors"] = stats.copied_factors
         self._priu = PrIUUpdater(self.store, self.features, self.labels)
         if isinstance(self._opt, PrIUOptLinearUpdater):
             # Downdate M/N by the removed rows (the updater still holds the

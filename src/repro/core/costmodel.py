@@ -43,6 +43,15 @@ from .provenance_store import normalize_removed_indices
 MAX_DECISIONS = 512
 
 
+def _columns_per_occurrence(store) -> int:
+    """Correction columns a commit appends per removed occurrence: one,
+    or ``q − 1`` for a multinomial store (its per-sample Hessian
+    ``Λ_i`` has rank ``q − 1``)."""
+    if store.task == "multinomial_logistic":
+        return store.n_classes - 1
+    return 1
+
+
 @dataclass(frozen=True)
 class CostEstimate:
     """What one removal set is predicted to cost, before any replay.
@@ -110,7 +119,9 @@ class CostModel:
             touched_occurrences=occurrences,
             plan_patch_bytes=plan.predict_patch_bytes(occurrences, touched),
             svd_width_growth=(
-                occurrences if store.compression == "svd" else 0
+                occurrences * _columns_per_occurrence(store)
+                if store.compression == "svd"
+                else 0
             ),
             mode="refresh" if plan.supported else "unsupported",
         )

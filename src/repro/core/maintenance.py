@@ -3,9 +3,14 @@
 Every committed deletion leaves a little state behind that correctness
 does not require but nothing used to reclaim:
 
-* ``ProvenanceStore.compact`` appends *exact* rank-Δ correction columns to
-  truncated-SVD summaries (re-truncating eagerly would perturb in-flight
-  answers), so factor widths grow monotonically with commit count;
+* ``ProvenanceStore.compact`` appends *exact* correction columns to
+  truncated-SVD summaries — one per removed occurrence, ``q − 1`` per
+  multinomial sample — into spare buffer capacity (re-truncating eagerly
+  would perturb in-flight answers), so factor widths grow monotonically
+  with commit count.  The answer-preserving pass
+  (``svd_epsilon=None``) reclaims only the numerically zero tail: from a
+  lossless summary (``B < m``) that is real width, from a lossy
+  multinomial one nothing;
 * ``ReplayPlan.refresh`` drops multinomial softmax rows *logically* — the
   ``(H, q)`` flats keep their physical size and a logical→physical
   ``_slot_map`` grows instead, so dead rows accumulate behind the map;

@@ -161,6 +161,17 @@ class PackedOccurrenceIndex:
     def __len__(self) -> int:
         return int(self.samples.size)
 
+    def runs(self, removed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(lo, hi)``: rows ``lo[j]:hi[j]`` hold ``removed[j]``'s occurrences.
+
+        ``removed`` must be sorted-unique, so the runs come out in row
+        order; an id seen in no batch gets an empty run.
+        """
+        return (
+            np.searchsorted(self.samples, removed, side="left"),
+            np.searchsorted(self.samples, removed, side="right"),
+        )
+
     def lookup(
         self, removed: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -170,26 +181,94 @@ class PackedOccurrenceIndex:
         :func:`normalize_removed_indices`); ids never seen in any batch are
         silently skipped, matching the old dict ``get(..., ())`` behavior.
         """
-        removed = np.asarray(removed, dtype=np.int64)
-        lo = np.searchsorted(self.samples, removed, side="left")
-        hi = np.searchsorted(self.samples, removed, side="right")
-        counts = hi - lo
-        total = int(counts.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), empty.copy()
-        # Expand each [lo, hi) run into explicit row numbers.
-        run_starts = np.repeat(lo, counts)
-        within = np.arange(total) - np.repeat(
-            np.concatenate(([0], np.cumsum(counts)[:-1])), counts
-        )
-        sel = run_starts + within
-        return self.samples[sel], self.iterations[sel], self.positions[sel]
+        rows = _run_rows(*self.runs(np.asarray(removed, dtype=np.int64)))
+        return self.samples[rows], self.iterations[rows], self.positions[rows]
 
     def nbytes(self) -> int:
         return int(
             self.samples.nbytes + self.iterations.nbytes + self.positions.nbytes
         )
+
+
+def _run_rows(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The row numbers of the runs ``lo[j]:hi[j]``, concatenated."""
+    counts = hi - lo
+    # Row k of run j is lo[j] + (k − rows before run j).
+    starts = lo - np.concatenate(([0], np.cumsum(counts)[:-1]))
+    return np.repeat(starts, counts) + np.arange(int(counts.sum()))
+
+
+def _by_iteration(
+    ids: np.ndarray, iterations: np.ndarray, positions: np.ndarray
+) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Group occurrences into ``{iteration: (sample ids, positions)}``."""
+    if ids.size == 0:
+        return {}
+    order = np.argsort(iterations, kind="stable")
+    iterations, ids, positions = iterations[order], ids[order], positions[order]
+    boundaries = np.flatnonzero(np.diff(iterations)) + 1
+    keys = iterations[np.concatenate(([0], boundaries))]
+    return {
+        int(t): (ids_group, pos_group)
+        for t, ids_group, pos_group in zip(
+            keys.tolist(),
+            np.split(ids, boundaries),
+            np.split(positions, boundaries),
+        )
+    }
+
+
+def _drop_and_remap(
+    index: PackedOccurrenceIndex,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    dropped_rows: np.ndarray,
+    dropped_slots: np.ndarray,
+    old_offsets: np.ndarray,
+    new_offsets: np.ndarray,
+) -> tuple[PackedOccurrenceIndex, np.ndarray]:
+    """The occurrence index and the flat batch layout after a commit.
+
+    ``lo``/``hi`` are the removed ids' runs (:meth:`PackedOccurrenceIndex.\
+runs`), ``dropped_rows`` their rows and ``dropped_slots`` the sorted
+    flat slots those rows held.  One vectorized pass over the
+    index's ``H`` rows, with no per-batch loop and no table over the id
+    range:
+
+    * the index is sorted by id, so a kept row between the runs of
+      removed ids ``j − 1`` and ``j`` has exactly ``j`` removed ids below
+      it and moves down by ``j``;
+    * its flat slot (``old_offsets[t] + position``) moves down past every
+      dropped slot below it, a prefix count over the old slot space;
+    * the new batches are the remapped ids scattered to their new slots
+      (split at ``new_offsets``).
+
+    Both shifts are step functions with one step per removed id or
+    dropped slot, so each is one ``np.repeat``.  Dropping rows and
+    shifting ids both preserve the index's order, so nothing is
+    re-sorted.
+    """
+    size = len(index)
+    keep = np.ones(size, dtype=bool)
+    keep[dropped_rows] = False
+    gaps = np.concatenate((lo, [size])) - np.concatenate(([0], hi))
+    samples = index.samples[keep] - np.repeat(np.arange(gaps.size), gaps)
+    iterations = index.iterations[keep]
+    slots = old_offsets[iterations] + index.positions[keep]
+    # A kept slot between dropped_slots[k-1] and dropped_slots[k] has k
+    # dropped slots below it.
+    steps = np.diff(np.concatenate(([0], dropped_slots, [size])))
+    slots -= np.repeat(np.arange(steps.size), steps)[slots]
+    batches = np.empty(size - dropped_rows.size, dtype=np.int64)
+    batches[slots] = samples
+    return (
+        PackedOccurrenceIndex(
+            samples=samples,
+            iterations=iterations,
+            positions=slots - new_offsets[iterations],
+        ),
+        batches,
+    )
 
 
 def _summary_nbytes(summary: Summary) -> int:
@@ -371,6 +450,14 @@ refresh`) without re-deriving the hit set: ``dropped_slots`` are flat
     occurrence-slot indices (``record_offsets[t] + position``) into the old
     slot space, and ``affected_iterations`` / ``dropped_per_iteration``
     describe which per-iteration state must be re-derived.
+
+    ``appended_columns`` counts the exact correction columns this commit
+    appended to truncated-SVD summaries, and ``copied_factors`` the
+    touched SVD records whose factors had to be copied into a new buffer
+    instead of growing in place (see
+    :meth:`~repro.linalg.svd.TruncatedSummary.widened`): every record
+    on the first commit after a load or a re-truncation, and a record
+    whose buffer is full.
     """
 
     removed: np.ndarray  # sorted-unique ids, pre-compaction space
@@ -380,6 +467,8 @@ refresh`) without re-deriving the hit set: ``dropped_slots`` are flat
     dropped_per_iteration: np.ndarray  # aligned with affected_iterations
     dropped_slots: np.ndarray  # sorted flat slot ids (old layout)
     dropped_occurrences: int
+    appended_columns: int = 0
+    copied_factors: int = 0
 
     @property
     def n_iterations_touched(self) -> int:
@@ -413,8 +502,9 @@ class ProvenanceStore:
     commit_receipts: list = field(default_factory=list)
     # Maintenance accounting: per-record count of exact correction columns
     # appended to truncated-SVD summaries by compact() and not yet
-    # reclaimed by retruncate_summaries().  None until the first commit
-    # widens a summary; persists through checkpoints (v3).
+    # reclaimed by retruncate_summaries() — one per removed occurrence,
+    # q − 1 on a multinomial store.  None until the first commit widens a
+    # summary; persists through checkpoints (v3).
     svd_correction_columns: np.ndarray | None = None
 
     _occurrences: dict[int, list[tuple[int, int]]] | None = None
@@ -520,20 +610,7 @@ class ProvenanceStore:
         """
         removed = np.asarray(removed, dtype=np.int64).ravel()
         ids, ts, pos = self.packed_index().lookup(removed)
-        if ids.size == 0:
-            return {}
-        order = np.argsort(ts, kind="stable")
-        ts, ids, pos = ts[order], ids[order], pos[order]
-        boundaries = np.flatnonzero(np.diff(ts)) + 1
-        keys = ts[np.concatenate(([0], boundaries))]
-        return {
-            int(t): (ids_group, pos_group)
-            for t, ids_group, pos_group in zip(
-                keys.tolist(),
-                np.split(ids, boundaries),
-                np.split(pos, boundaries),
-            )
-        }
+        return _by_iteration(ids, ts, pos)
 
     # ------------------------------------------------------------ compaction
     def survivor_original_ids(self) -> np.ndarray:
@@ -559,17 +636,25 @@ class ProvenanceStore:
         removal permanent: the samples' occurrence rows are dropped from
         every batch (per-sample interpolation state with them), their
         contributions are subtracted from the cached summaries and moments,
-        surviving ids are remapped onto the packed ``[0, n - Δn)`` space,
-        and the packed occurrence index is rebuilt in one vectorized pass
-        (no re-sort: dropping rows and shifting ids both preserve order).
+        and surviving ids are remapped onto the packed ``[0, n - Δn)``
+        space.  The work follows what the erasure touches: the removed
+        ids' occurrences come from ``Δ`` range lookups on the occurrence
+        index, only the records they hit are patched, and the batches and
+        the index are remapped together in one vectorized pass over the
+        index (:func:`_drop_and_remap`; no per-batch loop, no re-sort).
 
         ``features``/``labels`` are the *pre*-compaction training data (the
         removed rows' features are needed to form the subtracted
         contributions).  Dense summaries are patched exactly; SVD summaries
-        get exact rank-``Δ`` correction factors appended (re-truncating
-        would change replay answers by ``O(ε)``); sparse records carry no
-        summaries.  Frozen PrIU-opt state is compacted the same way, with
-        the offline eigendecomposition recomputed.
+        get exact correction columns appended (re-truncating would change
+        replay answers by ``O(ε)``): one per removed occurrence, or
+        ``q − 1`` for a multinomial store.  The columns are written into
+        spare buffer capacity in place
+        (:meth:`~repro.linalg.svd.TruncatedSummary.widened`), so a factor
+        is copied only on its first commit after a load or re-truncation
+        and when its buffer is full.  Sparse records carry no summaries.
+        Frozen PrIU-opt state is compacted the same way, with the offline
+        eigendecomposition flagged stale.
 
         Replaying the compacted store with removal set ``T`` is numerically
         identical (BLAS reduction-order noise only) to replaying the
@@ -603,17 +688,26 @@ class ProvenanceStore:
         timestamp: float | None,
     ) -> CompactionStats:
         index = self.packed_index()
-        removed_map = self.removed_positions(removed)
+        lo, hi = index.runs(removed)
+        dropped_rows = _run_rows(lo, hi)
+        hit_ids = index.samples[dropped_rows]
+        hit_iterations = index.iterations[dropped_rows]
+        hit_positions = index.positions[dropped_rows]
         sizes = np.fromiter(
             (len(r.batch) for r in self.records),
             dtype=np.int64,
             count=len(self.records),
         )
         old_offsets = np.concatenate(([0], np.cumsum(sizes)))
+        dropped_slots = np.sort(old_offsets[hit_iterations] + hit_positions)
+        affected, per_iter = np.unique(hit_iterations, return_counts=True)
 
         # ---- per-record state: drop removed rows, patch summaries/moments
-        for t, (ids, positions) in removed_map.items():
-            appended = self._compact_record(
+        appended_columns = copied_factors = 0
+        for t, (ids, positions) in _by_iteration(
+            hit_ids, hit_iterations, hit_positions
+        ).items():
+            appended, copied = self._compact_record(
                 self.records[t], ids, positions, features, labels
             )
             if appended:
@@ -625,40 +719,21 @@ class ProvenanceStore:
                         len(self.records), dtype=np.int64
                     )
                 self.svd_correction_columns[t] += appended
-        # ---- remap every surviving batch id onto the packed space
-        if removed.size:
-            for record in self.records:
-                record.batch = remap_surviving_ids(record.batch, removed)
+                appended_columns += appended
+                copied_factors += copied
         # ---- frozen PrIU-opt state
         if self.frozen is not None and removed.size:
             self._compact_frozen(removed, features, labels)
 
-        # ---- occurrence index: one vectorized drop-and-shift pass
-        pos = np.searchsorted(removed, index.samples, side="left")
-        member = np.zeros(len(index), dtype=bool)
-        if removed.size:
-            in_range = pos < removed.size
-            member[in_range] = (
-                removed[pos[in_range]] == index.samples[in_range]
-            )
-        keep = ~member
-        dropped_slots = np.sort(
-            old_offsets[index.iterations[member]] + index.positions[member]
+        # ---- batch ids and the occurrence index: one pass over the index
+        sizes[affected] -= per_iter
+        new_offsets = np.concatenate(([0], np.cumsum(sizes)))
+        new_index, batches = _drop_and_remap(
+            index, lo, hi, dropped_rows, dropped_slots, old_offsets, new_offsets
         )
-        kept_iters = index.iterations[keep]
-        kept_slots = old_offsets[kept_iters] + index.positions[keep]
-        # Position shift: dropped slots below this occurrence in its batch.
-        shift = np.searchsorted(dropped_slots, kept_slots) - np.searchsorted(
-            dropped_slots, old_offsets[kept_iters]
-        )
-        new_index = PackedOccurrenceIndex(
-            samples=remap_surviving_ids(index.samples[keep], removed),
-            iterations=kept_iters,
-            positions=index.positions[keep] - shift,
-        )
-        affected, per_iter = np.unique(
-            index.iterations[member], return_counts=True
-        )
+        bounds = new_offsets.tolist()
+        for t, record in enumerate(self.records):
+            record.batch = batches[bounds[t] : bounds[t + 1]]
 
         # ---- bookkeeping: deletion log, receipts, schedule, sizes, version
         if self.n_original_samples is None:
@@ -712,43 +787,46 @@ class ProvenanceStore:
             affected_iterations=affected,
             dropped_per_iteration=per_iter,
             dropped_slots=dropped_slots,
-            dropped_occurrences=int(member.sum()),
+            dropped_occurrences=int(dropped_rows.size),
+            appended_columns=appended_columns,
+            copied_factors=copied_factors,
         )
 
     def _compact_record(
         self, record, ids: np.ndarray, positions: np.ndarray, features, labels
-    ) -> int:
-        """Drop ``positions`` from one record, subtracting their contributions.
+    ) -> tuple[int, bool]:
+        """Drop ``positions``' per-sample state from one record and
+        subtract their contributions (the batch itself is remapped by
+        :func:`_drop_and_remap`).
 
         Returns the number of exact correction columns appended to a
         truncated-SVD summary (0 for dense/sparse records) — the
         maintenance accounting :meth:`retruncate_summaries` later
-        reclaims.
+        reclaims — and whether its factors were copied into a new buffer.
         """
         mask = np.ones(len(record.batch), dtype=bool)
         mask[positions] = False
-        appended = 0
+        summary = record.summary
+        copied = False
         rows = None
-        if record.summary is not None or (
+        if summary is not None or (
             isinstance(record, LinearRecord) and record.moment.size
         ):
             rows = np.asarray(features[ids], dtype=float)
         if isinstance(record, LinearRecord):
             if rows is not None:
-                if isinstance(record.summary, TruncatedSummary):
-                    appended = rows.shape[0]
-                record.summary = self._shrunk_summary(record.summary, rows, None)
+                record.summary, copied = self._shrunk_summary(
+                    summary, rows, None
+                )
                 if record.moment.size:
                     record.moment = record.moment - rows.T @ labels[ids].astype(
                         float
                     )
         elif isinstance(record, LogisticRecord):
             slopes_hit = record.slopes[positions]
-            if record.summary is not None:
-                if isinstance(record.summary, TruncatedSummary):
-                    appended = rows.shape[0]
-                record.summary = self._shrunk_summary(
-                    record.summary, rows, slopes_hit
+            if summary is not None:
+                record.summary, copied = self._shrunk_summary(
+                    summary, rows, slopes_hit
                 )
             if record.moment.size:
                 record.moment = record.moment - rows.T @ (
@@ -771,62 +849,66 @@ class ProvenanceStore:
             coeff = lam_u - probs_hit
             coeff[np.arange(len(ids)), y] += 1.0
             record.moment = record.moment - coeff.T @ rows
-            if record.summary is not None:
-                if isinstance(record.summary, TruncatedSummary):
-                    appended = len(ids) * probs_hit.shape[1]
-                record.summary = self._shrunk_multinomial_summary(
-                    record.summary, probs_hit, rows
+            if summary is not None:
+                record.summary, copied = self._shrunk_multinomial_summary(
+                    summary, probs_hit, rows
                 )
             record.probabilities = record.probabilities[mask]
             record.wx = record.wx[mask]
-        record.batch = record.batch[mask]
-        return appended
+        if isinstance(summary, TruncatedSummary):
+            return record.summary.rank - summary.rank, copied
+        return 0, False
 
     @staticmethod
     def _shrunk_summary(
         summary: Summary, rows: np.ndarray, slopes: np.ndarray | None
-    ) -> Summary:
+    ) -> tuple[Summary, bool]:
         """``G - Σ a_i x_i x_iᵀ`` in whichever representation ``G`` uses.
 
         Dense summaries are patched exactly.  Truncated-SVD summaries get
         the removed samples appended as exact rank-1 correction factors
-        (``left ⟵ [P | -a_i x_i]``, ``right ⟵ [V | x_i]``) so the compacted
-        operator equals the pre-compaction operator minus the exact deltas —
-        the same arithmetic a replay of the uncompacted store performs.
+        (``left ⟵ [P | -a_i x_i]``, ``right ⟵ [V | x_i]``, grown in place
+        by :meth:`~repro.linalg.svd.TruncatedSummary.widened`) so the
+        compacted operator equals the pre-compaction operator minus the
+        exact deltas — the same arithmetic a replay of the uncompacted
+        store performs.  Also returns whether SVD factors were copied
+        into a new buffer.
         """
         weighted = rows if slopes is None else rows * slopes[:, None]
         if isinstance(summary, TruncatedSummary):
-            return TruncatedSummary(
-                left=np.hstack([summary.left, -weighted.T]),
-                right=np.hstack([summary.right, rows.T]),
-            )
-        return summary - weighted.T @ rows
+            return summary.widened(-weighted.T, rows.T)
+        return summary - weighted.T @ rows, False
 
     @staticmethod
     def _shrunk_multinomial_summary(
         summary: Summary, probs: np.ndarray, rows: np.ndarray
-    ) -> Summary:
-        """``C + Σ_i Λ_i ⊗ x_i x_iᵀ`` (the summary caches ``-Σ Λ ⊗ xxᵀ``)."""
+    ) -> tuple[Summary, bool]:
+        """``C + Σ_i Λ_i ⊗ x_i x_iᵀ`` (the summary caches ``-Σ Λ ⊗ xxᵀ``).
+
+        Also returns whether SVD factors were copied into a new buffer
+        (see :meth:`_shrunk_summary`).
+        """
         n_hits, q = probs.shape
         m = rows.shape[1]
         lam = -np.einsum("ik,il->ikl", probs, probs)
         lam[:, np.arange(q), np.arange(q)] += probs
         if isinstance(summary, TruncatedSummary):
-            # Λ_i is PSD with rank ≤ q: expand into q weighted Kronecker
+            # Λ_i = diag(p_i) − p_i p_iᵀ is PSD with Λ_i·1 = 0, so its rank
+            # is at most q − 1: expand it into q − 1 weighted Kronecker
             # columns per removed sample, appended as exact corrections.
+            # eigh sorts eigenvalues ascending; eigenpair 0 is the null
+            # direction, whose |λ| ~ 1e-17 moves the operator by at most
+            # |λ|·‖x_i‖².
             evals, evecs = np.linalg.eigh(lam)  # (h, q), (h, q, q)
-            kron = np.einsum("hqk,hm->hkqm", evecs, rows).reshape(
-                n_hits * q, q * m
+            kron = np.einsum("hqk,hm->hkqm", evecs[:, :, 1:], rows).reshape(
+                n_hits * (q - 1), q * m
             )
-            weights = evals.reshape(-1)
-            return TruncatedSummary(
-                left=np.hstack([summary.left, (kron * weights[:, None]).T]),
-                right=np.hstack([summary.right, kron.T]),
-            )
+            weights = evals[:, 1:].reshape(-1)
+            return summary.widened((kron * weights[:, None]).T, kron.T)
         contrib = np.einsum("hkl,hm,hn->kmln", lam, rows, rows).reshape(
             q * m, q * m
         )
-        return summary + contrib
+        return summary + contrib, False
 
     def _compact_frozen(self, removed: np.ndarray, features, labels) -> None:
         """Compact the PrIU-opt frozen full-dataset state (Sec. 5.4).

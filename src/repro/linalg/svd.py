@@ -19,17 +19,61 @@ The cached factors are ``P = U_{1..r} S_{1..r}`` and ``V_{1..r}``, each
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
+
+#: A widened summary's factors live in buffers with this many times the
+#: columns they hold (at least 1), so later commits append in place and a
+#: factor is copied O(log) times over its life instead of on every commit.
+#: The spare columns of a large buffer are pages nothing has touched.
+GROWTH_HEADROOM = 1.5
+
+# Guards the check-and-claim of a buffer's tail: two summaries sharing a
+# buffer (shallow copies committed from two threads) cannot both win it.
+_CLAIM_LOCK = threading.Lock()
+
+
+class _FactorBuffer:
+    """Column-major ``(m, capacity)`` storage behind a widened summary.
+
+    The first ``filled`` columns hold data.  Every summary over the
+    buffer views a prefix of it, so the one whose width equals
+    ``filled`` is the newest and alone may append past it.
+    """
+
+    __slots__ = ("left", "right", "filled")
+
+    def __init__(self, n_features: int, capacity: int) -> None:
+        self.left = np.empty((n_features, capacity), order="F")
+        self.right = np.empty((n_features, capacity), order="F")
+        self.filled = 0
 
 
 @dataclass
 class TruncatedSummary:
-    """The cached pair ``(P, V)`` with ``A ≈ P Vᵀ``."""
+    """The cached pair ``(P, V)`` with ``A ≈ P Vᵀ``.
+
+    A summary that :meth:`widened` produced holds its factors as the
+    first ``r`` columns of Fortran-order buffers with spare columns
+    (:data:`GROWTH_HEADROOM`), so successive commits share memory by
+    design: a reader keeps seeing its own ``r`` columns, because an
+    append only writes past the newest summary's width.  Copies and
+    pickles carry the factor views alone.
+    """
 
     left: np.ndarray  # P = U_{1..r} S_{1..r},  shape (m, r)
     right: np.ndarray  # V_{1..r},              shape (m, r)
+    _buffer: _FactorBuffer | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["_buffer"] = None
+        return state
 
     @property
     def rank(self) -> int:
@@ -48,8 +92,50 @@ class TruncatedSummary:
         return self.left @ self.right.T
 
     def nbytes(self) -> int:
-        """Memory held by the cached factors."""
+        """Memory held by the cached factors (live columns only)."""
         return self.left.nbytes + self.right.nbytes
+
+    def widened(
+        self, left_columns: np.ndarray, right_columns: np.ndarray
+    ) -> tuple[TruncatedSummary, bool]:
+        """``([P | L], [V | R])`` as a new summary, and whether it copied.
+
+        The appended ``m × d`` columns go into this summary's buffer in
+        place when it owns the buffer's tail and the buffer has room.
+        Otherwise both factors are copied into a new buffer with
+        :data:`GROWTH_HEADROOM` — when the summary has no buffer (fresh
+        from capture or re-truncation, mapped read-only from a
+        checkpoint, or a copy), when the buffer is full, or when a newer
+        summary already appended past this one's width.  ``self`` is left
+        unchanged either way.
+        """
+        width = self.rank
+        total = width + left_columns.shape[1]
+        buffer = self._buffer
+        with _CLAIM_LOCK:
+            in_place = (
+                buffer is not None
+                and buffer.filled == width
+                and total <= buffer.left.shape[1]
+                and self.left.base is buffer.left
+                and self.right.base is buffer.right
+            )
+            if in_place:
+                buffer.filled = total
+        if not in_place:
+            buffer = _FactorBuffer(
+                self.n_features, math.ceil(total * GROWTH_HEADROOM)
+            )
+            buffer.left[:, :width] = self.left
+            buffer.right[:, :width] = self.right
+            buffer.filled = total
+        buffer.left[:, width:total] = left_columns
+        buffer.right[:, width:total] = right_columns
+        grown = TruncatedSummary(
+            left=buffer.left[:, :total], right=buffer.right[:, :total]
+        )
+        grown._buffer = buffer
+        return grown, not in_place
 
 
 def select_rank(singular_values: np.ndarray, epsilon: float) -> int:

@@ -110,21 +110,24 @@ class TestEstimateAccuracy:
         assert estimate.plan_patch_bytes == receipt["patched_bytes"]
 
     def test_svd_width_growth_matches_correction_columns(self):
-        cm = CostModel()
-        trainer = _fit("binary_logistic", "svd", dict(batch_size=8),
-                       cost_model=cm)
-        assert trainer.store.compression == "svd"
-        rng = np.random.default_rng(7)
-        ids = np.sort(rng.choice(trainer.n_samples, size=3, replace=False))
-        before = trainer.maintenance_cost(
-            include_bytes=False
-        ).svd_correction_columns
-        estimate = trainer.estimate_removal(ids)
-        trainer.remove(ids, method="priu", commit=True)
-        after = trainer.maintenance_cost(
-            include_bytes=False
-        ).svd_correction_columns
-        assert estimate.svd_width_growth == after - before > 0
+        # A multinomial commit appends q − 1 columns per removed
+        # occurrence, the other tasks one.
+        for task in ("binary_logistic", "multinomial_logistic"):
+            cm = CostModel()
+            trainer = _fit(task, "svd", dict(batch_size=8), cost_model=cm)
+            assert trainer.store.compression == "svd"
+            rng = np.random.default_rng(7)
+            ids = np.sort(rng.choice(trainer.n_samples, size=3, replace=False))
+            before = trainer.maintenance_cost(
+                include_bytes=False
+            ).svd_correction_columns
+            estimate = trainer.estimate_removal(ids)
+            receipt = trainer.commit(trainer.remove(ids, method="priu"))
+            after = trainer.maintenance_cost(
+                include_bytes=False
+            ).svd_correction_columns
+            assert estimate.svd_width_growth == after - before > 0, task
+            assert receipt["appended_columns"] == after - before, task
 
     def test_dense_uncompressed_predicts_zero_svd_growth(self):
         trainer = _fit("linear", "dense", cost_model=CostModel())

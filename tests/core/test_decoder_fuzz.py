@@ -14,6 +14,8 @@ Any other exception (zipfile's ``NotImplementedError`` or
 fleet as a transient failure instead of opening the model's breaker.
 """
 
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,23 @@ def archive_members(path) -> dict[str, np.ndarray]:
         return {name: npz[name] for name in npz.files}
 
 
+def fortran_members(path) -> list[str]:
+    """Members whose ``.npy`` header says ``fortran_order: True``."""
+    names = []
+    with zipfile.ZipFile(path) as archive:
+        for name in archive.namelist():
+            with archive.open(name) as member:
+                read_header = (
+                    np.lib.format.read_array_header_1_0
+                    if np.lib.format.read_magic(member) == (1, 0)
+                    else np.lib.format.read_array_header_2_0
+                )
+                _, fortran, _ = read_header(member)
+            if fortran:
+                names.append(name)
+    return names
+
+
 def same_arrays(actual: dict, expected: dict) -> bool:
     return actual.keys() == expected.keys() and all(
         actual[name].dtype == value.dtype
@@ -82,6 +101,9 @@ def checkpoint(tmp_path_factory):
 def test_store_mutations_load_identically_or_raise_typed(checkpoint, tmp_path):
     _, directory = checkpoint
     original = directory / "store.npz"
+    # The committed records' widened factors are column-major, so the
+    # mutations below also reach the Fortran-order header branch.
+    assert fortran_members(original)
     expected = archive_members(original)
     resaved = save_store(load_store(original), tmp_path / "resaved.npz")
     assert same_arrays(archive_members(resaved), expected)

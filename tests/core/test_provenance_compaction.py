@@ -3,14 +3,18 @@
 The end-to-end commit contracts live in ``test_commit.py``; this file pins
 the store-level pieces: input validation of
 :func:`normalize_removed_indices` (dtype rejection, no aliasing), the
-survivor remap and its deletion-log form, and the vectorized
-drop-and-shift rebuild of the packed occurrence index.
+survivor remap and its deletion-log form, and the one-pass remap of the
+batches and the packed occurrence index (property-tested over successive
+commits on every task and representation).
 """
+
+import copy
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from repro.core import train_with_capture
 from repro.core.provenance_store import (
@@ -18,7 +22,11 @@ from repro.core.provenance_store import (
     remap_surviving_ids,
     remap_through_deletion_log,
 )
-from repro.datasets import make_regression
+from repro.datasets import (
+    make_binary_classification,
+    make_multiclass_classification,
+    make_regression,
+)
 from repro.models import make_schedule, objective_for
 
 
@@ -154,48 +162,150 @@ def captured():
     return data, store
 
 
+@pytest.fixture(scope="module")
+def compacted(captured):
+    """``captured`` after one commit."""
+    data, store = captured
+    removed = np.array([3, 40, 41, 90], dtype=np.int64)
+    stats = store.compact(removed, data.features, data.labels)
+    return data, store, removed, stats
+
+
+# Small stores: 8 batches of 6 over ~45 ids leave a few ids in no batch,
+# so removal sets can hold such ids.
+_TASK_DATA = {
+    "linear": make_regression(50, 8, noise=0.05, seed=72),
+    "binary_logistic": make_binary_classification(50, 8, seed=73),
+    "multinomial_logistic": make_multiclass_classification(
+        50, 8, n_classes=3, seed=74
+    ),
+}
+_STORE_KINDS = [
+    (task, rep)
+    for task in _TASK_DATA
+    for rep in ("dense", "svd", "sparse")
+]
+
+
+@pytest.fixture(scope="module")
+def base_stores():
+    stores = {}
+    for task, rep in _STORE_KINDS:
+        data = _TASK_DATA[task]
+        features = (
+            sparse.csr_matrix(data.features) if rep == "sparse"
+            else data.features
+        )
+        n_classes = 3 if task == "multinomial_logistic" else None
+        objective = objective_for(task, 0.01, n_classes=n_classes)
+        _, store = train_with_capture(
+            objective, features, data.labels,
+            make_schedule(features.shape[0], 6, 8, seed=5), 0.05,
+            compression="none" if rep == "dense" else "svd",
+        )
+        assert store.compression == {"dense": "none"}.get(rep, rep)
+        stores[task, rep] = (features, data.labels, store)
+    return stores
+
+
+@st.composite
+def _removal_set(draw, store) -> np.ndarray:
+    """Ids drawn to hit the edges: 0, n − 1, adjacent pairs, ids in no batch."""
+    n = store.n_samples
+    ids = set(draw(st.sets(st.integers(0, n - 1), max_size=4)))
+    if draw(st.booleans()):
+        ids.add(0)
+    if draw(st.booleans()):
+        ids.add(n - 1)
+    if draw(st.booleans()):
+        first = draw(st.integers(0, n - 2))
+        ids |= {first, first + 1}
+    absent = np.setdiff1d(
+        np.arange(n), np.concatenate([r.batch for r in store.records])
+    )
+    if absent.size and draw(st.booleans()):
+        ids.add(int(draw(st.sampled_from(absent.tolist()))))
+    if not ids:
+        ids.add(draw(st.integers(0, n - 1)))
+    return np.array(sorted(ids), dtype=np.int64)
+
+
 class TestCompactIndexRebuild:
-    def test_packed_index_matches_from_scratch_rebuild(self, captured):
-        data, store = captured
-        removed = np.array([3, 40, 41, 90], dtype=np.int64)
-        stats = store.compact(removed, data.features, data.labels)
-        patched = store.packed_index()
-        # Rebuild from the compacted records and compare row for row.
-        store._packed = None
-        rebuilt = store.packed_index()
-        assert np.array_equal(patched.samples, rebuilt.samples)
-        assert np.array_equal(patched.iterations, rebuilt.iterations)
-        assert np.array_equal(patched.positions, rebuilt.positions)
-        # Stats describe the drop in the old layout.
+    @pytest.mark.parametrize(
+        "task,rep", _STORE_KINDS, ids=[f"{t}-{r}" for t, r in _STORE_KINDS]
+    )
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_packed_index_matches_from_scratch_rebuild(
+        self, base_stores, task, rep, data
+    ):
+        """One-pass remap of the batches and the occurrence index, over
+        1–4 successive commits: the patched index equals a rebuild, each
+        batch is its surviving ids remapped, and the stats' dropped slots
+        are the removed ids' flat slots in the old layout."""
+        features, labels, base = base_stores[task, rep]
+        store = copy.deepcopy(base)
+        for _ in range(data.draw(st.integers(1, 4), label="commits")):
+            removed = data.draw(_removal_set(store), label="removed")
+            keep = store.survivor_original_ids()
+            old_batches = [record.batch.copy() for record in store.records]
+            offsets = np.concatenate(
+                ([0], np.cumsum([b.size for b in old_batches]))
+            )
+            stats = store.compact(removed, features[keep], labels[keep])
+
+            patched = store.packed_index()
+            store._packed = None
+            rebuilt = store.packed_index()
+            assert np.array_equal(patched.samples, rebuilt.samples)
+            assert np.array_equal(patched.iterations, rebuilt.iterations)
+            assert np.array_equal(patched.positions, rebuilt.positions)
+            for record, old in zip(store.records, old_batches):
+                alive = old[~np.isin(old, removed)]
+                assert np.array_equal(
+                    record.batch, remap_surviving_ids(alive, removed)
+                )
+            expected_slots = np.sort(np.concatenate([
+                offsets[t] + np.flatnonzero(np.isin(old, removed))
+                for t, old in enumerate(old_batches)
+            ]))
+            assert np.array_equal(stats.dropped_slots, expected_slots)
+            assert stats.dropped_occurrences == expected_slots.size
+            assert stats.dropped_per_iteration.sum() == expected_slots.size
+            assert stats.n_samples_after == stats.n_samples_before - removed.size
+            assert store.n_samples == stats.n_samples_after
+
+    def test_stats_and_deletion_log_after_one_commit(self, compacted):
+        data, store, removed, stats = compacted
         assert stats.n_samples_after == stats.n_samples_before - removed.size
         assert stats.dropped_occurrences == stats.dropped_slots.size
         assert stats.dropped_per_iteration.sum() == stats.dropped_occurrences
         assert store.n_samples == stats.n_samples_after
         assert np.array_equal(store.deletion_log, removed)
 
-    def test_schedule_is_materialized_and_consistent(self, captured):
-        data, store = captured
+    def test_schedule_is_materialized_and_consistent(self, compacted):
+        data, store, _, _ = compacted
         assert store.schedule.kind == "materialized"
         for t, record in enumerate(store.records):
             assert np.array_equal(store.schedule[t], record.batch)
             assert record.batch.size == 0 or record.batch.max() < store.n_samples
 
-    def test_compact_rejects_out_of_range(self, captured):
-        data, store = captured
+    def test_compact_rejects_out_of_range(self, compacted):
+        data, store, _, _ = compacted
         survivors = store.survivor_original_ids()
         features, labels = data.features[survivors], data.labels[survivors]
         with pytest.raises(ValueError, match="removal ids"):
             store.compact([store.n_samples + 2], features, labels)
 
-    def test_compact_rejects_everything(self, captured):
-        data, store = captured
+    def test_compact_rejects_everything(self, compacted):
+        data, store, _, _ = compacted
         survivors = store.survivor_original_ids()
         features, labels = data.features[survivors], data.labels[survivors]
         with pytest.raises(ValueError, match="every training sample"):
             store.compact(np.arange(store.n_samples), features, labels)
 
-    def test_compact_rejects_mismatched_data(self, captured):
-        data, store = captured
+    def test_compact_rejects_mismatched_data(self, compacted):
+        data, store, _, _ = compacted
         # Slicing to the survivors *before* compacting is the natural
         # mistake — the subtracted contributions would come from the wrong
         # rows, silently.  It must fail loudly instead.

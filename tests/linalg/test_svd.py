@@ -1,5 +1,10 @@
 """Unit tests for truncated SVD summaries (Theorems 6/8 machinery)."""
 
+import copy
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,6 +14,7 @@ from repro.linalg import (
     truncate_from_samples,
     truncate_summary,
 )
+from repro.linalg.svd import GROWTH_HEADROOM, TruncatedSummary
 
 
 @pytest.fixture
@@ -311,3 +317,138 @@ class TestIncrementalRetruncation:
         np.testing.assert_allclose(
             result.summary.reconstruct(), dense, atol=1e-10, rtol=0.0
         )
+
+
+class TestWidened:
+    """Growing a summary's factors in place, and the ownership rule."""
+
+    @staticmethod
+    def _columns(rng, m=6, d=2):
+        return rng.standard_normal((m, d)), rng.standard_normal((m, d))
+
+    def _check(self, summary, left, right):
+        assert np.array_equal(summary.left, left)
+        assert np.array_equal(summary.right, right)
+
+    def test_first_widening_copies_then_appends_in_place(self, rng):
+        base = TruncatedSummary(
+            left=rng.standard_normal((6, 3)), right=rng.standard_normal((6, 3))
+        )
+        a_left, a_right = self._columns(rng)
+        grown, copied = base.widened(a_left, a_right)
+        assert copied
+        assert grown.left.flags.f_contiguous and grown.right.flags.f_contiguous
+        assert grown.left.base.shape[1] == int(np.ceil(5 * GROWTH_HEADROOM))
+        self._check(
+            grown,
+            np.hstack([base.left, a_left]),
+            np.hstack([base.right, a_right]),
+        )
+        b_left, b_right = self._columns(rng, d=1)
+        again, copied = grown.widened(b_left, b_right)
+        assert not copied
+        assert np.shares_memory(again.left, grown.left)
+        assert np.shares_memory(again.right, grown.right)
+        self._check(
+            again,
+            np.hstack([base.left, a_left, b_left]),
+            np.hstack([base.right, a_right, b_right]),
+        )
+        # The earlier reference still reads its own columns.
+        self._check(
+            grown,
+            np.hstack([base.left, a_left]),
+            np.hstack([base.right, a_right]),
+        )
+        assert again.nbytes() == 2 * 6 * 6 * 8  # live columns only
+
+    def test_full_buffer_copies(self, rng):
+        summary = TruncatedSummary(
+            left=rng.standard_normal((4, 2)), right=rng.standard_normal((4, 2))
+        )
+        summary, _ = summary.widened(*self._columns(rng, m=4, d=1))
+        capacity = summary.left.base.shape[1]
+        while summary.rank < capacity:
+            summary, copied = summary.widened(*self._columns(rng, m=4, d=1))
+            assert not copied
+        left, right = summary.left.copy(), summary.right.copy()
+        wider, copied = summary.widened(*self._columns(rng, m=4, d=1))
+        assert copied
+        assert not np.shares_memory(wider.left, summary.left)
+        self._check(summary, left, right)
+        assert np.array_equal(wider.left[:, :capacity], left)
+
+    def test_stale_and_forked_summaries_never_overwrite_newer_columns(self, rng):
+        base = TruncatedSummary(
+            left=rng.standard_normal((5, 2)), right=rng.standard_normal((5, 2))
+        )
+        owner, _ = base.widened(*self._columns(rng, m=5, d=1))
+        fork = copy.copy(owner)
+        newer, copied = owner.widened(*self._columns(rng, m=5, d=1))
+        assert not copied
+        newer_left, newer_right = newer.left.copy(), newer.right.copy()
+        # The old reference, widened again, and its shallow copy both
+        # copy: the tail past their width belongs to ``newer``.
+        for stale in (owner, fork):
+            other, copied = stale.widened(*self._columns(rng, m=5, d=1))
+            assert copied
+            assert not np.shares_memory(other.left, newer.left)
+            self._check(newer, newer_left, newer_right)
+            assert np.array_equal(other.left[:, :3], owner.left)
+
+    def test_deep_copies_and_pickles_carry_the_view_alone(self, rng):
+        base = TruncatedSummary(
+            left=rng.standard_normal((5, 2)), right=rng.standard_normal((5, 2))
+        )
+        owner, _ = base.widened(*self._columns(rng, m=5, d=1))
+        for twin in (copy.deepcopy(owner), pickle.loads(pickle.dumps(owner))):
+            self._check(twin, owner.left, owner.right)
+            grown, copied = twin.widened(*self._columns(rng, m=5, d=1))
+            assert copied
+            assert not np.shares_memory(grown.left, owner.left)
+        # The original still owns its tail.
+        _, copied = owner.widened(*self._columns(rng, m=5, d=1))
+        assert not copied
+
+    def test_concurrent_widenings_claim_the_tail_once(self, rng):
+        """Threads widening one shared summary: at most one appends in
+        place per round, and every result holds exactly its own column."""
+        rounds, n_threads = 200, 8
+        owners = []
+        for _ in range(rounds):
+            base = TruncatedSummary(
+                left=rng.standard_normal((6, 2)),
+                right=rng.standard_normal((6, 2)),
+            )
+            owners.append(base.widened(*self._columns(rng, m=6, d=1))[0])
+        columns = [self._columns(rng, m=6, d=1) for _ in range(n_threads)]
+        results = [[None] * n_threads for _ in range(rounds)]
+        barrier = threading.Barrier(n_threads)
+
+        def work(i):
+            for r in range(rounds):
+                barrier.wait(timeout=30)
+                results[r][i] = owners[r].widened(*columns[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(i,))
+                for i in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for owner, outcome in zip(owners, results):
+            assert sum(not copied for _, copied in outcome) <= 1
+            for (grown, _), (left, right) in zip(outcome, columns):
+                self._check(
+                    grown,
+                    np.hstack([owner.left, left]),
+                    np.hstack([owner.right, right]),
+                )

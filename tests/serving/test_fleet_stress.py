@@ -28,11 +28,16 @@ from repro import (
     IncrementalTrainer,
     ModelRegistry,
 )
-from repro.datasets import make_binary_classification, make_regression
+from repro.datasets import (
+    make_binary_classification,
+    make_multiclass_classification,
+    make_regression,
+)
 
 _BINARY = make_binary_classification(400, 10, separation=1.0, seed=21)
 _BINARY_B = make_binary_classification(320, 8, separation=1.2, seed=22)
 _LINEAR = make_regression(360, 6, noise=0.05, seed=23)
+_MULTI = make_multiclass_classification(330, 12, n_classes=3, seed=24)
 
 
 def fit_model(kind: str) -> IncrementalTrainer:
@@ -70,6 +75,21 @@ def fit_model(kind: str) -> IncrementalTrainer:
             method="priu",
         )
         trainer.fit(_LINEAR.features, _LINEAR.labels)
+    elif kind == "multinomial-svd":
+        # Batches of 8 against 3 × 12 parameters: truncated-SVD summaries,
+        # which every commit widens.
+        trainer = IncrementalTrainer(
+            "multinomial_logistic",
+            learning_rate=0.05,
+            regularization=0.01,
+            batch_size=8,
+            n_iterations=60,
+            seed=3,
+            n_classes=3,
+            method="priu",
+        )
+        trainer.fit(_MULTI.features, _MULTI.labels)
+        assert trainer.store.compression == "svd"
     else:  # pragma: no cover - test bug
         raise ValueError(kind)
     return trainer
@@ -79,8 +99,11 @@ def fit_model(kind: str) -> IncrementalTrainer:
 class TestFleetContract:
     """The ISSUE 4 acceptance bar, deterministic under the fake clock."""
 
-    def test_mixed_traffic_batches_are_bit_identical_to_remove_many(self):
-        kinds = {"m-bin": "binary", "m-lin": "linear", "m-commit": "binary-b"}
+    @pytest.mark.parametrize("commit_kind", ["binary-b", "multinomial-svd"])
+    def test_mixed_traffic_batches_are_bit_identical_to_remove_many(
+        self, commit_kind
+    ):
+        kinds = {"m-bin": "binary", "m-lin": "linear", "m-commit": commit_kind}
         trainers = {mid: fit_model(kind) for mid, kind in kinds.items()}
         registry = ModelRegistry()
         for model_id, trainer in trainers.items():
