@@ -7,10 +7,11 @@ does not require but nothing used to reclaim:
   truncated-SVD summaries — one per removed occurrence, ``q − 1`` per
   multinomial sample — into spare buffer capacity (re-truncating eagerly
   would perturb in-flight answers), so factor widths grow monotonically
-  with commit count.  The answer-preserving pass
-  (``svd_epsilon=None``) reclaims only the numerically zero tail: from a
-  lossless summary (``B < m``) that is real width, from a lossy
-  multinomial one nothing;
+  with commit count.  The pass folds them into each summary's retained
+  orthonormal basis (:func:`~repro.linalg.svd.retruncate_summary`).
+  The answer-preserving pass (``svd_epsilon=None``) reclaims only the
+  numerically zero tail: from a lossless summary (``B < m``) that is
+  real width, from a lossy multinomial one nothing;
 * ``ReplayPlan.refresh`` drops multinomial softmax rows *logically* — the
   ``(H, q)`` flats keep their physical size and a logical→physical
   ``_slot_map`` grows instead, so dead rows accumulate behind the map;
@@ -119,11 +120,10 @@ class MaintenancePolicy:
     :func:`~repro.linalg.svd.retruncate_summary`: ``None`` (default)
     re-truncates to the numerical rank only — exact, answer-preserving —
     while an explicit ε applies the paper's lossy tail-ratio criterion
-    with the error bound surfaced in the report.  Re-truncation folds few
-    appended correction columns into the existing orthogonal factors
-    whenever :func:`~repro.linalg.svd.incremental_retruncation_wins` says
-    that beats thin-QR over the whole width; answers are preserved to
-    machine precision either way.
+    with the error bound surfaced in the report.  Re-truncation folds the
+    appended correction columns into each summary's retained orthonormal
+    basis and re-diagonalizes a small symmetric core (one-sided: only
+    the right factor is orthogonalized).
     """
 
     max_slot_garbage_rows: int = 0

@@ -963,28 +963,28 @@ class ProvenanceStore:
 
         Every record whose summary accumulated exact correction columns
         (:attr:`svd_correction_columns`) is re-truncated through
-        :func:`~repro.linalg.svd.retruncate_summary` — ``epsilon=None``
-        keeps the operator to machine precision (the answer contract
-        survives at atol 1e-10), an explicit ε applies the paper's lossy
-        criterion with the worst error bound surfaced in the receipt.
-        Bumps the store version (compiled plans must
-        re-sync their summary references via :meth:`~repro.core.\
-replay_plan.ReplayPlan.resync_summaries`); the mutation holds the
-        store's commit lock so concurrent submit-time readers always see a
-        consistent store.
-
-        Each record's appended correction-column count picks its path:
-        few columns are folded into the existing orthogonal factors when
-        :func:`~repro.linalg.svd.incremental_retruncation_wins`, else
-        thin-QR re-runs over the full width (same answers either way).
+        :func:`~repro.linalg.svd.retruncate_summary`, which folds them
+        into the retained orthonormal basis (``"incremental"``) — or,
+        for factors that are not in eigen form, such as those the older
+        two-sided fold wrote into existing checkpoints, takes the slower
+        ``"general"`` path, which converts them.  ``epsilon=None`` keeps
+        the operator to machine precision (the answer contract survives
+        at atol 1e-10); an explicit ε applies the paper's lossy criterion
+        with the worst error bound surfaced in the receipt.  Bumps the
+        store version (compiled plans must re-sync their summary
+        references via :meth:`~repro.core.replay_plan.ReplayPlan.\
+resync_summaries`); the pass holds the store's commit lock so
+        concurrent submit-time readers always see a consistent store, and
+        swaps summaries in only once every fold has succeeded.
 
         Returns a receipt dict: ``summaries`` (how many re-truncated),
         ``columns_before``/``columns_after`` (total factor widths of the
         touched summaries), ``max_error_bound`` / ``max_relative_error``
         (exact-vs-retruncated 2-norm distance, absolute and relative to
-        σ₁), ``max_rank_after``, ``incremental_updates``/``full_updates``
-        (which path each record took), and ``iterations`` (the touched
-        record indices, for plan re-sync).
+        |λ₁|), ``max_rank_after``, ``incremental_updates`` /
+        ``full_updates`` / ``general_updates`` (which path each record
+        took), and ``iterations`` (the touched record indices, for plan
+        re-sync).
         """
         columns = self.svd_correction_columns
         touched = [] if columns is None else [
@@ -992,47 +992,34 @@ replay_plan.ReplayPlan.resync_summaries`); the mutation holds the
             for t in np.flatnonzero(columns > 0)
             if isinstance(self.records[t].summary, TruncatedSummary)
         ]
-        if not touched:
-            return {
-                "summaries": 0,
-                "columns_before": 0,
-                "columns_after": 0,
-                "max_error_bound": 0.0,
-                "max_relative_error": 0.0,
-                "max_rank_after": 0,
-                "incremental_updates": 0,
-                "full_updates": 0,
-                "iterations": np.empty(0, dtype=np.int64),
-            }
-        columns_before = columns_after = max_rank_after = 0
-        incremental_updates = 0
-        max_bound = max_relative = 0.0
-        with self._commit_lock:
-            for t in touched:
-                record = self.records[t]
-                result = retruncate_summary(
-                    record.summary,
-                    epsilon=epsilon,
-                    appended=int(columns[t]),
-                )
-                record.summary = result.summary
-                columns_before += result.rank_before
-                columns_after += result.rank_after
-                max_rank_after = max(max_rank_after, result.rank_after)
-                max_bound = max(max_bound, result.error_bound)
-                max_relative = max(max_relative, result.error_bound_relative)
-                incremental_updates += result.method == "incremental"
-            columns[touched] = 0
-            self._version += 1
+        results = []
+        if touched:
+            with self._commit_lock:
+                results = [
+                    retruncate_summary(
+                        self.records[t].summary,
+                        epsilon=epsilon,
+                        appended=int(columns[t]),
+                    )
+                    for t in touched
+                ]
+                for t, result in zip(touched, results):
+                    self.records[t].summary = result.summary
+                columns[touched] = 0
+                self._version += 1
+        methods = [result.method for result in results]
         return {
             "summaries": len(touched),
-            "columns_before": columns_before,
-            "columns_after": columns_after,
-            "max_error_bound": max_bound,
-            "max_relative_error": max_relative,
-            "max_rank_after": max_rank_after,
-            "incremental_updates": incremental_updates,
-            "full_updates": len(touched) - incremental_updates,
+            "columns_before": sum(r.rank_before for r in results),
+            "columns_after": sum(r.rank_after for r in results),
+            "max_error_bound": max((r.error_bound for r in results), default=0.0),
+            "max_relative_error": max(
+                (r.error_bound_relative for r in results), default=0.0
+            ),
+            "max_rank_after": max((r.rank_after for r in results), default=0),
+            "incremental_updates": methods.count("incremental"),
+            "full_updates": methods.count("qr"),
+            "general_updates": methods.count("general"),
             "iterations": np.asarray(touched, dtype=np.int64),
         }
 

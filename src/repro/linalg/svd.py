@@ -13,8 +13,9 @@ singular value, the criterion is equivalently enforced here through the
 which bounds the 2-norm reconstruction error by ``ε ‖A‖₂`` and hence the
 parameter deviation by ``O(ε)``).
 
-The cached factors are ``P = U_{1..r} S_{1..r}`` and ``V_{1..r}``, each
-``m × r``; applying the summary to a vector costs ``O(rm)``.
+The cached factors are ``P = V_{1..r} Λ_{1..r}`` and ``V_{1..r}``, each
+``m × r`` (the summary is symmetric, so its eigenpairs give the SVD up
+to signs); applying the summary to a vector costs ``O(rm)``.
 """
 
 from __future__ import annotations
@@ -56,6 +57,15 @@ class _FactorBuffer:
 class TruncatedSummary:
     """The cached pair ``(P, V)`` with ``A ≈ P Vᵀ``.
 
+    Every producer writes the pair in *eigen form*, ``P = V · diag(c)``
+    with the retained (leading) columns of ``V`` orthonormal: capture
+    (:func:`truncate_from_samples`, :func:`truncate_summary` with
+    ``symmetric=True``), a commit's correction columns (``(−a_i x_i,
+    x_i)``, or ``(λ_k · kron, kron)`` on a multinomial store) and
+    :func:`retruncate_summary`, whose fold checks the column relation in
+    O(m·w) (a pair that fails it takes the slower general path) and
+    trusts the orthonormality, which would cost O(m·w²) to check.
+
     A summary that :meth:`widened` produced holds its factors as the
     first ``r`` columns of Fortran-order buffers with spare columns
     (:data:`GROWTH_HEADROOM`), so successive commits share memory by
@@ -64,7 +74,7 @@ class TruncatedSummary:
     pickles carry the factor views alone.
     """
 
-    left: np.ndarray  # P = U_{1..r} S_{1..r},  shape (m, r)
+    left: np.ndarray  # P = V_{1..r} Λ_{1..r},  shape (m, r)
     right: np.ndarray  # V_{1..r},              shape (m, r)
     _buffer: _FactorBuffer | None = field(
         default=None, init=False, repr=False, compare=False
@@ -240,109 +250,101 @@ class RetruncationResult:
     """Receipt of one :func:`retruncate_summary` call.
 
     ``error_bound`` is the *exact* 2-norm distance between the widened
-    operator and its re-truncated replacement — the largest singular value
+    operator and its re-truncated replacement — the largest |eigenvalue|
     dropped (``0.0`` when nothing was dropped), so
     ``‖A_wide − A_retrunc‖₂ = error_bound ≤ error_bound_relative · ‖A‖₂``.
     Maintenance surfaces the worst bound across all re-truncated summaries
     so callers can verify the answer contract they are trading for memory.
+
+    ``method`` names the path the fold took: ``"incremental"`` (appended
+    columns folded into the retained orthonormal basis), or a thin QR
+    over the full width, ``"qr"`` for a pair in eigen form and
+    ``"general"`` for one that failed the form check (see
+    :func:`retruncate_summary`).
     """
 
     summary: TruncatedSummary
     rank_before: int
     rank_after: int
-    error_bound: float  # ‖dropped tail‖₂ = largest dropped singular value
-    spectral_norm: float  # σ₁ of the widened operator
-    method: str = "qr"  # "qr" (full thin-QR) | "incremental"
+    error_bound: float  # ‖dropped tail‖₂ = largest dropped |eigenvalue|
+    spectral_norm: float  # |λ₁| of the widened operator
+    method: str = "qr"  # "incremental" | "qr" | "general"
 
     @property
     def error_bound_relative(self) -> float:
-        """``error_bound / σ₁`` (0.0 for a zero operator)."""
+        """``error_bound / |λ₁|`` (0.0 for a zero operator)."""
         if self.spectral_norm == 0.0:
             return 0.0
         return self.error_bound / self.spectral_norm
 
 
-def incremental_retruncation_wins(retained: int, appended: int) -> bool:
-    """The crossover rule :func:`retruncate_summary` applies for ``appended``.
+def _eigen_weights(left: np.ndarray, right: np.ndarray) -> np.ndarray | None:
+    """``c`` with ``left = right · diag(c)`` to rounding, else ``None``.
 
-    The incremental path costs ``O(m r d + (r+d)³)`` against the full
-    thin-QR's ``O(m (r+d)² )`` — it wins while the appended column count
-    ``d`` is small next to the retained rank ``r``.  The ``2d ≤ r`` rule
-    keeps a comfortable margin (QR of an ``m × d`` residual plus two
-    skinny GEMMs versus re-orthogonalizing all ``r + d`` columns), and a
-    degenerate bookkeeping state (``d ≥`` the factor width, ``d = 0``)
-    always falls back to the full path.
+    A column fails when ``‖left_j − c_j right_j‖ > 4 m eps |c_j| ‖right_j‖``.
+    O(m·w): three reductions and one scaled copy of ``right``.
     """
-    return 0 < appended and appended * 2 <= retained
+    sq_norms = np.einsum("ij,ij->j", right, right)
+    weights = np.einsum("ij,ij->j", right, left) / np.where(
+        sq_norms > 0.0, sq_norms, 1.0
+    )
+    defect = right * weights
+    defect -= left
+    tol = 4 * right.shape[0] * np.finfo(float).eps
+    defects = np.einsum("ij,ij->j", defect, defect)
+    return weights if np.all(defects <= tol**2 * weights**2 * sq_norms) else None
 
 
-def _retruncate_incremental(
-    left: np.ndarray,
-    right: np.ndarray,
-    retained: int,
-    epsilon: float | None,
-    max_rank: int | None,
-) -> RetruncationResult:
-    """Fold ``d`` appended correction columns into the existing factors.
+def _fold_basis(
+    basis: np.ndarray, fresh: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(W, Y, Z)`` with ``fresh ≈ basis·Y + W·Z``, ``[basis | W]`` orthonormal.
 
-    Exploits the invariant that every (re)truncation output has
-    ``P₀ = Q_L diag(s)`` with orthonormal ``Q_L`` and orthonormal ``V₀``
-    (true for :func:`truncate_summary`, :func:`truncate_from_samples`
-    and :func:`retruncate_summary` itself), so only the ``d`` appended
-    columns need orthogonalizing: one Gram–Schmidt pass against the
-    retained basis (repeated once, the classical twice-is-enough
-    refinement) plus a thin QR of the ``m × d`` residual on each side,
-    then the SVD of the small ``(r+d) × (r+d)`` core
-
-        ``K = [[diag(s) + X Yᵀ, X R_vᵀ], [R_p Yᵀ, R_p R_vᵀ]]``
-
-    re-diagonalizes the widened operator in ``O(m r d + (r+d)³)`` —
-    never touching the ``m × r`` retained block with a QR again.
+    One Gram–Schmidt pass against ``basis``, then a thin SVD of the
+    residual (columns scaled to unit norm) drops its directions at
+    rounding level: corrections in the span of ``basis``, or duplicates,
+    leave a rank-deficient residual whose noise a plain QR would turn
+    into directions not orthogonal to ``basis``.  The second pass runs
+    on the kept directions, making them orthogonal to ``basis`` however
+    small their singular values ``s``; it moves each by ``O(eps / s)``,
+    and such a direction carries only ``O(s)`` of the operator.
     """
-    prior_left = left[:, :retained]
-    prior_right = right[:, :retained]
-    appended_left = left[:, retained:]
-    appended_right = right[:, retained:]
-    norms = np.linalg.norm(prior_left, axis=0)
-    # Zero columns (a zero-operator summary kept as rank 1) contribute
-    # nothing; dividing by 1 leaves them zero in the basis.
-    safe = np.where(norms > 0.0, norms, 1.0)
-    basis_left = prior_left / safe
-
-    def _split(basis, block):
-        """``block = basis @ coeffs + ortho @ tri`` with ortho ⟂ basis."""
-        coeffs = basis.T @ block
-        residual = block - basis @ coeffs
-        correction = basis.T @ residual
-        residual = residual - basis @ correction
-        ortho, tri = np.linalg.qr(residual)
-        return coeffs + correction, ortho, tri
-
-    x, q_left, r_left = _split(basis_left, appended_left)
-    y, q_right, r_right = _split(prior_right, appended_right)
-    r = retained
-    d = appended_left.shape[1]
-    core = np.empty((r + d, r + d))
-    core[:r, :r] = x @ y.T
-    core[np.arange(r), np.arange(r)] += norms
-    core[:r, r:] = x @ r_right.T
-    core[r:, :r] = r_left @ y.T
-    core[r:, r:] = r_left @ r_right.T
-    u, s, vt = np.linalg.svd(core)
-    rank = _select_retruncation_rank(
-        s, epsilon, max_rank, left.shape[0], left.shape[1]
+    m, retained = basis.shape
+    coeffs = basis.T @ fresh
+    scale = np.linalg.norm(fresh, axis=0)
+    scale[scale == 0.0] = 1.0
+    u, s, vt = np.linalg.svd(
+        (fresh - basis @ coeffs) / scale, full_matrices=False
     )
-    error_bound = float(s[rank]) if rank < s.size else 0.0
-    new_left = np.hstack((basis_left, q_left)) @ (u[:, :rank] * s[:rank])
-    new_right = np.hstack((prior_right, q_right)) @ vt[:rank].T
-    return RetruncationResult(
-        summary=TruncatedSummary(left=new_left, right=new_right),
-        rank_before=int(left.shape[1]),
-        rank_after=rank,
-        error_bound=error_bound,
-        spectral_norm=float(s[0]) if s.size else 0.0,
-        method="incremental",
-    )
+    width = retained + fresh.shape[1]
+    kept = int(np.sum(s > max(m, width) * np.finfo(float).eps))
+    kept = min(kept, m - retained)
+    tail = (s[:kept, None] * vt[:kept]) * scale
+    u = u[:, :kept]
+    overlap = basis.T @ u
+    u -= basis @ overlap
+    return u, coeffs + overlap @ tail, tail
+
+
+def _full_width_core(
+    left: np.ndarray, right: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(Q, K)`` with ``P Vᵀ = Q K Qᵀ``, from the thin QR ``V = Q R``.
+
+    ``K = (Qᵀ P) Rᵀ``, symmetrized, is exact for a symmetric ``P Vᵀ``.
+    A part ``(P − Q Qᵀ P) Rᵀ`` of the operator outside ``span(Q)``, or a
+    skew part of ``K``, above ``√eps ‖K‖_F`` raises ``ValueError``: far
+    above the rounding folds leave (older two-sided folds: about 3e-14
+    after 60), far below the asymmetry of a non-symmetric operator.
+    """
+    basis, tri = np.linalg.qr(right)
+    projected = basis.T @ left
+    core = projected @ tri.T
+    outside = np.linalg.norm((left - basis @ projected) @ tri.T)
+    skew = np.linalg.norm(core - core.T)
+    if max(outside, skew) > np.sqrt(np.finfo(float).eps) * np.linalg.norm(core):
+        raise ValueError(f"P Vᵀ is not symmetric ({outside:.1e}, {skew:.1e})")
+    return basis, 0.5 * (core + core.T)
 
 
 def _select_retruncation_rank(
@@ -352,7 +354,7 @@ def _select_retruncation_rank(
     n_features: int,
     width: int,
 ) -> int:
-    """The shared rank rule of both re-truncation paths (see docstring)."""
+    """The rank rule of :func:`retruncate_summary` on ``s`` = sorted |λ|."""
     if s[0] == 0.0:
         rank = 1  # zero operator: keep one (zero) column, drop the rest
     elif epsilon is None:
@@ -371,64 +373,69 @@ def retruncate_summary(
     max_rank: int | None = None,
     appended: int | None = None,
 ) -> RetruncationResult:
-    """Re-truncate a widened ``(P, V)`` factor pair without forming ``PVᵀ``.
+    """Re-truncate a widened symmetric ``(P, V)`` pair without forming ``PVᵀ``.
 
-    Commit compaction appends *exact* rank-Δ correction columns to a
+    Commit compaction appends *exact* correction columns to a
     truncated-SVD summary (:meth:`~repro.core.provenance_store.\
 ProvenanceStore.compact`), so after many commits the factors are far wider
-    than the operator's numerical rank.  This restores tightness via the
-    thin-QR route: with ``P = Q_p R_p`` and ``V = Q_v R_v``,
+    than the operator's numerical rank.  The operator is symmetric, so
+    the fold works on one side: with ``P Vᵀ = Q K Qᵀ`` for an orthonormal
+    ``Q``, ``eigh`` of the small symmetric core ``K`` gives ``V ← Q E``
+    and ``P ← V · diag(λ)``.  ``method`` in the result names how ``Q``
+    and ``K`` were built:
 
-        ``P Vᵀ = Q_p (R_p R_vᵀ) Q_vᵀ``
-
-    and the SVD of the small ``r × r`` core re-diagonalizes the operator in
-    ``O(m r² + r³)`` — never the ``O(m³)`` dense SVD.
+    * ``"incremental"`` — the pair is in eigen form, ``P = V · diag(c)``
+      (checked in O(m·w); see :class:`TruncatedSummary`), and the last
+      ``appended`` columns are commit corrections, folded into the
+      retained block of ``V`` (:func:`_fold_basis`), which is trusted to
+      be orthonormal; ``K = M diag(c) Mᵀ``.
+    * otherwise a thin QR ``V = Q R`` and ``K = (Qᵀ P) Rᵀ``
+      (:func:`_full_width_core`, exact for any symmetric operator;
+      ``ValueError`` for any other): ``"qr"`` for a pair in eigen form
+      (``appended`` is ``None`` or counts every column), ``"general"``
+      for one that is not (factors the older two-sided fold wrote into
+      existing checkpoints, or a pair a caller built).
 
     ``epsilon=None`` (the default) drops only the *numerically zero* tail
-    (``σ ≤ max(m, r) · eps_float64 · σ₁``): the re-truncated operator equals
-    the widened one to machine precision, so replay answers are preserved
-    at the commit contract's atol.  Passing an explicit ``epsilon`` applies
-    the paper's tail-ratio criterion (:func:`select_rank`) instead —
-    smaller factors, answers perturbed by at most ``error_bound`` per
-    application (surfaced in the result).
-
-    ``appended`` tells the routine how many of the *trailing* factor
-    columns are commit-appended corrections (the count
-    :attr:`~repro.core.provenance_store.ProvenanceStore.\
-svd_correction_columns` maintains per record).  When few columns arrived
-    since the last pass (:func:`incremental_retruncation_wins`), the
-    update folds them into the already-orthogonal retained factors
-    instead of re-running thin-QR over the full width
-    (:func:`_retruncate_incremental`) — same answer to machine precision
-    (property-tested at atol 1e-10), ``method="incremental"`` in the
-    receipt.  ``appended=None`` (or a count past the crossover) always
-    takes the full path.
+    (``|λ| ≤ max(m, w) · eps_float64 · |λ₁|``), so replay answers are
+    preserved at the commit contract's atol.  An explicit ``epsilon``
+    applies the paper's tail-ratio criterion (:func:`select_rank`) to
+    ``|λ|`` — smaller factors, answers perturbed by at most
+    ``error_bound`` per application (surfaced in the result).
+    ``appended`` is the count :attr:`~repro.core.provenance_store.\
+ProvenanceStore.svd_correction_columns` keeps per record.
     """
     left = np.asarray(summary.left, dtype=float)
     right = np.asarray(summary.right, dtype=float)
-    if appended is not None:
-        retained = int(left.shape[1]) - int(appended)
-        if incremental_retruncation_wins(retained, int(appended)):
-            return _retruncate_incremental(
-                left, right, retained, epsilon, max_rank
-            )
-    qp, rp = np.linalg.qr(left)
-    qv, rv = np.linalg.qr(right)
-    core = rp @ rv.T
-    u, s, vt = np.linalg.svd(core)
+    n_features, width = right.shape
+    retained = width - (appended or 0)
+    weights = _eigen_weights(left, right)
+    if weights is not None and 0 < retained < width:
+        prior = right[:, :retained]
+        ortho, proj, tail = _fold_basis(prior, right[:, retained:])
+        stacked = np.vstack((proj, tail))
+        core = (stacked * weights[retained:]) @ stacked.T
+        core[np.arange(retained), np.arange(retained)] += weights[:retained]
+        basis = np.concatenate((prior, ortho), axis=1)
+        method = "incremental"
+    else:
+        basis, core = _full_width_core(left, right)
+        method = "general" if weights is None else "qr"
+    evals, evecs = np.linalg.eigh(core)
+    order = np.argsort(-np.abs(evals))
+    magnitudes = np.abs(evals[order])
     rank = _select_retruncation_rank(
-        s, epsilon, max_rank, left.shape[0], left.shape[1]
+        magnitudes, epsilon, max_rank, n_features, width
     )
-    error_bound = float(s[rank]) if rank < s.size else 0.0
-    new_left = qp @ (u[:, :rank] * s[:rank])
-    new_right = qv @ vt[:rank].T
+    kept = order[:rank]
+    new_right = basis @ evecs[:, kept]
     return RetruncationResult(
-        summary=TruncatedSummary(left=new_left, right=new_right),
-        rank_before=int(left.shape[1]),
+        summary=TruncatedSummary(left=new_right * evals[kept], right=new_right),
+        rank_before=int(width),
         rank_after=rank,
-        error_bound=error_bound,
-        spectral_norm=float(s[0]) if s.size else 0.0,
-        method="qr",
+        error_bound=float(magnitudes[rank]) if rank < magnitudes.size else 0.0,
+        spectral_norm=float(magnitudes[0]),
+        method=method,
     )
 
 

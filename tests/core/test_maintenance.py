@@ -10,6 +10,10 @@ policy thresholds, lazy PrIU-opt eigen refresh, audit receipts, and the
 checkpoint round-trip of maintained *and* still-dirty state.
 """
 
+import hashlib
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -19,6 +23,7 @@ from repro.core.maintenance import MaintenanceCost
 from repro.core.priu_opt import refresh_frozen_eigen
 from repro.core.provenance_store import remap_surviving_ids
 from repro.core.replay_plan import ReplayPlan
+from repro.linalg.svd import TruncatedSummary
 from repro.datasets import (
     make_binary_classification,
     make_multiclass_classification,
@@ -243,21 +248,22 @@ class TestSvdRetruncation:
         )
         assert dev < 0.05
 
-    def test_incremental_and_full_retruncation_agree(self, monkeypatch):
-        """Re-truncation folds few appended columns into the retained
-        factors; answers match the forced-full path at the commit
-        contract and the receipt says which path each took."""
+    def test_incremental_and_full_retruncation_agree(self):
+        """Re-truncation folds the appended columns into the retained
+        basis; answers match a twin forced onto the full-width path and
+        the receipt says which path each took."""
         fast = _fit("binary_logistic", "svd", dict(batch_size=8))
         slow = _fit("binary_logistic", "svd", dict(batch_size=8))
         rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
         _churn(fast, rng_a, n_commits=2)
         _churn(slow, rng_b, n_commits=2)
         fast_report = fast.maintain()
-        # Force the full thin-QR path for every record.
-        monkeypatch.setattr(
-            "repro.linalg.svd.incremental_retruncation_wins",
-            lambda retained, appended: False,
-        )
+        # Count every column of the twin's widened summaries as appended:
+        # with no retained block left, each record takes the full-width
+        # path.
+        columns = slow.store.svd_correction_columns
+        for t in np.flatnonzero(columns):
+            columns[t] = slow.store.records[t].summary.rank
         slow_report = slow.maintain()
         assert fast_report.svd["incremental_updates"] > 0
         assert slow_report.svd["incremental_updates"] == 0
@@ -277,6 +283,58 @@ class TestSvdRetruncation:
             atol=ATOL, rtol=0.0,
         )
 
+    def test_factors_outside_eigen_form_take_the_general_path_once(self):
+        """Factors not in eigen form (the older two-sided fold wrote
+        ``left = P·G``, ``right = V·G`` with ``G`` orthogonal) fold on the
+        general path, the receipt counts them, and one pass converts
+        them."""
+        legacy = _fit("binary_logistic", "svd", dict(batch_size=8))
+        twin = _fit("binary_logistic", "svd", dict(batch_size=8))
+        rng = np.random.default_rng(9)
+        rewritten = set()
+        for t, record in enumerate(legacy.store.records):
+            summary = record.summary
+            if isinstance(summary, TruncatedSummary) and summary.rank > 1:
+                g, _ = np.linalg.qr(rng.standard_normal((summary.rank,) * 2))
+                record.summary = TruncatedSummary(
+                    left=summary.left @ g, right=summary.right @ g
+                )
+                rewritten.add(t)
+        legacy._plan.resync_summaries()
+        rng_a, rng_b = np.random.default_rng(10), np.random.default_rng(10)
+        _churn(legacy, rng_a, n_commits=3)
+        _churn(twin, rng_b, n_commits=3)
+        folded = set(np.flatnonzero(legacy.store.svd_correction_columns))
+        report = legacy.maintain()
+        assert report.svd["general_updates"] == len(folded & rewritten) > 0
+        assert (
+            report.svd["general_updates"]
+            + report.svd["incremental_updates"]
+            + report.svd["full_updates"]
+            == report.svd["summaries"]
+        )
+        probe = np.arange(4, dtype=np.int64)
+        np.testing.assert_allclose(
+            legacy.remove(probe, method="priu").weights,
+            twin.remove(probe, method="priu").weights,
+            atol=ATOL, rtol=0.0,
+        )
+        # Folded records are in eigen form now; only rewritten records
+        # the first pass did not touch still take the general path.
+        _churn(legacy, rng_a, n_commits=8)
+        _churn(twin, rng_b, n_commits=8)
+        widened = set(np.flatnonzero(legacy.store.svd_correction_columns))
+        assert widened & folded
+        second = legacy.maintain()
+        assert second.svd["general_updates"] == len(
+            (widened & rewritten) - folded
+        )
+        np.testing.assert_allclose(
+            legacy.remove(probe, method="priu").weights,
+            twin.remove(probe, method="priu").weights,
+            atol=ATOL, rtol=0.0,
+        )
+
     def test_plan_resyncs_and_keeps_matching_uncompiled_path(self):
         trainer = _fit("multinomial_logistic", "svd", dict(batch_size=8))
         rng = np.random.default_rng(6)
@@ -286,6 +344,114 @@ class TestSvdRetruncation:
         via_plan = trainer.remove(probe, method="priu").weights
         via_seq = trainer.remove(probe, method="priu-seq").weights
         np.testing.assert_allclose(via_plan, via_seq, atol=ATOL, rtol=0.0)
+
+    def test_fold_of_a_mapped_checkpoint_answers_like_memory(self, tmp_path):
+        """A store loaded from a checkpoint holds read-only mapped
+        factors; the fold reads them, answers like an in-memory twin and
+        leaves the archive untouched."""
+        data = _DATASETS["binary_logistic"]
+        trainer = _fit("binary_logistic", "svd", dict(batch_size=8))
+        _churn(trainer, np.random.default_rng(11), n_commits=3)
+        trainer.save_checkpoint(tmp_path)
+        archive = tmp_path / "store.npz"
+        digest = hashlib.sha256(archive.read_bytes()).hexdigest()
+        mapped = IncrementalTrainer.from_checkpoint(
+            tmp_path, data.features, data.labels
+        )
+        widened = np.flatnonzero(mapped.store.svd_correction_columns)
+        assert not mapped.store.records[widened[0]].summary.right.flags.writeable
+        mapped_report = mapped.maintain()
+        memory_report = trainer.maintain()
+        assert mapped_report.svd["summaries"] == widened.size
+        assert mapped_report.svd["columns_after"] == (
+            memory_report.svd["columns_after"]
+        )
+        probe = np.arange(4, dtype=np.int64)
+        np.testing.assert_allclose(
+            mapped.remove(probe, method="priu").weights,
+            trainer.remove(probe, method="priu").weights,
+            atol=ATOL, rtol=0.0,
+        )
+        assert hashlib.sha256(archive.read_bytes()).hexdigest() == digest
+
+    def test_a_refused_pair_leaves_the_store_untouched(self):
+        """A summary whose operator is not symmetric makes the pass raise
+        before it swaps anything in: every record keeps its summary and
+        the store its version and correction counts."""
+        store = _fit("binary_logistic", "svd", dict(batch_size=8)).store
+        rng = np.random.default_rng(15)
+        data = _DATASETS["binary_logistic"]
+        store.compact(np.array([1, 2, 3]), data.features, data.labels)
+        widened = np.flatnonzero(store.svd_correction_columns)
+        assert widened.size > 1
+        record = store.records[widened[-1]]
+        record.summary = TruncatedSummary(
+            left=record.summary.left
+            + rng.standard_normal(record.summary.left.shape),
+            right=record.summary.right,
+        )
+        before = [record.summary for record in store.records]
+        counts = store.svd_correction_columns.copy()
+        version = store._version
+        with pytest.raises(ValueError, match="not symmetric"):
+            store.retruncate_summaries()
+        assert all(r.summary is s for r, s in zip(store.records, before))
+        np.testing.assert_array_equal(store.svd_correction_columns, counts)
+        assert store._version == version
+
+    def test_concurrent_commits_and_passes_lose_no_correction(self):
+        """Direct compacts on one thread race passes on another, with a
+        short switch interval; every record ends at the operator a
+        never-maintained twin store holds."""
+        racing = _fit("binary_logistic", "svd", dict(batch_size=8)).store
+        twin = _fit("binary_logistic", "svd", dict(batch_size=8)).store
+        data = _DATASETS["binary_logistic"]
+        rng = np.random.default_rng(14)
+        features, labels = data.features, data.labels
+        erasures = []
+        for _ in range(12):
+            ids = np.sort(rng.choice(features.shape[0], size=2, replace=False))
+            erasures.append((ids, features, labels))
+            features = np.delete(features, ids, axis=0)
+            labels = np.delete(labels, ids)
+        done = threading.Event()
+
+        def commit_all():
+            try:
+                for ids, rows, targets in erasures:
+                    racing.compact(ids, rows, targets)
+            finally:
+                done.set()
+
+        def maintain_until_done():
+            while not done.is_set():
+                racing.retruncate_summaries()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=commit_all),
+                threading.Thread(target=maintain_until_done),
+                threading.Thread(target=maintain_until_done),
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        racing.retruncate_summaries()
+        assert not np.any(racing.svd_correction_columns)
+        for ids, rows, targets in erasures:
+            twin.compact(ids, rows, targets)
+        for mine, theirs in zip(racing.records, twin.records):
+            if isinstance(theirs.summary, TruncatedSummary):
+                np.testing.assert_allclose(
+                    mine.summary.reconstruct(), theirs.summary.reconstruct(),
+                    atol=ATOL, rtol=0.0,
+                )
 
 
 # --------------------------------------------------------------- lazy eigen

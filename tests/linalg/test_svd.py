@@ -7,6 +7,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.linalg import (
     select_rank,
@@ -221,7 +223,7 @@ class TestRetruncateSummary:
 
 
 class TestIncrementalRetruncation:
-    """Folding few appended correction columns into retained QR factors."""
+    """Folding appended correction columns into the retained basis."""
 
     def _widened(self, rng, m=12, base_rank=8, extra=4):
         from repro.linalg import retruncate_summary, truncate_summary
@@ -237,15 +239,6 @@ class TestIncrementalRetruncation:
             )
             dense = dense - np.outer(row, row)
         return summary, dense, retruncate_summary
-
-    def test_crossover_rule(self):
-        from repro.linalg.svd import incremental_retruncation_wins
-
-        assert incremental_retruncation_wins(retained=10, appended=2)
-        assert incremental_retruncation_wins(retained=10, appended=5)
-        assert not incremental_retruncation_wins(retained=10, appended=6)
-        assert not incremental_retruncation_wins(retained=10, appended=0)
-        assert not incremental_retruncation_wins(retained=0, appended=1)
 
     def test_incremental_matches_full_at_contract(self, rng):
         summary, dense, retruncate_summary = self._widened(rng, extra=3)
@@ -264,12 +257,12 @@ class TestIncrementalRetruncation:
             atol=1e-10, rtol=0.0,
         )
 
-    def test_past_crossover_takes_the_full_path(self, rng):
-        # 30 appended vs 5 retained: the small-core update would be
-        # larger than the whole width — the full thin-QR wins.
+    def test_many_appended_columns_fold_into_the_retained_basis(self, rng):
+        # Maintenance folds every record into its retained basis, however
+        # many columns commits appended since the last pass.
         summary, dense, retruncate_summary = self._widened(rng, extra=30)
         result = retruncate_summary(summary, appended=30)
-        assert result.method == "qr"
+        assert result.method == "incremental"
         np.testing.assert_allclose(
             result.summary.reconstruct(), dense, atol=1e-10, rtol=0.0
         )
@@ -317,6 +310,201 @@ class TestIncrementalRetruncation:
         np.testing.assert_allclose(
             result.summary.reconstruct(), dense, atol=1e-10, rtol=0.0
         )
+
+
+def _eigen_pair(rng, m, rank, indefinite):
+    """A rank-``rank`` symmetric operator in eigen form, as capture writes it."""
+    basis, _ = np.linalg.qr(rng.standard_normal((m, rank)))
+    values = rng.uniform(0.5, 3.0, rank)
+    if indefinite:
+        values *= rng.choice([-1.0, 1.0], rank)
+    return TruncatedSummary(left=basis * values, right=basis)
+
+
+def _with_corrections(rng, summary, n_fresh, n_in_span, n_duplicates):
+    """``summary`` widened by eigen-form corrections ``(c_i x_i, x_i)`` as a
+    commit appends them: fresh rows, rows inside the retained span and
+    duplicates of earlier rows, in random order.  Returns the pair, the
+    dense operator and the number of appended columns.
+
+    Each correction adds ``c_i ‖x_i‖² ∈ ±[0.01, 0.1]`` to the operator,
+    with ``‖x_i‖`` spread over six decades.  That is small next to the
+    eigenvalues of at least 0.5 a pair starts from, so no cancellation
+    drives the top of the spectrum down to the rounding noise of its
+    terms, and the numerical rank is well defined.
+    """
+    m = summary.n_features
+    rows = [rng.standard_normal(m) for _ in range(n_fresh)]
+    rows += [summary.right @ rng.standard_normal(summary.rank) for _ in range(n_in_span)]
+    rows += [rows[i % len(rows)].copy() for i in range(n_duplicates if rows else 0)]
+    # Shuffled, so a rank-deficient residual column can precede the
+    # fresh columns whose coefficients a bad residual basis would spoil.
+    block = np.array(rows).T.reshape(m, len(rows))[:, rng.permutation(len(rows))]
+    scales = 10.0 ** rng.uniform(-3.0, 3.0, len(rows))
+    block = block * (scales / np.linalg.norm(block, axis=0))
+    weights = rng.uniform(0.01, 0.1, len(rows)) * rng.choice([-1.0, 1.0], len(rows))
+    weights /= scales**2
+    widened = TruncatedSummary(
+        left=np.hstack([summary.left, block * weights]),
+        right=np.hstack([summary.right, block]),
+    )
+    return widened, widened.reconstruct(), len(rows)
+
+
+def _numerical_rank(dense, width):
+    """The fold's rank rule applied to the dense operator's spectrum."""
+    magnitudes = np.abs(np.linalg.eigvalsh(dense))
+    tol = max(dense.shape[0], width) * np.finfo(float).eps * magnitudes.max()
+    return max(1, int(np.sum(magnitudes > tol)))
+
+
+def _is_eigen_form(summary):
+    """``left`` equals ``right`` scaled column by column, bit for bit."""
+    left, right = summary.left, summary.right
+    pivots = np.argmax(np.abs(right), axis=0)
+    for j, i in enumerate(pivots):
+        guess = left[i, j] / right[i, j]
+        candidates = guess + np.arange(-2, 3) * np.spacing(guess)
+        if not any(np.array_equal(right[:, j] * c, left[:, j]) for c in candidates):
+            return False
+    return True
+
+
+def _orthonormality_defect(summary):
+    right = summary.right
+    return np.linalg.norm(right.T @ right - np.eye(right.shape[1]), 2)
+
+
+class TestOneSidedFold:
+    """The fold orthonormalizes ``right`` alone and diagonalizes a
+    symmetric core with ``eigh``; ``left`` is rebuilt as ``right · λ``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=st.integers(min_value=8, max_value=24),
+        rank_fraction=st.floats(min_value=0.1, max_value=0.9),
+        n_fresh=st.integers(min_value=0, max_value=12),
+        n_in_span=st.integers(min_value=0, max_value=4),
+        n_duplicates=st.integers(min_value=0, max_value=4),
+        indefinite=st.booleans(),
+        count_appended=st.booleans(),
+        rounds=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_rank_and_operator_match_the_dense_fold(
+        self, m, rank_fraction, n_fresh, n_in_span, n_duplicates,
+        indefinite, count_appended, rounds, seed,
+    ):
+        """Each round widens the previous fold's output and folds again."""
+        from repro.linalg import retruncate_summary
+
+        rng = np.random.default_rng(seed)
+        summary = _eigen_pair(
+            rng, m, max(1, int(rank_fraction * m)), indefinite
+        )
+        for _ in range(rounds):
+            widened, dense, appended = _with_corrections(
+                rng, summary, n_fresh, n_in_span, n_duplicates
+            )
+            result = retruncate_summary(
+                widened, appended=appended if count_appended else None
+            )
+            expected = "incremental" if count_appended and appended else "qr"
+            assert result.method == expected
+            assert result.rank_after == _numerical_rank(dense, widened.rank)
+            np.testing.assert_allclose(
+                result.summary.reconstruct(), dense, atol=1e-10, rtol=0.0
+            )
+            assert _is_eigen_form(result.summary)
+            # Rounding leaves about 1e-14 here; a residual basis that is
+            # not orthogonal to the retained one shows up above 1e-13.
+            assert _orthonormality_defect(result.summary) <= 1e-13
+            summary = result.summary
+
+    def test_fifty_widen_and_fold_rounds_stay_orthonormal(self, rng):
+        from repro.linalg import retruncate_summary
+
+        summary = _eigen_pair(rng, 30, 8, indefinite=True)
+        for round_ in range(50):
+            summary, dense, appended = _with_corrections(
+                rng, summary, n_fresh=int(rng.integers(0, 4)),
+                n_in_span=round_ % 2, n_duplicates=int(round_ % 3 == 0),
+            )
+            result = retruncate_summary(summary, appended=appended)
+            summary = result.summary
+            np.testing.assert_allclose(
+                summary.reconstruct(), dense, atol=1e-10, rtol=0.0
+            )
+            assert _orthonormality_defect(summary) <= 1e-12
+            assert _is_eigen_form(summary)
+
+    @pytest.mark.parametrize("gap", [1e-5, 1e-8, 1e-10, 1e-12])
+    def test_nearly_parallel_corrections_stay_orthonormal(self, rng, gap):
+        """Two corrections ``gap`` apart leave a residual direction with a
+        singular value near ``gap``; the fold keeps it orthogonal to the
+        retained basis and to rounding."""
+        from repro.linalg import retruncate_summary
+
+        summary = _eigen_pair(rng, 40, 10, indefinite=True)
+        base = rng.standard_normal(40)
+        block = np.stack(
+            [base, base + gap * rng.standard_normal(40), rng.standard_normal(40)],
+            axis=1,
+        )
+        weights = np.array([-0.7, -0.3, 0.4])
+        widened = TruncatedSummary(
+            left=np.hstack([summary.left, block * weights]),
+            right=np.hstack([summary.right, block]),
+        )
+        dense = widened.reconstruct()
+        result = retruncate_summary(widened, appended=3)
+        assert result.rank_after == _numerical_rank(dense, widened.rank)
+        np.testing.assert_allclose(
+            result.summary.reconstruct(), dense, atol=1e-10, rtol=0.0
+        )
+        assert _orthonormality_defect(result.summary) <= 1e-12
+
+    def test_legacy_two_sided_pair_takes_the_general_path(self, rng):
+        """``U·S`` / ``V`` of an indefinite operator with a ±5 eigenvalue
+        pair (the shape the older two-sided fold wrote) fails the form
+        check; the general path folds it exactly, into eigen form."""
+        from repro.linalg import retruncate_summary
+
+        m = 16
+        basis, _ = np.linalg.qr(rng.standard_normal((m, 10)))
+        values = np.array([5.0, -5.0, 3.0, -2.0, 1.5, 1.0, -0.8, 0.5, 0.3, -0.2])
+        u, s, vt = np.linalg.svd((basis * values) @ basis.T)
+        legacy = TruncatedSummary(left=u[:, :10] * s[:10], right=vt[:10].T)
+        widened, dense, appended = _with_corrections(
+            rng, legacy, n_fresh=3, n_in_span=1, n_duplicates=0
+        )
+        for count in (None, appended):
+            result = retruncate_summary(widened, appended=count)
+            assert result.method == "general"
+            assert result.rank_after == _numerical_rank(dense, widened.rank) == 13
+            np.testing.assert_allclose(
+                result.summary.reconstruct(), dense, atol=1e-10, rtol=0.0
+            )
+            assert _is_eigen_form(result.summary)
+            assert retruncate_summary(result.summary).method == "qr"
+
+    @pytest.mark.parametrize("appended", [None, 2])
+    def test_a_pair_that_is_not_symmetric_is_refused(self, rng, appended):
+        """Symmetrizing the core would return a different operator, which
+        ``error_bound`` would not show; the fold raises instead."""
+        from repro.linalg import retruncate_summary, truncate_summary
+
+        lopsided = truncate_summary(rng.standard_normal((8, 8)), epsilon=1e-12)
+        with pytest.raises(ValueError, match="not symmetric"):
+            retruncate_summary(lopsided, appended=appended)
+        # e₂e₁ᵀ: its core is symmetric (zero), but ``left`` lies outside
+        # the span of ``right``.
+        eye = np.eye(3)
+        with pytest.raises(ValueError, match="not symmetric"):
+            retruncate_summary(
+                TruncatedSummary(left=eye[:, 1:2], right=eye[:, :1]),
+                appended=appended,
+            )
 
 
 class TestWidened:
