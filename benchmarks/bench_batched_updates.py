@@ -16,15 +16,20 @@ trajectory)::
 """
 
 import json
+import os
 import time
 
-import numpy as np
-import pytest
+# Pin the BLAS pool before anything imports numpy.
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_variable] = "1"
 
-from repro.bench import batched_deletion_rows
-from repro.bench.reporting import report
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
-from conftest import requires_scale, workload
+from repro.bench import batched_deletion_rows  # noqa: E402
+from repro.bench.reporting import report  # noqa: E402
+
+from conftest import requires_scale, workload  # noqa: E402
 
 EXPERIMENTS = ["Cov (extended)", "HIGGS (extended)", "Heartbeat (extended)"]
 

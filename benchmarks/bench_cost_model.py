@@ -26,11 +26,15 @@ import json
 import os
 import time
 
-import numpy as np
+# Pin the BLAS pool before anything imports numpy.
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_variable] = "1"
 
-from repro import CostModel, IncrementalTrainer, MaintenancePolicy
-from repro.bench.reporting import report
-from repro.datasets import make_binary_classification, make_regression
+import numpy as np  # noqa: E402
+
+from repro import CostModel, IncrementalTrainer, MaintenancePolicy  # noqa: E402
+from repro.bench.reporting import report  # noqa: E402
+from repro.datasets import make_binary_classification, make_regression  # noqa: E402
 
 #: The acceptance bar on recorded predicted-vs-actual relative error.
 ERROR_BAR = 0.5

@@ -25,10 +25,14 @@ import json
 import os
 import time
 
-from repro.bench import fleet_rows
-from repro.bench.reporting import report
+# Pin the BLAS pool before anything imports numpy.
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_variable] = "1"
 
-from conftest import workload
+from repro.bench import fleet_rows  # noqa: E402
+from repro.bench.reporting import report  # noqa: E402
+
+from conftest import workload  # noqa: E402
 
 EXPERIMENTS = ["Cov (extended)", "HIGGS (extended)", "Heartbeat (extended)"]
 MAX_DELAY = 0.25

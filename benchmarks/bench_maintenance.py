@@ -35,8 +35,12 @@ import json
 import os
 import time
 
-from repro.bench import CONFIGS, maintenance_rows, prepare_workload
-from repro.bench.reporting import report
+# Pin the BLAS pool before anything imports numpy.
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_variable] = "1"
+
+from repro.bench import CONFIGS, maintenance_rows, prepare_workload  # noqa: E402
+from repro.bench.reporting import report  # noqa: E402
 
 N_COMMITS = 200
 MAINTAIN_EVERY = 20

@@ -17,14 +17,19 @@ trajectory)::
 """
 
 import json
+import os
 import time
 
-import pytest
+# Pin the BLAS pool before anything imports numpy.
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_variable] = "1"
 
-from repro.bench import refresh_rows
-from repro.bench.reporting import report
+import pytest  # noqa: E402
 
-from conftest import workload
+from repro.bench import refresh_rows  # noqa: E402
+from repro.bench.reporting import report  # noqa: E402
+
+from conftest import workload  # noqa: E402
 
 EXPERIMENTS = ["Cov (extended)", "HIGGS (extended)", "Heartbeat (extended)"]
 DELETION_RATE = 0.001  # the Fig-4 repeated-deletion rate

@@ -31,13 +31,17 @@ import os
 import time
 from pathlib import Path
 
-import numpy as np
+# Pin the BLAS pool before anything imports numpy.
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_variable] = "1"
 
-from repro import AdmissionPolicy, FleetServer, ModelRegistry, ShardRouter
-from repro.bench.reporting import report
-from repro.eval import pss_bytes
+import numpy as np  # noqa: E402
 
-from conftest import workload
+from repro import AdmissionPolicy, FleetServer, ModelRegistry, ShardRouter  # noqa: E402
+from repro.bench.reporting import report  # noqa: E402
+from repro.eval import pss_bytes  # noqa: E402
+
+from conftest import workload  # noqa: E402
 
 EXPERIMENT = "Cov (extended)"
 N_SHARDS = 4

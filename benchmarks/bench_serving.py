@@ -15,16 +15,21 @@ trajectory)::
 """
 
 import json
+import os
 import time
 
-import numpy as np
-import pytest
+# Pin the BLAS pool before anything imports numpy.
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_variable] = "1"
 
-from repro.bench import serving_rows
-from repro.bench.reporting import report
-from repro.serving import AdmissionPolicy, DeletionServer
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
-from conftest import workload
+from repro.bench import serving_rows  # noqa: E402
+from repro.bench.reporting import report  # noqa: E402
+from repro.serving import AdmissionPolicy, DeletionServer  # noqa: E402
+
+from conftest import workload  # noqa: E402
 
 EXPERIMENTS = ["Cov (extended)", "HIGGS (extended)", "Heartbeat (extended)"]
 N_REQUESTS = 16

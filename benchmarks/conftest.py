@@ -11,9 +11,13 @@ from __future__ import annotations
 import dataclasses
 import os
 
-import pytest
+# Pin the BLAS pool before anything imports numpy.
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_variable] = "1"
 
-from repro.bench import CONFIGS, prepare_workload
+import pytest  # noqa: E402
+
+from repro.bench import CONFIGS, prepare_workload  # noqa: E402
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.1"))
 

@@ -490,8 +490,10 @@ class IncrementalTrainer:
 
         Threads the accounting through every layer that accumulates it:
         the compiled plan's multinomial slot-map garbage, the store's SVD
-        correction-column widths, and the deferred PrIU-opt eigen
-        refreshes (frozen logistic state and/or the linear updater).
+        correction-column widths and their excess over the store's rank
+        bound (:meth:`~repro.core.provenance_store.ProvenanceStore.\
+svd_excess_columns`), and the deferred PrIU-opt eigen refreshes
+        (frozen logistic state and/or the linear updater).
 
         ``include_bytes=False`` skips the ``O(records)``
         store/plan byte traversal and reports the counters only — what a
@@ -506,12 +508,15 @@ FleetServer` auto-maintenance) needs, since
             plan.slot_garbage_rows() if plan.supported else (0, 0)
         )
         columns = self.store.svd_correction_columns
-        if columns is None:
-            total = worst = widened = 0
+        if columns is None or not columns.size:
+            total = worst = widened = excess = worst_excess = 0
         else:
             total = int(columns.sum())
-            worst = int(columns.max()) if columns.size else 0
+            worst = int(columns.max())
             widened = int((columns > 0).sum())
+            per_record = self.store.svd_excess_columns()
+            excess = int(per_record.sum())
+            worst_excess = int(per_record.max())
         stale = 0
         if self._opt is not None and getattr(self._opt, "eigen_stale", False):
             stale += 1
@@ -528,6 +533,8 @@ FleetServer` auto-maintenance) needs, since
             svd_correction_columns=total,
             svd_max_correction_columns=worst,
             svd_widened_summaries=widened,
+            svd_excess_columns=excess,
+            svd_max_excess_columns=worst_excess,
             stale_eigen=stale,
             plan_nbytes=self.plan_nbytes() if include_bytes else 0,
             store_nbytes=self.store.nbytes() if include_bytes else 0,
@@ -541,12 +548,15 @@ FleetServer` auto-maintenance) needs, since
 
         Runs whichever maintenance tasks ``policy`` marks due for the
         current :meth:`maintenance_cost` — the default policy's zero
-        thresholds treat *any* garbage as due, so a bare ``maintain()``
-        reclaims everything:
+        thresholds treat *any* reclaimable garbage as due, so a bare
+        ``maintain()`` reclaims everything it can:
 
-        * **svd** — ε-re-truncates the summaries commits widened
-          (``policy.svd_epsilon=None`` keeps answers to machine
-          precision) and re-syncs the compiled plan's summary references;
+        * **svd** — re-truncates the summaries commits widened and
+          re-syncs the compiled plan's summary references.
+          ``policy.svd_epsilon=None`` keeps answers to machine precision
+          and folds only summaries wider than the store's rank bound
+          ``k·min(m, B)``, since below it an exact fold frees nothing; an
+          explicit ε folds every widened summary;
         * **repack** — folds the multinomial slot map into the plan flats
           (bit-identical answers, freed bytes in the receipt);
         * **eigen** — discharges deferred PrIU-opt eigendecompositions

@@ -9,9 +9,11 @@ does not require but nothing used to reclaim:
   would perturb in-flight answers), so factor widths grow monotonically
   with commit count.  The pass folds them into each summary's retained
   orthonormal basis (:func:`~repro.linalg.svd.retruncate_summary`).
-  The answer-preserving pass (``svd_epsilon=None``) reclaims only the
-  numerically zero tail: from a lossless summary (``B < m``) that is
-  real width, from a lossy multinomial one nothing;
+  A fold that preserves answers (``svd_epsilon=None``) cannot shrink a
+  summary below its operator's rank, which is at most the store's bound
+  ``k·min(m, B)`` (``k = q − 1`` on a multinomial store, else 1; see
+  :meth:`~repro.core.provenance_store.ProvenanceStore.svd_rank_bound`),
+  so only the columns past that bound count as reclaimable *excess*;
 * ``ReplayPlan.refresh`` drops multinomial softmax rows *logically* — the
   ``(H, q)`` flats keep their physical size and a logical→physical
   ``_slot_map`` grows instead, so dead rows accumulate behind the map;
@@ -25,8 +27,9 @@ first-class lifecycle stage:
 * :class:`MaintenanceCost` — the accounting object threaded through
   :class:`~repro.core.provenance_store.ProvenanceStore`,
   :class:`~repro.core.replay_plan.ReplayPlan` and the PrIU-opt updaters:
-  slot-map garbage rows, SVD correction-column widths, stale-eigen flags
-  and the resident byte footprint, snapshotted by
+  slot-map garbage rows, SVD correction-column widths and their excess
+  over the rank bound, stale-eigen flags and the resident byte
+  footprint, snapshotted by
   :meth:`~repro.core.api.IncrementalTrainer.maintenance_cost`;
 * :class:`MaintenancePolicy` — configurable thresholds deciding which
   maintenance tasks are *due* for a given cost (the fleet evaluates it
@@ -38,8 +41,9 @@ first-class lifecycle stage:
   and the cost before/after.
 
 The answer contract survives maintenance: re-packing and eigen refresh
-are exact, and the default ε-re-truncation drops only the numerically
-zero tail (see :func:`~repro.linalg.svd.retruncate_summary`), so
+are exact, and the default re-truncation folds only summaries past their
+rank bound and drops only the numerically zero tail (see
+:func:`~repro.linalg.svd.retruncate_summary`), so
 committed-query(T) == original-query(committed ∪ T) keeps holding at
 atol 1e-10 through any interleaving of commits and maintenance
 (property-tested in ``tests/core/test_maintenance.py``).
@@ -58,9 +62,14 @@ class MaintenanceCost:
     """How much reclaimable garbage one trainer's compiled state carries.
 
     ``slot_*`` describe the multinomial plan flats (physical rows held vs
-    rows reachable through the slot map); ``svd_*`` count the correction
-    columns commits appended to truncated-SVD summaries since the last
-    re-truncation; ``stale_eigen`` counts deferred PrIU-opt
+    rows reachable through the slot map); ``svd_correction_columns`` /
+    ``svd_max_correction_columns`` / ``svd_widened_summaries`` count the
+    correction columns commits appended to truncated-SVD summaries since
+    their last re-truncation (total, worst record, records); the
+    ``svd_*excess_columns`` pair counts only the part of those widths
+    past the store's rank bound ``k·min(m, B)``, which is all an
+    answer-preserving fold can reclaim (total, worst record);
+    ``stale_eigen`` counts deferred PrIU-opt
     eigendecompositions (frozen logistic state and/or the linear
     updater).  ``plan_nbytes``/``store_nbytes`` are the current resident
     footprints the garbage inflates.
@@ -71,6 +80,8 @@ class MaintenanceCost:
     svd_correction_columns: int = 0
     svd_max_correction_columns: int = 0
     svd_widened_summaries: int = 0
+    svd_excess_columns: int = 0
+    svd_max_excess_columns: int = 0
     stale_eigen: int = 0
     plan_nbytes: int = 0
     store_nbytes: int = 0
@@ -84,10 +95,11 @@ class MaintenanceCost:
 
     @property
     def clean(self) -> bool:
-        """True when there is nothing for :meth:`maintain` to reclaim."""
+        """True when a bare :meth:`maintain` has nothing to reclaim
+        (widened summaries below their rank bound count as clean)."""
         return (
             self.slot_garbage_rows == 0
-            and self.svd_correction_columns == 0
+            and self.svd_excess_columns == 0
             and self.stale_eigen == 0
         )
 
@@ -100,6 +112,8 @@ class MaintenanceCost:
             "svd_correction_columns": self.svd_correction_columns,
             "svd_max_correction_columns": self.svd_max_correction_columns,
             "svd_widened_summaries": self.svd_widened_summaries,
+            "svd_excess_columns": self.svd_excess_columns,
+            "svd_max_excess_columns": self.svd_max_excess_columns,
             "stale_eigen": self.stale_eigen,
             "plan_nbytes": self.plan_nbytes,
             "store_nbytes": self.store_nbytes,
@@ -124,6 +138,14 @@ class MaintenancePolicy:
     appended correction columns into each summary's retained orthonormal
     basis and re-diagonalizes a small symmetric core (one-sided: only
     the right factor is orthogonalized).
+
+    ``max_svd_correction_columns`` gates the ``"svd"`` task on the worst
+    record: with ``svd_epsilon=None`` it reads the excess over the rank
+    bound (``MaintenanceCost.svd_max_excess_columns``), the only columns
+    an exact fold can reclaim, so a store whose widened summaries stay
+    below the bound is never due; with an explicit ε it reads the
+    appended counts (``svd_max_correction_columns``), since a lossy fold
+    can shrink any widened summary.
     """
 
     max_slot_garbage_rows: int = 0
@@ -145,9 +167,13 @@ class MaintenancePolicy:
     def due(self, cost: MaintenanceCost) -> tuple[str, ...]:
         """Which of :data:`MAINTENANCE_TASKS` the thresholds mark due."""
         due: list[str] = []
-        if cost.svd_correction_columns > 0 and (
-            cost.svd_max_correction_columns > self.max_svd_correction_columns
-        ):
+        if self.svd_epsilon is None:
+            columns = cost.svd_excess_columns
+            worst = cost.svd_max_excess_columns
+        else:
+            columns = cost.svd_correction_columns
+            worst = cost.svd_max_correction_columns
+        if columns > 0 and worst > self.max_svd_correction_columns:
             due.append("svd")
         if cost.slot_garbage_rows > self.max_slot_garbage_rows and (
             cost.slot_garbage_fraction > self.max_slot_garbage_fraction
@@ -164,7 +190,8 @@ class MaintenanceReport:
 
     ``performed`` names the tasks that actually ran; each task's receipt
     dict carries what it reclaimed (``svd``: summaries re-truncated,
-    columns dropped, worst ``error_bound``; ``repack``: garbage rows and
+    widened ones left below their rank bound, columns dropped, worst
+    ``error_bound``; ``repack``: garbage rows and
     bytes freed; ``eigen``: which decompositions refreshed and how).
     ``cost_before``/``cost_after`` bracket the run so a scheduler can
     verify the thresholds were actually discharged.

@@ -958,26 +958,72 @@ class ProvenanceStore:
             frozen.eigen_stale = True
 
     # ----------------------------------------------------------- maintenance
+    def svd_rank_bound(self) -> int:
+        """``k · min(m, B)``: the most columns an exact fold can keep.
+
+        A record's summary is a sum over one mini-batch, ``Σ a_i x_i
+        x_iᵀ`` (or ``−Σ Λ_i ⊗ x_i x_iᵀ`` with ``Λ_i·1 = 0``), and commit
+        corrections lie in the same span, so the operator's rank is at
+        most ``min(m, B)``, or ``(q − 1)·min(m, B)`` on a multinomial
+        store (Sec. 5.1/5.3).  ``B`` is the capture batch size, or the
+        longest record batch if that is larger (a ``gd`` capture).
+        """
+        k = self.n_classes - 1 if self.task == "multinomial_logistic" else 1
+        batch = max(
+            self.schedule.batch_size,
+            max((len(record.batch) for record in self.records), default=0),
+        )
+        return k * min(self.n_features, batch)
+
+    def svd_excess_columns(self) -> np.ndarray:
+        """Per record, the columns an exact fold reclaims at least.
+
+        ``max(0, width − bound)`` (:meth:`svd_rank_bound`) for a summary
+        commits widened, 0 for every other record: a fold cannot shrink
+        an operator below its rank, so below the bound an
+        answer-preserving pass frees nothing.  O(records).
+        """
+        columns = self.svd_correction_columns
+        if columns is None:
+            return np.zeros(len(self.records), dtype=np.int64)
+        widths = np.fromiter(
+            (
+                record.summary.rank
+                if isinstance(record.summary, TruncatedSummary)
+                else 0
+                for record in self.records
+            ),
+            dtype=np.int64,
+            count=len(self.records),
+        )
+        excess = np.maximum(widths - self.svd_rank_bound(), 0)
+        return np.where(columns > 0, excess, 0)
+
     def retruncate_summaries(self, epsilon: float | None = None) -> dict:
         """Reclaim the correction columns commits appended to SVD summaries.
 
-        Every record whose summary accumulated exact correction columns
-        (:attr:`svd_correction_columns`) is re-truncated through
-        :func:`~repro.linalg.svd.retruncate_summary`, which folds them
-        into the retained orthonormal basis (``"incremental"``) — or,
-        for factors that are not in eigen form, such as those the older
-        two-sided fold wrote into existing checkpoints, takes the slower
-        ``"general"`` path, which converts them.  ``epsilon=None`` keeps
-        the operator to machine precision (the answer contract survives
-        at atol 1e-10); an explicit ε applies the paper's lossy criterion
-        with the worst error bound surfaced in the receipt.  Bumps the
-        store version (compiled plans must re-sync their summary
-        references via :meth:`~repro.core.replay_plan.ReplayPlan.\
-resync_summaries`); the pass holds the store's commit lock so
-        concurrent submit-time readers always see a consistent store, and
-        swaps summaries in only once every fold has succeeded.
+        With ``epsilon=None`` (answer-preserving) only the records with
+        excess (:meth:`svd_excess_columns`) — widened past the store's
+        rank bound — are folded, since below it an exact fold reclaims
+        nothing; the others keep their summaries and their
+        :attr:`svd_correction_columns`, which a later fold needs to find
+        the retained orthonormal block.  An explicit ε applies the
+        paper's lossy criterion to every widened record, with the worst
+        error bound surfaced in the receipt.  Each fold goes through
+        :func:`~repro.linalg.svd.retruncate_summary`, which folds the
+        appended columns into the retained orthonormal basis
+        (``"incremental"``) — or, for factors that are not in eigen form,
+        such as those the older two-sided fold wrote into existing
+        checkpoints, takes the slower ``"general"`` path, which converts
+        them.  A pass that folds anything bumps the store version
+        (compiled plans must re-sync their summary references via
+        :meth:`~repro.core.replay_plan.ReplayPlan.resync_summaries`); the
+        pass holds the store's commit lock so concurrent submit-time
+        readers always see a consistent store, and swaps summaries in
+        only once every fold has succeeded.
 
         Returns a receipt dict: ``summaries`` (how many re-truncated),
+        ``below_bound`` (widened records left unfolded),
         ``columns_before``/``columns_after`` (total factor widths of the
         touched summaries), ``max_error_bound`` / ``max_relative_error``
         (exact-vs-retruncated 2-norm distance, absolute and relative to
@@ -986,23 +1032,27 @@ resync_summaries`); the pass holds the store's commit lock so
         took), and ``iterations`` (the touched record indices, for plan
         re-sync).
         """
-        columns = self.svd_correction_columns
-        touched = [] if columns is None else [
-            int(t)
-            for t in np.flatnonzero(columns > 0)
-            if isinstance(self.records[t].summary, TruncatedSummary)
-        ]
-        results = []
-        if touched:
-            with self._commit_lock:
-                results = [
-                    retruncate_summary(
-                        self.records[t].summary,
-                        epsilon=epsilon,
-                        appended=int(columns[t]),
-                    )
-                    for t in touched
-                ]
+        with self._commit_lock:
+            columns = self.svd_correction_columns
+            widened = [] if columns is None else [
+                int(t)
+                for t in np.flatnonzero(columns > 0)
+                if isinstance(self.records[t].summary, TruncatedSummary)
+            ]
+            if epsilon is None:
+                excess = self.svd_excess_columns()
+                touched = [t for t in widened if excess[t] > 0]
+            else:
+                touched = widened
+            results = [
+                retruncate_summary(
+                    self.records[t].summary,
+                    epsilon=epsilon,
+                    appended=int(columns[t]),
+                )
+                for t in touched
+            ]
+            if touched:
                 for t, result in zip(touched, results):
                     self.records[t].summary = result.summary
                 columns[touched] = 0
@@ -1010,6 +1060,7 @@ resync_summaries`); the pass holds the store's commit lock so
         methods = [result.method for result in results]
         return {
             "summaries": len(touched),
+            "below_bound": len(widened) - len(touched),
             "columns_before": sum(r.rank_before for r in results),
             "columns_after": sum(r.rank_after for r in results),
             "max_error_bound": max((r.error_bound for r in results), default=0.0),

@@ -464,6 +464,37 @@ def commit_checkpoint(directory: str | Path, members: list[str]) -> None:
     _replay_journal(directory, members)
 
 
+def _journal_members(journal: Path) -> list[str]:
+    """The members a checkpoint journal lists, validated.
+
+    :func:`commit_checkpoint` writes ``v1`` and then one member name per
+    line, each a checkpoint file (``store.npz``, ``plan.npz``), every
+    line ending in ``\\n``.  Anything else — bytes that are not UTF-8,
+    another first line, no member, a name outside that set (``../victim``
+    would rename outside the directory), a torn last line — raises
+    :class:`CheckpointCorruptionError` before a single file is renamed.
+    """
+    raw = journal.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointCorruptionError(
+            f"checkpoint journal {journal} is not UTF-8 text: {exc}"
+        ) from exc
+    header, *members = text[:-1].split("\n")
+    if not (
+        text.endswith("\n")
+        and header == "v1"
+        and members
+        and set(members) <= {STORE_FILENAME, PLAN_FILENAME}
+    ):
+        raise CheckpointCorruptionError(
+            f"checkpoint journal {journal} is not 'v1' followed by "
+            f"{STORE_FILENAME!r}/{PLAN_FILENAME!r} lines: {raw[:80]!r}"
+        )
+    return members
+
+
 def recover_checkpoint(directory: str | Path) -> str | None:
     """Settle an interrupted checkpoint save in ``directory``.
 
@@ -471,9 +502,12 @@ def recover_checkpoint(directory: str | Path) -> str | None:
     save had committed); without one, stray ``*.tmp``/``*.new`` files are
     swept (the save never reached its commit point, the old checkpoint
     stands).  Returns ``"rolled-forward"``, ``"cleaned"`` or None
-    (nothing to do).  Safe to call on every load; errors (read-only
+    (nothing to do).  Safe to call on every load; I/O errors (read-only
     media) are swallowed — recovery is an optimization of the next save,
-    never a load-blocker.
+    never a load-blocker.  A journal that is not one
+    :func:`commit_checkpoint` writes raises
+    :class:`CheckpointCorruptionError` and nothing is renamed: rolling
+    an unknown member list forward could overwrite any file.
     """
     directory = Path(directory)
     action: str | None = None
@@ -483,9 +517,7 @@ def recover_checkpoint(directory: str | Path) -> str | None:
         journal = directory / CHECKPOINT_JOURNAL
         committed = journal.exists()
         if committed:
-            lines = journal.read_text(encoding="utf-8").splitlines()
-            members = [line for line in lines[1:] if line]
-            _replay_journal(directory, members)
+            _replay_journal(directory, _journal_members(journal))
             action = "rolled-forward"
         for stray in directory.iterdir():
             # Staged files are discarded only when no commit point was

@@ -20,7 +20,10 @@ fleet-wide), and a front-end routes each model id to its home shard.
   resolve :class:`concurrent.futures.Future`\\ s by request id, out of
   order;
 * **failover** — a dead shard fails *only its own* in-flight futures
-  (typed :class:`~repro.serving.errors.ShardUnavailableError`); later
+  (typed :class:`~repro.serving.errors.ShardUnavailableError`), and so
+  does one whose reply stream can no longer be trusted: a frame that does
+  not unpickle, or is not a tuple of a known kind and arity, ends that
+  connection like EOF; later
   submits walk the ring past the dead slot to the next live shard, which
   lazily re-registers the re-homed models.  The PR-6
   :class:`~repro.serving.RetryPolicy` machinery is reused at shard
@@ -125,6 +128,23 @@ class _Slot:
     retry_at: float | None = None  # guarded-by: router _lock
 
 
+def _is_reply(message) -> bool:
+    """Whether ``message`` is a frame a worker sends: ``("hello", name,
+    pid)``, ``("ok", req_id, value)`` or ``("err", req_id, exception)``
+    (:mod:`repro.serving.shard_worker`)."""
+    if not (isinstance(message, tuple) and len(message) == 3):
+        return False
+    kind, req_id, payload = message
+    if not isinstance(kind, str):
+        return False
+    if kind == "hello":
+        return True
+    return isinstance(req_id, int) and (
+        kind == "ok"
+        or (kind == "err" and isinstance(payload, BaseException))
+    )
+
+
 class ShardRouter:
     """Consistent-hash front-end over N shard worker processes.
 
@@ -216,7 +236,7 @@ class ShardRouter:
             slot.registered = set()
         receiver = threading.Thread(
             target=self._receive_loop,
-            args=(slot, parent_conn),
+            args=(slot, parent_conn, process),
             name=f"router-recv-{slot.name}",
             daemon=True,
         )
@@ -279,12 +299,28 @@ class ShardRouter:
             raise ShardUnavailableError(slot.name, "pipe write failed")
         return future
 
-    def _receive_loop(self, slot: _Slot, conn) -> None:
-        """Drain one worker connection until EOF; resolve futures by id."""
+    def _receive_loop(self, slot: _Slot, conn, process) -> None:
+        """Drain one worker connection until EOF; resolve futures by id.
+
+        A frame the router cannot trust ends the connection the same way:
+        once one frame fails to unpickle, or is not a reply tuple
+        (:func:`_is_reply`), no later reply on that stream can be
+        correlated safely.  The worker is killed (with nobody draining
+        its replies it could block a sender forever) and the in-flight
+        futures fail with
+        :class:`~repro.serving.errors.ShardUnavailableError`.
+        """
+        reason = None
         while True:
             try:
                 message = conn.recv()
             except (EOFError, OSError):
+                break
+            except Exception:  # the bytes do not unpickle
+                reason = "undecodable reply frame"
+                break
+            if not _is_reply(message):
+                reason = "malformed reply frame"
                 break
             kind = message[0]
             if kind == "hello":
@@ -307,10 +343,12 @@ class ShardRouter:
                 future.set_result(payload)
             else:
                 future.set_exception(payload)
-        self._conn_down(slot, conn)
+        if reason is not None:
+            process.kill()
+        self._conn_down(slot, conn, reason)
 
     # ------------------------------------------------------------- failover
-    def _conn_down(self, slot: _Slot, conn) -> None:
+    def _conn_down(self, slot: _Slot, conn, reason: str | None = None) -> None:
         """One worker connection died; fail its futures, maybe recover.
 
         Idempotent per connection generation: the first caller (receiver
@@ -336,7 +374,9 @@ class ShardRouter:
                     slot.retry_at = (
                         self._clock.now() + self.retry.probe_interval_seconds
                     )
-        error = ShardUnavailableError(slot.name, "shard process died")
+        error = ShardUnavailableError(
+            slot.name, reason or "shard process died"
+        )
         for future in failed:
             future.set_exception(error)
         if closing:

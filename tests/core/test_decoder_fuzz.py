@@ -1,4 +1,4 @@
-"""Seeded decoder fuzzing of the checkpoint archives.
+"""Seeded decoder fuzzing of the checkpoint archives and journal.
 
 Every single-bit flip or truncation of a small store archive and a small
 plan archive must do one of two things:
@@ -8,6 +8,10 @@ plan archive must do one of two things:
 * raise :class:`CheckpointCorruptionError` — at load, or, for a plan
   member that is memory-mapped and so checked lazily, on the first
   replay.
+
+A mutated ``checkpoint.journal`` must either roll exactly the members it
+lists forward or raise :class:`CheckpointCorruptionError` having renamed
+nothing, and never touch a file outside the checkpoint directory.
 
 Any other exception (zipfile's ``NotImplementedError`` or
 ``RuntimeError``, numpy's ``ValueError``, ...) would be retried by the
@@ -24,9 +28,12 @@ from repro.core import (
     IncrementalTrainer,
     load_plan,
     load_store,
+    recover_checkpoint,
     save_store,
 )
+from repro.core.serialization import CHECKPOINT_JOURNAL
 from repro.datasets import make_regression
+from repro.testing import FaultInjector, SimulatedCrash
 
 N_FLIPS = 300
 N_TRUNCATIONS = 40
@@ -160,3 +167,162 @@ def test_plan_mutations_answer_identically_or_raise_typed(
             wrong.append(label)
     assert not untyped, untyped
     assert not wrong, wrong
+
+
+# ---------------------------------------------------------------- journal
+#: The members a checkpoint save stages, in the order its journal lists
+#: them.
+MEMBERS = ("store.npz", "plan.npz")
+#: Files beside the checkpoint directory a journal line ``../victim``
+#: would reach.
+OUTSIDE = {"victim": b"victim", "victim.new": b"staged by a bad journal"}
+
+
+@pytest.fixture(scope="module")
+def journaled(tmp_path_factory):
+    """A save that crashed right after its journal landed: the old store
+    and plan, their staged replacements and the real journal, as bytes,
+    plus the training data."""
+    data = make_regression(60, 4, seed=6)
+    trainer = IncrementalTrainer(
+        "linear",
+        learning_rate=0.05,
+        regularization=0.01,
+        batch_size=10,
+        n_iterations=6,
+        seed=0,
+    )
+    trainer.fit(data.features, data.labels)
+    directory = tmp_path_factory.mktemp("journal") / "ckpt"
+    trainer.save_checkpoint(directory)
+    trainer.remove([3], commit=True)
+    with FaultInjector().crash_at("journal.renamed").installed():
+        with pytest.raises(SimulatedCrash):
+            trainer.save_checkpoint(directory)
+    files = {path.name: path.read_bytes() for path in directory.iterdir()}
+    assert set(files) == {
+        CHECKPOINT_JOURNAL, *MEMBERS, *(f"{m}.new" for m in MEMBERS)
+    }
+    return files, data
+
+
+def recover_with_journal(files: dict, journal: bytes, case):
+    """Recover a copy of the crashed save whose journal is ``journal``.
+
+    Returns the typed error (or None) and the directory's files before
+    and after; asserts that nothing beside the directory changed.
+    """
+    directory = case / "ckpt"
+    directory.mkdir(parents=True)
+    before = dict(files, **{CHECKPOINT_JOURNAL: journal})
+    for name, raw in before.items():
+        (directory / name).write_bytes(raw)
+    for name, raw in OUTSIDE.items():
+        (case / name).write_bytes(raw)
+    error = None
+    try:
+        recover_checkpoint(directory)
+    except CheckpointCorruptionError as exc:
+        error = exc
+    beside = {
+        path.name: path.read_bytes() for path in case.iterdir()
+        if path.is_file()
+    }
+    assert beside == OUTSIDE
+    after = {path.name: path.read_bytes() for path in directory.iterdir()}
+    return error, before, after
+
+
+def rolled_forward_exactly(journal: bytes, before: dict, after: dict) -> bool:
+    """``after`` is ``before`` with the journal's members rolled forward,
+    and ``journal`` is byte for byte what a save of them writes."""
+    rolled = [
+        m for m in MEMBERS
+        if f"{m}.new" not in after and after.get(m) == before[f"{m}.new"]
+    ]
+    expected = {
+        name: raw for name, raw in before.items()
+        if name != CHECKPOINT_JOURNAL
+    }
+    for member in rolled:
+        expected[member] = expected.pop(f"{member}.new")
+    written = "".join(f"{line}\n" for line in ("v1", *rolled)).encode()
+    return bool(rolled) and after == expected and journal == written
+
+
+class TestCheckpointJournal:
+    def test_non_utf8_journal_raises_typed(self, journaled, tmp_path):
+        files, data = journaled
+        journal = b"v1\nstore.npz\n\xff\n"
+        error, before, after = recover_with_journal(files, journal, tmp_path)
+        assert isinstance(error, CheckpointCorruptionError)
+        assert CHECKPOINT_JOURNAL in str(error)
+        assert after == before
+        with pytest.raises(CheckpointCorruptionError, match="journal"):
+            IncrementalTrainer.from_checkpoint(
+                tmp_path / "ckpt", data.features, data.labels
+            )
+
+    def test_member_outside_the_directory_is_refused(
+        self, journaled, tmp_path
+    ):
+        files, _ = journaled
+        error, before, after = recover_with_journal(
+            files, b"v1\n../victim\n", tmp_path
+        )
+        assert isinstance(error, CheckpointCorruptionError)
+        assert after == before
+
+    def test_unknown_version_is_not_rolled_forward(self, journaled, tmp_path):
+        files, _ = journaled
+        error, before, after = recover_with_journal(
+            files, b"v2\nstore.npz\nplan.npz\n", tmp_path
+        )
+        assert isinstance(error, CheckpointCorruptionError)
+        assert after == before
+
+    def test_journal_mutations_roll_forward_exactly_or_raise_typed(
+        self, journaled, tmp_path
+    ):
+        """Every single-bit flip, 100 seeded multi-bit flips and every
+        truncation of the real journal, which itself rolls both members
+        forward."""
+        files, _ = journaled
+        raw = files[CHECKPOINT_JOURNAL]
+        error, before, after = recover_with_journal(
+            files, raw, tmp_path / "intact"
+        )
+        assert error is None and set(after) == set(MEMBERS)
+        assert rolled_forward_exactly(raw, before, after)
+        cases = [(f"truncate to {size} bytes", raw[:size])
+                 for size in range(len(raw))]
+        for at in range(len(raw)):
+            for bit in range(8):
+                mutated = bytearray(raw)
+                mutated[at] ^= 1 << bit
+                cases.append((f"flip bit {bit} of byte {at}", bytes(mutated)))
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            mutated = bytearray(raw)
+            flips = int(rng.integers(2, 5))
+            for at, bit in zip(
+                rng.integers(len(raw), size=flips), rng.integers(8, size=flips)
+            ):
+                mutated[int(at)] ^= 1 << int(bit)
+            cases.append((f"flip {flips} bits: {mutated!r}", bytes(mutated)))
+        wrong = []
+        for i, (label, journal) in enumerate(cases):
+            try:
+                error, before, after = recover_with_journal(
+                    files, journal, tmp_path / f"case-{i}"
+                )
+            except Exception as exc:
+                wrong.append(f"{label}: {type(exc).__name__}: {exc}")
+                continue
+            if error is None:
+                ok = rolled_forward_exactly(journal, before, after)
+            else:
+                ok = after == before
+            if not ok:
+                wrong.append(label)
+        assert not wrong, wrong

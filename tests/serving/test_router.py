@@ -551,6 +551,87 @@ class TestShardFrames:
         assert self.reply(shard) == ("ok", 99, os.getpid())
 
 
+class _PipeOnlyContext:
+    """A ``multiprocessing`` context whose processes never start: the
+    test speaks the worker's end of each real pipe itself."""
+
+    def __init__(self):
+        self.worker_ends = []
+
+    def Pipe(self, duplex=True):
+        router_end, worker_end = multiprocessing.Pipe(duplex=duplex)
+        self.worker_ends.append(worker_end)
+        return router_end, _KeptOpen()
+
+    @staticmethod
+    def Process(**kwargs):
+        return _InertProcess()
+
+
+class _KeptOpen:
+    """Stands in for the child end the router closes after a spawn."""
+
+    def close(self):
+        pass
+
+
+class _InertProcess:
+    pid = None
+    killed = False
+
+    def start(self):
+        pass
+
+    def is_alive(self):
+        return False
+
+    def join(self, timeout=None):
+        pass
+
+    def kill(self):
+        self.killed = True
+
+
+class TestReplyFrames:
+    """A reply frame the router cannot trust ends that shard's
+    connection like EOF: the in-flight request fails with a typed error
+    instead of waiting forever behind a dead receiver thread, and the
+    worker is killed."""
+
+    @pytest.mark.parametrize(
+        "send",
+        [
+            lambda conn, req_id: conn.send_bytes(b"\x80\x05not a pickle"),
+            lambda conn, req_id: conn.send(42),
+            lambda conn, req_id: conn.send(("bogus", req_id, None)),
+            lambda conn, req_id: conn.send(("ok", req_id)),
+            lambda conn, req_id: conn.send(("err", req_id, "not raised")),
+        ],
+        ids=["undecodable", "non-tuple", "unknown-kind", "wrong-arity",
+             "err-without-exception"],
+    )
+    def test_bad_frame_fails_the_in_flight_request(self, send):
+        context = _PipeOnlyContext()
+        router = ShardRouter(n_shards=1, mp_context=context)
+        try:
+            worker = context.worker_ends[0]
+            worker.send(("hello", "shard-0", 0))
+            slot = router._slots[0]
+            future = router._call(slot, "ping")
+            assert worker.recv()[0] == "ping"
+            (req_id,) = slot.inflight
+            send(worker, req_id)
+            error = future.exception(timeout=10)
+            assert isinstance(error, ShardUnavailableError)
+            assert error.shard == "shard-0"
+            assert not router.describe()["shards"]["shard-0"]["alive"]
+            assert slot.process.killed
+            with pytest.raises(ShardUnavailableError):
+                router._call(slot, "ping")
+        finally:
+            router.close()
+
+
 class TestShardUnavailableError:
     def test_pickles_with_attributes(self):
         error = ShardUnavailableError("shard-3", "pipe write failed")
