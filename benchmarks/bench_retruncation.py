@@ -1,4 +1,4 @@
-"""The one-sided SVD re-truncation fold, on both of its eigen-form paths.
+"""The one-sided SVD re-truncation fold, on both of its paths.
 
 Every commit appends exact correction columns to truncated-SVD
 summaries; maintenance re-truncates them
@@ -27,12 +27,11 @@ mix a maintenance pass runs.  It is asserted above 1 only under
 noisy); the JSON records it either way.  Each row's own ``speedup`` is
 recorded, and ``min_row_speedup`` is the smallest, but no row is
 gated: at m = 40 a fold takes 0.1–0.4 ms on either path, mostly NumPy
-call overhead, and the incremental path's extra calls leave it a few
-percent slower there.  Maintenance folds every record incrementally,
-so that is what it pays at those widths.  The full-width path builds
-the core that is exact for any symmetric pair and checks that the pair
-is symmetric, three m·w² products on top of its QR, so it costs more
-than a full-width fold that trusted the eigen form would.
+call overhead, and the incremental path's extra calls leave it
+0.75–0.84× as fast there.  Maintenance folds every record incrementally,
+so that is what it pays at those widths.  Both paths read a summary's
+basis and eigenvalues alone (``TruncatedSummary(right, weights)``); the
+full-width path's core is ``R diag(λ) Rᵀ`` after its QR.
 
 BLAS is pinned to one thread, as perfbench pins it: a threaded call on
 a shared box can stall for milliseconds, and these folds would time
@@ -81,16 +80,17 @@ def _scale() -> float:
 
 
 def _widened_summary(rng, m, base_rank, appended):
-    """A captured summary with exact rank-1 corrections appended — the
-    eigen-form shape ``ProvenanceStore.compact`` leaves behind."""
+    """A captured summary with exact rank-1 corrections appended, ``x_i``
+    with weight ``−a_i`` — the shape ``ProvenanceStore.compact`` leaves
+    behind."""
     summary = truncate_from_samples(
         rng.standard_normal((base_rank, m)) * 0.3, epsilon=1e-12
     )
     rows = rng.standard_normal((m, appended)) * 0.3
     slopes = rng.uniform(0.05, 0.25, appended)
     return type(summary)(
-        left=np.hstack([summary.left, -rows * slopes]),
         right=np.hstack([summary.right, rows]),
+        weights=np.concatenate([summary.weights, -slopes]),
     )
 
 

@@ -132,7 +132,7 @@ def _multinomial_projected_summary(
     # Map each kept eigenvector (q, r_x) back to (q, m) through V.
     kept = evecs[:, :rank].T.reshape(rank, q, r_x)
     full = (kept @ basis.T).reshape(rank, q * m).T  # qm × rank
-    return TruncatedSummary(left=full * evals[:rank], right=full)
+    return TruncatedSummary(right=full, weights=evals[:rank])
 
 
 def _multinomial_svd_summary(
@@ -153,7 +153,7 @@ def _multinomial_svd_summary(
         return _multinomial_projected_summary(probs, block, epsilon)
     if batch * q >= q * m:
         dense = _multinomial_dense_summary(probs, block)
-        return truncate_summary(dense, epsilon=epsilon, symmetric=True)
+        return truncate_summary(dense, epsilon=epsilon)
     lam = _multinomial_lambdas(probs)
     evals, evecs = np.linalg.eigh(lam)  # B×q, B×q×q (columns are vectors)
     rows = np.einsum("iqk,im->ikqm", evecs, block).reshape(batch * q, q * m)

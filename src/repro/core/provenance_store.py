@@ -866,17 +866,18 @@ class ProvenanceStore:
         """``G - Σ a_i x_i x_iᵀ`` in whichever representation ``G`` uses.
 
         Dense summaries are patched exactly.  Truncated-SVD summaries get
-        the removed samples appended as exact rank-1 correction factors
-        (``left ⟵ [P | -a_i x_i]``, ``right ⟵ [V | x_i]``, grown in place
-        by :meth:`~repro.linalg.svd.TruncatedSummary.widened`) so the
+        the removed samples appended as exact rank-1 corrections
+        (``V ⟵ [V | x_i]``, ``λ ⟵ [λ | −a_i]``, grown in place by
+        :meth:`~repro.linalg.svd.TruncatedSummary.widened`) so the
         compacted operator equals the pre-compaction operator minus the
         exact deltas — the same arithmetic a replay of the uncompacted
         store performs.  Also returns whether SVD factors were copied
         into a new buffer.
         """
-        weighted = rows if slopes is None else rows * slopes[:, None]
         if isinstance(summary, TruncatedSummary):
-            return summary.widened(-weighted.T, rows.T)
+            weights = -np.ones(len(rows)) if slopes is None else -slopes
+            return summary.widened(rows.T, weights)
+        weighted = rows if slopes is None else rows * slopes[:, None]
         return summary - weighted.T @ rows, False
 
     @staticmethod
@@ -903,8 +904,7 @@ class ProvenanceStore:
             kron = np.einsum("hqk,hm->hkqm", evecs[:, :, 1:], rows).reshape(
                 n_hits * (q - 1), q * m
             )
-            weights = evals[:, 1:].reshape(-1)
-            return summary.widened((kron * weights[:, None]).T, kron.T)
+            return summary.widened(kron.T, evals[:, 1:].reshape(-1))
         contrib = np.einsum("hkl,hm,hn->kmln", lam, rows, rows).reshape(
             q * m, q * m
         )
@@ -1012,11 +1012,8 @@ class ProvenanceStore:
         error bound surfaced in the receipt.  Each fold goes through
         :func:`~repro.linalg.svd.retruncate_summary`, which folds the
         appended columns into the retained orthonormal basis
-        (``"incremental"``) — or, for factors that are not in eigen form,
-        such as those the older two-sided fold wrote into existing
-        checkpoints, takes the slower ``"general"`` path, which converts
-        them.  A pass that folds anything bumps the store version
-        (compiled plans must re-sync their summary references via
+        (``"incremental"``).  A pass that folds anything bumps the store
+        version (compiled plans must re-sync their summary references via
         :meth:`~repro.core.replay_plan.ReplayPlan.resync_summaries`); the
         pass holds the store's commit lock so concurrent submit-time
         readers always see a consistent store, and swaps summaries in
@@ -1028,9 +1025,8 @@ class ProvenanceStore:
         touched summaries), ``max_error_bound`` / ``max_relative_error``
         (exact-vs-retruncated 2-norm distance, absolute and relative to
         |λ₁|), ``max_rank_after``, ``incremental_updates`` /
-        ``full_updates`` / ``general_updates`` (which path each record
-        took), and ``iterations`` (the touched record indices, for plan
-        re-sync).
+        ``full_updates`` (which path each record took), and
+        ``iterations`` (the touched record indices, for plan re-sync).
         """
         with self._commit_lock:
             columns = self.svd_correction_columns
@@ -1070,7 +1066,6 @@ class ProvenanceStore:
             "max_rank_after": max((r.rank_after for r in results), default=0),
             "incremental_updates": methods.count("incremental"),
             "full_updates": methods.count("qr"),
-            "general_updates": methods.count("general"),
             "iterations": np.asarray(touched, dtype=np.int64),
         }
 

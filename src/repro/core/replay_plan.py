@@ -13,9 +13,9 @@ phase — into contiguous structure-of-arrays state:
   matrix, per-sample interpolation state (slopes/intercepts, softmax
   probabilities, ``W x``) concatenated into flat slot-indexed arrays so the
   state of any hit is a single fancy-gather;
-* summaries pre-extracted into homogeneous lists — dense matrices or
-  pre-grouped SVD ``(P, V)`` factor pairs — so the hot loop never touches a
-  record object or an ``isinstance`` check;
+* summaries pre-extracted into homogeneous lists — dense matrices, or
+  SVD bases ``V`` and their eigenvalues ``λ`` — so the hot loop never
+  touches a record object or an ``isinstance`` check;
 * sparse mode additionally pre-slices the per-iteration CSR batch blocks
   and precomputes their base moments ``X_tᵀ(b_t ∘ y_t)``, which the seed
   path recomputed on every request.
@@ -158,12 +158,12 @@ class ReplayPlan:
 
         # Summaries as homogeneous lists (refs, no copies).
         if self._kind == "svd":
-            self._lefts = [r.summary.left for r in records]
+            self._evals = [r.summary.weights for r in records]
             self._rights = [r.summary.right for r in records]
             self._summaries = None
         else:
             self._summaries = [np.asarray(r.summary) for r in records]
-            self._lefts = self._rights = None
+            self._evals = self._rights = None
 
         # Stacked moments: one row fetch per iteration in the hot loop.
         self.moments = np.stack(
@@ -395,12 +395,12 @@ class ReplayPlan:
         if sparse:
             plan._blocks = [plan.features[r.batch] for r in records]
         elif plan._kind == "svd":
-            plan._lefts = [r.summary.left for r in records]
+            plan._evals = [r.summary.weights for r in records]
             plan._rights = [r.summary.right for r in records]
             plan._summaries = None
         else:
             plan._summaries = [np.asarray(r.summary) for r in records]
-            plan._lefts = plan._rights = None
+            plan._evals = plan._rights = None
         return plan
 
     # ------------------------------------------------------------- refresh
@@ -500,7 +500,7 @@ class ReplayPlan:
                         record.moment, dtype=float
                     ).ravel()
                     if self._kind == "svd":
-                        self._lefts[t] = record.summary.left
+                        self._evals[t] = record.summary.weights
                         self._rights[t] = record.summary.right
                     else:
                         self._summaries[t] = np.asarray(record.summary)
@@ -593,7 +593,7 @@ retruncate_summaries` replaces record summaries (and bumps the store
                 iterations = range(self.n_iterations)
             for t in iterations:
                 summary = records[t].summary
-                self._lefts[t] = summary.left
+                self._evals[t] = summary.weights
                 self._rights[t] = summary.right
         self._compiled_version = self.store._version
 
@@ -862,10 +862,10 @@ CheckpointCorruptionError` on a digest mismatch; the pending check is
         shrink = self.shrink
         moments = self.moments
         sparse = self.sparse
-        summaries, lefts, rights = None, None, None
+        summaries, evals, rights = None, None, None
         if not sparse:
             if self._kind == "svd":
-                lefts, rights = self._lefts, self._rights
+                evals, rights = self._evals, self._rights
             else:
                 summaries = self._summaries
         for t in range(start, end):
@@ -875,7 +875,7 @@ CheckpointCorruptionError` on a digest mismatch; the pending check is
             elif summaries is not None:
                 gram_w = summaries[t] @ weights
             else:
-                gram_w = lefts[t] @ (rights[t].T @ weights)
+                gram_w = rights[t] @ (evals[t][:, None] * (rights[t].T @ weights))
             adjust = moments[t][:, None] - gram_w
             s_lo, s_hi = offsets[t], offsets[t + 1]
             if s_lo != s_hi:
@@ -908,7 +908,7 @@ CheckpointCorruptionError` on a digest mismatch; the pending check is
         moments = self.moments
         sparse = self.sparse
         summaries = getattr(self, "_summaries", None)
-        lefts = getattr(self, "_lefts", None)
+        evals = getattr(self, "_evals", None)
         rights = getattr(self, "_rights", None)
         for t in range(start, end):
             if sparse:
@@ -917,7 +917,7 @@ CheckpointCorruptionError` on a digest mismatch; the pending check is
             elif summaries is not None:
                 gram_w = summaries[t] @ w
             else:
-                gram_w = lefts[t] @ (rights[t].T @ w)
+                gram_w = rights[t] @ (evals[t] * (rights[t].T @ w))
             adjust = moments[t] - gram_w
             s_lo, s_hi = offsets[t], offsets[t + 1]
             if s_lo != s_hi:
@@ -936,7 +936,7 @@ CheckpointCorruptionError` on a digest mismatch; the pending check is
         moments = self.moments
         sparse = self.sparse
         summaries = getattr(self, "_summaries", None)
-        lefts = getattr(self, "_lefts", None)
+        evals = getattr(self, "_evals", None)
         rights = getattr(self, "_rights", None)
         rec_off = self._record_offsets
         for t in range(start, end):
@@ -949,7 +949,7 @@ CheckpointCorruptionError` on a digest mismatch; the pending check is
             elif summaries is not None:
                 gram_w = summaries[t] @ w
             else:
-                gram_w = lefts[t] @ (rights[t].T @ w)
+                gram_w = rights[t] @ (evals[t] * (rights[t].T @ w))
             adjust = gram_w + moments[t]
             s_lo, s_hi = offsets[t], offsets[t + 1]
             if s_lo != s_hi:
@@ -972,13 +972,13 @@ CheckpointCorruptionError` on a digest mismatch; the pending check is
         q = self.store.n_classes
         m = self.store.n_features
         summaries = getattr(self, "_summaries", None)
-        lefts = getattr(self, "_lefts", None)
+        evals = getattr(self, "_evals", None)
         rights = getattr(self, "_rights", None)
         for t in range(start, end):
             if summaries is not None:
                 gram_w = summaries[t] @ w
             else:
-                gram_w = lefts[t] @ (rights[t].T @ w)
+                gram_w = rights[t] @ (evals[t] * (rights[t].T @ w))
             adjust = gram_w + moments[t]
             s_lo, s_hi = offsets[t], offsets[t + 1]
             if s_lo != s_hi:
@@ -1010,10 +1010,10 @@ CheckpointCorruptionError` on a digest mismatch; the pending check is
         shrink = self.shrink
         moments = self.moments
         sparse = self.sparse
-        summaries, lefts, rights = None, None, None
+        summaries, evals, rights = None, None, None
         if not sparse:
             if self._kind == "svd":
-                lefts, rights = self._lefts, self._rights
+                evals, rights = self._evals, self._rights
             else:
                 summaries = self._summaries
         rec_off = self._record_offsets
@@ -1025,7 +1025,7 @@ CheckpointCorruptionError` on a digest mismatch; the pending check is
             elif summaries is not None:
                 gram_w = summaries[t] @ weights
             else:
-                gram_w = lefts[t] @ (rights[t].T @ weights)
+                gram_w = rights[t] @ (evals[t][:, None] * (rights[t].T @ weights))
             adjust = gram_w + moments[t][:, None]
             s_lo, s_hi = offsets[t], offsets[t + 1]
             if s_lo != s_hi:
@@ -1064,7 +1064,7 @@ CheckpointCorruptionError` on a digest mismatch; the pending check is
         q = self.store.n_classes
         m = self.store.n_features
         if self._kind == "svd":
-            lefts, rights = self._lefts, self._rights
+            evals, rights = self._evals, self._rights
             summaries = None
         else:
             summaries = self._summaries
@@ -1072,7 +1072,7 @@ CheckpointCorruptionError` on a digest mismatch; the pending check is
             if summaries is not None:
                 gram_w = summaries[t] @ weights
             else:
-                gram_w = lefts[t] @ (rights[t].T @ weights)
+                gram_w = rights[t] @ (evals[t][:, None] * (rights[t].T @ weights))
             adjust = gram_w + moments[t][:, None]
             s_lo, s_hi = offsets[t], offsets[t + 1]
             if s_lo != s_hi:

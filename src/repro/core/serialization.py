@@ -61,7 +61,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..linalg.svd import TruncatedSummary
+from ..linalg.svd import TruncatedSummary, summary_from_factor_pair
 from ..models.batching import BatchSchedule
 from .provenance_store import (
     CommitReceipt,
@@ -85,12 +85,17 @@ from .replay_plan import ReplayPlan
 # format-3 archives may also carry ``frozen_pending_rows`` /
 # ``frozen_pending_weights`` (removed rows kept for an incremental eigen
 # correction that no longer exists); they are checksum-verified and
-# ignored.  Format-1/2 archives still load.  Writing the members stored
-# instead of deflated (and padding them to 64-byte offsets) changes no
-# member, meaning, dtype or metadata encoding, so it is no format break:
-# every zip reader inflates or copies a member alike.
-_FORMAT_VERSION = 3
-_SUPPORTED_VERSIONS = (1, 2, 3)
+# ignored.  Format 4 stores an SVD summary in eigen form,
+# ``summary_<t>_right`` (the basis) and ``summary_<t>_weights`` (its
+# eigenvalues), where formats 1–3 stored ``summary_<t>_left`` =
+# ``right · diag(weights)`` beside the basis; those load through
+# :func:`~repro.linalg.svd.summary_from_factor_pair`.  Format-1/2/3
+# archives still load.  Writing the members stored instead of deflated
+# (and padding them to 64-byte offsets) changes no member, meaning,
+# dtype or metadata encoding, so it is no format break: every zip reader
+# inflates or copies a member alike.
+_FORMAT_VERSION = 4
+_SUPPORTED_VERSIONS = (1, 2, 3, 4)
 _PLAN_FORMAT_VERSION = 1
 # Archives carrying a ``__checksums__`` member (any version from here on)
 # get their members verified on load; older archives load unchecked, as
@@ -102,9 +107,13 @@ _CHECKSUMS_MEMBER = "__checksums__"
 # Sidecar journal for multi-file checkpoint commits (store.npz + plan.npz
 # flipped old->new atomically): present means "roll the staged *.new files
 # forward", absent means any stray staged file belongs to an interrupted
-# save and is discarded.
+# save and is discarded.  A ``v2`` journal ends in ``_JOURNAL_END``, so a
+# journal cut short at a line boundary cannot read as a complete one
+# listing fewer members; ``v1`` (no terminator) is what older builds
+# wrote, and a save of theirs may still be in flight.
 CHECKPOINT_JOURNAL = "checkpoint.journal"
 _STAGED_SUFFIX = ".new"
+_JOURNAL_END = "end"
 
 
 class CheckpointCorruptionError(ValueError):
@@ -328,7 +337,7 @@ class _VerifyingArchive:
 
     def __init__(self, archive, path: Path):
         self._archive = archive
-        self._path = path
+        self.path = path
         self._verified: set[str] = set()
         self.mapped: dict[str, np.ndarray] = {}
         self.checksums: dict[str, str] | None = None
@@ -369,7 +378,7 @@ class _VerifyingArchive:
             return self._archive[name]
         except KeyError:
             raise CheckpointCorruptionError(
-                f"checkpoint member {name!r} missing from {self._path}"
+                f"checkpoint member {name!r} missing from {self.path}"
             ) from None
         except Exception as exc:
             # Reading a member only decodes bytes, so any failure means
@@ -378,12 +387,12 @@ class _VerifyingArchive:
             # method, version or flag bits, RuntimeError for an entry
             # flagged as encrypted, and numpy ValueError (or a tokenizer
             # error) for a malformed ``.npy`` header.
-            raise _unreadable(self._path, exc) from exc
+            raise _unreadable(self.path, exc) from exc
 
     def _verify(self, name: str, value: np.ndarray) -> None:
         if self.checksums is not None and name not in self._verified:
             self._verified.add(name)
-            _verify_digest(name, value, self.checksums, self._path)
+            _verify_digest(name, value, self.checksums, self.path)
 
 
 _FROZEN_FIELDS = (
@@ -450,7 +459,7 @@ def commit_checkpoint(directory: str | Path, members: list[str]) -> None:
     directory = Path(directory)
     journal = directory / CHECKPOINT_JOURNAL
     temp = _temp_beside(journal)
-    payload = "\n".join(["v1", *members]) + "\n"
+    payload = "\n".join(["v2", *members, _JOURNAL_END]) + "\n"
     _fault("journal.begin", journal)
     with open(temp, "w", encoding="utf-8") as handle:
         handle.write(payload)
@@ -467,11 +476,14 @@ def commit_checkpoint(directory: str | Path, members: list[str]) -> None:
 def _journal_members(journal: Path) -> list[str]:
     """The members a checkpoint journal lists, validated.
 
-    :func:`commit_checkpoint` writes ``v1`` and then one member name per
-    line, each a checkpoint file (``store.npz``, ``plan.npz``), every
-    line ending in ``\\n``.  Anything else — bytes that are not UTF-8,
-    another first line, no member, a name outside that set (``../victim``
-    would rename outside the directory), a torn last line — raises
+    :func:`commit_checkpoint` writes ``v2``, one member name per line,
+    each a checkpoint file (``store.npz``, ``plan.npz``), then
+    ``end``, every line ending in ``\\n``.  Builds before it wrote
+    ``v1`` and the members, with no terminator; such a journal is still
+    rolled forward.  Anything else — bytes that are not UTF-8, another
+    first line, no member, a name outside that set (``../victim`` would
+    rename outside the directory), a ``v2`` journal without its
+    terminator (a journal cut short), a torn last line — raises
     :class:`CheckpointCorruptionError` before a single file is renamed.
     """
     raw = journal.read_bytes()
@@ -482,15 +494,19 @@ def _journal_members(journal: Path) -> list[str]:
             f"checkpoint journal {journal} is not UTF-8 text: {exc}"
         ) from exc
     header, *members = text[:-1].split("\n")
+    if header == "v2" and members[-1:] == [_JOURNAL_END]:
+        members.pop()
+    elif header != "v1":
+        members = []
     if not (
         text.endswith("\n")
-        and header == "v1"
         and members
         and set(members) <= {STORE_FILENAME, PLAN_FILENAME}
     ):
         raise CheckpointCorruptionError(
-            f"checkpoint journal {journal} is not 'v1' followed by "
-            f"{STORE_FILENAME!r}/{PLAN_FILENAME!r} lines: {raw[:80]!r}"
+            f"checkpoint journal {journal} is not 'v2', "
+            f"{STORE_FILENAME!r}/{PLAN_FILENAME!r} lines and "
+            f"{_JOURNAL_END!r} (or an older 'v1' journal): {raw[:80]!r}"
         )
     return members
 
@@ -539,21 +555,40 @@ def _pack_summary(arrays: dict, key: str, summary) -> str:
     if summary is None:
         return "none"
     if isinstance(summary, TruncatedSummary):
-        arrays[f"{key}_left"] = summary.left
         arrays[f"{key}_right"] = summary.right
+        arrays[f"{key}_weights"] = summary.weights
         return "svd"
     arrays[key] = np.asarray(summary)
     return "dense"
 
 
-def _unpack_summary(archive, key: str, kind: str):
+def _unpack_summary(archive, key: str, kind: str, version: int):
+    """The summary stored under ``key``, and whether a pre-v4 factor pair
+    had to be folded into eigen form (so its correction count is spent).
+
+    Raises :class:`CheckpointCorruptionError` for SVD members that do
+    not pair: shapes that disagree, or a pre-v4 pair whose operator is
+    not symmetric.
+    """
     if kind == "none":
-        return None
-    if kind == "svd":
-        return TruncatedSummary(
-            left=archive[f"{key}_left"], right=archive[f"{key}_right"]
-        )
-    return archive[key]
+        return None, False
+    if kind != "svd":
+        return archive[key], False
+    right = archive[f"{key}_right"]
+    try:
+        if version < 4:
+            return summary_from_factor_pair(archive[f"{key}_left"], right)
+        weights = archive[f"{key}_weights"]
+        if right.ndim != 2 or weights.shape != right.shape[1:]:
+            raise ValueError(
+                f"basis {right.shape} and eigenvalues {weights.shape} "
+                "do not pair"
+            )
+    except ValueError as exc:
+        raise CheckpointCorruptionError(
+            f"checkpoint summary {key!r} of {archive.path}: {exc}"
+        ) from exc
+    return TruncatedSummary(right=right, weights=weights), False
 
 
 def save_store(store: ProvenanceStore, path: str | Path) -> Path:
@@ -696,9 +731,14 @@ def load_store(path: str | Path) -> ProvenanceStore:
         )
         n_records = int(meta[10])
         kinds = [str(k) for k in archive["__summary_kinds__"]]
+        folded = []
         for t in range(n_records):
             batch = archive[f"batch_{t}"]
-            summary = _unpack_summary(archive, f"summary_{t}", kinds[t])
+            summary, refactored = _unpack_summary(
+                archive, f"summary_{t}", kinds[t], version
+            )
+            if refactored:
+                folded.append(t)
             moment = archive[f"moment_{t}"]
             if task == "linear":
                 store.add(LinearRecord(batch=batch, summary=summary, moment=moment))
@@ -741,6 +781,8 @@ def load_store(path: str | Path) -> ProvenanceStore:
         if version >= 3:
             if "__svd_corrections__" in archive.files:
                 store.svd_correction_columns = archive["__svd_corrections__"]
+                # A folded pair holds no appended columns any more.
+                store.svd_correction_columns[folded] = 0
             if "__receipts__" in archive.files:
                 for row in archive["__receipts__"]:
                     fields = dict(zip(_RECEIPT_COLUMNS, row))
@@ -926,7 +968,10 @@ def _parse_npy_header(handle):
     v1 and ``uint32`` in v2/v3; the dict itself is latin-1 text before
     v3, utf-8 from v3 on.  Returns ``(shape, fortran_order, dtype)`` with
     the handle left at the first data byte, or ``None`` for anything that
-    is not a well-formed ``.npy`` header of a known major version.
+    is not a well-formed ``.npy`` header of a known major version: a
+    shape must be a tuple of non-negative ``int`` (a float such as
+    ``9e999`` or a bool is refused, not converted) and ``fortran_order``
+    a bool.
     """
     magic = handle.read(8)
     if len(magic) != 8 or magic[:6] != _NPY_MAGIC:
@@ -948,10 +993,15 @@ def _parse_npy_header(handle):
     try:
         text = header.decode("utf-8" if major >= 3 else "latin1")
         fields = ast.literal_eval(text.strip())
-        shape = tuple(int(n) for n in fields["shape"])
-        fortran = bool(fields["fortran_order"])
+        shape, fortran = fields["shape"], fields["fortran_order"]
         dtype = np.lib.format.descr_to_dtype(fields["descr"])
     except (ValueError, SyntaxError, KeyError, TypeError):
+        return None
+    if not (
+        isinstance(shape, tuple)
+        and all(type(n) is int and n >= 0 for n in shape)
+        and type(fortran) is bool
+    ):
         return None
     return shape, fortran, dtype
 

@@ -9,15 +9,24 @@ plan archive must do one of two things:
   member that is memory-mapped and so checked lazily, on the first
   replay.
 
+The ``.npy`` header parser the mapped loads use is fuzzed on its own:
+for headers of format 1.0, 2.0 and 3.0 it returns a well-formed
+``(shape, fortran_order, dtype)`` or ``None`` and never raises, and a
+member is never mapped past its zip entry.
+
 A mutated ``checkpoint.journal`` must either roll exactly the members it
 lists forward or raise :class:`CheckpointCorruptionError` having renamed
-nothing, and never touch a file outside the checkpoint directory.
+nothing, and never touch a file outside the checkpoint directory; a
+journal cut short must never roll anything forward.
 
 Any other exception (zipfile's ``NotImplementedError`` or
 ``RuntimeError``, numpy's ``ValueError``, ...) would be retried by the
 fleet as a transient failure instead of opening the model's breaker.
 """
 
+import io
+import re
+import struct
 import zipfile
 
 import numpy as np
@@ -31,7 +40,12 @@ from repro.core import (
     recover_checkpoint,
     save_store,
 )
-from repro.core.serialization import CHECKPOINT_JOURNAL
+from repro.core.serialization import (
+    CHECKPOINT_JOURNAL,
+    _aligned_entry,
+    _mmap_member,
+    _parse_npy_header,
+)
 from repro.datasets import make_regression
 from repro.testing import FaultInjector, SimulatedCrash
 
@@ -112,6 +126,10 @@ def test_store_mutations_load_identically_or_raise_typed(checkpoint, tmp_path):
     # mutations below also reach the Fortran-order header branch.
     assert fortran_members(original)
     expected = archive_members(original)
+    # A format-4 store: SVD summaries as a basis and its eigenvalues.
+    assert str(expected["__meta__"][0]) == "4"
+    assert any(name.endswith("_weights") for name in expected)
+    assert not any(name.endswith("_left") for name in expected)
     resaved = save_store(load_store(original), tmp_path / "resaved.npz")
     assert same_arrays(archive_members(resaved), expected)
 
@@ -167,6 +185,167 @@ def test_plan_mutations_answer_identically_or_raise_typed(
             wrong.append(label)
     assert not untyped, untyped
     assert not wrong, wrong
+
+
+# ------------------------------------------------------------ .npy headers
+def payload_span(raw: bytes, info: zipfile.ZipInfo) -> tuple[int, int]:
+    """The byte range ``[start, end)`` a stored zip entry's data holds."""
+    offset = info.header_offset
+    name_length, extra_length = struct.unpack("<HH", raw[offset + 26 : offset + 30])
+    start = offset + 30 + name_length + extra_length
+    return start, start + info.file_size
+
+
+def with_shape(path, member: str, shape: str) -> None:
+    """Rewrite ``member``'s ``.npy`` 1.0 header in place, inside its
+    padding, so that its shape reads ``shape``."""
+    raw = bytearray(path.read_bytes())
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(member + ".npy")
+    start, _ = payload_span(bytes(raw), info)
+    assert raw[start : start + 8] == b"\x93NUMPY\x01\x00"
+    length = int.from_bytes(raw[start + 8 : start + 10], "little")
+    header = raw[start + 10 : start + 10 + length].decode("latin1")
+    header = re.sub(r"'shape': \([^)]*\)", f"'shape': {shape}", header)
+    header = header.rstrip().ljust(length - 1) + "\n"
+    assert len(header) == length
+    raw[start + 10 : start + 10 + length] = header.encode("latin1")
+    path.write_bytes(bytes(raw))
+
+
+def test_overflowing_shape_fails_typed(checkpoint, tmp_path):
+    """A shape of ``9e999`` overflowed ``int()`` inside the mapping
+    parser; the load raised ``OverflowError``, which the fleet would
+    retry as transient."""
+    trainer, directory = checkpoint
+    store = tmp_path / "store.npz"
+    store.write_bytes((directory / "store.npz").read_bytes())
+    with_shape(store, "summary_0_right", "(9e999,)")
+    with pytest.raises(CheckpointCorruptionError):
+        load_store(store)
+    plan = tmp_path / "plan.npz"
+    plan.write_bytes((directory / "plan.npz").read_bytes())
+    member = next(
+        name[: -len(".npy")]
+        for name in zipfile.ZipFile(plan).namelist()
+        if not name.startswith("__")
+    )
+    with_shape(plan, member, "(9e999,)")
+    with pytest.raises(CheckpointCorruptionError):
+        load_plan(
+            plan, load_store(directory / "store.npz"),
+            trainer.features, trainer.labels,
+        )
+
+
+#: ``shape`` and ``fortran_order`` values a header may carry that no
+#: writer produces.
+ODD_FIELDS = [
+    "'shape': (9e999,)", "'shape': (1e400, 2)", "'shape': (-1,)",
+    "'shape': (True, 2)", "'shape': (2.0,)", "'shape': [3, 4]",
+    "'shape': 12", "'shape': None", "'shape': (10**400,)",
+    "'fortran_order': 1", "'fortran_order': 'yes'", "'descr': '<f9'",
+    "'descr': [()]", "'descr': 3",
+]
+
+
+def npy_header_cases(version: tuple[int, int], seed: int):
+    """A ``.npy`` payload written at ``version`` and the length of its
+    header, then every truncation of the header, every single-bit flip
+    of it, seeded multi-byte edits and :data:`ODD_FIELDS` swapped in."""
+    array = np.asfortranarray(np.arange(12.0).reshape(3, 4))
+    buffer = io.BytesIO()
+    np.lib.format.write_array(buffer, array, version=version, allow_pickle=False)
+    raw = buffer.getvalue()
+    header_end = len(raw) - array.nbytes
+    yield "intact", raw
+    for size in range(header_end + 1):
+        yield f"truncate to {size} bytes", raw[:size]
+    for at in range(header_end):
+        for bit in range(8):
+            mutated = bytearray(raw)
+            mutated[at] ^= 1 << bit
+            yield f"flip bit {bit} of byte {at}", bytes(mutated)
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        mutated = bytearray(raw)
+        for at in rng.integers(header_end, size=int(rng.integers(2, 6))):
+            mutated[int(at)] = int(rng.integers(256))
+        yield f"edit {bytes(mutated[:header_end])!r}", bytes(mutated)
+    # The magic and length bytes are not text; the dict is ASCII.  An
+    # edit keeps the header's length, inside its padding.
+    text = raw[:header_end].decode("latin1")
+    for field in ODD_FIELDS:
+        key = field.split(":")[0]
+        edited = re.sub(key + r": ('[^']*'|\([^)]*\)|\w+)", field, text)
+        assert edited != text
+        edited = edited.rstrip().ljust(header_end - 1) + "\n"
+        assert len(edited) == header_end
+        yield f"field {field}", edited.encode("latin1") + raw[header_end:]
+
+
+def well_formed(parsed) -> bool:
+    if parsed is None:
+        return True
+    shape, fortran, dtype = parsed
+    return (
+        isinstance(shape, tuple)
+        and all(type(n) is int and n >= 0 for n in shape)
+        and type(fortran) is bool
+        and isinstance(dtype, np.dtype)
+    )
+
+
+def stored_archive(payload: bytes) -> bytes:
+    """An aligned, stored ``.npz`` whose first member holds ``payload``
+    as is and whose second member follows it."""
+    handle = io.BytesIO()
+    with zipfile.ZipFile(handle, "w", zipfile.ZIP_STORED) as archive:
+        for name, data in (("a.npy", payload), ("b.npy", b"\xab" * 256)):
+            entry = _aligned_entry(name, handle.tell())
+            with archive.open(entry, "w", force_zip64=True) as member:
+                member.write(data)
+    return handle.getvalue()
+
+
+@pytest.mark.parametrize("version", [(1, 0), (2, 0), (3, 0)])
+def test_npy_header_parser_never_raises(version):
+    untyped, malformed = [], []
+    for label, raw in npy_header_cases(version, seed=31 + version[0]):
+        try:
+            parsed = _parse_npy_header(io.BytesIO(raw))
+        except Exception as exc:
+            untyped.append(f"{label}: {type(exc).__name__}: {exc}")
+            continue
+        if not well_formed(parsed):
+            malformed.append(f"{label}: {parsed!r}")
+    assert not untyped, untyped
+    assert not malformed, malformed
+    intact = _parse_npy_header(io.BytesIO(next(npy_header_cases(version, 0))[1]))
+    assert intact == ((3, 4), True, np.dtype("<f8"))
+
+
+@pytest.mark.parametrize("version", [(1, 0), (2, 0), (3, 0)])
+def test_mapped_member_never_reaches_past_its_entry(version):
+    outside, mapped = [], 0
+    for label, payload in npy_header_cases(version, seed=37 + version[0]):
+        raw = stored_archive(payload)
+        mapping = np.frombuffer(raw, dtype=np.uint8)
+        with zipfile.ZipFile(io.BytesIO(raw)) as archive:
+            info = archive.getinfo("a.npy")
+        try:
+            member = _mmap_member(io.BytesIO(raw), mapping, info)
+        except ValueError:
+            member = None  # the loader treats it as unmappable
+        if member is None:
+            continue
+        mapped += 1
+        start, end = payload_span(raw, info)
+        first = member.__array_interface__["data"][0] - mapping.ctypes.data
+        if not (start < first and first + member.nbytes <= end):
+            outside.append(label)
+    assert not outside, outside
+    assert mapped  # the intact payload, at least, maps
 
 
 # ---------------------------------------------------------------- journal
@@ -233,9 +412,12 @@ def recover_with_journal(files: dict, journal: bytes, case):
     return error, before, after
 
 
-def rolled_forward_exactly(journal: bytes, before: dict, after: dict) -> bool:
+def rolled_forward_exactly(
+    journal: bytes, before: dict, after: dict, version: str = "v2"
+) -> bool:
     """``after`` is ``before`` with the journal's members rolled forward,
-    and ``journal`` is byte for byte what a save of them writes."""
+    and ``journal`` is byte for byte what a save of them writes (a
+    ``v1`` save, of an older build, wrote no terminator)."""
     rolled = [
         m for m in MEMBERS
         if f"{m}.new" not in after and after.get(m) == before[f"{m}.new"]
@@ -246,7 +428,8 @@ def rolled_forward_exactly(journal: bytes, before: dict, after: dict) -> bool:
     }
     for member in rolled:
         expected[member] = expected.pop(f"{member}.new")
-    written = "".join(f"{line}\n" for line in ("v1", *rolled)).encode()
+    lines = (version, *rolled) + (("end",) if version == "v2" else ())
+    written = "".join(f"{line}\n" for line in lines).encode()
     return bool(rolled) and after == expected and journal == written
 
 
@@ -276,17 +459,46 @@ class TestCheckpointJournal:
     def test_unknown_version_is_not_rolled_forward(self, journaled, tmp_path):
         files, _ = journaled
         error, before, after = recover_with_journal(
-            files, b"v2\nstore.npz\nplan.npz\n", tmp_path
+            files, b"v3\nstore.npz\nplan.npz\nend\n", tmp_path
         )
         assert isinstance(error, CheckpointCorruptionError)
         assert after == before
+
+    def test_journal_cut_at_a_line_boundary_is_refused(
+        self, journaled, tmp_path
+    ):
+        """``v2\\nstore.npz\\n`` is the real journal cut short, not a
+        store-only save: rolling it forward would leave the new store
+        beside the old plan."""
+        files, data = journaled
+        error, before, after = recover_with_journal(
+            files, b"v2\nstore.npz\n", tmp_path
+        )
+        assert isinstance(error, CheckpointCorruptionError)
+        assert after == before
+        with pytest.raises(CheckpointCorruptionError, match="journal"):
+            IncrementalTrainer.from_checkpoint(
+                tmp_path / "ckpt", data.features, data.labels
+            )
+
+    @pytest.mark.parametrize("members", [MEMBERS, MEMBERS[:1]])
+    def test_older_v1_journal_still_rolls_forward(
+        self, journaled, tmp_path, members
+    ):
+        """A save by an older build, interrupted after its ``v1`` journal
+        landed, is rolled forward as that journal lists."""
+        files, _ = journaled
+        journal = "".join(f"{line}\n" for line in ("v1", *members)).encode()
+        error, before, after = recover_with_journal(files, journal, tmp_path)
+        assert error is None
+        assert rolled_forward_exactly(journal, before, after, version="v1")
 
     def test_journal_mutations_roll_forward_exactly_or_raise_typed(
         self, journaled, tmp_path
     ):
         """Every single-bit flip, 100 seeded multi-bit flips and every
         truncation of the real journal, which itself rolls both members
-        forward."""
+        forward.  No truncation rolls anything forward."""
         files, _ = journaled
         raw = files[CHECKPOINT_JOURNAL]
         error, before, after = recover_with_journal(
@@ -320,7 +532,9 @@ class TestCheckpointJournal:
                 wrong.append(f"{label}: {type(exc).__name__}: {exc}")
                 continue
             if error is None:
-                ok = rolled_forward_exactly(journal, before, after)
+                ok = not label.startswith("truncate") and (
+                    rolled_forward_exactly(journal, before, after)
+                )
             else:
                 ok = after == before
             if not ok:

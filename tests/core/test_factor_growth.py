@@ -114,22 +114,23 @@ def test_second_commit_grows_factors_in_place(kind):
     held = {
         t: (
             store.records[t].summary,
-            store.records[t].summary.left.copy(),
             store.records[t].summary.right.copy(),
+            store.records[t].summary.weights.copy(),
         )
         for t in touched
     }
     receipt = trainer.commit(trainer.remove(second, method="priu"))
     assert receipt["copied_factors"] == 0
     assert receipt["appended_columns"] > 0
-    for t, (summary, left, right) in held.items():
+    for t, (summary, right, weights) in held.items():
         grown = store.records[t].summary
-        assert np.shares_memory(grown.left, summary.left), t
         assert np.shares_memory(grown.right, summary.right), t
+        assert np.shares_memory(grown.weights, summary.weights), t
         # The reference taken before the commit reads what it read.
-        assert np.array_equal(summary.left, left), t
         assert np.array_equal(summary.right, right), t
-        assert np.array_equal(grown.left[:, : summary.rank], left), t
+        assert np.array_equal(summary.weights, weights), t
+        assert np.array_equal(grown.right[:, : summary.rank], right), t
+        assert np.array_equal(grown.weights[: summary.rank], weights), t
 
 
 def _captured_store():
@@ -184,8 +185,8 @@ def test_stores_sharing_summaries_commit_like_independent_twins():
         fork.compact(ids_b, *_survivors(fork, features, labels))
         # The first to commit grew the shared buffer in place; the other
         # no longer owns its tail and copies.
-        assert np.shares_memory(store.records[t].summary.left, shared.left)
-        assert not np.shares_memory(fork.records[t].summary.left, shared.left)
+        assert np.shares_memory(store.records[t].summary.right, shared.right)
+        assert not np.shares_memory(fork.records[t].summary.right, shared.right)
         for twin, ids in zip(twins, (ids_a, ids_b)):
             twin.compact(ids, *_survivors(twin, features, labels))
 
@@ -194,8 +195,8 @@ def test_stores_sharing_summaries_commit_like_independent_twins():
         assert np.array_equal(one.deletion_log, twin.deletion_log)
         for ours, theirs in zip(one.records, twin.records):
             assert np.array_equal(ours.batch, theirs.batch)
-            assert np.array_equal(ours.summary.left, theirs.summary.left)
             assert np.array_equal(ours.summary.right, theirs.summary.right)
+            assert np.array_equal(ours.summary.weights, theirs.summary.weights)
         data = _survivors(one, features, labels)
         np.testing.assert_array_equal(
             ReplayPlan(one, *data).run_single(query),
@@ -217,7 +218,8 @@ def test_commit_on_a_mapped_checkpoint(kind, tmp_path):
     loaded = IncrementalTrainer.from_checkpoint(
         tmp_path / "base", data.features, data.labels
     )
-    assert not loaded.store.records[0].summary.left.flags.writeable
+    assert not loaded.store.records[0].summary.right.flags.writeable
+    assert not loaded.store.records[0].summary.weights.flags.writeable
 
     rng = np.random.default_rng(9)
     copied = []

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import IncrementalTrainer, MaintenancePolicy
-from repro.core import serialization
+from repro.core import provenance_store, serialization
 from repro.core.maintenance import MaintenanceCost
 from repro.core.priu_opt import refresh_frozen_eigen
 from repro.core.provenance_store import remap_surviving_ids
@@ -352,58 +352,6 @@ class TestSvdRetruncation:
             atol=ATOL, rtol=0.0,
         )
 
-    def test_factors_outside_eigen_form_take_the_general_path_once(self):
-        """Factors not in eigen form (the older two-sided fold wrote
-        ``left = P·G``, ``right = V·G`` with ``G`` orthogonal) fold on the
-        general path, the receipt counts them, and one pass converts
-        them."""
-        legacy = _fit("binary_logistic", "svd", dict(batch_size=8))
-        twin = _fit("binary_logistic", "svd", dict(batch_size=8))
-        rng = np.random.default_rng(9)
-        rewritten = set()
-        for t, record in enumerate(legacy.store.records):
-            summary = record.summary
-            if isinstance(summary, TruncatedSummary) and summary.rank > 1:
-                g, _ = np.linalg.qr(rng.standard_normal((summary.rank,) * 2))
-                record.summary = TruncatedSummary(
-                    left=summary.left @ g, right=summary.right @ g
-                )
-                rewritten.add(t)
-        legacy._plan.resync_summaries()
-        rng_a, rng_b = np.random.default_rng(10), np.random.default_rng(10)
-        _churn(legacy, rng_a, n_commits=PAST_BOUND_COMMITS)
-        _churn(twin, rng_b, n_commits=PAST_BOUND_COMMITS)
-        folded = _folds_due(legacy)
-        report = legacy.maintain()
-        assert report.svd["general_updates"] == len(folded & rewritten) > 0
-        assert (
-            report.svd["general_updates"]
-            + report.svd["incremental_updates"]
-            + report.svd["full_updates"]
-            == report.svd["summaries"]
-        )
-        probe = np.arange(4, dtype=np.int64)
-        np.testing.assert_allclose(
-            legacy.remove(probe, method="priu").weights,
-            twin.remove(probe, method="priu").weights,
-            atol=ATOL, rtol=0.0,
-        )
-        # Folded records are in eigen form now; only rewritten records
-        # the first pass did not touch still take the general path.
-        _churn(legacy, rng_a, n_commits=PAST_BOUND_COMMITS)
-        _churn(twin, rng_b, n_commits=PAST_BOUND_COMMITS)
-        due = _folds_due(legacy)
-        assert due & folded and (due & rewritten) - folded
-        second = legacy.maintain()
-        assert second.svd["general_updates"] == len(
-            (due & rewritten) - folded
-        )
-        np.testing.assert_allclose(
-            legacy.remove(probe, method="priu").weights,
-            twin.remove(probe, method="priu").weights,
-            atol=ATOL, rtol=0.0,
-        )
-
     def test_plan_resyncs_and_keeps_matching_uncompiled_path(self):
         trainer = _fit("multinomial_logistic", "svd", dict(batch_size=8))
         rng = np.random.default_rng(6)
@@ -446,27 +394,33 @@ class TestSvdRetruncation:
         )
         assert hashlib.sha256(archive.read_bytes()).hexdigest() == digest
 
-    def test_a_refused_pair_leaves_the_store_untouched(self):
-        """A summary whose operator is not symmetric makes the pass raise
-        before it swaps anything in: every record keeps its summary and
-        the store its version and correction counts."""
+    def test_a_failed_fold_leaves_the_store_untouched(self, monkeypatch):
+        """A fold that raises makes the pass raise before it swaps
+        anything in: every record keeps its summary and the store its
+        version and correction counts."""
         trainer = _fit("binary_logistic", "svd", dict(batch_size=8))
         rng = np.random.default_rng(15)
         _churn(trainer, rng, n_commits=PAST_BOUND_COMMITS)
         store = trainer.store
         folded = np.flatnonzero(store.svd_excess_columns())
         assert folded.size > 1
-        record = store.records[folded[-1]]
-        record.summary = TruncatedSummary(
-            left=record.summary.left
-            + rng.standard_normal(record.summary.left.shape),
-            right=record.summary.right,
-        )
+        doomed = store.records[folded[-1]].summary
+        fold = provenance_store.retruncate_summary
+        calls = []
+
+        def failing(summary, **kwargs):
+            calls.append(summary)
+            if summary is doomed:
+                raise ValueError("fold failed")
+            return fold(summary, **kwargs)
+
+        monkeypatch.setattr(provenance_store, "retruncate_summary", failing)
         before = [record.summary for record in store.records]
         counts = store.svd_correction_columns.copy()
         version = store._version
-        with pytest.raises(ValueError, match="not symmetric"):
+        with pytest.raises(ValueError, match="fold failed"):
             store.retruncate_summaries()
+        assert len(calls) == folded.size  # the others folded first
         assert all(r.summary is s for r, s in zip(store.records, before))
         np.testing.assert_array_equal(store.svd_correction_columns, counts)
         assert store._version == version

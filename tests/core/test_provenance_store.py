@@ -101,7 +101,7 @@ class TestApplySummary:
         dense = basis @ basis.T
         from repro.linalg import truncate_summary
 
-        summary = truncate_summary(dense, epsilon=1e-12, symmetric=True)
+        summary = truncate_summary(dense, epsilon=1e-12)
         v = rng.standard_normal(8)
         assert np.allclose(apply_summary(dense, v), apply_summary(summary, v))
 

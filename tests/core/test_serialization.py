@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    CheckpointCorruptionError,
     IncrementalTrainer,
     PrIUUpdater,
     load_store,
     save_store,
     train_with_capture,
 )
-from repro.core.serialization import _mmap_npz_arrays
+from repro.core.serialization import _checksums_member, _mmap_npz_arrays
+from repro.linalg.svd import TruncatedSummary
 from repro.datasets import (
     make_binary_classification,
     make_multiclass_classification,
@@ -247,9 +249,11 @@ class TestOlderStoreFormats:
 
     The fixtures are rebuilt here from a freshly saved store: format 3
     exactly as those builds wrote it (``np.savez_compressed``, digest table
-    included), format 2 without the maintenance/audit members, the
-    ``eigen_stale`` flag or the digest table, and format 1 (from an
-    uncommitted store) without ``n_original_samples`` or the deletion log.
+    included, each SVD summary as ``summary_<t>_left`` = ``right ·
+    diag(weights)`` beside ``summary_<t>_right``), format 2 without the
+    maintenance/audit members, the ``eigen_stale`` flag or the digest
+    table, and format 1 (from an uncommitted store) without
+    ``n_original_samples`` or the deletion log.
     """
 
     REMOVED = [4, 11, 30]
@@ -283,8 +287,33 @@ class TestOlderStoreFormats:
 
     @staticmethod
     def _members(path):
+        """A saved store's members, with its SVD summaries and version
+        as format 3 wrote them."""
         with np.load(path, allow_pickle=False) as npz:
-            return {name: npz[name] for name in npz.files}
+            members = {name: npz[name] for name in npz.files}
+        for name in [n for n in members if n.endswith("_weights")]:
+            key = name[: -len("_weights")]
+            weights = members.pop(name)
+            members[f"{key}_left"] = members[f"{key}_right"] * weights
+        meta = list(members["__meta__"])
+        meta[0] = "3"
+        members["__meta__"] = np.array(meta)
+        return TestOlderStoreFormats._sealed(members)
+
+    @staticmethod
+    def _sealed(members):
+        """``members`` with a digest table that matches them, if they
+        carry one."""
+        if "__checksums__" in members:
+            del members["__checksums__"]
+            members["__checksums__"] = _checksums_member(members)
+        return members
+
+    @staticmethod
+    def _svd_keys(members):
+        keys = [n[: -len("_left")] for n in members if n.endswith("_left")]
+        assert keys and not any(n.endswith("_weights") for n in members)
+        return keys
 
     @staticmethod
     def _write_compressed(path, members):
@@ -316,12 +345,28 @@ class TestOlderStoreFormats:
             answer = PrIUUpdater(reloaded, features, labels).update(removed)
             assert np.array_equal(answer, expected), removed
 
+    @staticmethod
+    def assert_same_summaries(reloaded, store):
+        """Every SVD summary came back as its basis and eigenvalues, bit
+        for bit."""
+        n_svd = 0
+        for ours, theirs in zip(reloaded.records, store.records):
+            if isinstance(theirs.summary, TruncatedSummary):
+                n_svd += 1
+                assert np.array_equal(ours.summary.right, theirs.summary.right)
+                assert np.array_equal(
+                    ours.summary.weights, theirs.summary.weights
+                )
+        assert n_svd
+
     def test_v3_compressed_store_loads_and_answers(self, trained, tmp_path):
         _, trainer, directory, _ = trained
         members = self._members(directory / "committed" / "store.npz")
         assert "__checksums__" in members
+        self._svd_keys(members)
         path = self._write_compressed(tmp_path / "v3.npz", members)
         reloaded = load_store(path)
+        self.assert_same_summaries(reloaded, trainer.store)
         assert reloaded.n_original_samples == trainer.store.n_original_samples
         assert np.array_equal(reloaded.deletion_log, trainer.store.deletion_log)
         assert len(reloaded.commit_receipts) == 2
@@ -340,6 +385,7 @@ class TestOlderStoreFormats:
         checkpoint = tmp_path / "checkpoint"
         checkpoint.mkdir()
         members = self._members(directory / "committed" / "store.npz")
+        self._svd_keys(members)
         self._write_compressed(checkpoint / "store.npz", members)
         (checkpoint / "plan.npz").write_bytes(
             (directory / "committed" / "plan.npz").read_bytes()
@@ -359,8 +405,10 @@ class TestOlderStoreFormats:
         members = self._downgrade(
             self._members(directory / "committed" / "store.npz"), 2
         )
+        self._svd_keys(members)
         path = self._write_compressed(tmp_path / "v2.npz", members)
         reloaded = load_store(path)
+        self.assert_same_summaries(reloaded, trainer.store)
         assert reloaded.n_original_samples == trainer.store.n_original_samples
         assert np.array_equal(reloaded.deletion_log, trainer.store.deletion_log)
         assert not reloaded.commit_receipts
@@ -375,10 +423,84 @@ class TestOlderStoreFormats:
             self._members(directory / "uncommitted.npz"), 1
         )
         assert "__deletion_log__" not in members
+        self._svd_keys(members)
         path = self._write_compressed(tmp_path / "v1.npz", members)
         reloaded = load_store(path)
         assert reloaded.n_original_samples is None
         assert reloaded.deletion_log is None
+        self.assert_same_summaries(reloaded, uncommitted.store)
         self.assert_answers_match(
             reloaded, uncommitted.store, data.features, data.labels
         )
+
+    def test_v3_pairs_outside_eigen_form_fold_once_at_load(
+        self, trained, tmp_path
+    ):
+        """Factors the older two-sided fold wrote, ``left = P·G`` and
+        ``right = V·G`` with ``G`` orthogonal, are not a product of their
+        basis: they fold into eigen form at load, each within 1e-10 of
+        its dense operator, and their correction counts are spent."""
+        _, trainer, directory, _ = trained
+        members = self._members(directory / "committed" / "store.npz")
+        rng = np.random.default_rng(9)
+        rewritten = {}
+        for key in self._svd_keys(members):
+            left, right = members[f"{key}_left"], members[f"{key}_right"]
+            if right.shape[1] > 1:
+                g, _ = np.linalg.qr(rng.standard_normal((right.shape[1],) * 2))
+                members[f"{key}_left"] = left @ g
+                members[f"{key}_right"] = right @ g
+                rewritten[int(key.rsplit("_", 1)[1])] = left @ right.T
+        corrections = trainer.store.svd_correction_columns
+        assert rewritten and any(corrections[t] for t in rewritten)
+        path = self._write_compressed(tmp_path / "v3.npz", self._sealed(members))
+        reloaded = load_store(path)
+        for t, dense in rewritten.items():
+            summary = reloaded.records[t].summary
+            np.testing.assert_allclose(
+                summary.reconstruct(), dense, atol=1e-10, rtol=0.0
+            )
+            gram = summary.right.T @ summary.right
+            assert np.linalg.norm(gram - np.eye(summary.rank), 2) <= 1e-13
+            assert reloaded.svd_correction_columns[t] == 0
+        untouched = [
+            t for t in range(len(corrections)) if t not in rewritten
+        ]
+        np.testing.assert_array_equal(
+            reloaded.svd_correction_columns[untouched], corrections[untouched]
+        )
+        for removed in (self.REMOVED, [0], [17, 18, 19, 20]):
+            np.testing.assert_allclose(
+                PrIUUpdater(reloaded, trainer.features, trainer.labels)
+                .update(removed),
+                PrIUUpdater(trainer.store, trainer.features, trainer.labels)
+                .update(removed),
+                atol=1e-10, rtol=0.0,
+            )
+
+    def test_v3_pair_that_is_not_symmetric_raises_typed(
+        self, trained, tmp_path
+    ):
+        _, _, directory, _ = trained
+        members = self._members(directory / "committed" / "store.npz")
+        key = self._svd_keys(members)[-1]
+        left = members[f"{key}_left"]
+        members[f"{key}_left"] = left + np.random.default_rng(15).standard_normal(
+            left.shape
+        )
+        path = self._write_compressed(tmp_path / "v3.npz", self._sealed(members))
+        with pytest.raises(CheckpointCorruptionError, match="not symmetric"):
+            load_store(path)
+
+    def test_v4_eigenvalues_that_do_not_pair_raise_typed(
+        self, trained, tmp_path
+    ):
+        _, _, directory, _ = trained
+        with np.load(directory / "committed" / "store.npz") as npz:
+            members = {name: npz[name] for name in npz.files}
+        key = next(n for n in members if n.endswith("_weights"))
+        members[key] = members[key][:-1]
+        path = tmp_path / "v4.npz"
+        np.savez(path, **self._sealed(members))
+        with pytest.raises(CheckpointCorruptionError, match="do not pair"):
+            load_store(path)

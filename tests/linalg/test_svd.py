@@ -11,12 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.linalg import (
+    retruncate_summary,
     select_rank,
     spectral_mass_ratio,
     truncate_from_samples,
     truncate_summary,
 )
-from repro.linalg.svd import GROWTH_HEADROOM, TruncatedSummary
+from repro.linalg.svd import (
+    GROWTH_HEADROOM,
+    TruncatedSummary,
+    summary_from_factor_pair,
+)
 
 
 @pytest.fixture
@@ -54,17 +59,36 @@ class TestTruncateSummary:
         assert summary.rank <= 4  # rank 3 + tolerance
         assert np.allclose(summary.reconstruct(), gram, atol=1e-8)
 
-    def test_symmetric_fast_path_agrees(self, rng):
+    def test_eigen_form_matches_the_truncated_svd(self, rng):
         gram = low_rank_gram(rng, m=12, rank=5)
-        dense = truncate_summary(gram, epsilon=1e-10, symmetric=False)
-        fast = truncate_summary(gram, epsilon=1e-10, symmetric=True)
-        assert np.allclose(dense.reconstruct(), fast.reconstruct(), atol=1e-8)
+        summary = truncate_summary(gram, epsilon=1e-10)
+        u, s, vt = np.linalg.svd(gram)
+        rank = summary.rank
+        assert summary.weights.shape == (rank,)
+        np.testing.assert_allclose(
+            np.abs(summary.weights), s[:rank], rtol=1e-10
+        )
+        assert np.allclose(
+            summary.reconstruct(), (u[:, :rank] * s[:rank]) @ vt[:rank], atol=1e-8
+        )
 
     def test_apply_equals_reconstruct_matvec(self, rng):
         gram = low_rank_gram(rng, m=10, rank=3)
         summary = truncate_summary(gram, epsilon=1e-12)
         v = rng.standard_normal(10)
         assert np.allclose(summary.apply(v), gram @ v, atol=1e-8)
+
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    def test_apply_takes_a_block_of_vectors(self, rng, k):
+        # k = 4 equals the rank: a broadcast along the wrong axis would
+        # still run, and scale the wrong entries.
+        gram = low_rank_gram(rng, m=10, rank=4)
+        summary = truncate_summary(gram, epsilon=1e-12)
+        assert summary.rank == 4
+        block = rng.standard_normal((10, k))
+        np.testing.assert_allclose(
+            summary.apply(block), gram @ block, atol=1e-10, rtol=0.0
+        )
 
     def test_max_rank_cap(self, rng):
         gram = low_rank_gram(rng, m=10, rank=8)
@@ -75,7 +99,7 @@ class TestTruncateSummary:
         """Theorem 6 condition: kept spectral mass ratio >= 1 - eps."""
         scales = np.array([10.0, 5.0, 1.0, 0.01, 0.001])
         gram = low_rank_gram(rng, m=20, rank=5, scale=scales)
-        summary = truncate_summary(gram, epsilon=0.05, symmetric=True)
+        summary = truncate_summary(gram, epsilon=0.05)
         assert spectral_mass_ratio(gram, summary) >= 0.95
 
     def test_non_square_rejected(self, rng):
@@ -86,7 +110,7 @@ class TestTruncateSummary:
         """Logistic summaries Σ a_i x_i x_iᵀ are negative semi-definite."""
         basis = rng.standard_normal((8, 3))
         gram = -(basis @ basis.T)
-        summary = truncate_summary(gram, epsilon=1e-10, symmetric=True)
+        summary = truncate_summary(gram, epsilon=1e-10)
         assert np.allclose(summary.reconstruct(), gram, atol=1e-8)
 
 
@@ -133,7 +157,7 @@ class TestTruncateFromSamples:
     def test_nbytes_accounts_factors(self, rng):
         rows = rng.standard_normal((3, 6))
         summary = truncate_from_samples(rows, epsilon=1e-12)
-        expected = summary.left.nbytes + summary.right.nbytes
+        expected = summary.right.nbytes + summary.weights.nbytes
         assert summary.nbytes() == expected
 
     def test_truncation_reduces_rank_on_decaying_spectrum(self, rng):
@@ -153,13 +177,13 @@ class TestRetruncateSummary:
         from repro.linalg import retruncate_summary, truncate_summary
 
         gram_matrix = low_rank_gram(rng, m=m, rank=base_rank)
-        summary = truncate_summary(gram_matrix, epsilon=1e-12, symmetric=True)
+        summary = truncate_summary(gram_matrix, epsilon=1e-12)
         dense = summary.reconstruct()
         for _ in range(extra):
             row = rng.standard_normal(m) * 0.3
-            summary = type(summary)(
-                left=np.hstack([summary.left, -row[:, None]]),
+            summary = TruncatedSummary(
                 right=np.hstack([summary.right, row[:, None]]),
+                weights=np.append(summary.weights, -1.0),
             )
             dense = dense - np.outer(row, row)
         return summary, dense, retruncate_summary
@@ -196,9 +220,7 @@ class TestRetruncateSummary:
     def test_zero_operator_keeps_single_zero_column(self, rng):
         from repro.linalg import TruncatedSummary, retruncate_summary
 
-        summary = TruncatedSummary(
-            left=np.zeros((6, 4)), right=np.zeros((6, 4))
-        )
+        summary = TruncatedSummary(right=np.zeros((6, 4)), weights=np.zeros(4))
         result = retruncate_summary(summary)
         assert result.summary.rank == 1
         assert result.error_bound == 0.0
@@ -211,7 +233,7 @@ class TestRetruncateSummary:
         from repro.linalg import retruncate_summary, truncate_summary
 
         gram_matrix = low_rank_gram(rng, m=10, rank=3)
-        summary = truncate_summary(gram_matrix, epsilon=1e-12, symmetric=True)
+        summary = truncate_summary(gram_matrix, epsilon=1e-12)
         result = retruncate_summary(summary)
         assert result.rank_after <= summary.rank
         np.testing.assert_allclose(
@@ -229,13 +251,13 @@ class TestIncrementalRetruncation:
         from repro.linalg import retruncate_summary, truncate_summary
 
         gram_matrix = low_rank_gram(rng, m=m, rank=base_rank)
-        summary = truncate_summary(gram_matrix, epsilon=1e-12, symmetric=True)
+        summary = truncate_summary(gram_matrix, epsilon=1e-12)
         dense = summary.reconstruct()
         for _ in range(extra):
             row = rng.standard_normal(m) * 0.3
-            summary = type(summary)(
-                left=np.hstack([summary.left, -row[:, None]]),
+            summary = TruncatedSummary(
                 right=np.hstack([summary.right, row[:, None]]),
+                weights=np.append(summary.weights, -1.0),
             )
             dense = dense - np.outer(row, row)
         return summary, dense, retruncate_summary
@@ -296,12 +318,12 @@ class TestIncrementalRetruncation:
         from repro.linalg import retruncate_summary, truncate_summary
 
         gram_matrix = low_rank_gram(rng, m=10, rank=3)
-        summary = truncate_summary(gram_matrix, epsilon=1e-12, symmetric=True)
+        summary = truncate_summary(gram_matrix, epsilon=1e-12)
         dense = summary.reconstruct()
-        direction = summary.left[:, 0] / np.linalg.norm(summary.left[:, 0])
-        summary = type(summary)(
-            left=np.hstack([summary.left, -0.2 * direction[:, None]]),
+        direction = summary.right[:, 0]
+        summary = TruncatedSummary(
             right=np.hstack([summary.right, direction[:, None]]),
+            weights=np.append(summary.weights, -0.2),
         )
         dense = dense - 0.2 * np.outer(direction, direction)
         result = retruncate_summary(summary, appended=1)
@@ -318,11 +340,11 @@ def _eigen_pair(rng, m, rank, indefinite):
     values = rng.uniform(0.5, 3.0, rank)
     if indefinite:
         values *= rng.choice([-1.0, 1.0], rank)
-    return TruncatedSummary(left=basis * values, right=basis)
+    return TruncatedSummary(right=basis, weights=values)
 
 
 def _with_corrections(rng, summary, n_fresh, n_in_span, n_duplicates):
-    """``summary`` widened by eigen-form corrections ``(c_i x_i, x_i)`` as a
+    """``summary`` widened by corrections ``x_i`` with weights ``c_i`` as a
     commit appends them: fresh rows, rows inside the retained span and
     duplicates of earlier rows, in random order.  Returns the pair, the
     dense operator and the number of appended columns.
@@ -345,8 +367,8 @@ def _with_corrections(rng, summary, n_fresh, n_in_span, n_duplicates):
     weights = rng.uniform(0.01, 0.1, len(rows)) * rng.choice([-1.0, 1.0], len(rows))
     weights /= scales**2
     widened = TruncatedSummary(
-        left=np.hstack([summary.left, block * weights]),
         right=np.hstack([summary.right, block]),
+        weights=np.concatenate([summary.weights, weights]),
     )
     return widened, widened.reconstruct(), len(rows)
 
@@ -358,18 +380,6 @@ def _numerical_rank(dense, width):
     return max(1, int(np.sum(magnitudes > tol)))
 
 
-def _is_eigen_form(summary):
-    """``left`` equals ``right`` scaled column by column, bit for bit."""
-    left, right = summary.left, summary.right
-    pivots = np.argmax(np.abs(right), axis=0)
-    for j, i in enumerate(pivots):
-        guess = left[i, j] / right[i, j]
-        candidates = guess + np.arange(-2, 3) * np.spacing(guess)
-        if not any(np.array_equal(right[:, j] * c, left[:, j]) for c in candidates):
-            return False
-    return True
-
-
 def _orthonormality_defect(summary):
     right = summary.right
     return np.linalg.norm(right.T @ right - np.eye(right.shape[1]), 2)
@@ -377,7 +387,7 @@ def _orthonormality_defect(summary):
 
 class TestOneSidedFold:
     """The fold orthonormalizes ``right`` alone and diagonalizes a
-    symmetric core with ``eigh``; ``left`` is rebuilt as ``right · λ``."""
+    symmetric core with ``eigh``, whose eigenvalues are the new weights."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -415,7 +425,7 @@ class TestOneSidedFold:
             np.testing.assert_allclose(
                 result.summary.reconstruct(), dense, atol=1e-10, rtol=0.0
             )
-            assert _is_eigen_form(result.summary)
+            assert result.summary.weights.shape == (result.rank_after,)
             # Rounding leaves about 1e-14 here; a residual basis that is
             # not orthogonal to the retained one shows up above 1e-13.
             assert _orthonormality_defect(result.summary) <= 1e-13
@@ -436,7 +446,6 @@ class TestOneSidedFold:
                 summary.reconstruct(), dense, atol=1e-10, rtol=0.0
             )
             assert _orthonormality_defect(summary) <= 1e-12
-            assert _is_eigen_form(summary)
 
     @pytest.mark.parametrize("gap", [1e-5, 1e-8, 1e-10, 1e-12])
     def test_nearly_parallel_corrections_stay_orthonormal(self, rng, gap):
@@ -453,8 +462,8 @@ class TestOneSidedFold:
         )
         weights = np.array([-0.7, -0.3, 0.4])
         widened = TruncatedSummary(
-            left=np.hstack([summary.left, block * weights]),
             right=np.hstack([summary.right, block]),
+            weights=np.concatenate([summary.weights, weights]),
         )
         dense = widened.reconstruct()
         result = retruncate_summary(widened, appended=3)
@@ -464,46 +473,83 @@ class TestOneSidedFold:
         )
         assert _orthonormality_defect(result.summary) <= 1e-12
 
-    def test_legacy_two_sided_pair_takes_the_general_path(self, rng):
-        """``U·S`` / ``V`` of an indefinite operator with a ±5 eigenvalue
-        pair (the shape the older two-sided fold wrote) fails the form
-        check; the general path folds it exactly, into eigen form."""
-        from repro.linalg import retruncate_summary
 
+
+class TestFactorPairs:
+    """Pre-v4 checkpoints hold ``(P, V)`` with ``P = V · diag(λ)``;
+    :func:`summary_from_factor_pair` recovers the eigen form."""
+
+    @pytest.mark.parametrize("m", [12, 40, 940])
+    def test_products_come_back_bit_for_bit(self, rng, m):
+        basis, _ = np.linalg.qr(rng.standard_normal((m, 12)))
+        weights = rng.standard_normal(12) * 10.0 ** rng.uniform(-12, 12, 12)
+        weights[3] = 0.0
+        weights[5] = -1.0  # a linear commit's correction weight
+        right = np.hstack([basis, rng.standard_normal((m, 4)) * 0.3])
+        weights = np.concatenate([weights, -rng.uniform(0.05, 0.25, 4)])
+        summary, folded = summary_from_factor_pair(right * weights, right)
+        assert not folded
+        assert summary.right is right
+        assert np.array_equal(summary.weights, weights)
+
+    def test_captured_and_committed_summaries_come_back_bit_for_bit(self, rng):
+        captured = truncate_from_samples(
+            rng.standard_normal((6, 30)), -rng.uniform(0.1, 1.0, 6),
+            epsilon=1e-12,
+        )
+        rows = rng.standard_normal((30, 3))
+        widened, _ = captured.widened(rows, -rng.uniform(0.05, 0.25, 3))
+        for summary in (captured, widened):
+            legacy = summary.right * summary.weights
+            restored, folded = summary_from_factor_pair(legacy, summary.right)
+            assert not folded
+            assert np.array_equal(restored.weights, summary.weights)
+            assert np.array_equal(restored.right, summary.right)
+
+    def test_legacy_two_sided_pair_is_folded_once(self, rng):
+        """``U·S`` / ``V`` of an indefinite operator with a ±5 eigenvalue
+        pair (the shape the older two-sided fold wrote), widened by
+        corrections, is not a product of its basis; it folds exactly into
+        eigen form, at its numerical rank."""
         m = 16
         basis, _ = np.linalg.qr(rng.standard_normal((m, 10)))
         values = np.array([5.0, -5.0, 3.0, -2.0, 1.5, 1.0, -0.8, 0.5, 0.3, -0.2])
         u, s, vt = np.linalg.svd((basis * values) @ basis.T)
-        legacy = TruncatedSummary(left=u[:, :10] * s[:10], right=vt[:10].T)
-        widened, dense, appended = _with_corrections(
-            rng, legacy, n_fresh=3, n_in_span=1, n_duplicates=0
+        block = rng.standard_normal((m, 4))
+        block[:, 3] = vt[0] * 2.0  # inside the retained span
+        weights = rng.uniform(0.01, 0.1, 4) * np.array([1.0, -1.0, 1.0, -1.0])
+        left = np.hstack([u[:, :10] * s[:10], block * weights])
+        right = np.hstack([vt[:10].T, block])
+        dense = left @ right.T
+        summary, folded = summary_from_factor_pair(left, right)
+        assert folded
+        assert summary.rank == _numerical_rank(dense, right.shape[1]) == 13
+        np.testing.assert_allclose(
+            summary.reconstruct(), dense, atol=1e-10, rtol=0.0
         )
-        for count in (None, appended):
-            result = retruncate_summary(widened, appended=count)
-            assert result.method == "general"
-            assert result.rank_after == _numerical_rank(dense, widened.rank) == 13
-            np.testing.assert_allclose(
-                result.summary.reconstruct(), dense, atol=1e-10, rtol=0.0
-            )
-            assert _is_eigen_form(result.summary)
-            assert retruncate_summary(result.summary).method == "qr"
+        assert _orthonormality_defect(summary) <= 1e-13
+        # The folded summary is an ordinary one: it widens and folds.
+        again = retruncate_summary(summary)
+        np.testing.assert_allclose(
+            again.summary.reconstruct(), dense, atol=1e-10, rtol=0.0
+        )
 
-    @pytest.mark.parametrize("appended", [None, 2])
-    def test_a_pair_that_is_not_symmetric_is_refused(self, rng, appended):
-        """Symmetrizing the core would return a different operator, which
-        ``error_bound`` would not show; the fold raises instead."""
-        from repro.linalg import retruncate_summary, truncate_summary
-
-        lopsided = truncate_summary(rng.standard_normal((8, 8)), epsilon=1e-12)
+    def test_a_pair_that_is_not_symmetric_is_refused(self, rng):
+        """Symmetrizing the core would return a different operator; the
+        conversion raises instead."""
+        u, s, vt = np.linalg.svd(rng.standard_normal((8, 8)))
         with pytest.raises(ValueError, match="not symmetric"):
-            retruncate_summary(lopsided, appended=appended)
+            summary_from_factor_pair(u * s, vt.T)
         # e₂e₁ᵀ: its core is symmetric (zero), but ``left`` lies outside
         # the span of ``right``.
         eye = np.eye(3)
         with pytest.raises(ValueError, match="not symmetric"):
-            retruncate_summary(
-                TruncatedSummary(left=eye[:, 1:2], right=eye[:, :1]),
-                appended=appended,
+            summary_from_factor_pair(eye[:, 1:2], eye[:, :1])
+
+    def test_factors_that_do_not_pair_are_refused(self, rng):
+        with pytest.raises(ValueError, match="do not pair"):
+            summary_from_factor_pair(
+                rng.standard_normal((6, 3)), rng.standard_normal((6, 2))
             )
 
 
@@ -512,88 +558,90 @@ class TestWidened:
 
     @staticmethod
     def _columns(rng, m=6, d=2):
-        return rng.standard_normal((m, d)), rng.standard_normal((m, d))
+        return rng.standard_normal((m, d)), rng.standard_normal(d)
 
-    def _check(self, summary, left, right):
-        assert np.array_equal(summary.left, left)
+    @staticmethod
+    def _summary(rng, m, r):
+        return TruncatedSummary(
+            right=rng.standard_normal((m, r)), weights=rng.standard_normal(r)
+        )
+
+    def _check(self, summary, right, weights):
         assert np.array_equal(summary.right, right)
+        assert np.array_equal(summary.weights, weights)
 
     def test_first_widening_copies_then_appends_in_place(self, rng):
-        base = TruncatedSummary(
-            left=rng.standard_normal((6, 3)), right=rng.standard_normal((6, 3))
-        )
-        a_left, a_right = self._columns(rng)
-        grown, copied = base.widened(a_left, a_right)
+        base = self._summary(rng, 6, 3)
+        a_right, a_weights = self._columns(rng)
+        grown, copied = base.widened(a_right, a_weights)
         assert copied
-        assert grown.left.flags.f_contiguous and grown.right.flags.f_contiguous
-        assert grown.left.base.shape[1] == int(np.ceil(5 * GROWTH_HEADROOM))
+        assert grown.right.flags.f_contiguous
+        capacity = int(np.ceil(5 * GROWTH_HEADROOM))
+        assert grown.right.base.shape[1] == grown.weights.base.shape[0] == capacity
         self._check(
             grown,
-            np.hstack([base.left, a_left]),
             np.hstack([base.right, a_right]),
+            np.concatenate([base.weights, a_weights]),
         )
-        b_left, b_right = self._columns(rng, d=1)
-        again, copied = grown.widened(b_left, b_right)
+        b_right, b_weights = self._columns(rng, d=1)
+        again, copied = grown.widened(b_right, b_weights)
         assert not copied
-        assert np.shares_memory(again.left, grown.left)
         assert np.shares_memory(again.right, grown.right)
+        assert np.shares_memory(again.weights, grown.weights)
         self._check(
             again,
-            np.hstack([base.left, a_left, b_left]),
             np.hstack([base.right, a_right, b_right]),
+            np.concatenate([base.weights, a_weights, b_weights]),
         )
         # The earlier reference still reads its own columns.
         self._check(
             grown,
-            np.hstack([base.left, a_left]),
             np.hstack([base.right, a_right]),
+            np.concatenate([base.weights, a_weights]),
         )
-        assert again.nbytes() == 2 * 6 * 6 * 8  # live columns only
+        assert again.nbytes() == 6 * 6 * 8 + 6 * 8  # live columns only
 
     def test_full_buffer_copies(self, rng):
-        summary = TruncatedSummary(
-            left=rng.standard_normal((4, 2)), right=rng.standard_normal((4, 2))
-        )
+        summary = self._summary(rng, 4, 2)
         summary, _ = summary.widened(*self._columns(rng, m=4, d=1))
-        capacity = summary.left.base.shape[1]
+        capacity = summary.right.base.shape[1]
         while summary.rank < capacity:
             summary, copied = summary.widened(*self._columns(rng, m=4, d=1))
             assert not copied
-        left, right = summary.left.copy(), summary.right.copy()
+        right, weights = summary.right.copy(), summary.weights.copy()
         wider, copied = summary.widened(*self._columns(rng, m=4, d=1))
         assert copied
-        assert not np.shares_memory(wider.left, summary.left)
-        self._check(summary, left, right)
-        assert np.array_equal(wider.left[:, :capacity], left)
+        assert not np.shares_memory(wider.right, summary.right)
+        assert not np.shares_memory(wider.weights, summary.weights)
+        self._check(summary, right, weights)
+        assert np.array_equal(wider.right[:, :capacity], right)
+        assert np.array_equal(wider.weights[:capacity], weights)
 
     def test_stale_and_forked_summaries_never_overwrite_newer_columns(self, rng):
-        base = TruncatedSummary(
-            left=rng.standard_normal((5, 2)), right=rng.standard_normal((5, 2))
-        )
+        base = self._summary(rng, 5, 2)
         owner, _ = base.widened(*self._columns(rng, m=5, d=1))
         fork = copy.copy(owner)
         newer, copied = owner.widened(*self._columns(rng, m=5, d=1))
         assert not copied
-        newer_left, newer_right = newer.left.copy(), newer.right.copy()
+        newer_right, newer_weights = newer.right.copy(), newer.weights.copy()
         # The old reference, widened again, and its shallow copy both
         # copy: the tail past their width belongs to ``newer``.
         for stale in (owner, fork):
             other, copied = stale.widened(*self._columns(rng, m=5, d=1))
             assert copied
-            assert not np.shares_memory(other.left, newer.left)
-            self._check(newer, newer_left, newer_right)
-            assert np.array_equal(other.left[:, :3], owner.left)
+            assert not np.shares_memory(other.right, newer.right)
+            self._check(newer, newer_right, newer_weights)
+            assert np.array_equal(other.right[:, :3], owner.right)
+            assert np.array_equal(other.weights[:3], owner.weights)
 
     def test_deep_copies_and_pickles_carry_the_view_alone(self, rng):
-        base = TruncatedSummary(
-            left=rng.standard_normal((5, 2)), right=rng.standard_normal((5, 2))
-        )
+        base = self._summary(rng, 5, 2)
         owner, _ = base.widened(*self._columns(rng, m=5, d=1))
         for twin in (copy.deepcopy(owner), pickle.loads(pickle.dumps(owner))):
-            self._check(twin, owner.left, owner.right)
+            self._check(twin, owner.right, owner.weights)
             grown, copied = twin.widened(*self._columns(rng, m=5, d=1))
             assert copied
-            assert not np.shares_memory(grown.left, owner.left)
+            assert not np.shares_memory(grown.right, owner.right)
         # The original still owns its tail.
         _, copied = owner.widened(*self._columns(rng, m=5, d=1))
         assert not copied
@@ -602,13 +650,10 @@ class TestWidened:
         """Threads widening one shared summary: at most one appends in
         place per round, and every result holds exactly its own column."""
         rounds, n_threads = 200, 8
-        owners = []
-        for _ in range(rounds):
-            base = TruncatedSummary(
-                left=rng.standard_normal((6, 2)),
-                right=rng.standard_normal((6, 2)),
-            )
-            owners.append(base.widened(*self._columns(rng, m=6, d=1))[0])
+        owners = [
+            self._summary(rng, 6, 2).widened(*self._columns(rng, m=6, d=1))[0]
+            for _ in range(rounds)
+        ]
         columns = [self._columns(rng, m=6, d=1) for _ in range(n_threads)]
         results = [[None] * n_threads for _ in range(rounds)]
         barrier = threading.Barrier(n_threads)
@@ -634,9 +679,9 @@ class TestWidened:
         assert not any(thread.is_alive() for thread in threads)
         for owner, outcome in zip(owners, results):
             assert sum(not copied for _, copied in outcome) <= 1
-            for (grown, _), (left, right) in zip(outcome, columns):
+            for (grown, _), (right, weights) in zip(outcome, columns):
                 self._check(
                     grown,
-                    np.hstack([owner.left, left]),
                     np.hstack([owner.right, right]),
+                    np.concatenate([owner.weights, weights]),
                 )
