@@ -37,7 +37,10 @@ from .priu_opt import (
     PrIUOptLogisticUpdater,
     refresh_frozen_eigen,
 )
-from .provenance_store import normalize_removed_indices
+from .provenance_store import (
+    normalize_removed_indices,
+    validate_removed_indices,
+)
 from .replay_plan import ReplayPlan
 from .serialization import (
     PLAN_FILENAME,
@@ -251,6 +254,14 @@ class IncrementalTrainer:
         if not self._fitted:
             raise RuntimeError("call fit() before requesting updates")
 
+    def _removal_ids(self, indices) -> np.ndarray:
+        """``indices`` as a sorted, unique int64 removal set; raises
+        ``ValueError`` for an id outside ``[0, n_samples)`` (or a set
+        that names every sample), whatever the method."""
+        removed = normalize_removed_indices(indices)
+        validate_removed_indices(removed, self.n_samples)
+        return removed
+
     def prepare_baselines(self, influence_mode: str = "koh-liang") -> None:
         """Build the baselines' offline state (Hessian, (M,N) views) up front.
 
@@ -323,7 +334,6 @@ class IncrementalTrainer:
         labels: np.ndarray,
         plan_path: str | Path | None = None,
         method: str = "auto",
-        mmap: bool = True,
         **overrides,
     ) -> "IncrementalTrainer":
         """Rebuild a serving-ready trainer from a checkpoint — no recapture.
@@ -333,8 +343,8 @@ class IncrementalTrainer:
         archive itself, with ``plan_path`` naming the plan archive.  A fresh
         process goes checkpoint → compiled plan → first answered request:
         every hyperparameter is recovered from the store's metadata, the
-        plan arrays are memory-mapped where possible (``mmap=True``), and
-        the deterministic batch schedule is taken verbatim from the store,
+        store and plan arrays are memory-mapped where possible, and the
+        deterministic batch schedule is taken verbatim from the store,
         so the reconstructed trainer answers removal queries identically to
         the one that called :meth:`fit`.
 
@@ -378,7 +388,7 @@ class IncrementalTrainer:
             schedule_kind=store.schedule.kind,
             **overrides,
         )
-        trainer._restore(store, features, labels, plan_path, mmap)
+        trainer._restore(store, features, labels, plan_path)
         return trainer
 
     def _restore(
@@ -387,7 +397,6 @@ class IncrementalTrainer:
         features,
         labels: np.ndarray,
         plan_path,
-        mmap: bool,
     ) -> None:
         """Attach checkpointed state; mirrors everything :meth:`fit` sets."""
         labels = np.asarray(labels)
@@ -422,9 +431,7 @@ class IncrementalTrainer:
         self.store = store
         self._priu = PrIUUpdater(store, features, labels)
         if plan_path is not None:
-            self._plan = load_plan(
-                plan_path, store, features, labels, mmap=mmap
-            )
+            self._plan = load_plan(plan_path, store, features, labels)
         else:
             self._plan = ReplayPlan(store, features, labels)
         self._build_opt()
@@ -496,9 +503,9 @@ svd_excess_columns`), and the deferred PrIU-opt eigen refreshes
         (frozen logistic state and/or the linear updater).
 
         ``include_bytes=False`` skips the ``O(records)``
-        store/plan byte traversal and reports the counters only — what a
-        per-batch scheduler check (:class:`~repro.serving.fleet.\
-FleetServer` auto-maintenance) needs, since
+        store/plan byte traversal and reports the counters only — what the
+        due-check before a retire (:meth:`~repro.serving.fleet.\
+ModelRegistry.retire`) needs, since
         :meth:`~repro.core.maintenance.MaintenancePolicy.due` never reads
         the byte fields.
         """
@@ -651,7 +658,7 @@ FleetServer` auto-maintenance) needs, since
         returned outcome still reports its own request's ``removed`` set.
         """
         self._require_fit()
-        normalized = [normalize_removed_indices(s) for s in index_sets]
+        normalized = [self._removal_ids(s) for s in index_sets]
         if not normalized:
             return []
         replay_sets = normalized
@@ -809,7 +816,7 @@ FleetServer` auto-maintenance) needs, since
     def retrain(self, indices) -> UpdateOutcome:
         """BaseL: retrain from scratch on the same schedule minus ``indices``."""
         self._require_fit()
-        removed = normalize_removed_indices(indices)
+        removed = self._removal_ids(indices)
         start = time.perf_counter()
         result = train(
             self.objective,
@@ -829,11 +836,11 @@ FleetServer` auto-maintenance) needs, since
         self._require_fit()
         if self.task != "linear":
             raise ValueError("closed-form updates exist only for linear regression")
+        removed = self._removal_ids(indices)
         if self._closed_form is None:
             self._closed_form = IncrementalClosedForm(
                 self.features, self.labels, self.regularization
             )
-        removed = normalize_removed_indices(indices)
         start = time.perf_counter()
         weights = self._closed_form.delete(removed)
         seconds = time.perf_counter() - start
@@ -844,6 +851,7 @@ FleetServer` auto-maintenance) needs, since
     def influence(self, indices, mode: str = "koh-liang") -> UpdateOutcome:
         """INFL: the influence-function baseline."""
         self._require_fit()
+        removed = self._removal_ids(indices)
         if self._influence is None or self._influence.mode != mode:
             self._influence = InfluenceFunctionUpdater(
                 self.objective,
@@ -852,7 +860,6 @@ FleetServer` auto-maintenance) needs, since
                 self.result.weights,
                 mode=mode,
             )
-        removed = normalize_removed_indices(indices)
         start = time.perf_counter()
         weights = self._influence.update(removed)
         seconds = time.perf_counter() - start

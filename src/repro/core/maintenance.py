@@ -127,8 +127,9 @@ class MaintenancePolicy:
     The default thresholds are all zero: *any* reclaimable garbage makes
     the task due, which is the behaviour an explicit
     :meth:`~repro.core.api.IncrementalTrainer.maintain` call wants.  A
-    background scheduler (``FleetServer(maintenance=...)``) raises them so
-    maintenance amortizes over many commits instead of chasing every one.
+    caller that runs maintenance often (``ModelRegistry.retire(policy=...)``
+    on every eviction, say) raises them so maintenance amortizes over many
+    commits instead of chasing every one.
 
     ``svd_epsilon`` is forwarded to
     :func:`~repro.linalg.svd.retruncate_summary`: ``None`` (default)

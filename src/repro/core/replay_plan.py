@@ -119,8 +119,8 @@ class ReplayPlan:
         # Set by load_plan() when the archive embeds the fitted model's
         # final parameter vector; None for plans compiled in-process.
         self.final_weights: np.ndarray | None = None
-        # Deferred checksum sweep over memory-mapped members (see
-        # load_plan); runs once, on the first replay.
+        # Deferred CRC check of memory-mapped members (see load_plan);
+        # runs once, on the first replay.
         self._integrity_check = None
         self.supported = not (self.sparse and self.task == "multinomial_logistic")
         if not self.supported:
@@ -297,8 +297,7 @@ class ReplayPlan:
 
         Archives written by older builds also carry fused-block
         descriptors (``kernel_*`` members and a matching meta entry); the
-        loader still verifies their checksums, and this method ignores
-        them.
+        loader still checks their CRCs, and this method ignores them.
         """
         if meta["task"] != store.task:
             raise ValueError(
@@ -662,8 +661,8 @@ retruncate_summaries` replaces record summaries (and bumps the store
     def defer_integrity_check(self, check) -> None:
         """Register a one-shot integrity sweep to run before the first replay.
 
-        ``load_plan`` uses this for memory-mapped members: their checksum
-        verification would defeat the point of mapping if done at load
+        ``load_plan`` uses this for memory-mapped members: checking
+        their zip CRCs would defeat the point of mapping if done at load
         time, so it is deferred to the first :meth:`run` — the moment the
         bytes are read anyway, and still strictly before any answer
         derived from them is produced.
@@ -674,7 +673,7 @@ retruncate_summaries` replaces record summaries (and bumps the store
         """Run the deferred sweep now (idempotent; no-op if none pending).
 
         Raises :class:`~repro.core.serialization.\
-CheckpointCorruptionError` on a digest mismatch; the pending check is
+CheckpointCorruptionError` on a CRC mismatch; the pending check is
         cleared only on success, so a failed plan keeps failing instead of
         accidentally serving after a first swallowed error.
         """

@@ -33,12 +33,14 @@ model & recovery"):
   a crash at any point leaves either the old file or the new one on disk,
   never a torn mix.  Writers never modify an archive in place, which is
   what makes mapping it safe.
-* Archives embed a per-member content checksum (``__checksums__``).
+* Every archive is read through one reader (:class:`_Archive`), and the
+  CRC-32 zipfile records for each member is the integrity check:
   :func:`load_store` checks every member once, before it returns;
   :func:`load_plan` checks the plan members it memory-maps *lazily*, on
-  the plan's first replay.  A mismatch, or any archive bytes that do not
-  decode, raises :class:`CheckpointCorruptionError` — bit rot is
-  *detected*, never served.
+  the plan's first replay.  A mismatch, an entry whose local header or
+  place in the file disagrees with the directory, or any archive bytes
+  that do not decode, raises :class:`CheckpointCorruptionError` — bit rot
+  is *detected*, never served.
 * Multi-file checkpoints (``store.npz`` + ``plan.npz``) commit through a
   sidecar journal (:func:`commit_checkpoint` / :func:`recover_checkpoint`)
   so the pair flips old→new atomically even across two renames.
@@ -84,25 +86,26 @@ from .replay_plan import ReplayPlan
 # eigen state (``__frozen_meta__`` grows an ``eigen_stale`` flag).  Older
 # format-3 archives may also carry ``frozen_pending_rows`` /
 # ``frozen_pending_weights`` (removed rows kept for an incremental eigen
-# correction that no longer exists); they are checksum-verified and
-# ignored.  Format 4 stores an SVD summary in eigen form,
+# correction that no longer exists); they are checked like any other
+# member and ignored.  Format 4 stores an SVD summary in eigen form,
 # ``summary_<t>_right`` (the basis) and ``summary_<t>_weights`` (its
 # eigenvalues), where formats 1–3 stored ``summary_<t>_left`` =
 # ``right · diag(weights)`` beside the basis; those load through
-# :func:`~repro.linalg.svd.summary_from_factor_pair`.  Format-1/2/3
-# archives still load.  Writing the members stored instead of deflated
-# (and padding them to 64-byte offsets) changes no member, meaning,
-# dtype or metadata encoding, so it is no format break: every zip reader
-# inflates or copies a member alike.
-_FORMAT_VERSION = 4
-_SUPPORTED_VERSIONS = (1, 2, 3, 4)
-_PLAN_FORMAT_VERSION = 1
-# Archives carrying a ``__checksums__`` member (any version from here on)
-# get their members verified on load; older archives load unchecked, as
-# before.  The member itself is not a format break — readers that predate
-# it ignore double-underscore members they don't know — so the store and
-# plan version numbers are unchanged.
-_CHECKSUMS_MEMBER = "__checksums__"
+# :func:`~repro.linalg.svd.summary_from_factor_pair`.  Format 5 (and plan
+# format 2) drops the ``__checksums__`` digest table formats 1–4 (and
+# plan format 1) carried: the CRC-32 zipfile records for every member is
+# the one check.  An older build maps plan members whether or not a
+# table is present but checks them only against one, so it would serve a
+# table-less plan unchecked: the versions move (rule 2).  Formats 1–4
+# still load; their table is ignored, its bytes checked by their CRC like
+# any other member's.  Writing the members
+# stored instead of deflated (and padding them to 64-byte offsets)
+# changes no member, meaning, dtype or metadata encoding, so it is no
+# format break: every zip reader inflates or copies a member alike.
+_FORMAT_VERSION = 5
+_SUPPORTED_VERSIONS = (1, 2, 3, 4, 5)
+_PLAN_FORMAT_VERSION = 2
+_SUPPORTED_PLAN_VERSIONS = (1, 2)
 
 # Sidecar journal for multi-file checkpoint commits (store.npz + plan.npz
 # flipped old->new atomically): present means "roll the staged *.new files
@@ -256,31 +259,7 @@ def _durable_savez(path: Path, arrays: dict, *, tag: str) -> None:
     _fsync_dir(path.parent)
 
 
-# ---------------------------------------------------------------- checksums
-def _content_digest(array: np.ndarray) -> str:
-    """A dtype/shape-tagged CRC32 of one member's raw bytes.
-
-    Computed over the *logical* content (contiguous buffer + dtype +
-    shape), not the zip member's stored bytes, so the same digest
-    verifies both an in-memory read and a memory-mapped view — the mmap
-    path bypasses the zip layer's own CRC entirely, which is why this
-    exists.  The CRC reads the array's buffer in place (a copy only for a
-    non-contiguous array).
-    """
-    array = np.asarray(array)
-    tag = f"{array.dtype.str}|{array.shape}".encode()
-    crc = zlib.crc32(tag)
-    crc = zlib.crc32(np.ascontiguousarray(array), crc)
-    return f"{crc:08x}"
-
-
-def _checksums_member(arrays: dict) -> np.ndarray:
-    """``name=digest`` lines for every member, as a string array."""
-    return np.array(
-        sorted(f"{name}={_content_digest(value)}" for name, value in arrays.items())
-    )
-
-
+# ------------------------------------------------------------------ reading
 def _unreadable(path: Path, exc: Exception) -> CheckpointCorruptionError:
     return CheckpointCorruptionError(
         f"checkpoint archive {path} is unreadable "
@@ -288,111 +267,248 @@ def _unreadable(path: Path, exc: Exception) -> CheckpointCorruptionError:
     )
 
 
-def _open_npz(path: Path):
-    """Open an ``.npz`` for reading.
+_NPY_MAGIC = b"\x93NUMPY"
 
-    Whatever zipfile or numpy raise on bytes they cannot decode — a
-    ``BadZipFile``, numpy's ``ValueError`` for a file that is not a zip,
-    an I/O error — surfaces as :class:`CheckpointCorruptionError`; a
-    missing file stays ``FileNotFoundError``.
+
+def _parse_npy_header(handle):
+    """Parse a ``.npy`` header at the handle's position, any format version.
+
+    ``np.save`` writes format 1.0 by default but *silently* upgrades to
+    2.0 when the header dict exceeds 65535 bytes (huge structured dtypes)
+    and to 3.0 when a field name needs utf-8 — so an offset parser that
+    assumes the v1 layout computes a data offset that is short by exactly
+    two bytes and maps garbage.  The header-length field is ``uint16`` in
+    v1 and ``uint32`` in v2/v3; the dict itself is latin-1 text before
+    v3, utf-8 from v3 on.  Returns ``(shape, fortran_order, dtype)`` with
+    the handle left at the first data byte, or ``None`` for anything that
+    is not a well-formed ``.npy`` header of a known major version: a
+    shape must be a tuple of non-negative ``int`` (a float such as
+    ``9e999`` or a bool is refused, not converted) and ``fortran_order``
+    a bool.
     """
+    magic = handle.read(8)
+    if len(magic) != 8 or magic[:6] != _NPY_MAGIC:
+        return None
+    major = magic[6]
+    if major == 1:
+        length_width = 2
+    elif major in (2, 3):
+        length_width = 4
+    else:
+        return None
+    raw_length = handle.read(length_width)
+    if len(raw_length) != length_width:
+        return None
+    header_length = int.from_bytes(raw_length, "little")
+    header = handle.read(header_length)
+    if len(header) != header_length:
+        return None
     try:
-        return np.load(path, allow_pickle=False)
-    except FileNotFoundError:
-        raise
-    except Exception as exc:
-        raise _unreadable(path, exc) from exc
+        text = header.decode("utf-8" if major >= 3 else "latin1")
+        fields = ast.literal_eval(text.strip())
+        shape, fortran = fields["shape"], fields["fortran_order"]
+        dtype = np.lib.format.descr_to_dtype(fields["descr"])
+    except (ValueError, SyntaxError, KeyError, TypeError):
+        return None
+    if not (
+        isinstance(shape, tuple)
+        and all(type(n) is int and n >= 0 for n in shape)
+        and type(fortran) is bool
+    ):
+        return None
+    return shape, fortran, dtype
 
 
-def _verify_digest(
-    name: str, value: np.ndarray, checksums: dict[str, str], path: Path
-) -> None:
-    """Check one member against the recorded digest table."""
-    expected = checksums.get(name)
-    if expected is None:
-        raise CheckpointCorruptionError(
-            f"checkpoint member {name!r} of {path} has no recorded checksum"
-        )
-    actual = _content_digest(value)
-    if actual != expected:
-        raise CheckpointCorruptionError(
-            f"checkpoint member {name!r} of {path} is corrupted: "
-            f"content digest {actual} != recorded {expected}"
-        )
+def _mmap_member(
+    handle, mapping: np.memmap, info: zipfile.ZipInfo
+) -> np.ndarray | None:
+    """One stored zip member's ``.npy`` array as a view of ``mapping``.
+
+    Returns None unless the member is ``ZIP_STORED`` and its ``.npy``
+    header describes exactly the bytes its zip entry holds (header plus
+    ``prod(shape)·itemsize`` equals the entry's size): a header that
+    claims more would map bytes of the next entry.  :class:`_Archive`
+    reads such a member through zipfile instead.
+    """
+    if info.compress_type != zipfile.ZIP_STORED:
+        return None
+    handle.seek(info.header_offset)
+    local_header = handle.read(_LOCAL_HEADER_SIZE)
+    if (
+        len(local_header) != _LOCAL_HEADER_SIZE
+        or local_header[:4] != b"PK\x03\x04"
+    ):
+        return None
+    name_length, extra_length = struct.unpack("<HH", local_header[26:30])
+    payload = (
+        info.header_offset + _LOCAL_HEADER_SIZE + name_length + extra_length
+    )
+    handle.seek(payload)
+    parsed = _parse_npy_header(handle)
+    if parsed is None:
+        return None
+    shape, fortran, dtype = parsed
+    start = handle.tell()
+    nbytes = math.prod(shape) * dtype.itemsize
+    if (
+        dtype.hasobject
+        or nbytes == 0
+        or start - payload + nbytes != info.file_size
+    ):
+        return None
+    return (
+        mapping[start : start + nbytes]
+        .view(dtype)
+        .reshape(shape, order="F" if fortran else "C")
+    )
 
 
-class _VerifyingArchive:
-    """Wrap an open ``NpzFile``: verify each member's digest on first read.
+class _Archive:
+    """A checkpoint archive opened for reading: one open, one directory
+    parse (zipfile's), one read-only mapping of the whole file.
 
-    Members are checked as the loader pulls them and
-    :meth:`verify_remaining` sweeps whatever the loader never touched, so
-    a corrupted-but-unused member still fails the load instead of lurking
-    until a later code path needs it.  Members in :attr:`mapped` (already
-    memory-mapped out of the archive by the caller) are served from there
-    and verified the same way.  A missing member, or one whose bytes do
-    not decode, raises :class:`CheckpointCorruptionError`.  With no digest
-    table (an archive older than the table) members pass through checked
-    only by zipfile's own CRC.
+    A member :func:`_mmap_member` can map is handed out as a view of that
+    mapping and checked by :meth:`check`: ``zlib.crc32`` over its stored
+    bytes (the ``.npy`` header and data) against the CRC-32 its directory
+    entry records.  Any other member (deflated, as every store written
+    before the aligned layout is; zero-size; or with a header that does
+    not describe its entry) is read through zipfile, which checks that
+    CRC itself.  The mapping, and so :meth:`check`, outlives
+    :meth:`close`.
+
+    A CRC covers a member's bytes, not its name or its place, so two
+    checks run at open on every entry: its local header carries its
+    directory name, and the entries, in file order, account for every
+    byte before the central directory.  A damaged directory that renames
+    a member, or stops listing some (a flipped comment length swallows
+    the entries after it), fails there instead of loading without them.
+    Archives come from a seekable writer (zipfile, numpy), so no data
+    descriptor sits between entries.
+
+    Whatever does not decode raises :class:`CheckpointCorruptionError`;
+    a missing file stays ``FileNotFoundError``.
     """
 
-    def __init__(self, archive, path: Path):
-        self._archive = archive
+    def __init__(self, path: Path):
         self.path = path
-        self._verified: set[str] = set()
-        self.mapped: dict[str, np.ndarray] = {}
-        self.checksums: dict[str, str] | None = None
-        if _CHECKSUMS_MEMBER in archive.files:
-            table = {}
-            for line in self._read(_CHECKSUMS_MEMBER):
-                name, _, digest = str(line).partition("=")
-                table[name] = digest
-            # Loaders test for optional members by name, so a recorded
-            # member whose entry went missing (or was renamed by a flipped
-            # bit) must fail here, before the layout is decoded without it.
-            missing = sorted(set(table) - set(archive.files))
-            if missing:
-                raise CheckpointCorruptionError(
-                    f"checkpoint members {missing} missing from {path}"
+        self._handle = open(path, "rb")
+        try:
+            self._zip = zipfile.ZipFile(self._handle)
+            self._mapping = np.memmap(self._handle, mode="r")
+            self._entries = self._read_directory()
+        except Exception as exc:
+            self._handle.close()
+            raise _unreadable(path, exc) from exc
+        self._arrays: dict[str, np.ndarray] = {}
+        self._checked: set[str] = set()
+
+    def __enter__(self) -> "_Archive":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        self._zip.close()
+        self._handle.close()
+
+    def _read_directory(self) -> dict[str, tuple[zipfile.ZipInfo, int]]:
+        """Each member's entry and the file offset of its stored bytes,
+        once the name and tiling checks pass."""
+        entries = {}
+        offset = 0
+        for info in sorted(self._zip.infolist(), key=lambda i: i.header_offset):
+            self._handle.seek(offset)
+            local = self._handle.read(_LOCAL_HEADER_SIZE)
+            if (
+                info.header_offset != offset
+                or len(local) != _LOCAL_HEADER_SIZE
+                or local[:4] != b"PK\x03\x04"
+            ):
+                raise ValueError(
+                    f"entry {info.filename!r} does not start where the "
+                    f"entry before it ends, at byte {offset}"
                 )
-            self.checksums = table
+            name_length, extra_length = struct.unpack("<HH", local[26:])
+            name = self._handle.read(name_length)
+            encoding = "utf-8" if info.flag_bits & 0x800 else "cp437"
+            if name != info.orig_filename.encode(encoding):
+                raise ValueError(
+                    f"entry {info.filename!r} is named {name!r} in its "
+                    "local header"
+                )
+            payload = offset + _LOCAL_HEADER_SIZE + name_length + extra_length
+            key = info.filename.removesuffix(".npy")
+            entries[key] = (info, payload)
+            offset = payload + info.compress_size
+        if offset != self._zip.start_dir:
+            raise ValueError(
+                f"the entries end at byte {offset} but the central "
+                f"directory starts at byte {self._zip.start_dir}"
+            )
+        return entries
 
     @property
-    def files(self):
-        return self._archive.files
+    def files(self) -> list[str]:
+        return list(self._entries)
 
     def __getitem__(self, name: str) -> np.ndarray:
-        value = self._read(name)
-        self._verify(name, value)
-        return value
+        """Member ``name``, checked, as a plain ndarray.  The small
+        ``__`` members come as writable in-memory copies (``compact``
+        writes ``__svd_corrections__`` in place)."""
+        array = self.array(name)
+        self.check(name)
+        if name.startswith("__"):
+            return np.array(array)
+        return array.view(np.ndarray)
 
-    def verify_remaining(self) -> None:
-        """Check every recorded member the loader has not read."""
-        for name in self.checksums or ():
-            if name not in self._verified:
-                self._verify(name, self._read(name))
-
-    def _read(self, name: str) -> np.ndarray:
-        if name in self.mapped:
-            return self.mapped[name]
-        try:
-            return self._archive[name]
-        except KeyError:
+    def array(self, name: str) -> np.ndarray:
+        """Member ``name`` as a view of the mapping, unchecked until
+        :meth:`check`, or else read (and checked) through zipfile."""
+        if name in self._arrays:
+            return self._arrays[name]
+        if name not in self._entries:
             raise CheckpointCorruptionError(
                 f"checkpoint member {name!r} missing from {self.path}"
-            ) from None
+            )
+        info, _ = self._entries[name]
+        try:
+            array = _mmap_member(self._handle, self._mapping, info)
+            if array is None:
+                with self._zip.open(info) as member:
+                    array = np.lib.format.read_array(member, allow_pickle=False)
+                    # To the end, where zipfile checks the CRC.
+                    member.read()
+                self._checked.add(name)
         except Exception as exc:
-            # Reading a member only decodes bytes, so any failure means
-            # they do not decode: zipfile raises BadZipFile for a bad CRC
-            # or header, NotImplementedError for an unknown compression
-            # method, version or flag bits, RuntimeError for an entry
-            # flagged as encrypted, and numpy ValueError (or a tokenizer
-            # error) for a malformed ``.npy`` header.
+            # zipfile raises BadZipFile for a bad CRC or header,
+            # NotImplementedError for an unknown compression method,
+            # version or flag bits, RuntimeError for an entry flagged as
+            # encrypted; numpy ValueError for a malformed ``.npy`` header.
             raise _unreadable(self.path, exc) from exc
+        self._arrays[name] = array
+        return array
 
-    def _verify(self, name: str, value: np.ndarray) -> None:
-        if self.checksums is not None and name not in self._verified:
-            self._verified.add(name)
-            _verify_digest(name, value, self.checksums, self.path)
+    def check(self, name: str) -> None:
+        """Check member ``name`` against its recorded CRC-32, once."""
+        if name in self._checked:
+            return
+        info, payload = self._entries[name]
+        if info.compress_type != zipfile.ZIP_STORED:
+            self.array(name)
+            return
+        crc = zlib.crc32(self._mapping[payload : payload + info.compress_size])
+        if crc != info.CRC:
+            raise CheckpointCorruptionError(
+                f"checkpoint member {name!r} of {self.path} is corrupted: "
+                f"CRC-32 {crc:08x} != recorded {info.CRC:08x}"
+            )
+        self._checked.add(name)
+
+    def verify(self) -> None:
+        """Check every member not checked yet."""
+        for name in self._entries:
+            self.check(name)
 
 
 _FROZEN_FIELDS = (
@@ -596,9 +712,8 @@ def save_store(store: ProvenanceStore, path: str | Path) -> Path:
 
     Written like the plan archive (:func:`_write_npz`): uncompressed
     members whose array data sits on 64-byte file offsets, so
-    :func:`load_store` can map them instead of inflating them, plus the
-    ``__checksums__`` digest table.  The write is crash-atomic
-    (:func:`_durable_savez`).
+    :func:`load_store` can map them instead of inflating them.  The write
+    is crash-atomic (:func:`_durable_savez`).
     """
     path = Path(path)
     arrays: dict[str, np.ndarray] = {}
@@ -669,7 +784,6 @@ def save_store(store: ProvenanceStore, path: str | Path) -> Path:
     )
     arrays["__summary_kinds__"] = np.array(summary_kinds)
     arrays["__frozen_meta__"] = np.array([str(v) for v in frozen_meta])
-    arrays[_CHECKSUMS_MEMBER] = _checksums_member(arrays)
     _durable_savez(path, arrays, tag="store")
     return path
 
@@ -680,24 +794,17 @@ def load_store(path: str | Path) -> ProvenanceStore:
     Every stored array member (a name without a leading ``__``) is
     memory-mapped read-only out of the archive and handed to the store as
     a plain ndarray view.  The small ``__`` members are read into memory,
-    because maintenance writes ``__svd_corrections__`` in place.  Each
-    member's recorded digest is checked exactly once, here, before the
-    store is returned, and archive bytes that do not decode fail the same
-    way: a corrupted store raises :class:`CheckpointCorruptionError`, it
-    never loads wrong.  Members that cannot be mapped — compressed ones,
-    as every store written before archives were stored uncompressed has —
-    and archives without a digest table (nothing would check mapped
-    bytes) are read into memory instead.
+    because maintenance writes ``__svd_corrections__`` in place.  Every
+    member is checked against its zip CRC once, here, before anything is
+    decoded, and archive bytes that do not decode fail the same way: a
+    corrupted store raises :class:`CheckpointCorruptionError`, it never
+    loads wrong.  Members that cannot be mapped — compressed ones, as
+    every store written before archives were stored uncompressed has —
+    are read into memory instead (:class:`_Archive`).
     """
     path = Path(path)
-    with _open_npz(path) as npz:
-        archive = _VerifyingArchive(npz, path)
-        if archive.checksums is not None:
-            names = [name for name in npz.files if not name.startswith("__")]
-            archive.mapped = {
-                name: member.view(np.ndarray)
-                for name, member in _mmap_npz_arrays(path, names).items()
-            }
+    with _Archive(path) as archive:
+        archive.verify()
         meta = archive["__meta__"]
         version = int(meta[0])
         if version not in _SUPPORTED_VERSIONS:
@@ -823,10 +930,6 @@ def load_store(path: str | Path) -> ProvenanceStore:
                 ),
                 **fields,
             )
-        # Sweep members the layout above never touched (e.g. summary
-        # members of a kind this task doesn't use): corruption anywhere
-        # in the archive fails the load.
-        archive.verify_remaining()
     return store
 
 
@@ -875,8 +978,8 @@ def read_checkpoint_metadata(path: str | Path) -> CheckpointMetadata:
     ``path`` is a checkpoint directory (containing ``store.npz`` and
     optionally ``plan.npz``) or a store archive itself — the same
     addressing :meth:`~repro.core.api.IncrementalTrainer.from_checkpoint`
-    accepts.  Only the small ``__checksums__`` and ``__meta__`` members
-    are read (and ``__meta__`` digest-checked); the record arrays stay on
+    accepts.  Only the zip directory, the local headers and the small
+    ``__meta__`` member (CRC-checked) are read; the record arrays stay on
     disk, so this is safe to call for every registered model of a large
     fleet at startup.  Archive bytes that do not decode raise
     :class:`CheckpointCorruptionError`.
@@ -895,8 +998,8 @@ def read_checkpoint_metadata(path: str | Path) -> CheckpointMetadata:
         plan_path = None
     if not store_path.exists():
         raise FileNotFoundError(f"no store archive at {store_path}")
-    with _open_npz(store_path) as npz:
-        meta = _VerifyingArchive(npz, store_path)["__meta__"]
+    with _Archive(store_path) as archive:
+        meta = archive["__meta__"]
         version = int(meta[0])
         if version not in _SUPPORTED_VERSIONS:
             raise ValueError(f"unsupported store format version: {version}")
@@ -949,140 +1052,8 @@ from_checkpoint` can restore ``weights_`` without replaying anything.
     keys = sorted(meta)
     arrays["__plan_meta_keys__"] = np.array(keys)
     arrays["__plan_meta_values__"] = np.array([meta[k] for k in keys])
-    arrays[_CHECKSUMS_MEMBER] = _checksums_member(arrays)
     _durable_savez(path, arrays, tag="plan")
     return path
-
-
-_NPY_MAGIC = b"\x93NUMPY"
-
-
-def _parse_npy_header(handle):
-    """Parse a ``.npy`` header at the handle's position, any format version.
-
-    ``np.save`` writes format 1.0 by default but *silently* upgrades to
-    2.0 when the header dict exceeds 65535 bytes (huge structured dtypes)
-    and to 3.0 when a field name needs utf-8 — so an offset parser that
-    assumes the v1 layout computes a data offset that is short by exactly
-    two bytes and maps garbage.  The header-length field is ``uint16`` in
-    v1 and ``uint32`` in v2/v3; the dict itself is latin-1 text before
-    v3, utf-8 from v3 on.  Returns ``(shape, fortran_order, dtype)`` with
-    the handle left at the first data byte, or ``None`` for anything that
-    is not a well-formed ``.npy`` header of a known major version: a
-    shape must be a tuple of non-negative ``int`` (a float such as
-    ``9e999`` or a bool is refused, not converted) and ``fortran_order``
-    a bool.
-    """
-    magic = handle.read(8)
-    if len(magic) != 8 or magic[:6] != _NPY_MAGIC:
-        return None
-    major = magic[6]
-    if major == 1:
-        length_width = 2
-    elif major in (2, 3):
-        length_width = 4
-    else:
-        return None
-    raw_length = handle.read(length_width)
-    if len(raw_length) != length_width:
-        return None
-    header_length = int.from_bytes(raw_length, "little")
-    header = handle.read(header_length)
-    if len(header) != header_length:
-        return None
-    try:
-        text = header.decode("utf-8" if major >= 3 else "latin1")
-        fields = ast.literal_eval(text.strip())
-        shape, fortran = fields["shape"], fields["fortran_order"]
-        dtype = np.lib.format.descr_to_dtype(fields["descr"])
-    except (ValueError, SyntaxError, KeyError, TypeError):
-        return None
-    if not (
-        isinstance(shape, tuple)
-        and all(type(n) is int and n >= 0 for n in shape)
-        and type(fortran) is bool
-    ):
-        return None
-    return shape, fortran, dtype
-
-
-def _mmap_member(
-    handle, mapping: np.memmap, info: zipfile.ZipInfo
-) -> np.ndarray | None:
-    """One stored zip member's ``.npy`` array as a view of ``mapping``.
-
-    Returns None unless the member is ``ZIP_STORED`` and its ``.npy``
-    header describes exactly the bytes its zip entry holds (header plus
-    ``prod(shape)·itemsize`` equals the entry's size): a header that
-    claims more would map bytes of the next entry.  The caller's
-    verifying read decides what such a member is.
-    """
-    if info.compress_type != zipfile.ZIP_STORED:
-        return None
-    handle.seek(info.header_offset)
-    local_header = handle.read(_LOCAL_HEADER_SIZE)
-    if (
-        len(local_header) != _LOCAL_HEADER_SIZE
-        or local_header[:4] != b"PK\x03\x04"
-    ):
-        return None
-    name_length, extra_length = struct.unpack("<HH", local_header[26:30])
-    payload = (
-        info.header_offset + _LOCAL_HEADER_SIZE + name_length + extra_length
-    )
-    handle.seek(payload)
-    parsed = _parse_npy_header(handle)
-    if parsed is None:
-        return None
-    shape, fortran, dtype = parsed
-    start = handle.tell()
-    nbytes = math.prod(shape) * dtype.itemsize
-    if (
-        dtype.hasobject
-        or nbytes == 0
-        or start - payload + nbytes != info.file_size
-    ):
-        return None
-    return (
-        mapping[start : start + nbytes]
-        .view(dtype)
-        .reshape(shape, order="F" if fortran else "C")
-    )
-
-
-def _mmap_npz_arrays(path: Path, names: list[str]) -> dict[str, np.ndarray]:
-    """Memory-map every mappable member of an ``.npz``; best effort.
-
-    ``np.load(..., mmap_mode="r")`` silently ignores the request for zip
-    archives, but a stored (uncompressed) member sits in the file as a
-    local header followed by the raw ``.npy`` payload.  Parsing that
-    payload's header in place yields the dtype/shape/order and the
-    absolute byte offset of the data.  The open file is mapped once,
-    read-only, and every member is a ``np.memmap`` view of that one
-    mapping (one mapping and one file descriptor per archive, however
-    many members); the central directory is parsed once for all members.
-    Compressed members, zero-size arrays, exotic headers and headers that
-    disagree with their entry's size are simply omitted (the caller falls
-    back to a normal read).
-    """
-    mapped: dict[str, np.ndarray] = {}
-    try:
-        with zipfile.ZipFile(path) as archive, open(path, "rb") as handle:
-            mapping = np.memmap(handle, mode="r")
-            for name in names:
-                try:
-                    info = archive.getinfo(name + ".npy")
-                except KeyError:
-                    continue
-                try:
-                    member = _mmap_member(handle, mapping, info)
-                except (OSError, ValueError):
-                    member = None
-                if member is not None:
-                    mapped[name] = member
-    except (OSError, ValueError, zipfile.BadZipFile):
-        return mapped
-    return mapped
 
 
 def load_plan(
@@ -1090,27 +1061,26 @@ def load_plan(
     store: ProvenanceStore,
     features,
     labels: np.ndarray,
-    mmap: bool = True,
 ) -> ReplayPlan:
     """Reload a compiled plan saved by :func:`save_plan`.
 
     ``store`` must be the matching provenance store (typically just
     reloaded via :func:`load_store`) and ``features``/``labels`` the
     original training data — the plan validates task, iteration count,
-    batch sizes and sample count before accepting them.  With ``mmap=True``
-    every array that can be memory-mapped is loaded with ``mmap_mode="r"``
-    (read-only, zero-copy); the replay loops never write to plan state, so
-    serving works directly off the mapped file.  Archive bytes that do not
-    decode raise :class:`CheckpointCorruptionError`.
+    batch sizes and sample count before accepting them.  Every member
+    that can be is memory-mapped read-only (zero-copy); the replay loops
+    never write to plan state, so serving works directly off the mapped
+    file.  Archive bytes that do not decode raise
+    :class:`CheckpointCorruptionError`.
 
     If the archive embeds final model weights they are exposed as
     ``plan.final_weights``.
 
-    Members read into memory here are digest-verified eagerly (when the
-    archive records checksums); memory-mapped members are verified
-    *lazily*, on the plan's first :meth:`~repro.core.replay_plan.\
-ReplayPlan.run` — mapping exists precisely to avoid touching the bytes
-    up front, so the integrity sweep rides the first replay (which reads
+    Members read into memory, ``final_weights`` and the ``__`` members
+    are checked against their zip CRC at load; the other mapped members
+    are checked *lazily*, on the plan's first :meth:`~repro.core.\
+replay_plan.ReplayPlan.run` — mapping exists precisely to avoid touching
+    the bytes up front, so the check rides the first replay (which reads
     them all anyway) and raises :class:`CheckpointCorruptionError` before
     any answer derived from rotten bytes escapes.
 
@@ -1120,20 +1090,23 @@ ReplayPlan.run` — mapping exists precisely to avoid touching the bytes
     trainers or shard processes map the plan.
     """
     path = Path(path)
-    arrays, meta, checksums, deferred = _read_plan_arrays(path, mmap)
-    final_weights = arrays.pop("final_weights", None)
-    deferred.pop("final_weights", None)
-    if final_weights is not None and checksums is not None:
-        # Consumed immediately (weights restore), so verified eagerly
-        # even when mapped.
-        _verify_digest("final_weights", final_weights, checksums, path)
-
-    def verify_mapped(
-        members=deferred, table=checksums, archive_path=path
-    ) -> None:
-        for name, value in members.items():
-            _verify_digest(name, value, table, archive_path)
-
+    with _Archive(path) as archive:
+        keys = [str(k) for k in archive["__plan_meta_keys__"]]
+        values = [str(v) for v in archive["__plan_meta_values__"]]
+        meta = dict(zip(keys, values))
+        version = int(meta.get("format", "-1"))
+        if version not in _SUPPORTED_PLAN_VERSIONS:
+            raise ValueError(f"unsupported plan format version: {version}")
+        arrays = {}
+        for name in archive.files:
+            if name.startswith("__"):
+                archive.check(name)
+            else:
+                arrays[name] = archive.array(name)
+        final_weights = arrays.pop("final_weights", None)
+        if final_weights is not None:
+            # Consumed immediately (weights restore), so checked eagerly.
+            archive.check("final_weights")
     try:
         plan = ReplayPlan.from_compiled_state(
             store, features, labels, meta, arrays
@@ -1141,34 +1114,8 @@ ReplayPlan.run` — mapping exists precisely to avoid touching the bytes
     except Exception:
         # Rotten mapped bytes can fail validation before the first replay
         # would have caught them: report such a failure as corruption.
-        if checksums is not None:
-            verify_mapped()
+        archive.verify()
         raise
     plan.final_weights = final_weights
-    if deferred and checksums is not None:
-        plan.defer_integrity_check(verify_mapped)
+    plan.defer_integrity_check(archive.verify)
     return plan
-
-
-def _read_plan_arrays(
-    path: Path, mmap: bool
-) -> tuple[dict, dict, dict[str, str] | None, dict]:
-    """Plan members + meta + digest table + the mapped (lazily verified)
-    subset."""
-    with _open_npz(path) as npz:
-        archive = _VerifyingArchive(npz, path)
-        checksums = archive.checksums
-        keys = [str(k) for k in archive["__plan_meta_keys__"]]
-        values = [str(v) for v in archive["__plan_meta_values__"]]
-        meta = dict(zip(keys, values))
-        version = int(meta.get("format", "-1"))
-        if version != _PLAN_FORMAT_VERSION:
-            raise ValueError(f"unsupported plan format version: {version}")
-        names = [n for n in npz.files if not n.startswith("__")]
-        mapped = _mmap_npz_arrays(path, names) if mmap else {}
-        arrays = {
-            name: mapped[name] if name in mapped else archive[name]
-            for name in names
-        }
-    deferred = {name: mapped[name] for name in mapped}
-    return arrays, meta, checksums, deferred

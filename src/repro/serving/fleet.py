@@ -277,7 +277,7 @@ class ModelRegistry:
         checkpoint's metadata (None for live registrations) after
         validating it cheaply — a bad path or corrupt archive fails here,
         not at first traffic.  ``load_kwargs`` are forwarded to
-        ``from_checkpoint`` (e.g. ``method=``, ``mmap=``).
+        ``from_checkpoint`` (e.g. ``method=``).
         """
         if (checkpoint is None) == (trainer is None):
             raise ValueError(
@@ -770,19 +770,17 @@ class _MaintenanceTicket:
     like behind any in-flight batch).
     """
 
-    __slots__ = ("future", "enqueued_at", "policy", "auto")
+    __slots__ = ("future", "enqueued_at", "policy")
 
     def __init__(
         self,
         future: Future,
         enqueued_at: float,
         policy: MaintenancePolicy | None,
-        auto: bool,
     ) -> None:
         self.future = future
         self.enqueued_at = enqueued_at
         self.policy = policy
-        self.auto = auto
 
 
 #: Weight of the newest inter-arrival gap in a model queue's gap EWMA.
@@ -988,19 +986,8 @@ class FleetServer:
         *quarantined* and submits fast-fail with
         :class:`~repro.serving.errors.ModelQuarantinedError` until a
         half-open probe succeeds.  Defaults to ``RetryPolicy()``.
-    maintenance:
-        A :class:`~repro.core.maintenance.MaintenancePolicy` enabling
-        background plan maintenance: after every committed batch the
-        model's :meth:`~repro.core.api.IncrementalTrainer.\
-maintenance_cost` is checked against the policy's thresholds and, when
-        due, a ``maintain()`` run is scheduled on the shared pool behind
-        the lowest-priority ``maintenance`` lane — it never *starts*
-        while any model has queued deletion traffic, and at most one
-        runs fleet-wide at a time so the pool keeps workers free.  (A
-        request arriving for the same model mid-run waits for it to
-        finish, exactly as it would behind any in-flight batch; other
-        models are unaffected.)  ``None`` (default) disables
-        auto-scheduling; :meth:`maintain` still works explicitly.
+
+    Maintenance runs only when asked for, through :meth:`maintain`.
     """
 
     def __init__(
@@ -1012,7 +999,6 @@ maintenance_cost` is checked against the policy's thresholds and, when
         commit_mode: bool = False,
         clock: Clock | None = None,
         retry: "RetryPolicy | None" = None,
-        maintenance: MaintenancePolicy | None = None,
         autostart: bool = True,
     ) -> None:
         if n_workers < 1:
@@ -1027,7 +1013,6 @@ maintenance_cost` is checked against the policy's thresholds and, when
         self.commit_mode = bool(commit_mode)
         self.n_workers = n_workers
         self.retry = retry if retry is not None else RetryPolicy()
-        self.maintenance = maintenance
         self._clock = clock if clock is not None else MONOTONIC_CLOCK
         # Backoff sleeps between load retries run on this private
         # condition so they ride the injectable clock (a fake clock
@@ -1677,15 +1662,6 @@ maintenance_cost` is checked against the policy's thresholds and, when
                     # perf_counter seconds are process-relative.
                     trainer.clock = self._clock
                 _serve_batch(trainer, state, live, self._clock)
-                if state.commit_mode and self.maintenance is not None:
-                    # Background maintenance: a committed batch may have
-                    # pushed this model past the policy's garbage
-                    # thresholds; schedule a lowest-priority maintain().
-                    # Counters only — due() never reads the byte fields,
-                    # and this runs on the dispatch hot path.
-                    cost = trainer.maintenance_cost(include_bytes=False)
-                    if self.maintenance.due(cost):
-                        self._schedule_maintenance(model_id, auto=True)
             except Exception as exc:
                 # A checkpoint that fails to *load* (after its retry
                 # budget) fails the batch the same way a failed dispatch
@@ -1713,31 +1689,18 @@ maintenance_cost` is checked against the policy's thresholds and, when
         no model has queued deletion traffic, so queued deadline or bulk
         requests always go first (same-model traffic arriving mid-run
         waits like behind any in-flight batch).  ``policy=None`` reclaims
-        everything due under the fleet's configured policy (or, with no
-        fleet policy, all garbage).
+        all garbage (the default :class:`~repro.core.maintenance.\
+MaintenancePolicy`).
         """
         if model_id not in self.registry:
             raise ValueError(f"unknown model id {model_id!r}")
-        return self._schedule_maintenance(model_id, policy=policy, auto=False)
-
-    def _schedule_maintenance(
-        self,
-        model_id: str,
-        policy: MaintenancePolicy | None = None,
-        auto: bool = False,
-    ) -> Future | None:
         with self._sched:
-            if auto and (self._closed or self._crashed is not None):
-                return None
             self._check_accepting()
             state = self._queue_for(model_id)
-            if auto and state.maintenance:
-                return None  # one pending background ticket is enough
             ticket = _MaintenanceTicket(
                 future=Future(),
                 enqueued_at=self._clock.now(),
                 policy=policy,
-                auto=auto,
             )
             state.maintenance.append(ticket)
             state.stats.record_submitted("maintenance")
@@ -1756,12 +1719,7 @@ maintenance_cost` is checked against the policy's thresholds and, when
         dispatched_at = self._clock.now()
         try:
             with self.registry.pinned(model_id) as trainer:
-                policy = (
-                    ticket.policy
-                    if ticket.policy is not None
-                    else self.maintenance
-                )
-                report = trainer.maintain(policy)
+                report = trainer.maintain(ticket.policy)
         except Exception as exc:
             ticket.future.set_exception(exc)
             with self._sched:

@@ -8,7 +8,7 @@ fault-injection layer the crash-safety guarantees are proven against:
   at the durability protocol's instrumented steps
   (:func:`repro.core.serialization.set_fault_hook`);
 * :func:`~repro.testing.faults.corrupt_npz_member` — targeted bit rot for
-  checksum-detection tests;
+  CRC-detection tests;
 * :class:`~repro.testing.faults.FlakyLoader` — an injectable
   :class:`~repro.serving.fleet.ModelRegistry` loader that fails on
   command, driving the fleet's retry/quarantine machinery;

@@ -141,8 +141,8 @@ def corrupt_npz_member(path: os.PathLike, member: str) -> None:
     The flip lands near the end of the member's stored payload (the raw
     ``.npy`` bytes of an uncompressed member, the deflate stream of a
     compressed one) — past the npy header, inside array bytes — without
-    rewriting the archive, so zip metadata stays valid and only content
-    checksums can catch it.
+    rewriting the archive, so the zip structure stays valid and only the
+    member's CRC-32 can catch it.
     """
     path = Path(path)
     name = member if member.endswith(".npy") else member + ".npy"

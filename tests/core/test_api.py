@@ -163,3 +163,69 @@ class TestRepeatedDeletions:
                 / np.linalg.norm(retrained.weights)
             )
         assert max(references) < 0.05
+
+
+@pytest.fixture(scope="module")
+def walkthrough_trainer():
+    """The library walkthrough's trainer: 450 training rows."""
+    data = make_binary_classification(500, 12, seed=42)
+    trainer = IncrementalTrainer(
+        "binary_logistic", learning_rate=0.05, regularization=0.01,
+        batch_size=50, n_iterations=120, seed=7,
+    )
+    trainer.fit(data.features, data.labels)
+    assert trainer.n_samples == 450
+    return trainer
+
+
+#: Every way a trainer answers a removal, by name.
+REMOVALS = {
+    "priu": lambda trainer, ids: trainer.remove(ids, method="priu"),
+    "priu-seq": lambda trainer, ids: trainer.remove(ids, method="priu-seq"),
+    "priu-opt": lambda trainer, ids: trainer.remove(ids, method="priu-opt"),
+    "remove_many": lambda trainer, ids: trainer.remove_many(
+        [[0], ids], method="priu"
+    )[1],
+    "retrain": lambda trainer, ids: trainer.retrain(ids),
+    "influence": lambda trainer, ids: trainer.influence(ids),
+    "closed_form": lambda trainer, ids: trainer.closed_form(ids),
+}
+
+
+class TestRemovalIdBounds:
+    """An id outside ``[0, n_samples)`` raises ``ValueError`` whatever
+    the method.  Before, ``priu``/``priu-seq`` answered the full model,
+    ``priu-opt`` read −1 as another row and raised a raw ``IndexError``
+    past the end, ``retrain`` ignored the id, and ``influence`` and
+    ``closed_form`` read −1 as the last row."""
+
+    @staticmethod
+    def trainer_for(method, walkthrough_trainer, linear_trainer):
+        if method == "closed_form":
+            return linear_trainer[1]
+        return walkthrough_trainer
+
+    @pytest.mark.parametrize("method", sorted(REMOVALS))
+    def test_ids_outside_the_training_set_raise(
+        self, method, walkthrough_trainer, linear_trainer
+    ):
+        trainer = self.trainer_for(method, walkthrough_trainer, linear_trainer)
+        n = trainer.n_samples
+        for ids in ([-1], [n], [3, n + 5]):
+            with pytest.raises(ValueError, match="removal ids"):
+                REMOVALS[method](trainer, ids)
+
+    @pytest.mark.parametrize("method", sorted(REMOVALS))
+    def test_the_last_row_is_still_removed(
+        self, method, walkthrough_trainer, linear_trainer
+    ):
+        trainer = self.trainer_for(method, walkthrough_trainer, linear_trainer)
+        last = trainer.n_samples - 1
+        outcome = REMOVALS[method](trainer, [last])
+        assert np.array_equal(outcome.removed, [last])
+        assert not np.array_equal(outcome.weights, trainer.weights_)
+        if method in ("priu", "remove_many"):
+            reference = trainer.remove([last], method="priu-seq").weights
+            np.testing.assert_allclose(
+                outcome.weights, reference, atol=1e-10, rtol=0.0
+            )

@@ -232,9 +232,13 @@ class TestRemoveManyCommit:
     def test_commit_rejects_out_of_range_ids(self):
         trainer = _fit("linear", "dense", dict(batch_size=40))
         n = trainer.n_samples
-        # remove() tolerates never-sampled ids, but committing them would
-        # corrupt the id remap.
-        outcome = trainer.remove([n + 5], method="priu")
+        # remove() refuses the id up front; an outcome that names it
+        # anyway is refused at commit, before it could corrupt the id
+        # remap.
+        with pytest.raises(ValueError, match="removal ids"):
+            trainer.remove([n + 5], method="priu")
+        outcome = trainer.remove([0], method="priu")
+        outcome.removed = np.array([n + 5], dtype=np.int64)
         with pytest.raises(ValueError, match="removal ids"):
             trainer.commit(outcome)
 

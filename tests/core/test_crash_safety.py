@@ -240,9 +240,7 @@ class TestCorruptionDetection:
 
         store = load_store(store_path)
         # Mapping defers the integrity sweep: the load itself succeeds.
-        plan = load_plan(
-            plan_path, store, trainer.features, trainer.labels, mmap=True
-        )
+        plan = load_plan(plan_path, store, trainer.features, trainer.labels)
         assert isinstance(plan.moments, np.memmap)
         with pytest.raises(CheckpointCorruptionError):
             plan.run([[0, 3], [7]])
@@ -250,24 +248,18 @@ class TestCorruptionDetection:
         with pytest.raises(CheckpointCorruptionError):
             plan.run([[0, 3], [7]])
 
-    def test_corrupt_plan_member_rejected_eagerly_without_mmap(
-        self, tmp_path
-    ):
+    def test_corrupt_final_weights_rejected_at_load(self, tmp_path):
+        """The embedded weights are served by the restore itself, so
+        they are checked eagerly, mapped or not."""
         trainer = fit_linear()
         store_path = save_store(trainer.store, tmp_path / "store.npz")
         plan_path = save_plan(
             trainer._plan, tmp_path / "plan.npz", weights=trainer.weights_
         )
-        corrupt_npz_member(plan_path, "moments")
+        corrupt_npz_member(plan_path, "final_weights")
         store = load_store(store_path)
-        with pytest.raises(CheckpointCorruptionError):
-            load_plan(
-                plan_path,
-                store,
-                trainer.features,
-                trainer.labels,
-                mmap=False,
-            )
+        with pytest.raises(CheckpointCorruptionError, match="final_weights"):
+            load_plan(plan_path, store, trainer.features, trainer.labels)
 
 
 class TestJournalRecovery:

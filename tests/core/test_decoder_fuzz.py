@@ -9,6 +9,10 @@ plan archive must do one of two things:
   member that is memory-mapped and so checked lazily, on the first
   replay.
 
+No single bit of the zip directory may switch a check off: a flipped
+comment length that hides the entries after it, or a flipped member
+name, fails the load rather than loading without those members.
+
 The ``.npy`` header parser the mapped loads use is fuzzed on its own:
 for headers of format 1.0, 2.0 and 3.0 it returns a well-formed
 ``(shape, fortran_order, dtype)`` or ``None`` and never raises, and a
@@ -126,10 +130,12 @@ def test_store_mutations_load_identically_or_raise_typed(checkpoint, tmp_path):
     # mutations below also reach the Fortran-order header branch.
     assert fortran_members(original)
     expected = archive_members(original)
-    # A format-4 store: SVD summaries as a basis and its eigenvalues.
-    assert str(expected["__meta__"][0]) == "4"
+    # A format-5 store: SVD summaries as a basis and its eigenvalues, and
+    # no digest table: each member's zip CRC is its one check.
+    assert str(expected["__meta__"][0]) == "5"
     assert any(name.endswith("_weights") for name in expected)
     assert not any(name.endswith("_left") for name in expected)
+    assert "__checksums__" not in expected
     resaved = save_store(load_store(original), tmp_path / "resaved.npz")
     assert same_arrays(archive_members(resaved), expected)
 
@@ -185,6 +191,118 @@ def test_plan_mutations_answer_identically_or_raise_typed(
             wrong.append(label)
     assert not untyped, untyped
     assert not wrong, wrong
+
+
+# ----------------------------------------------------- directory damage
+#: Offset of the high byte of the comment-length field in a central
+#: directory entry.
+COMMENT_LENGTH_HIGH_BYTE = 33
+#: Size of a central directory entry before its name.
+DIRECTORY_ENTRY_SIZE = 46
+
+
+def directory_entries(raw: bytes) -> dict[str, int]:
+    """The offset of each member's central directory entry, in order."""
+    with zipfile.ZipFile(io.BytesIO(raw)) as archive:
+        offset, count = archive.start_dir, len(archive.infolist())
+    entries = {}
+    for _ in range(count):
+        assert raw[offset : offset + 4] == b"PK\x01\x02"
+        name_length, extra_length, comment_length = struct.unpack(
+            "<HHH", raw[offset + 28 : offset + 34]
+        )
+        name = raw[offset + 46 : offset + 46 + name_length].decode()
+        entries[name] = offset
+        offset += DIRECTORY_ENTRY_SIZE + name_length + extra_length + comment_length
+    return entries
+
+
+def flipped(raw: bytes, at: int, bit: int) -> bytes:
+    mutated = bytearray(raw)
+    mutated[at] ^= 1 << bit
+    return bytes(mutated)
+
+
+def rotten(raw: bytes, member: str) -> bytes:
+    """``raw`` with bit 6 of ``member``'s last stored byte flipped."""
+    with zipfile.ZipFile(io.BytesIO(raw)) as archive:
+        info = archive.getinfo(member)
+    _, end = payload_span(raw, info)
+    return flipped(raw, end - 1, 6)
+
+
+def load_archive(checkpoint, name: str, raw: bytes, path):
+    """Load ``raw`` as the checkpoint's ``name`` archive, and replay a
+    plan once (which checks its mapped members)."""
+    trainer, directory = checkpoint
+    path.write_bytes(raw)
+    if name == "store.npz":
+        return load_store(path)
+    plan = load_plan(
+        path, load_store(directory / "store.npz"),
+        trainer.features, trainer.labels,
+    )
+    return plan.run(SETS)
+
+
+def test_hidden_entries_do_not_switch_the_check_off(checkpoint, tmp_path):
+    """A rotten byte in ``moments``, and a flipped comment length in the
+    directory entry of ``__plan_meta_values__.npy``.  When the digest
+    table was written after that entry, zipfile stopped listing it, the
+    plan loaded as an archive older than the table, and ``moments`` was
+    mapped unchecked: the replay answered 0.037 off."""
+    _, directory = checkpoint
+    raw = rotten((directory / "plan.npz").read_bytes(), "moments.npy")
+    entry = directory_entries(raw)["__plan_meta_values__.npy"]
+    raw = flipped(raw, entry + COMMENT_LENGTH_HIGH_BYTE, 0)
+    with pytest.raises(CheckpointCorruptionError):
+        load_archive(checkpoint, "plan.npz", raw, tmp_path / "plan.npz")
+
+
+@pytest.mark.parametrize("name", ["store.npz", "plan.npz"])
+def test_no_comment_length_flip_hides_a_member(checkpoint, tmp_path, name):
+    """The comment-length flip on every directory entry: alone it fails
+    the load wherever it hides the entries after it, and together with a
+    rotten byte in the first member it hides (the entry's own member, for
+    the last entry) it always does."""
+    _, directory = checkpoint
+    raw = (directory / name).read_bytes()
+    entries = list(directory_entries(raw).items())
+    assert len(entries) >= 10
+    missed = []
+    for k, (member, offset) in enumerate(entries):
+        at = offset + COMMENT_LENGTH_HIGH_BYTE
+        victim = entries[min(k + 1, len(entries) - 1)][0]
+        cases = [("and a rotten byte", flipped(rotten(raw, victim), at, 0))]
+        if k + 1 < len(entries):
+            cases.append(("alone", flipped(raw, at, 0)))
+        for label, mutated in cases:
+            try:
+                load_archive(checkpoint, name, mutated, tmp_path / name)
+            except CheckpointCorruptionError:
+                continue
+            missed.append(f"{member} {label}")
+    assert not missed, missed
+
+
+@pytest.mark.parametrize("where", ["directory", "local header"])
+@pytest.mark.parametrize(
+    "name, member",
+    [("store.npz", "__deletion_log__.npy"), ("plan.npz", "moments.npy")],
+)
+def test_a_renamed_member_is_refused(checkpoint, tmp_path, name, member, where):
+    """A flipped bit in the last letter of a member's name, in its
+    directory entry or in its local header: the names disagree."""
+    _, directory = checkpoint
+    raw = (directory / name).read_bytes()
+    if where == "directory":
+        at = directory_entries(raw)[member] + DIRECTORY_ENTRY_SIZE
+    else:
+        with zipfile.ZipFile(io.BytesIO(raw)) as archive:
+            at = archive.getinfo(member).header_offset + 30
+    mutated = flipped(raw, at + len(member) - len(".npy") - 1, 0)
+    with pytest.raises(CheckpointCorruptionError):
+        load_archive(checkpoint, name, mutated, tmp_path / name)
 
 
 # ------------------------------------------------------------ .npy headers
@@ -336,7 +454,7 @@ def test_mapped_member_never_reaches_past_its_entry(version):
         try:
             member = _mmap_member(io.BytesIO(raw), mapping, info)
         except ValueError:
-            member = None  # the loader treats it as unmappable
+            member = None  # the reader refuses it as corrupt
         if member is None:
             continue
         mapped += 1

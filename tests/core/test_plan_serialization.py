@@ -26,7 +26,7 @@ from repro.core import (
     save_store,
 )
 from repro.core.serialization import (
-    _mmap_npz_arrays,
+    _Archive,
     _parse_npy_header,
     _temp_beside,
     set_fault_hook,
@@ -38,6 +38,8 @@ from repro.datasets import (
     make_sparse_binary_classification,
 )
 from repro.testing import corrupt_npz_member
+
+from legacy_archives import with_table, write_stored
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -56,15 +58,13 @@ def fit_trainer(task, data, **kwargs):
     return trainer
 
 
-def roundtrip_plan(trainer, tmp_path, mmap=True):
+def roundtrip_plan(trainer, tmp_path):
     store_path = save_store(trainer.store, tmp_path / "store.npz")
     plan_path = save_plan(
         trainer._plan, tmp_path / "plan.npz", weights=trainer.weights_
     )
     store = load_store(store_path)
-    return load_plan(
-        plan_path, store, trainer.features, trainer.labels, mmap=mmap
-    )
+    return load_plan(plan_path, store, trainer.features, trainer.labels)
 
 
 def assert_state_bit_identical(original: ReplayPlan, reloaded: ReplayPlan):
@@ -143,20 +143,13 @@ class TestPlanRoundTrip:
             np.asarray(reloaded.final_weights), trainer.weights_
         )
 
-    def test_roundtrip_without_mmap(self, case, tmp_path):
-        task, make, kwargs = CASES[case]
-        trainer = fit_trainer(task, make(), **kwargs)
-        reloaded = roundtrip_plan(trainer, tmp_path, mmap=False)
-        assert_state_bit_identical(trainer._plan, reloaded)
-        assert not isinstance(reloaded.moments, np.memmap)
-
 
 class TestMmapLoading:
     def test_large_arrays_are_memory_mapped(self, tmp_path):
         trainer = fit_trainer(
             "binary_logistic", make_binary_classification(260, 8, seed=13)
         )
-        reloaded = roundtrip_plan(trainer, tmp_path, mmap=True)
+        reloaded = roundtrip_plan(trainer, tmp_path)
         assert isinstance(reloaded.moments, np.memmap)
         assert isinstance(reloaded._slopes_flat, np.memmap)
         index = reloaded.store.packed_index()
@@ -243,13 +236,14 @@ class TestValidation:
 
 class TestOlderArchives:
     """Plan archives from builds that fused iterations into block
-    descriptors carry extra ``kernel_*`` members and a
-    ``kernel_block_size`` meta entry.  They still load: the extra
-    members pass through the checksum sweep like any other, and the
-    plan ignores them."""
+    descriptors are format 1: they carry extra ``kernel_*`` members, a
+    ``kernel_block_size`` meta entry and the ``__checksums__`` digest
+    table.  They still load: every member, the table included, is
+    checked by its zip CRC like any other, and the plan ignores the
+    extra ones."""
 
     @staticmethod
-    def _write_legacy_plan(tmp_path, monkeypatch):
+    def _write_legacy_plan(tmp_path):
         data = make_regression(200, 12, seed=13)
         trainer = fit_trainer("linear", data, batch_size=6, method="priu")
         assert trainer.store.compression == "svd"
@@ -264,33 +258,30 @@ class TestOlderArchives:
             "kernel_right": rng.standard_normal((6, plan.n_params)),
             "kernel_offsets": rng.standard_normal((2, plan.n_params)),
         }
-        arrays = {**plan.state_arrays(), **legacy}
-        meta = {**plan.state_meta(), "kernel_block_size": "16"}
-        with monkeypatch.context() as patch:
-            patch.setattr(plan, "state_arrays", lambda: arrays)
-            patch.setattr(plan, "state_meta", lambda: meta)
-            store_path = save_store(trainer.store, tmp_path / "store.npz")
-            plan_path = save_plan(
-                plan, tmp_path / "plan.npz", weights=trainer.weights_
-            )
-        with np.load(plan_path) as npz:
-            assert set(legacy) <= set(npz.files)
+        arrays = {
+            **plan.state_arrays(),
+            **legacy,
+            "final_weights": trainer.weights_,
+        }
+        meta = {**plan.state_meta(), "kernel_block_size": "16", "format": "1"}
+        keys = sorted(meta)
+        arrays["__plan_meta_keys__"] = np.array(keys)
+        arrays["__plan_meta_values__"] = np.array([meta[k] for k in keys])
+        store_path = save_store(trainer.store, tmp_path / "store.npz")
+        plan_path = write_stored(tmp_path / "plan.npz", with_table(arrays))
         return trainer, store_path, plan_path
 
-    @pytest.mark.parametrize("mmap", [True, False])
     def test_kernel_members_load_and_answer_like_a_fresh_compile(
-        self, tmp_path, monkeypatch, mmap
+        self, tmp_path
     ):
-        trainer, store_path, plan_path = self._write_legacy_plan(
-            tmp_path, monkeypatch
-        )
+        trainer, store_path, plan_path = self._write_legacy_plan(tmp_path)
         reloaded = load_plan(
             plan_path,
             load_store(store_path),
             trainer.features,
             trainer.labels,
-            mmap=mmap,
         )
+        assert isinstance(reloaded.moments, np.memmap)
         reloaded.verify_integrity()
         fresh = ReplayPlan(trainer.store, trainer.features, trainer.labels)
         assert_state_bit_identical(fresh, reloaded)
@@ -301,27 +292,21 @@ class TestOlderArchives:
         )
         assert np.array_equal(reloaded.final_weights, trainer.weights_)
 
-    @pytest.mark.parametrize("mmap", [True, False])
-    def test_corrupt_kernel_member_is_still_caught(
-        self, tmp_path, monkeypatch, mmap
-    ):
-        trainer, store_path, plan_path = self._write_legacy_plan(
-            tmp_path, monkeypatch
-        )
-        corrupt_npz_member(plan_path, "kernel_left")
+    @pytest.mark.parametrize("member", ["kernel_left", "__checksums__"])
+    def test_corrupt_legacy_member_is_still_caught(self, tmp_path, member):
+        trainer, store_path, plan_path = self._write_legacy_plan(tmp_path)
+        corrupt_npz_member(plan_path, member)
         with pytest.raises(CheckpointCorruptionError):
             plan = load_plan(
                 plan_path,
                 load_store(store_path),
                 trainer.features,
                 trainer.labels,
-                mmap=mmap,
             )
             plan.run([[3]])
 
-    @pytest.mark.parametrize("mmap", [True, False])
     def test_block_size_entry_without_members_loads(
-        self, tmp_path, monkeypatch, mmap
+        self, tmp_path, monkeypatch
     ):
         """Dense-summary and sparse plans compiled no descriptors, so
         their older archives carry only the ``kernel_block_size`` entry."""
@@ -332,18 +317,14 @@ class TestOlderArchives:
         plan = trainer._plan
         meta = {**plan.state_meta(), "kernel_block_size": "16"}
         monkeypatch.setattr(plan, "state_meta", lambda: meta)
-        reloaded = roundtrip_plan(trainer, tmp_path, mmap=mmap)
+        reloaded = roundtrip_plan(trainer, tmp_path)
         reloaded.verify_integrity()
         assert_state_bit_identical(plan, reloaded)
         sets = [[3, 17], [5], [40, 41, 42]]
         assert np.array_equal(reloaded.run(sets), plan.run(sets))
 
-    def test_older_checkpoint_directory_serves_identically(
-        self, tmp_path, monkeypatch
-    ):
-        trainer, store_path, _ = self._write_legacy_plan(
-            tmp_path, monkeypatch
-        )
+    def test_older_checkpoint_directory_serves_identically(self, tmp_path):
+        trainer, store_path, _ = self._write_legacy_plan(tmp_path)
         trainer.save_checkpoint(tmp_path / "checkpoint")
         plan_path = tmp_path / "checkpoint" / "plan.npz"
         (tmp_path / "plan.npz").replace(plan_path)
@@ -495,8 +476,9 @@ class TestNpyFormatVersions:
             ),
         }
         path = self._archive(tmp_path, members)
-        mapped = _mmap_npz_arrays(path, list(members))
-        assert sorted(mapped) == sorted(members)
+        with _Archive(path) as archive:
+            mapped = {name: archive.array(name) for name in members}
+            archive.verify()
         for name, (array, _) in members.items():
             assert isinstance(mapped[name], np.memmap), name
             assert mapped[name].dtype == array.dtype, name
@@ -505,8 +487,8 @@ class TestNpyFormatVersions:
 
     def test_header_claiming_more_than_its_entry_is_not_mapped(self, tmp_path):
         """A header edited to claim more elements than its zip entry holds
-        would map the next entry's bytes as array data; the member is left
-        to the verifying read instead, which rejects it."""
+        would map the next entry's bytes as array data; the member is read
+        through zipfile instead, and refused."""
         path = self._archive(
             tmp_path,
             {
@@ -517,11 +499,13 @@ class TestNpyFormatVersions:
         raw = path.read_bytes()
         assert raw.count(b"'shape': (4,)") == 1
         path.write_bytes(raw.replace(b"'shape': (4,)", b"'shape': (9,)"))
-        mapped = _mmap_npz_arrays(path, ["short", "next"])
-        assert "short" not in mapped
-        assert np.array_equal(mapped["next"], np.arange(6, dtype=np.float64))
-        with np.load(path) as archive, pytest.raises(zipfile.BadZipFile):
-            archive["short"]
+        with _Archive(path) as archive:
+            following = archive["next"]
+            with pytest.raises(CheckpointCorruptionError):
+                archive.array("short")
+            with pytest.raises(CheckpointCorruptionError, match="CRC"):
+                archive.check("short")
+        assert np.array_equal(following, np.arange(6, dtype=np.float64))
 
     def test_forced_v2_plan_serves_bit_identically(self, tmp_path):
         """Regression: a plan archive whose members carry 2.0 headers
@@ -544,9 +528,7 @@ class TestNpyFormatVersions:
                 archive.writestr(name + ".npy", buffer.getvalue())
 
         store = load_store(store_path)
-        reloaded = load_plan(
-            rewritten, store, trainer.features, trainer.labels, mmap=True
-        )
+        reloaded = load_plan(rewritten, store, trainer.features, trainer.labels)
         assert isinstance(reloaded.moments, np.memmap)
         assert_state_bit_identical(trainer._plan, reloaded)
         removed = np.array([3, 17, 42], dtype=np.int64)

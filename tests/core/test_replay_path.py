@@ -307,8 +307,7 @@ class TestSparseBlockCache:
         )
         assert plan.nbytes() >= block_bytes + plan.moments.nbytes
 
-    @pytest.mark.parametrize("mmap", [False, True])
-    def test_reloaded_plan_rebinds_blocks(self, tmp_path, mmap):
+    def test_reloaded_plan_rebinds_blocks(self, tmp_path):
         features, labels, store = _capture(
             "binary_logistic", "auto", sparse=True
         )
@@ -320,7 +319,6 @@ class TestSparseBlockCache:
             load_store(tmp_path / "store.npz"),
             features,
             labels,
-            mmap=mmap,
         )
         self._assert_blocks_match(reloaded, features)
         sets = _random_sets(store.n_samples, np.random.default_rng(46))

@@ -14,7 +14,7 @@ from repro.core import (
     save_store,
     train_with_capture,
 )
-from repro.core.serialization import _checksums_member, _mmap_npz_arrays
+from repro.core.serialization import _Archive
 from repro.linalg.svd import TruncatedSummary
 from repro.datasets import (
     make_binary_classification,
@@ -23,6 +23,8 @@ from repro.datasets import (
     make_sparse_binary_classification,
 )
 from repro.models import make_schedule, objective_for
+
+from legacy_archives import with_table, write_stored
 
 
 def roundtrip(store, tmp_path):
@@ -229,31 +231,35 @@ class TestAlignedMembers:
         trainer = fit_trainer(task, make(), **kwargs)
         assert trainer.store.compression == compression
         paths = trainer.save_checkpoint(tmp_path)
-        for archive in paths.values():
-            with np.load(archive, allow_pickle=False) as npz:
-                mappable = sorted(
-                    name
-                    for name in npz.files
-                    if not name.startswith("__") and npz[name].size
-                )
-            mapped = _mmap_npz_arrays(archive, mappable)
-            assert sorted(mapped) == mappable, archive.name
-            for name, member in mapped.items():
-                assert member.flags.aligned, (archive.name, name)
-                assert member.ctypes.data % 64 == 0, (archive.name, name)
+        for path in paths.values():
+            with _Archive(path) as archive:
+                members = {
+                    name: archive.array(name)
+                    for name in archive.files
+                    if not name.startswith("__")
+                }
+            assert members, path.name
+            for name, member in members.items():
+                if not member.size:
+                    continue
+                assert isinstance(member, np.memmap), (path.name, name)
+                assert member.flags.aligned, (path.name, name)
+                assert member.ctypes.data % 64 == 0, (path.name, name)
 
 
 class TestOlderStoreFormats:
-    """Stores written before archives were stored uncompressed — every
-    store of formats 1–3 — still load and answer bit-identically.
+    """Stores of formats 1–4 still load and answer bit-identically.
 
-    The fixtures are rebuilt here from a freshly saved store: format 3
-    exactly as those builds wrote it (``np.savez_compressed``, digest table
-    included, each SVD summary as ``summary_<t>_left`` = ``right ·
-    diag(weights)`` beside ``summary_<t>_right``), format 2 without the
-    maintenance/audit members, the ``eigen_stale`` flag or the digest
-    table, and format 1 (from an uncommitted store) without
-    ``n_original_samples`` or the deletion log.
+    The fixtures are rebuilt here from a freshly saved store: format 4
+    as it was written (stored and aligned, so it maps, with the
+    ``__checksums__`` digest table), format 3 exactly as those builds
+    wrote it (``np.savez_compressed``, digest table included, each SVD
+    summary as ``summary_<t>_left`` = ``right · diag(weights)`` beside
+    ``summary_<t>_right``), format 2 without the maintenance/audit
+    members, the ``eigen_stale`` flag or the digest table, and format 1
+    (from an uncommitted store) without ``n_original_samples`` or the
+    deletion log.  The tables come from ``legacy_archives.digest_table``;
+    the loader ignores them and checks every member by its zip CRC.
     """
 
     REMOVED = [4, 11, 30]
@@ -286,28 +292,27 @@ class TestOlderStoreFormats:
         return data, trainer, directory, uncommitted
 
     @staticmethod
+    def _saved(path, version):
+        """A saved store's members, stamped ``version``, with the digest
+        table older builds wrote."""
+        with np.load(path, allow_pickle=False) as npz:
+            members = {name: npz[name] for name in npz.files}
+        assert "__checksums__" not in members
+        meta = list(members["__meta__"])
+        meta[0] = str(version)
+        members["__meta__"] = np.array(meta)
+        return with_table(members)
+
+    @staticmethod
     def _members(path):
         """A saved store's members, with its SVD summaries and version
         as format 3 wrote them."""
-        with np.load(path, allow_pickle=False) as npz:
-            members = {name: npz[name] for name in npz.files}
+        members = TestOlderStoreFormats._saved(path, 3)
         for name in [n for n in members if n.endswith("_weights")]:
             key = name[: -len("_weights")]
             weights = members.pop(name)
             members[f"{key}_left"] = members[f"{key}_right"] * weights
-        meta = list(members["__meta__"])
-        meta[0] = "3"
-        members["__meta__"] = np.array(meta)
-        return TestOlderStoreFormats._sealed(members)
-
-    @staticmethod
-    def _sealed(members):
-        """``members`` with a digest table that matches them, if they
-        carry one."""
-        if "__checksums__" in members:
-            del members["__checksums__"]
-            members["__checksums__"] = _checksums_member(members)
-        return members
+        return with_table(members)
 
     @staticmethod
     def _svd_keys(members):
@@ -358,6 +363,21 @@ class TestOlderStoreFormats:
                     ours.summary.weights, theirs.summary.weights
                 )
         assert n_svd
+
+    def test_v4_stored_store_maps_and_answers(self, trained, tmp_path):
+        _, trainer, directory, _ = trained
+        members = self._saved(directory / "committed" / "store.npz", 4)
+        path = write_stored(tmp_path / "v4.npz", members)
+        reloaded = load_store(path)
+        self.assert_same_summaries(reloaded, trainer.store)
+        # Mapped, as a v4 store with a table was: read-only views.
+        assert not reloaded.records[0].moment.flags.writeable
+        assert reloaded.svd_correction_columns.flags.writeable
+        assert np.array_equal(reloaded.deletion_log, trainer.store.deletion_log)
+        assert len(reloaded.commit_receipts) == 2
+        self.assert_answers_match(
+            reloaded, trainer.store, trainer.features, trainer.labels
+        )
 
     def test_v3_compressed_store_loads_and_answers(self, trained, tmp_path):
         _, trainer, directory, _ = trained
@@ -453,7 +473,7 @@ class TestOlderStoreFormats:
                 rewritten[int(key.rsplit("_", 1)[1])] = left @ right.T
         corrections = trainer.store.svd_correction_columns
         assert rewritten and any(corrections[t] for t in rewritten)
-        path = self._write_compressed(tmp_path / "v3.npz", self._sealed(members))
+        path = self._write_compressed(tmp_path / "v3.npz", with_table(members))
         reloaded = load_store(path)
         for t, dense in rewritten.items():
             summary = reloaded.records[t].summary
@@ -488,7 +508,7 @@ class TestOlderStoreFormats:
         members[f"{key}_left"] = left + np.random.default_rng(15).standard_normal(
             left.shape
         )
-        path = self._write_compressed(tmp_path / "v3.npz", self._sealed(members))
+        path = self._write_compressed(tmp_path / "v3.npz", with_table(members))
         with pytest.raises(CheckpointCorruptionError, match="not symmetric"):
             load_store(path)
 
@@ -496,11 +516,9 @@ class TestOlderStoreFormats:
         self, trained, tmp_path
     ):
         _, _, directory, _ = trained
-        with np.load(directory / "committed" / "store.npz") as npz:
-            members = {name: npz[name] for name in npz.files}
+        members = self._saved(directory / "committed" / "store.npz", 4)
         key = next(n for n in members if n.endswith("_weights"))
         members[key] = members[key][:-1]
-        path = tmp_path / "v4.npz"
-        np.savez(path, **self._sealed(members))
+        path = write_stored(tmp_path / "v4.npz", with_table(members))
         with pytest.raises(CheckpointCorruptionError, match="do not pair"):
             load_store(path)

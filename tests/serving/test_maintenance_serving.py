@@ -1,8 +1,7 @@
 """Fleet maintenance scheduling.
 
-``FleetServer(maintenance=...)`` schedules ``maintain()`` for
-dirty-and-idle resident models behind the lowest-priority ``maintenance``
-lane; explicit ``fleet.maintain()`` returns a future of the report;
+``fleet.maintain()`` schedules a ``maintain()`` run behind the
+lowest-priority ``maintenance`` lane and returns a future of the report;
 answers stay *bit-identical* to a never-maintained reference server
 through any commit/maintain interleaving (re-pack moves values, never
 changes them).
@@ -17,7 +16,6 @@ from repro import (
     DeletionServer,
     FleetServer,
     IncrementalTrainer,
-    MaintenancePolicy,
     ModelRegistry,
 )
 from repro.datasets import (
@@ -62,7 +60,7 @@ def fit_binary() -> IncrementalTrainer:
 
 # ---------------------------------------------------------- fleet scheduling
 class TestFleetMaintenance:
-    def _fleet(self, trainer, maintenance=None, **kwargs):
+    def _fleet(self, trainer, **kwargs):
         registry = ModelRegistry()
         registry.register("m", trainer=trainer)
         clock = FakeClock()
@@ -72,7 +70,6 @@ class TestFleetMaintenance:
             method="priu",
             n_workers=2,
             clock=clock,
-            maintenance=maintenance,
             autostart=False,
             **kwargs,
         )
@@ -93,42 +90,13 @@ class TestFleetMaintenance:
         assert stats["runs"] == 1 and stats["pending"] == 0
         assert stats["last"]["performed"] == list(report.performed)
         fleet.close()
-
-    def test_auto_scheduling_after_committed_batches(self):
-        trainer = fit_multinomial()
-        fleet, _ = self._fleet(trainer, maintenance=MaintenancePolicy())
-        fleet.start()
-        futures = [fleet.submit("m", [i * 3, i * 3 + 1]) for i in range(6)]
-        assert fleet.flush(timeout=30)
-        for future in futures:
-            future.result(timeout=30)
-        # close() drains the scheduled background runs before stopping.
-        fleet.close()
-        stats = fleet.maintenance_stats("m")
-        assert stats["runs"] >= 1
-        assert stats["pending"] == 0
-        assert trainer.maintenance_cost().slot_garbage_rows == 0
-        # The runs are visible in the maintenance lane's ordinary stats,
+        # The run is visible in the maintenance lane's ordinary stats,
         # and the lane split still sums to the aggregate.
         snapshot = fleet.stats("m")
-        lane = snapshot.lane("maintenance")
-        assert lane.answered == stats["runs"]
+        assert snapshot.lane("maintenance").answered == 1
         assert snapshot.submitted == (
             snapshot.answered + snapshot.failed + snapshot.cancelled
         )
-
-    def test_thresholds_gate_auto_scheduling(self):
-        trainer = fit_multinomial()
-        fleet, _ = self._fleet(
-            trainer,
-            maintenance=MaintenancePolicy(max_slot_garbage_rows=10_000),
-        )
-        fleet.start()
-        for i in range(4):
-            fleet.resolve("m", [i * 4], timeout=30)
-        fleet.close()
-        assert fleet.maintenance_stats("m")["runs"] == 0
-        assert trainer.maintenance_cost().slot_garbage_rows > 0
 
     def test_maintenance_cannot_delay_queued_traffic(self):
         """With requests queued, the scheduler never picks maintenance."""
@@ -311,7 +279,6 @@ def test_stress_with_maintenance_interleaved(seed):
         method="priu",
         n_workers=2,
         clock=clock,
-        maintenance=MaintenancePolicy(),
         autostart=False,
     )
     fleet.configure_model("s-multi", commit_mode=True)
