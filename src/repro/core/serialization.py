@@ -35,7 +35,8 @@ model & recovery"):
   what makes mapping it safe.
 * Every archive is read through one reader (:class:`_Archive`), and the
   CRC-32 zipfile records for each member is the integrity check:
-  :func:`load_store` checks every member once, before it returns;
+  :func:`load_store` checks every member once, before it returns, the
+  bulk of them on two checkers while it decodes;
   :func:`load_plan` checks the plan members it memory-maps *lazily*, on
   the plan's first replay.  A mismatch, an entry whose local header or
   place in the file disagrees with the directory, or any archive bytes
@@ -52,12 +53,15 @@ write at every step and tests can prove the old-or-new guarantee.
 
 from __future__ import annotations
 
-import ast
+import functools
 import math
 import os
+import re
 import struct
+import threading
 import zipfile
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -268,98 +272,100 @@ def _unreadable(path: Path, exc: Exception) -> CheckpointCorruptionError:
 
 
 _NPY_MAGIC = b"\x93NUMPY"
+# The header ``np.lib.format`` writes for an array of a plain dtype: its
+# three keys in sorted order, each value spelled as ``repr`` spells it,
+# then the spaces and newline that pad the payload to a 64-byte boundary.
+# A dimension has no leading zero and fits in 19 digits.
+_NPY_DIM = rb"(?:0|[1-9][0-9]{0,18})"
+_NPY_HEADER = re.compile(
+    rb"\{'descr': '([<>|][biufcSUV][0-9]{1,9})', "
+    rb"'fortran_order': (False|True), "
+    rb"'shape': \((|" + _NPY_DIM + rb",|" + _NPY_DIM
+    + rb"(?:, " + _NPY_DIM + rb")+)\), \} *\n"
+)
 
 
-def _parse_npy_header(handle):
-    """Parse a ``.npy`` header at the handle's position, any format version.
+def _parse_npy_header(raw):
+    """Parse the ``.npy`` header at the start of ``raw``, any format version.
 
-    ``np.save`` writes format 1.0 by default but *silently* upgrades to
-    2.0 when the header dict exceeds 65535 bytes (huge structured dtypes)
-    and to 3.0 when a field name needs utf-8 — so an offset parser that
-    assumes the v1 layout computes a data offset that is short by exactly
-    two bytes and maps garbage.  The header-length field is ``uint16`` in
-    v1 and ``uint32`` in v2/v3; the dict itself is latin-1 text before
-    v3, utf-8 from v3 on.  Returns ``(shape, fortran_order, dtype)`` with
-    the handle left at the first data byte, or ``None`` for anything that
-    is not a well-formed ``.npy`` header of a known major version: a
-    shape must be a tuple of non-negative ``int`` (a float such as
-    ``9e999`` or a bool is refused, not converted) and ``fortran_order``
-    a bool.
+    ``raw`` is any bytes-like object holding the payload (a slice of the
+    archive's mapping, for a member).  ``np.save`` writes format 1.0 by
+    default but *silently* upgrades to 2.0 when the header dict exceeds
+    65535 bytes and to 3.0 when a field name needs utf-8, and the
+    header-length field is ``uint16`` in 1.0 and ``uint32`` after: an
+    offset parser that assumes the 1.0 layout maps data two bytes short.
+
+    The dict must read exactly as ``np.lib.format`` writes it for a plain
+    dtype (:data:`_NPY_HEADER`), in the dtype's own spelling (``'|f8'``
+    for ``'<f8'`` does not match).  Returns ``(shape, fortran_order,
+    dtype, data_offset)``, or ``None`` for anything else, including a
+    valid header numpy reads but does not write, such as one with its
+    keys reordered: the reader then goes through zipfile, whose own
+    parser handles it.  Never raises.
     """
-    magic = handle.read(8)
-    if len(magic) != 8 or magic[:6] != _NPY_MAGIC:
+    head = bytes(raw[:12])
+    if head[:6] != _NPY_MAGIC or len(head) < 10:
         return None
-    major = magic[6]
-    if major == 1:
-        length_width = 2
-    elif major in (2, 3):
-        length_width = 4
+    if head[6] == 1:
+        start = 10
+    elif head[6] in (2, 3) and len(head) == 12:
+        start = 12
     else:
         return None
-    raw_length = handle.read(length_width)
-    if len(raw_length) != length_width:
+    end = start + int.from_bytes(head[8:start], "little")
+    match = _NPY_HEADER.fullmatch(bytes(raw[start:end]))
+    if match is None:
         return None
-    header_length = int.from_bytes(raw_length, "little")
-    header = handle.read(header_length)
-    if len(header) != header_length:
+    descr, fortran, dims = match.groups()
+    dtype = _npy_dtype(descr)
+    if dtype is None:
         return None
+    shape = tuple(int(n) for n in dims.split(b",") if n)
+    return shape, fortran == b"True", dtype, end
+
+
+@functools.lru_cache(maxsize=64)
+def _npy_dtype(descr: bytes) -> np.dtype | None:
+    """The dtype ``descr`` spells, if it is that dtype's own spelling."""
     try:
-        text = header.decode("utf-8" if major >= 3 else "latin1")
-        fields = ast.literal_eval(text.strip())
-        shape, fortran = fields["shape"], fields["fortran_order"]
-        dtype = np.lib.format.descr_to_dtype(fields["descr"])
-    except (ValueError, SyntaxError, KeyError, TypeError):
+        dtype = np.dtype(descr.decode("ascii"))
+    except (TypeError, ValueError):
         return None
-    if not (
-        isinstance(shape, tuple)
-        and all(type(n) is int and n >= 0 for n in shape)
-        and type(fortran) is bool
-    ):
-        return None
-    return shape, fortran, dtype
+    return dtype if dtype.str.encode("ascii") == descr else None
 
 
 def _mmap_member(
-    handle, mapping: np.memmap, info: zipfile.ZipInfo
+    mapping: np.ndarray, info: zipfile.ZipInfo, payload: int
 ) -> np.ndarray | None:
     """One stored zip member's ``.npy`` array as a view of ``mapping``.
 
-    Returns None unless the member is ``ZIP_STORED`` and its ``.npy``
-    header describes exactly the bytes its zip entry holds (header plus
+    ``payload`` is the file offset of the member's stored bytes.  Returns
+    None unless the member is ``ZIP_STORED`` and its ``.npy`` header
+    describes exactly the bytes its zip entry holds (header plus
     ``prod(shape)·itemsize`` equals the entry's size): a header that
     claims more would map bytes of the next entry.  :class:`_Archive`
-    reads such a member through zipfile instead.
+    reads such a member through zipfile instead.  Reads nothing but
+    ``mapping``.
     """
-    if info.compress_type != zipfile.ZIP_STORED:
-        return None
-    handle.seek(info.header_offset)
-    local_header = handle.read(_LOCAL_HEADER_SIZE)
     if (
-        len(local_header) != _LOCAL_HEADER_SIZE
-        or local_header[:4] != b"PK\x03\x04"
+        info.compress_type != zipfile.ZIP_STORED
+        or info.file_size != info.compress_size
     ):
         return None
-    name_length, extra_length = struct.unpack("<HH", local_header[26:30])
-    payload = (
-        info.header_offset + _LOCAL_HEADER_SIZE + name_length + extra_length
-    )
-    handle.seek(payload)
-    parsed = _parse_npy_header(handle)
+    parsed = _parse_npy_header(mapping.data[payload : payload + info.file_size])
     if parsed is None:
         return None
-    shape, fortran, dtype = parsed
-    start = handle.tell()
+    shape, fortran, dtype, header_size = parsed
     nbytes = math.prod(shape) * dtype.itemsize
-    if (
-        dtype.hasobject
-        or nbytes == 0
-        or start - payload + nbytes != info.file_size
-    ):
+    if nbytes == 0 or header_size + nbytes != info.file_size:
         return None
-    return (
-        mapping[start : start + nbytes]
-        .view(dtype)
-        .reshape(shape, order="F" if fortran else "C")
+    return np.ndarray.__new__(
+        np.memmap,
+        shape,
+        dtype=dtype,
+        buffer=mapping,
+        offset=payload + header_size,
+        order="F" if fortran else "C",
     )
 
 
@@ -368,13 +374,19 @@ class _Archive:
     parse (zipfile's), one read-only mapping of the whole file.
 
     A member :func:`_mmap_member` can map is handed out as a view of that
-    mapping and checked by :meth:`check`: ``zlib.crc32`` over its stored
-    bytes (the ``.npy`` header and data) against the CRC-32 its directory
-    entry records.  Any other member (deflated, as every store written
-    before the aligned layout is; zero-size; or with a header that does
-    not describe its entry) is read through zipfile, which checks that
-    CRC itself.  The mapping, and so :meth:`check`, outlives
-    :meth:`close`.
+    mapping and checked by :meth:`check` or a sweep: ``zlib.crc32`` over
+    its stored bytes (the ``.npy`` header and data) against the CRC-32
+    its directory entry records.  Any other member (deflated, as every
+    store written before the aligned layout is; zero-size; or with a
+    header that does not describe its entry) is read through zipfile,
+    which checks that CRC itself.  The mapping, and so :meth:`check` and
+    :meth:`verify`, outlives :meth:`close`.
+
+    :meth:`sweeping` checks every member not checked yet on two checkers,
+    the caller and one helper thread, largest member first:
+    ``zlib.crc32`` releases the GIL on buffers over 5 KiB, so the two
+    run in parallel.  The helper reads nothing but the mapping; zipfile
+    reads go through the file handle, on the caller's thread only.
 
     A CRC covers a member's bytes, not its name or its place, so two
     checks run at open on every entry: its local header carries its
@@ -400,7 +412,12 @@ class _Archive:
             self._handle.close()
             raise _unreadable(path, exc) from exc
         self._arrays: dict[str, np.ndarray] = {}
-        self._checked: set[str] = set()
+        self._lock = threading.Lock()
+        self._checked: set[str] = set()  # guarded-by: _lock
+        # The sweep's work list, smallest member first (checkers pop the
+        # largest), and the mismatches it found, by member.
+        self._queue: list[str] = []  # guarded-by: _lock
+        self._mismatches: dict[str, str] = {}  # guarded-by: _lock
 
     def __enter__(self) -> "_Archive":
         return self
@@ -415,11 +432,11 @@ class _Archive:
     def _read_directory(self) -> dict[str, tuple[zipfile.ZipInfo, int]]:
         """Each member's entry and the file offset of its stored bytes,
         once the name and tiling checks pass."""
+        raw = self._mapping.data
         entries = {}
         offset = 0
         for info in sorted(self._zip.infolist(), key=lambda i: i.header_offset):
-            self._handle.seek(offset)
-            local = self._handle.read(_LOCAL_HEADER_SIZE)
+            local = bytes(raw[offset : offset + _LOCAL_HEADER_SIZE])
             if (
                 info.header_offset != offset
                 or len(local) != _LOCAL_HEADER_SIZE
@@ -430,14 +447,15 @@ class _Archive:
                     f"entry before it ends, at byte {offset}"
                 )
             name_length, extra_length = struct.unpack("<HH", local[26:])
-            name = self._handle.read(name_length)
+            name_start = offset + _LOCAL_HEADER_SIZE
+            name = bytes(raw[name_start : name_start + name_length])
             encoding = "utf-8" if info.flag_bits & 0x800 else "cp437"
             if name != info.orig_filename.encode(encoding):
                 raise ValueError(
                     f"entry {info.filename!r} is named {name!r} in its "
                     "local header"
                 )
-            payload = offset + _LOCAL_HEADER_SIZE + name_length + extra_length
+            payload = name_start + name_length + extra_length
             key = info.filename.removesuffix(".npy")
             entries[key] = (info, payload)
             offset = payload + info.compress_size
@@ -460,26 +478,33 @@ class _Archive:
         self.check(name)
         if name.startswith("__"):
             return np.array(array)
-        return array.view(np.ndarray)
+        return self.view(name)
+
+    def view(self, name: str) -> np.ndarray:
+        """Member ``name`` as a plain ndarray, unchecked if it is a view
+        of the mapping: a sweep checks it before the load returns."""
+        return self.array(name).view(np.ndarray)
 
     def array(self, name: str) -> np.ndarray:
         """Member ``name`` as a view of the mapping, unchecked until
-        :meth:`check`, or else read (and checked) through zipfile."""
+        :meth:`check` or a sweep, or else read (and checked) through
+        zipfile."""
         if name in self._arrays:
             return self._arrays[name]
         if name not in self._entries:
             raise CheckpointCorruptionError(
                 f"checkpoint member {name!r} missing from {self.path}"
             )
-        info, _ = self._entries[name]
+        info, payload = self._entries[name]
         try:
-            array = _mmap_member(self._handle, self._mapping, info)
+            array = _mmap_member(self._mapping, info, payload)
             if array is None:
                 with self._zip.open(info) as member:
                     array = np.lib.format.read_array(member, allow_pickle=False)
                     # To the end, where zipfile checks the CRC.
                     member.read()
-                self._checked.add(name)
+                with self._lock:
+                    self._checked.add(name)
         except Exception as exc:
             # zipfile raises BadZipFile for a bad CRC or header,
             # NotImplementedError for an unknown compression method,
@@ -489,26 +514,104 @@ class _Archive:
         self._arrays[name] = array
         return array
 
-    def check(self, name: str) -> None:
-        """Check member ``name`` against its recorded CRC-32, once."""
-        if name in self._checked:
-            return
+    def _mismatch(self, name: str) -> str | None:
+        """What is wrong with stored member ``name``'s CRC-32, if
+        anything.  Reads nothing but the mapping."""
         info, payload = self._entries[name]
-        if info.compress_type != zipfile.ZIP_STORED:
+        crc = zlib.crc32(self._mapping.data[payload : payload + info.compress_size])
+        if crc == info.CRC:
+            return None
+        return (
+            f"checkpoint member {name!r} of {self.path} is corrupted: "
+            f"CRC-32 {crc:08x} != recorded {info.CRC:08x}"
+        )
+
+    def check(self, name: str) -> None:
+        """Check member ``name`` against its recorded CRC-32, once, on
+        the caller's thread."""
+        with self._lock:
+            if name in self._checked:
+                return
+        if self._entries[name][0].compress_type != zipfile.ZIP_STORED:
             self.array(name)
             return
-        crc = zlib.crc32(self._mapping[payload : payload + info.compress_size])
-        if crc != info.CRC:
-            raise CheckpointCorruptionError(
-                f"checkpoint member {name!r} of {self.path} is corrupted: "
-                f"CRC-32 {crc:08x} != recorded {info.CRC:08x}"
+        mismatch = self._mismatch(name)
+        if mismatch is not None:
+            raise CheckpointCorruptionError(mismatch)
+        with self._lock:
+            self._checked.add(name)
+
+    def _drain(self) -> None:
+        """Check queued members, largest first, until none is left: the
+        loop each of the sweep's two checkers runs."""
+        while True:
+            with self._lock:
+                if not self._queue:
+                    return
+                name = self._queue.pop()
+                if name in self._checked:
+                    continue
+            mismatch = self._mismatch(name)
+            with self._lock:
+                if mismatch is None:
+                    self._checked.add(name)
+                else:
+                    self._mismatches[name] = mismatch
+
+    @contextmanager
+    def sweeping(self):
+        """Check every member not checked yet, on two checkers, while the
+        body runs.
+
+        A helper thread starts on the stored members, largest first; the
+        caller runs the body, then checks what is left beside the helper,
+        joins it, and reads any member zipfile must read.  Only then is
+        a failure reported, and a CRC mismatch wins over an error the
+        body raised.  The helper never outlives the block.
+        """
+        with self._lock:
+            self._mismatches.clear()
+            self._queue = sorted(
+                (
+                    name
+                    for name, (info, _) in self._entries.items()
+                    if info.compress_type == zipfile.ZIP_STORED
+                    and name not in self._checked
+                ),
+                key=lambda name: self._entries[name][0].compress_size,
             )
-        self._checked.add(name)
+            queued = bool(self._queue)
+        helper = None
+        if queued:
+            helper = threading.Thread(
+                target=self._drain, name="checkpoint-sweep", daemon=True
+            )
+            try:
+                helper.start()
+            except RuntimeError:  # no thread to be had: check alone
+                helper = None
+        try:
+            yield
+        finally:
+            try:
+                self._drain()
+            finally:
+                if helper is not None:
+                    helper.join()
+            with self._lock:
+                mismatches = dict(self._mismatches)
+            for name in self._entries:
+                if name in mismatches:
+                    raise CheckpointCorruptionError(mismatches[name])
+            # Members zipfile reads, and any the helper took but did not
+            # settle, are checked here, on this thread.
+            for name in self._entries:
+                self.check(name)
 
     def verify(self) -> None:
-        """Check every member not checked yet."""
-        for name in self._entries:
-            self.check(name)
+        """Check every member not checked yet, on two checkers."""
+        with self.sweeping():
+            pass
 
 
 _FROZEN_FIELDS = (
@@ -682,19 +785,24 @@ def _unpack_summary(archive, key: str, kind: str, version: int):
     """The summary stored under ``key``, and whether a pre-v4 factor pair
     had to be folded into eigen form (so its correction count is spent).
 
-    Raises :class:`CheckpointCorruptionError` for SVD members that do
-    not pair: shapes that disagree, or a pre-v4 pair whose operator is
-    not symmetric.
+    A v4+ summary comes as views the sweep has yet to check, and only
+    their shapes are read here; a pre-v4 pair is checked first, because
+    converting it reads its values.  Raises
+    :class:`CheckpointCorruptionError` for SVD members that do not pair:
+    shapes that disagree, or a pre-v4 pair whose operator is not
+    symmetric.
     """
     if kind == "none":
         return None, False
     if kind != "svd":
-        return archive[key], False
-    right = archive[f"{key}_right"]
+        return archive.view(key), False
+    if version < 4:
+        left, right = archive[f"{key}_left"], archive[f"{key}_right"]
+    else:
+        right, weights = archive.view(f"{key}_right"), archive.view(f"{key}_weights")
     try:
         if version < 4:
-            return summary_from_factor_pair(archive[f"{key}_left"], right)
-        weights = archive[f"{key}_weights"]
+            return summary_from_factor_pair(left, right)
         if right.ndim != 2 or weights.shape != right.shape[1:]:
             raise ValueError(
                 f"basis {right.shape} and eigenvalues {weights.shape} "
@@ -788,148 +896,346 @@ def save_store(store: ProvenanceStore, path: str | Path) -> Path:
     return path
 
 
+# ------------------------------------------------------ metadata members
+# The small ``__`` members steer the decode, so the loaders check and
+# parse them before anything else, and an entry that does not parse as
+# ``save_store`` writes it raises CheckpointCorruptionError.
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"{text!r} is negative")
+    return value
+
+
+def _flag(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"{text!r} is not 0 or 1")
+    return text == "1"
+
+
+def _one_of(*choices: str):
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"{text!r} is not one of {', '.join(choices)}")
+        return text
+
+    return parse
+
+
+def _count_or_none(text: str) -> int | None:
+    return None if text == "none" else _count(text)
+
+
+# ``__meta__`` after its version entry; format 1 ends before the last.
+_META_FIELDS = (
+    ("task", _one_of("linear", "binary_logistic", "multinomial_logistic")),
+    ("learning_rate", float),
+    ("regularization", float),
+    ("n_samples", _count),
+    ("n_features", _count),
+    ("n_classes", _count),
+    ("compression", _one_of("none", "svd", "sparse")),
+    ("epsilon", float),
+    ("sparse_mode", _flag),
+    ("n_records", _count),
+    ("n_original_samples", _count_or_none),
+)
+_SCHEDULE_FIELDS = (
+    ("n_samples", _count),
+    ("batch_size", _count),
+    ("n_iterations", _count),
+    ("seed", _count),
+    ("kind", _one_of("gd", "sgd", "mb-sgd", "materialized")),
+)
+# ``__frozen_meta__`` holds none of these, the first two (format 1–2) or
+# all three.
+_FROZEN_META_FIELDS = (
+    ("t_s", _count),
+    ("weights_at_ts_available", _flag),
+    ("eigen_stale", _flag),
+)
+_SUMMARY_KINDS = ("none", "dense", "svd")
+
+
+def _malformed(archive, name: str, problem: str) -> CheckpointCorruptionError:
+    return CheckpointCorruptionError(
+        f"checkpoint member {name!r} of {archive.path} {problem}"
+    )
+
+
+def _vector(
+    archive, name: str, length: int | None = None, integers: bool = False
+) -> np.ndarray:
+    """Member ``name``, checked: one dimension, ``length`` entries when
+    given, an integer dtype when ``integers``."""
+    values = archive[name]
+    if (
+        values.ndim != 1
+        or (length is not None and len(values) != length)
+        or (integers and values.dtype.kind not in "iu")
+    ):
+        expected = "" if length is None else f" of {length} entries"
+        raise _malformed(
+            archive, name,
+            f"is {values.dtype} of shape {values.shape}, not a vector{expected}",
+        )
+    return values
+
+
+def _entries(archive, name: str, length: int | None = None) -> list[str]:
+    """Member ``name``, checked, as the strings it holds."""
+    return [str(value) for value in _vector(archive, name, length)]
+
+
+def _parsed(archive, name: str, texts: list[str], fields) -> dict:
+    """``texts`` parsed by ``fields`` (``(key, parse)`` pairs), one each."""
+    if len(texts) != len(fields):
+        raise _malformed(
+            archive, name,
+            f"holds {len(texts)} fields where {len(fields)} belong",
+        )
+    try:
+        return {key: parse(text) for (key, parse), text in zip(fields, texts)}
+    except (ValueError, OverflowError) as exc:
+        raise _malformed(archive, name, f"does not decode: {exc}") from exc
+
+
+def _store_meta(archive) -> dict:
+    """``__meta__``, checked and parsed, with its format ``version``.
+
+    An integer version this build does not read raises a plain
+    ``ValueError`` (the documented refusal), before anything else of the
+    archive is checked.
+    """
+    texts = _entries(archive, "__meta__")
+    try:
+        version = int(texts[0])
+    except (IndexError, ValueError) as exc:
+        raise _malformed(archive, "__meta__", "has no format version") from exc
+    if version not in _SUPPORTED_VERSIONS:
+        raise ValueError(f"unsupported store format version: {version}")
+    fields = _META_FIELDS if version >= 2 else _META_FIELDS[:-1]
+    meta = _parsed(archive, "__meta__", texts[1:], fields)
+    meta.setdefault("n_original_samples", None)
+    meta["version"] = version
+    return meta
+
+
+def _receipts(archive, log: np.ndarray | None) -> list[CommitReceipt]:
+    """``__receipts__``, checked: six numeric columns, whole non-negative
+    counts, each row's ids a slice of the deletion log."""
+    rows = archive["__receipts__"]
+    try:
+        values = np.asarray(rows, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise _malformed(archive, "__receipts__", "is not numeric") from exc
+    if values.ndim != 2 or values.shape[1] != len(_RECEIPT_COLUMNS):
+        raise _malformed(
+            archive, "__receipts__",
+            f"has shape {values.shape}, not {len(_RECEIPT_COLUMNS)} columns",
+        )
+    counts, timestamps = values[:, :-1], values[:, -1]
+    starts, ends = counts[:, 0], counts[:, 1]
+    # Without a deletion log no receipt has ids to point at.
+    log_length = -1 if log is None else len(log)
+    if not (
+        np.isfinite(values).all()
+        and (counts >= 0).all()
+        and (counts == np.floor(counts)).all()
+        and (starts <= ends).all()
+        and (ends <= log_length).all()
+    ):
+        raise _malformed(
+            archive, "__receipts__",
+            "holds a count that is not a whole non-negative number, or log "
+            "bounds outside the deletion log",
+        )
+    receipts = []
+    for row, timestamp in zip(counts.astype(np.int64).tolist(), timestamps):
+        fields = dict(zip(_RECEIPT_COLUMNS, row))
+        log_start, log_end = fields["log_start"], fields["log_end"]
+        receipts.append(
+            CommitReceipt(
+                index=len(receipts),
+                removed_original_ids=np.asarray(
+                    log[log_start:log_end], dtype=np.int64
+                ),
+                log_start=log_start,
+                log_end=log_end,
+                store_version_before=fields["store_version_before"],
+                n_samples_before=fields["n_samples_before"],
+                n_samples_after=fields["n_samples_after"],
+                timestamp=float(timestamp),
+            )
+        )
+    return receipts
+
+
+def _store_steering(archive, meta: dict) -> dict:
+    """The ``__`` members that steer the decode after ``__meta__``:
+    checked, parsed and validated against the record count."""
+    version, n_records = meta["version"], meta["n_records"]
+    steering = {
+        "schedule": _parsed(
+            archive, "__schedule__",
+            _entries(archive, "__schedule__"), _SCHEDULE_FIELDS,
+        ),
+        "kinds": _entries(archive, "__summary_kinds__", n_records),
+        "log": None,
+        "corrections": None,
+        "receipts": [],
+    }
+    unknown = set(steering["kinds"]) - set(_SUMMARY_KINDS)
+    if unknown:
+        raise _malformed(
+            archive, "__summary_kinds__", f"holds unknown kinds {sorted(unknown)}"
+        )
+    frozen = _entries(archive, "__frozen_meta__")
+    if len(frozen) not in (0, 2, 3):
+        raise _malformed(
+            archive, "__frozen_meta__", f"holds {len(frozen)} fields, not 0, 2 or 3"
+        )
+    steering["frozen"] = _parsed(
+        archive, "__frozen_meta__", frozen, _FROZEN_META_FIELDS[: len(frozen)]
+    )
+    if version >= 2 and "__deletion_log__" in archive.files:
+        steering["log"] = _vector(archive, "__deletion_log__", integers=True)
+    if version >= 3 and "__svd_corrections__" in archive.files:
+        steering["corrections"] = _vector(
+            archive, "__svd_corrections__", n_records, integers=True
+        )
+    if version >= 3 and "__receipts__" in archive.files:
+        steering["receipts"] = _receipts(archive, steering["log"])
+    return steering
+
+
+def _decode_store(archive, meta: dict, steering: dict) -> ProvenanceStore:
+    """Build the store from checked metadata and the bulk members, which
+    come as views a sweep may not have checked yet: nothing here reads
+    their values."""
+    task, version = meta["task"], meta["version"]
+    sched = steering["schedule"]
+    if sched["kind"] == "materialized":
+        # Compacted batches cannot be regenerated from the seed; they
+        # are rebuilt from the loaded records below.
+        schedule = None
+    else:
+        schedule = BatchSchedule(
+            n_samples=sched["n_samples"],
+            batch_size=sched["batch_size"],
+            n_iterations=sched["n_iterations"],
+            seed=sched["seed"],
+            kind=sched["kind"],
+        )
+    store = ProvenanceStore(
+        task=task,
+        schedule=schedule,
+        learning_rate=meta["learning_rate"],
+        regularization=meta["regularization"],
+        n_samples=meta["n_samples"],
+        n_features=meta["n_features"],
+        n_classes=meta["n_classes"],
+        compression=meta["compression"],
+        epsilon=meta["epsilon"],
+        sparse_mode=meta["sparse_mode"],
+    )
+    view = archive.view
+    folded = []
+    for t, kind in enumerate(steering["kinds"]):
+        batch = view(f"batch_{t}")
+        summary, refactored = _unpack_summary(
+            archive, f"summary_{t}", kind, version
+        )
+        if refactored:
+            folded.append(t)
+        moment = view(f"moment_{t}")
+        if task == "linear":
+            store.add(LinearRecord(batch=batch, summary=summary, moment=moment))
+        elif task == "binary_logistic":
+            store.add(
+                LogisticRecord(
+                    batch=batch,
+                    slopes=view(f"slopes_{t}"),
+                    intercepts=view(f"intercepts_{t}"),
+                    summary=summary,
+                    moment=moment,
+                )
+            )
+        else:
+            store.add(
+                MultinomialRecord(
+                    batch=batch,
+                    probabilities=view(f"probs_{t}"),
+                    wx=view(f"wx_{t}"),
+                    summary=summary,
+                    moment=moment,
+                )
+            )
+    if schedule is None:
+        store.schedule = BatchSchedule(
+            n_samples=store.n_samples,
+            batch_size=sched["batch_size"],
+            n_iterations=len(store.records),
+            seed=sched["seed"],
+            kind="materialized",
+            batches=[record.batch for record in store.records],
+        )
+    store.n_original_samples = meta["n_original_samples"]
+    store.deletion_log = steering["log"]
+    store.commit_receipts.extend(steering["receipts"])
+    if steering["corrections"] is not None:
+        store.svd_correction_columns = steering["corrections"]
+        # A folded pair holds no appended columns any more.
+        store.svd_correction_columns[folded] = 0
+    frozen = steering["frozen"]
+    if frozen:
+        store.frozen = FrozenProvenance(
+            **frozen,
+            **{
+                field: (
+                    view(f"frozen_{field}")
+                    if f"frozen_{field}" in archive.files
+                    else None
+                )
+                for field in _FROZEN_FIELDS
+            },
+        )
+    return store
+
+
 def load_store(path: str | Path) -> ProvenanceStore:
     """Reload a provenance store saved by :func:`save_store`.
 
     Every stored array member (a name without a leading ``__``) is
     memory-mapped read-only out of the archive and handed to the store as
     a plain ndarray view.  The small ``__`` members are read into memory,
-    because maintenance writes ``__svd_corrections__`` in place.  Every
-    member is checked against its zip CRC once, here, before anything is
-    decoded, and archive bytes that do not decode fail the same way: a
-    corrupted store raises :class:`CheckpointCorruptionError`, it never
-    loads wrong.  Members that cannot be mapped — compressed ones, as
-    every store written before archives were stored uncompressed has —
-    are read into memory instead (:class:`_Archive`).
+    because maintenance writes ``__svd_corrections__`` in place.  Members
+    that cannot be mapped — compressed ones, as every store written
+    before archives were stored uncompressed has — are read into memory
+    instead (:class:`_Archive`).
+
+    Every member is checked against its zip CRC before this returns,
+    and archive bytes that do not decode fail the same way: a corrupted
+    store raises :class:`CheckpointCorruptionError`, it never loads
+    wrong.  The load runs in four steps:
+
+    1. the ``__`` members, which steer the decode, are checked and
+       parsed (an unsupported version is refused before anything else
+       is checked);
+    2. a sweep starts over the other members, on a helper thread;
+    3. the records are built from the members' headers, without reading
+       their values, while the sweep runs;
+    4. the caller joins the sweep, checking beside the helper.
+
+    A failure is reported once the sweep has settled, and a CRC mismatch
+    wins over any error of step 3.
     """
     path = Path(path)
     with _Archive(path) as archive:
-        archive.verify()
-        meta = archive["__meta__"]
-        version = int(meta[0])
-        if version not in _SUPPORTED_VERSIONS:
-            raise ValueError(f"unsupported store format version: {version}")
-        task = str(meta[1])
-        sched_meta = archive["__schedule__"]
-        sched_kind = str(sched_meta[4])
-        if sched_kind == "materialized":
-            # Compacted batches cannot be regenerated from the seed; they
-            # are rebuilt from the loaded records below.
-            schedule = None
-        else:
-            schedule = BatchSchedule(
-                n_samples=int(sched_meta[0]),
-                batch_size=int(sched_meta[1]),
-                n_iterations=int(sched_meta[2]),
-                seed=int(sched_meta[3]),
-                kind=sched_kind,
-            )
-        store = ProvenanceStore(
-            task=task,
-            schedule=schedule,
-            learning_rate=float(meta[2]),
-            regularization=float(meta[3]),
-            n_samples=int(meta[4]),
-            n_features=int(meta[5]),
-            n_classes=int(meta[6]),
-            compression=str(meta[7]),
-            epsilon=float(meta[8]),
-            sparse_mode=bool(int(meta[9])),
-        )
-        n_records = int(meta[10])
-        kinds = [str(k) for k in archive["__summary_kinds__"]]
-        folded = []
-        for t in range(n_records):
-            batch = archive[f"batch_{t}"]
-            summary, refactored = _unpack_summary(
-                archive, f"summary_{t}", kinds[t], version
-            )
-            if refactored:
-                folded.append(t)
-            moment = archive[f"moment_{t}"]
-            if task == "linear":
-                store.add(LinearRecord(batch=batch, summary=summary, moment=moment))
-            elif task == "binary_logistic":
-                store.add(
-                    LogisticRecord(
-                        batch=batch,
-                        slopes=archive[f"slopes_{t}"],
-                        intercepts=archive[f"intercepts_{t}"],
-                        summary=summary,
-                        moment=moment,
-                    )
-                )
-            else:
-                store.add(
-                    MultinomialRecord(
-                        batch=batch,
-                        probabilities=archive[f"probs_{t}"],
-                        wx=archive[f"wx_{t}"],
-                        summary=summary,
-                        moment=moment,
-                    )
-                )
-        if schedule is None:
-            store.schedule = BatchSchedule(
-                n_samples=store.n_samples,
-                batch_size=int(sched_meta[1]),
-                n_iterations=len(store.records),
-                seed=int(sched_meta[3]),
-                kind="materialized",
-                batches=[record.batch for record in store.records],
-            )
-        if version >= 2:
-            original = str(meta[11])
-            store.n_original_samples = (
-                None if original == "none" else int(original)
-            )
-            if "__deletion_log__" in archive.files:
-                store.deletion_log = archive["__deletion_log__"]
-        if version >= 3:
-            if "__svd_corrections__" in archive.files:
-                store.svd_correction_columns = archive["__svd_corrections__"]
-                # A folded pair holds no appended columns any more.
-                store.svd_correction_columns[folded] = 0
-            if "__receipts__" in archive.files:
-                for row in archive["__receipts__"]:
-                    fields = dict(zip(_RECEIPT_COLUMNS, row))
-                    log_start = int(fields["log_start"])
-                    log_end = int(fields["log_end"])
-                    store.commit_receipts.append(
-                        CommitReceipt(
-                            index=len(store.commit_receipts),
-                            removed_original_ids=np.asarray(
-                                store.deletion_log[log_start:log_end],
-                                dtype=np.int64,
-                            ),
-                            log_start=log_start,
-                            log_end=log_end,
-                            store_version_before=int(
-                                fields["store_version_before"]
-                            ),
-                            n_samples_before=int(fields["n_samples_before"]),
-                            n_samples_after=int(fields["n_samples_after"]),
-                            timestamp=float(fields["timestamp"]),
-                        )
-                    )
-        frozen_meta = [str(v) for v in archive["__frozen_meta__"]]
-        if frozen_meta:
-            fields = {
-                field: (
-                    archive[f"frozen_{field}"]
-                    if f"frozen_{field}" in archive.files
-                    else None
-                )
-                for field in _FROZEN_FIELDS
-            }
-            store.frozen = FrozenProvenance(
-                t_s=int(frozen_meta[0]),
-                weights_at_ts_available=bool(int(frozen_meta[1])),
-                eigen_stale=(
-                    bool(int(frozen_meta[2])) if len(frozen_meta) > 2 else False
-                ),
-                **fields,
-            )
+        meta = _store_meta(archive)
+        steering = _store_steering(archive, meta)
+        with archive.sweeping():
+            store = _decode_store(archive, meta, steering)
     return store
 
 
@@ -981,8 +1287,8 @@ def read_checkpoint_metadata(path: str | Path) -> CheckpointMetadata:
     accepts.  Only the zip directory, the local headers and the small
     ``__meta__`` member (CRC-checked) are read; the record arrays stay on
     disk, so this is safe to call for every registered model of a large
-    fleet at startup.  Archive bytes that do not decode raise
-    :class:`CheckpointCorruptionError`.
+    fleet at startup.  Archive bytes that do not decode, ``__meta__``
+    entries included, raise :class:`CheckpointCorruptionError`.
     """
     path = Path(path)
     if path.is_dir():
@@ -999,26 +1305,19 @@ def read_checkpoint_metadata(path: str | Path) -> CheckpointMetadata:
     if not store_path.exists():
         raise FileNotFoundError(f"no store archive at {store_path}")
     with _Archive(store_path) as archive:
-        meta = archive["__meta__"]
-        version = int(meta[0])
-        if version not in _SUPPORTED_VERSIONS:
-            raise ValueError(f"unsupported store format version: {version}")
-        n_original: int | None = None
-        if version >= 2:
-            raw = str(meta[11])
-            n_original = None if raw == "none" else int(raw)
-        return CheckpointMetadata(
-            store_path=store_path,
-            plan_path=plan_path,
-            format_version=version,
-            task=str(meta[1]),
-            n_samples=int(meta[4]),
-            n_features=int(meta[5]),
-            n_classes=int(meta[6]),
-            n_iterations=int(meta[10]),
-            n_original_samples=n_original,
-            sparse_mode=bool(int(meta[9])),
-        )
+        meta = _store_meta(archive)
+    return CheckpointMetadata(
+        store_path=store_path,
+        plan_path=plan_path,
+        format_version=meta["version"],
+        task=meta["task"],
+        n_samples=meta["n_samples"],
+        n_features=meta["n_features"],
+        n_classes=meta["n_classes"],
+        n_iterations=meta["n_records"],
+        n_original_samples=meta["n_original_samples"],
+        sparse_mode=meta["sparse_mode"],
+    )
 
 
 # --------------------------------------------------------------- replay plans
@@ -1056,6 +1355,46 @@ from_checkpoint` can restore ``weights_`` without replaying anything.
     return path
 
 
+# The plan meta entries :meth:`ReplayPlan.from_compiled_state` parses.
+_PLAN_META_FIELDS = (
+    ("task", str),
+    ("kind", str),
+    ("sparse", _flag),
+    ("n_iterations", _count),
+    ("n_params", _count),
+    ("n_samples", _count),
+    ("learning_rate", float),
+    ("regularization", float),
+)
+
+
+def _plan_meta(archive) -> dict[str, str]:
+    """The plan's meta pair, checked: one value per key, no key twice,
+    every entry the plan parses present and parsing, and a format this
+    build reads (else a plain ``ValueError``, as for a store)."""
+    keys = _entries(archive, "__plan_meta_keys__")
+    values = _entries(archive, "__plan_meta_values__", len(keys))
+    meta = dict(zip(keys, values))
+    if len(meta) != len(keys):
+        raise _malformed(archive, "__plan_meta_keys__", "repeats a key")
+    try:
+        version = int(meta.get("format", "-1"))
+    except ValueError as exc:
+        raise _malformed(
+            archive, "__plan_meta_values__", "has no format version"
+        ) from exc
+    if version not in _SUPPORTED_PLAN_VERSIONS:
+        raise ValueError(f"unsupported plan format version: {version}")
+    missing = [key for key, _ in _PLAN_META_FIELDS if key not in meta]
+    if missing:
+        raise _malformed(archive, "__plan_meta_keys__", f"lacks {missing}")
+    _parsed(
+        archive, "__plan_meta_values__",
+        [meta[key] for key, _ in _PLAN_META_FIELDS], _PLAN_META_FIELDS,
+    )
+    return meta
+
+
 def load_plan(
     path: str | Path,
     store: ProvenanceStore,
@@ -1081,8 +1420,9 @@ def load_plan(
     are checked *lazily*, on the plan's first :meth:`~repro.core.\
 replay_plan.ReplayPlan.run` — mapping exists precisely to avoid touching
     the bytes up front, so the check rides the first replay (which reads
-    them all anyway) and raises :class:`CheckpointCorruptionError` before
-    any answer derived from rotten bytes escapes.
+    them all anyway), on two checkers like :func:`load_store`'s sweep,
+    and raises :class:`CheckpointCorruptionError` before any answer
+    derived from rotten bytes escapes.
 
     Mapped members are ``MAP_SHARED`` and read-only, so every load of the
     same archive — in this process or any other — reads the same
@@ -1091,12 +1431,7 @@ replay_plan.ReplayPlan.run` — mapping exists precisely to avoid touching
     """
     path = Path(path)
     with _Archive(path) as archive:
-        keys = [str(k) for k in archive["__plan_meta_keys__"]]
-        values = [str(v) for v in archive["__plan_meta_values__"]]
-        meta = dict(zip(keys, values))
-        version = int(meta.get("format", "-1"))
-        if version not in _SUPPORTED_PLAN_VERSIONS:
-            raise ValueError(f"unsupported plan format version: {version}")
+        meta = _plan_meta(archive)
         arrays = {}
         for name in archive.files:
             if name.startswith("__"):

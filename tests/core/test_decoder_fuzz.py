@@ -15,8 +15,9 @@ name, fails the load rather than loading without those members.
 
 The ``.npy`` header parser the mapped loads use is fuzzed on its own:
 for headers of format 1.0, 2.0 and 3.0 it returns a well-formed
-``(shape, fortran_order, dtype)`` or ``None`` and never raises, and a
-member is never mapped past its zip entry.
+``(shape, fortran_order, dtype, data_offset)`` or ``None`` and never
+raises, and a member is never mapped past its zip entry.  A rotten
+member that also fails to decode is reported by its CRC.
 
 A mutated ``checkpoint.journal`` must either roll exactly the members it
 lists forward or raise :class:`CheckpointCorruptionError` having renamed
@@ -356,6 +357,30 @@ def test_overflowing_shape_fails_typed(checkpoint, tmp_path):
         )
 
 
+def test_a_rotten_member_that_breaks_decode_surfaces_as_its_crc(
+    checkpoint, tmp_path
+):
+    """``summary_<t>_weights`` re-headed as ``(1, r)``: it still maps,
+    no longer pairs with its basis, and no longer matches its CRC.  The
+    decode fails while the sweep is still running; the CRC verdict is
+    the one reported."""
+    _, directory = checkpoint
+    store = tmp_path / "store.npz"
+    store.write_bytes((directory / "store.npz").read_bytes())
+    with zipfile.ZipFile(store) as archive:
+        member = next(
+            name.removesuffix(".npy") for name in archive.namelist()
+            if name.endswith("_weights.npy")
+        )
+    rank = archive_members(store)[member].shape[0]
+    with_shape(store, member, f"(1, {rank})")
+    with pytest.raises(
+        CheckpointCorruptionError, match=f"'{member}' .* CRC-32"
+    ) as failure:
+        load_store(store)
+    assert "do not pair" in str(failure.value.__context__)
+
+
 #: ``shape`` and ``fortran_order`` values a header may carry that no
 #: writer produces.
 ODD_FIELDS = [
@@ -402,15 +427,17 @@ def npy_header_cases(version: tuple[int, int], seed: int):
         yield f"field {field}", edited.encode("latin1") + raw[header_end:]
 
 
-def well_formed(parsed) -> bool:
+def well_formed(parsed, raw: bytes) -> bool:
     if parsed is None:
         return True
-    shape, fortran, dtype = parsed
+    shape, fortran, dtype, data_offset = parsed
     return (
         isinstance(shape, tuple)
         and all(type(n) is int and n >= 0 for n in shape)
         and type(fortran) is bool
         and isinstance(dtype, np.dtype)
+        and type(data_offset) is int
+        and 10 <= data_offset <= len(raw)
     )
 
 
@@ -431,16 +458,17 @@ def test_npy_header_parser_never_raises(version):
     untyped, malformed = [], []
     for label, raw in npy_header_cases(version, seed=31 + version[0]):
         try:
-            parsed = _parse_npy_header(io.BytesIO(raw))
+            parsed = _parse_npy_header(raw)
         except Exception as exc:
             untyped.append(f"{label}: {type(exc).__name__}: {exc}")
             continue
-        if not well_formed(parsed):
+        if not well_formed(parsed, raw):
             malformed.append(f"{label}: {parsed!r}")
     assert not untyped, untyped
     assert not malformed, malformed
-    intact = _parse_npy_header(io.BytesIO(next(npy_header_cases(version, 0))[1]))
-    assert intact == ((3, 4), True, np.dtype("<f8"))
+    raw = next(npy_header_cases(version, 0))[1]
+    intact = _parse_npy_header(raw)
+    assert intact == ((3, 4), True, np.dtype("<f8"), len(raw) - 12 * 8)
 
 
 @pytest.mark.parametrize("version", [(1, 0), (2, 0), (3, 0)])
@@ -451,14 +479,14 @@ def test_mapped_member_never_reaches_past_its_entry(version):
         mapping = np.frombuffer(raw, dtype=np.uint8)
         with zipfile.ZipFile(io.BytesIO(raw)) as archive:
             info = archive.getinfo("a.npy")
+        start, end = payload_span(raw, info)
         try:
-            member = _mmap_member(io.BytesIO(raw), mapping, info)
+            member = _mmap_member(mapping, info, start)
         except ValueError:
             member = None  # the reader refuses it as corrupt
         if member is None:
             continue
         mapped += 1
-        start, end = payload_span(raw, info)
         first = member.__array_interface__["data"][0] - mapping.ctypes.data
         if not (start < first and first + member.nbytes <= end):
             outside.append(label)

@@ -444,17 +444,17 @@ class TestNpyFormatVersions:
         for version in ((1, 0), (2, 0), (3, 0)):
             buffer = io.BytesIO()
             np.lib.format.write_array(buffer, array, version=version)
-            buffer.seek(0)
-            parsed = _parse_npy_header(buffer)
+            raw = buffer.getvalue()
+            parsed = _parse_npy_header(raw)
             assert parsed is not None, version
-            shape, fortran, dtype = parsed
+            shape, fortran, dtype, data_offset = parsed
             assert shape == (3, 4)
             assert not fortran
             assert dtype == np.float64
-            # The handle sits at the first data byte: reading from here
+            # The data starts at the offset returned: reading from there
             # reproduces the array, whatever the header layout was.
             data = np.frombuffer(
-                buffer.read(array.nbytes), dtype=dtype
+                raw[data_offset : data_offset + array.nbytes], dtype=dtype
             ).reshape(shape)
             assert np.array_equal(data, array)
 
@@ -463,18 +463,29 @@ class TestNpyFormatVersions:
         np.lib.format.write_array(buffer, np.arange(3), version=(1, 0))
         raw = bytearray(buffer.getvalue())
         raw[6] = 9  # fake major version
-        assert _parse_npy_header(io.BytesIO(bytes(raw))) is None
+        assert _parse_npy_header(bytes(raw)) is None
+
+    #: One array of each dtype the store and the plan write (``<f8``,
+    #: ``<i8``, ``<U…``), in every shape rank ``repr`` spells apart.
+    WRITTEN_DTYPES = {
+        "f8": np.linspace(0, 1, 30).reshape(5, 6),
+        "i8": np.arange(20, dtype=np.int64).reshape(4, 5),
+        "U": np.array(["5", "binary_logistic", "0.05", "none"]),
+        "f8_3d": np.arange(24, dtype=np.float64).reshape(2, 3, 4),
+        "i8_scalar": np.array(7, dtype=np.int64),
+    }
 
     def test_mmap_members_of_every_version(self, tmp_path):
         members = {
-            "v1": (np.arange(20, dtype=np.int64).reshape(4, 5), (1, 0)),
-            "v2": (np.linspace(0, 1, 30).reshape(5, 6), (2, 0)),
-            "v3": (np.arange(8, dtype=np.float32), (3, 0)),
-            "v2_fortran": (
-                np.asfortranarray(np.arange(12, dtype=np.float64).reshape(3, 4)),
-                (2, 0),
-            ),
+            f"{name}_v{version[0]}": (array, version)
+            for name, array in self.WRITTEN_DTYPES.items()
+            for version in ((1, 0), (2, 0), (3, 0))
         }
+        members["f4_v3"] = (np.arange(8, dtype=np.float32), (3, 0))
+        members["v2_fortran"] = (
+            np.asfortranarray(np.arange(12, dtype=np.float64).reshape(3, 4)),
+            (2, 0),
+        )
         path = self._archive(tmp_path, members)
         with _Archive(path) as archive:
             mapped = {name: archive.array(name) for name in members}
@@ -482,8 +493,34 @@ class TestNpyFormatVersions:
         for name, (array, _) in members.items():
             assert isinstance(mapped[name], np.memmap), name
             assert mapped[name].dtype == array.dtype, name
+            assert mapped[name].shape == array.shape, name
             assert np.array_equal(mapped[name], array), name
         assert np.isfortran(mapped["v2_fortran"])
+
+    def test_non_canonical_header_loads_through_zipfile(self, tmp_path):
+        """A header numpy reads but does not write (keys reordered, extra
+        spaces) is not the strict pattern: the member is read through
+        zipfile, CRC-checked, with identical values."""
+        array = np.asfortranarray(np.arange(12, dtype=np.float64).reshape(3, 4))
+        text = "{ 'shape': (3,  4),'descr':'<f8', 'fortran_order' : True }"
+        header = text.encode("latin1")
+        header += b" " * (-(10 + len(header) + 1) % 64) + b"\n"
+        payload = (
+            b"\x93NUMPY\x01\x00"
+            + len(header).to_bytes(2, "little")
+            + header
+            + array.tobytes(order="F")
+        )
+        assert _parse_npy_header(payload) is None
+        path = tmp_path / "odd.npz"
+        with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as archive:
+            archive.writestr("odd.npy", payload)
+        with _Archive(path) as archive:
+            loaded = archive.array("odd")
+            archive.verify()
+        assert not isinstance(loaded, np.memmap)
+        assert loaded.dtype == array.dtype and np.isfortran(loaded)
+        assert np.array_equal(loaded, array)
 
     def test_header_claiming_more_than_its_entry_is_not_mapped(self, tmp_path):
         """A header edited to claim more elements than its zip entry holds

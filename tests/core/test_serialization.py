@@ -1,7 +1,10 @@
 """Unit tests for provenance-store serialization (save/load round trips)."""
 
 import dataclasses
+import sys
+import threading
 import zipfile
+import zlib
 
 import numpy as np
 import pytest
@@ -10,11 +13,13 @@ from repro.core import (
     CheckpointCorruptionError,
     IncrementalTrainer,
     PrIUUpdater,
+    load_plan,
     load_store,
     save_store,
     train_with_capture,
 )
-from repro.core.serialization import _Archive
+from repro.core import serialization
+from repro.core.serialization import _Archive, read_checkpoint_metadata
 from repro.linalg.svd import TruncatedSummary
 from repro.datasets import (
     make_binary_classification,
@@ -23,6 +28,7 @@ from repro.datasets import (
     make_sparse_binary_classification,
 )
 from repro.models import make_schedule, objective_for
+from repro.testing import LockMonitor, corrupt_npz_member
 
 from legacy_archives import with_table, write_stored
 
@@ -247,6 +253,36 @@ class TestAlignedMembers:
                 assert member.ctypes.data % 64 == 0, (path.name, name)
 
 
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A binary SVD model with frozen PrIU-opt state and two commits,
+    its checkpoint in ``committed/``, and an uncommitted twin's store."""
+    data = make_binary_classification(300, 30, seed=181)
+
+    def fit():
+        return fit_trainer(
+            "binary_logistic",
+            data,
+            learning_rate=0.1,
+            max_dense_params=20,
+            freeze_fraction=0.7,
+        )
+
+    uncommitted, trainer = fit(), fit()
+    assert trainer.store.compression == "svd"
+    assert trainer.store.frozen is not None
+    directory = tmp_path_factory.mktemp("formats")
+    save_store(uncommitted.store, directory / "uncommitted.npz")
+    trainer.remove([2, 9, 40], commit=True)
+    trainer.remove([5, 77], commit=True)
+    trainer.save_checkpoint(directory / "committed")
+    store = trainer.store
+    assert store.deletion_log is not None and store.commit_receipts
+    assert store.svd_correction_columns is not None
+    assert store.frozen.eigen_stale
+    return data, trainer, directory, uncommitted
+
+
 class TestOlderStoreFormats:
     """Stores of formats 1–4 still load and answer bit-identically.
 
@@ -263,33 +299,6 @@ class TestOlderStoreFormats:
     """
 
     REMOVED = [4, 11, 30]
-
-    @pytest.fixture(scope="class")
-    def trained(self, tmp_path_factory):
-        data = make_binary_classification(300, 30, seed=181)
-
-        def fit():
-            return fit_trainer(
-                "binary_logistic",
-                data,
-                learning_rate=0.1,
-                max_dense_params=20,
-                freeze_fraction=0.7,
-            )
-
-        uncommitted, trainer = fit(), fit()
-        assert trainer.store.compression == "svd"
-        assert trainer.store.frozen is not None
-        directory = tmp_path_factory.mktemp("formats")
-        save_store(uncommitted.store, directory / "uncommitted.npz")
-        trainer.remove([2, 9, 40], commit=True)
-        trainer.remove([5, 77], commit=True)
-        trainer.save_checkpoint(directory / "committed")
-        store = trainer.store
-        assert store.deletion_log is not None and store.commit_receipts
-        assert store.svd_correction_columns is not None
-        assert store.frozen.eigen_stale
-        return data, trainer, directory, uncommitted
 
     @staticmethod
     def _saved(path, version):
@@ -522,3 +531,261 @@ class TestOlderStoreFormats:
         path = write_stored(tmp_path / "v4.npz", with_table(members))
         with pytest.raises(CheckpointCorruptionError, match="do not pair"):
             load_store(path)
+
+
+class TestStoreSweep:
+    """``load_store`` checks the bulk members on two checkers while it
+    decodes, and still returns only stores whose every member passed."""
+
+    @pytest.mark.parametrize(
+        "case", [c for c in sorted(ALIGNMENT_CASES) if not c.endswith("sparse")]
+    )
+    def test_a_flipped_byte_in_any_member_is_named(self, case, tmp_path):
+        task, make, kwargs, _ = ALIGNMENT_CASES[case]
+        trainer = fit_trainer(task, make(), **kwargs)
+        path = save_store(trainer.store, tmp_path / "store.npz")
+        raw = path.read_bytes()
+        with zipfile.ZipFile(path) as archive:
+            names = [
+                info.filename.removesuffix(".npy")
+                for info in archive.infolist()
+                if not info.filename.startswith("__")
+            ]
+        assert any(name.startswith("summary_") for name in names)
+        for name in names:
+            path.write_bytes(raw)
+            corrupt_npz_member(path, name)
+            with pytest.raises(
+                CheckpointCorruptionError,
+                match=f"member '{name}' of .* is corrupted: CRC-32",
+            ):
+                load_store(path)
+
+    def test_unsupported_version_is_refused_before_any_bulk_member_is_hashed(
+        self, trained, tmp_path, monkeypatch
+    ):
+        _, _, directory, _ = trained
+        path = rewritten(
+            directory / "committed" / "store.npz", tmp_path / "store.npz",
+            "__meta__", with_entry(0, "999"),
+        )
+        hashed = []
+
+        class Spy:
+            @staticmethod
+            def crc32(data, value=0):
+                hashed.append(memoryview(data).nbytes)
+                return zlib.crc32(data, value)
+
+        monkeypatch.setattr(serialization, "zlib", Spy)
+        with pytest.raises(ValueError, match="version: 999") as refused:
+            load_store(path)
+        assert not isinstance(refused.value, CheckpointCorruptionError)
+        with zipfile.ZipFile(path) as archive:
+            assert hashed == [archive.getinfo("__meta__.npy").compress_size]
+
+    def test_sweeps_under_contention_check_every_member(
+        self, trained, tmp_path
+    ):
+        """Four loads at once, each on its own two checkers, with the
+        interpreter switching threads every microsecond: every clean
+        load ends with every member checked, and every load of a store
+        with one rotten member reports that member."""
+        _, _, directory, _ = trained
+        clean = directory / "committed" / "store.npz"
+        rotten = tmp_path / "rotten.npz"
+        rotten.write_bytes(clean.read_bytes())
+        corrupt_npz_member(rotten, "summary_3_right")
+        failures = []
+
+        def load(path, rounds=5):
+            for _ in range(rounds):
+                try:
+                    with _Archive(path) as archive:
+                        archive.verify()
+                        if archive._checked != set(archive.files):
+                            failures.append(f"{path.name}: unchecked members")
+                except CheckpointCorruptionError as exc:
+                    if path == clean or "'summary_3_right'" not in str(exc):
+                        failures.append(f"{path.name}: {exc}")
+                else:
+                    if path == rotten:
+                        failures.append("rotten store verified")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=load, args=(path,))
+                for path in (clean, rotten, clean, rotten)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures
+
+    def test_load_reports_no_lock_order_cycle(self, trained):
+        data, trainer, directory, _ = trained
+        monitor = LockMonitor()
+        with monitor.capture():
+            store = load_store(directory / "committed" / "store.npz")
+            plan = load_plan(
+                directory / "committed" / "plan.npz", store,
+                trainer.features, trainer.labels,
+            )
+            plan.run([[1, 2]])  # the plan's deferred sweep
+        monitor.assert_clean()
+        assert any(
+            name.startswith("serialization.py")
+            for name in monitor.report()["locks"]
+        )
+
+
+def store_members(path) -> dict:
+    with np.load(path, allow_pickle=False) as npz:
+        return {name: npz[name] for name in npz.files}
+
+
+def rewritten(source, target, member, edit):
+    """``source``'s members with ``member`` replaced by ``edit`` of it,
+    written stored, so every CRC matches; returns ``target``."""
+    members = store_members(source)
+    members[member] = edit(members[member])
+    return write_stored(target, members)
+
+
+def with_entry(index, value):
+    def edit(values):
+        values = list(values)
+        values[index] = value
+        return np.array(values)
+
+    return edit
+
+
+def with_cell(row, column, value):
+    def edit(values):
+        values = np.array(values)
+        values[row, column] = value
+        return values
+
+    return edit
+
+
+def without_plan_key(key):
+    def edit(members):
+        keys = list(members["__plan_meta_keys__"])
+        values = list(members["__plan_meta_values__"])
+        del values[keys.index(key)]
+        keys.remove(key)
+        members["__plan_meta_keys__"] = np.array(keys)
+        members["__plan_meta_values__"] = np.array(values)
+
+    return edit
+
+
+def with_plan_value(key, value):
+    def edit(members):
+        keys = list(members["__plan_meta_keys__"])
+        values = list(members["__plan_meta_values__"])
+        values[keys.index(key)] = value
+        members["__plan_meta_values__"] = np.array(values)
+
+    return edit
+
+
+# (member, edit, whether read_checkpoint_metadata reads it too)
+MALFORMED_STORES = {
+    "meta one entry short": ("__meta__", lambda v: v[:-1], True),
+    "meta empty": ("__meta__", lambda v: v[:0], True),
+    "meta version not a number": ("__meta__", with_entry(0, "five"), True),
+    "meta n_samples not a number": ("__meta__", with_entry(4, "n/a"), True),
+    "meta n_samples negative": ("__meta__", with_entry(4, "-3"), True),
+    "meta unknown task": ("__meta__", with_entry(1, "ridge"), True),
+    "meta sparse flag 2": ("__meta__", with_entry(9, "2"), True),
+    "kinds one short": ("__summary_kinds__", lambda v: v[:-1], False),
+    "kinds unknown": ("__summary_kinds__", with_entry(0, "lowrank"), False),
+    "schedule one short": ("__schedule__", lambda v: v[:-1], False),
+    "schedule seed not a number": ("__schedule__", with_entry(3, "x"), False),
+    "schedule unknown kind": ("__schedule__", with_entry(4, "adam"), False),
+    "frozen meta one entry": ("__frozen_meta__", lambda v: v[:1], False),
+    "frozen meta four entries": (
+        "__frozen_meta__", lambda v: np.append(v, "0"), False
+    ),
+    "frozen meta flag not 0 or 1": ("__frozen_meta__", with_entry(2, "yes"), False),
+    "corrections one short": ("__svd_corrections__", lambda v: v[:-1], False),
+    "receipts five columns": ("__receipts__", lambda v: v[:, :5], False),
+    "receipts past the log": ("__receipts__", with_cell(-1, 1, 1e6), False),
+    "receipts bounds reversed": ("__receipts__", with_cell(0, 0, 4.0), False),
+    "receipts not finite": ("__receipts__", with_cell(0, 3, np.nan), False),
+    "receipts not whole": ("__receipts__", with_cell(0, 4, 2.5), False),
+    "deletion log not ids": ("__deletion_log__", lambda v: v + 0.5, False),
+}
+
+MALFORMED_PLANS = {
+    "meta pair lengths differ": lambda members: members.update(
+        __plan_meta_values__=members["__plan_meta_values__"][:-1]
+    ),
+    "meta key missing": without_plan_key("n_params"),
+    "n_iterations not a number": with_plan_value("n_iterations", "many"),
+    "sparse flag not 0 or 1": with_plan_value("sparse", "True"),
+    "format not a number": with_plan_value("format", "two"),
+}
+
+
+class TestMalformedMetadata:
+    """CRC-clean ``__`` members that do not parse as ``save_store`` and
+    ``save_plan`` write them raise :class:`CheckpointCorruptionError`,
+    which the fleet does not retry, through every reader that reads
+    them; an unsupported version stays a plain ``ValueError``."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_STORES))
+    def test_store_member_raises_typed(self, trained, tmp_path, case):
+        _, _, directory, _ = trained
+        member, edit, in_meta = MALFORMED_STORES[case]
+        path = rewritten(
+            directory / "committed" / "store.npz", tmp_path / "store.npz",
+            member, edit,
+        )
+        with pytest.raises(CheckpointCorruptionError, match=member):
+            load_store(path)
+        if in_meta:
+            with pytest.raises(CheckpointCorruptionError, match=member):
+                read_checkpoint_metadata(path)
+        else:
+            assert read_checkpoint_metadata(path).task == "binary_logistic"
+
+    @pytest.mark.parametrize("reader", [load_store, read_checkpoint_metadata])
+    def test_unsupported_store_version_stays_plain(self, trained, tmp_path, reader):
+        _, _, directory, _ = trained
+        path = rewritten(
+            directory / "committed" / "store.npz", tmp_path / "store.npz",
+            "__meta__", with_entry(0, "6"),
+        )
+        with pytest.raises(ValueError, match="version: 6") as refused:
+            reader(path)
+        assert not isinstance(refused.value, CheckpointCorruptionError)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_PLANS))
+    def test_plan_meta_raises_typed(self, trained, tmp_path, case):
+        _, trainer, directory, _ = trained
+        members = store_members(directory / "committed" / "plan.npz")
+        MALFORMED_PLANS[case](members)
+        path = write_stored(tmp_path / "plan.npz", members)
+        store = load_store(directory / "committed" / "store.npz")
+        with pytest.raises(CheckpointCorruptionError, match="__plan_meta_"):
+            load_plan(path, store, trainer.features, trainer.labels)
+
+    def test_unsupported_plan_version_stays_plain(self, trained, tmp_path):
+        _, trainer, directory, _ = trained
+        members = store_members(directory / "committed" / "plan.npz")
+        with_plan_value("format", "9")(members)
+        path = write_stored(tmp_path / "plan.npz", members)
+        store = load_store(directory / "committed" / "store.npz")
+        with pytest.raises(ValueError, match="version: 9") as refused:
+            load_plan(path, store, trainer.features, trainer.labels)
+        assert not isinstance(refused.value, CheckpointCorruptionError)

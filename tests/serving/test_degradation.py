@@ -28,6 +28,7 @@ from repro.serving import (
     RetryPolicy,
     WorkerCrashedError,
 )
+from repro.core.serialization import _write_npz
 from repro.datasets import make_binary_classification
 from repro.testing import FaultInjector, FlakyLoader, SimulatedCrash, corrupt_npz_member
 
@@ -126,6 +127,26 @@ class TestLoadRetry:
         broken = tmp_path / "broken"
         shutil.copytree(checkpoint, broken)
         corrupt_npz_member(broken / "store.npz", "__schedule__")
+        self.assert_quarantined_at_once(broken)
+
+    def test_malformed_metadata_skips_retries_and_quarantines_immediately(
+        self, checkpoint, tmp_path
+    ):
+        """``__summary_kinds__`` one entry short, rewritten with a valid
+        CRC: registration reads ``__meta__`` alone and accepts it; the
+        load refuses it as corrupt instead of retrying an IndexError."""
+        broken = tmp_path / "broken"
+        shutil.copytree(checkpoint, broken)
+        store = broken / "store.npz"
+        with np.load(store, allow_pickle=False) as npz:
+            members = {name: npz[name] for name in npz.files}
+        members["__summary_kinds__"] = members["__summary_kinds__"][:-1]
+        with open(store, "wb") as handle:
+            _write_npz(handle, members)
+        self.assert_quarantined_at_once(broken)
+
+    @staticmethod
+    def assert_quarantined_at_once(broken):
         registry = ModelRegistry()
         registry.register(
             "m",
