@@ -5,8 +5,13 @@ Two scenarios on the repeated-deletion datasets:
 * **Fig-4 repeated deletions** — ten random subsets (rate 0.1%) removed
   from one fitted model, comparing the sequential seed path, the compiled
   ReplayPlan one request at a time, and one batched ``remove_many`` call.
-* **Concurrent unlearning requests** — K simultaneous requests for
-  growing K, the serving regime the batched GEMM engine targets.
+* **Concurrent unlearning requests** — K ∈ {1, 4, 11, 16} simultaneous
+  requests of 1 + Poisson(1.5) ids each, the serving regime the batched
+  GEMM engine targets.  Each model runs under the method it is served
+  with (PrIU-opt for Cov and HIGGS, ``priu`` for Heartbeat) and under
+  ``priu``; a row is the median of repeated calls after a warm call, per
+  call and per request, with its worst deviation from the same sets
+  answered one at a time (K = 1).
 
 Runable standalone (writes ``BENCH_batched.json`` for the perf
 trajectory)::
@@ -32,6 +37,14 @@ from repro.bench.reporting import report  # noqa: E402
 from conftest import requires_scale, workload  # noqa: E402
 
 EXPERIMENTS = ["Cov (extended)", "HIGGS (extended)", "Heartbeat (extended)"]
+# The method each model is served with (as perfbench serves it).
+SERVED = {
+    "Cov (extended)": "priu-opt",
+    "HIGGS (extended)": "priu-opt",
+    "Heartbeat (extended)": "priu",
+}
+K_SWEEP = (1, 4, 11, 16)
+REPEATS = 15
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
@@ -76,6 +89,48 @@ def test_batched_equals_sequential_on_fig4_workload():
 
 
 # --------------------------------------------------------------- standalone
+def concurrent_request_rows(wl, experiment: str, repeats: int = REPEATS):
+    """The K sweep: median ms per call and per request, and each row's
+    worst deviation from answering its sets one at a time."""
+    trainer = wl.trainer
+    n_samples = trainer.store.n_samples
+    rows = []
+    for method in dict.fromkeys((SERVED[experiment], "priu")):
+        for k in K_SWEEP:
+            rng = np.random.default_rng(k)
+            draws = [
+                [
+                    rng.choice(n_samples, size=1 + rng.poisson(1.5), replace=False)
+                    for _ in range(k)
+                ]
+                for _ in range(repeats + 1)
+            ]
+            trainer.remove_many(draws[0], method=method)  # warm call
+            seconds, deviation = [], 0.0
+            for sets in draws[1:]:
+                start = time.perf_counter()
+                outcomes = trainer.remove_many(sets, method=method)
+                seconds.append(time.perf_counter() - start)
+                for outcome, removed in zip(outcomes, sets):
+                    lone = trainer.remove(removed, method=method).weights
+                    deviation = max(
+                        deviation, float(np.max(np.abs(outcome.weights - lone)))
+                    )
+            per_call = float(np.median(seconds))
+            rows.append(
+                {
+                    "experiment": experiment,
+                    "method": method,
+                    "n_requests": k,
+                    "repeats": repeats,
+                    "ms_per_call": 1e3 * per_call,
+                    "ms_per_request": 1e3 * per_call / k,
+                    "max_abs_deviation_from_k1": deviation,
+                }
+            )
+    return rows
+
+
 def main(out_path: str = "BENCH_batched.json") -> dict:
     """Small-scale smoke run recording the perf trajectory (CI artifact)."""
     from conftest import SCALE
@@ -91,19 +146,9 @@ def main(out_path: str = "BENCH_batched.json") -> dict:
         results["fig4_repeated"].extend(
             batched_deletion_rows(wl, n_subsets=10, deletion_rate=0.001)
         )
-        for k in (1, 4, 16):
-            subsets = [wl.subset(0.001, seed=s) for s in range(k)]
-            start = time.perf_counter()
-            wl.trainer.remove_many(subsets, method="priu")
-            seconds = time.perf_counter() - start
-            results["concurrent_requests"].append(
-                {
-                    "experiment": experiment,
-                    "n_requests": k,
-                    "total_seconds": seconds,
-                    "seconds_per_request": seconds / k,
-                }
-            )
+        results["concurrent_requests"].extend(
+            concurrent_request_rows(wl, experiment)
+        )
     with open(out_path, "w") as handle:
         json.dump(results, handle, indent=2)
     print(f"wrote {out_path}")
@@ -112,6 +157,13 @@ def main(out_path: str = "BENCH_batched.json") -> dict:
             f"  {row['experiment']:24s} {row['method']:42s} "
             f"{row['total_seconds'] * 1000:9.1f} ms "
             f"x{row['speedup_vs_sequential']:.2f}"
+        )
+    for row in results["concurrent_requests"]:
+        print(
+            f"  {row['experiment']:24s} {row['method']:9s} "
+            f"K={row['n_requests']:2d} {row['ms_per_call']:8.2f} ms/call "
+            f"{row['ms_per_request']:7.2f} ms/request "
+            f"dev {row['max_abs_deviation_from_k1']:.1e}"
         )
     return results
 

@@ -184,6 +184,32 @@ class PackedOccurrenceIndex:
         rows = _run_rows(*self.runs(np.asarray(removed, dtype=np.int64)))
         return self.samples[rows], self.iterations[rows], self.positions[rows]
 
+    def lookup_sets(
+        self, sets: list[np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`lookup` of K sets in one search over their concatenation.
+
+        Returns ``(sample ids, iterations, positions, owners)``, where
+        ``owners[j]`` is the index of the set occurrence ``j`` came from.
+        Each set must be sorted-unique; sets may overlap or repeat one
+        another, and an occurrence shared by several sets appears once per
+        set.  Rows come out set by set, each set's in :meth:`lookup`'s
+        order.
+        """
+        if not sets:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, empty, empty
+        lo, hi = self.runs(np.concatenate(sets).astype(np.int64, copy=False))
+        rows = _run_rows(lo, hi)
+        sizes = [len(s) for s in sets]
+        owners = np.repeat(np.repeat(np.arange(len(sets)), sizes), hi - lo)
+        return (
+            self.samples[rows],
+            self.iterations[rows],
+            self.positions[rows],
+            owners,
+        )
+
     def nbytes(self) -> int:
         return int(
             self.samples.nbytes + self.iterations.nbytes + self.positions.nbytes

@@ -23,11 +23,13 @@ phase — into contiguous structure-of-arrays state:
 On top of that layout, :meth:`ReplayPlan.run` replays **K deletion sets
 simultaneously**: the K weight vectors stack into an ``m × K`` matrix, so
 the bulk term of every iteration (Eq. 13/14, 19/20) is a single GEMM
-``G^(t) W`` instead of K sequential GEMVs, and only the sparse per-request
-delta corrections ``ΔG/ΔC/Δd/ΔD`` — pre-grouped by (iteration, request) —
-run per column.  At the paper's Fig-4 deletion rate (0.1%) most iterations
-have no hits for a given request, so the per-iteration cost is one GEMM
-plus a near-empty correction pass.
+``G^(t) W`` instead of K sequential GEMVs, and the per-hit delta
+corrections ``ΔG/ΔC/Δd/ΔD`` of all K requests take two more small GEMMs
+on iterations with hits: the hit rows against every weight column, and
+their transpose against a matrix that places each hit's coefficients in
+its own request's column.  At the paper's Fig-4 deletion rate (0.1%)
+most iterations have no hits for a given request, so the per-iteration
+cost is one GEMM plus a near-empty correction pass.
 
 When batching wins: the replay loop is interpretation-bound (Python and
 GEMV overhead per iteration) whenever ``m`` and the SVD ranks are modest,
@@ -700,10 +702,13 @@ CheckpointCorruptionError` on a CRC mismatch; the pending check is
     ) -> np.ndarray:
         """Replay K deletion sets simultaneously; returns ``(n_params, K)``.
 
-        Column ``k`` equals ``PrIUUpdater.update(removed_sets[k])`` (same
-        arithmetic, associativity-respecting order, so agreement is at BLAS
-        reduction-order level).  ``stop_at``/``start_*`` support the
-        PrIU-opt two-phase replay, batched.
+        Column ``k`` equals ``PrIUUpdater.update(removed_sets[k])`` at
+        BLAS reduction-order level: the same terms, but a batch sums each
+        request's hit corrections through a placement GEMM (zeros for the
+        other requests' hits) instead of one request at a time.  A lone
+        set runs the 1-D runners, whose arithmetic does not depend on
+        batching.  ``stop_at``/``start_*`` support the PrIU-opt two-phase
+        replay, batched.
         """
         if not self.supported:
             raise NotImplementedError(
@@ -769,33 +774,34 @@ CheckpointCorruptionError` on a CRC mismatch; the pending check is
     ) -> dict:
         """Resolve every (iteration, request) delta correction up front.
 
-        Produces hit arrays sorted by (iteration, request) plus segment
-        bounds so the replay loop slices — never searches — its work, a
+        One packed-index search over the K sets' concatenation yields the
+        hits, each labelled by its request, sorted by iteration (request
+        order within one) with per-iteration segment bounds, so the replay
+        loop slices — never searches — its work.  Alongside them: a
         ``(τ, K)`` matrix of per-request scale factors ``c·η/B_U^(t)``
         (zero rows encode the degenerate all-removed shrinkage step), and
         the pre-gathered per-hit feature rows / interpolation state.  Hits
         outside ``[start, end)`` are dropped before any gathering — the
         PrIU-opt phase-1 replay (``stop_at = t_s``) never pays for the
         ~30% of occurrences its tail skips.
+
+        For K > 1 it also computes, once per call, what the K-column
+        runners would otherwise redo every iteration: each hit's placement
+        (``place``: its flat index in its iteration's ``(hits_t, K)``
+        correction matrix, at its own row and request column; on
+        multinomial, its q flat indices in a ``(q, hits_t, K)`` one) and,
+        on multinomial, ΔD's weight-free coefficients ``lam_u − probs``
+        plus the label one-hot (``dcoef``).
         """
         index = self.store.packed_index()
         n_requests = len(sets)
-        ks, ts, ids, pos = [], [], [], []
-        for k, removed in enumerate(sets):
-            s_ids, s_ts, s_pos = index.lookup(removed)
-            ks.append(np.full(s_ids.size, k, dtype=np.int64))
-            ts.append(s_ts)
-            ids.append(s_ids)
-            pos.append(s_pos)
-        hit_k = np.concatenate(ks) if ks else np.empty(0, np.int64)
-        hit_t = np.concatenate(ts) if ts else np.empty(0, np.int64)
-        hit_ids = np.concatenate(ids) if ids else np.empty(0, np.int64)
-        hit_pos = np.concatenate(pos) if pos else np.empty(0, np.int64)
+        hit_ids, hit_t, hit_pos, hit_k = index.lookup_sets(sets)
         if start > 0 or end < self.n_iterations:
             keep = (hit_t >= start) & (hit_t < end)
             hit_k, hit_t = hit_k[keep], hit_t[keep]
             hit_ids, hit_pos = hit_ids[keep], hit_pos[keep]
-        order = np.lexsort((hit_k, hit_t))
+        # Stable: within an iteration, hits stay in request order.
+        order = np.argsort(hit_t, kind="stable")
         hit_k, hit_t = hit_k[order], hit_t[order]
         hit_ids, hit_pos = hit_ids[order], hit_pos[order]
 
@@ -808,22 +814,18 @@ CheckpointCorruptionError` on a CRC mismatch; the pending check is
         alive = surviving > 0
         scales[alive] = self._scale_num / surviving[alive]
 
-        # Segments: one per (iteration, request) pair with hits.
-        key = hit_t * n_requests + hit_k
+        # Segments: one per iteration with hits.
         seg_starts = np.concatenate(
-            ([0], np.flatnonzero(np.diff(key)) + 1)
-        ) if key.size else np.empty(0, np.int64)
-        seg_bounds = np.concatenate((seg_starts, [key.size]))
-        seg_t = hit_t[seg_starts] if key.size else np.empty(0, np.int64)
-        seg_k = hit_k[seg_starts] if key.size else np.empty(0, np.int64)
+            ([0], np.flatnonzero(np.diff(hit_t)) + 1)
+        ) if hit_t.size else np.empty(0, np.int64)
+        seg_bounds = np.concatenate((seg_starts, [hit_t.size]))
+        seg_t = hit_t[seg_starts] if hit_t.size else np.empty(0, np.int64)
         seg_offsets = np.searchsorted(seg_t, np.arange(tau + 1))
 
         hits = {
             "scales": scales,
             "seg_bounds": seg_bounds,
-            "seg_k": seg_k,
             "seg_offsets": seg_offsets,
-            "hit_k": hit_k,
             "rows": self.features[hit_ids] if hit_ids.size else None,
         }
         slots = self._record_offsets[hit_t] + hit_pos
@@ -838,26 +840,44 @@ CheckpointCorruptionError` on a CRC mismatch; the pending check is
             hits["probs"] = self._probs_flat[slots]
             hits["wx"] = self._wx_flat[slots]
             hits["y"] = self._labels_num[hit_ids]
+        if n_requests > 1:
+            # Hit j is row j − (its iteration's first hit) of that
+            # iteration's placement matrix, in request column hit_k[j].
+            sizes = np.diff(seg_bounds)
+            local = np.arange(hit_t.size) - np.repeat(seg_bounds[:-1], sizes)
+            place = local * n_requests + hit_k
+            if self.task == "multinomial_logistic":
+                # One (hits_t, K) block per class.
+                block = np.repeat(sizes, sizes) * n_requests
+                place = place[:, None] + block[:, None] * np.arange(
+                    self.store.n_classes
+                )
+                probs, wx = hits["probs"], hits["wx"]
+                pu = np.einsum("hq,hq->h", probs, wx)
+                dcoef = probs * wx - probs * pu[:, None] - probs
+                dcoef[np.arange(hit_t.size), hits["y"]] += 1.0
+                hits["dcoef"] = dcoef
+            hits["place"] = place
         return hits
 
     # ------------------------------------------------------------ replays
     #
-    # Each loop does one GEMM for the bulk term of all K columns, then a
-    # single vectorized pass over the iteration's hits: per-hit scalars via
-    # one einsum against the gathered weight columns, per-request sums via
-    # ``np.add.reduceat`` over the pre-sorted (iteration, request) segments,
-    # and one fancy-column scatter into ``adjust``.  No per-request Python
-    # work survives in the dense hot loops; sparse mode keeps a per-segment
-    # loop because its delta rows stay in CSR form.
+    # Each K-column loop does one GEMM for the bulk term of all K columns.
+    # An iteration with hits then corrects every request with two small
+    # GEMMs, whatever K: the hits' rows against all K weight columns, read
+    # back at each hit's own request (``place``), and the rows' transpose
+    # against a placement matrix that holds each hit's coefficients in its
+    # request's column block — zero elsewhere, so each column sums exactly
+    # its own request's hits.  The weight-free parts of those coefficients
+    # (multinomial ΔD's ``dcoef``, binary ``iy``, linear ``y``) come once
+    # per call from _gather_hits.  Sparse rows run the same two products in
+    # CSR form; no per-request or per-hit Python work survives.
 
     def _run_linear(self, weights, hits, start, end) -> np.ndarray:
         scales = hits["scales"]
-        bounds, seg_k, offsets = (
-            hits["seg_bounds"],
-            hits["seg_k"],
-            hits["seg_offsets"],
-        )
-        rows, y, hit_k = hits["rows"], hits.get("y"), hits["hit_k"]
+        bounds, offsets = hits["seg_bounds"], hits["seg_offsets"]
+        rows, y, place = hits["rows"], hits["y"], hits["place"]
+        n_requests = weights.shape[1]
         shrink = self.shrink
         moments = self.moments
         sparse = self.sparse
@@ -878,24 +898,12 @@ CheckpointCorruptionError` on a CRC mismatch; the pending check is
             adjust = moments[t][:, None] - gram_w
             s_lo, s_hi = offsets[t], offsets[t + 1]
             if s_lo != s_hi:
-                if sparse:
-                    for seg in range(s_lo, s_hi):
-                        a, b = bounds[seg], bounds[seg + 1]
-                        k = seg_k[seg]
-                        r = rows[a:b]
-                        delta = r.T @ (r @ weights[:, k] - y[a:b])
-                        adjust[:, k] += np.asarray(delta).ravel()
-                else:
-                    a0, b0 = bounds[s_lo], bounds[s_hi]
-                    r = rows[a0:b0]
-                    v = (
-                        np.einsum("hm,mh->h", r, weights[:, hit_k[a0:b0]])
-                        - y[a0:b0]
-                    )
-                    seg_sums = np.add.reduceat(
-                        r * v[:, None], bounds[s_lo:s_hi] - a0, axis=0
-                    )
-                    adjust[:, seg_k[s_lo:s_hi]] += seg_sums.T
+                a0, b0 = bounds[s_lo], bounds[s_hi]
+                r = rows[a0:b0]
+                at = place[a0:b0]
+                coef = np.zeros((b0 - a0, n_requests))
+                np.put(coef, at, np.take(r @ weights, at) - y[a0:b0])
+                adjust += r.T @ coef
             weights = shrink * weights + adjust * scales[t]
         return weights
 
@@ -999,13 +1007,10 @@ CheckpointCorruptionError` on a CRC mismatch; the pending check is
 
     def _run_binary(self, weights, hits, start, end) -> np.ndarray:
         scales = hits["scales"]
-        bounds, seg_k, offsets = (
-            hits["seg_bounds"],
-            hits["seg_k"],
-            hits["seg_offsets"],
-        )
-        rows, hit_k = hits["rows"], hits["hit_k"]
-        hit_slopes, hit_iy = hits.get("slopes"), hits.get("iy")
+        bounds, offsets = hits["seg_bounds"], hits["seg_offsets"]
+        rows, place = hits["rows"], hits["place"]
+        hit_slopes, hit_iy = hits["slopes"], hits["iy"]
+        n_requests = weights.shape[1]
         shrink = self.shrink
         moments = self.moments
         sparse = self.sparse
@@ -1028,36 +1033,25 @@ CheckpointCorruptionError` on a CRC mismatch; the pending check is
             adjust = gram_w + moments[t][:, None]
             s_lo, s_hi = offsets[t], offsets[t + 1]
             if s_lo != s_hi:
-                if sparse:
-                    for seg in range(s_lo, s_hi):
-                        a, b = bounds[seg], bounds[seg + 1]
-                        k = seg_k[seg]
-                        r = rows[a:b]
-                        z = np.asarray(r @ weights[:, k]).ravel()
-                        delta = r.T @ (hit_slopes[a:b] * z + hit_iy[a:b])
-                        adjust[:, k] -= np.asarray(delta).ravel()
-                else:
-                    a0, b0 = bounds[s_lo], bounds[s_hi]
-                    r = rows[a0:b0]
-                    v = hit_slopes[a0:b0] * np.einsum(
-                        "hm,mh->h", r, weights[:, hit_k[a0:b0]]
-                    ) + hit_iy[a0:b0]
-                    seg_sums = np.add.reduceat(
-                        r * v[:, None], bounds[s_lo:s_hi] - a0, axis=0
-                    )
-                    adjust[:, seg_k[s_lo:s_hi]] -= seg_sums.T
+                a0, b0 = bounds[s_lo], bounds[s_hi]
+                r = rows[a0:b0]
+                at = place[a0:b0]
+                coef = np.zeros((b0 - a0, n_requests))
+                np.put(
+                    coef,
+                    at,
+                    hit_slopes[a0:b0] * np.take(r @ weights, at) + hit_iy[a0:b0],
+                )
+                adjust -= r.T @ coef
             weights = shrink * weights + adjust * scales[t]
         return weights
 
     def _run_multinomial(self, weights, hits, start, end) -> np.ndarray:
         scales = hits["scales"]
-        bounds, seg_k, offsets = (
-            hits["seg_bounds"],
-            hits["seg_k"],
-            hits["seg_offsets"],
-        )
-        rows, y, hit_k = hits["rows"], hits.get("y"), hits["hit_k"]
-        hit_probs, hit_wx = hits.get("probs"), hits.get("wx")
+        bounds, offsets = hits["seg_bounds"], hits["seg_offsets"]
+        rows, place, dcoef = hits["rows"], hits["place"], hits["dcoef"]
+        hit_probs = hits["probs"]
+        n_requests = weights.shape[1]
         shrink = self.shrink
         moments = self.moments
         q = self.store.n_classes
@@ -1076,30 +1070,20 @@ CheckpointCorruptionError` on a CRC mismatch; the pending check is
             s_lo, s_hi = offsets[t], offsets[t + 1]
             if s_lo != s_hi:
                 a0, b0 = bounds[s_lo], bounds[s_hi]
-                n_hits = b0 - a0
                 r = rows[a0:b0]
                 probs = hit_probs[a0:b0]
-                wx_train = hit_wx[a0:b0]
-                # ΔC^(t) applied to each hit's own weight column:
-                # current_j = (W_kⱼ x_j) with W_kⱼ = column kⱼ as a q×m map.
-                w_cols = weights[:, hit_k[a0:b0]].T.reshape(n_hits, q, m)
-                current = np.einsum("hm,hqm->hq", r, w_cols)
+                at = place[a0:b0]
+                # ΔC^(t) applied to each hit's own weight column: entry
+                # (c, j, k) of the product is class c of hit j under
+                # request k's weights, and hit j reads its own k.
+                current = np.take(np.matmul(r, weights.reshape(q, m, -1)), at)
                 pu = np.einsum("hq,hq->h", probs, current)
                 lam_s = probs * current - probs * pu[:, None]
-                # ΔD^(t) from the cached training-time state.
-                pu2 = np.einsum("hq,hq->h", probs, wx_train)
-                lam_u = probs * wx_train - probs * pu2[:, None]
-                coeff = lam_u - probs
-                coeff[np.arange(n_hits), y[a0:b0]] += 1.0
-                # adjust -= (ΔC w + ΔD) = ((coeff - (-lam_s))ᵀ x)… per hit:
-                # -(lam_s ⊗ x) + (coeff ⊗ x) summed per request segment.
-                contrib = (coeff - lam_s)[:, :, None] * r[:, None, :]
-                seg_sums = np.add.reduceat(
-                    contrib.reshape(n_hits, q * m),
-                    bounds[s_lo:s_hi] - a0,
-                    axis=0,
-                )
-                adjust[:, seg_k[s_lo:s_hi]] -= seg_sums.T
+                # adjust -= ΔC w + ΔD: per hit (dcoef − lam_s) ⊗ x, summed
+                # into its request's column, one class block at a time.
+                coef = np.zeros((q, b0 - a0, n_requests))
+                np.put(coef, at, dcoef[a0:b0] - lam_s)
+                adjust -= np.matmul(r.T, coef).reshape(q * m, n_requests)
             weights = shrink * weights + adjust * scales[t]
         return weights
 

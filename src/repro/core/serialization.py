@@ -1115,21 +1115,9 @@ def _decode_store(archive, meta: dict, steering: dict) -> ProvenanceStore:
     their values."""
     task, version = meta["task"], meta["version"]
     sched = steering["schedule"]
-    if sched["kind"] == "materialized":
-        # Compacted batches cannot be regenerated from the seed; they
-        # are rebuilt from the loaded records below.
-        schedule = None
-    else:
-        schedule = BatchSchedule(
-            n_samples=sched["n_samples"],
-            batch_size=sched["batch_size"],
-            n_iterations=sched["n_iterations"],
-            seed=sched["seed"],
-            kind=sched["kind"],
-        )
     store = ProvenanceStore(
         task=task,
-        schedule=schedule,
+        schedule=None,  # built from the loaded records below
         learning_rate=meta["learning_rate"],
         regularization=meta["regularization"],
         n_samples=meta["n_samples"],
@@ -1171,15 +1159,22 @@ def _decode_store(archive, meta: dict, steering: dict) -> ProvenanceStore:
                     moment=moment,
                 )
             )
-    if schedule is None:
-        store.schedule = BatchSchedule(
-            n_samples=store.n_samples,
-            batch_size=sched["batch_size"],
-            n_iterations=len(store.records),
-            seed=sched["seed"],
-            kind="materialized",
-            batches=[record.batch for record in store.records],
-        )
+    # Every record holds its iteration's batch, so no kind regenerates
+    # them: a seeded schedule would rebuild the same batches bit for bit,
+    # and compacted ones cannot be rebuilt at all.  A seeded schedule
+    # keeps its kind, seed and sizes, so a save writes the same
+    # ``__schedule__``.
+    materialized = sched["kind"] == "materialized"
+    store.schedule = BatchSchedule(
+        n_samples=store.n_samples if materialized else sched["n_samples"],
+        batch_size=sched["batch_size"],
+        n_iterations=(
+            len(store.records) if materialized else sched["n_iterations"]
+        ),
+        seed=sched["seed"],
+        kind=sched["kind"],
+        batches=[record.batch for record in store.records],
+    )
     store.n_original_samples = meta["n_original_samples"]
     store.deletion_log = steering["log"]
     store.commit_receipts.extend(steering["receipts"])

@@ -7,6 +7,8 @@ through the uncompiled seed path — for all three tasks, dense and sparse,
 with and without SVD compression and ``freeze_at``.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core import (
     IncrementalTrainer,
+    PrIUOptLogisticUpdater,
     PrIUUpdater,
     ReplayPlan,
     train_with_capture,
@@ -264,6 +267,61 @@ class TestTrainerRemoveMany:
         trainer, _ = trainers["linear"]
         assert trainer.remove_many([]) == []
 
+    @pytest.mark.parametrize(
+        "name,method",
+        [
+            ("linear", "priu"),
+            ("binary", "priu"),
+            ("binary", "priu-opt"),
+            ("multinomial", "priu"),
+            ("multinomial", "priu-opt"),
+            ("sparse-binary", "priu"),
+        ],
+    )
+    def test_lone_request_keeps_its_path(
+        self, trainers, name, method, monkeypatch
+    ):
+        """A lone request runs the 1-D runner (and, on PrIU-opt, the
+        per-request tail state), never the K-column code, and a batched
+        call on the same trainer leaves its answer bit for bit."""
+        trainer, _ = trainers[name]
+        if method == "priu-opt" and trainer._opt is None:
+            pytest.skip("PrIU-opt unavailable for this configuration")
+        task = trainer.store.task.split("_")[0]
+        calls = []
+
+        def spy_on(owner, attr):
+            original = getattr(owner, attr)
+
+            def spy(self, *args, **kwargs):
+                calls.append(attr)
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, spy)
+
+        spy_on(ReplayPlan, f"_run_{task}_single")
+        spy_on(ReplayPlan, f"_run_{task}")
+        for attr in (
+            "_binary_tail_state",
+            "_multinomial_tail_state",
+            "_stacked_tail_state",
+        ):
+            spy_on(PrIUOptLogisticUpdater, attr)
+        removed = [4, 9, 44]
+        lone = trainer.remove_many([removed], method=method)[0].weights
+        expected = {f"_run_{task}_single"}
+        if method == "priu-opt":
+            expected.add(f"_{task}_tail_state")
+        assert set(calls) == expected
+        calls.clear()
+        trainer.remove_many([removed, [1, 2], removed, []], method=method)
+        assert f"_run_{task}" in calls
+        assert f"_run_{task}_single" not in calls
+        if method == "priu-opt":
+            assert set(calls) == {f"_run_{task}", "_stacked_tail_state"}
+        again = trainer.remove_many([removed], method=method)[0].weights
+        assert np.array_equal(lone, again)
+
     def test_remove_single_routes_through_plan(self, trainers):
         trainer, _ = trainers["binary"]
         removed = [4, 9, 44]
@@ -316,6 +374,66 @@ def removal_set_lists(draw):
     return draw(st.lists(one_set, min_size=1, max_size=5))
 
 
+# Small fitted runs for the sweeps of the K-column runners.  Their
+# schedules visit 12 × 8 = 96 slots of 120 samples, so some ids sit in no
+# batch: a set of those hits no iteration.
+SWEEP_CASES = [
+    ("binary_logistic", "none", False),
+    ("binary_logistic", "svd", False),
+    ("binary_logistic", "auto", True),
+    ("multinomial_logistic", "none", False),
+    ("multinomial_logistic", "svd", False),
+    ("linear", "auto", True),
+]
+SWEEP_SAMPLES = 120
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep_case(task, compression, sparse, freeze_at=None):
+    if sparse:
+        data = make_sparse_binary_classification(150, 40, density=0.1, seed=191)
+    elif task == "binary_logistic":
+        data = make_binary_classification(150, 6, seed=192)
+    else:
+        data = make_multiclass_classification(150, 5, n_classes=3, seed=193)
+    features = data.features[:SWEEP_SAMPLES]
+    labels = data.labels[:SWEEP_SAMPLES]
+    if task == "linear":
+        labels = np.random.default_rng(3).standard_normal(SWEEP_SAMPLES)
+    objective = objective_for(
+        task, 0.05, n_classes=3 if task == "multinomial_logistic" else None
+    )
+    schedule = make_schedule(SWEEP_SAMPLES, 8, 12, seed=23)
+    _, store = train_with_capture(
+        objective, features, labels, schedule, 0.05,
+        compression=compression, freeze_at=freeze_at,
+    )
+    seen = np.concatenate([record.batch for record in store.records])
+    unseen = np.setdiff1d(np.arange(SWEEP_SAMPLES), seen)
+    assert unseen.size
+    return features, labels, store, unseen
+
+
+@st.composite
+def riders_batch(draw):
+    """Drawn sets plus four riders: an empty set, a duplicate of the first,
+    a set overlapping it, and a set of ids no batch holds (filled in by
+    the test, which knows them)."""
+    one_set = st.lists(
+        st.integers(min_value=0, max_value=SWEEP_SAMPLES - 1),
+        min_size=1,
+        max_size=6,
+        unique=True,
+    )
+    sets = draw(st.lists(one_set, min_size=1, max_size=12))
+    overlap = sorted(set(sets[0]) | set(draw(one_set)))
+    return sets + [[], list(sets[0]), overlap, None]
+
+
+def _with_unseen(sets, unseen):
+    return [unseen[:3] if s is None else s for s in sets]
+
+
 class TestBatchedProperties:
     @settings(max_examples=30, deadline=None)
     @given(removal_set_lists())
@@ -334,3 +452,47 @@ class TestBatchedProperties:
         np.testing.assert_allclose(
             forward, backward[:, ::-1], atol=1e-12
         )
+
+    @pytest.mark.parametrize("task,compression,sparse", SWEEP_CASES)
+    @settings(max_examples=6, deadline=None)
+    @given(raw=riders_batch())
+    def test_k_column_runners_match_the_updater(
+        self, task, compression, sparse, raw
+    ):
+        """Up to 16 columns — empty, duplicate, overlapping and hit-free
+        sets among them — each within 1e-10 of the reference updater."""
+        features, labels, store, unseen = _sweep_case(task, compression, sparse)
+        sets = _with_unseen(raw, unseen)
+        stacked = ReplayPlan(store, features, labels).run(sets)
+        updater = PrIUUpdater(store, features, labels)
+        for k, removed in enumerate(sets):
+            np.testing.assert_allclose(
+                stacked[:, k], updater.update(removed), atol=ATOL,
+                err_msg=f"column {k} of {len(sets)}",
+            )
+
+    @pytest.mark.parametrize("task", ["binary_logistic", "multinomial_logistic"])
+    @pytest.mark.parametrize("n_requests", [2, 5, 16])
+    @settings(max_examples=4, deadline=None)
+    @given(raw=riders_batch())
+    def test_stacked_opt_tail_matches_lone_requests(
+        self, task, n_requests, raw
+    ):
+        """Column k of a PrIU-opt batch equals ``update_many([sets[k]])``,
+        whose tail state runs per request."""
+        features, labels, store, unseen = _sweep_case(
+            task, "none", False, freeze_at=0.7
+        )
+        sets = _with_unseen(raw, unseen)
+        if n_requests >= len(sets):
+            sets = (sets * n_requests)[:n_requests]
+        else:
+            sets = sets[: n_requests - 2] + sets[-2:]
+        updater = PrIUOptLogisticUpdater(store, features, labels)
+        stacked = updater.update_many(sets)
+        assert stacked.shape[1] == n_requests
+        for k, removed in enumerate(sets):
+            np.testing.assert_allclose(
+                stacked[:, k], updater.update_many([removed])[:, 0],
+                atol=ATOL, err_msg=f"column {k} of {n_requests}",
+            )

@@ -27,7 +27,7 @@ from repro.datasets import (
     make_regression,
     make_sparse_binary_classification,
 )
-from repro.models import make_schedule, objective_for
+from repro.models import BatchSchedule, make_schedule, objective_for
 from repro.testing import LockMonitor, corrupt_npz_member
 
 from legacy_archives import with_table, write_stored
@@ -148,6 +148,59 @@ class TestRoundTrips:
         np.savez_compressed(path, **archive)
         with pytest.raises(ValueError):
             load_store(path)
+
+
+class TestScheduleFromRecords:
+    """A load hands every schedule kind the records' batches; none is
+    regenerated from its seed."""
+
+    KINDS = ["mb-sgd", "sgd", "gd"]
+
+    @staticmethod
+    def store_of(kind):
+        data = make_regression(60, 4, seed=178)
+        schedule = make_schedule(data.n_samples, 8, 12, seed=102, kind=kind)
+        _, store = train_with_capture(
+            objective_for("linear", 0.1), data.features, data.labels,
+            schedule, 0.01,
+        )
+        return store
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_loaded_batches_equal_a_fresh_schedule(self, kind, tmp_path):
+        store = self.store_of(kind)
+        loaded = roundtrip(store, tmp_path).schedule
+        fresh = BatchSchedule(
+            n_samples=store.n_samples, batch_size=8, n_iterations=12,
+            seed=102, kind=kind,
+        )
+        assert (loaded.kind, loaded.seed, loaded.n_iterations) == (kind, 102, 12)
+        assert (loaded.n_samples, loaded.batch_size) == (store.n_samples, 8)
+        assert len(loaded.batches) == len(fresh.batches)
+        for got, expected in zip(loaded.batches, fresh.batches):
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_load_never_regenerates_the_schedule(
+        self, kind, tmp_path, monkeypatch
+    ):
+        path = save_store(self.store_of(kind), tmp_path / "store.npz")
+
+        def regenerate(schedule):
+            raise AssertionError("load_store regenerated the batches")
+
+        monkeypatch.setattr(BatchSchedule, "_materialize", regenerate)
+        loaded = load_store(path)
+        assert len(loaded.schedule.batches) == 12
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_save_load_save_writes_the_same_schedule(self, kind, tmp_path):
+        first = save_store(self.store_of(kind), tmp_path / "first.npz")
+        second = save_store(load_store(first), tmp_path / "second.npz")
+        assert np.array_equal(
+            store_members(first)["__schedule__"],
+            store_members(second)["__schedule__"],
+        )
 
 
 def fit_trainer(task, data, **kwargs):
