@@ -48,6 +48,7 @@ from .provenance_store import (
     LogisticRecord,
     MultinomialRecord,
     ProvenanceStore,
+    multinomial_moment_coefficients,
 )
 
 
@@ -71,11 +72,7 @@ def _multinomial_moment(
     probs: np.ndarray, wx: np.ndarray, labels: np.ndarray, block: np.ndarray
 ) -> np.ndarray:
     """``D^(t) = Σ_i (Λ_i u_i - p_i + e_{y_i}) x_iᵀ`` as a q × m matrix."""
-    pu = np.einsum("ik,ik->i", probs, wx)
-    lam_u = probs * wx - probs * pu[:, None]
-    coeff = lam_u - probs
-    coeff[np.arange(len(labels)), labels] += 1.0
-    return coeff.T @ block
+    return multinomial_moment_coefficients(probs, wx, labels).T @ block
 
 
 def _multinomial_dense_summary(

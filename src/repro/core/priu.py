@@ -29,6 +29,7 @@ from .provenance_store import (
     MultinomialRecord,
     ProvenanceStore,
     apply_summary,
+    multinomial_moment_coefficients,
     normalize_removed_indices,
 )
 
@@ -188,18 +189,15 @@ class PrIUUpdater:
             ids, positions = hit
             rows = self.features[ids]
             probs = record.probabilities[positions]
-            wx_train = record.wx[positions]
-            y = self.labels[ids].astype(int)
             # ΔC^(t) applied to the *current* w: -Σ Λ_i (W x_i) x_iᵀ.
             current = rows @ w.reshape(q, m).T  # ΔB × q
             pu = np.einsum("ik,ik->i", probs, current)
             lam_s = probs * current - probs * pu[:, None]
             delta_cw = -(lam_s.T @ rows)  # q × m
             # ΔD^(t) from the cached training-time state.
-            pu2 = np.einsum("ik,ik->i", probs, wx_train)
-            lam_u = probs * wx_train - probs * pu2[:, None]
-            coeff = lam_u - probs
-            coeff[np.arange(len(ids)), y] += 1.0
+            coeff = multinomial_moment_coefficients(
+                probs, record.wx[positions], self.labels[ids].astype(int)
+            )
             delta_d = coeff.T @ rows  # q × m
             cw = cw - delta_cw.ravel()
             d = d - delta_d

@@ -18,7 +18,7 @@ Both updaters also expose ``update_many``: K deletion requests share one
 vectorized eigen tail — the per-request eigenvalue corrections and moments
 stack into ``m × K`` matrices, :func:`~repro.linalg.eigen.gd_diagonal_recursion`
 broadcasts over the K columns, and the basis changes ``Qᵀ·`` / ``Q·`` become
-GEMMs.  The logistic updater also builds the K > 1 tail states together:
+GEMMs.  The logistic updater also builds the K tail states together:
 the removed rows of all requests are projected at once (a block of
 samples at a time) and summed per request by GEMM.  The logistic phase 1
 runs through a compiled
@@ -40,6 +40,7 @@ from ..linalg.matrix_utils import is_sparse
 from .provenance_store import (
     FrozenProvenance,
     ProvenanceStore,
+    multinomial_moment_coefficients,
     normalize_removed_indices,
 )
 from .replay_plan import ReplayPlan
@@ -268,9 +269,8 @@ class PrIUOptLogisticUpdater:
         """K two-phase updates at once; returns ``(n_params, K)``.
 
         Phase 1 is the batched GEMM replay up to ``t_s``; phase 2 builds
-        the K tail states (:meth:`_stacked_tail_state`; a lone request
-        keeps the per-request one) and evaluates one broadcast diagonal
-        recursion for all K requests.
+        the K tail states together (:meth:`_stacked_tail_state`) and
+        evaluates one broadcast diagonal recursion for all K requests.
         """
         self.refresh_eigen()  # discharge any deferred commit debt first
         sets = [
@@ -294,18 +294,7 @@ class PrIUOptLogisticUpdater:
         tail = self.store.schedule.n_iterations - frozen.t_s
         if tail <= 0:
             return w_ts
-        if n_requests == 1:
-            # A lone request keeps the per-request tail state.
-            eigenvalues = np.empty((n_params, 1))
-            moments = np.empty((n_params, 1))
-            tail_state = (
-                self._binary_tail_state
-                if self.store.task == "binary_logistic"
-                else self._multinomial_tail_state
-            )
-            eigenvalues[:, 0], moments[:, 0] = tail_state(sets[0])
-        else:
-            eigenvalues, moments = self._stacked_tail_state(sets)
+        eigenvalues, moments = self._stacked_tail_state(sets)
         q = self._eigen.eigenvectors
         initial = q.T @ w_ts
         bias = (q.T @ moments) / remaining
@@ -322,50 +311,8 @@ class PrIUOptLogisticUpdater:
         return q @ coords
 
     # ---------------------------------------------------------- tail state
-    def _binary_tail_state(self, removed: np.ndarray):
-        frozen = self.store.frozen
-        if removed.size == 0:
-            return frozen.eigenvalues, frozen.moment
-        rows = self.features[removed]
-        slopes = frozen.slopes[removed]
-        intercepts = frozen.intercepts[removed]
-        y = self.labels[removed].astype(float)
-        eigenvalues = incremental_eigenvalues_from_rows(
-            self._eigen, rows, weights=slopes
-        )
-        moment = frozen.moment - rows.T @ (intercepts * y)
-        return eigenvalues, moment
-
-    def _multinomial_tail_state(self, removed: np.ndarray):
-        frozen = self.store.frozen
-        if removed.size == 0:
-            return frozen.eigenvalues, frozen.moment
-        q_classes = self.store.n_classes
-        rows = self.features[removed]
-        probs = frozen.probabilities[removed]
-        wx = frozen.wx[removed]
-        y = self.labels[removed].astype(int)
-        # ΔC* in the Kronecker rank-1 expansion (see capture).
-        lam = -np.einsum("ik,il->ikl", probs, probs)
-        lam[:, np.arange(q_classes), np.arange(q_classes)] += probs
-        evals, evecs = np.linalg.eigh(lam)
-        kron_rows = np.einsum("iqk,im->ikqm", evecs, rows).reshape(
-            len(removed) * q_classes, -1
-        )
-        weights = -evals.reshape(-1)
-        eigenvalues = incremental_eigenvalues_from_rows(
-            self._eigen, kron_rows, weights=weights
-        )
-        # ΔD* from the frozen per-sample state.
-        pu = np.einsum("ik,ik->i", probs, wx)
-        lam_u = probs * wx - probs * pu[:, None]
-        coeff = lam_u - probs
-        coeff[np.arange(len(removed)), y] += 1.0
-        moment = frozen.moment - (coeff.T @ rows).ravel()
-        return eigenvalues, moment
-
     def _stacked_tail_state(self, sets: list[np.ndarray]):
-        """The K > 1 tail states at once: ``(eigenvalues, moments)``, each
+        """The K tail states at once: ``(eigenvalues, moments)``, each
         ``(n_params, K)``.
 
         The removed rows of all K requests are projected together against
@@ -374,12 +321,11 @@ class PrIUOptLogisticUpdater:
         GEMM against a matrix that places each removed sample in its
         request's row or column.  On multinomial the correction of
         eigenvalue ``j`` for sample ``i`` is ``u_ijᵀ Λ_i u_ij`` with
-        ``u_ij = Q_j x_i`` (``Q_j``: eigenvector ``j`` as a q × m map),
-        which :meth:`_multinomial_tail_state` evaluates through Λ_i's
-        eigenpairs as q Kronecker rows.  Here ``u`` comes from projecting
-        ``x_i`` once per class block of the eigenvectors, and
-        ``uᵀΛu = Σ_c p_c (u_c − p·u)²`` since the probabilities sum to
-        one, so no eigenpair and no Kronecker row is formed.
+        ``u_ij = Q_j x_i`` (``Q_j``: eigenvector ``j`` as a q × m map).
+        ``u`` comes from projecting ``x_i`` once per class block of the
+        eigenvectors, and ``uᵀΛu = Σ_c p_c (u_c − p·u)²`` since the
+        probabilities sum to one, so neither Λ_i's eigenpairs nor
+        Kronecker rows ``(Λ_i's eigenvectors) ⊗ x_i`` are formed.
         """
         frozen = self.store.frozen
         n_requests = len(sets)
@@ -404,8 +350,6 @@ class PrIUOptLogisticUpdater:
         q_classes = self.store.n_classes
         m = rows.shape[1]
         probs = frozen.probabilities[removed]
-        wx = frozen.wx[removed]
-        y = self.labels[removed].astype(int)
         # u[c, i, j] = (Q_j x_i)[c], one GEMM per class block of Q, for a
         # block of samples at a time.
         blocks = vectors.reshape(q_classes, m, -1)
@@ -423,12 +367,11 @@ class PrIUOptLogisticUpdater:
             )
         eigenvalues = frozen.eigenvalues[:, None] + corrections.T
         # ΔD* from the frozen per-sample state, placed per request.
-        pu = np.einsum("ik,ik->i", probs, wx)
-        dcoef = probs * wx - probs * pu[:, None] - probs
-        dcoef[samples, y] += 1.0
         coef = np.zeros((removed.size, n_requests, q_classes))
-        coef[samples, owners] = dcoef
+        coef[samples, owners] = multinomial_moment_coefficients(
+            probs, frozen.wx[removed], self.labels[removed].astype(int)
+        )
         moments = frozen.moment[:, None] - (
-            coef.reshape(removed.size, -1).T @ rows
+            coef.reshape(removed.size, n_requests * q_classes).T @ rows
         ).reshape(n_requests, -1).T
         return eigenvalues, moments

@@ -314,6 +314,22 @@ def apply_summary(summary: Summary, vector: np.ndarray) -> np.ndarray:
     return summary @ vector
 
 
+def multinomial_moment_coefficients(
+    probs: np.ndarray, wx: np.ndarray, labels: np.ndarray
+) -> np.ndarray:
+    """Per-sample ``Λ_i u_i − p_i + e_{y_i}`` as an ``(n, q)`` array.
+
+    Row ``i`` is sample ``i``'s coefficient in the multinomial moment
+    ``D = Σ_i (Λ_i u_i − p_i + e_{y_i}) x_iᵀ`` (``Λ_i = diag(p_i) −
+    p_i p_iᵀ``, ``u_i = W x_i`` at training time); it does not depend on
+    the weights being replayed.  ``labels`` are integer class ids.
+    """
+    pu = np.einsum("ik,ik->i", probs, wx)
+    coeff = probs * wx - probs * pu[:, None] - probs
+    coeff[np.arange(len(labels)), labels] += 1.0
+    return coeff
+
+
 @dataclass
 class LinearRecord:
     """Per-iteration cache for linear regression (Eq. 13/14)."""
@@ -868,12 +884,9 @@ class ProvenanceStore:
                     dtype=float,
                 )
             probs_hit = record.probabilities[positions]
-            wx_hit = record.wx[positions]
-            y = labels[ids].astype(int)
-            pu = np.einsum("ik,ik->i", probs_hit, wx_hit)
-            lam_u = probs_hit * wx_hit - probs_hit * pu[:, None]
-            coeff = lam_u - probs_hit
-            coeff[np.arange(len(ids)), y] += 1.0
+            coeff = multinomial_moment_coefficients(
+                probs_hit, record.wx[positions], labels[ids].astype(int)
+            )
             record.moment = record.moment - coeff.T @ rows
             if summary is not None:
                 record.summary, copied = self._shrunk_multinomial_summary(
@@ -964,8 +977,6 @@ class ProvenanceStore:
         elif frozen.probabilities is not None:  # multinomial
             if frozen.gram is not None:
                 probs_r = frozen.probabilities[removed]
-                wx_r = frozen.wx[removed]
-                y = labels[removed].astype(int)
                 q = probs_r.shape[1]
                 lam = -np.einsum("ik,il->ikl", probs_r, probs_r)
                 lam[:, np.arange(q), np.arange(q)] += probs_r
@@ -973,10 +984,9 @@ class ProvenanceStore:
                     "hkl,hm,hn->kmln", lam, rows, rows
                 ).reshape(frozen.gram.shape)
                 frozen.gram = frozen.gram + contrib
-                pu = np.einsum("ik,ik->i", probs_r, wx_r)
-                lam_u = probs_r * wx_r - probs_r * pu[:, None]
-                coeff = lam_u - probs_r
-                coeff[np.arange(removed.size), y] += 1.0
+                coeff = multinomial_moment_coefficients(
+                    probs_r, frozen.wx[removed], labels[removed].astype(int)
+                )
                 frozen.moment = frozen.moment - (coeff.T @ rows).ravel()
             frozen.probabilities = np.delete(frozen.probabilities, removed, axis=0)
             frozen.wx = np.delete(frozen.wx, removed, axis=0)

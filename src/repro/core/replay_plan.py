@@ -50,6 +50,7 @@ from .provenance_store import (
     CompactionStats,
     PackedOccurrenceIndex,
     ProvenanceStore,
+    multinomial_moment_coefficients,
     normalize_removed_indices,
 )
 
@@ -785,13 +786,13 @@ CheckpointCorruptionError` on a CRC mismatch; the pending check is
         PrIU-opt phase-1 replay (``stop_at = t_s``) never pays for the
         ~30% of occurrences its tail skips.
 
-        For K > 1 it also computes, once per call, what the K-column
-        runners would otherwise redo every iteration: each hit's placement
+        The runners' weight-free terms come once per call, not once per
+        iteration: on multinomial, ΔD's coefficients ``Λu − p + e_y``
+        (``dcoef``, :func:`~repro.core.provenance_store.\
+multinomial_moment_coefficients`); for K > 1, each hit's placement
         (``place``: its flat index in its iteration's ``(hits_t, K)``
         correction matrix, at its own row and request column; on
-        multinomial, its q flat indices in a ``(q, hits_t, K)`` one) and,
-        on multinomial, ΔD's weight-free coefficients ``lam_u − probs``
-        plus the label one-hot (``dcoef``).
+        multinomial, its q flat indices in a ``(q, hits_t, K)`` one).
         """
         index = self.store.packed_index()
         n_requests = len(sets)
@@ -838,8 +839,9 @@ CheckpointCorruptionError` on a CRC mismatch; the pending check is
             if self._slot_map is not None:
                 slots = self._slot_map[slots]
             hits["probs"] = self._probs_flat[slots]
-            hits["wx"] = self._wx_flat[slots]
-            hits["y"] = self._labels_num[hit_ids]
+            hits["dcoef"] = multinomial_moment_coefficients(
+                hits["probs"], self._wx_flat[slots], self._labels_num[hit_ids]
+            )
         if n_requests > 1:
             # Hit j is row j − (its iteration's first hit) of that
             # iteration's placement matrix, in request column hit_k[j].
@@ -852,11 +854,6 @@ CheckpointCorruptionError` on a CRC mismatch; the pending check is
                 place = place[:, None] + block[:, None] * np.arange(
                     self.store.n_classes
                 )
-                probs, wx = hits["probs"], hits["wx"]
-                pu = np.einsum("hq,hq->h", probs, wx)
-                dcoef = probs * wx - probs * pu[:, None] - probs
-                dcoef[np.arange(hit_t.size), hits["y"]] += 1.0
-                hits["dcoef"] = dcoef
             hits["place"] = place
         return hits
 
@@ -871,7 +868,10 @@ CheckpointCorruptionError` on a CRC mismatch; the pending check is
     # its own request's hits.  The weight-free parts of those coefficients
     # (multinomial ΔD's ``dcoef``, binary ``iy``, linear ``y``) come once
     # per call from _gather_hits.  Sparse rows run the same two products in
-    # CSR form; no per-request or per-hit Python work survives.
+    # CSR form; no per-request or per-hit Python work survives.  Both
+    # products cost O(hits_t·m·K), K times a per-hit gather's arithmetic,
+    # so they pay while an iteration meets few hits (sets of a few ids);
+    # docs/architecture.md gives the measured limits.
 
     def _run_linear(self, weights, hits, start, end) -> np.ndarray:
         scales = hits["scales"]
@@ -972,8 +972,7 @@ CheckpointCorruptionError` on a CRC mismatch; the pending check is
     def _run_multinomial_single(self, w, hits, start, end) -> np.ndarray:
         scales = hits["scales"][:, 0]
         bounds, offsets = hits["seg_bounds"], hits["seg_offsets"]
-        rows, y = hits["rows"], hits.get("y")
-        hit_probs, hit_wx = hits.get("probs"), hits.get("wx")
+        rows, hit_probs, dcoef = hits["rows"], hits["probs"], hits["dcoef"]
         shrink = self.shrink
         moments = self.moments
         q = self.store.n_classes
@@ -990,18 +989,12 @@ CheckpointCorruptionError` on a CRC mismatch; the pending check is
             s_lo, s_hi = offsets[t], offsets[t + 1]
             if s_lo != s_hi:
                 a0, b0 = bounds[s_lo], bounds[s_hi]
-                n_hits = b0 - a0
                 r = rows[a0:b0]
                 probs = hit_probs[a0:b0]
-                wx_train = hit_wx[a0:b0]
                 current = r @ w.reshape(q, m).T
                 pu = np.einsum("hq,hq->h", probs, current)
                 lam_s = probs * current - probs * pu[:, None]
-                pu2 = np.einsum("hq,hq->h", probs, wx_train)
-                lam_u = probs * wx_train - probs * pu2[:, None]
-                coeff = lam_u - probs
-                coeff[np.arange(n_hits), y[a0:b0]] += 1.0
-                adjust -= ((coeff - lam_s).T @ r).ravel()
+                adjust -= ((dcoef[a0:b0] - lam_s).T @ r).ravel()
             w = shrink * w + adjust * scales[t]
         return w
 

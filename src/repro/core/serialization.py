@@ -1085,6 +1085,13 @@ def _store_steering(archive, meta: dict) -> dict:
         "corrections": None,
         "receipts": [],
     }
+    schedule = steering["schedule"]
+    if schedule["kind"] != "materialized" and schedule["n_iterations"] != n_records:
+        # The decode takes a seeded schedule's batches from its records.
+        raise _malformed(
+            archive, "__schedule__",
+            f"counts {schedule['n_iterations']} iterations for {n_records} records",
+        )
     unknown = set(steering["kinds"]) - set(_SUMMARY_KINDS)
     if unknown:
         raise _malformed(

@@ -281,44 +281,38 @@ class TestTrainerRemoveMany:
     def test_lone_request_keeps_its_path(
         self, trainers, name, method, monkeypatch
     ):
-        """A lone request runs the 1-D runner (and, on PrIU-opt, the
-        per-request tail state), never the K-column code, and a batched
-        call on the same trainer leaves its answer bit for bit."""
+        """A lone request runs the 1-D runner, never the K-column code; it
+        agrees with the uncompiled replay (``priu``) or with the same set
+        inside a batch (PrIU-opt), and a batched call on the same trainer
+        leaves its answer bit for bit."""
         trainer, _ = trainers[name]
         if method == "priu-opt" and trainer._opt is None:
             pytest.skip("PrIU-opt unavailable for this configuration")
         task = trainer.store.task.split("_")[0]
         calls = []
 
-        def spy_on(owner, attr):
-            original = getattr(owner, attr)
+        def spy_on(attr):
+            original = getattr(ReplayPlan, attr)
 
             def spy(self, *args, **kwargs):
                 calls.append(attr)
                 return original(self, *args, **kwargs)
 
-            monkeypatch.setattr(owner, attr, spy)
+            monkeypatch.setattr(ReplayPlan, attr, spy)
 
-        spy_on(ReplayPlan, f"_run_{task}_single")
-        spy_on(ReplayPlan, f"_run_{task}")
-        for attr in (
-            "_binary_tail_state",
-            "_multinomial_tail_state",
-            "_stacked_tail_state",
-        ):
-            spy_on(PrIUOptLogisticUpdater, attr)
+        spy_on(f"_run_{task}_single")
+        spy_on(f"_run_{task}")
         removed = [4, 9, 44]
         lone = trainer.remove_many([removed], method=method)[0].weights
-        expected = {f"_run_{task}_single"}
-        if method == "priu-opt":
-            expected.add(f"_{task}_tail_state")
-        assert set(calls) == expected
+        assert set(calls) == {f"_run_{task}_single"}
         calls.clear()
-        trainer.remove_many([removed, [1, 2], removed, []], method=method)
-        assert f"_run_{task}" in calls
-        assert f"_run_{task}_single" not in calls
-        if method == "priu-opt":
-            assert set(calls) == {f"_run_{task}", "_stacked_tail_state"}
+        batch = trainer.remove_many([removed, [1, 2], removed, []], method=method)
+        assert set(calls) == {f"_run_{task}"}
+        if method == "priu":
+            reference = trainer.remove(removed, method="priu-seq").weights
+        else:
+            reference = batch[0].weights
+        np.testing.assert_allclose(lone, reference, atol=ATOL)
         again = trainer.remove_many([removed], method=method)[0].weights
         assert np.array_equal(lone, again)
 

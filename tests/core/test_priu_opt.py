@@ -199,3 +199,73 @@ class TestMultinomialOpt:
             freeze_at=0.7, max_dense_params=100,
         )
         assert store.frozen is None
+
+
+class TestTailState:
+    """The tail state (Sec. 5.4) against its definition: request ``k``
+    moves the frozen eigenvalue ``λ_j`` by ``q_jᵀ ΔC*_k q_j`` and the
+    frozen moment by ``ΔD*_k``, summed over its own removed samples."""
+
+    @staticmethod
+    def updater_for(task):
+        if task == "binary_logistic":
+            data = make_binary_classification(120, 6, seed=117)
+            objective = objective_for(task, 0.01)
+        else:
+            data = make_multiclass_classification(120, 5, n_classes=3, seed=118)
+            objective = objective_for(task, 0.01, n_classes=3)
+        schedule = make_schedule(data.n_samples, 20, 30, seed=26)
+        _, store = train_with_capture(
+            objective, data.features, data.labels, schedule, 0.05,
+            compression="none", freeze_at=0.7,
+        )
+        return PrIUOptLogisticUpdater(store, data.features, data.labels)
+
+    @staticmethod
+    def definition(updater, removed):
+        frozen = updater.store.frozen
+        rows = updater.features[removed]
+        labels = updater.labels[removed]
+        if updater.store.task == "binary_logistic":
+            delta_c = -(rows.T * frozen.slopes[removed]) @ rows
+            delta_d = -rows.T @ (frozen.intercepts[removed] * labels)
+        else:
+            q = updater.store.n_classes
+            delta_c = np.zeros_like(frozen.gram)
+            delta_d = np.zeros(q * rows.shape[1])
+            for x, p, u, y in zip(
+                rows, frozen.probabilities[removed], frozen.wx[removed], labels
+            ):
+                lam = np.diag(p) - np.outer(p, p)
+                delta_c += np.kron(lam, np.outer(x, x))
+                delta_d -= np.kron(lam @ u - p + np.eye(q)[int(y)], x)
+        vectors = frozen.eigenvectors
+        eigenvalues = frozen.eigenvalues + np.einsum(
+            "mj,mn,nj->j", vectors, delta_c, vectors
+        )
+        return eigenvalues, frozen.moment + delta_d
+
+    @pytest.mark.parametrize("task", ["binary_logistic", "multinomial_logistic"])
+    @pytest.mark.parametrize("block", [None, 1])
+    def test_every_request_matches_the_definition(self, task, block, monkeypatch):
+        if block is not None:
+            # One removed sample per projection block.
+            monkeypatch.setattr("repro.core.priu_opt._TAIL_BLOCK", block)
+        updater = self.updater_for(task)
+        sets = [
+            np.array([3, 7, 19]),
+            np.array([], dtype=np.int64),
+            np.array([7]),
+            np.arange(40, 70),
+        ]
+        for batch in (sets, sets[:1]):
+            eigenvalues, moments = updater._stacked_tail_state(batch)
+            assert eigenvalues.shape == moments.shape == (
+                updater._eigen.n_features, len(batch)
+            )
+            for k, removed in enumerate(batch):
+                expected = self.definition(updater, removed)
+                np.testing.assert_allclose(
+                    eigenvalues[:, k], expected[0], atol=1e-10
+                )
+                np.testing.assert_allclose(moments[:, k], expected[1], atol=1e-10)

@@ -202,6 +202,19 @@ class TestScheduleFromRecords:
             store_members(second)["__schedule__"],
         )
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n_iterations", ["11", "13"])
+    def test_iteration_count_off_the_records_raises_typed(
+        self, kind, n_iterations, tmp_path
+    ):
+        path = save_store(self.store_of(kind), tmp_path / "store.npz")
+        bad = rewritten(
+            path, tmp_path / "bad.npz", "__schedule__",
+            with_entry(2, n_iterations),
+        )
+        with pytest.raises(CheckpointCorruptionError, match="__schedule__"):
+            load_store(bad)
+
 
 def fit_trainer(task, data, **kwargs):
     defaults = dict(
