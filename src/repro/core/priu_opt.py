@@ -45,7 +45,7 @@ from .provenance_store import (
 )
 from .replay_plan import ReplayPlan
 
-# Doubles in one block of a batched multinomial tail's projections.  A
+# Doubles in one block of a multinomial tail state's projections.  A
 # block of samples at a time keeps the working set at a few hundred KiB:
 # projecting a 16-request batch at once held 4 MiB, and the allocator
 # kept a served process's resident set 2.8 MB higher afterwards.
