@@ -4,16 +4,19 @@ The cost model prices each removal before it runs — touched
 iterations, plan-patch bytes and SVD width growth, all read off the
 packed occurrence index.  Predictions are only trustworthy if they are
 *checked*, so this benchmark drives estimate→remove→commit rounds
-across three workload shapes (dense binary flats, SVD-compressed
+across three workload shapes (dense binary columns, SVD-compressed
 summaries, linear moments) and drains each
 :class:`~repro.core.costmodel.CostModel` decision ring into a
 per-decision predicted-vs-actual table.
 
-The acceptance bar: the recorded relative error on the plan-patch
-bytes stays within 0.5, and every decision's mode is ``refresh`` or
-``unsupported`` (commits always patch the plan in place).  Both
-predictions are structural (read off the same accounting the executed
-patch reports), so the assertions hold on every machine.
+The acceptance bar: the touched-iteration fraction each estimate reads
+off the occurrence index equals the one the executed compaction
+reports, the recorded relative error on the plan-patch bytes stays
+within 0.5, and every decision's mode is ``refresh`` or ``unsupported``
+(commits always patch the plan in place).  The byte prediction shares
+its formula with the executed patch, so it checks only its inputs (the
+occurrence counts); the fraction is an independent count.  All are
+structural, so the assertions hold on every machine.
 
 Runable standalone (writes ``BENCH_costmodel.json`` for the perf
 trajectory)::
@@ -41,9 +44,7 @@ ERROR_BAR = 0.5
 #: Modes a commit may take: the plan is always refreshed in place.
 COMMIT_MODES = ("refresh", "unsupported")
 #: Tight limits keep SVD widths bounded across the measured rounds.
-MAINTENANCE = MaintenancePolicy(
-    max_slot_garbage_fraction=0.05, max_svd_correction_columns=4
-)
+MAINTENANCE = MaintenancePolicy(max_svd_correction_columns=4)
 
 N_WARMUP = 8  # commits before measurement starts
 N_ROUNDS = 24  # measured estimate→remove→commit rounds per workload
@@ -102,19 +103,23 @@ def _removal(rng, n_samples, round_index):
 
 
 def _decision_errors(decisions):
-    """Per-decision byte errors and mode agreement against the receipt."""
-    byte_errors, agreements = [], []
+    """Per-decision byte errors, mode agreement and touched-fraction
+    agreement against the receipt."""
+    byte_errors, agreements, fractions = [], [], []
     for decision in decisions:
         predicted = decision["predicted"]
         if predicted is None:
             continue
         agreements.append(predicted["mode"] == decision["actual_mode"])
+        fractions.append(
+            predicted["touched_fraction"] == decision["actual_fraction"]
+        )
         actual_bytes = decision["actual_patched_bytes"] or 0
         byte_errors.append(
             abs(predicted["plan_patch_bytes"] - actual_bytes)
             / max(actual_bytes, 1)
         )
-    return byte_errors, agreements
+    return byte_errors, agreements, fractions
 
 
 def _run(n_warmup=N_WARMUP, n_rounds=N_ROUNDS):
@@ -139,7 +144,7 @@ def _run(n_warmup=N_WARMUP, n_rounds=N_ROUNDS):
             if MAINTENANCE.due(trainer.maintenance_cost(include_bytes=False)):
                 trainer.maintain(MAINTENANCE)
         decisions = model.decisions()[n_warm:]
-        byte_errors, agreements = _decision_errors(decisions)
+        byte_errors, agreements, fractions = _decision_errors(decisions)
         modes = [d["actual_mode"] for d in decisions]
         rows.append(
             {
@@ -149,6 +154,9 @@ def _run(n_warmup=N_WARMUP, n_rounds=N_ROUNDS):
                 "modes": sorted(set(modes)),
                 "mode_agreement": (
                     float(np.mean(agreements)) if agreements else 0.0
+                ),
+                "touched_fraction_agreement": (
+                    float(np.mean(fractions)) if fractions else 0.0
                 ),
                 "plan_patch_bytes_rel_error_median": (
                     float(np.median(byte_errors)) if byte_errors else 0.0
@@ -162,10 +170,12 @@ def _run(n_warmup=N_WARMUP, n_rounds=N_ROUNDS):
 
 def _check(rows):
     for row in rows:
-        # Every measured commit logged a prediction whose mode is the
-        # executed one, and every commit patched the plan in place.
+        # Every measured commit logged a prediction whose mode and
+        # touched fraction are the executed ones, and every commit
+        # patched the plan in place.
         assert row["n_decisions"] > 0
         assert row["mode_agreement"] == 1.0
+        assert row["touched_fraction_agreement"] == 1.0
         assert set(row["modes"]) <= set(COMMIT_MODES)
         # Byte predictions are structural (shared accounting with the
         # executed patch), so the bar holds on every machine.

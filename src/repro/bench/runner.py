@@ -217,16 +217,21 @@ def batched_deletion_rows(
     deletion_rate: float = 0.001,
     method: str = "priu",
     seed: int = 0,
-    repeats: int = 1,
+    repeats: int = 5,
 ) -> list[dict]:
     """Concurrent unlearning requests: ``remove_many`` vs sequential paths.
 
     Serves the same ``n_subsets`` removal sets three ways — the uncompiled
     seed path one request at a time (``priu-seq``), the compiled ReplayPlan
     one request at a time, and all K requests through one batched
-    ``remove_many`` call — and reports total wall-clock plus the max
+    ``remove_many`` call — and reports each path's wall-clock plus the max
     parameter deviation of the batched result from the sequential seed
     path (which must sit at numerical noise).
+
+    The paths are timed in turn, ``repeats`` rounds of one call each, so
+    a change in the machine's load reaches every row alike; each row
+    reports its median round (``total_seconds``), and the speedups are
+    ratios of those medians.
     """
     trainer = workload.trainer
     subsets = random_subsets(workload.n_samples, n_subsets, deletion_rate, seed=seed)
@@ -237,39 +242,43 @@ def batched_deletion_rows(
     def run_sequential(m: str) -> list[np.ndarray]:
         return [trainer.remove(s, method=m).weights for s in subsets]
 
-    seq_timing = measure(lambda: run_sequential(sequential_method), repeats)
-    batched_timing = measure(
-        lambda: trainer.remove_many(subsets, method=method), repeats
-    )
+    sequential_label = f"{sequential_method} (sequential seed path)"
+    batched_label = f"{method} (remove_many, batched)"
+    paths = {sequential_label: lambda: run_sequential(sequential_method)}
+    if sequential_method != method:
+        paths[f"{method} (compiled plan, one-by-one)"] = (
+            lambda: run_sequential(method)
+        )
+    paths[batched_label] = lambda: trainer.remove_many(subsets, method=method)
+    samples: dict[str, list[float]] = {label: [] for label in paths}
+    for _ in range(repeats):
+        for label, run in paths.items():
+            start = time.perf_counter()
+            run()
+            samples[label].append(time.perf_counter() - start)
+    medians = {label: float(np.median(times)) for label, times in samples.items()}
+
     reference = run_sequential(sequential_method)
     batched = trainer.remove_many(subsets, method=method)
     deviation = max(
         float(np.max(np.abs(out.weights - ref))) if ref.size else 0.0
         for out, ref in zip(batched, reference)
     )
-    timed = [(f"{sequential_method} (sequential seed path)", seq_timing, None)]
-    if sequential_method != method:
-        single_timing = measure(lambda: run_sequential(method), repeats)
-        timed.append(
-            (f"{method} (compiled plan, one-by-one)", single_timing, None)
-        )
-    timed.append((f"{method} (remove_many, batched)", batched_timing, deviation))
-    rows = []
-    for label, timing, row_deviation in timed:
-        rows.append(
-            {
-                "experiment": workload.config.name,
-                "method": label,
-                "n_subsets": n_subsets,
-                "deletion_rate": deletion_rate,
-                "total_seconds": timing.best,
-                "speedup_vs_sequential": seq_timing.best / timing.best,
-                # Only the batched row was checked against the sequential
-                # reference; the other rows carry no measured deviation.
-                "max_abs_deviation": row_deviation,
-            }
-        )
-    return rows
+    return [
+        {
+            "experiment": workload.config.name,
+            "method": label,
+            "n_subsets": n_subsets,
+            "deletion_rate": deletion_rate,
+            "repeats": repeats,
+            "total_seconds": medians[label],
+            "speedup_vs_sequential": medians[sequential_label] / medians[label],
+            # Only the batched row was checked against the sequential
+            # reference; the other rows carry no measured deviation.
+            "max_abs_deviation": deviation if label == batched_label else None,
+        }
+        for label in paths
+    ]
 
 
 def refresh_rows(
@@ -282,7 +291,7 @@ def refresh_rows(
 
     Both timed paths follow the same ``compact`` of a deep copy of the
     fitted store; they differ only in how the compiled plan catches up —
-    patching the affected rows/slots in place (``refresh``) versus
+    re-binding the affected iterations in place (``refresh``) versus
     compiling a new plan over the compacted store (``recompile``).  The
     two plans must then answer a fresh query identically (asserted by
     the benchmark at atol 1e-10).  The speedup is what patching the
@@ -545,8 +554,11 @@ def maintenance_rows(
     ``maintain_every`` commits.  Records the serving-resident footprint
     (store + compiled plan bytes) over the run, per-commit service
     latency percentiles, and the final maintenance cost — the
-    unmaintained footprint grows monotonically (SVD correction columns,
-    slot-map garbage) while the maintained one stays bounded.
+    unmaintained footprint grows monotonically (SVD correction columns)
+    while the maintained one stays bounded.  The store's per-sample
+    columns (``sample_column_bytes_*``) shrink with every commit in both
+    modes: a commit drops the erased rows itself, so maintenance has
+    nothing of theirs to reclaim.
 
     ``svd_epsilon`` selects the re-truncation criterion: ``None`` keeps
     the operator to machine precision (answers agree at atol 1e-10, but
@@ -579,6 +591,7 @@ def maintenance_rows(
         maintain_runs = 0
         max_relative_error = 0.0
         committed = 0
+        column_bytes_first = _column_bytes(trainer.store)
 
         def run_maintenance() -> None:
             nonlocal maintain_seconds, maintain_runs, max_relative_error
@@ -639,7 +652,8 @@ def maintenance_rows(
                 "svd_max_width": max(widths) if widths else 0,
                 "svd_correction_columns": cost.svd_correction_columns,
                 "svd_max_relative_error": max_relative_error,
-                "slot_garbage_rows": cost.slot_garbage_rows,
+                "sample_column_bytes_first": column_bytes_first,
+                "sample_column_bytes_final": _column_bytes(trainer.store),
                 "maintain_runs": maintain_runs,
                 "maintain_seconds_total": maintain_seconds,
             }
@@ -661,6 +675,11 @@ def maintenance_rows(
         )
     )
     return rows, {"series": series, "max_abs_deviation": deviation}
+
+
+def _column_bytes(store) -> int:
+    """Bytes of a store's per-sample columns."""
+    return sum(int(values.nbytes) for values in store.columns().per_sample())
 
 
 def memory_row(workload: FittedWorkload) -> MemoryReport:

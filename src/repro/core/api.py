@@ -496,9 +496,8 @@ class IncrementalTrainer:
         """Snapshot the reclaimable garbage commits left behind.
 
         Threads the accounting through every layer that accumulates it:
-        the compiled plan's multinomial slot-map garbage, the store's SVD
-        correction-column widths and their excess over the store's rank
-        bound (:meth:`~repro.core.provenance_store.ProvenanceStore.\
+        the store's SVD correction-column widths and their excess over its
+        rank bound (:meth:`~repro.core.provenance_store.ProvenanceStore.\
 svd_excess_columns`), and the deferred PrIU-opt eigen refreshes
         (frozen logistic state and/or the linear updater).
 
@@ -510,10 +509,6 @@ ModelRegistry.retire`) needs, since
         the byte fields.
         """
         self._require_fit()
-        plan = self._plan
-        garbage, physical = (
-            plan.slot_garbage_rows() if plan.supported else (0, 0)
-        )
         columns = self.store.svd_correction_columns
         if columns is None or not columns.size:
             total = worst = widened = excess = worst_excess = 0
@@ -535,8 +530,6 @@ ModelRegistry.retire`) needs, since
             # (e.g. a method="priu" trainer restored from an opt capture).
             stale += 1
         return MaintenanceCost(
-            slot_garbage_rows=garbage,
-            slot_physical_rows=physical,
             svd_correction_columns=total,
             svd_max_correction_columns=worst,
             svd_widened_summaries=widened,
@@ -564,8 +557,6 @@ ModelRegistry.retire`) needs, since
           and folds only summaries wider than the store's rank bound
           ``k·min(m, B)``, since below it an exact fold frees nothing; an
           explicit ε folds every widened summary;
-        * **repack** — folds the multinomial slot map into the plan flats
-          (bit-identical answers, freed bytes in the receipt);
         * **eigen** — discharges deferred PrIU-opt eigendecompositions
           (an exact recompute from the downdated gram).
 
@@ -580,7 +571,7 @@ ModelRegistry.retire`) needs, since
         cost_before = self.maintenance_cost()
         due = policy.due(cost_before)
         start = time.perf_counter()
-        svd_receipt = repack_receipt = eigen_receipt = None
+        svd_receipt = eigen_receipt = None
         performed: list[str] = []
         if "svd" in due:
             svd_receipt = self.store.retruncate_summaries(
@@ -589,9 +580,6 @@ ModelRegistry.retire`) needs, since
             touched = svd_receipt.pop("iterations")
             self._plan.resync_summaries(touched)
             performed.append("svd")
-        if "repack" in due and self._plan.supported:
-            repack_receipt = self._plan.repack()
-            performed.append("repack")
         if "eigen" in due:
             refreshed: dict[str, str] = {}
             if self._opt is not None and hasattr(self._opt, "refresh_eigen"):
@@ -611,7 +599,6 @@ ModelRegistry.retire`) needs, since
             cost_before=cost_before,
             cost_after=self.maintenance_cost(),
             svd=svd_receipt,
-            repack=repack_receipt,
             eigen=eigen_receipt,
             seconds=seconds,
         )

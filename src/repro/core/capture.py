@@ -48,6 +48,8 @@ from .provenance_store import (
     LogisticRecord,
     MultinomialRecord,
     ProvenanceStore,
+    multinomial_gram,
+    multinomial_lambdas,
     multinomial_moment_coefficients,
 )
 
@@ -60,43 +62,11 @@ def _resolve_compression(compression: str, n_params: int, batch_size: int) -> st
     raise ValueError(f"unknown compression mode: {compression}")
 
 
-def _multinomial_lambdas(probs: np.ndarray) -> np.ndarray:
-    """Batched ``Λ_i = diag(p_i) - p_i p_iᵀ`` (B × q × q)."""
-    batch, q = probs.shape
-    lam = -np.einsum("ik,il->ikl", probs, probs)
-    lam[:, np.arange(q), np.arange(q)] += probs
-    return lam
-
-
 def _multinomial_moment(
     probs: np.ndarray, wx: np.ndarray, labels: np.ndarray, block: np.ndarray
 ) -> np.ndarray:
     """``D^(t) = Σ_i (Λ_i u_i - p_i + e_{y_i}) x_iᵀ`` as a q × m matrix."""
     return multinomial_moment_coefficients(probs, wx, labels).T @ block
-
-
-def _multinomial_dense_summary(
-    probs: np.ndarray, block: np.ndarray
-) -> np.ndarray:
-    """``C^(t) = -Σ_i Λ_i ⊗ x_i x_iᵀ`` as a dense (qm × qm) matrix.
-
-    Uses ``Λ_i = diag(p_i) - p_i p_iᵀ`` to split the sum into ``q`` weighted
-    grams (the block diagonal) plus one rank-``B`` gram of the Kronecker rows
-    ``p_i ⊗ x_i`` — all BLAS matmuls, ``O(B q m² + B (qm)²)`` instead of a
-    naive ``O(B q² m²)`` einsum with poor constants.
-    """
-    batch, q = probs.shape
-    m = block.shape[1]
-    dense = np.zeros((q * m, q * m))
-    # Block diagonal: -Σ_i p_ik x_i x_iᵀ on the (k, k) block.
-    for k in range(q):
-        dense[k * m : (k + 1) * m, k * m : (k + 1) * m] = -(
-            block.T @ (block * probs[:, k : k + 1])
-        )
-    # Rank-B correction: +Σ_i (p_i ⊗ x_i)(p_i ⊗ x_i)ᵀ.
-    kron_rows = (probs[:, :, None] * block[:, None, :]).reshape(batch, q * m)
-    dense += kron_rows.T @ kron_rows
-    return dense
 
 
 def _multinomial_projected_summary(
@@ -120,7 +90,7 @@ def _multinomial_projected_summary(
     r_x = max(1, min(select_rank(s, epsilon), s.size))
     basis = vt[:r_x].T  # m × r_x
     z = block @ basis  # B × r_x
-    inner = _multinomial_dense_summary(probs, z)  # (q r_x) × (q r_x)
+    inner = -multinomial_gram(probs, z)  # (q r_x) × (q r_x)
     evals, evecs = np.linalg.eigh(0.5 * (inner + inner.T))
     order = np.argsort(-np.abs(evals))
     evals = evals[order]
@@ -149,10 +119,9 @@ def _multinomial_svd_summary(
     if q * m > 600:
         return _multinomial_projected_summary(probs, block, epsilon)
     if batch * q >= q * m:
-        dense = _multinomial_dense_summary(probs, block)
+        dense = -multinomial_gram(probs, block)
         return truncate_summary(dense, epsilon=epsilon)
-    lam = _multinomial_lambdas(probs)
-    evals, evecs = np.linalg.eigh(lam)  # B×q, B×q×q (columns are vectors)
+    evals, evecs = np.linalg.eigh(multinomial_lambdas(probs))  # B×q, B×q×q
     rows = np.einsum("iqk,im->ikqm", evecs, block).reshape(batch * q, q * m)
     weights = -evals.reshape(batch * q)
     keep = np.abs(weights) > 1e-12
@@ -284,7 +253,7 @@ def train_with_capture(
         elif mode == "svd":
             summary = _multinomial_svd_summary(probs, block, epsilon)
         else:
-            summary = _multinomial_dense_summary(probs, block)
+            summary = -multinomial_gram(probs, block)
         store.add(
             MultinomialRecord(
                 batch=batch,
@@ -377,7 +346,7 @@ def _freeze_multinomial(
     wx = dense @ w.reshape(q, n_features).T
     y = np.asarray(labels, dtype=int)
     moment_star = _multinomial_moment(probs, wx, y, dense)
-    gram_star = _multinomial_dense_summary(probs, dense)
+    gram_star = -multinomial_gram(probs, dense)
     eigen = eigendecompose(gram_star)
     store.frozen = FrozenProvenance(
         t_s=t_s,

@@ -11,11 +11,13 @@ two ``np.searchsorted`` range counts plus a gather) — no replay, no
 copy.  From those counts a :class:`CostEstimate` predicts
 
 * **touched iterations** (and the fraction of the schedule they cover),
-* **plan-patch bytes** — what the commit's
-  :meth:`~repro.core.replay_plan.ReplayPlan.refresh` will rewrite
-  (mirrored exactly by :meth:`ReplayPlan.predict_patch_bytes`, so
-  predicted-vs-actual comparisons measure the estimate's inputs, not
-  drift between two formulas), and
+* **plan-patch bytes** — what the commit will rewrite in the layout the
+  plan replays from: the store's per-sample columns and the touched
+  moments (the formula of
+  :meth:`~repro.core.replay_plan.ReplayPlan.predict_patch_bytes`, which
+  the :meth:`~repro.core.replay_plan.ReplayPlan.refresh` receipt also
+  evaluates, so predicted-vs-actual comparisons measure the estimate's
+  inputs, not drift between two formulas), and
 * **SVD width growth** — correction columns a commit would append to
   truncated summaries.
 

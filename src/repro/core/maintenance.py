@@ -14,9 +14,6 @@ does not require but nothing used to reclaim:
   ``k·min(m, B)`` (``k = q − 1`` on a multinomial store, else 1; see
   :meth:`~repro.core.provenance_store.ProvenanceStore.svd_rank_bound`),
   so only the columns past that bound count as reclaimable *excess*;
-* ``ReplayPlan.refresh`` drops multinomial softmax rows *logically* — the
-  ``(H, q)`` flats keep their physical size and a logical→physical
-  ``_slot_map`` grows instead, so dead rows accumulate behind the map;
 * PrIU-opt's offline eigendecompositions go stale on every commit (the
   gram/moment state is downdated exactly, the eigen state lazily).
 
@@ -27,9 +24,8 @@ first-class lifecycle stage:
 * :class:`MaintenanceCost` — the accounting object threaded through
   :class:`~repro.core.provenance_store.ProvenanceStore`,
   :class:`~repro.core.replay_plan.ReplayPlan` and the PrIU-opt updaters:
-  slot-map garbage rows, SVD correction-column widths and their excess
-  over the rank bound, stale-eigen flags and the resident byte
-  footprint, snapshotted by
+  SVD correction-column widths and their excess over the rank bound,
+  stale-eigen flags and the resident byte footprint, snapshotted by
   :meth:`~repro.core.api.IncrementalTrainer.maintenance_cost`;
 * :class:`MaintenancePolicy` — configurable thresholds deciding which
   maintenance tasks are *due* for a given cost (the fleet evaluates it
@@ -40,8 +36,10 @@ first-class lifecycle stage:
   the exact-vs-retruncated error bound, bytes and columns reclaimed,
   and the cost before/after.
 
-The answer contract survives maintenance: re-packing and eigen refresh
-are exact, and the default re-truncation folds only summaries past their
+A commit leaves no dead per-sample rows behind: ``compact`` drops the
+erased rows from the store's columns, which the plan reads.
+
+The answer contract survives maintenance: eigen refresh is exact, and the default re-truncation folds only summaries past their
 rank bound and drops only the numerically zero tail (see
 :func:`~repro.linalg.svd.retruncate_summary`), so
 committed-query(T) == original-query(committed ∪ T) keeps holding at
@@ -54,15 +52,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 #: Task names a :class:`MaintenancePolicy` may mark due.
-MAINTENANCE_TASKS = ("svd", "repack", "eigen")
+MAINTENANCE_TASKS = ("svd", "eigen")
 
 
 @dataclass(frozen=True)
 class MaintenanceCost:
     """How much reclaimable garbage one trainer's compiled state carries.
 
-    ``slot_*`` describe the multinomial plan flats (physical rows held vs
-    rows reachable through the slot map); ``svd_correction_columns`` /
+    ``svd_correction_columns`` /
     ``svd_max_correction_columns`` / ``svd_widened_summaries`` count the
     correction columns commits appended to truncated-SVD summaries since
     their last re-truncation (total, worst record, records); the
@@ -75,8 +72,6 @@ class MaintenanceCost:
     footprints the garbage inflates.
     """
 
-    slot_garbage_rows: int = 0
-    slot_physical_rows: int = 0
     svd_correction_columns: int = 0
     svd_max_correction_columns: int = 0
     svd_widened_summaries: int = 0
@@ -87,28 +82,14 @@ class MaintenanceCost:
     store_nbytes: int = 0
 
     @property
-    def slot_garbage_fraction(self) -> float:
-        """Dead fraction of the multinomial flats (0.0 when no slot map)."""
-        if self.slot_physical_rows == 0:
-            return 0.0
-        return self.slot_garbage_rows / self.slot_physical_rows
-
-    @property
     def clean(self) -> bool:
         """True when a bare :meth:`maintain` has nothing to reclaim
         (widened summaries below their rank bound count as clean)."""
-        return (
-            self.slot_garbage_rows == 0
-            and self.svd_excess_columns == 0
-            and self.stale_eigen == 0
-        )
+        return self.svd_excess_columns == 0 and self.stale_eigen == 0
 
     def as_dict(self) -> dict:
         """JSON-serializable form (registry ``describe()``, benchmarks)."""
         return {
-            "slot_garbage_rows": self.slot_garbage_rows,
-            "slot_physical_rows": self.slot_physical_rows,
-            "slot_garbage_fraction": self.slot_garbage_fraction,
             "svd_correction_columns": self.svd_correction_columns,
             "svd_max_correction_columns": self.svd_max_correction_columns,
             "svd_widened_summaries": self.svd_widened_summaries,
@@ -147,6 +128,11 @@ class MaintenancePolicy:
     below the bound is never due; with an explicit ε it reads the
     appended counts (``svd_max_correction_columns``), since a lossy fold
     can shrink any widened summary.
+
+    ``max_slot_garbage_rows`` and ``max_slot_garbage_fraction`` are
+    still validated and gate nothing: they limited the dead rows a
+    multinomial slot map left behind, and commits now drop those rows at
+    once.  Callers that pass them keep working.
     """
 
     max_slot_garbage_rows: int = 0
@@ -176,10 +162,6 @@ class MaintenancePolicy:
             worst = cost.svd_max_correction_columns
         if columns > 0 and worst > self.max_svd_correction_columns:
             due.append("svd")
-        if cost.slot_garbage_rows > self.max_slot_garbage_rows and (
-            cost.slot_garbage_fraction > self.max_slot_garbage_fraction
-        ):
-            due.append("repack")
         if self.refresh_stale_eigen and cost.stale_eigen > 0:
             due.append("eigen")
         return tuple(due)
@@ -192,8 +174,7 @@ class MaintenanceReport:
     ``performed`` names the tasks that actually ran; each task's receipt
     dict carries what it reclaimed (``svd``: summaries re-truncated,
     widened ones left below their rank bound, columns dropped, worst
-    ``error_bound``; ``repack``: garbage rows and
-    bytes freed; ``eigen``: which decompositions refreshed and how).
+    ``error_bound``; ``eigen``: which decompositions refreshed and how).
     ``cost_before``/``cost_after`` bracket the run so a scheduler can
     verify the thresholds were actually discharged.
     """
@@ -202,7 +183,6 @@ class MaintenanceReport:
     cost_before: MaintenanceCost
     cost_after: MaintenanceCost
     svd: dict | None = None
-    repack: dict | None = None
     eigen: dict | None = None
     seconds: float = 0.0
 
@@ -210,7 +190,6 @@ class MaintenanceReport:
         return {
             "performed": list(self.performed),
             "svd": self.svd,
-            "repack": self.repack,
             "eigen": self.eigen,
             "seconds": self.seconds,
             "cost_before": self.cost_before.as_dict(),

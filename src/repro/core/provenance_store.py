@@ -25,6 +25,14 @@ three flat, contiguous arrays sorted by sample id — so lookups are
 ``np.searchsorted`` range scans rather than Python dict walks; the legacy
 dict APIs (:meth:`ProvenanceStore.occurrences` /
 :meth:`ProvenanceStore.removed_positions`) are thin views over it.
+
+Every per-sample array is held once, in :class:`SampleColumns`: one flat,
+slot-indexed array per field (batch ids, binary slopes and intercepts,
+multinomial probabilities and ``W x``), where slot ``offsets[t] + j`` is
+position ``j`` of iteration ``t``'s batch.  The records' per-sample fields
+are views of those columns, a compiled
+:class:`~repro.core.replay_plan.ReplayPlan` gathers from them, and a
+commit drops its rows from each column once.
 """
 
 from __future__ import annotations
@@ -224,6 +232,32 @@ def _run_rows(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.repeat(starts, counts) + np.arange(int(counts.sum()))
 
 
+def _drop_rows(arr: np.ndarray, dropped: np.ndarray) -> np.ndarray:
+    """``np.delete(arr, dropped, axis=0)`` as contiguous-segment memcpy.
+
+    ``dropped`` is sorted-unique and sparse relative to ``arr``; stitching
+    the surviving segments with one ``np.concatenate`` is ~3× faster than
+    the boolean-mask gather ``np.delete`` performs.  Consecutive dropped
+    indices collapse into runs, so there is one slice per gap, not one
+    per dropped row.  With nothing dropped, ``arr`` itself comes back.
+    """
+    if dropped.size == 0:
+        return arr
+    run_breaks = np.flatnonzero(np.diff(dropped) > 1) + 1
+    run_starts = dropped[np.concatenate(([0], run_breaks))]
+    run_stops = dropped[np.concatenate((run_breaks - 1, [dropped.size - 1]))]
+    keep_lo = np.concatenate(([0], run_stops + 1))
+    keep_hi = np.concatenate((run_starts, [arr.shape[0]]))
+    pieces = [
+        arr[lo:hi]
+        for lo, hi in zip(keep_lo.tolist(), keep_hi.tolist())
+        if lo < hi
+    ]
+    if not pieces:  # every row dropped
+        return arr[:0]
+    return np.concatenate(pieces)
+
+
 def _by_iteration(
     ids: np.ndarray, iterations: np.ndarray, positions: np.ndarray
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
@@ -328,6 +362,80 @@ def multinomial_moment_coefficients(
     coeff = probs * wx - probs * pu[:, None] - probs
     coeff[np.arange(len(labels)), labels] += 1.0
     return coeff
+
+
+def multinomial_lambdas(probs: np.ndarray) -> np.ndarray:
+    """Per-sample ``Λ_i = diag(p_i) − p_i p_iᵀ`` as an ``(n, q, q)`` array."""
+    q = probs.shape[1]
+    lam = -np.einsum("ik,il->ikl", probs, probs)
+    lam[:, np.arange(q), np.arange(q)] += probs
+    return lam
+
+
+def multinomial_gram(probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``Σ_i Λ_i ⊗ x_i x_iᵀ`` as a dense ``(qm × qm)`` matrix.
+
+    ``Λ_i = diag(p_i) − p_i p_iᵀ`` splits the sum into ``q`` weighted
+    grams on the block diagonal minus one gram of the Kronecker rows
+    ``p_i ⊗ x_i``: BLAS matmuls, ``O(n q m² + n (qm)²)``, instead of a
+    4-index einsum.  A multinomial summary caches ``C = −`` this sum.
+    """
+    n, q = probs.shape
+    m = rows.shape[1]
+    gram = np.zeros((q * m, q * m))
+    for k in range(q):
+        gram[k * m : (k + 1) * m, k * m : (k + 1) * m] = rows.T @ (
+            rows * probs[:, k : k + 1]
+        )
+    kron_rows = (probs[:, :, None] * rows[:, None, :]).reshape(n, q * m)
+    gram -= kron_rows.T @ kron_rows
+    return gram
+
+
+#: Each task's per-sample columns, as (column, record field) pairs.
+COLUMN_FIELDS = {
+    "linear": (("batches", "batch"),),
+    "binary_logistic": (
+        ("batches", "batch"),
+        ("slopes", "slopes"),
+        ("intercepts", "intercepts"),
+    ),
+    "multinomial_logistic": (
+        ("batches", "batch"),
+        ("probabilities", "probabilities"),
+        ("wx", "wx"),
+    ),
+}
+
+
+@dataclass
+class SampleColumns:
+    """Every record's per-sample state, one flat slot-indexed array per field.
+
+    Slot ``offsets[t] + j`` holds position ``j`` of iteration ``t``'s
+    batch: ``batches`` its sample id and, by task, its binary
+    interpolation coefficients (``slopes``, ``intercepts``) or its
+    multinomial softmax state (``probabilities`` and ``wx``, ``(H, q)``).
+    A store's records hold views of these arrays, never copies.
+    """
+
+    offsets: np.ndarray  # (τ + 1,) from 0 to H
+    batches: np.ndarray  # (H,) sample ids
+    slopes: np.ndarray | None = None
+    intercepts: np.ndarray | None = None
+    probabilities: np.ndarray | None = None
+    wx: np.ndarray | None = None
+
+    def per_sample(self) -> list[np.ndarray]:
+        """The per-sample columns this store's task holds."""
+        return [
+            values
+            for values in (
+                self.batches, self.slopes, self.intercepts,
+                self.probabilities, self.wx,
+            )
+            if values is not None
+        ]
 
 
 @dataclass
@@ -485,13 +593,12 @@ class CommitReceipt:
 class CompactionStats:
     """What one :meth:`ProvenanceStore.compact` call changed.
 
-    Everything is expressed in the *pre*-compaction layout so that a
-    compiled :class:`~repro.core.replay_plan.ReplayPlan` built against the
-    old store can patch itself (:meth:`~repro.core.replay_plan.ReplayPlan.\
-refresh`) without re-deriving the hit set: ``dropped_slots`` are flat
-    occurrence-slot indices (``record_offsets[t] + position``) into the old
-    slot space, and ``affected_iterations`` / ``dropped_per_iteration``
-    describe which per-iteration state must be re-derived.
+    Everything is expressed in the *pre*-compaction layout:
+    ``dropped_slots`` are flat occurrence-slot indices (``offsets[t] +
+    position``) into the old slot space, and ``affected_iterations`` are
+    the iterations whose state a compiled
+    :class:`~repro.core.replay_plan.ReplayPlan` re-binds
+    (:meth:`~repro.core.replay_plan.ReplayPlan.refresh`).
 
     ``appended_columns`` counts the exact correction columns this commit
     appended to truncated-SVD summaries, and ``copied_factors`` the
@@ -506,7 +613,6 @@ refresh`) without re-deriving the hit set: ``dropped_slots`` are flat
     n_samples_before: int
     n_samples_after: int
     affected_iterations: np.ndarray  # sorted iterations that lost samples
-    dropped_per_iteration: np.ndarray  # aligned with affected_iterations
     dropped_slots: np.ndarray  # sorted flat slot ids (old layout)
     dropped_occurrences: int
     appended_columns: int = 0
@@ -551,6 +657,7 @@ class ProvenanceStore:
 
     _occurrences: dict[int, list[tuple[int, int]]] | None = None
     _packed: PackedOccurrenceIndex | None = None
+    _columns: SampleColumns | None = None
     # Bumped on every mutation; compiled ReplayPlans pin the version they
     # were built against and refuse to run against a changed store.
     _version: int = 0
@@ -570,16 +677,58 @@ class ProvenanceStore:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._commit_lock = threading.Lock()
+        if self._columns is not None:
+            # A copy's records hold copies of the views: slice them again.
+            self._bind_records()
 
     def add(self, record) -> None:
         self.records.append(record)
-        # New records invalidate any previously built index.
+        # New records invalidate any previously built index and columns.
         self._occurrences = None
         self._packed = None
+        self._columns = None
         self._version += 1
 
     def __len__(self) -> int:
         return len(self.records)
+
+    # ------------------------------------------------------ sample columns
+    def columns(self) -> SampleColumns:
+        """The per-sample columns (built lazily, cached, shared).
+
+        The first call after :meth:`add` concatenates the records'
+        per-sample fields and makes every record's field, and the
+        schedule's batches, a view of the result; a store loaded from a
+        format-6 archive comes with its columns, and :meth:`compact`
+        replaces them.
+        """
+        if self._columns is None:
+            records = self.records
+            sizes = np.fromiter(
+                (len(r.batch) for r in records), dtype=np.int64, count=len(records)
+            )
+            arrays = {}
+            for column, field_name in COLUMN_FIELDS[self.task]:
+                parts = [getattr(r, field_name) for r in records]
+                arrays[column] = np.concatenate(parts) if parts else np.empty(0)
+            arrays["batches"] = arrays["batches"].astype(np.int64, copy=False)
+            self._columns = SampleColumns(
+                offsets=np.concatenate(([0], np.cumsum(sizes))), **arrays
+            )
+            self._bind_records()
+            if len(self.schedule.batches) == len(records):
+                # The records held the schedule's own batch arrays.
+                self.schedule.batches = [r.batch for r in records]
+        return self._columns
+
+    def _bind_records(self) -> None:
+        """Re-slice every record's per-sample fields from the columns."""
+        columns = self._columns
+        bounds = np.asarray(columns.offsets).tolist()
+        for column, field_name in COLUMN_FIELDS[self.task]:
+            values = getattr(columns, column)
+            for t, record in enumerate(self.records):
+                setattr(record, field_name, values[bounds[t] : bounds[t + 1]])
 
     # ------------------------------------------------------ occurrence index
     def packed_index(self) -> PackedOccurrenceIndex:
@@ -588,28 +737,16 @@ class ProvenanceStore:
         Both :class:`~repro.core.priu.PrIUUpdater` and
         :class:`~repro.core.replay_plan.ReplayPlan` resolve removal sets
         through this one cached structure, so ``fit()`` never pays for the
-        index twice.
+        index twice.  It is built from the batch column.
         """
         if self._packed is None:
-            if not self.records:
-                empty = np.empty(0, dtype=np.int64)
-                self._packed = PackedOccurrenceIndex(
-                    empty, empty.copy(), empty.copy()
-                )
-                return self._packed
-            sizes = np.fromiter(
-                (len(r.batch) for r in self.records),
-                dtype=np.int64,
-                count=len(self.records),
-            )
-            samples = np.concatenate(
-                [np.asarray(r.batch, dtype=np.int64) for r in self.records]
-            )
-            iterations = np.repeat(
-                np.arange(len(self.records), dtype=np.int64), sizes
-            )
-            positions = np.concatenate(
-                [np.arange(s, dtype=np.int64) for s in sizes]
+            columns = self.columns()
+            offsets = np.asarray(columns.offsets, dtype=np.int64)
+            sizes = np.diff(offsets)
+            samples = columns.batches
+            iterations = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
+            positions = np.arange(samples.size, dtype=np.int64) - np.repeat(
+                offsets[:-1], sizes
             )
             order = np.argsort(samples, kind="stable")
             self._packed = PackedOccurrenceIndex(
@@ -681,9 +818,11 @@ class ProvenanceStore:
         and surviving ids are remapped onto the packed ``[0, n - Δn)``
         space.  The work follows what the erasure touches: the removed
         ids' occurrences come from ``Δ`` range lookups on the occurrence
-        index, only the records they hit are patched, and the batches and
+        index, only the records they hit are patched, the batches and
         the index are remapped together in one vectorized pass over the
-        index (:func:`_drop_and_remap`; no per-batch loop, no re-sort).
+        index (:func:`_drop_and_remap`; no per-batch loop, no re-sort), and
+        every other per-sample column loses the dropped slots in one
+        segment copy (:func:`_drop_rows`).
 
         ``features``/``labels`` are the *pre*-compaction training data (the
         removed rows' features are needed to form the subtracted
@@ -730,21 +869,17 @@ class ProvenanceStore:
         timestamp: float | None,
     ) -> CompactionStats:
         index = self.packed_index()
+        columns = self.columns()
         lo, hi = index.runs(removed)
         dropped_rows = _run_rows(lo, hi)
         hit_ids = index.samples[dropped_rows]
         hit_iterations = index.iterations[dropped_rows]
         hit_positions = index.positions[dropped_rows]
-        sizes = np.fromiter(
-            (len(r.batch) for r in self.records),
-            dtype=np.int64,
-            count=len(self.records),
-        )
-        old_offsets = np.concatenate(([0], np.cumsum(sizes)))
+        old_offsets = np.asarray(columns.offsets, dtype=np.int64)
         dropped_slots = np.sort(old_offsets[hit_iterations] + hit_positions)
         affected, per_iter = np.unique(hit_iterations, return_counts=True)
 
-        # ---- per-record state: drop removed rows, patch summaries/moments
+        # ---- per-record state: patch summaries/moments
         appended_columns = copied_factors = 0
         for t, (ids, positions) in _by_iteration(
             hit_ids, hit_iterations, hit_positions
@@ -767,15 +902,24 @@ class ProvenanceStore:
         if self.frozen is not None and removed.size:
             self._compact_frozen(removed, features, labels)
 
-        # ---- batch ids and the occurrence index: one pass over the index
+        # ---- the columns and the occurrence index: batch ids in one pass
+        # over the index, every other column loses the dropped slots, and
+        # every record's fields are re-sliced from the new columns.
+        sizes = np.diff(old_offsets)
         sizes[affected] -= per_iter
         new_offsets = np.concatenate(([0], np.cumsum(sizes)))
         new_index, batches = _drop_and_remap(
             index, lo, hi, dropped_rows, dropped_slots, old_offsets, new_offsets
         )
-        bounds = new_offsets.tolist()
-        for t, record in enumerate(self.records):
-            record.batch = batches[bounds[t] : bounds[t + 1]]
+        self._columns = SampleColumns(
+            offsets=new_offsets,
+            batches=batches,
+            **{
+                column: _drop_rows(getattr(columns, column), dropped_slots)
+                for column, _ in COLUMN_FIELDS[self.task][1:]
+            },
+        )
+        self._bind_records()
 
         # ---- bookkeeping: deletion log, receipts, schedule, sizes, version
         if self.n_original_samples is None:
@@ -827,7 +971,6 @@ class ProvenanceStore:
             n_samples_before=n_before,
             n_samples_after=self.n_samples,
             affected_iterations=affected,
-            dropped_per_iteration=per_iter,
             dropped_slots=dropped_slots,
             dropped_occurrences=int(dropped_rows.size),
             appended_columns=appended_columns,
@@ -837,17 +980,15 @@ class ProvenanceStore:
     def _compact_record(
         self, record, ids: np.ndarray, positions: np.ndarray, features, labels
     ) -> tuple[int, bool]:
-        """Drop ``positions``' per-sample state from one record and
-        subtract their contributions (the batch itself is remapped by
-        :func:`_drop_and_remap`).
+        """Subtract the contributions of ``positions`` from one record's
+        summary and moment (its per-sample fields are columns, which
+        :meth:`compact` drops the rows from).
 
         Returns the number of exact correction columns appended to a
         truncated-SVD summary (0 for dense/sparse records) — the
         maintenance accounting :meth:`retruncate_summaries` later
         reclaims — and whether its factors were copied into a new buffer.
         """
-        mask = np.ones(len(record.batch), dtype=bool)
-        mask[positions] = False
         summary = record.summary
         copied = False
         rows = None
@@ -874,8 +1015,6 @@ class ProvenanceStore:
                 record.moment = record.moment - rows.T @ (
                     record.intercepts[positions] * labels[ids].astype(float)
                 )
-            record.slopes = record.slopes[mask]
-            record.intercepts = record.intercepts[mask]
         elif isinstance(record, MultinomialRecord):
             if rows is None:
                 block = features[ids]
@@ -892,8 +1031,6 @@ class ProvenanceStore:
                 record.summary, copied = self._shrunk_multinomial_summary(
                     summary, probs_hit, rows
                 )
-            record.probabilities = record.probabilities[mask]
-            record.wx = record.wx[mask]
         if isinstance(summary, TruncatedSummary):
             return record.summary.rank - summary.rank, copied
         return 0, False
@@ -928,26 +1065,21 @@ class ProvenanceStore:
         Also returns whether SVD factors were copied into a new buffer
         (see :meth:`_shrunk_summary`).
         """
-        n_hits, q = probs.shape
-        m = rows.shape[1]
-        lam = -np.einsum("ik,il->ikl", probs, probs)
-        lam[:, np.arange(q), np.arange(q)] += probs
         if isinstance(summary, TruncatedSummary):
+            n_hits, q = probs.shape
+            m = rows.shape[1]
             # Λ_i = diag(p_i) − p_i p_iᵀ is PSD with Λ_i·1 = 0, so its rank
             # is at most q − 1: expand it into q − 1 weighted Kronecker
             # columns per removed sample, appended as exact corrections.
             # eigh sorts eigenvalues ascending; eigenpair 0 is the null
             # direction, whose |λ| ~ 1e-17 moves the operator by at most
             # |λ|·‖x_i‖².
-            evals, evecs = np.linalg.eigh(lam)  # (h, q), (h, q, q)
+            evals, evecs = np.linalg.eigh(multinomial_lambdas(probs))
             kron = np.einsum("hqk,hm->hkqm", evecs[:, :, 1:], rows).reshape(
                 n_hits * (q - 1), q * m
             )
             return summary.widened(kron.T, evals[:, 1:].reshape(-1))
-        contrib = np.einsum("hkl,hm,hn->kmln", lam, rows, rows).reshape(
-            q * m, q * m
-        )
-        return summary + contrib, False
+        return summary + multinomial_gram(probs, rows), False
 
     def _compact_frozen(self, removed: np.ndarray, features, labels) -> None:
         """Compact the PrIU-opt frozen full-dataset state (Sec. 5.4).
@@ -977,13 +1109,7 @@ class ProvenanceStore:
         elif frozen.probabilities is not None:  # multinomial
             if frozen.gram is not None:
                 probs_r = frozen.probabilities[removed]
-                q = probs_r.shape[1]
-                lam = -np.einsum("ik,il->ikl", probs_r, probs_r)
-                lam[:, np.arange(q), np.arange(q)] += probs_r
-                contrib = np.einsum(
-                    "hkl,hm,hn->kmln", lam, rows, rows
-                ).reshape(frozen.gram.shape)
-                frozen.gram = frozen.gram + contrib
+                frozen.gram = frozen.gram + multinomial_gram(probs_r, rows)
                 coeff = multinomial_moment_coefficients(
                     probs_r, frozen.wx[removed], labels[removed].astype(int)
                 )

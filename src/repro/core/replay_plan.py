@@ -3,19 +3,20 @@
 The provenance store is optimized for *capture* (one record per iteration);
 serving heavy deletion traffic wants the transpose.  A :class:`ReplayPlan`
 compiles the store once — offline, next to the rest of the provenance
-phase — into contiguous structure-of-arrays state:
+phase — into a layout whose every lookup is a gather:
 
 * the occurrence index packed into three flat sorted arrays
   (:class:`~repro.core.provenance_store.PackedOccurrenceIndex`), so a
   removal set resolves to its (iteration, position) hits via
   ``np.searchsorted`` instead of dict walks;
-* per-iteration moments stacked into one ``(τ, m)`` (or ``(τ, q·m)``)
-  matrix, per-sample interpolation state (slopes/intercepts, softmax
-  probabilities, ``W x``) concatenated into flat slot-indexed arrays so the
-  state of any hit is a single fancy-gather;
-* summaries pre-extracted into homogeneous lists — dense matrices, or
-  SVD bases ``V`` and their eigenvalues ``λ`` — so the hot loop never
-  touches a record object or an ``isinstance`` check;
+* the per-sample interpolation state (slopes/intercepts, softmax
+  probabilities, ``W x``) is the store's own flat slot-indexed columns
+  (:class:`~repro.core.provenance_store.SampleColumns`), so the state of
+  any hit is a single fancy-gather and the plan holds no copy of it;
+* summaries and moments as homogeneous per-iteration lists of references
+  to the records' own arrays — dense matrices, or SVD bases ``V`` and
+  their eigenvalues ``λ`` — so the hot loop never touches a record object
+  or an ``isinstance`` check;
 * sparse mode additionally pre-slices the per-iteration CSR batch blocks
   and precomputes their base moments ``X_tᵀ(b_t ∘ y_t)``, which the seed
   path recomputed on every request.
@@ -54,34 +55,18 @@ from .provenance_store import (
     normalize_removed_indices,
 )
 
+#: The archive names of the packed occurrence index's three arrays.
+_INDEX_ARRAYS = ("index_samples", "index_iterations", "index_positions")
 
-def _drop_rows(arr: np.ndarray, dropped: np.ndarray) -> np.ndarray:
-    """``np.delete(arr, dropped, axis=0)`` as contiguous-segment memcpy.
 
-    ``dropped`` is sorted-unique and sparse relative to ``arr``; stitching
-    the surviving segments with one ``np.concatenate`` is ~3× faster than
-    the boolean-mask gather ``np.delete`` performs, which is what keeps an
-    incremental plan refresh cheap.
-    """
-    if dropped.size == 0:
-        return np.asarray(arr)
-    # Collapse consecutive dropped indices into runs so the number of
-    # surviving slices is one per *gap*, not one per dropped row: the old
-    # per-index comprehension paid a Python-level slice even for a dense
-    # run of drops.
-    run_breaks = np.flatnonzero(np.diff(dropped) > 1) + 1
-    run_starts = dropped[np.concatenate(([0], run_breaks))]
-    run_stops = dropped[np.concatenate((run_breaks - 1, [dropped.size - 1]))]
-    keep_lo = np.concatenate(([0], run_stops + 1))
-    keep_hi = np.concatenate((run_starts, [arr.shape[0]]))
-    pieces = [
-        arr[lo:hi]
-        for lo, hi in zip(keep_lo.tolist(), keep_hi.tolist())
-        if lo < hi
-    ]
-    if not pieces:  # every row dropped
-        return np.asarray(arr)[:0]
-    return np.concatenate(pieces)
+def _n_params(store: ProvenanceStore) -> int:
+    if store.task == "multinomial_logistic":
+        return store.n_classes * store.n_features
+    return store.n_features
+
+
+def _summary_kind(store: ProvenanceStore) -> str:
+    return {"none": "dense"}.get(store.compression, store.compression)
 
 
 class ReplayPlan:
@@ -102,6 +87,15 @@ class ReplayPlan:
         labels: np.ndarray,
         w0: np.ndarray | None = None,
     ) -> None:
+        self._bind(store, features, labels, w0)
+        if self.supported and self.sparse:
+            self.moments = np.empty((self.n_iterations, self.n_params))
+            self._sparse_moments(range(self.n_iterations))
+
+    def _bind(self, store, features, labels, w0) -> None:
+        """What a compiled and a loaded plan share: the store's scalars,
+        the occurrence index (built once, shared through the store) and
+        the per-iteration references."""
         self.store = store
         self.task = store.task
         self.sparse = is_sparse(features) or store.sparse_mode
@@ -111,10 +105,7 @@ class ReplayPlan:
         self.eta = float(store.learning_rate)
         self.lam = float(store.regularization)
         self.shrink = 1.0 - self.eta * self.lam
-        if store.task == "multinomial_logistic":
-            self.n_params = store.n_classes * store.n_features
-        else:
-            self.n_params = store.n_features
+        self.n_params = _n_params(store)
         self._w0 = (
             np.zeros(self.n_params) if w0 is None else np.asarray(w0, float)
         )
@@ -129,108 +120,80 @@ class ReplayPlan:
         if not self.supported:
             return
         self._scale_num = 2.0 * self.eta if self.task == "linear" else self.eta
-        self._compile()
+        self._kind = _summary_kind(store)
+        store.packed_index()
+        # Per-iteration references, filled by _bind_iterations: CSR batch
+        # blocks on sparse mode; else summaries (dense matrices, or SVD
+        # bases and eigenvalues) and moments.
+        tau = self.n_iterations
+        if self.sparse:
+            self._blocks = [None] * tau
+        else:
+            if self._kind == "svd":
+                self._evals, self._rights = [None] * tau, [None] * tau
+                self._summaries = None
+            else:
+                self._summaries = [None] * tau
+                self._evals = self._rights = None
+            self.moments = [None] * tau
+        self._sync(range(tau))
 
     # ------------------------------------------------------------ compile
-    def _compile(self) -> None:
-        records = self.store.records
-        tau = self.n_iterations
-        self.base_sizes = np.fromiter(
-            (len(r.batch) for r in records), dtype=np.int64, count=tau
-        )
-        # Flat slot index: occurrence (t, pos) -> record_offsets[t] + pos.
-        self._record_offsets = np.concatenate(
-            ([0], np.cumsum(self.base_sizes))
-        )
-        self.store.packed_index()  # build (and share) the occurrence index
-
+    def _sync(self, iterations) -> None:
+        """Take the batch sizes from the store's columns and the numeric
+        labels from the training data, and re-bind the references of
+        ``iterations``."""
+        self.base_sizes = np.diff(self.store.columns().offsets)
         if self.task == "multinomial_logistic":
             self._labels_num = self.labels.astype(int)
         else:
             self._labels_num = self.labels.astype(float)
+        self._bind_iterations(iterations)
 
-        # Logical slot -> physical flat row.  None means identity; a
-        # committed refresh of the multinomial flats installs a gather map
-        # instead of rewriting the (H, q) state arrays (see refresh()).
-        self._slot_map = None
-        kind = self.store.compression
-        self._kind = {"none": "dense"}.get(kind, kind)
-        if self.sparse:
-            self._compile_sparse()
-            return
+    def _bind_iterations(self, iterations) -> None:
+        """(Re)fetch the per-iteration references of ``iterations``: each
+        record's summary and moment (flattened: a view, not a copy), or
+        its CSR batch block on sparse mode."""
+        records = self.store.records
+        for t in iterations:
+            record = records[t]
+            if self.sparse:
+                self._blocks[t] = self.features[record.batch]
+                continue
+            if self._kind == "svd":
+                self._evals[t] = record.summary.weights
+                self._rights[t] = record.summary.right
+            else:
+                self._summaries[t] = np.asarray(record.summary)
+            self.moments[t] = np.asarray(record.moment, dtype=float).reshape(-1)
 
-        # Summaries as homogeneous lists (refs, no copies).
-        if self._kind == "svd":
-            self._evals = [r.summary.weights for r in records]
-            self._rights = [r.summary.right for r in records]
-            self._summaries = None
-        else:
-            self._summaries = [np.asarray(r.summary) for r in records]
-            self._evals = self._rights = None
-
-        # Stacked moments: one row fetch per iteration in the hot loop.
-        self.moments = np.stack(
-            [np.asarray(r.moment, dtype=float).ravel() for r in records]
-        )
-
-        if self.task == "binary_logistic":
-            self._compile_binary_flats(records)
-        elif self.task == "multinomial_logistic":
-            self._probs_flat = np.concatenate(
-                [r.probabilities for r in records]
-            )
-            self._wx_flat = np.concatenate([r.wx for r in records])
-
-    def _compile_sparse(self) -> None:
-        """Sparse mode: pre-slice CSR batch blocks + precompute base moments.
+    def _sparse_moments(self, iterations) -> None:
+        """Sparse mode's base moments ``X_tᵀ(b_t ∘ y_t)`` (linear:
+        ``X_tᵀ y_t``) for ``iterations``, written into :attr:`moments`.
 
         The seed path re-touches ``features[surviving]`` on every request
-        (Sec. 5.3 keeps sparse data on Eq. 11); the plan instead computes the
-        *full-batch* bulk term once per iteration and subtracts the removed
-        rows' contributions, so the batch block and its moment
-        ``X_tᵀ(b_t ∘ y_t)`` can be prepared offline.
+        (Sec. 5.3 keeps sparse data on Eq. 11); the plan instead computes
+        the *full-batch* bulk term once per iteration and subtracts the
+        removed rows' contributions, so the batch block and its moment
+        can be prepared offline.
         """
         records = self.store.records
-        y = self._labels_num
-        blocks = []
-        moments = np.empty((self.n_iterations, self.n_params))
-        for t, record in enumerate(records):
-            block = self.features[record.batch]
-            y_t = y[record.batch]
+        for t in iterations:
+            block, y_t = self._blocks[t], self._labels_num[records[t].batch]
             if self.task == "linear":
-                moments[t] = np.asarray(block.T @ y_t).ravel()
+                self.moments[t] = np.asarray(block.T @ y_t).ravel()
             else:
-                moments[t] = np.asarray(
-                    block.T @ (record.intercepts * y_t)
+                self.moments[t] = np.asarray(
+                    block.T @ (records[t].intercepts * y_t)
                 ).ravel()
-            blocks.append(block)
-        self.moments = moments
-        self._blocks = blocks
-        if self.task == "binary_logistic":
-            self._compile_binary_flats(records)
-
-    def _compile_binary_flats(self, records) -> None:
-        """Slot-indexed interpolation state shared by dense and sparse modes.
-
-        The correction's moment term is ``rowsᵀ (b ∘ y)``, so the labels are
-        pre-folded into the intercepts: slot ``j`` holds ``b_j · y_j``.
-        """
-        self._slopes_flat = np.concatenate([r.slopes for r in records])
-        slot_samples = np.concatenate(
-            [np.asarray(r.batch, dtype=np.int64) for r in records]
-        )
-        self._iy_flat = (
-            np.concatenate([r.intercepts for r in records])
-            * self._labels_num[slot_samples]
-        )
 
     # -------------------------------------------------------- persistence
     #
-    # The compiled layout splits into (a) *derived* flat arrays that cost
-    # real work to build — the packed occurrence index, stacked moments
-    # (sparse mode's are τ sparse mat-vecs), the slot-indexed interpolation
-    # flats — and (b) cheap *views* into the store / feature matrix
-    # (summary refs, CSR batch slices).  Only (a) round-trips through
+    # The compiled layout splits into (a) *derived* arrays that cost real
+    # work to build — the packed occurrence index and sparse mode's
+    # moments (τ sparse mat-vecs) — and (b) references into the store /
+    # feature matrix (the per-sample columns, summaries, moments, CSR
+    # batch slices).  Only (a) round-trips through
     # ``save_plan``/``load_plan``; (b) is rebound against the reloaded
     # store at load time.
 
@@ -245,27 +208,13 @@ class ReplayPlan:
             return {}
         index = self.store.packed_index()
         arrays: dict[str, np.ndarray] = {
-            "base_sizes": self.base_sizes,
-            "record_offsets": self._record_offsets,
-            "moments": self.moments,
             "w0": self._w0,
             "index_samples": index.samples,
             "index_iterations": index.iterations,
             "index_positions": index.positions,
         }
-        for attr, key in (
-            ("_slopes_flat", "slopes_flat"),
-            ("_iy_flat", "iy_flat"),
-            ("_probs_flat", "probs_flat"),
-            ("_wx_flat", "wx_flat"),
-        ):
-            value = getattr(self, attr, None)
-            if value is not None:
-                if self._slot_map is not None:
-                    # Materialize the committed layout: archives always
-                    # store physically compacted flats, never the map.
-                    value = value[self._slot_map]
-                arrays[key] = value
+        if self.sparse:
+            arrays["moments"] = self.moments
         return arrays
 
     def state_meta(self) -> dict[str, str]:
@@ -295,12 +244,17 @@ class ReplayPlan:
         ``arrays`` may hold read-only memory maps — the replay loops only
         ever read them.  The store, features and labels must be the ones the
         plan was compiled against (same capture run); mismatches in task,
-        iteration count, batch sizes or sample count raise ``ValueError``
-        rather than silently replaying the wrong trajectory.
+        iteration count, occurrence count, batch sizes or sample count, a
+        missing array, or a state no plan compiles (sparse multinomial)
+        raise ``ValueError`` rather than silently replaying the wrong
+        trajectory.
 
-        Archives written by older builds also carry fused-block
-        descriptors (``kernel_*`` members and a matching meta entry); the
-        loader still checks their CRCs, and this method ignores them.
+        Archives written by older builds also carry copies of the store's
+        per-sample state (``*_flat``), stacked dense moments, batch sizes
+        and record offsets, and some fused-block descriptors (``kernel_*``
+        members and a matching meta entry); the loader still checks their
+        CRCs, and this method checks the batch sizes against the store and
+        ignores the rest.
         """
         if meta["task"] != store.task:
             raise ValueError(
@@ -320,11 +274,15 @@ class ReplayPlan:
             raise ValueError(
                 "plan sparsity does not match the provided feature matrix"
             )
-        store_kind = {"none": "dense"}.get(store.compression, store.compression)
-        if meta["kind"] != store_kind:
+        if sparse and store.task == "multinomial_logistic":
+            raise ValueError(
+                "sparse multinomial stores compile no plan; this one holds "
+                "state for one"
+            )
+        if meta["kind"] != _summary_kind(store):
             raise ValueError(
                 f"plan was compiled for {meta['kind']!r} summaries, "
-                f"store holds {store_kind!r}"
+                f"store holds {_summary_kind(store)!r}"
             )
         for field, value in (
             ("learning_rate", store.learning_rate),
@@ -335,13 +293,28 @@ class ReplayPlan:
                     f"plan and store disagree on {field}: "
                     f"{meta[field]} vs {value!r}"
                 )
-        base_sizes = np.asarray(arrays["base_sizes"])
-        record_sizes = np.fromiter(
-            (len(r.batch) for r in store.records),
-            dtype=np.int64,
-            count=len(store.records),
-        )
-        if not np.array_equal(base_sizes, record_sizes):
+        n_params = _n_params(store)
+        if int(meta["n_params"]) != n_params:
+            raise ValueError("plan and store disagree on the parameter count")
+        offsets = store.columns().offsets
+        expected = {name: (int(offsets[-1]),) for name in _INDEX_ARRAYS}
+        expected["w0"] = (n_params,)
+        if sparse:
+            expected["moments"] = (n_iterations, n_params)
+        missing = sorted(set(expected) - set(arrays))
+        if missing:
+            raise ValueError(f"plan state lacks {missing}")
+        for name, shape in expected.items():
+            if arrays[name].shape != shape:
+                raise ValueError(
+                    f"plan array {name!r} has shape {arrays[name].shape}, "
+                    f"the store needs {shape}"
+                )
+            if name in _INDEX_ARRAYS and arrays[name].dtype.kind not in "iu":
+                raise ValueError(f"plan array {name!r} does not hold integers")
+        if "base_sizes" in arrays and not np.array_equal(
+            arrays["base_sizes"], np.diff(offsets)
+        ):
             raise ValueError("plan batch sizes do not match the store")
         labels = np.asarray(labels)
         if labels.shape[0] != store.n_samples or (
@@ -351,87 +324,40 @@ class ReplayPlan:
                 "features/labels do not match the checkpointed training set"
             )
 
-        plan = cls.__new__(cls)
-        plan.store = store
-        plan.task = store.task
-        plan.sparse = sparse
-        plan.features = features if sparse else np.asarray(features, float)
-        plan.labels = labels
-        plan.n_iterations = n_iterations
-        plan.eta = float(store.learning_rate)
-        plan.lam = float(store.regularization)
-        plan.shrink = 1.0 - plan.eta * plan.lam
-        plan.n_params = int(meta["n_params"])
-        plan._compiled_version = store._version
-        plan.final_weights = None
-        plan._integrity_check = None
-        plan.supported = True
-        plan._scale_num = 2.0 * plan.eta if plan.task == "linear" else plan.eta
-        plan._kind = meta["kind"]
-        plan._slot_map = None
-
-        plan.base_sizes = arrays["base_sizes"]
-        plan._record_offsets = arrays["record_offsets"]
-        plan.moments = arrays["moments"]
-        plan._w0 = arrays["w0"]
         # Donate the saved occurrence index so the store never re-sorts it.
         if store._packed is None:
             store._packed = PackedOccurrenceIndex(
-                samples=arrays["index_samples"],
-                iterations=arrays["index_iterations"],
-                positions=arrays["index_positions"],
+                *(arrays[name] for name in _INDEX_ARRAYS)
             )
-        if plan.task == "multinomial_logistic":
-            plan._labels_num = labels.astype(int)
-        else:
-            plan._labels_num = labels.astype(float)
-
-        if plan.task == "binary_logistic":
-            plan._slopes_flat = arrays["slopes_flat"]
-            plan._iy_flat = arrays["iy_flat"]
-        elif plan.task == "multinomial_logistic":
-            plan._probs_flat = arrays["probs_flat"]
-            plan._wx_flat = arrays["wx_flat"]
-
-        records = store.records
+        plan = cls.__new__(cls)
+        plan._bind(store, features, labels, arrays["w0"])
         if sparse:
-            plan._blocks = [plan.features[r.batch] for r in records]
-        elif plan._kind == "svd":
-            plan._evals = [r.summary.weights for r in records]
-            plan._rights = [r.summary.right for r in records]
-            plan._summaries = None
-        else:
-            plan._summaries = [np.asarray(r.summary) for r in records]
-            plan._evals = plan._rights = None
+            plan.moments = arrays["moments"]
         return plan
 
     # ------------------------------------------------------------- refresh
     def refresh(
         self, stats: CompactionStats, features, labels: np.ndarray
     ) -> dict:
-        """Re-sync the compiled SoA state after :meth:`ProvenanceStore.compact`.
+        """Re-sync the compiled state after :meth:`ProvenanceStore.compact`.
 
         ``stats`` is the receipt of the compaction this plan must catch up
         with, and ``features``/``labels`` are the *reduced* training data
-        (the compacted id space).  The patch is incremental:
+        (the compacted id space).  ``compact`` already dropped the erased
+        rows from the store's columns, which the plan gathers from, and
+        rebuilt the packed occurrence index, which it shares; what is left
+        is per-iteration, for the affected iterations only:
 
-        * ``base_sizes`` / ``record_offsets`` shrink by the per-iteration
-          drop counts;
-        * the slot-indexed flats (slopes, folded intercepts, softmax state)
-          lose exactly the dropped occurrence slots (one ``np.delete``);
-        * stacked-moment rows and summary references are re-derived for the
-          affected iterations only — dense/SVD summaries were already
-          patched in place by ``compact``, sparse moments are recomputed
-          from the reduced feature blocks;
-        * the packed occurrence index was rebuilt by ``compact`` and is
-          shared as-is.
+        * summary and moment references are re-bound to the records
+          ``compact`` patched;
+        * sparse moments are recomputed from the reduced feature blocks.
 
         Every state array then equals a fresh compile of the compacted
         store bit for bit.  Returns a receipt dict with ``mode``
         (``"refresh"`` | ``"unsupported"``), the touched-iteration
         fraction, and wall-clock-free bookkeeping the commit benchmark and
-        the cost model record — ``patched_bytes`` uses the same accounting
-        as :meth:`predict_patch_bytes` so the two are directly comparable.
+        the cost model record — ``patched_bytes`` is the formula
+        :meth:`predict_patch_bytes` evaluates, at the executed drop.
         """
         self.labels = np.asarray(labels)
         self.features = (
@@ -452,131 +378,23 @@ class ReplayPlan:
             if self.n_iterations
             else 0.0
         )
-        records = self.store.records
-        # Sizes/offsets: drop counts land on the affected iterations.
-        base_sizes = np.array(self.base_sizes)  # writable (may be a mmap)
-        base_sizes[stats.affected_iterations] -= stats.dropped_per_iteration
-        self.base_sizes = base_sizes
-        self._record_offsets = np.concatenate(([0], np.cumsum(base_sizes)))
-        # Slot-indexed flats lose exactly the dropped occurrence slots.
-        # Binary flats (two (H,) vectors, also sliced contiguously by the
-        # sparse hot loop) are physically compacted; the multinomial
-        # softmax state ((H, q) arrays, gather-only access) instead grows a
-        # logical→physical slot map — dropping D of H rows then costs
-        # O(H) int64 instead of O(H·q) float64.
-        for attr in ("_slopes_flat", "_iy_flat"):
-            flat = getattr(self, attr, None)
-            if flat is not None:
-                setattr(self, attr, _drop_rows(flat, stats.dropped_slots))
-        if self.task == "multinomial_logistic" and stats.dropped_slots.size:
-            if self._slot_map is None:
-                old_total = int(stats.dropped_slots.size + base_sizes.sum())
-                self._slot_map = _drop_rows(
-                    np.arange(old_total, dtype=np.int64), stats.dropped_slots
-                )
-            else:
-                self._slot_map = _drop_rows(
-                    self._slot_map, stats.dropped_slots
-                )
-        if self.task == "multinomial_logistic":
-            self._labels_num = self.labels.astype(int)
-        else:
-            self._labels_num = self.labels.astype(float)
-        # Per-iteration state: only the affected rows are re-derived.
-        if stats.n_iterations_touched:
-            moments = np.array(self.moments)  # writable (may be a mmap)
-            for t in stats.affected_iterations:
-                record = records[t]
-                if self.sparse:
-                    block = self.features[record.batch]
-                    y_t = self._labels_num[record.batch]
-                    if self.task == "linear":
-                        moments[t] = np.asarray(block.T @ y_t).ravel()
-                    else:
-                        moments[t] = np.asarray(
-                            block.T @ (record.intercepts * y_t)
-                        ).ravel()
-                    self._blocks[t] = block
-                else:
-                    moments[t] = np.asarray(
-                        record.moment, dtype=float
-                    ).ravel()
-                    if self._kind == "svd":
-                        self._evals[t] = record.summary.weights
-                        self._rights[t] = record.summary.right
-                    else:
-                        self._summaries[t] = np.asarray(record.summary)
-            self.moments = moments
+        touched = stats.affected_iterations.tolist()
+        self._sync(touched)
+        if self.sparse:
+            # Writable (a loaded plan's moments may be a read-only map).
+            self.moments = np.array(self.moments)
+            self._sparse_moments(touched)
         self._compiled_version = self.store._version
-        # Executed-patch byte accounting, mirrored by predict_patch_bytes.
-        patched = int(self._record_offsets.nbytes)
-        if stats.dropped_slots.size:
-            for attr in ("_slopes_flat", "_iy_flat"):
-                flat = getattr(self, attr, None)
-                if flat is not None:
-                    patched += int(flat.nbytes)
-            if self.task == "multinomial_logistic":
-                patched += int(self._slot_map.nbytes)
-        patched += (
-            int(stats.n_iterations_touched)
-            * int(self.moments.shape[1])
-            * int(self.moments.itemsize)
-        )
+        dropped = int(stats.dropped_slots.size)
         return {
             "mode": "refresh",
             "fraction": fraction,
-            "patched_bytes": patched,
-            "dropped_slots": int(stats.dropped_slots.size),
+            "patched_bytes": self._patch_bytes(
+                int(self.store.columns().offsets[-1]) if dropped else 0,
+                len(touched),
+            ),
+            "dropped_slots": dropped,
             "touched_iterations": int(stats.n_iterations_touched),
-        }
-
-    # -------------------------------------------------------- maintenance
-    def slot_garbage_rows(self) -> tuple[int, int]:
-        """``(garbage rows, physical rows)`` held by the multinomial flats.
-
-        A committed refresh drops multinomial occurrence slots *logically*
-        (through :attr:`_slot_map`) while the ``(H, q)`` softmax flats keep
-        their physical size; the difference is reclaimable garbage that
-        :meth:`repack` folds away.  Binary/linear flats are physically
-        compacted on refresh and never carry garbage.
-        """
-        flats = getattr(self, "_probs_flat", None)
-        if not self.supported or flats is None:
-            return 0, 0
-        physical = int(flats.shape[0])
-        if self._slot_map is None:
-            return 0, physical
-        return physical - int(self._slot_map.size), physical
-
-    def repack(self) -> dict:
-        """Fold the logical→physical slot map into the multinomial flats.
-
-        The gather rewrites ``probs``/``wx`` as contiguous live-row arrays
-        and resets the map to identity (``None``), returning the plan to a
-        freshly compiled footprint.  Values are *moved, never changed* —
-        replay answers are bit-identical before and after — so re-packing
-        is safe at any point between dispatches.  Returns a receipt with
-        the rows and bytes reclaimed (all-zero when there was no map).
-        """
-        garbage, physical = self.slot_garbage_rows()
-        if self._slot_map is None:
-            return {"garbage_rows": 0, "physical_rows": physical,
-                    "bytes_freed": 0}
-        before = int(
-            self._probs_flat.nbytes
-            + self._wx_flat.nbytes
-            + self._slot_map.nbytes
-        )
-        self._probs_flat = np.ascontiguousarray(
-            self._probs_flat[self._slot_map]
-        )
-        self._wx_flat = np.ascontiguousarray(self._wx_flat[self._slot_map])
-        self._slot_map = None
-        after = int(self._probs_flat.nbytes + self._wx_flat.nbytes)
-        return {
-            "garbage_rows": garbage,
-            "physical_rows": physical,
-            "bytes_freed": before - after,
         }
 
     def resync_summaries(self, iterations=None) -> None:
@@ -589,72 +407,64 @@ retruncate_summaries` replaces record summaries (and bumps the store
         plan's pinned version is advanced.  ``iterations=None`` re-binds
         every iteration.
         """
-        if self.supported and not self.sparse and self._kind == "svd":
-            records = self.store.records
+        if self.supported and not self.sparse:
             if iterations is None:
                 iterations = range(self.n_iterations)
-            for t in iterations:
-                summary = records[t].summary
-                self._evals[t] = summary.weights
-                self._rights[t] = summary.right
+            self._bind_iterations(iterations)
         self._compiled_version = self.store._version
 
     # ------------------------------------------------------------ queries
     def predict_patch_bytes(
         self, dropped_occurrences: int, touched_iterations: int
     ) -> int:
-        """Bytes an incremental :meth:`refresh` of this shape would rewrite.
+        """Bytes a commit of this shape rewrites in the layout the plan
+        replays from.
 
         The forward model behind :mod:`repro.core.costmodel`: given a
         removal predicted (from the packed occurrence index) to drop
         ``dropped_occurrences`` slots across ``touched_iterations``
-        iterations, this mirrors the ``patched_bytes`` accounting the
-        refresh receipt reports — rebuilt offsets, physically compacted
-        binary flats, the rewritten multinomial slot map and the
-        re-derived moment rows.  Keeping both sides on one formula means
-        predicted-vs-actual comparisons measure the *estimate's* inputs
-        (the searchsorted occurrence counts), never drift between two
-        byte formulas.  Returns 0 for unsupported plans (nothing to
+        iterations, it counts the store's rebuilt record offsets, its
+        per-sample columns after the drop (``compact`` rewrites each
+        once) and the touched iterations' moments.  The refresh receipt's
+        ``patched_bytes`` evaluates the same formula at the executed
+        drop, so predicted-vs-actual comparisons measure the *estimate's*
+        inputs (the searchsorted occurrence counts), never drift between
+        two byte formulas.  Returns 0 for unsupported plans (nothing to
         patch — refresh is a metadata-only no-op there).
         """
         if not self.supported:
             return 0
-        patched = int(self._record_offsets.nbytes)
-        if dropped_occurrences > 0:
-            rows_after = int(self._record_offsets[-1]) - int(
-                dropped_occurrences
-            )
-            for attr in ("_slopes_flat", "_iy_flat"):
-                flat = getattr(self, attr, None)
-                if flat is not None:
-                    patched += rows_after * int(flat.itemsize)
-            if self.task == "multinomial_logistic":
-                patched += rows_after * np.dtype(np.int64).itemsize
-        patched += (
-            int(touched_iterations)
-            * int(self.moments.shape[1])
-            * int(self.moments.itemsize)
+        rows_after = int(self.store.columns().offsets[-1]) - int(
+            dropped_occurrences
         )
-        return patched
+        return self._patch_bytes(
+            rows_after if dropped_occurrences > 0 else 0, touched_iterations
+        )
+
+    def _patch_bytes(self, rows: int, touched_iterations: int) -> int:
+        """Offsets, ``rows`` slots of every per-sample column, and
+        ``touched_iterations`` moment rows, in bytes."""
+        slot_bytes = sum(
+            values.itemsize * int(np.prod(values.shape[1:]))
+            for values in self.store.columns().per_sample()
+        )
+        word = np.dtype(np.int64).itemsize
+        return int(
+            word * (self.n_iterations + 1)
+            + rows * slot_bytes
+            + touched_iterations * self.n_params * np.dtype(float).itemsize
+        )
 
     def nbytes(self) -> int:
-        """Extra memory the compiled layout holds beyond the store itself."""
+        """Extra memory the compiled layout holds beyond the store itself:
+        the occurrence index and, on sparse mode, the base moments and
+        CSR batch blocks."""
         if not self.supported:
             return 0
-        total = int(self.moments.nbytes) + self.store.packed_index().nbytes()
-        for name in (
-            "_slopes_flat",
-            "_iy_flat",
-            "_probs_flat",
-            "_wx_flat",
-            "_slot_map",
-        ):
-            arr = getattr(self, name, None)
-            if arr is not None:
-                total += int(arr.nbytes)
-        blocks = getattr(self, "_blocks", None)
-        if blocks is not None:
-            for block in blocks:
+        total = self.store.packed_index().nbytes()
+        if self.sparse:
+            total += int(self.moments.nbytes)
+            for block in self._blocks:
                 for part in ("data", "indices", "indptr"):
                     arr = getattr(block, part, None)
                     if arr is not None:
@@ -829,18 +639,17 @@ multinomial_moment_coefficients`); for K > 1, each hit's placement
             "seg_offsets": seg_offsets,
             "rows": self.features[hit_ids] if hit_ids.size else None,
         }
-        slots = self._record_offsets[hit_t] + hit_pos
+        columns = self.store.columns()
+        slots = columns.offsets[hit_t] + hit_pos
         if self.task == "linear":
             hits["y"] = self._labels_num[hit_ids]
         elif self.task == "binary_logistic":
-            hits["slopes"] = self._slopes_flat[slots]
-            hits["iy"] = self._iy_flat[slots]
+            hits["slopes"] = columns.slopes[slots]
+            hits["iy"] = columns.intercepts[slots] * self._labels_num[hit_ids]
         else:
-            if self._slot_map is not None:
-                slots = self._slot_map[slots]
-            hits["probs"] = self._probs_flat[slots]
+            hits["probs"] = columns.probabilities[slots]
             hits["dcoef"] = multinomial_moment_coefficients(
-                hits["probs"], self._wx_flat[slots], self._labels_num[hit_ids]
+                hits["probs"], columns.wx[slots], self._labels_num[hit_ids]
             )
         if n_requests > 1:
             # Hit j is row j − (its iteration's first hit) of that
@@ -945,11 +754,12 @@ multinomial_moment_coefficients`); for K > 1, each hit's placement
         summaries = getattr(self, "_summaries", None)
         evals = getattr(self, "_evals", None)
         rights = getattr(self, "_rights", None)
-        rec_off = self._record_offsets
+        columns = self.store.columns()
+        slopes, rec_off = columns.slopes, columns.offsets
         for t in range(start, end):
             if sparse:
                 block = self._blocks[t]
-                slopes_t = self._slopes_flat[rec_off[t] : rec_off[t + 1]]
+                slopes_t = slopes[rec_off[t] : rec_off[t + 1]]
                 gram_w = np.asarray(
                     block.T @ (slopes_t * np.asarray(block @ w).ravel())
                 ).ravel()
@@ -1013,11 +823,12 @@ multinomial_moment_coefficients`); for K > 1, each hit's placement
                 evals, rights = self._evals, self._rights
             else:
                 summaries = self._summaries
-        rec_off = self._record_offsets
+        columns = self.store.columns()
+        slopes, rec_off = columns.slopes, columns.offsets
         for t in range(start, end):
             if sparse:
                 block = self._blocks[t]
-                slopes_t = self._slopes_flat[rec_off[t] : rec_off[t + 1]]
+                slopes_t = slopes[rec_off[t] : rec_off[t + 1]]
                 gram_w = block.T @ (slopes_t[:, None] * np.asarray(block @ weights))
             elif summaries is not None:
                 gram_w = summaries[t] @ weights

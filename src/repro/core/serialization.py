@@ -6,12 +6,13 @@ when a deletion request arrives — possibly in a different process, days
 later.  Two artifacts cover the whole serving state:
 
 * :func:`save_store` / :func:`load_store` — the provenance store itself,
-  packed into a single ``.npz``: batch arrays, summaries (dense or SVD
-  factors), per-sample coefficients, frozen PrIU-opt state, and the
+  packed into a single ``.npz``: the per-sample columns (batch ids and
+  per-sample coefficients, one member each), the stacked moments, the
+  summaries (dense or SVD factors), frozen PrIU-opt state, and the
   schedule metadata needed to rebuild it bit-for-bit.
-* :func:`save_plan` / :func:`load_plan` — the *compiled*
-  :class:`~repro.core.replay_plan.ReplayPlan` layout (packed occurrence
-  index, stacked moments, slot-indexed interpolation flats).  A fresh
+* :func:`save_plan` / :func:`load_plan` — what the *compiled*
+  :class:`~repro.core.replay_plan.ReplayPlan` derives beyond the store
+  (the packed occurrence index; sparse mode's base moments).  A fresh
   process goes checkpoint → plan → first answered request without
   re-running capture *or* compilation.
 
@@ -70,12 +71,14 @@ import numpy as np
 from ..linalg.svd import TruncatedSummary, summary_from_factor_pair
 from ..models.batching import BatchSchedule
 from .provenance_store import (
+    COLUMN_FIELDS,
     CommitReceipt,
     FrozenProvenance,
     LinearRecord,
     LogisticRecord,
     MultinomialRecord,
     ProvenanceStore,
+    SampleColumns,
 )
 from .replay_plan import ReplayPlan
 
@@ -106,10 +109,20 @@ from .replay_plan import ReplayPlan
 # stored instead of deflated (and padding them to 64-byte offsets)
 # changes no member, meaning, dtype or metadata encoding, so it is no
 # format break: every zip reader inflates or copies a member alike.
-_FORMAT_VERSION = 5
-_SUPPORTED_VERSIONS = (1, 2, 3, 4, 5)
-_PLAN_FORMAT_VERSION = 2
-_SUPPORTED_PLAN_VERSIONS = (1, 2)
+# Format 6 holds each per-sample array once, as a column over
+# ``record_offsets``: ``batches``, ``slopes``/``intercepts`` (binary) or
+# ``probabilities``/``wx`` (multinomial), one member each, plus one stacked
+# ``moments`` of shape ``(τ, ·)``, where formats 1–5 wrote ``batch_<t>``,
+# ``moment_<t>`` and the per-sample members record by record; summaries
+# and the ``__`` members keep their format-5 encoding.  Plan format 3
+# holds only what the plan derives beyond the store — ``index_*``, ``w0``,
+# ``final_weights`` and sparse mode's ``moments`` — where formats 1–2
+# also copied the per-sample state (``*_flat``), the dense moments,
+# ``base_sizes`` and ``record_offsets``; those are checked and ignored.
+_FORMAT_VERSION = 6
+_SUPPORTED_VERSIONS = (1, 2, 3, 4, 5, 6)
+_PLAN_FORMAT_VERSION = 3
+_SUPPORTED_PLAN_VERSIONS = (1, 2, 3)
 
 # Sidecar journal for multi-file checkpoint commits (store.npz + plan.npz
 # flipped old->new atomically): present means "roll the staged *.new files
@@ -614,6 +627,15 @@ class _Archive:
             pass
 
 
+_RECORD_TYPES = {
+    "linear": LinearRecord,
+    "binary_logistic": LogisticRecord,
+    "multinomial_logistic": MultinomialRecord,
+}
+# Formats 1–5 wrote each record's per-sample fields as ``<field>_<t>``,
+# the softmax probabilities as ``probs_<t>``.
+_LEGACY_MEMBERS = {"probabilities": "probs"}
+
 _FROZEN_FIELDS = (
     "slopes",
     "intercepts",
@@ -824,18 +846,16 @@ def save_store(store: ProvenanceStore, path: str | Path) -> Path:
     is crash-atomic (:func:`_durable_savez`).
     """
     path = Path(path)
-    arrays: dict[str, np.ndarray] = {}
+    columns = store.columns()
+    arrays: dict[str, np.ndarray] = {"record_offsets": columns.offsets}
+    for column, _ in COLUMN_FIELDS[store.task]:
+        arrays[column] = getattr(columns, column)
+    arrays["moments"] = np.array(
+        [record.moment for record in store.records], dtype=float
+    ).reshape(len(store.records), *_moment_shape(store))
     summary_kinds: list[str] = []
     for t, record in enumerate(store.records):
-        arrays[f"batch_{t}"] = record.batch
         summary_kinds.append(_pack_summary(arrays, f"summary_{t}", record.summary))
-        arrays[f"moment_{t}"] = record.moment
-        if isinstance(record, LogisticRecord):
-            arrays[f"slopes_{t}"] = record.slopes
-            arrays[f"intercepts_{t}"] = record.intercepts
-        elif isinstance(record, MultinomialRecord):
-            arrays[f"probs_{t}"] = record.probabilities
-            arrays[f"wx_{t}"] = record.wx
 
     frozen_meta: list = []
     if store.frozen is not None:
@@ -1113,7 +1133,62 @@ def _store_steering(archive, meta: dict) -> dict:
         )
     if version >= 3 and "__receipts__" in archive.files:
         steering["receipts"] = _receipts(archive, steering["log"])
+    if version >= 6:
+        steering["offsets"] = _record_offsets(archive, n_records)
     return steering
+
+
+def _record_offsets(archive, n_records: int) -> np.ndarray:
+    """``record_offsets``, checked: ``τ + 1`` integers from 0, never
+    decreasing, ending at the length of ``batches`` (read off its
+    header)."""
+    offsets = _vector(archive, "record_offsets", n_records + 1, integers=True)
+    batches = archive.array("batches")
+    if not (
+        batches.ndim == 1
+        and offsets[0] == 0
+        and (np.diff(offsets) >= 0).all()
+        and offsets[-1] == batches.shape[0]
+    ):
+        raise _malformed(
+            archive, "record_offsets",
+            f"does not rise from 0 to the {batches.shape[:1]} slots of "
+            "'batches'",
+        )
+    return offsets
+
+
+def _moment_shape(store: ProvenanceStore) -> tuple[int, ...]:
+    """One record's moment: ``(q, m)`` on a multinomial store, ``(m,)``
+    on the others, and empty on a sparse linear or binary one."""
+    if store.task == "multinomial_logistic":
+        return (store.n_classes, store.n_features)
+    return (0,) if store.sparse_mode else (store.n_features,)
+
+
+def _columns(
+    archive, store: ProvenanceStore, offsets: np.ndarray, n_records: int
+):
+    """A format-6 store's per-sample columns and stacked moments, as
+    views the sweep checks, once their headers give one slot per
+    occurrence (``(H, q)`` for the softmax state) and one moment per
+    record."""
+    shapes = {
+        column: (int(offsets[-1]),)
+        + ((store.n_classes,) if column in ("probabilities", "wx") else ())
+        for column, _ in COLUMN_FIELDS[store.task]
+    }
+    shapes["moments"] = (n_records, *_moment_shape(store))
+    views = {name: archive.view(name) for name in shapes}
+    for name, shape in shapes.items():
+        if views[name].shape != shape:
+            raise _malformed(
+                archive, name, f"has shape {views[name].shape}, not {shape}"
+            )
+    if views["batches"].dtype.kind not in "iu":
+        raise _malformed(archive, "batches", "does not hold integers")
+    moments = views.pop("moments")
+    return SampleColumns(offsets=offsets, **views), moments
 
 
 def _decode_store(archive, meta: dict, steering: dict) -> ProvenanceStore:
@@ -1135,37 +1210,33 @@ def _decode_store(archive, meta: dict, steering: dict) -> ProvenanceStore:
         sparse_mode=meta["sparse_mode"],
     )
     view = archive.view
+    if version >= 6:
+        columns, moments = _columns(
+            archive, store, steering["offsets"], meta["n_records"]
+        )
+        bounds = columns.offsets.tolist()
     folded = []
     for t, kind in enumerate(steering["kinds"]):
-        batch = view(f"batch_{t}")
         summary, refactored = _unpack_summary(
             archive, f"summary_{t}", kind, version
         )
         if refactored:
             folded.append(t)
-        moment = view(f"moment_{t}")
-        if task == "linear":
-            store.add(LinearRecord(batch=batch, summary=summary, moment=moment))
-        elif task == "binary_logistic":
-            store.add(
-                LogisticRecord(
-                    batch=batch,
-                    slopes=view(f"slopes_{t}"),
-                    intercepts=view(f"intercepts_{t}"),
-                    summary=summary,
-                    moment=moment,
-                )
-            )
+        if version >= 6:
+            fields = {
+                name: getattr(columns, column)[bounds[t] : bounds[t + 1]]
+                for column, name in COLUMN_FIELDS[task]
+            }
+            fields["moment"] = moments[t]
         else:
-            store.add(
-                MultinomialRecord(
-                    batch=batch,
-                    probabilities=view(f"probs_{t}"),
-                    wx=view(f"wx_{t}"),
-                    summary=summary,
-                    moment=moment,
-                )
-            )
+            fields = {
+                name: view(f"{_LEGACY_MEMBERS.get(name, name)}_{t}")
+                for _, name in COLUMN_FIELDS[task]
+            }
+            fields["moment"] = view(f"moment_{t}")
+        store.add(_RECORD_TYPES[task](summary=summary, **fields))
+    if version >= 6:
+        store._columns = columns
     # Every record holds its iteration's batch, so no kind regenerates
     # them: a seeded schedule would rebuild the same batches bit for bit,
     # and compacted ones cannot be rebuilt at all.  A seeded schedule
@@ -1219,15 +1290,18 @@ def load_store(path: str | Path) -> ProvenanceStore:
     Every member is checked against its zip CRC before this returns,
     and archive bytes that do not decode fail the same way: a corrupted
     store raises :class:`CheckpointCorruptionError`, it never loads
-    wrong.  The load runs in four steps:
+    wrong.  The load runs in five steps:
 
-    1. the ``__`` members, which steer the decode, are checked and
-       parsed (an unsupported version is refused before anything else
-       is checked);
+    1. the ``__`` members, which steer the decode, and a format-6
+       store's ``record_offsets`` are checked and parsed (an unsupported
+       version is refused before anything else is checked);
     2. a sweep starts over the other members, on a helper thread;
     3. the records are built from the members' headers, without reading
-       their values, while the sweep runs;
-    4. the caller joins the sweep, checking beside the helper.
+       their values, while the sweep runs (a format-6 store's records are
+       slices of its column members, which become the store's columns);
+    4. the caller joins the sweep, checking beside the helper;
+    5. a format 1–5 store's per-record members, now checked, are
+       concatenated into columns.
 
     A failure is reported once the sweep has settled, and a CRC mismatch
     wins over any error of step 3.
@@ -1238,6 +1312,9 @@ def load_store(path: str | Path) -> ProvenanceStore:
         steering = _store_steering(archive, meta)
         with archive.sweeping():
             store = _decode_store(archive, meta, steering)
+    # A format 1–5 store's per-record members, now checked, become
+    # columns (a format-6 store comes with them).
+    store.columns()
     return store
 
 
@@ -1408,11 +1485,15 @@ def load_plan(
     ``store`` must be the matching provenance store (typically just
     reloaded via :func:`load_store`) and ``features``/``labels`` the
     original training data — the plan validates task, iteration count,
-    batch sizes and sample count before accepting them.  Every member
-    that can be is memory-mapped read-only (zero-copy); the replay loops
-    never write to plan state, so serving works directly off the mapped
-    file.  Archive bytes that do not decode raise
-    :class:`CheckpointCorruptionError`.
+    occurrence count, batch sizes and sample count before accepting them.
+    Every member that can be is memory-mapped read-only (zero-copy); the
+    replay loops never write to plan state, so serving works directly off
+    the mapped file.  Archive bytes that do not decode, and a CRC-clean
+    archive that does not fit the store (a member the plan needs is
+    missing or misshapen, the store's state is one no plan compiles, or
+    any check :meth:`~repro.core.replay_plan.ReplayPlan.\
+from_compiled_state` makes fails), raise
+    :class:`CheckpointCorruptionError`: reloading cannot mend either.
 
     If the archive embeds final model weights they are exposed as
     ``plan.final_weights``.
@@ -1448,10 +1529,15 @@ replay_plan.ReplayPlan.run` — mapping exists precisely to avoid touching
         plan = ReplayPlan.from_compiled_state(
             store, features, labels, meta, arrays
         )
-    except Exception:
+    except Exception as exc:
         # Rotten mapped bytes can fail validation before the first replay
         # would have caught them: report such a failure as corruption.
         archive.verify()
+        if isinstance(exc, ValueError):
+            # CRC-clean, but not a plan this store can serve.
+            raise CheckpointCorruptionError(
+                f"plan archive {path} does not fit its store: {exc}"
+            ) from exc
         raise
     plan.final_weights = final_weights
     plan.defer_integrity_check(archive.verify)

@@ -9,6 +9,7 @@ from repro.bench import (
     CONFIGS,
     accuracy_rows,
     available_methods,
+    batched_deletion_rows,
     dataset_summary_rows,
     memory_row,
     prepare_workload,
@@ -88,6 +89,34 @@ class TestSweeps:
         assert all(row["n_subsets"] == 3 for row in rows)
         basel = next(r for r in rows if r["method"] == "basel")
         assert basel["speedup_vs_basel"] == pytest.approx(1.0)
+
+    def test_batched_rows_alternate_and_report_medians(
+        self, tiny_logistic_workload, monkeypatch
+    ):
+        """The Fig-4 paths are timed in turn, round after round, and
+        each row reports its median round."""
+        trainer = tiny_logistic_workload.trainer
+        calls = []
+        remove_many = trainer.remove_many
+
+        def spy(sets, method=None, **kwargs):
+            # A lone set is one request of a one-by-one path.
+            call = method if len(sets) == 1 else "batched"
+            if call == "batched" or not calls or calls[-1] != call:
+                calls.append(call)
+            return remove_many(sets, method=method, **kwargs)
+
+        monkeypatch.setattr(trainer, "remove_many", spy)
+        rows = batched_deletion_rows(
+            tiny_logistic_workload, n_subsets=3, deletion_rate=0.01, repeats=3
+        )
+        # Three rounds of (sequential, one-by-one, batched), then the
+        # untimed reference pass.
+        assert calls[:9] == ["priu-seq", "priu", "batched"] * 3
+        assert [row["repeats"] for row in rows] == [3, 3, 3]
+        sequential = rows[0]
+        assert sequential["speedup_vs_sequential"] == pytest.approx(1.0)
+        assert rows[-1]["max_abs_deviation"] < 1e-10
 
     def test_memory_row(self, tiny_logistic_workload):
         report = memory_row(tiny_logistic_workload)

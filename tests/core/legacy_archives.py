@@ -38,3 +38,62 @@ def write_stored(path, members: dict):
     with open(path, "wb") as handle:
         _write_npz(handle, members)
     return path
+
+
+# Store format 6 holds each per-sample array once, as a column over
+# ``record_offsets``; formats 1–5 wrote it record by record, under these
+# names (``<name>_<t>``).
+_RECORD_MEMBERS = {
+    "batches": "batch",
+    "slopes": "slopes",
+    "intercepts": "intercepts",
+    "probabilities": "probs",
+    "wx": "wx",
+}
+
+
+def per_record_members(members: dict) -> dict:
+    """A format-6 store's members with its columns and stacked moments
+    split back into ``batch_<t>``, ``moment_<t>`` and the per-sample
+    members of each record, as formats 1–5 wrote them (the caller
+    stamps the version)."""
+    members = dict(members)
+    offsets = members.pop("record_offsets")
+    for column, name in _RECORD_MEMBERS.items():
+        if column in members:
+            values = members.pop(column)
+            for t in range(len(offsets) - 1):
+                members[f"{name}_{t}"] = values[offsets[t] : offsets[t + 1]]
+    for t, moment in enumerate(members.pop("moments")):
+        members[f"moment_{t}"] = moment
+    return members
+
+
+def with_plan_copies(members: dict, store, labels, version: str = "2") -> dict:
+    """A format-3 plan's members as plan formats 1–2 wrote them, for
+    ``store`` (the one the plan serves, with its training ``labels``):
+    beside the index and ``w0`` they carried the batch sizes, the record
+    offsets, the stacked moments (sparse plans already hold theirs) and
+    copies of the per-sample state, the binary intercepts pre-multiplied
+    by the labels (``iy_flat``)."""
+    columns = store.columns()
+    members = dict(members)
+    members["base_sizes"] = np.diff(columns.offsets)
+    members["record_offsets"] = np.asarray(columns.offsets)
+    members.setdefault(
+        "moments",
+        np.stack([np.ravel(record.moment) for record in store.records]),
+    )
+    if store.task == "binary_logistic":
+        members["slopes_flat"] = np.array(columns.slopes)
+        members["iy_flat"] = columns.intercepts * np.asarray(labels, float)[
+            columns.batches
+        ]
+    elif store.task == "multinomial_logistic":
+        members["probs_flat"] = np.array(columns.probabilities)
+        members["wx_flat"] = np.array(columns.wx)
+    keys = [str(key) for key in members["__plan_meta_keys__"]]
+    values = [str(value) for value in members["__plan_meta_values__"]]
+    values[keys.index("format")] = version
+    members["__plan_meta_values__"] = np.array(values)
+    return members

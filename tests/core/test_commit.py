@@ -6,7 +6,7 @@ replaying the original trainer with ``S ∪ T`` to reduction-order noise
 (atol 1e-10), for every task × summary representation.  For the linear task
 — whose capture is trajectory-independent — the committed store is
 additionally checked against a genuine from-scratch re-capture on the
-reduced dataset.  The refresh's row-drop helper (``_drop_rows``) is
+reduced dataset.  The columns' row-drop helper (``_drop_rows``) is
 checked against ``np.delete``.
 """
 
@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from repro import IncrementalTrainer
 from repro.core import train_with_capture
-from repro.core.provenance_store import remap_surviving_ids
-from repro.core.replay_plan import ReplayPlan, _drop_rows
+from repro.core.provenance_store import _drop_rows, remap_surviving_ids
+from repro.core.replay_plan import ReplayPlan
 from repro.datasets import (
     make_binary_classification,
     make_multiclass_classification,

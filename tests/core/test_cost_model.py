@@ -185,7 +185,7 @@ class TestEstimateAccuracy:
         assert estimate.svd_width_growth == 0
         # Only the rebuilt offsets would be rewritten.
         assert estimate.plan_patch_bytes == (
-            trainer._plan._record_offsets.nbytes
+            trainer.store.columns().offsets.nbytes
         )
 
     def test_estimate_ignores_order_and_duplicates(self):

@@ -236,12 +236,12 @@ class TestCorruptionDetection:
         plan_path = save_plan(
             trainer._plan, tmp_path / "plan.npz", weights=trainer.weights_
         )
-        corrupt_npz_member(plan_path, "moments")
+        corrupt_npz_member(plan_path, "index_positions")
 
         store = load_store(store_path)
         # Mapping defers the integrity sweep: the load itself succeeds.
         plan = load_plan(plan_path, store, trainer.features, trainer.labels)
-        assert isinstance(plan.moments, np.memmap)
+        assert isinstance(store.packed_index().positions, np.memmap)
         with pytest.raises(CheckpointCorruptionError):
             plan.run([[0, 3], [7]])
         # The failed check is not forgotten: replays keep refusing.

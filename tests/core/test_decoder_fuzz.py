@@ -51,8 +51,10 @@ from repro.core.serialization import (
     _mmap_member,
     _parse_npy_header,
 )
-from repro.datasets import make_regression
+from repro.datasets import make_multiclass_classification, make_regression
 from repro.testing import FaultInjector, SimulatedCrash
+
+from legacy_archives import write_stored
 
 N_FLIPS = 300
 N_TRUNCATIONS = 40
@@ -131,9 +133,11 @@ def test_store_mutations_load_identically_or_raise_typed(checkpoint, tmp_path):
     # mutations below also reach the Fortran-order header branch.
     assert fortran_members(original)
     expected = archive_members(original)
-    # A format-5 store: SVD summaries as a basis and its eigenvalues, and
-    # no digest table: each member's zip CRC is its one check.
-    assert str(expected["__meta__"][0]) == "5"
+    # A format-6 store: per-sample columns, SVD summaries as a basis and
+    # its eigenvalues, and no digest table: each member's zip CRC is its
+    # one check.
+    assert str(expected["__meta__"][0]) == "6"
+    assert "record_offsets" in expected and "batch_0" not in expected
     assert any(name.endswith("_weights") for name in expected)
     assert not any(name.endswith("_left") for name in expected)
     assert "__checksums__" not in expected
@@ -247,13 +251,13 @@ def load_archive(checkpoint, name: str, raw: bytes, path):
 
 
 def test_hidden_entries_do_not_switch_the_check_off(checkpoint, tmp_path):
-    """A rotten byte in ``moments``, and a flipped comment length in the
-    directory entry of ``__plan_meta_values__.npy``.  When the digest
-    table was written after that entry, zipfile stopped listing it, the
-    plan loaded as an archive older than the table, and ``moments`` was
-    mapped unchecked: the replay answered 0.037 off."""
+    """A rotten byte in ``index_positions``, and a flipped comment length
+    in the directory entry of ``__plan_meta_values__.npy``.  When the
+    digest table was written after that entry, zipfile stopped listing
+    it, the plan loaded as an archive older than the table, and a mapped
+    member went unchecked: the replay answered 0.037 off."""
     _, directory = checkpoint
-    raw = rotten((directory / "plan.npz").read_bytes(), "moments.npy")
+    raw = rotten((directory / "plan.npz").read_bytes(), "index_positions.npy")
     entry = directory_entries(raw)["__plan_meta_values__.npy"]
     raw = flipped(raw, entry + COMMENT_LENGTH_HIGH_BYTE, 0)
     with pytest.raises(CheckpointCorruptionError):
@@ -269,7 +273,7 @@ def test_no_comment_length_flip_hides_a_member(checkpoint, tmp_path, name):
     _, directory = checkpoint
     raw = (directory / name).read_bytes()
     entries = list(directory_entries(raw).items())
-    assert len(entries) >= 10
+    assert len(entries) >= 7
     missed = []
     for k, (member, offset) in enumerate(entries):
         at = offset + COMMENT_LENGTH_HIGH_BYTE
@@ -289,7 +293,7 @@ def test_no_comment_length_flip_hides_a_member(checkpoint, tmp_path, name):
 @pytest.mark.parametrize("where", ["directory", "local header"])
 @pytest.mark.parametrize(
     "name, member",
-    [("store.npz", "__deletion_log__.npy"), ("plan.npz", "moments.npy")],
+    [("store.npz", "__deletion_log__.npy"), ("plan.npz", "index_positions.npy")],
 )
 def test_a_renamed_member_is_refused(checkpoint, tmp_path, name, member, where):
     """A flipped bit in the last letter of a member's name, in its
@@ -304,6 +308,83 @@ def test_a_renamed_member_is_refused(checkpoint, tmp_path, name, member, where):
     mutated = flipped(raw, at + len(member) - len(".npy") - 1, 0)
     with pytest.raises(CheckpointCorruptionError):
         load_archive(checkpoint, name, mutated, tmp_path / name)
+
+
+# ------------------------------------------------- malformed columns (v6)
+def _swap(values, i, j):
+    values = np.array(values)
+    values[[i, j]] = values[[j, i]]
+    return values
+
+
+def _end_short(values):
+    values = np.array(values)
+    values[-1] -= 1
+    return values
+
+
+#: CRC-clean format-6 store members whose shapes or offsets do not fit
+#: together: (member, edit).
+MALFORMED_COLUMNS = {
+    "offsets descend": ("record_offsets", lambda v: _swap(v, 2, 3)),
+    "offsets end short of the slots": ("record_offsets", _end_short),
+    "offsets start past 0": ("record_offsets", lambda v: v + 1),
+    "offsets one short": ("record_offsets", lambda v: v[:-1]),
+    "batches one slot long": ("batches", lambda v: np.append(v, 0)),
+    "batches not ids": ("batches", lambda v: v.astype(float)),
+    "probabilities one slot short": ("probabilities", lambda v: v[:-1]),
+    "probabilities one class short": ("probabilities", lambda v: v[:, :-1]),
+    "wx a vector": ("wx", lambda v: v[:, 0]),
+    "moments one record short": ("moments", lambda v: v[:-1]),
+    "moments flattened": ("moments", lambda v: v.reshape(len(v), -1)),
+}
+
+
+@pytest.fixture(scope="module")
+def columnar(tmp_path_factory):
+    """A small multinomial checkpoint with one committed deletion."""
+    data = make_multiclass_classification(120, 6, n_classes=3, seed=8)
+    trainer = IncrementalTrainer(
+        "multinomial_logistic",
+        learning_rate=0.05,
+        regularization=0.01,
+        batch_size=10,
+        n_iterations=8,
+        n_classes=3,
+        seed=0,
+        method="priu",
+    )
+    trainer.fit(data.features, data.labels)
+    trainer.remove([4, 50], commit=True)
+    directory = tmp_path_factory.mktemp("columnar")
+    trainer.save_checkpoint(directory)
+    return trainer, directory
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_COLUMNS))
+def test_malformed_columns_raise_typed(columnar, tmp_path, case):
+    _, directory = columnar
+    member, edit = MALFORMED_COLUMNS[case]
+    members = archive_members(directory / "store.npz")
+    members[member] = edit(members[member])
+    path = write_stored(tmp_path / "store.npz", members)
+    with pytest.raises(CheckpointCorruptionError):
+        load_store(path)
+
+
+@pytest.mark.parametrize("member", ["index_samples", "index_positions"])
+def test_an_index_of_the_wrong_length_raises_typed(columnar, tmp_path, member):
+    """A plan's occurrence index must hold one row per slot of the
+    store it serves."""
+    trainer, directory = columnar
+    members = archive_members(directory / "plan.npz")
+    members[member] = members[member][:-1]
+    path = write_stored(tmp_path / "plan.npz", members)
+    with pytest.raises(CheckpointCorruptionError, match=member):
+        load_plan(
+            path, load_store(directory / "store.npz"),
+            trainer.features, trainer.labels,
+        )
 
 
 # ------------------------------------------------------------ .npy headers

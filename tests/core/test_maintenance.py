@@ -120,7 +120,6 @@ class TestMaintenanceCost:
         trainer = _fit("multinomial_logistic", "svd", dict(batch_size=8))
         cost = trainer.maintenance_cost()
         assert cost.clean
-        assert cost.slot_garbage_rows == 0
         assert cost.svd_correction_columns == 0
         assert cost.stale_eigen == 0
 
@@ -129,59 +128,47 @@ class TestMaintenanceCost:
         rng = np.random.default_rng(0)
         _churn(trainer, rng, n_commits=5)
         cost = trainer.maintenance_cost()
-        assert cost.slot_garbage_rows > 0  # multinomial slot map grew
         assert cost.svd_correction_columns > 0  # SVD factors widened
         assert cost.svd_widened_summaries > 0
-        assert 0.0 < cost.slot_garbage_fraction < 1.0
-        assert not cost.clean
-
-    def test_binary_commits_widen_svd_but_leave_no_slot_garbage(self):
-        trainer = _fit("binary_logistic", "svd", dict(batch_size=8))
-        rng = np.random.default_rng(1)
-        _churn(trainer, rng, n_commits=4)
-        cost = trainer.maintenance_cost()
-        assert cost.slot_garbage_rows == 0  # binary flats compact physically
-        assert cost.svd_correction_columns > 0
+        # Below the rank bound an exact fold frees nothing, and commits
+        # leave no dead per-sample rows: a bare maintain() has no work.
+        assert cost.svd_excess_columns == 0 and cost.clean
 
     def test_cost_dict_round_trips_fields(self):
         cost = MaintenanceCost(
-            slot_garbage_rows=3, slot_physical_rows=10,
             svd_correction_columns=7, svd_max_correction_columns=4,
             svd_widened_summaries=2, stale_eigen=1,
             plan_nbytes=100, store_nbytes=200,
         )
         data = cost.as_dict()
-        assert data["slot_garbage_fraction"] == pytest.approx(0.3)
+        assert data["svd_correction_columns"] == 7
         assert data["stale_eigen"] == 1 and not cost.clean
 
 
 class TestMaintenancePolicyThresholds:
     def test_zero_thresholds_mark_everything_due(self):
         cost = MaintenanceCost(
-            slot_garbage_rows=1, slot_physical_rows=10,
             svd_correction_columns=1, svd_max_correction_columns=1,
             svd_widened_summaries=1, svd_excess_columns=1,
             svd_max_excess_columns=1, stale_eigen=1,
         )
-        assert MaintenancePolicy().due(cost) == ("svd", "repack", "eigen")
+        assert MaintenancePolicy().due(cost) == ("svd", "eigen")
 
     def test_thresholds_gate_each_task(self):
         cost = MaintenanceCost(
-            slot_garbage_rows=5, slot_physical_rows=100,
             svd_correction_columns=8, svd_max_correction_columns=4,
             svd_widened_summaries=2, svd_excess_columns=8,
             svd_max_excess_columns=4, stale_eigen=1,
         )
         policy = MaintenancePolicy(
-            max_slot_garbage_rows=10,  # 5 <= 10: repack not due
             max_svd_correction_columns=4,  # 4 <= 4: svd not due
             refresh_stale_eigen=False,
         )
         assert policy.due(cost) == ()
-        assert MaintenancePolicy(max_slot_garbage_fraction=0.10).due(cost) == (
-            "svd",
-            "eigen",
-        )  # garbage fraction 0.05 below the 10% bar
+        # The slot-garbage limits are still accepted and gate nothing.
+        assert MaintenancePolicy(
+            max_slot_garbage_rows=10, max_slot_garbage_fraction=0.10
+        ).due(cost) == ("svd", "eigen")
 
     def test_exact_policy_reads_excess_and_lossy_policy_reads_appended(self):
         """Widened summaries below their rank bound carry appended
@@ -216,39 +203,20 @@ class TestMaintenancePolicyThresholds:
             MaintenancePolicy(svd_epsilon=-0.1)
 
 
-# ------------------------------------------------------------------ repack
-class TestRepack:
-    def test_repack_is_bit_identical_and_frees_bytes(self):
-        # batch_size 40 > n_features keeps the summaries genuinely dense
-        # (smaller batches auto-compress to SVD, whose re-truncation is
-        # machine-precision rather than bit-exact).
+# ---------------------------------------------------------- no dead rows
+class TestCommitsLeaveNoDeadRows:
+    def test_committed_plan_matches_fresh_compile_footprint(self):
+        """A commit drops the erased rows from the store's columns, so an
+        unmaintained multinomial trainer needs no repack: its plan holds
+        what a fresh compile holds and its columns only live slots."""
         trainer = _fit("multinomial_logistic", "dense", dict(batch_size=40))
-        rng = np.random.default_rng(2)
-        _churn(trainer, rng, n_commits=6)
-        cost = trainer.maintenance_cost()
-        assert cost.slot_garbage_rows > 0
-        probe = np.arange(5, dtype=np.int64)
-        before = trainer.remove(probe, method="priu").weights
-        bytes_before = trainer.plan_nbytes()
-        report = trainer.maintain(
-            MaintenancePolicy(refresh_stale_eigen=False)
-        )
-        assert "repack" in report.performed
-        assert report.repack["garbage_rows"] == cost.slot_garbage_rows
-        assert report.repack["bytes_freed"] > 0
-        assert trainer.plan_nbytes() < bytes_before
-        after = trainer.remove(probe, method="priu").weights
-        assert np.array_equal(before, after)  # bit-identical, not allclose
-        assert trainer.maintenance_cost().slot_garbage_rows == 0
-
-    def test_repacked_plan_matches_fresh_compile_footprint(self):
-        maintained = _fit("multinomial_logistic", "dense", dict(batch_size=40))
-        _churn(maintained, np.random.default_rng(3), n_commits=5)
-        maintained.maintain()
-        fresh = ReplayPlan(
-            maintained.store, maintained.features, maintained.labels
-        )
-        assert maintained.plan_nbytes() == fresh.nbytes()
+        _churn(trainer, np.random.default_rng(3), n_commits=5)
+        fresh = ReplayPlan(trainer.store, trainer.features, trainer.labels)
+        assert trainer.plan_nbytes() == fresh.nbytes()
+        columns = trainer.store.columns()
+        live = len(trainer.store.packed_index())
+        assert columns.offsets[-1] == live
+        assert all(len(values) == live for values in columns.per_sample())
 
 
 # ------------------------------------------------------------- retruncation
@@ -821,8 +789,8 @@ def test_churn_with_interleaved_maintenance_is_bounded_and_exact(
     * answers to a fresh query agree at atol 1e-10 (and with an original
       trainer answering the union — the commit contract composes through
       maintenance);
-    * the maintained plan's nbytes equal a freshly compiled plan's (the
-      slot map is gone), while SVD factor widths are capped at the
+    * both plans' nbytes equal a freshly compiled plan's (commits leave
+      no dead per-sample rows), while SVD factor widths are capped at the
       store's rank bound ``k·min(m, B)`` instead of growing linearly with
       commits.
     """
@@ -852,7 +820,9 @@ def test_churn_with_interleaved_maintenance_is_bounded_and_exact(
     maintained.maintain()
     fresh = ReplayPlan(maintained.store, maintained.features, maintained.labels)
     assert maintained.plan_nbytes() == fresh.nbytes()
-    assert maintained.maintenance_cost().slot_garbage_rows == 0
+    assert plain.plan_nbytes() == (
+        ReplayPlan(plain.store, plain.features, plain.labels).nbytes()
+    )
 
     if rep == "svd":
         widths = [

@@ -39,7 +39,7 @@ from repro.datasets import (
 )
 from repro.testing import corrupt_npz_member
 
-from legacy_archives import with_table, write_stored
+from legacy_archives import with_plan_copies, with_table, write_stored
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -134,6 +134,31 @@ class TestPlanRoundTrip:
         batch = [[0, 3], [5, 9, 30], [2]]
         assert np.array_equal(reloaded.run(batch), trainer._plan.run(batch))
 
+    def test_format_2_plan_answers_like_format_3(self, case, tmp_path):
+        """A plan as format 2 wrote it, with copies of the store's
+        per-sample state, moments and batch sizes, loads, ignores the
+        copies and answers bit-identically."""
+        task, make, kwargs = CASES[case]
+        trainer = fit_trainer(task, make(), **kwargs)
+        store_path = save_store(trainer.store, tmp_path / "store.npz")
+        plan_path = save_plan(
+            trainer._plan, tmp_path / "plan.npz", weights=trainer.weights_
+        )
+        with np.load(plan_path, allow_pickle=False) as npz:
+            members = {name: npz[name] for name in npz.files}
+        write_stored(
+            plan_path, with_plan_copies(members, trainer.store, trainer.labels)
+        )
+        reloaded = load_plan(
+            plan_path, load_store(store_path), trainer.features, trainer.labels
+        )
+        assert_state_bit_identical(trainer._plan, reloaded)
+        batch = [[0, 3], [5, 9, 30], [2]]
+        assert np.array_equal(reloaded.run(batch), trainer._plan.run(batch))
+        assert np.array_equal(
+            reloaded.run_single([1, 7, 19]), trainer._plan.run_single([1, 7, 19])
+        )
+
     def test_final_weights_embedded(self, case, tmp_path):
         task, make, kwargs = CASES[case]
         trainer = fit_trainer(task, make(), **kwargs)
@@ -150,10 +175,12 @@ class TestMmapLoading:
             "binary_logistic", make_binary_classification(260, 8, seed=13)
         )
         reloaded = roundtrip_plan(trainer, tmp_path)
-        assert isinstance(reloaded.moments, np.memmap)
-        assert isinstance(reloaded._slopes_flat, np.memmap)
         index = reloaded.store.packed_index()
         assert isinstance(index.samples, np.memmap)
+        # The per-sample state is the store's mapped column, not a copy.
+        columns = reloaded.store.columns()
+        assert not columns.slopes.flags.writeable
+        assert np.shares_memory(reloaded.store.records[3].slopes, columns.slopes)
 
 
 class TestValidation:
@@ -234,13 +261,96 @@ class TestValidation:
             save_plan(trainer._plan, tmp_path / "plan.npz")
 
 
+class TestUnusablePlanArchives:
+    """CRC-clean plan archives the loader cannot use raise
+    :class:`CheckpointCorruptionError`, which the fleet does not retry:
+    reloading the same bytes cannot mend them."""
+
+    @staticmethod
+    def _write_plan(path, meta, arrays):
+        keys = sorted(meta)
+        members = {
+            **arrays,
+            "__plan_meta_keys__": np.array(keys),
+            "__plan_meta_values__": np.array([meta[k] for k in keys]),
+        }
+        return write_stored(path, members)
+
+    @staticmethod
+    def _assert_not_retried(exc):
+        from repro.serving import RetryPolicy
+
+        assert not RetryPolicy().is_transient(exc)
+
+    def test_plan_for_a_sparse_multinomial_store_is_refused(self, tmp_path):
+        """No build compiles (or saves) a plan for this configuration;
+        one found on disk raised ``TypeError`` on its first replay."""
+        data = make_sparse_binary_classification(200, 60, density=0.05, seed=41)
+        labels = np.random.default_rng(41).integers(0, 3, size=data.n_samples)
+        trainer = IncrementalTrainer(
+            "multinomial_logistic", learning_rate=0.05, regularization=0.01,
+            batch_size=20, n_iterations=12, n_classes=3, seed=0,
+        )
+        trainer.fit(data.features, labels)
+        assert not trainer._plan.supported
+        paths = trainer.save_checkpoint(tmp_path)
+        assert "plan" not in paths
+        store = trainer.store
+        n_params = 3 * data.features.shape[1]
+        index = store.packed_index()
+        meta = {
+            "task": "multinomial_logistic", "kind": "sparse", "sparse": "1",
+            "n_iterations": str(len(store.records)),
+            "n_params": str(n_params), "n_samples": str(store.n_samples),
+            "learning_rate": repr(store.learning_rate),
+            "regularization": repr(store.regularization), "format": "3",
+        }
+        arrays = {
+            "w0": np.zeros(n_params),
+            "index_samples": index.samples,
+            "index_iterations": index.iterations,
+            "index_positions": index.positions,
+            "moments": np.zeros((len(store.records), n_params)),
+        }
+        self._write_plan(tmp_path / "plan.npz", meta, arrays)
+        with pytest.raises(CheckpointCorruptionError, match="sparse multinomial"):
+            IncrementalTrainer.from_checkpoint(tmp_path, data.features, labels)
+        # Without the member a format-2 plan carried for it, likewise.
+        arrays["probs_flat"] = np.zeros((len(index), 3))
+        meta["format"] = "2"
+        self._write_plan(tmp_path / "plan.npz", meta, arrays)
+        with pytest.raises(CheckpointCorruptionError) as refused:
+            IncrementalTrainer.from_checkpoint(tmp_path, data.features, labels)
+        self._assert_not_retried(refused.value)
+
+    @pytest.mark.parametrize(
+        "member",
+        ["index_samples", "index_iterations", "index_positions", "w0", "moments"],
+    )
+    def test_missing_member_is_refused(self, tmp_path, member):
+        data = make_sparse_binary_classification(260, 120, density=0.05, seed=15)
+        trainer = fit_trainer("binary_logistic", data)
+        paths = trainer.save_checkpoint(tmp_path)
+        with np.load(paths["plan"], allow_pickle=False) as npz:
+            members = {name: npz[name] for name in npz.files}
+        assert member in members
+        del members[member]
+        write_stored(paths["plan"], members)
+        with pytest.raises(CheckpointCorruptionError, match=member) as refused:
+            IncrementalTrainer.from_checkpoint(
+                tmp_path, data.features, data.labels
+            )
+        self._assert_not_retried(refused.value)
+
+
 class TestOlderArchives:
     """Plan archives from builds that fused iterations into block
     descriptors are format 1: they carry extra ``kernel_*`` members, a
-    ``kernel_block_size`` meta entry and the ``__checksums__`` digest
-    table.  They still load: every member, the table included, is
-    checked by its zip CRC like any other, and the plan ignores the
-    extra ones."""
+    ``kernel_block_size`` meta entry, the ``__checksums__`` digest
+    table and, like every format 1–2 plan, copies of the store's
+    per-sample state and moments.  They still load: every member, the
+    table included, is checked by its zip CRC like any other, and the
+    plan ignores the extra ones."""
 
     @staticmethod
     def _write_legacy_plan(tmp_path):
@@ -267,6 +377,8 @@ class TestOlderArchives:
         keys = sorted(meta)
         arrays["__plan_meta_keys__"] = np.array(keys)
         arrays["__plan_meta_values__"] = np.array([meta[k] for k in keys])
+        arrays = with_plan_copies(arrays, trainer.store, trainer.labels, "1")
+        assert "moments" in arrays and "base_sizes" in arrays
         store_path = save_store(trainer.store, tmp_path / "store.npz")
         plan_path = write_stored(tmp_path / "plan.npz", with_table(arrays))
         return trainer, store_path, plan_path
@@ -281,7 +393,7 @@ class TestOlderArchives:
             trainer.features,
             trainer.labels,
         )
-        assert isinstance(reloaded.moments, np.memmap)
+        assert isinstance(reloaded.store.packed_index().samples, np.memmap)
         reloaded.verify_integrity()
         fresh = ReplayPlan(trainer.store, trainer.features, trainer.labels)
         assert_state_bit_identical(fresh, reloaded)
@@ -566,7 +678,7 @@ class TestNpyFormatVersions:
 
         store = load_store(store_path)
         reloaded = load_plan(rewritten, store, trainer.features, trainer.labels)
-        assert isinstance(reloaded.moments, np.memmap)
+        assert isinstance(store.packed_index().samples, np.memmap)
         assert_state_bit_identical(trainer._plan, reloaded)
         removed = np.array([3, 17, 42], dtype=np.int64)
         expected = trainer._plan.run_single(removed)
@@ -631,8 +743,8 @@ class TestSharedPlanMapping:
         second = IncrementalTrainer.from_checkpoint(
             directory, trainer.features, trainer.labels
         )
-        assert isinstance(first._plan.moments, np.memmap)
-        assert isinstance(second._plan.moments, np.memmap)
+        assert isinstance(first.store.packed_index().samples, np.memmap)
+        assert isinstance(second.store.packed_index().samples, np.memmap)
         removed = np.array([5, 9], dtype=np.int64)
         assert np.array_equal(
             first.remove(removed, method="priu").weights,

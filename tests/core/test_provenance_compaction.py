@@ -271,7 +271,9 @@ class TestCompactIndexRebuild:
             ]))
             assert np.array_equal(stats.dropped_slots, expected_slots)
             assert stats.dropped_occurrences == expected_slots.size
-            assert stats.dropped_per_iteration.sum() == expected_slots.size
+            assert stats.affected_iterations.tolist() == [
+                t for t, old in enumerate(old_batches) if np.isin(old, removed).any()
+            ]
             assert stats.n_samples_after == stats.n_samples_before - removed.size
             assert store.n_samples == stats.n_samples_after
 
@@ -279,7 +281,7 @@ class TestCompactIndexRebuild:
         data, store, removed, stats = compacted
         assert stats.n_samples_after == stats.n_samples_before - removed.size
         assert stats.dropped_occurrences == stats.dropped_slots.size
-        assert stats.dropped_per_iteration.sum() == stats.dropped_occurrences
+        assert 0 < stats.n_iterations_touched <= stats.dropped_occurrences
         assert store.n_samples == stats.n_samples_after
         assert np.array_equal(store.deletion_log, removed)
 

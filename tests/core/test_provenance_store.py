@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core import train_with_capture
-from repro.core.provenance_store import apply_summary
+from repro.core.provenance_store import (
+    apply_summary,
+    multinomial_gram,
+    multinomial_lambdas,
+)
 from repro.linalg import TruncatedSummary
 from repro.models import make_schedule, objective_for
 
@@ -108,3 +112,39 @@ class TestApplySummary:
     def test_missing_summary_rejected(self):
         with pytest.raises(ValueError):
             apply_summary(None, np.ones(3))
+
+
+class TestMultinomialHelpers:
+    """``Λ_i = diag(p_i) − p_i p_iᵀ`` and ``Σ_i Λ_i ⊗ x_i x_iᵀ``, the
+    two pieces every multinomial summary and its commits are built from,
+    against their definitions."""
+
+    @staticmethod
+    def _softmax_rows(rng, n, q):
+        logits = rng.standard_normal((n, q))
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return probs / probs.sum(axis=1, keepdims=True)
+
+    def test_lambdas_match_the_definition(self):
+        rng = np.random.default_rng(3)
+        probs = self._softmax_rows(rng, 7, 4)
+        lam = multinomial_lambdas(probs)
+        assert lam.shape == (7, 4, 4)
+        for p, got in zip(probs, lam):
+            np.testing.assert_allclose(
+                got, np.diag(p) - np.outer(p, p), atol=1e-15, rtol=0
+            )
+            # Λ_i·1 = 0: the softmax Hessian's null direction.
+            np.testing.assert_allclose(got @ np.ones(4), 0.0, atol=1e-15)
+
+    def test_gram_matches_the_kronecker_sum(self):
+        rng = np.random.default_rng(4)
+        probs = self._softmax_rows(rng, 9, 3)
+        rows = rng.standard_normal((9, 5))
+        want = sum(
+            np.kron(np.diag(p) - np.outer(p, p), np.outer(x, x))
+            for p, x in zip(probs, rows)
+        )
+        got = multinomial_gram(probs, rows)
+        assert got.shape == (15, 15)
+        np.testing.assert_allclose(got, want, atol=1e-13, rtol=0)

@@ -30,7 +30,13 @@ from repro.datasets import (
 from repro.models import BatchSchedule, make_schedule, objective_for
 from repro.testing import LockMonitor, corrupt_npz_member
 
-from legacy_archives import with_table, write_stored
+from legacy_archives import (
+    per_record_members,
+    with_plan_copies,
+    with_table,
+    write_stored,
+)
+from repro.core.provenance_store import COLUMN_FIELDS
 
 
 def roundtrip(store, tmp_path):
@@ -349,10 +355,152 @@ def trained(tmp_path_factory):
     return data, trainer, directory, uncommitted
 
 
-class TestOlderStoreFormats:
-    """Stores of formats 1–4 still load and answer bit-identically.
+def format_5_checkpoint(trainer, directory):
+    """``trainer``'s checkpoint in ``directory`` as builds before store
+    format 6 wrote it: a format-5 store, and a format-2 plan with copies
+    of the store's per-sample state."""
+    paths = trainer.save_checkpoint(directory)
+    members = per_record_members(store_members(paths["store"]))
+    members["__meta__"] = with_entry(0, "5")(members["__meta__"])
+    write_stored(paths["store"], members)
+    plan = with_plan_copies(
+        store_members(paths["plan"]), trainer.store, trainer.labels
+    )
+    write_stored(paths["plan"], plan)
+    with np.load(paths["store"]) as npz:
+        assert "batch_0" in npz.files and "record_offsets" not in npz.files
+    with np.load(paths["plan"]) as npz:
+        assert "base_sizes" in npz.files
+    return directory
 
-    The fixtures are rebuilt here from a freshly saved store: format 4
+
+def assert_one_copy(trainer):
+    """Each per-sample array exists once: every record's fields and the
+    schedule's batches are views of the store's columns, the plan holds
+    views of the records' moments and no per-sample array of its own."""
+    store, plan = trainer.store, trainer._plan
+    columns = store.columns()
+    for column, name in COLUMN_FIELDS[store.task]:
+        values = getattr(columns, column)
+        for record in store.records:
+            assert np.shares_memory(getattr(record, name), values), name
+    for batch in store.schedule.batches:
+        assert np.shares_memory(batch, columns.batches)
+    if not plan.sparse:
+        for record, moment in zip(store.records, plan.moments):
+            assert np.shares_memory(moment, record.moment)
+    slots = int(columns.offsets[-1])
+    for name, value in vars(plan).items():
+        if isinstance(value, np.ndarray) and value.shape[:1] == (slots,):
+            assert any(
+                np.shares_memory(value, held) for held in columns.per_sample()
+            ), name
+
+
+def _committed(task, data, **kwargs):
+    """A ``task`` model fitted on ``data`` with two committed erasures,
+    and the original training data."""
+    trainer = fit_trainer(task, data, **kwargs)
+    trainer.remove([2, 9, 40], commit=True)
+    trainer.remove([5, 77], commit=True)
+    return data.features, data.labels, trainer
+
+
+FORMAT_5_CASES = {
+    "binary-svd": lambda: _committed(
+        "binary_logistic",
+        make_binary_classification(300, 30, seed=181),
+        learning_rate=0.1, max_dense_params=20, freeze_fraction=0.7,
+    ),
+    "multinomial-dense": lambda: _committed(
+        "multinomial_logistic",
+        make_multiclass_classification(260, 8, n_classes=3, seed=14),
+        n_classes=3,
+    ),
+    "binary-sparse": lambda: _committed(
+        "binary_logistic",
+        make_sparse_binary_classification(260, 120, density=0.05, seed=15),
+    ),
+}
+
+
+ONE_COPY_CASES = {
+    "linear": ("linear", lambda: make_regression(200, 6, seed=11), {}),
+    "binary": (
+        "binary_logistic",
+        lambda: make_binary_classification(260, 8, seed=13),
+        {"freeze_fraction": 0.7},
+    ),
+    "binary-sparse": (
+        "binary_logistic",
+        lambda: make_sparse_binary_classification(260, 120, density=0.05, seed=15),
+        {},
+    ),
+    "multinomial": (
+        "multinomial_logistic",
+        lambda: make_multiclass_classification(260, 8, n_classes=3, seed=14),
+        {"n_classes": 3},
+    ),
+    "multinomial-svd": (
+        "multinomial_logistic",
+        lambda: make_multiclass_classification(260, 20, n_classes=3, seed=18),
+        {"n_classes": 3, "max_dense_params": 20},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_COPY_CASES))
+class TestOneCopy:
+    """No per-sample array exists twice: the records and the plan share
+    the store's columns, fitted, reloaded and committed, and the plan
+    archive holds no copy of them."""
+
+    def test_fitted(self, case):
+        task, make, kwargs = ONE_COPY_CASES[case]
+        assert_one_copy(fit_trainer(task, make(), **kwargs))
+
+    def test_reloaded_and_committed(self, case, tmp_path):
+        task, make, kwargs = ONE_COPY_CASES[case]
+        data = make()
+        trainer = fit_trainer(task, data, **kwargs)
+        trainer.save_checkpoint(tmp_path / "fit")
+        with np.load(tmp_path / "fit" / "plan.npz") as npz:
+            assert not set(npz.files) & {
+                "slopes_flat", "iy_flat", "probs_flat", "wx_flat",
+                "base_sizes", "record_offsets",
+            }
+            assert ("moments" in npz.files) == trainer._plan.sparse
+        reloaded = IncrementalTrainer.from_checkpoint(
+            tmp_path / "fit", data.features, data.labels
+        )
+        assert_one_copy(reloaded)
+        # The reloaded columns are the mapped archive members themselves.
+        assert not reloaded.store.columns().batches.flags.writeable
+        for model in (trainer, reloaded):
+            model.remove([2, 9, 40], method="priu", commit=True)
+            assert_one_copy(model)
+        assert np.array_equal(
+            reloaded.remove([3, 4], method="priu").weights,
+            trainer.remove([3, 4], method="priu").weights,
+        )
+        trainer.save_checkpoint(tmp_path / "commit")
+        assert_one_copy(
+            IncrementalTrainer.from_checkpoint(
+                tmp_path / "commit", data.features, data.labels
+            )
+        )
+
+
+class TestOlderStoreFormats:
+    """Stores of formats 1–5 still load and answer bit-identically.
+
+    The fixtures are rebuilt here from a freshly saved store, its
+    columns and stacked moments split back into the per-record members
+    formats 1–5 wrote (``legacy_archives.per_record_members``): format 5
+    as it was written, with a format-2 plan beside it that copies the
+    store's per-sample state (``legacy_archives.with_plan_copies``), for
+    a committed binary SVD, a committed multinomial and a committed
+    sparse model; format 4
     as it was written (stored and aligned, so it maps, with the
     ``__checksums__`` digest table), format 3 exactly as those builds
     wrote it (``np.savez_compressed``, digest table included, each SVD
@@ -368,10 +516,10 @@ class TestOlderStoreFormats:
 
     @staticmethod
     def _saved(path, version):
-        """A saved store's members, stamped ``version``, with the digest
-        table older builds wrote."""
+        """A saved store's members, per record and stamped ``version``,
+        with the digest table older builds wrote."""
         with np.load(path, allow_pickle=False) as npz:
-            members = {name: npz[name] for name in npz.files}
+            members = per_record_members({name: npz[name] for name in npz.files})
         assert "__checksums__" not in members
         meta = list(members["__meta__"])
         meta[0] = str(version)
@@ -438,6 +586,35 @@ class TestOlderStoreFormats:
                     ours.summary.weights, theirs.summary.weights
                 )
         assert n_svd
+
+    @pytest.mark.parametrize("case", sorted(FORMAT_5_CASES))
+    def test_v5_store_and_v2_plan_load_and_answer(self, case, tmp_path):
+        features, labels, trainer = FORMAT_5_CASES[case]()
+        directory = format_5_checkpoint(trainer, tmp_path)
+        restored = IncrementalTrainer.from_checkpoint(
+            directory, features, labels, method=trainer.method
+        )
+        assert np.array_equal(restored.weights_, trainer.weights_)
+        # Loaded per record, then held as columns like a fresh fit.
+        assert_one_copy(restored)
+        methods = ["priu", "priu-seq"]
+        if trainer._opt is not None:
+            methods.append("priu-opt")
+        for method in methods:
+            for removed in ([4, 11, 30], [0], [17, 18, 19, 20]):
+                assert np.array_equal(
+                    restored.remove(removed, method=method).weights,
+                    trainer.remove(removed, method=method).weights,
+                ), (method, removed)
+        # Committing on the reloaded model matches committing on the
+        # original: the column layout carries through compaction.
+        restored.remove([2, 5], method="priu", commit=True)
+        trainer.remove([2, 5], method="priu", commit=True)
+        assert_one_copy(restored)
+        assert np.array_equal(
+            restored.remove([7], method="priu").weights,
+            trainer.remove([7], method="priu").weights,
+        )
 
     def test_v4_stored_store_maps_and_answers(self, trained, tmp_path):
         _, trainer, directory, _ = trained
@@ -830,9 +1007,9 @@ class TestMalformedMetadata:
         _, _, directory, _ = trained
         path = rewritten(
             directory / "committed" / "store.npz", tmp_path / "store.npz",
-            "__meta__", with_entry(0, "6"),
+            "__meta__", with_entry(0, "7"),
         )
-        with pytest.raises(ValueError, match="version: 6") as refused:
+        with pytest.raises(ValueError, match="version: 7") as refused:
             reader(path)
         assert not isinstance(refused.value, CheckpointCorruptionError)
 

@@ -44,9 +44,7 @@ from repro.serving import BackpressureError, FleetServer, ModelQuarantinedError
 from repro.serving.clock import Clock
 
 #: Maintenance limits the ``cost`` op retires models under.
-RETIRE_POLICY = MaintenancePolicy(
-    max_slot_garbage_fraction=0.5, max_svd_correction_columns=48
-)
+RETIRE_POLICY = MaintenancePolicy(max_svd_correction_columns=48)
 
 
 class FakeClock(Clock):

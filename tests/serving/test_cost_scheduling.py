@@ -48,9 +48,7 @@ _LINEAR = make_regression(360, 6, noise=0.05, seed=83)
 
 #: Tight limits, so commit churn on an SVD model makes maintenance due
 #: once a summary is widened past its rank bound by more than 4 columns.
-RETIRE_POLICY = MaintenancePolicy(
-    max_slot_garbage_fraction=0.05, max_svd_correction_columns=4
-)
+RETIRE_POLICY = MaintenancePolicy(max_svd_correction_columns=4)
 
 
 def fit_model(kind: str, **extra) -> IncrementalTrainer:

@@ -94,7 +94,7 @@ class TestCheckpointMetadata:
         assert metadata.n_features == data.features.shape[1]
         assert metadata.n_iterations == 50
         assert metadata.plan_path is not None
-        assert metadata.format_version == 5
+        assert metadata.format_version == 6
         payload = metadata.as_dict()
         assert payload["n_samples"] == data.features.shape[0]
 

@@ -3,8 +3,8 @@
 ``fleet.maintain()`` schedules a ``maintain()`` run behind the
 lowest-priority ``maintenance`` lane and returns a future of the report;
 answers stay *bit-identical* to a never-maintained reference server
-through any commit/maintain interleaving (re-pack moves values, never
-changes them).
+through any commit/maintain interleaving (a dense model's commits leave
+nothing for maintenance to reclaim: they drop the erased rows at once).
 """
 
 import numpy as np
@@ -22,6 +22,7 @@ from repro.datasets import (
     make_binary_classification,
     make_multiclass_classification,
 )
+from repro.core.replay_plan import ReplayPlan
 from repro.serving.clock import MONOTONIC_CLOCK
 
 _MULTI = make_multiclass_classification(330, 12, n_classes=3, seed=61)
@@ -29,7 +30,7 @@ _BINARY = make_binary_classification(400, 10, separation=1.0, seed=62)
 
 
 def fit_multinomial() -> IncrementalTrainer:
-    """Dense multinomial: commits leave slot-map garbage, answers exact."""
+    """Dense multinomial: commits patch its summaries exactly."""
     trainer = IncrementalTrainer(
         "multinomial_logistic",
         learning_rate=0.05,
@@ -82,10 +83,9 @@ class TestFleetMaintenance:
         fleet.start()
         for i in range(4):
             fleet.resolve("m", [i * 5, i * 5 + 1], timeout=30)
-        assert trainer.maintenance_cost().slot_garbage_rows > 0
         report = fleet.maintain("m").result(timeout=30)
-        assert "repack" in report.performed
-        assert trainer.maintenance_cost().slot_garbage_rows == 0
+        # The commits left nothing to reclaim.
+        assert report.cost_before.clean and report.performed == ()
         stats = fleet.maintenance_stats("m")
         assert stats["runs"] == 1 and stats["pending"] == 0
         assert stats["last"]["performed"] == list(report.performed)
@@ -115,8 +115,8 @@ class TestFleetMaintenance:
         for future in futures:
             assert future.result(timeout=30).committed
         assert fleet.maintenance_stats("m")["runs"] == 1
-        assert report.cost_after.slot_garbage_rows == 0
-        assert trainer.maintenance_cost().slot_garbage_rows == 0
+        assert report.cost_after.clean
+        assert trainer.maintenance_cost().clean
 
     def test_maintain_validates_model_and_closed_state(self):
         trainer = fit_multinomial()
@@ -137,21 +137,26 @@ class TestFleetMaintenance:
         fleet.resolve("m", [1, 2], timeout=30)
         fleet.close()
         info = fleet.registry.describe("m")
-        assert info["maintenance_cost"]["slot_garbage_rows"] == (
-            trainer.maintenance_cost().slot_garbage_rows
+        cost = trainer.maintenance_cost()
+        assert info["maintenance_cost"]["store_nbytes"] == cost.store_nbytes
+        assert info["maintenance_cost"]["svd_correction_columns"] == (
+            cost.svd_correction_columns
         )
         assert fleet.describe("m")["admission"]["arrivals"] >= 1
 
-    def test_registry_plan_bytes_shrink_after_maintenance(self):
+    def test_registry_plan_bytes_need_no_maintenance(self):
+        """Commits leave the resident plan at a fresh compile's size, so
+        maintenance has no plan bytes to free."""
         trainer = fit_multinomial()
         fleet, _ = self._fleet(trainer)
         fleet.start()
         for i in range(5):
             fleet.resolve("m", [i * 7, i * 7 + 1], timeout=30)
         before = fleet.registry.stats()["resident_plan_bytes"]
+        fresh = ReplayPlan(trainer.store, trainer.features, trainer.labels)
+        assert before == fresh.nbytes()
         fleet.maintain("m").result(timeout=30)
-        after = fleet.registry.stats()["resident_plan_bytes"]
-        assert after < before
+        assert fleet.registry.stats()["resident_plan_bytes"] == before
         fleet.close()
 
 
@@ -227,8 +232,7 @@ class TestMaintenanceContract:
             trainer.deletion_log, reference_trainer.deletion_log
         )
         assert np.array_equal(trainer.weights_, reference_trainer.weights_)
-        assert trainer.maintenance_cost().slot_garbage_rows == 0
-        assert reference_trainer.maintenance_cost().slot_garbage_rows > 0
+        assert trainer.plan_nbytes() == reference_trainer.plan_nbytes()
 
 
 class TestReceiptClocks:
@@ -296,7 +300,7 @@ def test_stress_with_maintenance_interleaved(seed):
     report = driver.run(n_ops=200)
     assert report.maintenance  # the maintain op genuinely fired
     for _, future in report.maintenance:
-        assert future.result().cost_after.slot_garbage_rows == 0
+        assert future.result().cost_after.clean
     # Stateless model answers still match direct serving (batched vs
     # single-request replay differs only at BLAS reduction order).
     for submitted in report.served():
