@@ -12,8 +12,8 @@ per-decision predicted-vs-actual table.
 The acceptance bar: the touched-iteration fraction each estimate reads
 off the occurrence index equals the one the executed compaction
 reports, the recorded relative error on the plan-patch bytes stays
-within 0.5, and every decision's mode is ``refresh`` or ``unsupported``
-(commits always patch the plan in place).  The byte prediction shares
+within 0.5, and every decision's mode is ``refresh`` (commits always
+catch the plan up in place).  The byte prediction shares
 its formula with the executed patch, so it checks only its inputs (the
 occurrence counts); the fraction is an independent count.  All are
 structural, so the assertions hold on every machine.
@@ -42,7 +42,7 @@ from repro.datasets import make_binary_classification, make_regression  # noqa: 
 #: The acceptance bar on recorded predicted-vs-actual relative error.
 ERROR_BAR = 0.5
 #: Modes a commit may take: the plan is always refreshed in place.
-COMMIT_MODES = ("refresh", "unsupported")
+COMMIT_MODES = ("refresh",)
 #: Tight limits keep SVD widths bounded across the measured rounds.
 MAINTENANCE = MaintenancePolicy(max_svd_correction_columns=4)
 

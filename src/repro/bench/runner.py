@@ -291,11 +291,12 @@ def refresh_rows(
 
     Both timed paths follow the same ``compact`` of a deep copy of the
     fitted store; they differ only in how the compiled plan catches up —
-    re-binding the affected iterations in place (``refresh``) versus
+    re-pinning the compacted layout in place, which re-derives only a
+    sparse plan's affected blocks and moments (``refresh``), versus
     compiling a new plan over the compacted store (``recompile``).  The
     two plans must then answer a fresh query identically (asserted by
-    the benchmark at atol 1e-10).  The speedup is what patching the
-    plan in place saves per commit.
+    the benchmark at atol 1e-10).  The speedup is what catching the
+    plan up in place saves per commit.
     """
     import copy
 

@@ -61,7 +61,7 @@ from .provenance_store import (
     apply_summary,
     normalize_removed_indices,
 )
-from .replay_plan import ReplayPlan, compile_replay_plan
+from .replay_plan import ReplayPlan
 
 __all__ = [
     "CheckpointCorruptionError",
@@ -76,7 +76,6 @@ __all__ = [
     "refresh_frozen_eigen",
     "PackedOccurrenceIndex",
     "ReplayPlan",
-    "compile_replay_plan",
     "normalize_removed_indices",
     "UpdateErrorReport",
     "convergence_check",

@@ -82,8 +82,8 @@ class IncrementalTrainer:
     ``"priu"``
         The provenance replay (Sec. 5.1/5.3) through the compiled
         :class:`~repro.core.replay_plan.ReplayPlan` — the production hot
-        path.  Falls back to the uncompiled updater only where the plan is
-        unsupported (sparse multinomial).
+        path.  (A multinomial model over sparse features is refused at
+        :meth:`fit`; no method serves one.)
     ``"priu-seq"``
         The *uncompiled* per-record reference implementation
         (:class:`~repro.core.priu.PrIUUpdater`), kept for verification and
@@ -292,9 +292,9 @@ class IncrementalTrainer:
         """Persist the serving state: provenance store + compiled plan.
 
         Writes ``store.npz`` (:func:`~repro.core.serialization.save_store`)
-        and, when the compiled plan supports this configuration,
-        ``plan.npz`` (:func:`~repro.core.serialization.save_plan`) with the
-        fitted model's final weights embedded.  The training data itself is
+        and, unless ``include_plan=False``, ``plan.npz``
+        (:func:`~repro.core.serialization.save_plan`) with the fitted
+        model's final weights embedded.  The training data itself is
         *not* saved — PrIU needs the original features/labels to form the
         removed samples' delta corrections, so the caller hands them back
         to :meth:`from_checkpoint`.
@@ -315,7 +315,7 @@ class IncrementalTrainer:
         members = [STORE_FILENAME]
         save_store(self.store, staged_path(directory, STORE_FILENAME))
         paths = {"store": directory / STORE_FILENAME}
-        if include_plan and self._plan.supported:
+        if include_plan:
             save_plan(
                 self._plan,
                 staged_path(directory, PLAN_FILENAME),
@@ -435,14 +435,9 @@ class IncrementalTrainer:
         else:
             self._plan = ReplayPlan(store, features, labels)
         self._build_opt()
-        weights = getattr(self._plan, "final_weights", None)
+        weights = self._plan.final_weights
         if weights is None:
-            empty = np.empty(0, dtype=np.int64)
-            weights = (
-                self._plan.run_single(empty)
-                if self._plan.supported
-                else self._priu.update(empty)
-            )
+            weights = self._plan.run_single(np.empty(0, dtype=np.int64))
         self.result = TrainingResult(
             weights=np.asarray(weights, dtype=float),
             objective=self.objective,
@@ -551,18 +546,20 @@ ModelRegistry.retire`) needs, since
         thresholds treat *any* reclaimable garbage as due, so a bare
         ``maintain()`` reclaims everything it can:
 
-        * **svd** — re-truncates the summaries commits widened and
-          re-syncs the compiled plan's summary references.
-          ``policy.svd_epsilon=None`` keeps answers to machine precision
-          and folds only summaries wider than the store's rank bound
-          ``k·min(m, B)``, since below it an exact fold frees nothing; an
-          explicit ε folds every widened summary;
+        * **svd** — re-truncates the summaries commits widened; the
+          compiled plan reads them from the store, so it has nothing to
+          catch up with.  ``policy.svd_epsilon=None`` keeps answers to
+          machine precision and folds only summaries wider than the
+          store's rank bound ``k·min(m, B)``, since below it an exact fold
+          frees nothing; an explicit ε folds every widened summary;
         * **eigen** — discharges deferred PrIU-opt eigendecompositions
           (an exact recompute from the downdated gram).
 
         Safe to interleave with queries and commits at any batch
-        boundary; the serving fleet schedules it on idle models behind
-        the lowest-priority ``maintenance`` lane.  Returns a
+        boundary, but not to overlap a replay of the same trainer: the
+        replay would read old and new summaries alike.  The serving fleet
+        runs one job per model at a time and schedules this on idle
+        models behind the lowest-priority ``maintenance`` lane.  Returns a
         :class:`~repro.core.maintenance.MaintenanceReport` receipt.
         """
         self._require_fit()
@@ -577,8 +574,6 @@ ModelRegistry.retire`) needs, since
             svd_receipt = self.store.retruncate_summaries(
                 epsilon=policy.svd_epsilon
             )
-            touched = svd_receipt.pop("iterations")
-            self._plan.resync_summaries(touched)
             performed.append("svd")
         if "eigen" in due:
             refreshed: dict[str, str] = {}
@@ -664,16 +659,7 @@ ModelRegistry.retire`) needs, since
                 raise ValueError("PrIU-opt is unavailable for this configuration")
             stacked = self._opt.update_many(replay_sets, assume_unique=True)
         elif chosen == "priu":
-            if self._plan.supported:
-                stacked = self._plan.run(replay_sets, assume_unique=True)
-            else:
-                stacked = np.stack(
-                    [
-                        self._priu.update(r, assume_unique=True)
-                        for r in replay_sets
-                    ],
-                    axis=1,
-                )
+            stacked = self._plan.run(replay_sets, assume_unique=True)
         elif chosen == "priu-seq":
             stacked = np.stack(
                 [self._priu.update(r, assume_unique=True) for r in replay_sets],
@@ -717,7 +703,7 @@ ModelRegistry.retire`) needs, since
 
         Raises ``ValueError`` for outcomes computed before an earlier
         commit (their removal ids point into a stale id space).  Returns a
-        receipt dict: ``mode`` (``refresh`` | ``noop`` | ``unsupported``),
+        receipt dict: ``mode`` (``refresh`` | ``noop``),
         the fraction of iterations touched, ``removed`` (how many
         samples left the store), and the compaction's
         ``appended_columns`` / ``copied_factors`` (SVD correction columns
@@ -867,7 +853,7 @@ ModelRegistry.retire`) needs, since
         return self.store.gigabytes()
 
     def plan_nbytes(self) -> int:
-        """Bytes held by the compiled replay plan (0 if unsupported).
+        """Bytes held by the compiled replay plan.
 
         This is the serving-resident footprint a
         :class:`~repro.serving.fleet.ModelRegistry` reports for a loaded
@@ -875,4 +861,4 @@ ModelRegistry.retire`) needs, since
         memory-mapped or owned by the caller.
         """
         self._require_fit()
-        return int(self._plan.nbytes()) if self._plan.supported else 0
+        return int(self._plan.nbytes())

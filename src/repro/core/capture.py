@@ -11,7 +11,8 @@ Compression policy (``compression=``):
 * ``"auto"`` — truncated SVD factors when the parameter dimension exceeds the
   mini-batch size (the ``m > B`` regime of Sec. 5.1), dense summaries
   otherwise; sparse feature matrices switch to the coefficient-only sparse
-  mode of Sec. 5.3.
+  mode of Sec. 5.3, for the linear and binary tasks only (a sparse
+  multinomial capture raises ``NotImplementedError``).
 * ``"svd"`` / ``"none"`` — force one representation.
 
 ``freeze_at`` enables the PrIU-opt logistic optimization (Sec. 5.4): at
@@ -51,6 +52,7 @@ from .provenance_store import (
     multinomial_gram,
     multinomial_lambdas,
     multinomial_moment_coefficients,
+    refuse_sparse_multinomial,
 )
 
 
@@ -159,6 +161,7 @@ def train_with_capture(
         n_classes = 1
     else:
         raise TypeError(f"unsupported objective: {type(objective).__name__}")
+    refuse_sparse_multinomial(task, sparse_mode)
 
     n_params = objective.n_parameters(n_features)
     mode = _resolve_compression(compression, n_params, schedule.batch_size)
@@ -240,17 +243,12 @@ def train_with_capture(
     def multinomial_hook(t, batch, w, extras) -> None:
         probs = extras["probabilities"]
         q = objective.n_classes
-        block = features[batch]
-        block = np.asarray(
-            block.todense() if is_sparse(block) else block, dtype=float
-        )
+        block = np.asarray(features[batch], dtype=float)
         weight_rows = w.reshape(q, n_features)
         wx = block @ weight_rows.T
         y = np.asarray(labels[batch], dtype=int)
         moment = _multinomial_moment(probs, wx, y, block)
-        if sparse_mode:
-            summary = None
-        elif mode == "svd":
+        if mode == "svd":
             summary = _multinomial_svd_summary(probs, block, epsilon)
         else:
             summary = -multinomial_gram(probs, block)
@@ -339,7 +337,7 @@ def _freeze_multinomial(
     """Multinomial frozen state; dense eigen tail only for small ``qm``."""
     q = objective.n_classes
     n_features = features.shape[1]
-    if q * n_features > max_dense_params or is_sparse(features):
+    if q * n_features > max_dense_params:
         return  # fall back to plain PrIU for the whole trajectory
     dense = np.asarray(features, dtype=float)
     probs = objective.probabilities(w, dense)

@@ -61,8 +61,8 @@ class CostEstimate:
     Every field is a *structural* prediction read off the packed
     occurrence index — for a consistent store it is exact, and the test
     harness keeps it honest against the executed patch.  ``mode`` is
-    what the commit will do: ``"refresh"`` for a compiled plan,
-    ``"unsupported"`` where none exists (sparse multinomial).
+    what the commit will do: ``"refresh"``, the one way a commit catches
+    the compiled plan up.
     """
 
     n_removed: int
@@ -71,7 +71,7 @@ class CostEstimate:
     touched_occurrences: int
     plan_patch_bytes: int
     svd_width_growth: int
-    mode: str  # "refresh" | "unsupported"
+    mode: str  # "refresh"
 
     def as_dict(self) -> dict:
         """JSON-serializable form (``ServedOutcome.predicted``, benchmarks)."""
@@ -125,7 +125,7 @@ class CostModel:
                 if store.compression == "svd"
                 else 0
             ),
-            mode="refresh" if plan.supported else "unsupported",
+            mode="refresh",
         )
 
     # ------------------------------------------------------------- logging

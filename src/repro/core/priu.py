@@ -31,6 +31,8 @@ from .provenance_store import (
     apply_summary,
     multinomial_moment_coefficients,
     normalize_removed_indices,
+    refuse_sparse_multinomial,
+    validate_removed_indices,
 )
 
 
@@ -77,8 +79,7 @@ class PrIUUpdater:
         removed = normalize_removed_indices(
             removed_indices, assume_unique=assume_unique
         )
-        if removed.size >= self.store.n_samples:
-            raise ValueError("cannot delete every training sample")
+        validate_removed_indices(removed, self.store.n_samples)
         removed_map = self.store.removed_positions(removed)
         w = (self._w0 if start_weights is None else np.asarray(start_weights)).copy()
         end = len(self.store.records) if stop_at is None else stop_at
@@ -99,16 +100,12 @@ class PrIUUpdater:
         return w
 
     def _dispatch(self):
+        refuse_sparse_multinomial(self.store.task, self.sparse)
         if self.store.task == "linear":
             return self._sparse_linear_step if self.sparse else self._linear_step
         if self.store.task == "binary_logistic":
             return self._sparse_binary_step if self.sparse else self._binary_step
         if self.store.task == "multinomial_logistic":
-            if self.sparse:
-                raise NotImplementedError(
-                    "sparse multinomial updates are not supported; "
-                    "densify or use the binary task"
-                )
             return self._multinomial_step
         raise ValueError(f"unknown task: {self.store.task}")
 

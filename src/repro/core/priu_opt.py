@@ -42,6 +42,7 @@ from .provenance_store import (
     ProvenanceStore,
     multinomial_moment_coefficients,
     normalize_removed_indices,
+    validate_removed_indices,
 )
 from .replay_plan import ReplayPlan
 
@@ -167,9 +168,8 @@ class PrIUOptLinearUpdater:
         moments = np.empty((m, n_requests))
         remaining = np.empty(n_requests)
         for k, removed in enumerate(sets):
+            validate_removed_indices(removed, self.n_samples)
             remaining[k] = self.n_samples - removed.size
-            if remaining[k] <= 0:
-                raise ValueError("cannot delete every training sample")
             if removed.size:
                 rows = self.features[removed]
                 eigenvalues[:, k] = incremental_eigenvalues_from_rows(
@@ -285,9 +285,8 @@ class PrIUOptLogisticUpdater:
         n_total = self.store.n_samples
         remaining = np.empty(n_requests)
         for k, removed in enumerate(sets):
+            validate_removed_indices(removed, n_total)
             remaining[k] = n_total - removed.size
-            if remaining[k] <= 0:
-                raise ValueError("cannot delete every training sample")
         # Phase 1: batched PrIU replay up to the freeze iteration.
         w_ts = self._phase1_plan().run(sets, stop_at=frozen.t_s, assume_unique=True)
         # Phase 2: frozen-coefficient eigen recursion for the tail.

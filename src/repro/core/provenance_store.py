@@ -22,17 +22,21 @@ containing it`` so an update touching ``Δn`` samples enumerates only the
 ``O(Δn · τB/n)`` affected (iteration, sample) pairs instead of scanning every
 batch.  The index is materialized as a :class:`PackedOccurrenceIndex` —
 three flat, contiguous arrays sorted by sample id — so lookups are
-``np.searchsorted`` range scans rather than Python dict walks; the legacy
-dict APIs (:meth:`ProvenanceStore.occurrences` /
-:meth:`ProvenanceStore.removed_positions`) are thin views over it.
+``np.searchsorted`` range scans rather than Python dict walks;
+:meth:`ProvenanceStore.removed_positions` groups a lookup by iteration.
 
 Every per-sample array is held once, in :class:`SampleColumns`: one flat,
 slot-indexed array per field (batch ids, binary slopes and intercepts,
 multinomial probabilities and ``W x``), where slot ``offsets[t] + j`` is
 position ``j`` of iteration ``t``'s batch.  The records' per-sample fields
-are views of those columns, a compiled
-:class:`~repro.core.replay_plan.ReplayPlan` gathers from them, and a
-commit drops its rows from each column once.
+are views of those columns, and a commit drops its rows from each column
+once.  A compiled :class:`~repro.core.replay_plan.ReplayPlan` reads this
+store as it stands: it gathers from the columns and reads each record's
+summary and moment on every replay, and it pins the columns object, which
+a commit replaces and a maintenance fold leaves alone.
+
+No build captures a sparse multinomial store
+(:func:`refuse_sparse_multinomial`).
 """
 
 from __future__ import annotations
@@ -112,6 +116,17 @@ def validate_removed_indices(removed: np.ndarray, n_samples: int) -> None:
         )
     if removed.size >= n_samples:
         raise ValueError("cannot delete every training sample")
+
+
+def refuse_sparse_multinomial(task: str, sparse: bool) -> None:
+    """Raise ``NotImplementedError`` for a multinomial model over sparse
+    features: capture, compiled plans and the reference updater all
+    refuse it, so nothing downstream handles one."""
+    if sparse and task == "multinomial_logistic":
+        raise NotImplementedError(
+            "sparse multinomial updates are not supported; "
+            "densify or use the binary task"
+        )
 
 
 def remap_surviving_ids(ids: np.ndarray, removed: np.ndarray) -> np.ndarray:
@@ -596,8 +611,8 @@ class CompactionStats:
     Everything is expressed in the *pre*-compaction layout:
     ``dropped_slots`` are flat occurrence-slot indices (``offsets[t] +
     position``) into the old slot space, and ``affected_iterations`` are
-    the iterations whose state a compiled
-    :class:`~repro.core.replay_plan.ReplayPlan` re-binds
+    the iterations whose sparse blocks and moments a compiled
+    :class:`~repro.core.replay_plan.ReplayPlan` re-derives
     (:meth:`~repro.core.replay_plan.ReplayPlan.refresh`).
 
     ``appended_columns`` counts the exact correction columns this commit
@@ -655,11 +670,13 @@ class ProvenanceStore:
     # summary; persists through checkpoints (v3).
     svd_correction_columns: np.ndarray | None = None
 
-    _occurrences: dict[int, list[tuple[int, int]]] | None = None
     _packed: PackedOccurrenceIndex | None = None
+    # Replaced by add() and compact(); compiled ReplayPlans pin the object
+    # they were built against and refuse to run once it is replaced.
     _columns: SampleColumns | None = None
-    # Bumped on every mutation; compiled ReplayPlans pin the version they
-    # were built against and refuse to run against a changed store.
+    # Bumped on every mutation, folds included: outcomes carry it (a
+    # commit refuses an outcome from an earlier version) and the serving
+    # registry saves a model whose version moved.
     _version: int = 0
     # Held by compact() and retruncate_summaries() while they mutate; a
     # reader that takes it sees a consistent (n_samples, deletion_log)
@@ -684,7 +701,6 @@ class ProvenanceStore:
     def add(self, record) -> None:
         self.records.append(record)
         # New records invalidate any previously built index and columns.
-        self._occurrences = None
         self._packed = None
         self._columns = None
         self._version += 1
@@ -755,28 +771,6 @@ class ProvenanceStore:
                 positions=positions[order],
             )
         return self._packed
-
-    def occurrences(self) -> dict[int, list[tuple[int, int]]]:
-        """Inverted index: sample id -> [(iteration, position in batch)].
-
-        Back-compat dict view over :meth:`packed_index`.
-        """
-        if self._occurrences is None:
-            idx = self.packed_index()
-            if len(idx) == 0:
-                self._occurrences = {}
-                return self._occurrences
-            boundaries = np.flatnonzero(np.diff(idx.samples)) + 1
-            keys = idx.samples[np.concatenate(([0], boundaries))]
-            self._occurrences = {
-                int(key): list(zip(ts.tolist(), ps.tolist()))
-                for key, ts, ps in zip(
-                    keys,
-                    np.split(idx.iterations, boundaries),
-                    np.split(idx.positions, boundaries),
-                )
-            }
-        return self._occurrences
 
     def removed_positions(
         self, removed: np.ndarray
@@ -964,7 +958,6 @@ class ProvenanceStore:
             batches=[record.batch for record in self.records],
         )
         self._version += 1
-        self._occurrences = None
         self._packed = new_index
         return CompactionStats(
             removed=removed,
@@ -1016,12 +1009,6 @@ class ProvenanceStore:
                     record.intercepts[positions] * labels[ids].astype(float)
                 )
         elif isinstance(record, MultinomialRecord):
-            if rows is None:
-                block = features[ids]
-                rows = np.asarray(
-                    block.todense() if hasattr(block, "todense") else block,
-                    dtype=float,
-                )
             probs_hit = record.probabilities[positions]
             coeff = multinomial_moment_coefficients(
                 probs_hit, record.wx[positions], labels[ids].astype(int)
@@ -1175,20 +1162,21 @@ class ProvenanceStore:
         :func:`~repro.linalg.svd.retruncate_summary`, which folds the
         appended columns into the retained orthonormal basis
         (``"incremental"``).  A pass that folds anything bumps the store
-        version (compiled plans must re-sync their summary references via
-        :meth:`~repro.core.replay_plan.ReplayPlan.resync_summaries`); the
-        pass holds the store's commit lock so concurrent submit-time
-        readers always see a consistent store, and swaps summaries in
-        only once every fold has succeeded.
+        version; a compiled plan reads the new summaries on its next
+        replay, with nothing to re-bind.  The pass holds the store's
+        commit lock so concurrent submit-time readers always see a
+        consistent store, and swaps summaries in only once every fold has
+        succeeded.  It must not overlap a replay of the same store, which
+        would read old and new summaries alike; the serving fleet runs
+        one job per model at a time.
 
         Returns a receipt dict: ``summaries`` (how many re-truncated),
         ``below_bound`` (widened records left unfolded),
         ``columns_before``/``columns_after`` (total factor widths of the
         touched summaries), ``max_error_bound`` / ``max_relative_error``
         (exact-vs-retruncated 2-norm distance, absolute and relative to
-        |λ₁|), ``max_rank_after``, ``incremental_updates`` /
-        ``full_updates`` (which path each record took), and
-        ``iterations`` (the touched record indices, for plan re-sync).
+        |λ₁|), ``max_rank_after``, and ``incremental_updates`` /
+        ``full_updates`` (which path each record took).
         """
         with self._commit_lock:
             columns = self.svd_correction_columns
@@ -1228,7 +1216,6 @@ class ProvenanceStore:
             "max_rank_after": max((r.rank_after for r in results), default=0),
             "incremental_updates": methods.count("incremental"),
             "full_updates": methods.count("qr"),
-            "iterations": np.asarray(touched, dtype=np.int64),
         }
 
     # -------------------------------------------------------------- memory

@@ -13,13 +13,13 @@ phase — into a layout whose every lookup is a gather:
   probabilities, ``W x``) is the store's own flat slot-indexed columns
   (:class:`~repro.core.provenance_store.SampleColumns`), so the state of
   any hit is a single fancy-gather and the plan holds no copy of it;
-* summaries and moments as homogeneous per-iteration lists of references
-  to the records' own arrays — dense matrices, or SVD bases ``V`` and
-  their eigenvalues ``λ`` — so the hot loop never touches a record object
-  or an ``isinstance`` check;
+* summaries and moments are read from the store's records on every
+  iteration — dense matrices, or SVD bases ``V`` and their eigenvalues
+  ``λ`` — so a maintenance fold that swaps a record's summary leaves the
+  plan nothing to catch up with;
 * sparse mode additionally pre-slices the per-iteration CSR batch blocks
   and precomputes their base moments ``X_tᵀ(b_t ∘ y_t)``, which the seed
-  path recomputed on every request.
+  path recomputed on every request: the only state the plan derives.
 
 On top of that layout, :meth:`ReplayPlan.run` replays **K deletion sets
 simultaneously**: the K weight vectors stack into an ``m × K`` matrix, so
@@ -53,6 +53,8 @@ from .provenance_store import (
     ProvenanceStore,
     multinomial_moment_coefficients,
     normalize_removed_indices,
+    refuse_sparse_multinomial,
+    validate_removed_indices,
 )
 
 #: The archive names of the packed occurrence index's three arrays.
@@ -67,6 +69,18 @@ def _n_params(store: ProvenanceStore) -> int:
 
 def _summary_kind(store: ProvenanceStore) -> str:
     return {"none": "dense"}.get(store.compression, store.compression)
+
+
+def _apply(summary, weights: np.ndarray, svd: bool) -> np.ndarray:
+    """``G w`` for one record's summary: a dense matrix, or the SVD eigen
+    form ``V (λ ∘ (Vᵀ w))``; ``weights`` is a vector or an ``(m, K)``
+    block."""
+    if not svd:
+        return summary @ weights
+    right, evals = summary.right, summary.weights
+    if weights.ndim == 2:
+        evals = evals[:, None]
+    return right @ (evals * (right.T @ weights))
 
 
 class ReplayPlan:
@@ -88,19 +102,19 @@ class ReplayPlan:
         w0: np.ndarray | None = None,
     ) -> None:
         self._bind(store, features, labels, w0)
-        if self.supported and self.sparse:
+        store.packed_index()
+        if self.sparse:
             self.moments = np.empty((self.n_iterations, self.n_params))
             self._sparse_moments(range(self.n_iterations))
 
     def _bind(self, store, features, labels, w0) -> None:
         """What a compiled and a loaded plan share: the store's scalars,
-        the occurrence index (built once, shared through the store) and
-        the per-iteration references."""
+        the training data and the store layout (:meth:`_pin`).  Refuses a
+        sparse multinomial store, which no build captures."""
+        self.sparse = is_sparse(features) or store.sparse_mode
+        refuse_sparse_multinomial(store.task, self.sparse)
         self.store = store
         self.task = store.task
-        self.sparse = is_sparse(features) or store.sparse_mode
-        self.features = features if self.sparse else np.asarray(features, float)
-        self.labels = np.asarray(labels)
         self.n_iterations = len(store.records)
         self.eta = float(store.learning_rate)
         self.lam = float(store.regularization)
@@ -109,63 +123,40 @@ class ReplayPlan:
         self._w0 = (
             np.zeros(self.n_params) if w0 is None else np.asarray(w0, float)
         )
-        self._compiled_version = store._version
+        self._scale_num = 2.0 * self.eta if self.task == "linear" else self.eta
+        self._kind = _summary_kind(store)
         # Set by load_plan() when the archive embeds the fitted model's
         # final parameter vector; None for plans compiled in-process.
         self.final_weights: np.ndarray | None = None
         # Deferred CRC check of memory-mapped members (see load_plan);
         # runs once, on the first replay.
         self._integrity_check = None
-        self.supported = not (self.sparse and self.task == "multinomial_logistic")
-        if not self.supported:
-            return
-        self._scale_num = 2.0 * self.eta if self.task == "linear" else self.eta
-        self._kind = _summary_kind(store)
-        store.packed_index()
-        # Per-iteration references, filled by _bind_iterations: CSR batch
-        # blocks on sparse mode; else summaries (dense matrices, or SVD
-        # bases and eigenvalues) and moments.
-        tau = self.n_iterations
         if self.sparse:
-            self._blocks = [None] * tau
-        else:
-            if self._kind == "svd":
-                self._evals, self._rights = [None] * tau, [None] * tau
-                self._summaries = None
-            else:
-                self._summaries = [None] * tau
-                self._evals = self._rights = None
-            self.moments = [None] * tau
-        self._sync(range(tau))
+            self._blocks = [None] * self.n_iterations
+        self._pin(features, labels, range(self.n_iterations))
 
     # ------------------------------------------------------------ compile
-    def _sync(self, iterations) -> None:
-        """Take the batch sizes from the store's columns and the numeric
-        labels from the training data, and re-bind the references of
-        ``iterations``."""
-        self.base_sizes = np.diff(self.store.columns().offsets)
+    def _pin(self, features, labels, iterations) -> None:
+        """Bind the training data and the store's current columns, and
+        slice the CSR batch blocks of ``iterations`` on sparse mode.
+
+        The columns object is the layout the plan replays: ``compact``
+        and ``add`` replace it, and :meth:`run` refuses a store whose
+        columns are no longer the pinned ones.  A maintenance fold only
+        swaps summaries, which the runners read from the records, so it
+        leaves the plan current.
+        """
+        self.features = features if self.sparse else np.asarray(features, float)
+        self.labels = np.asarray(labels)
         if self.task == "multinomial_logistic":
             self._labels_num = self.labels.astype(int)
         else:
             self._labels_num = self.labels.astype(float)
-        self._bind_iterations(iterations)
-
-    def _bind_iterations(self, iterations) -> None:
-        """(Re)fetch the per-iteration references of ``iterations``: each
-        record's summary and moment (flattened: a view, not a copy), or
-        its CSR batch block on sparse mode."""
-        records = self.store.records
-        for t in iterations:
-            record = records[t]
-            if self.sparse:
-                self._blocks[t] = self.features[record.batch]
-                continue
-            if self._kind == "svd":
-                self._evals[t] = record.summary.weights
-                self._rights[t] = record.summary.right
-            else:
-                self._summaries[t] = np.asarray(record.summary)
-            self.moments[t] = np.asarray(record.moment, dtype=float).reshape(-1)
+        self._columns = self.store.columns()
+        if self.sparse:
+            records = self.store.records
+            for t in iterations:
+                self._blocks[t] = self.features[records[t].batch]
 
     def _sparse_moments(self, iterations) -> None:
         """Sparse mode's base moments ``X_tᵀ(b_t ∘ y_t)`` (linear:
@@ -189,13 +180,12 @@ class ReplayPlan:
 
     # -------------------------------------------------------- persistence
     #
-    # The compiled layout splits into (a) *derived* arrays that cost real
-    # work to build — the packed occurrence index and sparse mode's
-    # moments (τ sparse mat-vecs) — and (b) references into the store /
-    # feature matrix (the per-sample columns, summaries, moments, CSR
-    # batch slices).  Only (a) round-trips through
-    # ``save_plan``/``load_plan``; (b) is rebound against the reloaded
-    # store at load time.
+    # The plan derives two arrays that cost real work to build — the
+    # packed occurrence index and sparse mode's moments (τ sparse
+    # mat-vecs) — and round-trips only those through
+    # ``save_plan``/``load_plan``.  Everything else it reads is the
+    # reloaded store's (columns, summaries, moments) or sliced from the
+    # feature matrix at load (CSR batch blocks).
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Every compiled array :func:`~repro.core.serialization.save_plan`
@@ -204,8 +194,6 @@ class ReplayPlan:
         Round-trip tests compare these bit-for-bit (``np.array_equal`` plus
         dtype equality) between the original and a reloaded plan.
         """
-        if not self.supported:
-            return {}
         index = self.store.packed_index()
         arrays: dict[str, np.ndarray] = {
             "w0": self._w0,
@@ -244,10 +232,10 @@ class ReplayPlan:
         ``arrays`` may hold read-only memory maps — the replay loops only
         ever read them.  The store, features and labels must be the ones the
         plan was compiled against (same capture run); mismatches in task,
-        iteration count, occurrence count, batch sizes or sample count, a
-        missing array, or a state no plan compiles (sparse multinomial)
-        raise ``ValueError`` rather than silently replaying the wrong
-        trajectory.
+        iteration count, occurrence count, batch sizes or sample count, or
+        a missing array raise ``ValueError`` rather than silently
+        replaying the wrong trajectory, and a sparse multinomial store
+        raises ``NotImplementedError`` as a compile does.
 
         Archives written by older builds also carry copies of the store's
         per-sample state (``*_flat``), stacked dense moments, batch sizes
@@ -273,11 +261,6 @@ class ReplayPlan:
         if sparse != bool(int(meta["sparse"])):
             raise ValueError(
                 "plan sparsity does not match the provided feature matrix"
-            )
-        if sparse and store.task == "multinomial_logistic":
-            raise ValueError(
-                "sparse multinomial stores compile no plan; this one holds "
-                "state for one"
             )
         if meta["kind"] != _summary_kind(store):
             raise ValueError(
@@ -324,13 +307,13 @@ class ReplayPlan:
                 "features/labels do not match the checkpointed training set"
             )
 
+        plan = cls.__new__(cls)
+        plan._bind(store, features, labels, arrays["w0"])
         # Donate the saved occurrence index so the store never re-sorts it.
         if store._packed is None:
             store._packed = PackedOccurrenceIndex(
                 *(arrays[name] for name in _INDEX_ARRAYS)
             )
-        plan = cls.__new__(cls)
-        plan._bind(store, features, labels, arrays["w0"])
         if sparse:
             plan.moments = arrays["moments"]
         return plan
@@ -339,79 +322,45 @@ class ReplayPlan:
     def refresh(
         self, stats: CompactionStats, features, labels: np.ndarray
     ) -> dict:
-        """Re-sync the compiled state after :meth:`ProvenanceStore.compact`.
+        """Catch up with :meth:`ProvenanceStore.compact`.
 
         ``stats`` is the receipt of the compaction this plan must catch up
         with, and ``features``/``labels`` are the *reduced* training data
         (the compacted id space).  ``compact`` already dropped the erased
-        rows from the store's columns, which the plan gathers from, and
-        rebuilt the packed occurrence index, which it shares; what is left
-        is per-iteration, for the affected iterations only:
-
-        * summary and moment references are re-bound to the records
-          ``compact`` patched;
-        * sparse moments are recomputed from the reduced feature blocks.
+        rows from the store's columns, patched the records' summaries and
+        moments, which the runners read, and rebuilt the packed occurrence
+        index, which the plan shares.  What is left is to pin the new
+        columns and, on sparse mode, to re-slice the affected iterations'
+        CSR blocks and recompute their base moments.
 
         Every state array then equals a fresh compile of the compacted
         store bit for bit.  Returns a receipt dict with ``mode``
-        (``"refresh"`` | ``"unsupported"``), the touched-iteration
-        fraction, and wall-clock-free bookkeeping the commit benchmark and
-        the cost model record — ``patched_bytes`` is the formula
+        (``"refresh"``), the touched-iteration fraction, and
+        wall-clock-free bookkeeping the commit benchmark and the cost
+        model record — ``patched_bytes`` is the formula
         :meth:`predict_patch_bytes` evaluates, at the executed drop.
         """
-        self.labels = np.asarray(labels)
-        self.features = (
-            features if self.sparse else np.asarray(features, float)
-        )
-        self.final_weights = None
-        if not self.supported:
-            self._compiled_version = self.store._version
-            return {
-                "mode": "unsupported",
-                "fraction": 0.0,
-                "patched_bytes": 0,
-                "dropped_slots": int(stats.dropped_slots.size),
-                "touched_iterations": int(stats.n_iterations_touched),
-            }
-        fraction = (
-            stats.n_iterations_touched / self.n_iterations
-            if self.n_iterations
-            else 0.0
-        )
         touched = stats.affected_iterations.tolist()
-        self._sync(touched)
+        self._pin(features, labels, touched)
+        self.final_weights = None
         if self.sparse:
             # Writable (a loaded plan's moments may be a read-only map).
             self.moments = np.array(self.moments)
             self._sparse_moments(touched)
-        self._compiled_version = self.store._version
         dropped = int(stats.dropped_slots.size)
         return {
             "mode": "refresh",
-            "fraction": fraction,
+            "fraction": (
+                stats.n_iterations_touched / self.n_iterations
+                if self.n_iterations
+                else 0.0
+            ),
             "patched_bytes": self._patch_bytes(
-                int(self.store.columns().offsets[-1]) if dropped else 0,
-                len(touched),
+                int(self._columns.offsets[-1]) if dropped else 0, len(touched)
             ),
             "dropped_slots": dropped,
             "touched_iterations": int(stats.n_iterations_touched),
         }
-
-    def resync_summaries(self, iterations=None) -> None:
-        """Re-bind summary references after the store re-truncated them.
-
-        :meth:`~repro.core.provenance_store.ProvenanceStore.\
-retruncate_summaries` replaces record summaries (and bumps the store
-        version); the compiled plan holds per-iteration references into
-        those records, so the touched ones are re-fetched here and the
-        plan's pinned version is advanced.  ``iterations=None`` re-binds
-        every iteration.
-        """
-        if self.supported and not self.sparse:
-            if iterations is None:
-                iterations = range(self.n_iterations)
-            self._bind_iterations(iterations)
-        self._compiled_version = self.store._version
 
     # ------------------------------------------------------------ queries
     def predict_patch_bytes(
@@ -429,12 +378,9 @@ retruncate_summaries` replaces record summaries (and bumps the store
         ``patched_bytes`` evaluates the same formula at the executed
         drop, so predicted-vs-actual comparisons measure the *estimate's*
         inputs (the searchsorted occurrence counts), never drift between
-        two byte formulas.  Returns 0 for unsupported plans (nothing to
-        patch — refresh is a metadata-only no-op there).
+        two byte formulas.
         """
-        if not self.supported:
-            return 0
-        rows_after = int(self.store.columns().offsets[-1]) - int(
+        rows_after = int(self._columns.offsets[-1]) - int(
             dropped_occurrences
         )
         return self._patch_bytes(
@@ -446,7 +392,7 @@ retruncate_summaries` replaces record summaries (and bumps the store
         ``touched_iterations`` moment rows, in bytes."""
         slot_bytes = sum(
             values.itemsize * int(np.prod(values.shape[1:]))
-            for values in self.store.columns().per_sample()
+            for values in self._columns.per_sample()
         )
         word = np.dtype(np.int64).itemsize
         return int(
@@ -459,8 +405,6 @@ retruncate_summaries` replaces record summaries (and bumps the store
         """Extra memory the compiled layout holds beyond the store itself:
         the occurrence index and, on sparse mode, the base moments and
         CSR batch blocks."""
-        if not self.supported:
-            return 0
         total = self.store.packed_index().nbytes()
         if self.sparse:
             total += int(self.moments.nbytes)
@@ -521,12 +465,7 @@ CheckpointCorruptionError` on a CRC mismatch; the pending check is
         batching.  ``stop_at``/``start_*`` support the PrIU-opt two-phase
         replay, batched.
         """
-        if not self.supported:
-            raise NotImplementedError(
-                "sparse multinomial updates are not supported; "
-                "densify or use the binary task"
-            )
-        if self.store._version != self._compiled_version:
+        if self.store._columns is not self._columns:
             raise RuntimeError(
                 "the provenance store changed after this plan was compiled; "
                 "build a fresh ReplayPlan"
@@ -541,8 +480,7 @@ CheckpointCorruptionError` on a CRC mismatch; the pending check is
         if n_requests == 0:
             return np.zeros((self.n_params, 0))
         for removed in sets:
-            if removed.size >= self.store.n_samples:
-                raise ValueError("cannot delete every training sample")
+            validate_removed_indices(removed, self.store.n_samples)
 
         end = self.n_iterations if stop_at is None else int(stop_at)
         hits = self._gather_hits(sets, start_iteration, end)
@@ -617,10 +555,11 @@ multinomial_moment_coefficients`); for K > 1, each hit's placement
         hit_ids, hit_pos = hit_ids[order], hit_pos[order]
 
         tau = self.n_iterations
+        columns = self._columns
         counts = np.bincount(
             hit_t * n_requests + hit_k, minlength=tau * n_requests
         ).reshape(tau, n_requests)
-        surviving = self.base_sizes[:, None] - counts
+        surviving = np.diff(columns.offsets)[:, None] - counts
         scales = np.zeros((tau, n_requests))
         alive = surviving > 0
         scales[alive] = self._scale_num / surviving[alive]
@@ -639,7 +578,6 @@ multinomial_moment_coefficients`); for K > 1, each hit's placement
             "seg_offsets": seg_offsets,
             "rows": self.features[hit_ids] if hit_ids.size else None,
         }
-        columns = self.store.columns()
         slots = columns.offsets[hit_t] + hit_pos
         if self.task == "linear":
             hits["y"] = self._labels_num[hit_ids]
@@ -688,23 +626,18 @@ multinomial_moment_coefficients`); for K > 1, each hit's placement
         rows, y, place = hits["rows"], hits["y"], hits["place"]
         n_requests = weights.shape[1]
         shrink = self.shrink
-        moments = self.moments
-        sparse = self.sparse
-        summaries, evals, rights = None, None, None
-        if not sparse:
-            if self._kind == "svd":
-                evals, rights = self._evals, self._rights
-            else:
-                summaries = self._summaries
+        sparse, svd = self.sparse, self._kind == "svd"
+        records = self.store.records
         for t in range(start, end):
             if sparse:
                 block = self._blocks[t]
                 gram_w = block.T @ (block @ weights)
-            elif summaries is not None:
-                gram_w = summaries[t] @ weights
+                moment = self.moments[t]
             else:
-                gram_w = rights[t] @ (evals[t][:, None] * (rights[t].T @ weights))
-            adjust = moments[t][:, None] - gram_w
+                record = records[t]
+                gram_w = _apply(record.summary, weights, svd)
+                moment = record.moment
+            adjust = moment[:, None] - gram_w
             s_lo, s_hi = offsets[t], offsets[t + 1]
             if s_lo != s_hi:
                 a0, b0 = bounds[s_lo], bounds[s_hi]
@@ -721,20 +654,18 @@ multinomial_moment_coefficients`); for K > 1, each hit's placement
         bounds, offsets = hits["seg_bounds"], hits["seg_offsets"]
         rows, y = hits["rows"], hits.get("y")
         shrink = self.shrink
-        moments = self.moments
-        sparse = self.sparse
-        summaries = getattr(self, "_summaries", None)
-        evals = getattr(self, "_evals", None)
-        rights = getattr(self, "_rights", None)
+        sparse, svd = self.sparse, self._kind == "svd"
+        records = self.store.records
         for t in range(start, end):
             if sparse:
                 block = self._blocks[t]
                 gram_w = np.asarray(block.T @ (block @ w)).ravel()
-            elif summaries is not None:
-                gram_w = summaries[t] @ w
+                moment = self.moments[t]
             else:
-                gram_w = rights[t] @ (evals[t] * (rights[t].T @ w))
-            adjust = moments[t] - gram_w
+                record = records[t]
+                gram_w = _apply(record.summary, w, svd)
+                moment = record.moment
+            adjust = moment - gram_w
             s_lo, s_hi = offsets[t], offsets[t + 1]
             if s_lo != s_hi:
                 a0, b0 = bounds[s_lo], bounds[s_hi]
@@ -749,13 +680,9 @@ multinomial_moment_coefficients`); for K > 1, each hit's placement
         rows = hits["rows"]
         hit_slopes, hit_iy = hits.get("slopes"), hits.get("iy")
         shrink = self.shrink
-        moments = self.moments
-        sparse = self.sparse
-        summaries = getattr(self, "_summaries", None)
-        evals = getattr(self, "_evals", None)
-        rights = getattr(self, "_rights", None)
-        columns = self.store.columns()
-        slopes, rec_off = columns.slopes, columns.offsets
+        sparse, svd = self.sparse, self._kind == "svd"
+        records = self.store.records
+        slopes, rec_off = self._columns.slopes, self._columns.offsets
         for t in range(start, end):
             if sparse:
                 block = self._blocks[t]
@@ -763,11 +690,12 @@ multinomial_moment_coefficients`); for K > 1, each hit's placement
                 gram_w = np.asarray(
                     block.T @ (slopes_t * np.asarray(block @ w).ravel())
                 ).ravel()
-            elif summaries is not None:
-                gram_w = summaries[t] @ w
+                moment = self.moments[t]
             else:
-                gram_w = rights[t] @ (evals[t] * (rights[t].T @ w))
-            adjust = gram_w + moments[t]
+                record = records[t]
+                gram_w = _apply(record.summary, w, svd)
+                moment = record.moment
+            adjust = gram_w + moment
             s_lo, s_hi = offsets[t], offsets[t + 1]
             if s_lo != s_hi:
                 a0, b0 = bounds[s_lo], bounds[s_hi]
@@ -784,18 +712,13 @@ multinomial_moment_coefficients`); for K > 1, each hit's placement
         bounds, offsets = hits["seg_bounds"], hits["seg_offsets"]
         rows, hit_probs, dcoef = hits["rows"], hits["probs"], hits["dcoef"]
         shrink = self.shrink
-        moments = self.moments
         q = self.store.n_classes
         m = self.store.n_features
-        summaries = getattr(self, "_summaries", None)
-        evals = getattr(self, "_evals", None)
-        rights = getattr(self, "_rights", None)
+        svd = self._kind == "svd"
+        records = self.store.records
         for t in range(start, end):
-            if summaries is not None:
-                gram_w = summaries[t] @ w
-            else:
-                gram_w = rights[t] @ (evals[t] * (rights[t].T @ w))
-            adjust = gram_w + moments[t]
+            record = records[t]
+            adjust = _apply(record.summary, w, svd) + record.moment.reshape(-1)
             s_lo, s_hi = offsets[t], offsets[t + 1]
             if s_lo != s_hi:
                 a0, b0 = bounds[s_lo], bounds[s_hi]
@@ -815,26 +738,20 @@ multinomial_moment_coefficients`); for K > 1, each hit's placement
         hit_slopes, hit_iy = hits["slopes"], hits["iy"]
         n_requests = weights.shape[1]
         shrink = self.shrink
-        moments = self.moments
-        sparse = self.sparse
-        summaries, evals, rights = None, None, None
-        if not sparse:
-            if self._kind == "svd":
-                evals, rights = self._evals, self._rights
-            else:
-                summaries = self._summaries
-        columns = self.store.columns()
-        slopes, rec_off = columns.slopes, columns.offsets
+        sparse, svd = self.sparse, self._kind == "svd"
+        records = self.store.records
+        slopes, rec_off = self._columns.slopes, self._columns.offsets
         for t in range(start, end):
             if sparse:
                 block = self._blocks[t]
                 slopes_t = slopes[rec_off[t] : rec_off[t + 1]]
                 gram_w = block.T @ (slopes_t[:, None] * np.asarray(block @ weights))
-            elif summaries is not None:
-                gram_w = summaries[t] @ weights
+                moment = self.moments[t]
             else:
-                gram_w = rights[t] @ (evals[t][:, None] * (rights[t].T @ weights))
-            adjust = gram_w + moments[t][:, None]
+                record = records[t]
+                gram_w = _apply(record.summary, weights, svd)
+                moment = record.moment
+            adjust = gram_w + moment[:, None]
             s_lo, s_hi = offsets[t], offsets[t + 1]
             if s_lo != s_hi:
                 a0, b0 = bounds[s_lo], bounds[s_hi]
@@ -857,20 +774,16 @@ multinomial_moment_coefficients`); for K > 1, each hit's placement
         hit_probs = hits["probs"]
         n_requests = weights.shape[1]
         shrink = self.shrink
-        moments = self.moments
         q = self.store.n_classes
         m = self.store.n_features
-        if self._kind == "svd":
-            evals, rights = self._evals, self._rights
-            summaries = None
-        else:
-            summaries = self._summaries
+        svd = self._kind == "svd"
+        records = self.store.records
         for t in range(start, end):
-            if summaries is not None:
-                gram_w = summaries[t] @ weights
-            else:
-                gram_w = rights[t] @ (evals[t][:, None] * (rights[t].T @ weights))
-            adjust = gram_w + moments[t][:, None]
+            record = records[t]
+            adjust = (
+                _apply(record.summary, weights, svd)
+                + record.moment.reshape(-1)[:, None]
+            )
             s_lo, s_hi = offsets[t], offsets[t + 1]
             if s_lo != s_hi:
                 a0, b0 = bounds[s_lo], bounds[s_hi]
@@ -890,13 +803,3 @@ multinomial_moment_coefficients`); for K > 1, each hit's placement
                 adjust -= np.matmul(r.T, coef).reshape(q * m, n_requests)
             weights = shrink * weights + adjust * scales[t]
         return weights
-
-
-def compile_replay_plan(
-    store: ProvenanceStore,
-    features,
-    labels: np.ndarray,
-    w0: np.ndarray | None = None,
-) -> ReplayPlan:
-    """Functional alias for :class:`ReplayPlan` construction."""
-    return ReplayPlan(store, features, labels, w0=w0)

@@ -1416,11 +1416,6 @@ from_checkpoint` can restore ``weights_`` without replaying anything.
     stored zip members are contiguous, 64-byte-aligned byte ranges, which
     lets :func:`load_plan` memory-map them instead of copying into RAM.
     """
-    if not plan.supported:
-        raise ValueError(
-            "this plan has no compiled state to persist (sparse multinomial "
-            "replays are unsupported); save only the store instead"
-        )
     path = Path(path)
     arrays = dict(plan.state_arrays())
     if weights is not None:
@@ -1533,7 +1528,7 @@ replay_plan.ReplayPlan.run` — mapping exists precisely to avoid touching
         # Rotten mapped bytes can fail validation before the first replay
         # would have caught them: report such a failure as corruption.
         archive.verify()
-        if isinstance(exc, ValueError):
+        if isinstance(exc, (ValueError, NotImplementedError)):
             # CRC-clean, but not a plan this store can serve.
             raise CheckpointCorruptionError(
                 f"plan archive {path} does not fit its store: {exc}"

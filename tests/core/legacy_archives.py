@@ -8,9 +8,11 @@ older archive carries one, computed the way those builds did.
 """
 
 import zlib
+from pathlib import Path
 
 import numpy as np
 
+from repro.core import IncrementalTrainer, save_store
 from repro.core.serialization import _write_npz
 
 
@@ -97,3 +99,22 @@ def with_plan_copies(members: dict, store, labels, version: str = "2") -> dict:
     values[keys.index("format")] = version
     members["__plan_meta_values__"] = np.array(values)
     return members
+
+
+def sparse_multinomial_store(directory, features, labels):
+    """``directory/store.npz`` as builds that still captured a
+    multinomial model over sparse features wrote it: the dense
+    trajectory's per-sample state and moments, no summaries, compression
+    ``"sparse"``, and no plan beside it (those builds compiled none).
+    ``features`` is the CSR training matrix; returns the store."""
+    trainer = IncrementalTrainer(
+        "multinomial_logistic", learning_rate=0.05, regularization=0.01,
+        batch_size=20, n_iterations=12, n_classes=3, seed=0, method="priu",
+    )
+    trainer.fit(features.toarray(), labels)
+    store = trainer.store
+    store.sparse_mode, store.compression = True, "sparse"
+    for record in store.records:
+        record.summary = None
+    save_store(store, Path(directory) / "store.npz")
+    return store

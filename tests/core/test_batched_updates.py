@@ -164,6 +164,18 @@ class TestPlanMatchesSequential:
         fresh = ReplayPlan(store, features, labels)
         assert np.isfinite(fresh.run_single([0])).all()
 
+    def test_stale_plan_rejected_after_compact_until_refreshed(self):
+        features, labels, store = _plan_case("binary_logistic", "none")
+        plan = ReplayPlan(store, features, labels)
+        removed = np.array([3, 40])
+        stats = store.compact(removed, features, labels)
+        survivors = np.delete(np.arange(features.shape[0]), removed)
+        with pytest.raises(RuntimeError, match="store changed"):
+            plan.run([[0]])
+        plan.refresh(stats, features[survivors], labels[survivors])
+        fresh = ReplayPlan(store, features[survivors], labels[survivors])
+        assert np.array_equal(plan.run_single([0, 7]), fresh.run_single([0, 7]))
+
     def test_rejects_deleting_everything(self):
         features, labels, store = _plan_case("linear", "none")
         plan = ReplayPlan(store, features, labels)
@@ -185,10 +197,8 @@ class TestPlanMatchesSequential:
             n_classes=3,
             sparse_mode=True,
         )
-        plan = ReplayPlan(store, data.features, labels)
-        assert not plan.supported
-        with pytest.raises(NotImplementedError):
-            plan.run([[0]])
+        with pytest.raises(NotImplementedError, match="sparse multinomial"):
+            ReplayPlan(store, data.features, labels)
 
 
 class TestTrainerRemoveMany:

@@ -35,8 +35,7 @@ _DATASETS = {
 }
 _SPARSE = make_sparse_binary_classification(400, 120, density=0.05, seed=74)
 
-# 3 tasks × dense/SVD/sparse (sparse multinomial replays unsupported —
-# covered separately as the "unsupported" estimate case).
+# 3 tasks × dense/SVD/sparse (no build captures sparse multinomial).
 CONFIGS = [
     ("linear", "dense", dict(batch_size=40)),
     ("linear", "svd", dict(batch_size=6)),
@@ -133,21 +132,6 @@ class TestEstimateAccuracy:
         trainer = _fit("linear", "dense", cost_model=CostModel())
         assert trainer.store.compression == "none"
         assert trainer.estimate_removal([3]).svd_width_growth == 0
-
-    def test_unsupported_plan_estimates_zero_patch(self):
-        """Sparse multinomial has no compiled replay: nothing to patch."""
-        trainer = _fit("multinomial_logistic", "sparse", dict(batch_size=40),
-                       cost_model=CostModel())
-        estimate = trainer.estimate_removal([5, 9])
-        assert estimate.mode == "unsupported"
-        assert estimate.plan_patch_bytes == 0
-        # No replay path exists to produce an outcome, so drive the
-        # commit machinery directly: the receipt must agree.
-        receipt = trainer._apply_commit(
-            np.array([5, 9]), trainer.result.weights
-        )
-        assert receipt["mode"] == "unsupported"
-        assert receipt["patched_bytes"] == 0
 
     def test_estimate_is_free_of_side_effects(self):
         trainer = _fit("binary_logistic", "dense", cost_model=CostModel())

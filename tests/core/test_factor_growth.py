@@ -105,10 +105,11 @@ def test_second_commit_grows_factors_in_place(kind):
 
     # A surviving sample every occurrence of which sits in a record the
     # first commit widened.
+    index = store.packed_index()
     second = next(
         np.array([sample])
-        for sample, pairs in sorted(store.occurrences().items())
-        if {t for t, _ in pairs} <= widened
+        for sample in np.unique(index.samples).tolist()
+        if set(index.lookup(np.array([sample]))[1].tolist()) <= widened
     )
     touched = list(store.removed_positions(second))
     held = {

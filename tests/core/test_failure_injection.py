@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core import PrIUUpdater, train_with_capture
-from repro.datasets import make_regression
+from repro.core import (
+    PrIUOptLinearUpdater,
+    PrIUOptLogisticUpdater,
+    PrIUUpdater,
+    ReplayPlan,
+    train_with_capture,
+)
+from repro.datasets import make_binary_classification, make_regression
 from repro.models import make_schedule, objective_for, train
 
 
@@ -48,13 +54,42 @@ class TestDegenerateDeletions:
             updater.update(removed), retrained.weights, atol=1e-9
         )
 
-    def test_negative_like_huge_index_is_noop(self, setup):
-        data, *_ , store = setup
-        updater = PrIUUpdater(store, data.features, data.labels)
-        # ids that never occur in any batch: same as no deletion.
-        assert np.allclose(
-            updater.update([10_000, 20_000]), updater.update([]), atol=1e-12
-        )
+
+@pytest.fixture(scope="module")
+def direct_updaters():
+    """Each direct updater over a small fitted model, with the sample
+    count it answers for: the plan, the reference replay and PrIU-opt's
+    linear and logistic updaters."""
+    data = make_binary_classification(300, 6, seed=143)
+    objective = objective_for("binary_logistic", 0.01)
+    schedule = make_schedule(data.n_samples, 30, 40, seed=53)
+    _, store = train_with_capture(
+        objective, data.features, data.labels, schedule, 0.05, freeze_at=0.7,
+    )
+    linear = make_regression(100, 5, seed=141)
+    args = (store, data.features, data.labels)
+    return {
+        "plan": (ReplayPlan(*args).run_single, data.n_samples),
+        "priu": (PrIUUpdater(*args).update, data.n_samples),
+        "priu-opt-logistic": (PrIUOptLogisticUpdater(*args).update, data.n_samples),
+        "priu-opt-linear": (
+            PrIUOptLinearUpdater(linear.features, linear.labels, 40, 0.01, 0.1).update,
+            linear.n_samples,
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "updater", ["plan", "priu", "priu-opt-logistic", "priu-opt-linear"]
+)
+@pytest.mark.parametrize("where", ["-1", "n", "10**6"])
+def test_ids_outside_the_training_set_are_refused(direct_updaters, updater, where):
+    """An id no sample has is refused, not answered as if absent (or,
+    for -1, read as the last sample)."""
+    update, n_samples = direct_updaters[updater]
+    removed = {"-1": -1, "n": n_samples, "10**6": 10**6}[where]
+    with pytest.raises(ValueError, match="removal ids"):
+        update([removed])
 
 
 class TestDegenerateData:

@@ -320,7 +320,30 @@ class TestSvdRetruncation:
             atol=ATOL, rtol=0.0,
         )
 
-    def test_plan_resyncs_and_keeps_matching_uncompiled_path(self):
+    @pytest.mark.parametrize(
+        "task,overrides",
+        [(task, overrides) for task, rep, overrides in CONFIGS if rep == "svd"],
+    )
+    def test_fold_leaves_the_plan_current(self, task, overrides):
+        """An ε-fold swaps summaries in the store and nothing in the
+        trainer's plan, which then answers as a fresh compile does, bit
+        for bit, lone and batched."""
+        trainer = _fit(task, "svd", overrides)
+        _churn(trainer, np.random.default_rng(21), n_commits=4)
+        plan = trainer._plan
+        held = dict(vars(plan))
+        report = trainer.maintain(
+            MaintenancePolicy(svd_epsilon=trainer.store.epsilon)
+        )
+        assert report.svd["summaries"] > 0
+        assert vars(plan).keys() == held.keys()
+        assert all(vars(plan)[name] is value for name, value in held.items())
+        fresh = ReplayPlan(trainer.store, trainer.features, trainer.labels)
+        sets = [[0, 5], [3], [7, 8, 9]]
+        assert np.array_equal(plan.run(sets), fresh.run(sets))
+        assert np.array_equal(plan.run_single([4, 6]), fresh.run_single([4, 6]))
+
+    def test_plan_matches_uncompiled_path_after_maintenance(self):
         trainer = _fit("multinomial_logistic", "svd", dict(batch_size=8))
         rng = np.random.default_rng(6)
         _churn(trainer, rng, n_commits=4)

@@ -39,7 +39,12 @@ from repro.datasets import (
 )
 from repro.testing import corrupt_npz_member
 
-from legacy_archives import with_plan_copies, with_table, write_stored
+from legacy_archives import (
+    sparse_multinomial_store,
+    with_plan_copies,
+    with_table,
+    write_stored,
+)
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -253,13 +258,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="learning_rate"):
             load_plan(plan_path, stores[0.02], data.features, data.labels)
 
-    def test_unsupported_plan_refuses_to_save(self, tmp_path):
-        data = make_sparse_binary_classification(200, 80, density=0.05, seed=24)
-        trainer = fit_trainer("binary_logistic", data)
-        trainer._plan.supported = False  # simulate sparse-multinomial case
-        with pytest.raises(ValueError, match="compiled state"):
-            save_plan(trainer._plan, tmp_path / "plan.npz")
-
 
 class TestUnusablePlanArchives:
     """CRC-clean plan archives the loader cannot use raise
@@ -282,20 +280,22 @@ class TestUnusablePlanArchives:
 
         assert not RetryPolicy().is_transient(exc)
 
+    def test_older_sparse_multinomial_checkpoint_is_refused(self, tmp_path):
+        """Builds that captured a multinomial model over sparse features
+        saved its store alone; loading one refuses it where the plan
+        would be compiled, as capture does."""
+        data = make_sparse_binary_classification(200, 60, density=0.05, seed=41)
+        labels = np.random.default_rng(41).integers(0, 3, size=data.n_samples)
+        sparse_multinomial_store(tmp_path, data.features, labels)
+        with pytest.raises(NotImplementedError, match="sparse multinomial"):
+            IncrementalTrainer.from_checkpoint(tmp_path, data.features, labels)
+
     def test_plan_for_a_sparse_multinomial_store_is_refused(self, tmp_path):
         """No build compiles (or saves) a plan for this configuration;
         one found on disk raised ``TypeError`` on its first replay."""
         data = make_sparse_binary_classification(200, 60, density=0.05, seed=41)
         labels = np.random.default_rng(41).integers(0, 3, size=data.n_samples)
-        trainer = IncrementalTrainer(
-            "multinomial_logistic", learning_rate=0.05, regularization=0.01,
-            batch_size=20, n_iterations=12, n_classes=3, seed=0,
-        )
-        trainer.fit(data.features, labels)
-        assert not trainer._plan.supported
-        paths = trainer.save_checkpoint(tmp_path)
-        assert "plan" not in paths
-        store = trainer.store
+        store = sparse_multinomial_store(tmp_path, data.features, labels)
         n_params = 3 * data.features.shape[1]
         index = store.packed_index()
         meta = {

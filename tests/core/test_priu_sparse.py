@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core import PrIUUpdater, train_with_capture
+from repro.core import IncrementalTrainer, PrIUUpdater, train_with_capture
 from repro.datasets import make_sparse_binary_classification
 from repro.models import make_schedule, objective_for, train
 
@@ -87,8 +87,11 @@ class TestSparseMode:
         labels = rng.integers(0, 3, size=100)
         objective = objective_for("multinomial_logistic", 0.1, n_classes=3)
         schedule = make_schedule(100, 20, 10, seed=19)
-        _, store = train_with_capture(
-            objective, features, labels, schedule, 0.01,
+        with pytest.raises(NotImplementedError, match="sparse multinomial"):
+            train_with_capture(objective, features, labels, schedule, 0.01)
+        trainer = IncrementalTrainer(
+            "multinomial_logistic", learning_rate=0.01, regularization=0.1,
+            batch_size=20, n_iterations=10, n_classes=3,
         )
-        with pytest.raises(NotImplementedError):
-            PrIUUpdater(store, features, labels).update([0])
+        with pytest.raises(NotImplementedError, match="sparse multinomial"):
+            trainer.fit(features, labels)

@@ -28,15 +28,16 @@ def store():
 
 class TestOccurrenceIndex:
     def test_index_covers_every_batch_slot(self, store):
-        occurrences = store.occurrences()
-        total = sum(len(v) for v in occurrences.values())
-        assert total == sum(len(r.batch) for r in store.records)
+        index = store.packed_index()
+        assert len(index) == sum(len(r.batch) for r in store.records)
 
     def test_positions_are_correct(self, store):
-        occurrences = store.occurrences()
-        for sample, hits in list(occurrences.items())[:20]:
-            for t, pos in hits:
-                assert store.records[t].batch[pos] == sample
+        index = store.packed_index()
+        for sample, t, pos in zip(
+            index.samples.tolist(), index.iterations.tolist(),
+            index.positions.tolist(),
+        ):
+            assert store.records[t].batch[pos] == sample
 
     def test_removed_positions_partition(self, store):
         removed = np.array([0, 5, 11, 50])
@@ -56,7 +57,7 @@ class TestOccurrenceIndex:
         assert store.removed_positions(np.array([10_000])) == {}
 
     def test_index_cached(self, store):
-        assert store.occurrences() is store.occurrences()
+        assert store.packed_index() is store.packed_index()
 
 
 class TestMemoryAccounting:

@@ -236,14 +236,10 @@ def fit_trainer(task, data, **kwargs):
     return trainer
 
 
-def sparse_data(task, seed):
-    """Sparse CSR features with random labels for ``task``."""
+def sparse_regression(seed):
+    """Sparse CSR features with random real labels."""
     data = make_sparse_binary_classification(260, 120, density=0.05, seed=seed)
-    rng = np.random.default_rng(seed)
-    if task == "linear":
-        labels = rng.standard_normal(data.n_samples)
-    else:
-        labels = rng.integers(0, 3, size=data.n_samples)
+    labels = np.random.default_rng(seed).standard_normal(data.n_samples)
     return dataclasses.replace(data, labels=labels)
 
 
@@ -256,7 +252,7 @@ ALIGNMENT_CASES = {
         {"max_dense_params": 20},
         "svd",
     ),
-    "linear-sparse": ("linear", lambda: sparse_data("linear", 16), {}, "sparse"),
+    "linear-sparse": ("linear", lambda: sparse_regression(16), {}, "sparse"),
     "binary-dense": (
         "binary_logistic",
         lambda: make_binary_classification(260, 8, seed=13),
@@ -286,12 +282,6 @@ ALIGNMENT_CASES = {
         lambda: make_multiclass_classification(260, 20, n_classes=3, seed=18),
         {"n_classes": 3, "max_dense_params": 20},
         "svd",
-    ),
-    "multinomial-sparse": (
-        "multinomial_logistic",
-        lambda: sparse_data("multinomial", 19),
-        {"n_classes": 3},
-        "sparse",
     ),
 }
 
@@ -376,8 +366,10 @@ def format_5_checkpoint(trainer, directory):
 
 def assert_one_copy(trainer):
     """Each per-sample array exists once: every record's fields and the
-    schedule's batches are views of the store's columns, the plan holds
-    views of the records' moments and no per-sample array of its own."""
+    schedule's batches are views of the store's columns, and the plan
+    holds no per-sample array of its own and, unless sparse (CSR blocks
+    and base moments), no per-iteration state: it reads the records'
+    summaries and moments."""
     store, plan = trainer.store, trainer._plan
     columns = store.columns()
     for column, name in COLUMN_FIELDS[store.task]:
@@ -386,9 +378,16 @@ def assert_one_copy(trainer):
             assert np.shares_memory(getattr(record, name), values), name
     for batch in store.schedule.batches:
         assert np.shares_memory(batch, columns.batches)
-    if not plan.sparse:
-        for record, moment in zip(store.records, plan.moments):
-            assert np.shares_memory(moment, record.moment)
+    per_iteration = {
+        name
+        for name, value in vars(plan).items()
+        if (isinstance(value, list) and len(value) == plan.n_iterations)
+        or (
+            isinstance(value, np.ndarray)
+            and value.shape[:1] == (plan.n_iterations,)
+        )
+    }
+    assert per_iteration == ({"_blocks", "moments"} if plan.sparse else set())
     slots = int(columns.offsets[-1])
     for name, value in vars(plan).items():
         if isinstance(value, np.ndarray) and value.shape[:1] == (slots,):

@@ -596,7 +596,7 @@ class StressDriver:
                 f"{submitted.op_index} {submitted.model_id}/{submitted.lane}",
             )
             self._check(
-                predicted["mode"] in ("refresh", "unsupported")
+                predicted["mode"] == "refresh"
                 and predicted["n_removed"] >= 0
                 and predicted["plan_patch_bytes"] >= 0,
                 f"malformed cost estimate on op {submitted.op_index}: "

@@ -10,6 +10,7 @@ only when the test moves it, so latency/wait assertions are *exact*
 (``==``, not ``>=``-fuzzy) and the suite contains no real sleeps.
 """
 
+import dataclasses
 import threading
 
 import numpy as np
@@ -671,9 +672,10 @@ class TestStats:
     ):
         server = DeletionServer(trainer, method="priu", autostart=False)
         futures = [server.submit(s) for s in removal_sets[:3]]
-        # Sabotage the compiled plan so remove_many raises mid-dispatch.
-        original_version = trainer.store._version
-        trainer.store._version += 1
+        # Sabotage the compiled plan so remove_many raises mid-dispatch:
+        # an equal but different columns object reads as a changed store.
+        original_columns = trainer.store._columns
+        trainer.store._columns = dataclasses.replace(original_columns)
         try:
             server.start()
             assert server.flush(timeout=30)
@@ -682,5 +684,5 @@ class TestStats:
                     future.result(timeout=5)
             assert server.stats().failed == 3
         finally:
-            trainer.store._version = original_version
+            trainer.store._columns = original_columns
             server.close()
